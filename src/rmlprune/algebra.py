@@ -14,22 +14,23 @@ The expression language mirrors how RML builds terms from tabular data:
   each projected to the three reserved output attributes.
 
 Evaluation takes a *source assignment* binding each source reference to a
-parsed data object and produces a mapping relation; feeding the top-level
-relation to :func:`~rmlprune.relations.graph_from_relation` materializes the
-RDF graph.
+parsed data object and streams the tuples of the plan one at a time;
+:func:`materialize` feeds that stream straight into
+:func:`~rmlprune.relations.graph_from_tuples`, so no intermediate relation
+is built, and :func:`evaluate_plan` collects it into a mapping relation.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from itertools import product
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass
+from itertools import chain, product
 from typing import Union
 
 from .csvsource import CsvSource
-from .errors import SourceInputError, StructuralError
+from .errors import InvalidTermError, SourceInputError, StructuralError
 from .rdf import BlankNode, Iri, Literal, RdfGraph, RdfTerm, is_absolute_iri, is_term, is_valid_iri
 from .relations import (
     EPSILON,
@@ -42,7 +43,7 @@ from .relations import (
     MappingRelation,
     MappingTuple,
     Value,
-    graph_from_relation,
+    graph_from_tuples,
 )
 
 logger = logging.getLogger("rmlprune.algebra")
@@ -95,25 +96,19 @@ def template_attrs(expr: TemplateExpr) -> frozenset[Attribute]:
     raise TypeError(f"not a template expression: {expr!r}")
 
 
-def evaluate_template(expr: TemplateExpr, tup: MappingTuple) -> str | Epsilon:
+def evaluate_template(expr: TemplateExpr, tup: Mapping[Attribute, Value]) -> str | Epsilon:
     """The string value of a template expression over one tuple."""
     if isinstance(expr, TextPart):
         return expr.text
     if isinstance(expr, AttrRef):
-        if expr.attr not in tup:
-            raise StructuralError(f"tuple lacks attribute {expr.attr!r}")
-        value = tup[expr.attr]
-        if isinstance(value, Literal):
-            return value.lex
-        return EPSILON
+        try:
+            value = tup[expr.attr]
+        except KeyError:
+            raise StructuralError(f"tuple lacks attribute {expr.attr!r}") from None
+        return value.lex if isinstance(value, Literal) else EPSILON
     if isinstance(expr, TemplateConcat):
-        pieces = []
-        for part in expr.parts:
-            piece = evaluate_template(part, tup)
-            if piece is EPSILON:
-                return EPSILON
-            pieces.append(piece)
-        return "".join(pieces)
+        pieces = [evaluate_template(part, tup) for part in expr.parts]
+        return EPSILON if EPSILON in pieces else "".join(pieces)
     raise TypeError(f"not a template expression: {expr!r}")
 
 
@@ -201,33 +196,28 @@ def resolve_iri(body: str, base: str) -> Iri | Epsilon:
     """IRI construction: absolute as-is, otherwise base-prefixed; EPSILON
     when the outcome is not a valid IRI."""
     candidate = body if is_absolute_iri(body) else base + body
-    if not is_valid_iri(candidate):
+    try:
+        return Iri(candidate)
+    except InvalidTermError:
         return EPSILON
-    return Iri(candidate)
 
 
-def evaluate_extend(expr: ExtendExpr, tup: MappingTuple) -> Value:
+def evaluate_extend(expr: ExtendExpr, tup: Mapping[Attribute, Value]) -> Value:
     """The term value of a constructor over one tuple (EPSILON on failure)."""
     if isinstance(expr, ConstantTerm):
         return expr.term
     if isinstance(expr, ConstantBlank):
         return expr.node
+    if not isinstance(expr, (BuildLiteral, BuildIri, BuildBlank)):
+        raise TypeError(f"not a term constructor: {expr!r}")
+    body = evaluate_template(expr.body, tup)
+    if body is EPSILON:
+        return EPSILON
     if isinstance(expr, BuildLiteral):
-        body = evaluate_template(expr.body, tup)
-        if body is EPSILON:
-            return EPSILON
         return Literal(body, expr.datatype)
     if isinstance(expr, BuildIri):
-        body = evaluate_template(expr.body, tup)
-        if body is EPSILON:
-            return EPSILON
         return resolve_iri(body, expr.base)
-    if isinstance(expr, BuildBlank):
-        body = evaluate_template(expr.body, tup)
-        if body is EPSILON:
-            return EPSILON
-        return string_to_bnode(body)
-    raise TypeError(f"not a term constructor: {expr!r}")
+    return string_to_bnode(body)
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +411,22 @@ class UnionNode:
 
 
 PlanNode = Union[ExtractNode, ExtendNode, ProjectNode, JoinNode, UnionNode]
+# A stream of tuples; each is a fresh dict that its reader may keep.
+Tuples = Iterator[dict[Attribute, Value]]
 
 _warned_selectors: set[tuple[str, str]] = set()
+
+
+def _source_data(spec: ExtractSpec, sigma: SourceAssignment) -> DataObject:
+    data = sigma.get(spec.source_ref)
+    if data is None:
+        raise SourceInputError(f"source assignment lacks source reference {spec.source_ref!r}")
+    if data.kind != spec.source_type:
+        raise SourceInputError(
+            f"source reference {spec.source_ref!r} is bound to a {data.kind!r} "
+            f"object but the mapping needs {spec.source_type!r}"
+        )
+    return data
 
 
 def check_valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> None:
@@ -430,18 +434,8 @@ def check_valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> None:
     reference of *m* with a data object of the declared source type."""
     for tm in m.trmaps:
         for spec in (tm.extract, tm.parent_extract):
-            if spec is None:
-                continue
-            data = sigma.get(spec.source_ref)
-            if data is None:
-                raise SourceInputError(
-                    f"source assignment lacks source reference {spec.source_ref!r}"
-                )
-            if data.kind != spec.source_type:
-                raise SourceInputError(
-                    f"source reference {spec.source_ref!r} is bound to a "
-                    f"{data.kind!r} object but the mapping needs {spec.source_type!r}"
-                )
+            if spec is not None:
+                _source_data(spec, sigma)
 
 
 def valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> bool:
@@ -453,21 +447,12 @@ def valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> bool:
     return True
 
 
-def _evaluate_extract(spec: ExtractSpec, sigma: SourceAssignment) -> MappingRelation:
+def _extract(spec: ExtractSpec, sigma: SourceAssignment) -> Tuples:
     source = SOURCE_TYPES[spec.source_type]
-    data = sigma.get(spec.source_ref)
-    if data is None:
-        raise SourceInputError(f"source assignment lacks source reference {spec.source_ref!r}")
-    if data.kind != spec.source_type:
-        raise SourceInputError(
-            f"source reference {spec.source_ref!r} is bound to a {data.kind!r} "
-            f"object but the extraction needs {spec.source_type!r}"
-        )
+    data = _source_data(spec, sigma)
     selectors = sorted(spec.selectors.items())
-    tuples: set[MappingTuple] = set()
     for component in source.enumerate(data.payload, spec.query):
-        columns: list[tuple[Attribute, list[str]]] = []
-        empty = False
+        columns: list[list[tuple[Attribute, Value]]] = []
         for attr, selector in selectors:
             values = source.select(data.payload, component, selector)
             if not values:
@@ -479,79 +464,103 @@ def _evaluate_extract(spec: ExtractSpec, sigma: SourceAssignment) -> MappingRela
                         selector,
                         spec.source_ref,
                     )
-                empty = True
                 break
-            columns.append((attr, values))
-        if empty:
-            continue
-        for combo in product(*[[(attr, v) for v in values] for attr, values in columns]):
-            tuples.add(MappingTuple({attr: source.cast(v) for attr, v in combo}))
-    return MappingRelation(spec.attrs, frozenset(tuples))
+            columns.append([(attr, source.cast(v)) for v in values])
+        else:
+            for combo in product(*columns):
+                yield dict(combo)
+
+
+def _join(left: Tuples, right: Tuples, conditions: tuple[tuple[Attribute, Attribute], ...]) -> Tuples:
+    # Hash join: the right (parent) side goes into buckets on the condition
+    # columns, and the left side streams past them.  Buckets hold no
+    # duplicates, so repeated parent rows do not multiply the output.  With
+    # no conditions this is a plain cross product.  EPSILON on both sides
+    # counts as a match.
+    buckets: dict[tuple[Value, ...], set[frozenset]] = {}
+    for rt in right:
+        key = tuple(rt[b] for _, b in conditions)
+        buckets.setdefault(key, set()).add(frozenset(rt.items()))
+    for lt in left:
+        for items in buckets.get(tuple(lt[a] for a, _ in conditions), ()):
+            merged = dict(lt)
+            merged.update(items)
+            yield merged
+
+
+def _union_operands(node: PlanNode) -> list[PlanNode]:
+    """The non-union operands of a union tree, left to right, found without
+    recursion so that a union of thousands of expressions cannot overflow."""
+    operands: list[PlanNode] = []
+    stack = [node]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, UnionNode):
+            stack += (top.right, top.left)
+        else:
+            operands.append(top)
+    return operands
+
+
+def _stream(node: PlanNode, sigma: SourceAssignment) -> tuple[frozenset[Attribute], Tuples]:
+    """The attributes of *node* and a lazy stream of its tuples.
+
+    The plan is checked up front; tuples are computed one at a time as the
+    stream is read, and only a join's right side is held in memory.  A
+    tuple may come out more than once: set semantics is the collector's.
+    """
+    if isinstance(node, ExtractNode):
+        return node.spec.attrs, _extract(node.spec, sigma)
+
+    if isinstance(node, ExtendNode):
+        attrs, tuples = _stream(node.child, sigma)
+        if node.attr in attrs:
+            raise StructuralError(f"extend would overwrite attribute {node.attr!r}")
+        attr, expr = node.attr, node.expr
+        return attrs | {attr}, ({**t, attr: evaluate_extend(expr, t)} for t in tuples)
+
+    if isinstance(node, ProjectNode):
+        attrs, tuples = _stream(node.child, sigma)
+        keep = attrs & OUTPUT_ATTRS
+        return keep, ({a: t[a] for a in keep} for t in tuples)
+
+    if isinstance(node, JoinNode):
+        left_attrs, left = _stream(node.left, sigma)
+        right_attrs, right = _stream(node.right, sigma)
+        overlap = left_attrs & right_attrs
+        if overlap:
+            raise StructuralError(f"join sides share attributes: {sorted(overlap)}")
+        return left_attrs | right_attrs, _join(left, right, node.conditions)
+
+    if isinstance(node, UnionNode):
+        parts = [_stream(operand, sigma) for operand in _union_operands(node)]
+        attrs = parts[0][0]
+        for other, _ in parts[1:]:
+            if other != attrs:
+                raise StructuralError(
+                    f"union sides have different attributes: {sorted(attrs)} "
+                    f"vs {sorted(other)}"
+                )
+        return attrs, chain.from_iterable(tuples for _, tuples in parts)
+
+    raise TypeError(f"not a plan node: {node!r}")
 
 
 def evaluate_plan(node: PlanNode, sigma: SourceAssignment) -> MappingRelation:
-    """Evaluate an operator tree under a source assignment."""
-    if isinstance(node, ExtractNode):
-        return _evaluate_extract(node.spec, sigma)
-
-    if isinstance(node, ExtendNode):
-        rel = evaluate_plan(node.child, sigma)
-        if node.attr in rel.attributes:
-            raise StructuralError(f"extend would overwrite attribute {node.attr!r}")
-        tuples = frozenset(
-            t.extended(node.attr, evaluate_extend(node.expr, t)) for t in rel.tuples
-        )
-        return MappingRelation(rel.attributes | {node.attr}, tuples)
-
-    if isinstance(node, ProjectNode):
-        rel = evaluate_plan(node.child, sigma)
-        keep = rel.attributes & OUTPUT_ATTRS
-        tuples = frozenset(t.restricted(keep) for t in rel.tuples)
-        return MappingRelation(keep, tuples)
-
-    if isinstance(node, JoinNode):
-        left = evaluate_plan(node.left, sigma)
-        right = evaluate_plan(node.right, sigma)
-        overlap = left.attributes & right.attributes
-        if overlap:
-            raise StructuralError(f"join sides share attributes: {sorted(overlap)}")
-        # Hash join on the condition columns; with no conditions this is a
-        # plain cross product.  EPSILON on both sides counts as a match.
-        buckets: dict[tuple[Value, ...], list[MappingTuple]] = {}
-        for rt in right.tuples:
-            key = tuple(rt[b] for _, b in node.conditions)
-            buckets.setdefault(key, []).append(rt)
-        tuples = set()
-        for lt in left.tuples:
-            key = tuple(lt[a] for a, _ in node.conditions)
-            for rt in buckets.get(key, ()):
-                tuples.add(lt.merged(rt))
-        return MappingRelation(left.attributes | right.attributes, frozenset(tuples))
-
-    if isinstance(node, UnionNode):
-        left = evaluate_plan(node.left, sigma)
-        right = evaluate_plan(node.right, sigma)
-        if left.attributes != right.attributes:
-            raise StructuralError(
-                f"union sides have different attributes: {sorted(left.attributes)} "
-                f"vs {sorted(right.attributes)}"
-            )
-        return MappingRelation(left.attributes, left.tuples | right.tuples)
-
-    raise TypeError(f"not a plan node: {node!r}")
+    """Evaluate an operator tree under a source assignment into a relation."""
+    attrs, tuples = _stream(node, sigma)
+    return MappingRelation(attrs, frozenset(MappingTuple(t) for t in tuples))
 
 
 def materialize(m: RmlMappingExpr, sigma: SourceAssignment) -> RdfGraph:
     """Evaluate the whole mapping and keep the well-formed triples."""
     check_valid_input(sigma, m)
-    return graph_from_relation(evaluate_plan(m.plan(), sigma))
+    return graph_from_tuples(*_stream(m.plan(), sigma))
 
 
 def materialize_trmap(tm: TriplesMapExpr, sigma: SourceAssignment) -> RdfGraph:
     """The graph produced by a single triples-map expression."""
-    return graph_from_relation(
-        evaluate_plan(ProjectNode(tm.plan()), sigma)
-    )
+    return graph_from_tuples(*_stream(ProjectNode(tm.plan()), sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +590,8 @@ def _format_extend(expr: ExtendExpr) -> str:
 
 
 def dump_plan(node: PlanNode, indent: int = 0) -> str:
-    """A one-operator-per-line rendering of an operator tree."""
+    """A one-operator-per-line rendering of an operator tree; a union tree
+    is rendered as one union over all of its operands."""
     pad = "  " * indent
     if isinstance(node, ExtractNode):
         spec = node.spec
@@ -605,9 +615,6 @@ def dump_plan(node: PlanNode, indent: int = 0) -> str:
             f"{dump_plan(node.right, indent + 1)})"
         )
     if isinstance(node, UnionNode):
-        return (
-            f"{pad}(union\n"
-            f"{dump_plan(node.left, indent + 1)}\n"
-            f"{dump_plan(node.right, indent + 1)})"
-        )
+        operands = "\n".join(dump_plan(n, indent + 1) for n in _union_operands(node))
+        return f"{pad}(union\n{operands})"
     raise TypeError(f"not a plan node: {node!r}")

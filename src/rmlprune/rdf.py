@@ -30,10 +30,12 @@ XSD_BOOLEAN = XSD + "boolean"
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDF_TYPE = RDF_NS + "type"
 
-_SCHEME_RE = re.compile(r"[A-Za-z][A-Za-z0-9+.\-]*:")
-# The classic N-Triples exclusion set.  Everything at or below U+0020 is also
-# rejected so that accepted IRIs always serialize verbatim.
-_IRI_FORBIDDEN = set('<>"{}|\\^`')
+_SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
+_SCHEME_RE = re.compile(_SCHEME)
+# A scheme, then none of the classic N-Triples exclusion set.  Everything at
+# or below U+0020 is also rejected so that accepted IRIs always serialize
+# verbatim.
+_IRI_RE = re.compile(_SCHEME + r'[^\x00-\x20<>"{}|\\^`]*\Z')
 _BNODE_LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 _VAR_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -45,15 +47,10 @@ def is_absolute_iri(value: str) -> bool:
 
 def is_valid_iri(value: str) -> bool:
     """Syntactic IRI check: a scheme prefix and no forbidden characters."""
-    if not is_absolute_iri(value):
-        return False
-    for ch in value:
-        if ch in _IRI_FORBIDDEN or ord(ch) <= 0x20:
-            return False
-    return True
+    return _IRI_RE.match(value) is not None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     value: str
 
@@ -65,7 +62,7 @@ class Iri:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlankNode:
     label: str
 
@@ -77,7 +74,7 @@ class BlankNode:
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     lex: str
     datatype: str = XSD_STRING
@@ -111,7 +108,7 @@ class Variable:
         return f"?{self.name}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     s: Union[Iri, BlankNode]
     p: Iri

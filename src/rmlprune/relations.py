@@ -6,7 +6,8 @@ of such tuples sharing one attribute set (the schema law).  Three reserved
 attributes, ``@s``, ``@p`` and ``@o``, carry the subject, predicate and
 object of the triple a tuple describes; :func:`graph_from_relation` turns a
 relation with those attributes into an RDF graph, silently dropping tuples
-whose reserved positions hold :data:`EPSILON` or a term of the wrong kind.
+whose reserved positions hold :data:`EPSILON` or a term of the wrong kind,
+and :func:`graph_from_tuples` does the same for a stream of tuples.
 """
 
 from __future__ import annotations
@@ -74,25 +75,6 @@ class MappingTuple(Mapping):
             self._hash = hash(frozenset(self._values.items()))
         return self._hash
 
-    def extended(self, attr: Attribute, value: Value) -> "MappingTuple":
-        if attr in self._values:
-            raise StructuralError(f"attribute already present: {attr!r}")
-        out = dict(self._values)
-        out[attr] = value
-        return MappingTuple(out)
-
-    def merged(self, other: "MappingTuple") -> "MappingTuple":
-        overlap = self._values.keys() & other._values.keys()
-        if overlap:
-            raise StructuralError(f"tuples share attributes: {sorted(overlap)}")
-        out = dict(self._values)
-        out.update(other._values)
-        return MappingTuple(out)
-
-    def restricted(self, attrs: Iterable[Attribute]) -> "MappingTuple":
-        keep = set(attrs)
-        return MappingTuple({a: v for a, v in self._values.items() if a in keep})
-
     def __repr__(self):
         inner = ", ".join(f"{a}={v!r}" for a, v in sorted(self._values.items()))
         return "{" + inner + "}"
@@ -127,25 +109,33 @@ class MappingRelation:
         return iter(self.tuples)
 
 
-def graph_from_relation(rel: MappingRelation) -> RdfGraph:
-    """The triples described by a relation carrying ``@s``/``@p``/``@o``.
+def graph_from_tuples(
+    attributes: Iterable[Attribute], tuples: Iterable[Mapping[Attribute, Value]]
+) -> RdfGraph:
+    """The triples described by tuples carrying ``@s``/``@p``/``@o``.
 
     A tuple yields a triple only when its subject is an IRI or blank node,
     its predicate an IRI, and its object any RDF term; tuples holding
     :data:`EPSILON` or an ill-positioned term are dropped without error.
+    *tuples* is read once, so it may be a stream.  Equal terms end up as
+    one object in the graph, however many tuples built them.
     """
-    if not OUTPUT_ATTRS <= rel.attributes:
-        missing = sorted(OUTPUT_ATTRS - rel.attributes)
+    missing = sorted(OUTPUT_ATTRS - set(attributes))
+    if missing:
         raise StructuralError(f"relation lacks reserved output attributes: {missing}")
-    triples = []
-    for t in rel.tuples:
-        s = t[SUBJECT_ATTR]
-        p = t[PREDICATE_ATTR]
-        o = t[OBJECT_ATTR]
-        if (
-            isinstance(s, (Iri, BlankNode))
-            and isinstance(p, Iri)
-            and isinstance(o, (Iri, BlankNode, Literal))
-        ):
-            triples.append(Triple(s, p, o))
-    return RdfGraph(triples)
+    terms: dict[RdfTerm, RdfTerm] = {}
+    share = terms.setdefault
+    subjects, objects = (Iri, BlankNode), (Iri, BlankNode, Literal)
+
+    def triples() -> Iterator[Triple]:
+        for t in tuples:
+            s, p, o = t[SUBJECT_ATTR], t[PREDICATE_ATTR], t[OBJECT_ATTR]
+            if isinstance(s, subjects) and isinstance(p, Iri) and isinstance(o, objects):
+                yield Triple(share(s, s), share(p, p), share(o, o))
+
+    return RdfGraph(triples())
+
+
+def graph_from_relation(rel: MappingRelation) -> RdfGraph:
+    """The triples described by a relation carrying ``@s``/``@p``/``@o``."""
+    return graph_from_tuples(rel.attributes, rel.tuples)

@@ -1,9 +1,11 @@
 """Template expressions, term constructors, extraction, and plan evaluation."""
 
 import logging
+import random
 
 import pytest
 
+from rmlprune import algebra
 from rmlprune.algebra import (
     SOURCE_TYPES,
     AttrRef,
@@ -48,6 +50,8 @@ from rmlprune.rdf import (
     Triple,
 )
 from rmlprune.relations import EPSILON, MappingTuple
+
+from . import randgen
 
 BASE = "http://example.com/base/"
 
@@ -497,6 +501,42 @@ def test_materialize_checks_sources_up_front():
     assert not valid_input({}, m)
     with pytest.raises(SourceInputError):
         materialize(m, {})
+
+
+def test_wide_mapping_evaluates_without_recursion():
+    # a left-deep union of 5,000 expressions must not hit the recursion limit
+    mapping = randgen.wide_mapping(random.Random(1), 5000)
+    tables = {f"w{i}.csv": ["c0", "c1", "c2"] for i in range(9)}
+    instance = randgen.RandomInstance(mapping, {}, tables, allow_empty=False)
+    sigma = randgen.fresh_sigma(instance, random.Random(2))
+    graph = materialize(mapping, sigma)
+    per_trmap = set()
+    for tm in mapping.trmaps:
+        per_trmap |= materialize_trmap(tm, sigma).triples
+    assert graph.triples == per_trmap
+    assert len(graph) > 5000
+    text = dump_plan(mapping.plan())
+    assert text.count("(project [@s @p @o]") == 5000
+    assert text.count("(union") == 1
+
+
+def test_join_streams_each_distinct_parent_tuple_once(monkeypatch):
+    calls = []
+
+    def counting_extend(expr, tup):
+        calls.append(tup)
+        return Literal("v")
+
+    monkeypatch.setattr(algebra, "evaluate_extend", counting_extend)
+    sigma = csv_sigma(**{"l.csv": "a,b\n1,x\n", "r.csv": "c,d\nx,P\nx,P\nx,Q\n"})
+    join = JoinNode(
+        ExtractNode(csv_extract("l.csv", "a", "b")),
+        ExtractNode(csv_extract("r.csv", selectors={"c@p": "c", "d@p": "d"})),
+        (("b", "c@p"),),
+    )
+    evaluate_plan(ExtendNode(join, "@o", ConstantTerm(Literal("v"))), sigma)
+    # the repeated parent row "x,P" must not double the joined tuples
+    assert sorted(t["d@p"].lex for t in calls) == ["P", "Q"]
 
 
 def test_dump_plan_renders_operators():

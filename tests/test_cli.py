@@ -62,6 +62,29 @@ def test_translate_dump_algebra(corpus, capsys, tmp_path):
     assert "(union" in text and "(extract" in text and "(project" in text
 
 
+def test_translate_dump_algebra_of_5000_expressions(capsys, tmp_path):
+    poms = "".join(
+        f'  rr:predicateObjectMap [ rr:predicate ex:p{i} ; rr:objectMap [ rml:reference "name" ] ] ;\n'
+        for i in range(5000)
+    )
+    mapping = tmp_path / "wide.ttl"
+    mapping.write_text(
+        "@prefix rr: <http://www.w3.org/ns/r2rml#> .\n"
+        "@prefix rml: <http://semweb.mmlab.be/ns/rml#> .\n"
+        "@prefix ql: <http://semweb.mmlab.be/ns/ql#> .\n"
+        "@prefix ex: <http://example.com/ns#> .\n"
+        "<http://example.com/tm/t>\n"
+        '  rml:logicalSource [ rml:source "t.csv" ; rml:referenceFormulation ql:CSV ] ;\n'
+        + poms
+        + '  rr:subjectMap [ rr:template "http://example.com/t/{id}" ] .\n',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "translate", "--mapping", str(mapping), "--dump-algebra")
+    assert code == 0
+    assert "5000 TrMap-expressions" in err
+    assert out.count("(project [@s @p @o]") == 5000
+
+
 def test_prune_writes_reparsable_mapping(corpus, capsys):
     code, out, err = run(
         capsys,

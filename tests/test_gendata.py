@@ -1,5 +1,6 @@
 """The deterministic benchmark corpus generator."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from rmlprune.algebra import BuildBlank, DataObject, materialize
 from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.gendata import MAPPING_TTL, QUERIES, generate
+from rmlprune.ntriples import serialize_graph
 from rmlprune.pruning import FullyPruned, prune
 from rmlprune.rdf import eval_bgp
 from rmlprune.rml import normalize, parse_rml, translate
@@ -107,6 +109,39 @@ def test_full_materialization_size(corpus_mapping, corpus_sigma):
     graph = materialize(corpus_mapping, corpus_sigma)
     # 100 stops x 5 + 20 routes x 4 + 200 shape points x 4 + 190 predecessor links
     assert len(graph.triples) == 1570
+
+
+# (triples, sha256 of the N-Triples text) of the corpus at seed 42; a faster
+# evaluator must keep the output byte-identical.
+PINNED_SHA256 = {
+    1: (1570, "ea78f3f3cfad0c2c31f2f0fe8d35b4c61ee45918187304007d4ce2845daefe3e"),
+    10: (15700, "cc7f229409097d55ded958eb905c1ff84bc8730a7daf82536674096aa86889c9"),
+}
+
+
+def _materialize_corpus(directory: Path, scale: int):
+    generate(directory, scale=scale, seed=42)
+    sigma = {
+        name: DataObject(kind=CSV_KIND, payload=parse_csv((directory / name).read_bytes()))
+        for name in ("stops.csv", "routes.csv", "shapes.csv")
+    }
+    mapping = translate(normalize(parse_rml((directory / "mapping.ttl").read_bytes())))
+    return materialize(mapping, sigma)
+
+
+@pytest.mark.parametrize("scale", sorted(PINNED_SHA256))
+def test_materialized_output_is_pinned(scale, tmp_path):
+    graph = _materialize_corpus(tmp_path, scale)
+    text = serialize_graph(graph)
+    assert (len(graph), hashlib.sha256(text.encode("utf-8")).hexdigest()) == PINNED_SHA256[scale]
+
+
+def test_materialize_shares_equal_terms(tmp_path):
+    graph = _materialize_corpus(tmp_path, 1)
+    # each stop's subject IRI is built by 5 expressions, but kept once
+    assert len({id(t.s) for t in graph}) == len({t.s for t in graph})
+    terms = [x for t in graph for x in (t.s, t.p, t.o)]
+    assert len({id(x) for x in terms}) == len(set(terms))
 
 
 def test_join_query_answers_survive_pruning(corpus_mapping, corpus_sigma):

@@ -6,6 +6,7 @@ keeps those whose substituted patterns are all triples of the graph.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -83,6 +84,38 @@ def test_invalid_iris(value):
     assert not is_valid_iri(value)
     with pytest.raises(InvalidTermError):
         Iri(value)
+
+
+def _is_valid_iri_by_loop(value: str) -> bool:
+    """The original character loop, kept as the oracle for the regex."""
+    if re.match(r"[A-Za-z][A-Za-z0-9+.\-]*:", value) is None:
+        return False
+    for ch in value:
+        if ch in '<>"{}|\\^`' or ord(ch) <= 0x20:
+            return False
+    return True
+
+
+@given(st.text())
+def test_iri_check_matches_loop_on_any_text(value):
+    assert is_valid_iri(value) == _is_valid_iri_by_loop(value)
+
+
+@given(
+    st.sampled_from(["", "http:", "a+b.c-d:", "1x:", ":", "h"]),
+    st.text(alphabet=st.sampled_from('ab:/%é\x00\x1f \x7f<>"{}|\\^`\n\u2028'), max_size=8),
+)
+def test_iri_check_matches_loop_after_scheme(scheme, rest):
+    value = scheme + rest
+    assert is_valid_iri(value) == _is_valid_iri_by_loop(value)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [Iri(EX + "a"), BlankNode("b1"), Literal("v"), Triple(iri("s"), iri("p"), Literal("v"))],
+)
+def test_terms_and_triples_have_no_instance_dict(term):
+    assert not hasattr(term, "__dict__")
 
 
 def test_blank_node_labels():

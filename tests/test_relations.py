@@ -48,28 +48,6 @@ def test_tuple_mapping_interface_and_hash():
     assert hash(t) == hash(MappingTuple({"a": iri("x"), "b": EPSILON}))
 
 
-def test_tuple_extended_refuses_overwrite():
-    t = MappingTuple({"a": iri("x")})
-    t2 = t.extended("b", Literal("v"))
-    assert t2 == MappingTuple({"a": iri("x"), "b": Literal("v")})
-    with pytest.raises(StructuralError):
-        t.extended("a", iri("y"))
-
-
-def test_tuple_merged_requires_disjoint_domains():
-    t = MappingTuple({"a": iri("x")})
-    u = MappingTuple({"b": iri("y")})
-    assert t.merged(u) == MappingTuple({"a": iri("x"), "b": iri("y")})
-    with pytest.raises(StructuralError):
-        t.merged(MappingTuple({"a": iri("z")}))
-
-
-def test_tuple_restricted():
-    t = MappingTuple({"a": iri("x"), "b": iri("y")})
-    assert t.restricted({"a"}) == MappingTuple({"a": iri("x")})
-    assert t.restricted({"a", "zz"}) == MappingTuple({"a": iri("x")})
-
-
 def test_relation_schema_law():
     good = MappingRelation({"a"}, {MappingTuple({"a": iri("x")})})
     assert len(good) == 1
