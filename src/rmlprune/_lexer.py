@@ -1,0 +1,278 @@
+"""The token layer shared by the Turtle, SPARQL and N-Triples readers.
+
+RDF 1.1 Turtle takes its terminals from SPARQL 1.1 §19.8, so one lexer
+serves both parsers; each parser subclasses :class:`Lexer` and adds only
+its grammar.  Implemented here, once:
+
+* ``IRIREF``, with the ``\\u``/``\\U`` escapes of §19.2 and the
+  forbidden-character check.  A relative IRI is resolved by concatenation
+  with the in-scope base;
+* ``PNAME_NS`` and ``PNAME_LN``: ``PN_PREFIX`` and ``PN_LOCAL`` with
+  ``PLX`` (``PN_LOCAL_ESC``).  An escaped ``\\.`` may end a local name; a
+  bare trailing ``.`` is left to end the statement;
+* ``STRING_LITERAL1``, ``STRING_LITERAL2``, ``STRING_LITERAL_LONG1`` and
+  ``STRING_LITERAL_LONG2``, with ``ECHAR`` and ``UCHAR``;
+* ``INTEGER``, ``DECIMAL``, ``DOUBLE`` and the boolean keywords;
+* ``WS`` and ``#`` comments.
+
+Two simplifications: name characters are Python's alphanumerics rather
+than the exact ``PN_CHARS`` ranges, and a ``%`` in a local name is taken as
+is, without checking the two hex digits of ``PERCENT``.  Literals are
+always a lexical form plus a datatype, so language tags are rejected.  A
+hex escape must name a Unicode scalar value: a code point above U+10FFFF or
+a surrogate is an error with a position, like every other lexical error.
+"""
+
+from __future__ import annotations
+
+import re
+
+from .errors import InvalidTermError
+from .rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal, is_absolute_iri
+
+_ECHAR = {
+    't': '\t',
+    'b': '\b',
+    'n': '\n',
+    'r': '\r',
+    'f': '\f',
+    '"': '"',
+    "'": "'",
+    '\\': '\\',
+}
+
+_DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
+_DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
+INTEGER_RE = re.compile(r"[+-]?\d+")
+_NUMBERS = ((_DOUBLE_RE, XSD_DOUBLE), (_DECIMAL_RE, XSD_DECIMAL), (INTEGER_RE, XSD_INTEGER))
+
+# In a str pattern \w is exactly str.isalnum() plus '_'.
+_WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+_PREFIX_RE = re.compile(r"[\w.-]*")
+_LOCAL_RE = re.compile(r"(?:[\w.:%-]|\\[_~.\-!$&'()*+,;=/?#@%])*")
+_PLX_RE = re.compile(r"\\(.)")
+_A_RE = re.compile(r"a(?![\w.:-])")
+_IRI_CHARS_RE = re.compile(r'[^<>"{}|^`\\\x00-\x20]*')
+# the characters a string body takes without a second look
+_STRING_CHARS = {
+    '"""': re.compile(r'[^"\\]*'),
+    "'''": re.compile(r"[^'\\]*"),
+    '"': re.compile(r'[^"\\\r\n]*'),
+    "'": re.compile(r"[^'\\\r\n]*"),
+}
+
+
+class Lexer:
+    """A cursor over one text and the readers for its tokens.
+
+    Subclasses set ``error_class`` (syntax errors) and ``unsupported_class``
+    (known constructs outside the supported subset); both are called with
+    a message, a line and a column.
+    """
+
+    error_class: type
+    unsupported_class: type
+
+    def __init__(self, text: str, base: str | None = None):
+        self.text = text
+        self.pos = 0
+        self.base = base
+        self.prefixes: dict[str, str] = {}
+
+    # -- cursor ------------------------------------------------------------
+
+    def error(self, message: str, unsupported: bool = False) -> Exception:
+        line = self.text.count("\n", 0, self.pos) + 1
+        column = self.pos - self.text.rfind("\n", 0, self.pos)
+        cls = self.unsupported_class if unsupported else self.error_class
+        return cls(message, line=line, column=column)
+
+    def at_end(self) -> bool:
+        return self.pos >= len(self.text)
+
+    def peek(self) -> str:
+        return self.text[self.pos : self.pos + 1]
+
+    def skip_ws(self):
+        self.pos = _WS_RE.match(self.text, self.pos).end()
+
+    def try_consume(self, token: str) -> bool:
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def expect(self, token: str):
+        if not self.try_consume(token):
+            raise self.error(f"expected {token!r}")
+
+    def keyword_ahead(self, word: str) -> bool:
+        """Case-insensitive keyword at the cursor, not part of a longer name."""
+        end = self.pos + len(word)
+        if self.text[self.pos : end].lower() != word.lower():
+            return False
+        return end >= len(self.text) or not (self.text[end].isalnum() or self.text[end] == "_")
+
+    def try_keyword(self, word: str) -> bool:
+        if self.keyword_ahead(word):
+            self.pos += len(word)
+            return True
+        return False
+
+    def try_a(self) -> bool:
+        """Consume the ``a`` that abbreviates ``rdf:type`` as a verb."""
+        match = _A_RE.match(self.text, self.pos)
+        if match:
+            self.pos += 1
+        return match is not None
+
+    # -- IRIs --------------------------------------------------------------
+
+    def resolve(self, iri: str) -> Iri:
+        if not is_absolute_iri(iri):
+            if self.base is None:
+                raise self.error(f"relative IRI {iri!r} without a base")
+            iri = self.base + iri
+        try:
+            return Iri(iri)
+        except InvalidTermError:
+            raise self.error(f"not a valid IRI: {iri!r}") from None
+
+    def read_iriref(self) -> Iri:
+        self.expect("<")
+        parts = []
+        while True:
+            end = _IRI_CHARS_RE.match(self.text, self.pos).end()
+            parts.append(self.text[self.pos : end])
+            self.pos = end
+            ch = self.peek()
+            if not ch:
+                raise self.error("unterminated IRI")
+            self.pos += 1
+            if ch == ">":
+                return self.resolve("".join(parts))
+            if ch != "\\":
+                raise self.error(f"forbidden character in IRI: {ch!r}")
+            if self.peek() not in ("u", "U"):
+                raise self.error(f"invalid escape in IRI: \\{self.peek()}")
+            parts.append(self.read_escape())
+
+    def read_prefix_name(self) -> str:
+        """The part before ':' in a prefixed name or prefix declaration."""
+        end = _PREFIX_RE.match(self.text, self.pos).end()
+        name = self.text[self.pos : end]
+        self.pos = end
+        if name.endswith("."):
+            raise self.error(f"prefix name may not end with '.': {name!r}")
+        return name
+
+    def read_local_name(self) -> str:
+        end = _LOCAL_RE.match(self.text, self.pos).end()
+        if self.text.startswith("\\", end):
+            self.pos = end
+            raise self.error(f"invalid local name escape: {self.text[end : end + 2]}")
+        # a bare trailing '.' belongs to the statement, an escaped one to the name
+        name = self.text[self.pos : end].rstrip(".")
+        if name.endswith("\\"):
+            name += "."
+        self.pos += len(name)
+        return _PLX_RE.sub(r"\1", name) if "\\" in name else name
+
+    def read_prefixed_name(self) -> Iri:
+        prefix = self.read_prefix_name()
+        self.expect(":")
+        local = self.read_local_name()
+        ns = self.prefixes.get(prefix)
+        if ns is None:
+            raise self.error(f"undeclared prefix: {prefix!r}")
+        return self.resolve(ns + local)
+
+    def read_iri(self) -> Iri:
+        if self.peek() == "<":
+            return self.read_iriref()
+        return self.read_prefixed_name()
+
+    # -- literals ----------------------------------------------------------
+
+    def read_hex(self, width: int) -> str:
+        """The character named by *width* hex digits at the cursor."""
+        digits = self.text[self.pos : self.pos + width]
+        if len(digits) != width:
+            raise self.error("truncated hex escape")
+        try:
+            code = int(digits, 16)
+        except ValueError:
+            raise self.error(f"bad hex escape: {digits!r}") from None
+        if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise self.error(f"hex escape is not a Unicode scalar value: {digits!r}")
+        self.pos += width
+        return chr(code)
+
+    def read_escape(self) -> str:
+        """The character a UCHAR or ECHAR stands for; the cursor is just
+        past its backslash."""
+        kind = self.peek()
+        self.pos += 1
+        if kind == "u":
+            return self.read_hex(4)
+        if kind == "U":
+            return self.read_hex(8)
+        if kind in _ECHAR:
+            return _ECHAR[kind]
+        raise self.error(f"invalid string escape: \\{kind}")
+
+    def read_string(self) -> str:
+        for quote in ('"""', "'''", '"', "'"):
+            if self.try_consume(quote):
+                break
+        else:
+            raise self.error("expected a string")
+        long = len(quote) == 3
+        plain = _STRING_CHARS[quote]
+        parts = []
+        while True:
+            end = plain.match(self.text, self.pos).end()
+            parts.append(self.text[self.pos : end])
+            self.pos = end
+            ch = self.peek()
+            if not ch:
+                raise self.error("unterminated string")
+            if ch == "\\":
+                self.pos += 1
+                parts.append(self.read_escape())
+            elif self.text.startswith(quote, end) and not (
+                # quotes directly before the closing """ belong to the content
+                long and self.text.startswith(ch, end + 3)
+            ):
+                self.pos += len(quote)
+                return "".join(parts)
+            elif not long:
+                raise self.error("newline in single-line string")
+            else:
+                parts.append(ch)
+                self.pos += 1
+
+    def read_literal(self) -> Literal:
+        lex = self.read_string()
+        if self.peek() == "@":
+            raise self.error("language-tagged literals are not supported", unsupported=True)
+        if self.try_consume("^^"):
+            return Literal(lex, self.read_iri().value)
+        return Literal(lex)
+
+    def read_constant(self) -> Iri | Literal:
+        """An IRI, or a quoted, numeric or boolean literal."""
+        ch = self.peek()
+        if ch and ch in "\"'":
+            return self.read_literal()
+        if self.try_keyword("true"):
+            return Literal("true", XSD_BOOLEAN)
+        if self.try_keyword("false"):
+            return Literal("false", XSD_BOOLEAN)
+        if ch.isdigit() or ch in "+-.":
+            for regex, datatype in _NUMBERS:
+                match = regex.match(self.text, self.pos)
+                if match:
+                    self.pos = match.end()
+                    return Literal(match.group(), datatype)
+        return self.read_iri()

@@ -366,15 +366,6 @@ class RmlMappingExpr:
         return node
 
 
-def unique_trmaps(m: RmlMappingExpr) -> list[TriplesMapExpr]:
-    """The triples-map expressions of *m*, de-duplicated by provenance id,
-    in first-occurrence order."""
-    seen: dict[str, TriplesMapExpr] = {}
-    for tm in m.trmaps:
-        seen.setdefault(tm.provenance, tm)
-    return list(seen.values())
-
-
 # ---------------------------------------------------------------------------
 # operator tree and evaluation
 # ---------------------------------------------------------------------------
@@ -414,9 +405,6 @@ PlanNode = Union[ExtractNode, ExtendNode, ProjectNode, JoinNode, UnionNode]
 # A stream of tuples; each is a fresh dict that its reader may keep.
 Tuples = Iterator[dict[Attribute, Value]]
 
-_warned_selectors: set[tuple[str, str]] = set()
-
-
 def _source_data(spec: ExtractSpec, sigma: SourceAssignment) -> DataObject:
     data = sigma.get(spec.source_ref)
     if data is None:
@@ -438,16 +426,7 @@ def check_valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> None:
                 _source_data(spec, sigma)
 
 
-def valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> bool:
-    """True when *sigma* satisfies every extraction of *m*."""
-    try:
-        check_valid_input(sigma, m)
-    except SourceInputError:
-        return False
-    return True
-
-
-def _extract(spec: ExtractSpec, sigma: SourceAssignment) -> Tuples:
+def _extract(spec: ExtractSpec, sigma: SourceAssignment, warned: set[tuple[str, str]]) -> Tuples:
     source = SOURCE_TYPES[spec.source_type]
     data = _source_data(spec, sigma)
     selectors = sorted(spec.selectors.items())
@@ -457,8 +436,8 @@ def _extract(spec: ExtractSpec, sigma: SourceAssignment) -> Tuples:
             values = source.select(data.payload, component, selector)
             if not values:
                 key = (spec.source_ref, selector)
-                if key not in _warned_selectors:
-                    _warned_selectors.add(key)
+                if key not in warned:
+                    warned.add(key)
                     logger.warning(
                         "selector %r matches nothing in source %r; rows are dropped",
                         selector,
@@ -502,38 +481,42 @@ def _union_operands(node: PlanNode) -> list[PlanNode]:
     return operands
 
 
-def _stream(node: PlanNode, sigma: SourceAssignment) -> tuple[frozenset[Attribute], Tuples]:
+def _stream(
+    node: PlanNode, sigma: SourceAssignment, warned: set[tuple[str, str]]
+) -> tuple[frozenset[Attribute], Tuples]:
     """The attributes of *node* and a lazy stream of its tuples.
 
     The plan is checked up front; tuples are computed one at a time as the
     stream is read, and only a join's right side is held in memory.  A
     tuple may come out more than once: set semantics is the collector's.
+    *warned* holds the (source, selector) pairs whose "matches nothing"
+    warning this evaluation has already logged.
     """
     if isinstance(node, ExtractNode):
-        return node.spec.attrs, _extract(node.spec, sigma)
+        return node.spec.attrs, _extract(node.spec, sigma, warned)
 
     if isinstance(node, ExtendNode):
-        attrs, tuples = _stream(node.child, sigma)
+        attrs, tuples = _stream(node.child, sigma, warned)
         if node.attr in attrs:
             raise StructuralError(f"extend would overwrite attribute {node.attr!r}")
         attr, expr = node.attr, node.expr
         return attrs | {attr}, ({**t, attr: evaluate_extend(expr, t)} for t in tuples)
 
     if isinstance(node, ProjectNode):
-        attrs, tuples = _stream(node.child, sigma)
+        attrs, tuples = _stream(node.child, sigma, warned)
         keep = attrs & OUTPUT_ATTRS
         return keep, ({a: t[a] for a in keep} for t in tuples)
 
     if isinstance(node, JoinNode):
-        left_attrs, left = _stream(node.left, sigma)
-        right_attrs, right = _stream(node.right, sigma)
+        left_attrs, left = _stream(node.left, sigma, warned)
+        right_attrs, right = _stream(node.right, sigma, warned)
         overlap = left_attrs & right_attrs
         if overlap:
             raise StructuralError(f"join sides share attributes: {sorted(overlap)}")
         return left_attrs | right_attrs, _join(left, right, node.conditions)
 
     if isinstance(node, UnionNode):
-        parts = [_stream(operand, sigma) for operand in _union_operands(node)]
+        parts = [_stream(operand, sigma, warned) for operand in _union_operands(node)]
         attrs = parts[0][0]
         for other, _ in parts[1:]:
             if other != attrs:
@@ -548,19 +531,19 @@ def _stream(node: PlanNode, sigma: SourceAssignment) -> tuple[frozenset[Attribut
 
 def evaluate_plan(node: PlanNode, sigma: SourceAssignment) -> MappingRelation:
     """Evaluate an operator tree under a source assignment into a relation."""
-    attrs, tuples = _stream(node, sigma)
+    attrs, tuples = _stream(node, sigma, set())
     return MappingRelation(attrs, frozenset(MappingTuple(t) for t in tuples))
 
 
 def materialize(m: RmlMappingExpr, sigma: SourceAssignment) -> RdfGraph:
     """Evaluate the whole mapping and keep the well-formed triples."""
     check_valid_input(sigma, m)
-    return graph_from_tuples(*_stream(m.plan(), sigma))
+    return graph_from_tuples(*_stream(m.plan(), sigma, set()))
 
 
 def materialize_trmap(tm: TriplesMapExpr, sigma: SourceAssignment) -> RdfGraph:
     """The graph produced by a single triples-map expression."""
-    return graph_from_tuples(*_stream(ProjectNode(tm.plan()), sigma))
+    return graph_from_tuples(*_stream(ProjectNode(tm.plan()), sigma, set()))
 
 
 # ---------------------------------------------------------------------------

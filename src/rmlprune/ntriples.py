@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+from ._lexer import Lexer
 from .errors import NTriplesError
 from .rdf import XSD_STRING, BlankNode, Iri, Literal, RdfGraph, RdfTerm, Triple
 
@@ -22,18 +23,6 @@ _ESCAPES = {
     "\b": "\\b",
     "\f": "\\f",
 }
-
-_UNESCAPES = {
-    't': '\t',
-    'b': '\b',
-    'n': '\n',
-    'r': '\r',
-    'f': '\f',
-    '"': '"',
-    "'": "'",
-    '\\': '\\',
-}
-
 
 def _escape_string(s: str) -> str:
     out = []
@@ -67,68 +56,23 @@ def format_triple(triple: Triple) -> str:
 def serialize_graph(g: RdfGraph | Iterable[Triple]) -> str:
     """The graph as N-Triples text, one sorted line per triple."""
     lines = sorted(format_triple(t) for t in g)
-    return "".join(line + "\n" for line in lines)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
-class _LineParser:
+class _LineParser(Lexer):
+    """One line of N-Triples.  IRIs and escapes are read by the shared
+    lexer; relative IRIs are errors, as no base is in scope."""
+
     def __init__(self, text: str, lineno: int):
-        self.text = text
-        self.pos = 0
+        super().__init__(text)
         self.lineno = lineno
 
-    def error(self, message: str) -> NTriplesError:
+    def error(self, message: str, unsupported: bool = False) -> NTriplesError:
         return NTriplesError(message, line=self.lineno)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
             self.pos += 1
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def expect(self, ch: str):
-        if self.at_end() or self.text[self.pos] != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def _read_uchar(self, width: int) -> str:
-        digits = self.text[self.pos : self.pos + width]
-        if len(digits) != width:
-            raise self.error("truncated \\u escape")
-        try:
-            code = int(digits, 16)
-        except ValueError:
-            raise self.error(f"bad \\u escape: {digits!r}") from None
-        self.pos += width
-        return chr(code)
-
-    def read_iri(self) -> Iri:
-        self.expect("<")
-        out = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated IRI")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == ">":
-                break
-            if ch == "\\":
-                if self.at_end():
-                    raise self.error("truncated escape in IRI")
-                kind = self.text[self.pos]
-                self.pos += 1
-                if kind == "u":
-                    out.append(self._read_uchar(4))
-                elif kind == "U":
-                    out.append(self._read_uchar(8))
-                else:
-                    raise self.error(f"invalid escape in IRI: \\{kind}")
-            else:
-                out.append(ch)
-        try:
-            return Iri("".join(out))
-        except Exception as exc:
-            raise self.error(str(exc)) from None
 
     def read_bnode(self) -> BlankNode:
         self.expect("_")
@@ -151,25 +95,11 @@ class _LineParser:
             self.pos += 1
             if ch == '"':
                 break
-            if ch == "\\":
-                if self.at_end():
-                    raise self.error("truncated escape in literal")
-                kind = self.text[self.pos]
-                self.pos += 1
-                if kind == "u":
-                    out.append(self._read_uchar(4))
-                elif kind == "U":
-                    out.append(self._read_uchar(8))
-                elif kind in _UNESCAPES:
-                    out.append(_UNESCAPES[kind])
-                else:
-                    raise self.error(f"invalid escape in literal: \\{kind}")
-            else:
-                out.append(ch)
+            out.append(self.read_escape() if ch == "\\" else ch)
         lex = "".join(out)
         if self.text.startswith("^^", self.pos):
             self.pos += 2
-            dt = self.read_iri()
+            dt = self.read_iriref()
             return Literal(lex, dt.value)
         if self.pos < len(self.text) and self.text[self.pos] == "@":
             raise self.error("language-tagged literals are not supported")
@@ -179,7 +109,7 @@ class _LineParser:
         if self.at_end():
             raise self.error("missing subject")
         if self.text[self.pos] == "<":
-            return self.read_iri()
+            return self.read_iriref()
         if self.text[self.pos] == "_":
             return self.read_bnode()
         raise self.error("subject must be an IRI or blank node")
@@ -189,7 +119,7 @@ class _LineParser:
             raise self.error("missing object")
         ch = self.text[self.pos]
         if ch == "<":
-            return self.read_iri()
+            return self.read_iriref()
         if ch == "_":
             return self.read_bnode()
         if ch == '"':
@@ -214,7 +144,7 @@ def parse_graph(text: str) -> RdfGraph:
         parser.skip_ws()
         if parser.at_end() or line[parser.pos] != "<":
             raise parser.error("the predicate must be an IRI")
-        p = parser.read_iri()
+        p = parser.read_iriref()
         parser.skip_ws()
         o = parser.read_object()
         parser.skip_ws()

@@ -197,23 +197,6 @@ class SolutionMapping(Mapping):
             self._hash = hash(frozenset(self._bindings.items()))
         return self._hash
 
-    def compatible(self, other: "SolutionMapping") -> bool:
-        """True when the two solutions agree on every shared variable."""
-        small, large = (self, other) if len(self) <= len(other) else (other, self)
-        for var, term in small.items():
-            bound = large._bindings.get(var)
-            if bound is not None and bound != term:
-                return False
-        return True
-
-    def merge(self, other: "SolutionMapping") -> "SolutionMapping | None":
-        """The union of two solutions, or None when they disagree."""
-        if not self.compatible(other):
-            return None
-        merged = dict(self._bindings)
-        merged.update(other._bindings)
-        return SolutionMapping(merged)
-
     def __repr__(self):
         inner = ", ".join(
             f"{var!r}->{term!r}" for var, term in sorted(self._bindings.items(), key=lambda kv: kv[0].name)
@@ -251,9 +234,6 @@ class RdfGraph:
     def __hash__(self) -> int:
         return hash(self._triples)
 
-    def is_subgraph_of(self, other: "RdfGraph") -> bool:
-        return self._triples <= other._triples
-
     def with_predicate(self, p: Iri) -> frozenset[Triple]:
         if self._by_predicate is None:
             index: dict[Iri, set[Triple]] = {}
@@ -264,25 +244,6 @@ class RdfGraph:
 
     def __repr__(self):
         return f"RdfGraph({len(self._triples)} triples)"
-
-
-def apply_solution(mu: SolutionMapping, tp: TriplePattern) -> Triple | TriplePattern:
-    """Substitute bound variables of *tp*; unbound variables remain.
-
-    Returns a ground :class:`Triple` when no variable is left.  Raises
-    :class:`InvalidTermError` when a substitution puts a term in a position
-    it cannot occupy (a literal subject, a blank node in a pattern...).
-    """
-
-    def subst(x):
-        if isinstance(x, Variable) and x in mu:
-            return mu[x]
-        return x
-
-    s, p, o = subst(tp.s), subst(tp.p), subst(tp.o)
-    if any(isinstance(x, Variable) for x in (s, p, o)):
-        return TriplePattern(s, p, o)
-    return Triple(s, p, o)
 
 
 def _match(tp: TriplePattern, triple: Triple, base: dict[Variable, RdfTerm]) -> dict[Variable, RdfTerm] | None:
@@ -307,20 +268,6 @@ def _candidates(g: RdfGraph, tp: TriplePattern, base: dict[Variable, RdfTerm]) -
     if isinstance(p, Iri):
         return g.with_predicate(p)
     return g.triples
-
-
-def eval_triple_pattern(tp: TriplePattern, g: RdfGraph) -> set[SolutionMapping]:
-    """All solutions of a single triple pattern over *g*.
-
-    Each solution binds exactly the variables of *tp* and substituting it
-    into *tp* yields a triple of *g*.
-    """
-    out: set[SolutionMapping] = set()
-    for triple in _candidates(g, tp, {}):
-        bindings = _match(tp, triple, {})
-        if bindings is not None:
-            out.add(SolutionMapping(bindings))
-    return out
 
 
 def eval_bgp(bgp: Bgp | Iterable[TriplePattern], g: RdfGraph) -> set[SolutionMapping]:

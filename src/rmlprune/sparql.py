@@ -23,37 +23,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from ._lexer import INTEGER_RE, Lexer
 from .errors import SparqlError, UnsupportedSparqlError
-from .rdf import (
-    RDF_TYPE,
-    XSD_BOOLEAN,
-    XSD_DECIMAL,
-    XSD_DOUBLE,
-    XSD_INTEGER,
-    Bgp,
-    Iri,
-    Literal,
-    TriplePattern,
-    Variable,
-    is_absolute_iri,
-    is_valid_iri,
-)
+from .rdf import RDF_TYPE, Bgp, Iri, TriplePattern, Variable
 
-_DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
-_DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
-_INTEGER_RE = re.compile(r"[+-]?\d+")
 _VAR_RE = re.compile(r"[?$]([A-Za-z0-9_]+)")
-
-_ECHAR = {
-    't': '\t',
-    'b': '\b',
-    'n': '\n',
-    'r': '\r',
-    'f': '\f',
-    '"': '"',
-    "'": "'",
-    '\\': '\\',
-}
 
 
 @dataclass(frozen=True)
@@ -129,60 +103,14 @@ class SelectQuery:
     base: str | None = None
 
 
-class _QueryParser:
+class _QueryParser(Lexer):
+    error_class = SparqlError
+    unsupported_class = UnsupportedSparqlError
     _STOP_KEYWORDS = ("GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET")
 
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.prefixes: dict[str, str] = {}
-        self.base: str | None = None
+        super().__init__(text)
         self._anon = 0
-
-    # -- plumbing ----------------------------------------------------------
-
-    def error(self, message: str, unsupported: bool = False) -> SparqlError:
-        upto = self.text[: self.pos]
-        line = upto.count("\n") + 1
-        column = self.pos - (upto.rfind("\n") + 1) + 1
-        cls = UnsupportedSparqlError if unsupported else SparqlError
-        return cls(message, line=line, column=column)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self):
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl == -1 else nl
-            else:
-                break
-
-    def keyword_ahead(self, word: str) -> bool:
-        end = self.pos + len(word)
-        if self.text[self.pos : end].upper() != word.upper():
-            return False
-        return end >= len(self.text) or not (self.text[end].isalnum() or self.text[end] == "_")
-
-    def try_keyword(self, word: str) -> bool:
-        if self.keyword_ahead(word):
-            self.pos += len(word)
-            return True
-        return False
-
-    def expect(self, token: str):
-        if not self.text.startswith(token, self.pos):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-    # -- terms -------------------------------------------------------------
 
     def fresh_variable(self) -> Variable:
         # stands in for an anonymous blank node; the prefix makes a clash
@@ -190,146 +118,12 @@ class _QueryParser:
         self._anon += 1
         return Variable(f"_bnode{self._anon}")
 
-    def resolve(self, iri: str) -> Iri:
-        if not is_absolute_iri(iri):
-            if self.base is None:
-                raise self.error(f"relative IRI {iri!r} without a BASE")
-            iri = self.base + iri
-        if not is_valid_iri(iri):
-            raise self.error(f"not a valid IRI: {iri!r}")
-        return Iri(iri)
-
-    def read_iriref(self) -> Iri:
-        self.expect("<")
-        end = self.text.find(">", self.pos)
-        if end == -1:
-            raise self.error("unterminated IRI")
-        raw = self.text[self.pos : end]
-        self.pos = end + 1
-        return self.resolve(raw)
-
-    def _read_prefix_name(self) -> str:
-        start = self.pos
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch.isalnum() or ch in "_-.":
-                self.pos += 1
-            else:
-                break
-        return self.text[start : self.pos]
-
-    def _read_local_name(self) -> str:
-        out = []
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch == "\\":
-                nxt = self.text[self.pos + 1 : self.pos + 2]
-                if nxt and nxt in "_~.-!$&'()*+,;=/?#@%":
-                    out.append(nxt)
-                    self.pos += 2
-                    continue
-                raise self.error(f"invalid local name escape: \\{nxt}")
-            if ch.isalnum() or ch in "_-.:%":
-                out.append(ch)
-                self.pos += 1
-            else:
-                break
-        while out and out[-1] == ".":
-            out.pop()
-            self.pos -= 1
-        return "".join(out)
-
-    def read_prefixed_name(self) -> Iri:
-        prefix = self._read_prefix_name()
-        self.expect(":")
-        local = self._read_local_name()
-        ns = self.prefixes.get(prefix)
-        if ns is None:
-            raise self.error(f"undeclared prefix: {prefix!r}")
-        return self.resolve(ns + local)
-
-    def read_iri(self) -> Iri:
-        if self.peek() == "<":
-            return self.read_iriref()
-        return self.read_prefixed_name()
-
     def read_variable(self) -> Variable:
         match = _VAR_RE.match(self.text, self.pos)
         if not match:
             raise self.error("expected a variable")
         self.pos = match.end()
         return Variable(match.group(1))
-
-    def _read_hex(self, width: int) -> str:
-        digits = self.text[self.pos : self.pos + width]
-        if len(digits) != width:
-            raise self.error("truncated hex escape")
-        try:
-            code = int(digits, 16)
-        except ValueError:
-            raise self.error(f"bad hex escape: {digits!r}") from None
-        self.pos += width
-        return chr(code)
-
-    def read_string(self) -> str:
-        for quote in ('"""', "'''", '"', "'"):
-            if self.text.startswith(quote, self.pos):
-                self.pos += len(quote)
-                break
-        else:
-            raise self.error("expected a string")
-        long = len(quote) == 3
-        out = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated string")
-            if self.text.startswith(quote, self.pos):
-                self.pos += len(quote)
-                break
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == "\\":
-                kind = self.peek()
-                self.pos += 1
-                if kind == "u":
-                    out.append(self._read_hex(4))
-                elif kind == "U":
-                    out.append(self._read_hex(8))
-                elif kind in _ECHAR:
-                    out.append(_ECHAR[kind])
-                else:
-                    raise self.error(f"invalid string escape: \\{kind}")
-            elif not long and ch in "\r\n":
-                raise self.error("newline in single-line string")
-            else:
-                out.append(ch)
-        return "".join(out)
-
-    def read_literal(self) -> Literal:
-        lex = self.read_string()
-        if self.peek() == "@":
-            raise self.error("language-tagged literals are not supported", unsupported=True)
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            dt = self.read_iri()
-            return Literal(lex, dt.value)
-        return Literal(lex)
-
-    def read_numeric_or_boolean(self) -> Literal | None:
-        if self.try_keyword("true"):
-            return Literal("true", XSD_BOOLEAN)
-        if self.try_keyword("false"):
-            return Literal("false", XSD_BOOLEAN)
-        for regex, datatype in (
-            (_DOUBLE_RE, XSD_DOUBLE),
-            (_DECIMAL_RE, XSD_DECIMAL),
-            (_INTEGER_RE, XSD_INTEGER),
-        ):
-            match = regex.match(self.text, self.pos)
-            if match:
-                self.pos = match.end()
-                return Literal(match.group(), datatype)
-        return None
 
     # -- query structure ---------------------------------------------------
 
@@ -370,7 +164,7 @@ class _QueryParser:
             self.skip_ws()
             if self.try_keyword("PREFIX"):
                 self.skip_ws()
-                prefix = self._read_prefix_name()
+                prefix = self.read_prefix_name()
                 self.expect(":")
                 self.skip_ws()
                 iri = self.read_iriref()
@@ -569,13 +363,9 @@ class _QueryParser:
             raise self.error("property paths are not supported (negated set '!')", unsupported=True)
         if ch == "(":
             raise self.error("property paths are not supported (grouped path)", unsupported=True)
-        nxt = self.text[self.pos + 1 : self.pos + 2]
         if ch in "?$":
             verb = self.read_variable()
-        elif self.text.startswith("a", self.pos) and (
-            nxt == "" or not (nxt.isalnum() or nxt in "_-.:")
-        ):
-            self.pos += 1
+        elif self.try_a():
             verb = Iri(RDF_TYPE)
         else:
             verb = self.read_iri()
@@ -598,15 +388,7 @@ class _QueryParser:
             return self._parse_anon()
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)
-        if ch in "\"'":
-            return self.read_literal()
-        if ch.isdigit() or ch in "+-" or ((ch == ".") and self.text[self.pos + 1 : self.pos + 2].isdigit()):
-            lit = self.read_numeric_or_boolean()
-            if lit is not None:
-                return lit
-        if self.keyword_ahead("true") or self.keyword_ahead("false"):
-            return self.read_numeric_or_boolean()
-        return self.read_iri()
+        return self.read_constant()
 
     def _parse_solution_modifiers(self, modifiers: Modifiers):
         while True:
@@ -632,7 +414,7 @@ class _QueryParser:
 
     def _read_int(self) -> int:
         self.skip_ws()
-        match = _INTEGER_RE.match(self.text, self.pos)
+        match = INTEGER_RE.match(self.text, self.pos)
         if not match:
             raise self.error("expected an integer")
         self.pos = match.end()
@@ -706,77 +488,3 @@ def flatten_bgp(query: SelectQuery) -> list[TriplePattern] | None:
         return None
 
     return walk(query.where)
-
-
-def _format_pattern_term(x) -> str:
-    if isinstance(x, Variable):
-        return f"?{x.name}"
-    if isinstance(x, Iri):
-        return f"<{x.value}>"
-    if isinstance(x, Literal):
-        escaped = x.lex.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
-        body = f'"{escaped}"'
-        from .rdf import XSD_STRING
-
-        if x.datatype == XSD_STRING:
-            return body
-        return f"{body}^^<{x.datatype}>"
-    raise TypeError(f"not a pattern term: {x!r}")
-
-
-def _render(node: PatternNode) -> list[str]:
-    if isinstance(node, Bgp):
-        return [
-            f"{_format_pattern_term(tp.s)} {_format_pattern_term(tp.p)} "
-            f"{_format_pattern_term(tp.o)} ."
-            for tp in node.patterns
-        ]
-    if isinstance(node, GroupNode):
-        lines: list[str] = []
-        for child in node.children:
-            if isinstance(child, (GroupNode, Bgp)) and len(node.children) > 1:
-                lines.append("{")
-                lines.extend("  " + line for line in _render(child))
-                lines.append("}")
-            else:
-                lines.extend(_render(child))
-        return lines
-    if isinstance(node, OptionalNode):
-        return ["OPTIONAL {"] + ["  " + line for line in _render(node.inner)] + ["}"]
-    if isinstance(node, FilterNode):
-        return _render(node.inner) + [f"FILTER {node.expression}"]
-    raise TypeError(f"not a pattern node: {node!r}")
-
-
-def format_query(query: SelectQuery) -> str:
-    """Serialize a parsed query back to SPARQL text.
-
-    The output uses full IRIs (the prologue has already been applied), so
-    re-parsing yields the same triple patterns.
-    """
-    head = ["SELECT"]
-    if query.modifiers.distinct:
-        head.append("DISTINCT")
-    if query.modifiers.reduced:
-        head.append("REDUCED")
-    if query.variables is None and not query.select_expressions:
-        head.append("*")
-    else:
-        for var in query.variables or ():
-            head.append(f"?{var.name}")
-        head.extend(query.select_expressions)
-    lines = [" ".join(head), "WHERE {"]
-    lines.extend("  " + line for line in _render(query.where))
-    lines.append("}")
-    mods = query.modifiers
-    if mods.group_by is not None:
-        lines.append(f"GROUP BY {mods.group_by}")
-    if mods.having is not None:
-        lines.append(f"HAVING {mods.having}")
-    if mods.order_by is not None:
-        lines.append(f"ORDER BY {mods.order_by}")
-    if mods.limit is not None:
-        lines.append(f"LIMIT {mods.limit}")
-    if mods.offset is not None:
-        lines.append(f"OFFSET {mods.offset}")
-    return "\n".join(lines) + "\n"

@@ -13,6 +13,9 @@ relative IRI without a base is an error.
 
 Blank node labels from the document are renamed to fresh internal labels
 (first-occurrence order), so documents cannot collide with generated ones.
+
+Tokens are read by the lexer shared with the SPARQL parser
+(:mod:`rmlprune._lexer`); this module holds only the grammar.
 """
 
 from __future__ import annotations
@@ -20,44 +23,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+from ._lexer import Lexer
 from .errors import TurtleError
-from .rdf import (
-    RDF_NS,
-    XSD_BOOLEAN,
-    XSD_DECIMAL,
-    XSD_DOUBLE,
-    XSD_INTEGER,
-    BlankNode,
-    Iri,
-    Literal,
-    RdfTerm,
-    Triple,
-    is_absolute_iri,
-    is_valid_iri,
-)
+from .rdf import RDF_NS, BlankNode, Iri, RdfTerm, Triple
 
 RDF_FIRST = Iri(RDF_NS + "first")
 RDF_REST = Iri(RDF_NS + "rest")
 RDF_NIL = Iri(RDF_NS + "nil")
 RDF_TYPE_IRI = Iri(RDF_NS + "type")
 
-_ECHAR = {
-    't': '\t',
-    'b': '\b',
-    'n': '\n',
-    'r': '\r',
-    'f': '\f',
-    '"': '"',
-    "'": "'",
-    '\\': '\\',
-}
-
-_DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
-_DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
-_INTEGER_RE = re.compile(r"[+-]?\d+")
-
-_PN_LOCAL_EXTRA = "_-.:%"
-_PN_LOCAL_ESCAPABLE = set("_~.-!$&'()*+,;=/?#@%")
+_LABEL_RE = re.compile(r"[\w.-]*")
 
 
 @dataclass
@@ -69,59 +44,14 @@ class TurtleDocument:
     bnode_labels: dict[str, str] = field(default_factory=dict)
 
 
-class TurtleParser:
+class TurtleParser(Lexer):
+    error_class = unsupported_class = TurtleError
+
     def __init__(self, text: str, base: str | None = None):
-        self.text = text
-        self.pos = 0
-        self.base = base
-        self.prefixes: dict[str, str] = {}
+        super().__init__(text, base)
         self.triples: list[Triple] = []
         self._label_map: dict[str, str] = {}
         self._bnode_counter = 0
-
-    # -- plumbing ----------------------------------------------------------
-
-    def error(self, message: str) -> TurtleError:
-        upto = self.text[: self.pos]
-        line = upto.count("\n") + 1
-        column = self.pos - (upto.rfind("\n") + 1) + 1
-        return TurtleError(message, line=line, column=column)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self):
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self.pos += 1
-            elif ch == "#":
-                nl = self.text.find("\n", self.pos)
-                self.pos = len(self.text) if nl == -1 else nl
-            else:
-                break
-
-    def try_consume(self, token: str) -> bool:
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
-    def expect(self, token: str):
-        if not self.try_consume(token):
-            raise self.error(f"expected {token!r}")
-
-    def _keyword_ahead(self, word: str) -> bool:
-        """Case-insensitive keyword at the cursor, not part of a longer name."""
-        end = self.pos + len(word)
-        if self.text[self.pos : end].lower() != word.lower():
-            return False
-        return end >= len(self.text) or not (self.text[end].isalnum() or self.text[end] == "_")
-
-    # -- terms -------------------------------------------------------------
 
     def fresh_bnode(self) -> BlankNode:
         self._bnode_counter += 1
@@ -134,167 +64,6 @@ class TurtleParser:
             self._label_map[doc_label] = node.label
             return node
         return BlankNode(internal)
-
-    def resolve(self, iri: str) -> Iri:
-        if not is_absolute_iri(iri):
-            if self.base is None:
-                raise self.error(f"relative IRI {iri!r} without a base")
-            iri = self.base + iri
-        if not is_valid_iri(iri):
-            raise self.error(f"not a valid IRI: {iri!r}")
-        return Iri(iri)
-
-    def read_iriref(self) -> Iri:
-        self.expect("<")
-        out = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated IRI")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == ">":
-                break
-            if ch == "\\":
-                kind = self.peek()
-                self.pos += 1
-                if kind == "u":
-                    out.append(self._read_hex(4))
-                elif kind == "U":
-                    out.append(self._read_hex(8))
-                else:
-                    raise self.error(f"invalid escape in IRI: \\{kind}")
-            elif ch in ' <"{}|^`' or ord(ch) < 0x20:
-                raise self.error(f"forbidden character in IRI: {ch!r}")
-            else:
-                out.append(ch)
-        return self.resolve("".join(out))
-
-    def _read_hex(self, width: int) -> str:
-        digits = self.text[self.pos : self.pos + width]
-        if len(digits) != width:
-            raise self.error("truncated hex escape")
-        try:
-            code = int(digits, 16)
-        except ValueError:
-            raise self.error(f"bad hex escape: {digits!r}") from None
-        self.pos += width
-        return chr(code)
-
-    def _read_prefix_name(self) -> str:
-        """The part before ':' in a prefixed name or prefix declaration."""
-        start = self.pos
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch.isalnum() or ch in "_-." :
-                self.pos += 1
-            else:
-                break
-        name = self.text[start : self.pos]
-        if name.endswith("."):
-            raise self.error(f"prefix name may not end with '.': {name!r}")
-        return name
-
-    def _read_local_name(self) -> str:
-        out = []
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch == "\\":
-                nxt = self.text[self.pos + 1 : self.pos + 2]
-                if nxt in _PN_LOCAL_ESCAPABLE:
-                    out.append(nxt)
-                    self.pos += 2
-                    continue
-                raise self.error(f"invalid local name escape: \\{nxt}")
-            if ch.isalnum() or ch in _PN_LOCAL_EXTRA:
-                out.append(ch)
-                self.pos += 1
-            else:
-                break
-        # a trailing '.' belongs to the statement, not the name
-        while out and out[-1] == "." and not (len(out) >= 2 and out[-2] == "\\"):
-            out.pop()
-            self.pos -= 1
-        return "".join(out)
-
-    def read_prefixed_name(self) -> Iri:
-        prefix = self._read_prefix_name()
-        self.expect(":")
-        local = self._read_local_name()
-        ns = self.prefixes.get(prefix)
-        if ns is None:
-            raise self.error(f"undeclared prefix: {prefix!r}")
-        return self.resolve(ns + local)
-
-    def read_iri(self) -> Iri:
-        if self.peek() == "<":
-            return self.read_iriref()
-        return self.read_prefixed_name()
-
-    def read_string(self) -> str:
-        for quote in ('"""', "'''", '"', "'"):
-            if self.try_consume(quote):
-                break
-        else:
-            raise self.error("expected a string")
-        long = len(quote) == 3
-        out = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated string")
-            if self.text.startswith(quote, self.pos):
-                if long and self.text.startswith(quote[0], self.pos + 3):
-                    # quotes directly before the closing """ belong to the
-                    # content; consume one and keep scanning
-                    out.append(self.text[self.pos])
-                    self.pos += 1
-                    continue
-                self.pos += len(quote)
-                break
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == "\\":
-                kind = self.peek()
-                self.pos += 1
-                if kind == "u":
-                    out.append(self._read_hex(4))
-                elif kind == "U":
-                    out.append(self._read_hex(8))
-                elif kind in _ECHAR:
-                    out.append(_ECHAR[kind])
-                else:
-                    raise self.error(f"invalid string escape: \\{kind}")
-            elif not long and ch in "\r\n":
-                raise self.error("newline in single-line string")
-            else:
-                out.append(ch)
-        return "".join(out)
-
-    def read_literal(self) -> Literal:
-        lex = self.read_string()
-        if self.peek() == "@":
-            raise self.error("language-tagged literals are not supported")
-        if self.try_consume("^^"):
-            dt = self.read_iri()
-            return Literal(lex, dt.value)
-        return Literal(lex)
-
-    def read_numeric_or_boolean(self) -> Literal | None:
-        if self._keyword_ahead("true"):
-            self.pos += 4
-            return Literal("true", XSD_BOOLEAN)
-        if self._keyword_ahead("false"):
-            self.pos += 5
-            return Literal("false", XSD_BOOLEAN)
-        for regex, datatype in (
-            (_DOUBLE_RE, XSD_DOUBLE),
-            (_DECIMAL_RE, XSD_DECIMAL),
-            (_INTEGER_RE, XSD_INTEGER),
-        ):
-            match = regex.match(self.text, self.pos)
-            if match:
-                self.pos = match.end()
-                return Literal(match.group(), datatype)
-        return None
 
     # -- grammar -----------------------------------------------------------
 
@@ -325,13 +94,13 @@ class TurtleParser:
             self.skip_ws()
             self.expect(".")
             return True
-        if self._keyword_ahead("prefix"):
+        if self.keyword_ahead("prefix"):
             after = self.text[self.pos + 6 : self.pos + 7]
             if after in (" ", "\t", "\r", "\n", ":", ""):
                 self.pos += len("prefix")
                 self._parse_prefix_body()
                 return True
-        if self._keyword_ahead("base"):
+        if self.keyword_ahead("base"):
             after = self.text[self.pos + 4 : self.pos + 5]
             if after in (" ", "\t", "\r", "\n", "<", ""):
                 self.pos += len("base")
@@ -341,7 +110,7 @@ class TurtleParser:
 
     def _parse_prefix_body(self):
         self.skip_ws()
-        prefix = self._read_prefix_name()
+        prefix = self.read_prefix_name()
         self.expect(":")
         self.skip_ws()
         iri = self.read_iriref()
@@ -349,26 +118,7 @@ class TurtleParser:
 
     def _parse_base_body(self):
         self.skip_ws()
-        if self.peek() != "<":
-            raise self.error("expected an IRI after base")
-        self.expect("<")
-        out = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated IRI")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == ">":
-                break
-            out.append(ch)
-        value = "".join(out)
-        if not is_absolute_iri(value):
-            if self.base is None:
-                raise self.error(f"relative base IRI {value!r} without a prior base")
-            value = self.base + value
-        if not is_valid_iri(value):
-            raise self.error(f"not a valid base IRI: {value!r}")
-        self.base = value
+        self.base = self.read_iriref().value
 
     def _parse_triples(self):
         if self.peek() == "[":
@@ -390,19 +140,10 @@ class TurtleParser:
         return self.read_iri()
 
     def _read_bnode_label(self) -> BlankNode:
-        self.expect("_")
-        self.expect(":")
-        start = self.pos
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch.isalnum() or ch in "_-.":
-                self.pos += 1
-            else:
-                break
-        label = self.text[start : self.pos]
-        while label.endswith("."):
-            label = label[:-1]
-            self.pos -= 1
+        self.expect("_:")
+        end = _LABEL_RE.match(self.text, self.pos).end()
+        label = self.text[self.pos : end].rstrip(".")
+        self.pos += len(label)
         if not label:
             raise self.error("empty blank node label")
         return self.labeled_bnode(label)
@@ -428,11 +169,7 @@ class TurtleParser:
                 break
 
     def _parse_verb(self) -> Iri:
-        nxt = self.text[self.pos + 1 : self.pos + 2]
-        if self.text.startswith("a", self.pos) and (
-            nxt == "" or not (nxt.isalnum() or nxt in "_-.:")
-        ):
-            self.pos += 1
+        if self.try_a():
             return RDF_TYPE_IRI
         return self.read_iri()
 
@@ -446,13 +183,7 @@ class TurtleParser:
             return self._parse_collection()
         if ch == "_":
             return self._read_bnode_label()
-        if ch in "\"'":
-            return self.read_literal()
-        if ch.isdigit() or ch in "+-." or self._keyword_ahead("true") or self._keyword_ahead("false"):
-            lit = self.read_numeric_or_boolean()
-            if lit is not None:
-                return lit
-        return self.read_iri()
+        return self.read_constant()
 
     def _parse_bnode_property_list(self) -> BlankNode:
         self.expect("[")

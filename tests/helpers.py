@@ -1,0 +1,169 @@
+"""Helpers that only the tests use: small oracles and conveniences built on
+the package's public API, kept out of the package itself."""
+
+from rmlprune.algebra import RmlMappingExpr, TriplesMapExpr, check_valid_input
+from rmlprune.errors import SourceInputError
+from rmlprune.rdf import (
+    XSD_STRING,
+    Bgp,
+    Iri,
+    Literal,
+    RdfGraph,
+    SolutionMapping,
+    Triple,
+    TriplePattern,
+    Variable,
+    eval_bgp,
+)
+from rmlprune.sparql import FilterNode, GroupNode, OptionalNode, PatternNode, SelectQuery
+
+# ---------------------------------------------------------------------------
+# algebra
+# ---------------------------------------------------------------------------
+
+
+def unique_trmaps(m: RmlMappingExpr) -> list[TriplesMapExpr]:
+    """The triples-map expressions of *m*, de-duplicated by provenance id,
+    in first-occurrence order."""
+    seen: dict[str, TriplesMapExpr] = {}
+    for tm in m.trmaps:
+        seen.setdefault(tm.provenance, tm)
+    return list(seen.values())
+
+
+def valid_input(sigma, m: RmlMappingExpr) -> bool:
+    """True when *sigma* satisfies every extraction of *m*."""
+    try:
+        check_valid_input(sigma, m)
+    except SourceInputError:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# solutions and graphs
+# ---------------------------------------------------------------------------
+
+
+def compatible(mu1: SolutionMapping, mu2: SolutionMapping) -> bool:
+    """True when the two solutions agree on every shared variable."""
+    small, large = (mu1, mu2) if len(mu1) <= len(mu2) else (mu2, mu1)
+    for var, term in small.items():
+        bound = large.get(var)
+        if bound is not None and bound != term:
+            return False
+    return True
+
+
+def merge(mu1: SolutionMapping, mu2: SolutionMapping) -> SolutionMapping | None:
+    """The union of two solutions, or None when they disagree."""
+    if not compatible(mu1, mu2):
+        return None
+    return SolutionMapping({**mu1, **mu2})
+
+
+def apply_solution(mu: SolutionMapping, tp: TriplePattern) -> Triple | TriplePattern:
+    """Substitute bound variables of *tp*; unbound variables remain.
+
+    Returns a ground :class:`Triple` when no variable is left.  Raises
+    :class:`InvalidTermError` when a substitution puts a term in a position
+    it cannot occupy (a literal subject, a blank node in a pattern...).
+    """
+
+    def subst(x):
+        if isinstance(x, Variable) and x in mu:
+            return mu[x]
+        return x
+
+    s, p, o = subst(tp.s), subst(tp.p), subst(tp.o)
+    if any(isinstance(x, Variable) for x in (s, p, o)):
+        return TriplePattern(s, p, o)
+    return Triple(s, p, o)
+
+
+def eval_triple_pattern(tp: TriplePattern, g: RdfGraph) -> set[SolutionMapping]:
+    """All solutions of a single triple pattern over *g*: each binds exactly
+    the variables of *tp*, and substituting it into *tp* gives a triple of
+    *g*."""
+    return eval_bgp(Bgp((tp,)), g)
+
+
+def is_subgraph_of(g: RdfGraph, other: RdfGraph) -> bool:
+    return g.triples <= other.triples
+
+
+# ---------------------------------------------------------------------------
+# SPARQL text
+# ---------------------------------------------------------------------------
+
+
+def _format_pattern_term(x) -> str:
+    if isinstance(x, Variable):
+        return f"?{x.name}"
+    if isinstance(x, Iri):
+        return f"<{x.value}>"
+    if isinstance(x, Literal):
+        escaped = x.lex.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
+        body = f'"{escaped}"'
+        if x.datatype == XSD_STRING:
+            return body
+        return f"{body}^^<{x.datatype}>"
+    raise TypeError(f"not a pattern term: {x!r}")
+
+
+def _render(node: PatternNode) -> list[str]:
+    if isinstance(node, Bgp):
+        return [
+            f"{_format_pattern_term(tp.s)} {_format_pattern_term(tp.p)} "
+            f"{_format_pattern_term(tp.o)} ."
+            for tp in node.patterns
+        ]
+    if isinstance(node, GroupNode):
+        lines: list[str] = []
+        for child in node.children:
+            if isinstance(child, (GroupNode, Bgp)) and len(node.children) > 1:
+                lines.append("{")
+                lines.extend("  " + line for line in _render(child))
+                lines.append("}")
+            else:
+                lines.extend(_render(child))
+        return lines
+    if isinstance(node, OptionalNode):
+        return ["OPTIONAL {"] + ["  " + line for line in _render(node.inner)] + ["}"]
+    if isinstance(node, FilterNode):
+        return _render(node.inner) + [f"FILTER {node.expression}"]
+    raise TypeError(f"not a pattern node: {node!r}")
+
+
+def format_query(query: SelectQuery) -> str:
+    """Serialize a parsed query back to SPARQL text.
+
+    The output uses full IRIs (the prologue has already been applied), so
+    re-parsing yields the same triple patterns.
+    """
+    head = ["SELECT"]
+    if query.modifiers.distinct:
+        head.append("DISTINCT")
+    if query.modifiers.reduced:
+        head.append("REDUCED")
+    if query.variables is None and not query.select_expressions:
+        head.append("*")
+    else:
+        for var in query.variables or ():
+            head.append(f"?{var.name}")
+        head.extend(query.select_expressions)
+    lines = [" ".join(head), "WHERE {"]
+    lines.extend("  " + line for line in _render(query.where))
+    lines.append("}")
+    mods = query.modifiers
+    if mods.group_by is not None:
+        lines.append(f"GROUP BY {mods.group_by}")
+    if mods.having is not None:
+        lines.append(f"HAVING {mods.having}")
+    if mods.order_by is not None:
+        lines.append(f"ORDER BY {mods.order_by}")
+    if mods.limit is not None:
+        lines.append(f"LIMIT {mods.limit}")
+    if mods.offset is not None:
+        lines.append(f"OFFSET {mods.offset}")
+    return "\n".join(lines) + "\n"

@@ -298,6 +298,16 @@ def test_query_rejects_select_expressions(corpus, capsys, tmp_path):
     assert "AS" in err
 
 
+def test_query_with_escape_beyond_unicode_exits_2(corpus, capsys, tmp_path):
+    q = tmp_path / "bad.rq"
+    q.write_text('SELECT * WHERE { ?s ?p "\\U00110000" }\n')
+    code, _, err = run(
+        capsys, "prune", "--mapping", str(corpus / "mapping.ttl"), "--query", str(q)
+    )
+    assert code == 2
+    assert "line 1" in err
+
+
 def test_invalid_mapping_reports_error(capsys, tmp_path):
     bad = tmp_path / "bad.ttl"
     bad.write_text("@prefix ex: <http://e/> .\nex:tm ex:unknown ex:x .\n")

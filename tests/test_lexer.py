@@ -1,0 +1,108 @@
+"""The lexer shared by the Turtle and SPARQL parsers (and the N-Triples
+reader's escapes): both parsers must read every term spelling alike."""
+
+import pytest
+
+from rmlprune.errors import NTriplesError, SparqlError, TurtleError
+from rmlprune.ntriples import parse_graph
+from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal
+from rmlprune.sparql import collect_triple_patterns, parse_query
+from rmlprune.turtle import parse_turtle
+
+EX = "http://ex.org/"
+
+
+def turtle_object(spelling: str):
+    doc = parse_turtle(f"@prefix ex: <{EX}> .\nex:s ex:p {spelling} .\n")
+    (triple,) = doc.triples
+    return triple.o
+
+
+def sparql_object(spelling: str):
+    query = parse_query(f"PREFIX ex: <{EX}>\nSELECT * WHERE {{ ?s ex:p {spelling} }}")
+    (pattern,) = collect_triple_patterns(query)
+    return pattern.o
+
+
+SPELLINGS = [
+    # IRIREF, with UCHAR escapes
+    ("<http://ex.org/a>", Iri(EX + "a")),
+    ("<http://ex.org/\\u0041b>", Iri(EX + "Ab")),
+    ("<http://ex.org/\\U0001F600>", Iri(EX + "\U0001F600")),
+    # prefixed names, with PLX
+    ("ex:", Iri(EX)),
+    ("ex:a", Iri(EX + "a")),
+    ("ex:a.b", Iri(EX + "a.b")),
+    ("ex:a:b", Iri(EX + "a:b")),
+    ("ex:a%20b", Iri(EX + "a%20b")),
+    ("ex:a\\~b\\-c\\#d", Iri(EX + "a~b-c#d")),
+    ("ex:a\\.", Iri(EX + "a.")),
+    # the four quote forms, with ECHAR and UCHAR
+    ('"x"', Literal("x")),
+    ("'x'", Literal("x")),
+    ('"""x"""', Literal("x")),
+    ("'''x'''", Literal("x")),
+    ('"a\\tb\\n\\"c\\\\"', Literal('a\tb\n"c\\')),
+    ("'it\\'s'", Literal("it's")),
+    ('"""two\nlines"""', Literal("two\nlines")),
+    ("'''two\r\nlines'''", Literal("two\r\nlines")),
+    ('"""say "hi" """', Literal('say "hi" ')),
+    ('"""a""""', Literal('a"')),
+    ("'''b''''", Literal("b'")),
+    ('"\\u00e9\\U0001F600"', Literal("é\U0001F600")),
+    ('"5"^^ex:int', Literal("5", EX + "int")),
+    ('"5"^^<http://www.w3.org/2001/XMLSchema#integer>', Literal("5", XSD_INTEGER)),
+    # numbers and booleans
+    ("42", Literal("42", XSD_INTEGER)),
+    ("-7", Literal("-7", XSD_INTEGER)),
+    ("3.14", Literal("3.14", XSD_DECIMAL)),
+    ("-.5", Literal("-.5", XSD_DECIMAL)),
+    ("1e10", Literal("1e10", XSD_DOUBLE)),
+    ("1.5E-3", Literal("1.5E-3", XSD_DOUBLE)),
+    (".5e2", Literal(".5e2", XSD_DOUBLE)),
+    ("true", Literal("true", XSD_BOOLEAN)),
+    ("false", Literal("false", XSD_BOOLEAN)),
+]
+
+
+@pytest.mark.parametrize("spelling,term", SPELLINGS, ids=[s for s, _ in SPELLINGS])
+def test_both_parsers_read_a_term_alike(spelling, term):
+    assert turtle_object(spelling) == term
+    assert sparql_object(spelling) == term
+
+
+# ---------------------------------------------------------------------------
+# regressions: the two parsers used to read these differently
+# ---------------------------------------------------------------------------
+
+
+def test_sparql_long_string_with_quote_before_the_closing_quotes():
+    assert sparql_object('"""a""""') == Literal('a"')
+
+
+def test_sparql_iriref_with_uchar_escape():
+    query = parse_query("SELECT * WHERE { <http://ex.org/\\u0041> ?p ?o }")
+    (pattern,) = collect_triple_patterns(query)
+    assert pattern.s == Iri(EX + "A")
+
+
+def test_local_name_ending_in_escaped_dot():
+    # a bare '.' right after the escaped one still ends the statement
+    doc = parse_turtle(f"@prefix ex: <{EX}> .\nex:s ex:p ex:a\\. .\nex:t ex:p ex:b\\..\n")
+    assert [t.o for t in doc.triples] == [Iri(EX + "a."), Iri(EX + "b.")]
+    query = parse_query(f"PREFIX ex: <{EX}>\nSELECT * WHERE {{ ?s ex:p ex:a\\. . ?s ?p ?o }}")
+    assert Iri(EX + "a.") in {tp.o for tp in collect_triple_patterns(query)}
+
+
+@pytest.mark.parametrize("escape", ["\\U00110000", "\\uD800", "\\uDFFF"])
+def test_hex_escape_outside_unicode_is_a_positioned_error(escape):
+    with pytest.raises(TurtleError, match="line 2, column 15"):
+        parse_turtle(f'@prefix ex: <{EX}> .\nex:s ex:p "x{escape}" .\n')
+    with pytest.raises(TurtleError, match="line 1"):
+        parse_turtle(f"<http://ex.org/{escape}> <{EX}p> <{EX}o> .\n")
+    with pytest.raises(SparqlError, match="line 1"):
+        parse_query(f'SELECT * WHERE {{ ?s ?p "{escape}" }}')
+    with pytest.raises(SparqlError, match="line 1"):
+        parse_query(f"SELECT * WHERE {{ ?s ?p <http://ex.org/{escape}> }}")
+    with pytest.raises(NTriplesError, match="line 2"):
+        parse_graph(f'<{EX}s> <{EX}p> "a" .\n<{EX}s> <{EX}p> "{escape}" .\n')

@@ -51,6 +51,11 @@ def test_serialize_is_sorted_and_deterministic():
     assert serialize_graph(g) == text
 
 
+def test_serialize_empty_graph_is_empty_text():
+    assert serialize_graph(RdfGraph()) == ""
+    assert parse_graph(serialize_graph(RdfGraph())) == RdfGraph()
+
+
 def test_parse_basic_document():
     text = (
         "# a comment\n"

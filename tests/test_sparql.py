@@ -20,9 +20,10 @@ from rmlprune.sparql import (
     OptionalNode,
     collect_triple_patterns,
     flatten_bgp,
-    format_query,
     parse_query,
 )
+
+from .helpers import format_query
 
 EX = "http://example.com/ns#"
 
