@@ -46,12 +46,19 @@ _DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
 INTEGER_RE = re.compile(r"[+-]?\d+")
 _NUMBERS = ((_DOUBLE_RE, XSD_DOUBLE), (_DECIMAL_RE, XSD_DECIMAL), (INTEGER_RE, XSD_INTEGER))
 
+# The deepest nesting of groups, blank-node property lists or collections a
+# parser accepts.  A level costs at most three Python frames (Turtle's
+# property lists), so this stays well inside the default recursion limit
+# of 1000, wherever the parser is called from.
+MAX_NESTING = 100
+
 # In a str pattern \w is exactly str.isalnum() plus '_'.
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _PREFIX_RE = re.compile(r"[\w.-]*")
 _LOCAL_RE = re.compile(r"(?:[\w.:%-]|\\[_~.\-!$&'()*+,;=/?#@%])*")
 _PLX_RE = re.compile(r"\\(.)")
 _A_RE = re.compile(r"a(?![\w.:-])")
+_HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 _IRI_CHARS_RE = re.compile(r'[^<>"{}|^`\\\x00-\x20]*')
 # the characters a string body takes without a second look
 _STRING_CHARS = {
@@ -78,6 +85,7 @@ class Lexer:
         self.pos = 0
         self.base = base
         self.prefixes: dict[str, str] = {}
+        self.depth = 0
 
     # -- cursor ------------------------------------------------------------
 
@@ -95,6 +103,13 @@ class Lexer:
 
     def skip_ws(self):
         self.pos = _WS_RE.match(self.text, self.pos).end()
+
+    def descend(self):
+        """Enter one more level of nesting at the cursor; the caller leaves
+        it again with ``self.depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
 
     def try_consume(self, token: str) -> bool:
         if self.text.startswith(token, self.pos):
@@ -197,13 +212,11 @@ class Lexer:
     def read_hex(self, width: int) -> str:
         """The character named by *width* hex digits at the cursor."""
         digits = self.text[self.pos : self.pos + width]
-        if len(digits) != width:
-            raise self.error("truncated hex escape")
-        try:
-            code = int(digits, 16)
-        except ValueError:
-            raise self.error(f"bad hex escape: {digits!r}") from None
-        if not 0 <= code <= 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+        # int() alone would also take a sign, '_', spaces and non-ASCII digits
+        if len(digits) != width or not _HEX_RE.fullmatch(digits):
+            raise self.error(f"expected {width} hex digits: {digits!r}")
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
             raise self.error(f"hex escape is not a Unicode scalar value: {digits!r}")
         self.pos += width
         return chr(code)

@@ -14,39 +14,55 @@ The expression language mirrors how RML builds terms from tabular data:
   each projected to the three reserved output attributes.
 
 Evaluation takes a *source assignment* binding each source reference to a
-parsed data object and streams the tuples of the plan one at a time;
-:func:`materialize` feeds that stream straight into
-:func:`~rmlprune.relations.graph_from_tuples`, so no intermediate relation
-is built, and :func:`evaluate_plan` collects it into a mapping relation.
+parsed data object and streams the tuples of the plan one at a time: a
+tuple is a dict from attributes to RDF terms or :data:`EPSILON`.  The
+three reserved attributes ``@s``, ``@p`` and ``@o`` carry the subject,
+predicate and object of the triple a tuple describes, and
+:func:`materialize` feeds the stream straight into :func:`graph_from_tuples`,
+so the graph is the one output of evaluation and no intermediate relation
+is built.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import chain, product
 from typing import Union
 
 from .csvsource import CsvSource
 from .errors import InvalidTermError, SourceInputError, StructuralError
-from .rdf import BlankNode, Iri, Literal, RdfGraph, RdfTerm, is_absolute_iri, is_term, is_valid_iri
-from .relations import (
-    EPSILON,
-    OBJECT_ATTR,
-    OUTPUT_ATTRS,
-    PREDICATE_ATTR,
-    SUBJECT_ATTR,
-    Attribute,
-    Epsilon,
-    MappingRelation,
-    MappingTuple,
-    Value,
-    graph_from_tuples,
-)
+from .rdf import BlankNode, Iri, Literal, RdfGraph, RdfTerm, Triple, is_absolute_iri, is_term, is_valid_iri
 
 logger = logging.getLogger("rmlprune.algebra")
+
+Attribute = str
+
+SUBJECT_ATTR: Attribute = "@s"
+PREDICATE_ATTR: Attribute = "@p"
+OBJECT_ATTR: Attribute = "@o"
+OUTPUT_ATTRS: frozenset[Attribute] = frozenset((SUBJECT_ATTR, PREDICATE_ATTR, OBJECT_ATTR))
+
+
+class Epsilon:
+    """The error value produced by failing term constructors."""
+
+    _instance: "Epsilon | None" = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "EPSILON"
+
+
+EPSILON = Epsilon()
+
+Value = RdfTerm | Epsilon
 
 # ---------------------------------------------------------------------------
 # template expressions (string-valued)
@@ -360,10 +376,8 @@ class RmlMappingExpr:
             raise StructuralError("a mapping expression needs at least one triples-map expression")
 
     def plan(self) -> "PlanNode":
-        node: PlanNode = ProjectNode(self.trmaps[0].plan())
-        for tm in self.trmaps[1:]:
-            node = UnionNode(node, ProjectNode(tm.plan()))
-        return node
+        projected = tuple(ProjectNode(tm.plan()) for tm in self.trmaps)
+        return projected[0] if len(projected) == 1 else UnionNode(projected)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +411,7 @@ class JoinNode:
 
 @dataclass(eq=False)
 class UnionNode:
-    left: "PlanNode"
-    right: "PlanNode"
+    operands: tuple["PlanNode", ...]
 
 
 PlanNode = Union[ExtractNode, ExtendNode, ProjectNode, JoinNode, UnionNode]
@@ -467,20 +480,6 @@ def _join(left: Tuples, right: Tuples, conditions: tuple[tuple[Attribute, Attrib
             yield merged
 
 
-def _union_operands(node: PlanNode) -> list[PlanNode]:
-    """The non-union operands of a union tree, left to right, found without
-    recursion so that a union of thousands of expressions cannot overflow."""
-    operands: list[PlanNode] = []
-    stack = [node]
-    while stack:
-        top = stack.pop()
-        if isinstance(top, UnionNode):
-            stack += (top.right, top.left)
-        else:
-            operands.append(top)
-    return operands
-
-
 def _stream(
     node: PlanNode, sigma: SourceAssignment, warned: set[tuple[str, str]]
 ) -> tuple[frozenset[Attribute], Tuples]:
@@ -516,7 +515,9 @@ def _stream(
         return left_attrs | right_attrs, _join(left, right, node.conditions)
 
     if isinstance(node, UnionNode):
-        parts = [_stream(operand, sigma, warned) for operand in _union_operands(node)]
+        parts = [_stream(operand, sigma, warned) for operand in node.operands]
+        if not parts:
+            raise StructuralError("a union needs at least one operand")
         attrs = parts[0][0]
         for other, _ in parts[1:]:
             if other != attrs:
@@ -529,10 +530,31 @@ def _stream(
     raise TypeError(f"not a plan node: {node!r}")
 
 
-def evaluate_plan(node: PlanNode, sigma: SourceAssignment) -> MappingRelation:
-    """Evaluate an operator tree under a source assignment into a relation."""
-    attrs, tuples = _stream(node, sigma, set())
-    return MappingRelation(attrs, frozenset(MappingTuple(t) for t in tuples))
+def graph_from_tuples(
+    attributes: Iterable[Attribute], tuples: Iterable[Mapping[Attribute, Value]]
+) -> RdfGraph:
+    """The triples described by tuples carrying ``@s``/``@p``/``@o``.
+
+    A tuple yields a triple only when its subject is an IRI or blank node,
+    its predicate an IRI, and its object any RDF term; tuples holding
+    :data:`EPSILON` or an ill-positioned term are dropped without error.
+    *tuples* is read once, so it may be a stream.  Equal terms end up as
+    one object in the graph, however many tuples built them.
+    """
+    missing = sorted(OUTPUT_ATTRS - set(attributes))
+    if missing:
+        raise StructuralError(f"relation lacks reserved output attributes: {missing}")
+    terms: dict[RdfTerm, RdfTerm] = {}
+    share = terms.setdefault
+    subjects, objects = (Iri, BlankNode), (Iri, BlankNode, Literal)
+
+    def triples() -> Iterator[Triple]:
+        for t in tuples:
+            s, p, o = t[SUBJECT_ATTR], t[PREDICATE_ATTR], t[OBJECT_ATTR]
+            if isinstance(s, subjects) and isinstance(p, Iri) and isinstance(o, objects):
+                yield Triple(share(s, s), share(p, p), share(o, o))
+
+    return RdfGraph(triples())
 
 
 def materialize(m: RmlMappingExpr, sigma: SourceAssignment) -> RdfGraph:
@@ -573,8 +595,7 @@ def _format_extend(expr: ExtendExpr) -> str:
 
 
 def dump_plan(node: PlanNode, indent: int = 0) -> str:
-    """A one-operator-per-line rendering of an operator tree; a union tree
-    is rendered as one union over all of its operands."""
+    """A one-operator-per-line rendering of an operator tree."""
     pad = "  " * indent
     if isinstance(node, ExtractNode):
         spec = node.spec
@@ -598,6 +619,6 @@ def dump_plan(node: PlanNode, indent: int = 0) -> str:
             f"{dump_plan(node.right, indent + 1)})"
         )
     if isinstance(node, UnionNode):
-        operands = "\n".join(dump_plan(n, indent + 1) for n in _union_operands(node))
+        operands = "\n".join(dump_plan(n, indent + 1) for n in node.operands)
         return f"{pad}(union\n{operands})"
     raise TypeError(f"not a plan node: {node!r}")

@@ -24,7 +24,9 @@ _ESCAPES = {
     "\f": "\\f",
 }
 
-def _escape_string(s: str) -> str:
+def escape_string(s: str) -> str:
+    """The body of a double-quoted string, valid in N-Triples, Turtle and
+    SPARQL alike."""
     out = []
     for ch in s:
         if ch in _ESCAPES:
@@ -37,12 +39,13 @@ def _escape_string(s: str) -> str:
 
 
 def format_term(term: RdfTerm) -> str:
+    """The N-Triples spelling of a term, which is valid Turtle too."""
     if isinstance(term, Iri):
         return f"<{term.value}>"
     if isinstance(term, BlankNode):
         return f"_:{term.label}"
     if isinstance(term, Literal):
-        body = f'"{_escape_string(term.lex)}"'
+        body = f'"{escape_string(term.lex)}"'
         if term.datatype == XSD_STRING:
             return body
         return f"{body}^^<{term.datatype}>"

@@ -36,7 +36,8 @@ from .algebra import (
     TextPart,
     TriplesMapExpr,
 )
-from .rdf import XSD_STRING, Iri, Literal, TriplePattern, Variable
+from .ntriples import format_term
+from .rdf import Iri, Literal, TriplePattern, Variable
 
 _REGEX_SPECIALS = set(".[]\\()*+?{}|^$")
 
@@ -173,11 +174,7 @@ def prune(
 def format_pattern_term(term) -> str:
     if isinstance(term, Variable):
         return f"?{term.name}"
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    if term.datatype == XSD_STRING:
-        return f'"{term.lex}"'
-    return f'"{term.lex}"^^<{term.datatype}>'
+    return format_term(term)
 
 
 def format_pattern(tp: TriplePattern) -> str:

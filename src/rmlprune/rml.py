@@ -40,6 +40,7 @@ from .algebra import (
 )
 from .csvsource import CSV_KIND, ROWS_QUERY
 from .errors import MappingModelError
+from .ntriples import escape_string, format_term
 from .rdf import RDF_TYPE, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, Triple
 from .turtle import parse_turtle
 
@@ -813,32 +814,17 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
 # ---------------------------------------------------------------------------
 
 
-def _turtle_escape(s: str) -> str:
-    out = s.replace("\\", "\\\\").replace('"', '\\"')
-    return out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-
-
-def _render_constant(term: RdfTerm) -> str:
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    if term.datatype == XSD_STRING:
-        return f'"{_turtle_escape(term.lex)}"'
-    return f'"{_turtle_escape(term.lex)}"^^<{term.datatype}>'
-
-
 _TYPE_KEYWORD = {IRI_TYPE: "rml:IRI", LITERAL_TYPE: "rml:Literal", BNODE_TYPE: "rml:BlankNode"}
 
 
 def _render_term_map(model: TermMapModel, position: str, indent: str) -> list[str]:
     lines = []
     if model.kind == "constant":
-        lines.append(f"{indent}rml:constant {_render_constant(model.value)} ;")
+        lines.append(f"{indent}rml:constant {format_term(model.value)} ;")
     elif model.kind == "reference":
-        lines.append(f'{indent}rml:reference "{_turtle_escape(model.value)}" ;')
+        lines.append(f'{indent}rml:reference "{escape_string(model.value)}" ;')
     else:
-        lines.append(f'{indent}rml:template "{_turtle_escape(model.value)}" ;')
+        lines.append(f'{indent}rml:template "{escape_string(model.value)}" ;')
     if model.kind != "constant":
         ttype = effective_term_type(model, position)
         lines.append(f"{indent}rml:termType {_TYPE_KEYWORD[ttype]} ;")
@@ -857,7 +843,7 @@ def _render_tm_ref(key: str, pom_index: int | None = None) -> str:
 
 def _render_logical_source(ls: LogicalSourceModel) -> str:
     return (
-        f'rml:logicalSource [ rml:source "{_turtle_escape(ls.source)}" ; '
+        f'rml:logicalSource [ rml:source "{escape_string(ls.source)}" ; '
         f"rml:referenceFormulation rml:CSV ]"
     )
 
@@ -916,8 +902,8 @@ def serialize_pruned(retained, doc: RmlDocument) -> str:
             for k, (child_ref, parent_ref) in enumerate(om.joins):
                 tail = " ;" if k + 1 < len(om.joins) else ""
                 lines.append(
-                    f'      rml:joinCondition [ rml:child "{_turtle_escape(child_ref)}" ; '
-                    f'rml:parent "{_turtle_escape(parent_ref)}" ]{tail}'
+                    f'      rml:joinCondition [ rml:child "{escape_string(child_ref)}" ; '
+                    f'rml:parent "{escape_string(parent_ref)}" ]{tail}'
                 )
             lines.append("    ]")
         else:

@@ -28,6 +28,8 @@ from .errors import SparqlError, UnsupportedSparqlError
 from .rdf import RDF_TYPE, Bgp, Iri, TriplePattern, Variable
 
 _VAR_RE = re.compile(r"[?$]([A-Za-z0-9_]+)")
+# a '+' that starts a number begins the object, not a path
+_SIGNED_NUMBER_RE = re.compile(r"\+\.?\d")
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,7 @@ class _QueryParser(Lexer):
         raise self.error("unbalanced parentheses")
 
     def _parse_group(self) -> PatternNode:
+        self.descend()
         self.expect("{")
         children: list[PatternNode] = []
         filters: list[str] = []
@@ -285,6 +288,7 @@ class _QueryParser(Lexer):
             node = GroupNode(tuple(children))
         for expression in filters:
             node = FilterNode(expression, node)
+        self.depth -= 1
         return node
 
     def try_consume_dot(self) -> bool:
@@ -373,7 +377,9 @@ class _QueryParser(Lexer):
         save = self.pos
         self.skip_ws()
         nxt = self.peek()
-        if nxt in "/|*+":
+        if nxt in ("/", "|", "*") or (
+            nxt == "+" and not _SIGNED_NUMBER_RE.match(self.text, self.pos)
+        ):
             raise self.error(f"property paths are not supported ({nxt!r})", unsupported=True)
         if nxt == "?" and not re.match(r"[?$][A-Za-z0-9_]", self.text[self.pos : self.pos + 2]):
             raise self.error("property paths are not supported ('?')", unsupported=True)
@@ -382,6 +388,8 @@ class _QueryParser(Lexer):
 
     def _parse_object_position(self):
         ch = self.peek()
+        if not ch:
+            raise self.error("expected an object")
         if ch in "?$":
             return self.read_variable()
         if ch == "[":
@@ -456,23 +464,27 @@ def parse_query(text: str) -> SelectQuery:
 
 def collect_triple_patterns(node: SelectQuery | PatternNode) -> set[TriplePattern]:
     """Every triple pattern of the query, wherever it occurs."""
-    if isinstance(node, SelectQuery):
-        return collect_triple_patterns(node.where)
-    if isinstance(node, Bgp):
-        return set(node.patterns)
-    if isinstance(node, GroupNode):
-        out: set[TriplePattern] = set()
-        for child in node.children:
-            out |= collect_triple_patterns(child)
-        return out
-    if isinstance(node, (OptionalNode, FilterNode)):
-        return collect_triple_patterns(node.inner)
-    raise TypeError(f"not a pattern node: {node!r}")
+    out: set[TriplePattern] = set()
+    # a loop, not recursion: each FILTER of a group wraps it once more, so
+    # the tree can be deeper than the parser's nesting limit
+    stack = [node.where if isinstance(node, SelectQuery) else node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Bgp):
+            out.update(node.patterns)
+        elif isinstance(node, GroupNode):
+            stack.extend(node.children)
+        elif isinstance(node, (OptionalNode, FilterNode)):
+            stack.append(node.inner)
+        else:
+            raise TypeError(f"not a pattern node: {node!r}")
+    return out
 
 
 def flatten_bgp(query: SelectQuery) -> list[TriplePattern] | None:
     """The query's patterns as one conjunction, or None when the query uses
-    OPTIONAL or FILTER and therefore is not a plain basic graph pattern."""
+    OPTIONAL or FILTER and therefore is not a plain basic graph pattern.
+    The walk recurses only through groups, which the nesting limit bounds."""
 
     def walk(node: PatternNode) -> list[TriplePattern] | None:
         if isinstance(node, Bgp):

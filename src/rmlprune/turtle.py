@@ -186,17 +186,19 @@ class TurtleParser(Lexer):
         return self.read_constant()
 
     def _parse_bnode_property_list(self) -> BlankNode:
+        self.descend()
         self.expect("[")
         node = self.fresh_bnode()
         self.skip_ws()
-        if self.try_consume("]"):
-            return node
-        self._parse_predicate_object_list(node)
-        self.skip_ws()
-        self.expect("]")
+        if not self.try_consume("]"):
+            self._parse_predicate_object_list(node)
+            self.skip_ws()
+            self.expect("]")
+        self.depth -= 1
         return node
 
     def _parse_collection(self):
+        self.descend()
         self.expect("(")
         items = []
         while True:
@@ -206,6 +208,7 @@ class TurtleParser(Lexer):
             if self.at_end():
                 raise self.error("unterminated collection")
             items.append(self._parse_object())
+        self.depth -= 1
         if not items:
             return RDF_NIL
         head = self.fresh_bnode()

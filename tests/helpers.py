@@ -1,13 +1,12 @@
 """Helpers that only the tests use: small oracles and conveniences built on
 the package's public API, kept out of the package itself."""
 
-from rmlprune.algebra import RmlMappingExpr, TriplesMapExpr, check_valid_input
+from rmlprune import algebra
+from rmlprune.algebra import PlanNode, RmlMappingExpr, TriplesMapExpr, check_valid_input
 from rmlprune.errors import SourceInputError
+from rmlprune.pruning import format_pattern_term
 from rmlprune.rdf import (
-    XSD_STRING,
     Bgp,
-    Iri,
-    Literal,
     RdfGraph,
     SolutionMapping,
     Triple,
@@ -29,6 +28,13 @@ def unique_trmaps(m: RmlMappingExpr) -> list[TriplesMapExpr]:
     for tm in m.trmaps:
         seen.setdefault(tm.provenance, tm)
     return list(seen.values())
+
+
+def collect(node: PlanNode, sigma) -> tuple[frozenset[str], set[frozenset]]:
+    """The attributes of *node* and its set of tuples, each tuple as a
+    frozenset of (attribute, value) pairs."""
+    attrs, tuples = algebra._stream(node, sigma, set())
+    return attrs, {frozenset(t.items()) for t in tuples}
 
 
 def valid_input(sigma, m: RmlMappingExpr) -> bool:
@@ -97,25 +103,11 @@ def is_subgraph_of(g: RdfGraph, other: RdfGraph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _format_pattern_term(x) -> str:
-    if isinstance(x, Variable):
-        return f"?{x.name}"
-    if isinstance(x, Iri):
-        return f"<{x.value}>"
-    if isinstance(x, Literal):
-        escaped = x.lex.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
-        body = f'"{escaped}"'
-        if x.datatype == XSD_STRING:
-            return body
-        return f"{body}^^<{x.datatype}>"
-    raise TypeError(f"not a pattern term: {x!r}")
-
-
 def _render(node: PatternNode) -> list[str]:
     if isinstance(node, Bgp):
         return [
-            f"{_format_pattern_term(tp.s)} {_format_pattern_term(tp.p)} "
-            f"{_format_pattern_term(tp.o)} ."
+            f"{format_pattern_term(tp.s)} {format_pattern_term(tp.p)} "
+            f"{format_pattern_term(tp.o)} ."
             for tp in node.patterns
         ]
     if isinstance(node, GroupNode):

@@ -7,6 +7,7 @@ import pytest
 
 from rmlprune import algebra
 from rmlprune.algebra import (
+    EPSILON,
     SOURCE_TYPES,
     AttrRef,
     BuildBlank,
@@ -27,7 +28,6 @@ from rmlprune.algebra import (
     UnionNode,
     dump_plan,
     evaluate_extend,
-    evaluate_plan,
     evaluate_template,
     extend_attrs,
     materialize,
@@ -47,10 +47,9 @@ from rmlprune.rdf import (
     RdfGraph,
     Triple,
 )
-from rmlprune.relations import EPSILON, MappingTuple
 
 from . import randgen
-from .helpers import unique_trmaps, valid_input
+from .helpers import collect, unique_trmaps, valid_input
 
 BASE = "http://example.com/base/"
 
@@ -60,6 +59,10 @@ def csv_sigma(**files: str) -> dict[str, DataObject]:
         name: DataObject(kind=CSV_KIND, payload=parse_csv(text))
         for name, text in files.items()
     }
+
+
+def tuple_set(*tuples: dict) -> set[frozenset]:
+    return {frozenset(t.items()) for t in tuples}
 
 
 def csv_extract(source: str, *attrs: str, selectors: dict | None = None) -> ExtractSpec:
@@ -93,7 +96,7 @@ def test_template_attrs():
 
 
 def test_evaluate_template():
-    tup = MappingTuple({"a": Literal("42"), "b": EPSILON, "c": Iri("http://e/x")})
+    tup = {"a": Literal("42"), "b": EPSILON, "c": Iri("http://e/x")}
     assert evaluate_template(TextPart("fixed"), tup) == "fixed"
     assert evaluate_template(AttrRef("a"), tup) == "42"
     assert evaluate_template(AttrRef("b"), tup) is EPSILON
@@ -128,13 +131,13 @@ def test_resolve_iri_absolute_relative_invalid():
 
 
 def test_evaluate_extend_constants():
-    tup = MappingTuple({})
+    tup = {}
     assert evaluate_extend(ConstantTerm(Literal("v")), tup) == Literal("v")
     assert evaluate_extend(ConstantBlank(BlankNode("b7")), tup) == BlankNode("b7")
 
 
 def test_evaluate_extend_literal_and_iri():
-    tup = MappingTuple({"a": Literal("23.0"), "bad": EPSILON})
+    tup = {"a": Literal("23.0"), "bad": EPSILON}
     assert evaluate_extend(BuildLiteral(AttrRef("a"), XSD_DOUBLE), tup) == Literal(
         "23.0", XSD_DOUBLE
     )
@@ -145,8 +148,8 @@ def test_evaluate_extend_literal_and_iri():
 
 
 def test_evaluate_extend_bnode_is_stable_and_distinct():
-    tup1 = MappingTuple({"a": Literal("x")})
-    tup2 = MappingTuple({"a": Literal("y")})
+    tup1 = {"a": Literal("x")}
+    tup2 = {"a": Literal("y")}
     expr = BuildBlank(AttrRef("a"))
     n1 = evaluate_extend(expr, tup1)
     n2 = evaluate_extend(expr, tup2)
@@ -186,27 +189,25 @@ def test_extract_spec_guards():
 
 def test_extract_produces_one_tuple_per_row():
     sigma = csv_sigma(**{"t.csv": "a,b\n1,x\n2,y\n"})
-    rel = evaluate_plan(ExtractNode(csv_extract("t.csv", "a", "b")), sigma)
-    assert rel.attributes == {"a", "b"}
-    assert rel.tuples == frozenset(
-        {
-            MappingTuple({"a": Literal("1"), "b": Literal("x")}),
-            MappingTuple({"a": Literal("2"), "b": Literal("y")}),
-        }
+    attrs, tuples = collect(ExtractNode(csv_extract("t.csv", "a", "b")), sigma)
+    assert attrs == {"a", "b"}
+    assert tuples == tuple_set(
+        {"a": Literal("1"), "b": Literal("x")},
+        {"a": Literal("2"), "b": Literal("y")},
     )
 
 
 def test_extract_set_semantics_collapses_duplicate_rows():
     sigma = csv_sigma(**{"t.csv": "a\nv\nv\n"})
-    rel = evaluate_plan(ExtractNode(csv_extract("t.csv", "a")), sigma)
-    assert rel.tuples == frozenset({MappingTuple({"a": Literal("v")})})
+    _, tuples = collect(ExtractNode(csv_extract("t.csv", "a")), sigma)
+    assert tuples == tuple_set({"a": Literal("v")})
 
 
 def test_extract_with_no_selectors_yields_one_empty_tuple():
     sigma = csv_sigma(**{"t.csv": "a\n1\n2\n"})
-    rel = evaluate_plan(ExtractNode(csv_extract("t.csv")), sigma)
-    assert rel.attributes == frozenset()
-    assert rel.tuples == frozenset({MappingTuple({})})
+    attrs, tuples = collect(ExtractNode(csv_extract("t.csv")), sigma)
+    assert attrs == frozenset()
+    assert tuples == tuple_set({})
 
 
 def test_extract_missing_column_drops_rows_and_warns_once(caplog):
@@ -215,10 +216,10 @@ def test_extract_missing_column_drops_rows_and_warns_once(caplog):
     sigma = csv_sigma(**{"t.csv": "a\n1\n2\n3\n"})
     spec = csv_extract("t.csv", selectors={"x": "nope", "a": "a"})
     with caplog.at_level(logging.WARNING, logger="rmlprune.algebra"):
-        rel = evaluate_plan(ExtractNode(spec), sigma)
+        _, tuples = collect(ExtractNode(spec), sigma)
         assert len([r for r in caplog.records if "nope" in r.getMessage()]) == 1
-        evaluate_plan(ExtractNode(spec), sigma)
-    assert rel.tuples == frozenset()
+        collect(ExtractNode(spec), sigma)
+    assert tuples == set()
     warnings = [r for r in caplog.records if "nope" in r.getMessage()]
     assert len(warnings) == 2
 
@@ -234,24 +235,22 @@ def test_extract_cross_product_of_multi_valued_selectors(monkeypatch):
     monkeypatch.setitem(SOURCE_TYPES, "multi", MultiSource)
     spec = ExtractSpec("m", "multi", "all", {"a": "a", "b": "b"})
     sigma = {"m": DataObject(kind="multi", payload=[{"a": ["1", "2"], "b": ["x"]}])}
-    rel = evaluate_plan(ExtractNode(spec), sigma)
-    assert rel.tuples == frozenset(
-        {
-            MappingTuple({"a": Literal("1"), "b": Literal("x")}),
-            MappingTuple({"a": Literal("2"), "b": Literal("x")}),
-        }
+    _, tuples = collect(ExtractNode(spec), sigma)
+    assert tuples == tuple_set(
+        {"a": Literal("1"), "b": Literal("x")},
+        {"a": Literal("2"), "b": Literal("x")},
     )
 
 
 def test_extract_unbound_source_reference():
     with pytest.raises(SourceInputError):
-        evaluate_plan(ExtractNode(csv_extract("absent.csv", "a")), {})
+        collect(ExtractNode(csv_extract("absent.csv", "a")), {})
 
 
 def test_extract_wrong_source_kind():
     sigma = {"t.csv": DataObject(kind="other", payload=None)}
     with pytest.raises(SourceInputError):
-        evaluate_plan(ExtractNode(csv_extract("t.csv", "a")), sigma)
+        collect(ExtractNode(csv_extract("t.csv", "a")), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +382,14 @@ def test_extend_refuses_overwrite():
         ExtractNode(csv_extract("t.csv", "a")), "a", ConstantTerm(Literal("v"))
     )
     with pytest.raises(StructuralError, match="overwrite"):
-        evaluate_plan(node, sigma)
+        collect(node, sigma)
 
 
 def test_project_keeps_only_output_attrs():
     sigma = csv_sigma(**{"t.csv": "id,name\n7,Alpha\n"})
-    rel = evaluate_plan(ProjectNode(simple_trmap().plan()), sigma)
-    assert rel.attributes == {"@s", "@p", "@o"}
+    attrs, tuples = collect(ProjectNode(simple_trmap().plan()), sigma)
+    assert attrs == {"@s", "@p", "@o"}
+    assert [{a for a, _ in t} for t in tuples] == [attrs]
 
 
 def test_union_requires_equal_attributes():
@@ -397,14 +397,16 @@ def test_union_requires_equal_attributes():
     left = ExtractNode(csv_extract("t.csv", "a"))
     right = ExtractNode(csv_extract("t.csv", "b"))
     with pytest.raises(StructuralError, match="union"):
-        evaluate_plan(UnionNode(left, right), sigma)
+        collect(UnionNode((left, right)), sigma)
+    with pytest.raises(StructuralError, match="union"):
+        collect(UnionNode(()), sigma)
 
 
 def test_join_requires_disjoint_attributes():
     sigma = csv_sigma(**{"t.csv": "a\n1\n"})
     left = ExtractNode(csv_extract("t.csv", "a"))
     with pytest.raises(StructuralError, match="share"):
-        evaluate_plan(JoinNode(left, left, ()), sigma)
+        collect(JoinNode(left, left, ()), sigma)
 
 
 def test_join_without_conditions_is_cross_product():
@@ -414,8 +416,8 @@ def test_join_without_conditions_is_cross_product():
         ExtractNode(csv_extract("r.csv", "b")),
         (),
     )
-    rel = evaluate_plan(node, sigma)
-    assert len(rel.tuples) == 4
+    _, tuples = collect(node, sigma)
+    assert len(tuples) == 4
 
 
 def test_join_on_condition_matches_equal_values():
@@ -427,17 +429,13 @@ def test_join_on_condition_matches_equal_values():
         ExtractNode(csv_extract("r.csv", selectors={"c@p": "c", "d@p": "d"})),
         (("b", "c@p"),),
     )
-    rel = evaluate_plan(node, sigma)
-    assert rel.tuples == frozenset(
+    _, tuples = collect(node, sigma)
+    assert tuples == tuple_set(
         {
-            MappingTuple(
-                {
-                    "a": Literal("1"),
-                    "b": Literal("x"),
-                    "c@p": Literal("x"),
-                    "d@p": Literal("P1"),
-                }
-            )
+            "a": Literal("1"),
+            "b": Literal("x"),
+            "c@p": Literal("x"),
+            "d@p": Literal("P1"),
         }
     )
 
@@ -506,7 +504,7 @@ def test_materialize_checks_sources_up_front():
 
 
 def test_wide_mapping_evaluates_without_recursion():
-    # a left-deep union of 5,000 expressions must not hit the recursion limit
+    # a union of 5,000 expressions must not hit the recursion limit
     mapping = randgen.wide_mapping(random.Random(1), 5000)
     tables = {f"w{i}.csv": ["c0", "c1", "c2"] for i in range(9)}
     instance = randgen.RandomInstance(mapping, {}, tables, allow_empty=False)
@@ -536,7 +534,7 @@ def test_join_streams_each_distinct_parent_tuple_once(monkeypatch):
         ExtractNode(csv_extract("r.csv", selectors={"c@p": "c", "d@p": "d"})),
         (("b", "c@p"),),
     )
-    evaluate_plan(ExtendNode(join, "@o", ConstantTerm(Literal("v"))), sigma)
+    collect(ExtendNode(join, "@o", ConstantTerm(Literal("v"))), sigma)
     # the repeated parent row "x,P" must not double the joined tuples
     assert sorted(t["d@p"].lex for t in calls) == ["P", "Q"]
 
@@ -549,3 +547,5 @@ def test_dump_plan_renders_operators():
     assert "(join [b=c@p]" in text
     assert "(extract source='t.csv'" in text
     assert "(to-literal (attr \"name\")" in text
+    # a single expression is its projection, with no union around it
+    assert dump_plan(RmlMappingExpr((simple_trmap(),)).plan()).startswith("(project")

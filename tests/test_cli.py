@@ -308,6 +308,21 @@ def test_query_with_escape_beyond_unicode_exits_2(corpus, capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_deeply_nested_inputs_exit_2_without_a_traceback(corpus, capsys, tmp_path):
+    q = tmp_path / "deep.rq"
+    q.write_text("SELECT * WHERE " + "{ " * 3000 + "?s ?p ?o" + " }" * 3000 + "\n")
+    code, _, err = run(
+        capsys, "prune", "--mapping", str(corpus / "mapping.ttl"), "--query", str(q)
+    )
+    assert code == 2
+    assert "nesting deeper" in err and "Traceback" not in err
+    m = tmp_path / "deep.ttl"
+    m.write_text("<http://e/s> <http://e/p> " + "( " * 3000 + "1" + " )" * 3000 + " .\n")
+    code, _, err = run(capsys, "translate", "--mapping", str(m))
+    assert code == 2
+    assert "nesting deeper" in err and "Traceback" not in err
+
+
 def test_invalid_mapping_reports_error(capsys, tmp_path):
     bad = tmp_path / "bad.ttl"
     bad.write_text("@prefix ex: <http://e/> .\nex:tm ex:unknown ex:x .\n")

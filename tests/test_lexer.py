@@ -3,7 +3,8 @@ reader's escapes): both parsers must read every term spelling alike."""
 
 import pytest
 
-from rmlprune.errors import NTriplesError, SparqlError, TurtleError
+from rmlprune._lexer import MAX_NESTING
+from rmlprune.errors import NTriplesError, SparqlError, TurtleError, UnsupportedSparqlError
 from rmlprune.ntriples import parse_graph
 from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal
 from rmlprune.sparql import collect_triple_patterns, parse_query
@@ -54,6 +55,7 @@ SPELLINGS = [
     ('"5"^^<http://www.w3.org/2001/XMLSchema#integer>', Literal("5", XSD_INTEGER)),
     # numbers and booleans
     ("42", Literal("42", XSD_INTEGER)),
+    ("+3", Literal("+3", XSD_INTEGER)),
     ("-7", Literal("-7", XSD_INTEGER)),
     ("3.14", Literal("3.14", XSD_DECIMAL)),
     ("-.5", Literal("-.5", XSD_DECIMAL)),
@@ -106,3 +108,57 @@ def test_hex_escape_outside_unicode_is_a_positioned_error(escape):
         parse_query(f"SELECT * WHERE {{ ?s ?p <http://ex.org/{escape}> }}")
     with pytest.raises(NTriplesError, match="line 2"):
         parse_graph(f'<{EX}s> <{EX}p> "a" .\n<{EX}s> <{EX}p> "{escape}" .\n')
+
+
+@pytest.mark.parametrize("escape", ["\\u+041", "\\u 041", "\\u0_41", "\\u\u0966\u0966\u096a\u0967"])
+def test_uchar_takes_exactly_its_hex_digits(escape):
+    # int(digits, 16) alone reads each of these as "A"
+    with pytest.raises(TurtleError, match="line 2, column 15"):
+        parse_turtle(f'@prefix ex: <{EX}> .\nex:s ex:p "x{escape}" .\n')
+    with pytest.raises(TurtleError, match="line 1"):
+        parse_turtle(f"<http://ex.org/{escape}> <{EX}p> <{EX}o> .\n")
+    with pytest.raises(SparqlError, match="line 1"):
+        parse_query(f'SELECT * WHERE {{ ?s ?p "{escape}" }}')
+    with pytest.raises(NTriplesError, match="line 1"):
+        parse_graph(f'<{EX}s> <{EX}p> "{escape}" .\n')
+
+
+@pytest.mark.parametrize("verb", ["?p", "a", f"<{EX}p>"])
+def test_sparql_query_cut_off_after_the_verb_is_a_syntax_error(verb):
+    with pytest.raises(SparqlError, match="expected an object") as info:
+        parse_query(f"SELECT * WHERE {{ ?s {verb}")
+    assert not isinstance(info.value, UnsupportedSparqlError)
+
+
+# ---------------------------------------------------------------------------
+# nesting: both parsers stop at one depth, with a position
+# ---------------------------------------------------------------------------
+
+NESTINGS = {
+    "group": ("{", lambda n: "SELECT * WHERE " + "{ " * n + "?s ?p ?o" + " }" * n),
+    "optional": (
+        "{",
+        lambda n: "SELECT * WHERE { " + "OPTIONAL { " * (n - 1) + "?s ?p ?o" + " }" * n,
+    ),
+    "bnode": ("[", lambda n: f"<{EX}s> <{EX}p> " + f"[ <{EX}p> " * n + "1" + " ]" * n + " ."),
+    "collection": ("(", lambda n: f"<{EX}s> <{EX}p> " + "( " * n + "1" + " )" * n + " ."),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_nesting_deeper_than_the_cap_is_a_positioned_error(kind):
+    opener, build = NESTINGS[kind]
+    parse, error = (parse_query, SparqlError) if opener == "{" else (parse_turtle, TurtleError)
+    parse(build(MAX_NESTING))
+    for depth in (MAX_NESTING + 1, 3000):
+        text = build(depth)
+        # the opener one level too deep
+        column = 1 + [i for i, ch in enumerate(text) if ch == opener][MAX_NESTING]
+        with pytest.raises(error, match=f"line 1, column {column}: nesting deeper"):
+            parse(text)
+
+
+def test_pattern_walk_survives_a_long_filter_chain():
+    # every FILTER wraps its group once more, so this tree is 3,000 deep
+    query = parse_query("SELECT * WHERE { ?s ?p ?o " + "FILTER(?o) " * 3000 + "}")
+    assert len(collect_triple_patterns(query)) == 1

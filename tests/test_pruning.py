@@ -245,3 +245,11 @@ def test_incompatibility_trace_mentions_every_pair():
     assert "tm#pom1: pruned" in trace
     assert "compatible" in trace
     assert "<http://e.com/name>" in trace
+
+
+def test_incompatibility_trace_escapes_literals():
+    m = RmlMappingExpr((simple_trmap(),))
+    pattern = TriplePattern(V("s"), V("p"), Literal('say "hi"\n\x01'))
+    trace = incompatibility_trace([pattern], m)
+    assert '"say \\"hi\\"\\n\\u0001"' in trace
+    assert len(trace.splitlines()) == 2

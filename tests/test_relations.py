@@ -1,6 +1,7 @@
-"""Mapping tuples, mapping relations, and triple extraction.
+"""The reserved output attributes, EPSILON, and triple extraction from a
+mapping relation: an attribute set plus tuples over it.
 
-``graph_from_relation`` is checked against a per-tuple oracle: a tuple
+``graph_from_tuples`` is checked against a per-tuple oracle: a tuple
 contributes a triple exactly when its three reserved values are a legal
 (subject, predicate, object) combination.
 """
@@ -9,19 +10,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rmlprune.errors import StructuralError
-from rmlprune.rdf import BlankNode, Iri, Literal, Triple
-from rmlprune.relations import (
+from rmlprune.algebra import (
     EPSILON,
     OBJECT_ATTR,
     OUTPUT_ATTRS,
     PREDICATE_ATTR,
     SUBJECT_ATTR,
     Epsilon,
-    MappingRelation,
-    MappingTuple,
-    graph_from_relation,
+    graph_from_tuples,
 )
+from rmlprune.errors import StructuralError
+from rmlprune.rdf import BlankNode, Iri, Literal, Triple
 
 EX = "http://example.com/"
 
@@ -39,44 +38,20 @@ def test_reserved_attributes():
     assert OUTPUT_ATTRS == {SUBJECT_ATTR, PREDICATE_ATTR, OBJECT_ATTR}
 
 
-def test_tuple_mapping_interface_and_hash():
-    t = MappingTuple({"a": iri("x"), "b": EPSILON})
-    assert t["a"] == iri("x")
-    assert t["b"] is EPSILON
-    assert len(t) == 2
-    assert t == MappingTuple({"b": EPSILON, "a": iri("x")})
-    assert hash(t) == hash(MappingTuple({"a": iri("x"), "b": EPSILON}))
-
-
-def test_relation_schema_law():
-    good = MappingRelation({"a"}, {MappingTuple({"a": iri("x")})})
-    assert len(good) == 1
-    with pytest.raises(StructuralError):
-        MappingRelation({"a", "b"}, {MappingTuple({"a": iri("x")})})
-    with pytest.raises(StructuralError):
-        MappingRelation({"a"}, {MappingTuple({"a": iri("x"), "b": iri("y")})})
-
-
-def test_relation_allows_empty_attribute_set():
-    rel = MappingRelation(frozenset(), {MappingTuple({})})
-    assert len(rel) == 1
-
-
 def test_graph_from_relation_requires_output_attrs():
-    rel = MappingRelation({"a"}, {MappingTuple({"a": iri("x")})})
     with pytest.raises(StructuralError):
-        graph_from_relation(rel)
+        graph_from_tuples({"a"}, [{"a": iri("x")}])
 
 
-def out_tuple(s, p, o, extra=None) -> MappingTuple:
+def out_tuple(s, p, o, extra=None) -> dict:
     values = {SUBJECT_ATTR: s, PREDICATE_ATTR: p, OBJECT_ATTR: o}
     if extra:
         values.update(extra)
-    return MappingTuple(values)
+    return values
 
 
 def test_graph_from_relation_hand_cases():
-    tuples = {
+    tuples = [
         out_tuple(iri("s"), iri("p"), Literal("v")),  # kept
         out_tuple(BlankNode("b"), iri("p"), iri("o")),  # kept
         out_tuple(EPSILON, iri("p"), iri("o")),  # dropped: no subject
@@ -84,9 +59,8 @@ def test_graph_from_relation_hand_cases():
         out_tuple(iri("s"), iri("p"), EPSILON),  # dropped: no object
         out_tuple(Literal("s"), iri("p"), iri("o")),  # dropped: literal subject
         out_tuple(iri("s"), BlankNode("b"), iri("o")),  # dropped: bnode predicate
-    }
-    rel = MappingRelation(OUTPUT_ATTRS, tuples)
-    g = graph_from_relation(rel)
+    ]
+    g = graph_from_tuples(OUTPUT_ATTRS, tuples)
     assert g.triples == frozenset(
         {
             Triple(iri("s"), iri("p"), Literal("v")),
@@ -102,8 +76,7 @@ _values = st.sampled_from(
 
 @given(st.sets(st.tuples(_values, _values, _values), max_size=12))
 def test_graph_from_relation_matches_per_tuple_oracle(rows):
-    rel = MappingRelation(OUTPUT_ATTRS, {out_tuple(s, p, o) for s, p, o in rows})
-    got = graph_from_relation(rel).triples
+    got = graph_from_tuples(OUTPUT_ATTRS, [out_tuple(s, p, o) for s, p, o in rows]).triples
     expected = {
         Triple(s, p, o)
         for s, p, o in rows
@@ -115,10 +88,7 @@ def test_graph_from_relation_matches_per_tuple_oracle(rows):
 
 
 def test_graph_from_relation_ignores_extra_attributes():
-    rel = MappingRelation(
-        OUTPUT_ATTRS | {"x"},
-        {out_tuple(iri("s"), iri("p"), iri("o"), extra={"x": EPSILON})},
-    )
-    assert graph_from_relation(rel).triples == frozenset(
+    tuples = [out_tuple(iri("s"), iri("p"), iri("o"), extra={"x": EPSILON})]
+    assert graph_from_tuples(OUTPUT_ATTRS | {"x"}, tuples).triples == frozenset(
         {Triple(iri("s"), iri("p"), iri("o"))}
     )

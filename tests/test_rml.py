@@ -503,6 +503,26 @@ def test_serialize_joined_round_trips():
     assert _shape(reparsed) == _shape(type(m)((m.trmaps[0],)))
 
 
+def test_serialize_escapes_constants_and_strings():
+    doc = normalize(
+        parse_rml(
+            NEW_HEADER
+            + '<http://e/tm> rml:logicalSource [ rml:source "f\\"1.csv" ] ;\n'
+            '  rml:subjectMap [ rml:template "http://e/{a}" ] ;\n'
+            "  rml:predicateObjectMap [ rml:predicate ex:p ;\n"
+            '    rml:object "say \\"hi\\"\\n\\u0001\\\\" , "7"^^xsd:double ] .\n'
+        )
+    )
+    m = translate(doc)
+    reparsed = translate(normalize(parse_rml(serialize_pruned(m, doc))))
+    assert _shape(reparsed) == _shape(m)
+    assert {tm.object_expr.term for tm in reparsed.trmaps} == {
+        Literal('say "hi"\n\x01\\'),
+        Literal("7", XSD_DOUBLE),
+    }
+    assert reparsed.trmaps[0].extract.source_ref == 'f"1.csv'
+
+
 def test_serialize_rejects_foreign_expressions(airports_doc):
     other = translate(normalize(parse_rml(JOIN_DOC)))
     with pytest.raises(MappingModelError, match="document"):
