@@ -10,17 +10,18 @@ The expression language mirrors how RML builds terms from tabular data:
   strings into RDF terms, again yielding :data:`EPSILON` on failure;
 * a :class:`TriplesMapExpr` glues an extraction from one source (or a join
   of two) to one constructor per triple position; and
-* an :class:`RmlMappingExpr` is the union of its triples-map expressions,
-  each projected to the three reserved output attributes.
+* an :class:`RmlMappingExpr` is the union of its triples-map expressions.
 
 Evaluation takes a *source assignment* binding each source reference to a
-parsed data object and streams the tuples of the plan one at a time: a
-tuple is a dict from attributes to RDF terms or :data:`EPSILON`.  The
-three reserved attributes ``@s``, ``@p`` and ``@o`` carry the subject,
-predicate and object of the triple a tuple describes, and
-:func:`materialize` feeds the stream straight into :func:`graph_from_tuples`,
-so the graph is the one output of evaluation and no intermediate relation
-is built.
+parsed data object and turns each triples-map expression straight into
+triples: every extracted row (a dict from attributes to RDF terms or
+:data:`EPSILON`) gives a subject, a predicate and an object, the object of
+a joined expression coming from each parent row the row joins with.
+:func:`materialize` feeds them into :func:`graph_from_triples`, which keeps
+the well-formed ones; no intermediate relation is built.
+
+``plan()`` spells an expression as an operator tree that only
+:func:`dump_plan` reads: the printed form of ``--dump-algebra``.
 """
 
 from __future__ import annotations
@@ -34,16 +35,12 @@ from typing import Union
 
 from .csvsource import CsvSource
 from .errors import InvalidTermError, SourceInputError, StructuralError
+from .ntriples import escape_string, format_term
 from .rdf import BlankNode, Iri, Literal, RdfGraph, RdfTerm, Triple, is_absolute_iri, is_term, is_valid_iri
 
 logger = logging.getLogger("rmlprune.algebra")
 
 Attribute = str
-
-SUBJECT_ATTR: Attribute = "@s"
-PREDICATE_ATTR: Attribute = "@p"
-OBJECT_ATTR: Attribute = "@o"
-OUTPUT_ATTRS: frozenset[Attribute] = frozenset((SUBJECT_ATTR, PREDICATE_ATTR, OBJECT_ATTR))
 
 
 class Epsilon:
@@ -265,9 +262,6 @@ class ExtractSpec:
     selectors: dict[Attribute, str]
 
     def __post_init__(self):
-        bad = OUTPUT_ATTRS & set(self.selectors)
-        if bad:
-            raise StructuralError(f"selectors may not use reserved attributes: {sorted(bad)}")
         if self.source_type not in SOURCE_TYPES:
             raise StructuralError(f"unknown source type: {self.source_type!r}")
 
@@ -302,29 +296,15 @@ class TriplesMapExpr:
     def __post_init__(self):
         self.join_conditions = tuple((a, b) for a, b in self.join_conditions)
         child = self.extract.attrs
-        for name, expr in (("subject", self.subject_expr), ("predicate", self.predicate_expr)):
-            missing = extend_attrs(expr) - child
-            if missing:
-                raise StructuralError(
-                    f"{name} constructor references attributes outside the "
-                    f"extraction: {sorted(missing)}"
-                )
         if self.parent_extract is None:
             if self.join_conditions:
                 raise StructuralError("join conditions require a second extraction")
-            missing = extend_attrs(self.object_expr) - child
-            if missing:
-                raise StructuralError(
-                    f"object constructor references attributes outside the "
-                    f"extraction: {sorted(missing)}"
-                )
+            object_scope, object_where = child, "extraction"
         else:
             parent = self.parent_extract.attrs
             overlap = child & parent
             if overlap:
-                raise StructuralError(
-                    f"the two extractions share attributes: {sorted(overlap)}"
-                )
+                raise StructuralError(f"the two extractions share attributes: {sorted(overlap)}")
             for a, b in self.join_conditions:
                 if a not in child or b not in parent:
                     raise StructuralError(
@@ -334,14 +314,18 @@ class TriplesMapExpr:
                 isinstance(self.object_expr, ConstantTerm)
                 and isinstance(self.object_expr.term, Literal)
             ):
-                raise StructuralError(
-                    "the joined object constructor cannot produce literals"
-                )
-            missing = extend_attrs(self.object_expr) - (child | parent)
+                raise StructuralError("the joined object constructor cannot produce literals")
+            object_scope, object_where = parent, "parent extraction"
+        for name, expr, scope, where in (
+            ("subject", self.subject_expr, child, "extraction"),
+            ("predicate", self.predicate_expr, child, "extraction"),
+            ("object", self.object_expr, object_scope, object_where),
+        ):
+            missing = extend_attrs(expr) - scope
             if missing:
                 raise StructuralError(
-                    f"object constructor references attributes outside both "
-                    f"extractions: {sorted(missing)}"
+                    f"{name} constructor references attributes outside the "
+                    f"{where}: {sorted(missing)}"
                 )
 
     @property
@@ -349,13 +333,13 @@ class TriplesMapExpr:
         return self.parent_extract is not None
 
     def plan(self) -> "PlanNode":
-        """The operator tree this expression denotes."""
+        """The operator tree this expression denotes, for :func:`dump_plan`."""
         inner: PlanNode = ExtractNode(self.extract)
-        inner = ExtendNode(inner, SUBJECT_ATTR, self.subject_expr)
-        inner = ExtendNode(inner, PREDICATE_ATTR, self.predicate_expr)
+        inner = ExtendNode(inner, "@s", self.subject_expr)
+        inner = ExtendNode(inner, "@p", self.predicate_expr)
         if self.parent_extract is not None:
             inner = JoinNode(inner, ExtractNode(self.parent_extract), self.join_conditions)
-        return ExtendNode(inner, OBJECT_ATTR, self.object_expr)
+        return ExtendNode(inner, "@o", self.object_expr)
 
     def source_refs(self) -> tuple[str, ...]:
         refs = [self.extract.source_ref]
@@ -381,7 +365,121 @@ class RmlMappingExpr:
 
 
 # ---------------------------------------------------------------------------
-# operator tree and evaluation
+# evaluation
+# ---------------------------------------------------------------------------
+
+
+def _source_data(spec: ExtractSpec, sigma: SourceAssignment) -> DataObject:
+    data = sigma.get(spec.source_ref)
+    if data is None:
+        raise SourceInputError(f"source assignment lacks source reference {spec.source_ref!r}")
+    if data.kind != spec.source_type:
+        raise SourceInputError(
+            f"source reference {spec.source_ref!r} is bound to a {data.kind!r} "
+            f"object but the mapping needs {spec.source_type!r}"
+        )
+    return data
+
+
+def check_valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> None:
+    """Raise :class:`SourceInputError` unless *sigma* covers every source
+    reference of *m* with a data object of the declared source type."""
+    for tm in m.trmaps:
+        for spec in (tm.extract, tm.parent_extract):
+            if spec is not None:
+                _source_data(spec, sigma)
+
+
+def _extract(
+    spec: ExtractSpec, sigma: SourceAssignment, warned: set[tuple[str, str]]
+) -> Iterator[dict[Attribute, Value]]:
+    """The rows of one extraction, each a fresh dict over ``spec.attrs``.
+    A row may come out more than once: set semantics is the graph's.
+    *warned* holds the (source, selector) pairs whose "matches nothing"
+    warning this evaluation has already logged."""
+    source = SOURCE_TYPES[spec.source_type]
+    data = _source_data(spec, sigma)
+    selectors = sorted(spec.selectors.items())
+    for component in source.enumerate(data.payload, spec.query):
+        columns: list[list[tuple[Attribute, Value]]] = []
+        for attr, selector in selectors:
+            values = source.select(data.payload, component, selector)
+            if not values:
+                key = (spec.source_ref, selector)
+                if key not in warned:
+                    warned.add(key)
+                    logger.warning(
+                        "selector %r matches nothing in source %r; rows are dropped",
+                        selector,
+                        spec.source_ref,
+                    )
+                break
+            columns.append([(attr, source.cast(v)) for v in values])
+        else:
+            for combo in product(*columns):
+                yield dict(combo)
+
+
+def _triples(
+    tm: TriplesMapExpr, sigma: SourceAssignment, warned: set[tuple[str, str]]
+) -> Iterator[tuple[Value, Value, Value]]:
+    """The (subject, predicate, object) values of one triples-map
+    expression, :data:`EPSILON` included, one child row at a time.
+
+    A join buckets the distinct parent rows by their join values (EPSILON
+    matches EPSILON; no conditions make one bucket, a cross product) and
+    builds the object from each parent row a child row meets.
+    """
+    subject, predicate, obj = tm.subject_expr, tm.predicate_expr, tm.object_expr
+    rows = _extract(tm.extract, sigma, warned)
+    if tm.parent_extract is None:
+        for row in rows:
+            s, p = evaluate_extend(subject, row), evaluate_extend(predicate, row)
+            yield s, p, evaluate_extend(obj, row)
+        return
+    # a bucket keeps each distinct parent row once, keyed by all its values
+    parent_attrs = sorted(tm.parent_extract.attrs)
+    buckets: dict[tuple[Value, ...], dict[tuple[Value, ...], dict[Attribute, Value]]] = {}
+    for parent in _extract(tm.parent_extract, sigma, warned):
+        key = tuple(parent[b] for _, b in tm.join_conditions)
+        buckets.setdefault(key, {}).setdefault(tuple(parent[a] for a in parent_attrs), parent)
+    for row in rows:
+        matches = buckets.get(tuple(row[a] for a, _ in tm.join_conditions))
+        if matches:
+            s, p = evaluate_extend(subject, row), evaluate_extend(predicate, row)
+            for parent in matches.values():
+                yield s, p, evaluate_extend(obj, parent)
+
+
+def graph_from_triples(triples: Iterable[tuple[Value, Value, Value]]) -> RdfGraph:
+    """The well-formed triples among *triples*: subject an IRI or blank
+    node, predicate an IRI, object any RDF term.  The rest, :data:`EPSILON`
+    included, is dropped without error.  *triples* is read once, so it may
+    be a stream; equal terms end up as one object in the graph."""
+    terms: dict[RdfTerm, RdfTerm] = {}
+    share = terms.setdefault
+    subjects, objects = (Iri, BlankNode), (Iri, BlankNode, Literal)
+    return RdfGraph(
+        Triple(share(s, s), share(p, p), share(o, o))
+        for s, p, o in triples
+        if isinstance(s, subjects) and isinstance(p, Iri) and isinstance(o, objects)
+    )
+
+
+def materialize(m: RmlMappingExpr, sigma: SourceAssignment) -> RdfGraph:
+    """Evaluate the whole mapping and keep the well-formed triples."""
+    check_valid_input(sigma, m)
+    warned: set[tuple[str, str]] = set()
+    return graph_from_triples(chain.from_iterable(_triples(tm, sigma, warned) for tm in m.trmaps))
+
+
+def materialize_trmap(tm: TriplesMapExpr, sigma: SourceAssignment) -> RdfGraph:
+    """The graph produced by a single triples-map expression."""
+    return graph_from_triples(_triples(tm, sigma, set()))
+
+
+# ---------------------------------------------------------------------------
+# operator tree: the printed form of an expression; evaluation never reads it
 # ---------------------------------------------------------------------------
 
 
@@ -415,178 +513,22 @@ class UnionNode:
 
 
 PlanNode = Union[ExtractNode, ExtendNode, ProjectNode, JoinNode, UnionNode]
-# A stream of tuples; each is a fresh dict that its reader may keep.
-Tuples = Iterator[dict[Attribute, Value]]
-
-def _source_data(spec: ExtractSpec, sigma: SourceAssignment) -> DataObject:
-    data = sigma.get(spec.source_ref)
-    if data is None:
-        raise SourceInputError(f"source assignment lacks source reference {spec.source_ref!r}")
-    if data.kind != spec.source_type:
-        raise SourceInputError(
-            f"source reference {spec.source_ref!r} is bound to a {data.kind!r} "
-            f"object but the mapping needs {spec.source_type!r}"
-        )
-    return data
-
-
-def check_valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> None:
-    """Raise :class:`SourceInputError` unless *sigma* covers every source
-    reference of *m* with a data object of the declared source type."""
-    for tm in m.trmaps:
-        for spec in (tm.extract, tm.parent_extract):
-            if spec is not None:
-                _source_data(spec, sigma)
-
-
-def _extract(spec: ExtractSpec, sigma: SourceAssignment, warned: set[tuple[str, str]]) -> Tuples:
-    source = SOURCE_TYPES[spec.source_type]
-    data = _source_data(spec, sigma)
-    selectors = sorted(spec.selectors.items())
-    for component in source.enumerate(data.payload, spec.query):
-        columns: list[list[tuple[Attribute, Value]]] = []
-        for attr, selector in selectors:
-            values = source.select(data.payload, component, selector)
-            if not values:
-                key = (spec.source_ref, selector)
-                if key not in warned:
-                    warned.add(key)
-                    logger.warning(
-                        "selector %r matches nothing in source %r; rows are dropped",
-                        selector,
-                        spec.source_ref,
-                    )
-                break
-            columns.append([(attr, source.cast(v)) for v in values])
-        else:
-            for combo in product(*columns):
-                yield dict(combo)
-
-
-def _join(left: Tuples, right: Tuples, conditions: tuple[tuple[Attribute, Attribute], ...]) -> Tuples:
-    # Hash join: the right (parent) side goes into buckets on the condition
-    # columns, and the left side streams past them.  Buckets hold no
-    # duplicates, so repeated parent rows do not multiply the output.  With
-    # no conditions this is a plain cross product.  EPSILON on both sides
-    # counts as a match.
-    buckets: dict[tuple[Value, ...], set[frozenset]] = {}
-    for rt in right:
-        key = tuple(rt[b] for _, b in conditions)
-        buckets.setdefault(key, set()).add(frozenset(rt.items()))
-    for lt in left:
-        for items in buckets.get(tuple(lt[a] for a, _ in conditions), ()):
-            merged = dict(lt)
-            merged.update(items)
-            yield merged
-
-
-def _stream(
-    node: PlanNode, sigma: SourceAssignment, warned: set[tuple[str, str]]
-) -> tuple[frozenset[Attribute], Tuples]:
-    """The attributes of *node* and a lazy stream of its tuples.
-
-    The plan is checked up front; tuples are computed one at a time as the
-    stream is read, and only a join's right side is held in memory.  A
-    tuple may come out more than once: set semantics is the collector's.
-    *warned* holds the (source, selector) pairs whose "matches nothing"
-    warning this evaluation has already logged.
-    """
-    if isinstance(node, ExtractNode):
-        return node.spec.attrs, _extract(node.spec, sigma, warned)
-
-    if isinstance(node, ExtendNode):
-        attrs, tuples = _stream(node.child, sigma, warned)
-        if node.attr in attrs:
-            raise StructuralError(f"extend would overwrite attribute {node.attr!r}")
-        attr, expr = node.attr, node.expr
-        return attrs | {attr}, ({**t, attr: evaluate_extend(expr, t)} for t in tuples)
-
-    if isinstance(node, ProjectNode):
-        attrs, tuples = _stream(node.child, sigma, warned)
-        keep = attrs & OUTPUT_ATTRS
-        return keep, ({a: t[a] for a in keep} for t in tuples)
-
-    if isinstance(node, JoinNode):
-        left_attrs, left = _stream(node.left, sigma, warned)
-        right_attrs, right = _stream(node.right, sigma, warned)
-        overlap = left_attrs & right_attrs
-        if overlap:
-            raise StructuralError(f"join sides share attributes: {sorted(overlap)}")
-        return left_attrs | right_attrs, _join(left, right, node.conditions)
-
-    if isinstance(node, UnionNode):
-        parts = [_stream(operand, sigma, warned) for operand in node.operands]
-        if not parts:
-            raise StructuralError("a union needs at least one operand")
-        attrs = parts[0][0]
-        for other, _ in parts[1:]:
-            if other != attrs:
-                raise StructuralError(
-                    f"union sides have different attributes: {sorted(attrs)} "
-                    f"vs {sorted(other)}"
-                )
-        return attrs, chain.from_iterable(tuples for _, tuples in parts)
-
-    raise TypeError(f"not a plan node: {node!r}")
-
-
-def graph_from_tuples(
-    attributes: Iterable[Attribute], tuples: Iterable[Mapping[Attribute, Value]]
-) -> RdfGraph:
-    """The triples described by tuples carrying ``@s``/``@p``/``@o``.
-
-    A tuple yields a triple only when its subject is an IRI or blank node,
-    its predicate an IRI, and its object any RDF term; tuples holding
-    :data:`EPSILON` or an ill-positioned term are dropped without error.
-    *tuples* is read once, so it may be a stream.  Equal terms end up as
-    one object in the graph, however many tuples built them.
-    """
-    missing = sorted(OUTPUT_ATTRS - set(attributes))
-    if missing:
-        raise StructuralError(f"relation lacks reserved output attributes: {missing}")
-    terms: dict[RdfTerm, RdfTerm] = {}
-    share = terms.setdefault
-    subjects, objects = (Iri, BlankNode), (Iri, BlankNode, Literal)
-
-    def triples() -> Iterator[Triple]:
-        for t in tuples:
-            s, p, o = t[SUBJECT_ATTR], t[PREDICATE_ATTR], t[OBJECT_ATTR]
-            if isinstance(s, subjects) and isinstance(p, Iri) and isinstance(o, objects):
-                yield Triple(share(s, s), share(p, p), share(o, o))
-
-    return RdfGraph(triples())
-
-
-def materialize(m: RmlMappingExpr, sigma: SourceAssignment) -> RdfGraph:
-    """Evaluate the whole mapping and keep the well-formed triples."""
-    check_valid_input(sigma, m)
-    return graph_from_tuples(*_stream(m.plan(), sigma, set()))
-
-
-def materialize_trmap(tm: TriplesMapExpr, sigma: SourceAssignment) -> RdfGraph:
-    """The graph produced by a single triples-map expression."""
-    return graph_from_tuples(*_stream(ProjectNode(tm.plan()), sigma, set()))
-
-
-# ---------------------------------------------------------------------------
-# debug rendering
-# ---------------------------------------------------------------------------
 
 
 def _format_template(expr: TemplateExpr) -> str:
     if isinstance(expr, TextPart):
-        return f'(text "{expr.text}")'
+        return f'(text "{escape_string(expr.text)}")'
     if isinstance(expr, AttrRef):
-        return f'(attr "{expr.attr}")'
+        return f'(attr "{escape_string(expr.attr)}")'
     parts = " ".join(_format_template(p) for p in expr.parts)
     return f"(concat {parts})"
 
 
 def _format_extend(expr: ExtendExpr) -> str:
     if isinstance(expr, ConstantTerm):
-        return f"(const {expr.term!r})"
+        return f"(const {format_term(expr.term)})"
     if isinstance(expr, ConstantBlank):
-        return f"(const {expr.node!r})"
+        return f"(const {format_term(expr.node)})"
     if isinstance(expr, BuildLiteral):
         return f"(to-literal {_format_template(expr.body)} <{expr.datatype}>)"
     if isinstance(expr, BuildIri):
@@ -595,11 +537,14 @@ def _format_extend(expr: ExtendExpr) -> str:
 
 
 def dump_plan(node: PlanNode, indent: int = 0) -> str:
-    """A one-operator-per-line rendering of an operator tree."""
+    """A one-operator-per-line rendering of an operator tree.  Names and
+    texts are escaped, so no value can break a line."""
     pad = "  " * indent
     if isinstance(node, ExtractNode):
         spec = node.spec
-        sel = ", ".join(f"{a}<-{q}" for a, q in sorted(spec.selectors.items()))
+        sel = ", ".join(
+            f"{escape_string(a)}<-{escape_string(q)}" for a, q in sorted(spec.selectors.items())
+        )
         return (
             f"{pad}(extract source={spec.source_ref!r} type={spec.source_type} "
             f"query={spec.query!r} [{sel}])"
@@ -612,7 +557,7 @@ def dump_plan(node: PlanNode, indent: int = 0) -> str:
     if isinstance(node, ProjectNode):
         return f"{pad}(project [@s @p @o]\n{dump_plan(node.child, indent + 1)})"
     if isinstance(node, JoinNode):
-        conds = ", ".join(f"{a}={b}" for a, b in node.conditions)
+        conds = ", ".join(f"{escape_string(a)}={escape_string(b)}" for a, b in node.conditions)
         return (
             f"{pad}(join [{conds}]\n"
             f"{dump_plan(node.left, indent + 1)}\n"

@@ -8,6 +8,7 @@ are written without a datatype suffix, following the usual canonical form.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 
 from ._lexer import Lexer
@@ -23,19 +24,18 @@ _ESCAPES = {
     "\b": "\\b",
     "\f": "\\f",
 }
+_ESCAPED_RE = re.compile(r'["\\\x00-\x1f]')
+
+
+def _escape_char(m: re.Match) -> str:
+    ch = m.group()
+    return _ESCAPES.get(ch) or f"\\u{ord(ch):04X}"
+
 
 def escape_string(s: str) -> str:
     """The body of a double-quoted string, valid in N-Triples, Turtle and
     SPARQL alike."""
-    out = []
-    for ch in s:
-        if ch in _ESCAPES:
-            out.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _ESCAPED_RE.sub(_escape_char, s)
 
 
 def format_term(term: RdfTerm) -> str:

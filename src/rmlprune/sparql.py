@@ -188,7 +188,7 @@ class _QueryParser(Lexer):
             if ch == "*":
                 self.pos += 1
                 star = True
-            elif ch in "?$":
+            elif ch and ch in "?$":
                 variables.append(self.read_variable())
             elif ch == "(":
                 expressions.append(self._read_balanced_parens())
@@ -361,6 +361,8 @@ class _QueryParser(Lexer):
 
     def _parse_verb(self):
         ch = self.peek()
+        if not ch:
+            raise self.error("expected a predicate")
         if ch == "^":
             raise self.error("property paths are not supported (inverse '^')", unsupported=True)
         if ch == "!":

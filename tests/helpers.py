@@ -1,8 +1,7 @@
 """Helpers that only the tests use: small oracles and conveniences built on
 the package's public API, kept out of the package itself."""
 
-from rmlprune import algebra
-from rmlprune.algebra import PlanNode, RmlMappingExpr, TriplesMapExpr, check_valid_input
+from rmlprune.algebra import RmlMappingExpr, TriplesMapExpr, check_valid_input
 from rmlprune.errors import SourceInputError
 from rmlprune.pruning import format_pattern_term
 from rmlprune.rdf import (
@@ -28,13 +27,6 @@ def unique_trmaps(m: RmlMappingExpr) -> list[TriplesMapExpr]:
     for tm in m.trmaps:
         seen.setdefault(tm.provenance, tm)
     return list(seen.values())
-
-
-def collect(node: PlanNode, sigma) -> tuple[frozenset[str], set[frozenset]]:
-    """The attributes of *node* and its set of tuples, each tuple as a
-    frozenset of (attribute, value) pairs."""
-    attrs, tuples = algebra._stream(node, sigma, set())
-    return attrs, {frozenset(t.items()) for t in tuples}
 
 
 def valid_input(sigma, m: RmlMappingExpr) -> bool:

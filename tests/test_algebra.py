@@ -1,4 +1,5 @@
-"""Template expressions, term constructors, extraction, and plan evaluation."""
+"""Template expressions, term constructors, extraction, triples-map
+evaluation and the printed plan."""
 
 import logging
 import random
@@ -16,16 +17,11 @@ from rmlprune.algebra import (
     ConstantBlank,
     ConstantTerm,
     DataObject,
-    ExtendNode,
-    ExtractNode,
     ExtractSpec,
-    JoinNode,
-    ProjectNode,
     RmlMappingExpr,
     TemplateConcat,
     TextPart,
     TriplesMapExpr,
-    UnionNode,
     dump_plan,
     evaluate_extend,
     evaluate_template,
@@ -49,7 +45,7 @@ from rmlprune.rdf import (
 )
 
 from . import randgen
-from .helpers import collect, unique_trmaps, valid_input
+from .helpers import unique_trmaps, valid_input
 
 BASE = "http://example.com/base/"
 
@@ -182,16 +178,14 @@ def test_constructor_validation():
 
 def test_extract_spec_guards():
     with pytest.raises(StructuralError):
-        csv_extract("f.csv", selectors={"@s": "a"})
-    with pytest.raises(StructuralError):
         ExtractSpec("f", "parquet", ROWS_QUERY, {})
 
 
 def test_extract_produces_one_tuple_per_row():
     sigma = csv_sigma(**{"t.csv": "a,b\n1,x\n2,y\n"})
-    attrs, tuples = collect(ExtractNode(csv_extract("t.csv", "a", "b")), sigma)
-    assert attrs == {"a", "b"}
-    assert tuples == tuple_set(
+    spec = csv_extract("t.csv", "a", "b")
+    assert spec.attrs == {"a", "b"}
+    assert tuple_set(*algebra._extract(spec, sigma, set())) == tuple_set(
         {"a": Literal("1"), "b": Literal("x")},
         {"a": Literal("2"), "b": Literal("y")},
     )
@@ -199,15 +193,15 @@ def test_extract_produces_one_tuple_per_row():
 
 def test_extract_set_semantics_collapses_duplicate_rows():
     sigma = csv_sigma(**{"t.csv": "a\nv\nv\n"})
-    _, tuples = collect(ExtractNode(csv_extract("t.csv", "a")), sigma)
-    assert tuples == tuple_set({"a": Literal("v")})
+    rows = algebra._extract(csv_extract("t.csv", "a"), sigma, set())
+    assert tuple_set(*rows) == tuple_set({"a": Literal("v")})
 
 
 def test_extract_with_no_selectors_yields_one_empty_tuple():
     sigma = csv_sigma(**{"t.csv": "a\n1\n2\n"})
-    attrs, tuples = collect(ExtractNode(csv_extract("t.csv")), sigma)
-    assert attrs == frozenset()
-    assert tuples == tuple_set({})
+    spec = csv_extract("t.csv")
+    assert spec.attrs == frozenset()
+    assert tuple_set(*algebra._extract(spec, sigma, set())) == tuple_set({})
 
 
 def test_extract_missing_column_drops_rows_and_warns_once(caplog):
@@ -216,10 +210,10 @@ def test_extract_missing_column_drops_rows_and_warns_once(caplog):
     sigma = csv_sigma(**{"t.csv": "a\n1\n2\n3\n"})
     spec = csv_extract("t.csv", selectors={"x": "nope", "a": "a"})
     with caplog.at_level(logging.WARNING, logger="rmlprune.algebra"):
-        _, tuples = collect(ExtractNode(spec), sigma)
+        rows = list(algebra._extract(spec, sigma, set()))
         assert len([r for r in caplog.records if "nope" in r.getMessage()]) == 1
-        collect(ExtractNode(spec), sigma)
-    assert tuples == set()
+        list(algebra._extract(spec, sigma, set()))
+    assert rows == []
     warnings = [r for r in caplog.records if "nope" in r.getMessage()]
     assert len(warnings) == 2
 
@@ -235,8 +229,7 @@ def test_extract_cross_product_of_multi_valued_selectors(monkeypatch):
     monkeypatch.setitem(SOURCE_TYPES, "multi", MultiSource)
     spec = ExtractSpec("m", "multi", "all", {"a": "a", "b": "b"})
     sigma = {"m": DataObject(kind="multi", payload=[{"a": ["1", "2"], "b": ["x"]}])}
-    _, tuples = collect(ExtractNode(spec), sigma)
-    assert tuples == tuple_set(
+    assert tuple_set(*algebra._extract(spec, sigma, set())) == tuple_set(
         {"a": Literal("1"), "b": Literal("x")},
         {"a": Literal("2"), "b": Literal("x")},
     )
@@ -244,13 +237,13 @@ def test_extract_cross_product_of_multi_valued_selectors(monkeypatch):
 
 def test_extract_unbound_source_reference():
     with pytest.raises(SourceInputError):
-        collect(ExtractNode(csv_extract("absent.csv", "a")), {})
+        list(algebra._extract(csv_extract("absent.csv", "a"), {}, set()))
 
 
 def test_extract_wrong_source_kind():
     sigma = {"t.csv": DataObject(kind="other", payload=None)}
     with pytest.raises(SourceInputError):
-        collect(ExtractNode(csv_extract("t.csv", "a")), sigma)
+        list(algebra._extract(csv_extract("t.csv", "a"), sigma, set()))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +263,7 @@ def simple_trmap(source="t.csv", provenance="tm#pom0") -> TriplesMapExpr:
     )
 
 
-def joined_trmap() -> TriplesMapExpr:
+def joined_trmap(join_conditions=(("b", "c@p"),)) -> TriplesMapExpr:
     return TriplesMapExpr(
         subject_expr=BuildIri(
             TemplateConcat((TextPart("http://e.com/s/"), AttrRef("a"))), BASE
@@ -283,7 +276,7 @@ def joined_trmap() -> TriplesMapExpr:
         parent_extract=csv_extract(
             "parent.csv", selectors={"c@p": "c", "d@p": "d"}
         ),
-        join_conditions=(("b", "c@p"),),
+        join_conditions=join_conditions,
         provenance="tm#pom1",
     )
 
@@ -350,6 +343,21 @@ def test_trmap_join_validation():
         )
 
 
+def test_joined_object_may_reference_only_the_parent():
+    with pytest.raises(StructuralError, match="parent extraction"):
+        TriplesMapExpr(
+            subject_expr=BuildIri(AttrRef("a"), BASE),
+            predicate_expr=ConstantTerm(Iri("http://e.com/p")),
+            object_expr=BuildIri(
+                TemplateConcat((TextPart("http://e.com/o/"), AttrRef("a"), AttrRef("x@p"))),
+                BASE,
+            ),
+            extract=csv_extract("c.csv", "a"),
+            parent_extract=csv_extract("p.csv", selectors={"x@p": "x"}),
+            join_conditions=(("a", "x@p"),),
+        )
+
+
 def test_trmap_flags_and_sources():
     tm = simple_trmap()
     assert not tm.is_joined
@@ -372,72 +380,33 @@ def test_unique_trmaps_dedupes_by_provenance():
 
 
 # ---------------------------------------------------------------------------
-# plan evaluation
+# joins
 # ---------------------------------------------------------------------------
 
 
-def test_extend_refuses_overwrite():
-    sigma = csv_sigma(**{"t.csv": "a\n1\n"})
-    node = ExtendNode(
-        ExtractNode(csv_extract("t.csv", "a")), "a", ConstantTerm(Literal("v"))
-    )
-    with pytest.raises(StructuralError, match="overwrite"):
-        collect(node, sigma)
-
-
-def test_project_keeps_only_output_attrs():
-    sigma = csv_sigma(**{"t.csv": "id,name\n7,Alpha\n"})
-    attrs, tuples = collect(ProjectNode(simple_trmap().plan()), sigma)
-    assert attrs == {"@s", "@p", "@o"}
-    assert [{a for a, _ in t} for t in tuples] == [attrs]
-
-
-def test_union_requires_equal_attributes():
-    sigma = csv_sigma(**{"t.csv": "a,b\n1,2\n"})
-    left = ExtractNode(csv_extract("t.csv", "a"))
-    right = ExtractNode(csv_extract("t.csv", "b"))
-    with pytest.raises(StructuralError, match="union"):
-        collect(UnionNode((left, right)), sigma)
-    with pytest.raises(StructuralError, match="union"):
-        collect(UnionNode(()), sigma)
-
-
-def test_join_requires_disjoint_attributes():
-    sigma = csv_sigma(**{"t.csv": "a\n1\n"})
-    left = ExtractNode(csv_extract("t.csv", "a"))
-    with pytest.raises(StructuralError, match="share"):
-        collect(JoinNode(left, left, ()), sigma)
+def link_triple(s: str, o: str) -> Triple:
+    return Triple(Iri(f"http://e.com/s/{s}"), Iri("http://e.com/link"), Iri(f"http://e.com/o/{o}"))
 
 
 def test_join_without_conditions_is_cross_product():
-    sigma = csv_sigma(**{"l.csv": "a\n1\n2\n", "r.csv": "b\nx\ny\n"})
-    node = JoinNode(
-        ExtractNode(csv_extract("l.csv", "a")),
-        ExtractNode(csv_extract("r.csv", "b")),
-        (),
+    sigma = csv_sigma(
+        **{"child.csv": "a,b\n1,x\n2,y\n", "parent.csv": "c,d\nx,P1\nz,P2\n"}
     )
-    _, tuples = collect(node, sigma)
-    assert len(tuples) == 4
+    assert materialize_trmap(joined_trmap(()), sigma).triples == {
+        link_triple(s, o) for s in ("1", "2") for o in ("P1", "P2")
+    }
 
 
 def test_join_on_condition_matches_equal_values():
     sigma = csv_sigma(
-        **{"l.csv": "a,b\n1,x\n2,y\n", "r.csv": "c,d\nx,P1\nz,P2\n"}
-    )
-    node = JoinNode(
-        ExtractNode(csv_extract("l.csv", "a", "b")),
-        ExtractNode(csv_extract("r.csv", selectors={"c@p": "c", "d@p": "d"})),
-        (("b", "c@p"),),
-    )
-    _, tuples = collect(node, sigma)
-    assert tuples == tuple_set(
-        {
-            "a": Literal("1"),
-            "b": Literal("x"),
-            "c@p": Literal("x"),
-            "d@p": Literal("P1"),
+        **{
+            "child.csv": "a,b\n1,x\n2,y\n3,x\n",
+            "parent.csv": "c,d\nx,P1\nz,P2\nx,P3\n",
         }
     )
+    assert materialize_trmap(joined_trmap(), sigma).triples == {
+        link_triple(s, o) for s in ("1", "3") for o in ("P1", "P3")
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -522,21 +491,20 @@ def test_wide_mapping_evaluates_without_recursion():
 
 def test_join_streams_each_distinct_parent_tuple_once(monkeypatch):
     calls = []
+    real_extend = algebra.evaluate_extend
 
     def counting_extend(expr, tup):
         calls.append(tup)
-        return Literal("v")
+        return real_extend(expr, tup)
 
     monkeypatch.setattr(algebra, "evaluate_extend", counting_extend)
-    sigma = csv_sigma(**{"l.csv": "a,b\n1,x\n", "r.csv": "c,d\nx,P\nx,P\nx,Q\n"})
-    join = JoinNode(
-        ExtractNode(csv_extract("l.csv", "a", "b")),
-        ExtractNode(csv_extract("r.csv", selectors={"c@p": "c", "d@p": "d"})),
-        (("b", "c@p"),),
+    sigma = csv_sigma(
+        **{"child.csv": "a,b\n1,x\n", "parent.csv": "c,d\nx,P\nx,P\nx,Q\n"}
     )
-    collect(ExtendNode(join, "@o", ConstantTerm(Literal("v"))), sigma)
-    # the repeated parent row "x,P" must not double the joined tuples
-    assert sorted(t["d@p"].lex for t in calls) == ["P", "Q"]
+    graph = materialize_trmap(joined_trmap(), sigma)
+    assert graph.triples == {link_triple("1", "P"), link_triple("1", "Q")}
+    # the repeated parent row "x,P" builds its object once
+    assert sorted(t["d@p"].lex for t in calls if "d@p" in t) == ["P", "Q"]
 
 
 def test_dump_plan_renders_operators():
@@ -549,3 +517,33 @@ def test_dump_plan_renders_operators():
     assert "(to-literal (attr \"name\")" in text
     # a single expression is its projection, with no union around it
     assert dump_plan(RmlMappingExpr((simple_trmap(),)).plan()).startswith("(project")
+
+
+def test_dump_plan_escapes_names_and_texts():
+    # quotes, backslashes and newlines in texts, names and constants must
+    # neither end a quoted field nor split a line
+    quoted = TriplesMapExpr(
+        subject_expr=BuildIri(
+            TemplateConcat((TextPart('say "'), AttrRef("x\ny"), TextPart('"\n'))), BASE
+        ),
+        predicate_expr=ConstantTerm(Iri("http://e.com/p")),
+        object_expr=ConstantTerm(Literal('a"b\nc')),
+        extract=csv_extract("t\n.csv", selectors={"x\ny": "col\\\n"}),
+    )
+    joined = TriplesMapExpr(
+        subject_expr=BuildIri(AttrRef("a\n"), BASE),
+        predicate_expr=ConstantTerm(Iri("http://e.com/p")),
+        object_expr=BuildIri(AttrRef("k\n@p"), BASE),
+        extract=csv_extract("c.csv", "a\n"),
+        parent_extract=csv_extract("p.csv", selectors={"k\n@p": "k\n"}),
+        join_conditions=(("a\n", "k\n@p"),),
+    )
+    text = dump_plan(RmlMappingExpr((quoted, joined)).plan())
+    lines = text.split("\n")
+    assert len(lines) == 13  # union + 5 operators + 7 operators
+    for line in lines:
+        assert line.lstrip(" ").startswith("("), line
+    assert '(concat (text "say \\"") (attr "x\\ny") (text "\\"\\n"))' in text
+    assert '(const "a\\"b\\nc")' in text
+    assert "[x\\ny<-col\\\\\\n]" in text
+    assert "(join [a\\n=k\\n@p]" in text

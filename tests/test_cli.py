@@ -144,6 +144,31 @@ def test_materialize_writes_ntriples(corpus, capsys):
     assert len(graph.triples) == 1570
 
 
+def test_materialize_columns_named_like_triple_positions(tmp_path, capsys):
+    # "@s", "@p" and "@o" are ordinary column names
+    (tmp_path / "t.csv").write_text("@s,@p,@o\n1,name,Alpha\n2,age,7\n", encoding="utf-8")
+    mapping = tmp_path / "m.ttl"
+    mapping.write_text(
+        "@prefix rr: <http://www.w3.org/ns/r2rml#> .\n"
+        "@prefix rml: <http://semweb.mmlab.be/ns/rml#> .\n"
+        "@prefix ql: <http://semweb.mmlab.be/ns/ql#> .\n"
+        "<http://example.com/tm/t>\n"
+        '  rml:logicalSource [ rml:source "t.csv" ; rml:referenceFormulation ql:CSV ] ;\n'
+        '  rr:subjectMap [ rr:template "http://example.com/t/{@s}" ] ;\n'
+        '  rr:predicateObjectMap [ rr:predicateMap [ rr:template "http://example.com/p/{@p}" ] ;\n'
+        '    rr:objectMap [ rml:reference "@o" ] ] .\n',
+        encoding="utf-8",
+    )
+    code, out, err = run(
+        capsys, "materialize", "--mapping", str(mapping), "--data-dir", str(tmp_path)
+    )
+    assert code == 0, err
+    assert out == (
+        '<http://example.com/t/1> <http://example.com/p/name> "Alpha" .\n'
+        '<http://example.com/t/2> <http://example.com/p/age> "7" .\n'
+    )
+
+
 def test_query_tsv_output(corpus, capsys):
     code, out, err = run(
         capsys,

@@ -5,7 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rmlprune.errors import NTriplesError
-from rmlprune.ntriples import format_term, format_triple, parse_graph, serialize_graph
+from rmlprune.ntriples import (
+    escape_string,
+    format_term,
+    format_triple,
+    parse_graph,
+    serialize_graph,
+)
 from rmlprune.rdf import (
     XSD_INTEGER,
     XSD_STRING,
@@ -21,6 +27,48 @@ EX = "http://example.com/"
 
 def iri(s: str) -> Iri:
     return Iri(EX + s)
+
+
+def loop_escape(s: str) -> str:
+    """The per-character oracle for ``escape_string``."""
+    named = {
+        '"': '\\"',
+        "\\": "\\\\",
+        "\n": "\\n",
+        "\r": "\\r",
+        "\t": "\\t",
+        "\b": "\\b",
+        "\f": "\\f",
+    }
+    out = []
+    for ch in s:
+        if ch in named:
+            out.append(named[ch])
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_escape_string_matches_loop_oracle():
+    texts = [chr(c) for c in range(0x20)] + [
+        '"',
+        "\\",
+        "",
+        'say "hi"\n',
+        "\x00\x1f\x7f",
+        "ünïcödé ∑ 😀 \u2028",
+        "".join(chr(c) for c in range(0x80)) + 'é"\\\x01',
+    ]
+    for text in texts:
+        assert escape_string(text) == loop_escape(text), repr(text)
+    assert escape_string('a"b\\c\n\x01') == 'a\\"b\\\\c\\n\\u0001'
+
+
+@given(st.text())
+def test_escape_string_matches_loop_oracle_on_any_text(text):
+    assert escape_string(text) == loop_escape(text)
 
 
 def test_format_term():

@@ -171,6 +171,21 @@ def test_literal_subject_rejected():
         parse_query('SELECT * WHERE { "x" ?p ?o }')
 
 
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("SELECT", "SELECT needs \\* or at least one projection"),
+        ("SELECT ", "SELECT needs \\* or at least one projection"),
+        ("SELECT * WHERE { ?s", "expected a predicate"),
+        ("SELECT * WHERE { ?s ", "expected a predicate"),
+    ],
+)
+def test_end_of_input_names_what_is_missing(query, message):
+    with pytest.raises(SparqlError, match=message) as info:
+        parse_query("PREFIX ex: <http://example.com/ns#> " + query)
+    assert not isinstance(info.value, UnsupportedSparqlError)
+
+
 def test_syntax_error_has_position():
     with pytest.raises(SparqlError) as exc:
         parse_query("SELECT ?s WHERE { ?s ?p }")
