@@ -6,7 +6,8 @@ patterns could ever match its output, and writes the surviving subset back
 out as a standalone mapping.  A reference materializer and a basic graph
 pattern evaluator are included so the pruning can be checked end to end:
 evaluating a query over the pruned mapping's output must return exactly
-the answers obtained over the full output.
+the answers obtained over the full output.  :func:`answer` runs that whole
+chain for one query.
 """
 
 from .algebra import (
@@ -25,6 +26,7 @@ from .algebra import (
     materialize,
     materialize_trmap,
 )
+from .answer import answer
 from .errors import (
     CsvError,
     InvalidTermError,
@@ -88,6 +90,7 @@ __all__ = [
     "TurtleError",
     "UnsupportedSparqlError",
     "Variable",
+    "answer",
     "collect_triple_patterns",
     "eval_bgp",
     "flatten_bgp",

@@ -43,8 +43,8 @@ _ECHAR = {
 
 _DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
 _DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
-INTEGER_RE = re.compile(r"[+-]?\d+")
-_NUMBERS = ((_DOUBLE_RE, XSD_DOUBLE), (_DECIMAL_RE, XSD_DECIMAL), (INTEGER_RE, XSD_INTEGER))
+_INTEGER_RE = re.compile(r"[+-]?\d+")
+_NUMBERS = ((_DOUBLE_RE, XSD_DOUBLE), (_DECIMAL_RE, XSD_DECIMAL), (_INTEGER_RE, XSD_INTEGER))
 
 # The deepest nesting of groups, blank-node property lists or collections a
 # parser accepts.  A level costs at most three Python frames (Turtle's

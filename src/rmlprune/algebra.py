@@ -359,6 +359,10 @@ class RmlMappingExpr:
         if not self.trmaps:
             raise StructuralError("a mapping expression needs at least one triples-map expression")
 
+    def source_refs(self) -> list[str]:
+        """Every source reference the expressions read, sorted, each once."""
+        return sorted({ref for tm in self.trmaps for ref in tm.source_refs()})
+
     def plan(self) -> "PlanNode":
         projected = tuple(ProjectNode(tm.plan()) for tm in self.trmaps)
         return projected[0] if len(projected) == 1 else UnionNode(projected)

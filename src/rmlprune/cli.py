@@ -1,10 +1,5 @@
-"""Command-line interface.
-
-Subcommands: ``translate`` (mapping to algebra), ``prune`` (mapping +
-query to pruned mapping), ``materialize`` (mapping + CSV directory to
-N-Triples), ``query`` (evaluate a basic graph pattern over the
-materialized output), ``bench`` (timed pipeline over a query directory)
-and ``gen-data`` (write the benchmark corpus).
+"""Command-line interface: one subcommand per pipeline step (``rmlprune --help``);
+``query`` and ``bench`` run :func:`rmlprune.answer.answer`.
 
 Status lines go to stderr; requested artifacts go to ``--out`` or stdout.
 Exit codes: 0 on success, 1 when a benchmark equality check fails, 2 on
@@ -18,18 +13,18 @@ import logging
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
-from . import bench as bench_mod
-from .algebra import DataObject, RmlMappingExpr, dump_plan, materialize
+from .algebra import DataObject, dump_plan, materialize
+from .answer import answer, evaluable_bgp, format_csv, format_rows, run_benchmark
 from .csvsource import CSV_KIND, parse_csv
 from .errors import RmlPruneError, SourceInputError
 from .gendata import generate
-from .ntriples import format_term, serialize_graph
+from .ntriples import serialize_graph
 from .pruning import FullyPruned, prune
-from .rdf import Bgp, Variable, eval_bgp
 from .rml import normalize, parse_rml, serialize_pruned, translate
-from .sparql import collect_triple_patterns, flatten_bgp, parse_query
+from .sparql import collect_triple_patterns, parse_query
 
 
 def _configure_logging():
@@ -68,19 +63,12 @@ def _load_query(path: str):
     return parse_query(text)
 
 
-def _load_sources(mapping: RmlMappingExpr, data_dir: str) -> dict[str, DataObject]:
-    base = Path(data_dir)
-    sigma: dict[str, DataObject] = {}
-    for ref in sorted({r for tm in mapping.trmaps for r in tm.source_refs()}):
-        path = base / ref
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise SourceInputError(
-                f"source {ref!r} not found under {data_dir!r}: {exc}"
-            ) from exc
-        sigma[ref] = DataObject(kind=CSV_KIND, payload=parse_csv(raw))
-    return sigma
+def _load_source(data_dir: str, ref: str) -> DataObject:
+    try:
+        raw = (Path(data_dir) / ref).read_bytes()
+    except OSError as exc:
+        raise SourceInputError(f"source {ref!r} not found under {data_dir!r}: {exc}") from exc
+    return DataObject(kind=CSV_KIND, payload=parse_csv(raw))
 
 
 def cmd_translate(args) -> int:
@@ -93,27 +81,23 @@ def cmd_translate(args) -> int:
 
 def cmd_prune(args) -> int:
     doc, mapping = _load_mapping(args.mapping)
-    query = _load_query(args.query)
-    patterns = collect_triple_patterns(query.where)
+    patterns = collect_triple_patterns(_load_query(args.query))
     t0 = time.monotonic()
     result = prune(patterns, mapping, args.assume_nonempty_refs)
     elapsed_ms = (time.monotonic() - t0) * 1000.0
-    before = len(mapping.trmaps)
-    after = 0 if isinstance(result, FullyPruned) else len(result.trmaps)
-    print(
-        f"{before} -> {after} TrMap-expressions retained ({elapsed_ms:.2f} ms)",
-        file=sys.stderr,
-    )
     retained = () if isinstance(result, FullyPruned) else result
-    if args.dump_algebra and not isinstance(result, FullyPruned):
-        print(dump_plan(result.plan()), file=sys.stderr)
+    after = len(retained.trmaps) if retained else 0
+    print(f"{len(mapping.trmaps)} -> {after} TrMap-expressions retained ({elapsed_ms:.2f} ms)",
+          file=sys.stderr)
+    if args.dump_algebra and retained:
+        print(dump_plan(retained.plan()), file=sys.stderr)
     _write_out(serialize_pruned(retained, doc), args.out)
     return 0
 
 
 def cmd_materialize(args) -> int:
     _, mapping = _load_mapping(args.mapping)
-    sigma = _load_sources(mapping, args.data_dir)
+    sigma = {ref: _load_source(args.data_dir, ref) for ref in mapping.source_refs()}
     graph = materialize(mapping, sigma)
     print(f"{len(graph.triples)} triples", file=sys.stderr)
     _write_out(serialize_graph(graph), args.out)
@@ -122,72 +106,36 @@ def cmd_materialize(args) -> int:
 
 def cmd_query(args) -> int:
     _, mapping = _load_mapping(args.mapping)
-    query = _load_query(args.query)
-    if query.select_expressions:
-        raise RmlPruneError(
-            "expression projections (AS) are not supported in query evaluation"
-        )
-    extra = query.modifiers.beyond_distinct()
-    if extra:
-        raise RmlPruneError(
-            "solution modifiers not supported in query evaluation: " + ", ".join(extra)
-        )
-    flat = flatten_bgp(query)
-    if flat is None:
-        raise RmlPruneError(
-            "only plain basic graph patterns can be evaluated (no OPTIONAL/FILTER)"
-        )
-    if not flat:
-        raise RmlPruneError("the query has an empty where clause")
-    sigma = _load_sources(mapping, args.data_dir)
-    graph = materialize(mapping, sigma)
-    answers = eval_bgp(Bgp(tuple(flat)), graph)
-
-    if query.variables is None:
-        seen: list[Variable] = []
-        for tp in flat:
-            for v in tp.variables():
-                if v not in seen:
-                    seen.append(v)
-        variables = tuple(seen)
-    else:
-        variables = query.variables
-    lines = ["\t".join(f"?{v.name}" for v in variables)]
-    projected = [
-        tuple(format_term(mu[v]) if v in mu else "" for v in variables)
-        for mu in answers
-    ]
-    if query.modifiers.distinct:
-        projected = list(set(projected))
-    lines.extend("\t".join(row) for row in sorted(projected))
-    _write_out("\n".join(lines) + "\n", args.out)
-    print(f"{len(projected)} rows", file=sys.stderr)
+    # pruning without the non-empty assumption is sound for any data
+    result = answer(_load_query(args.query), mapping, partial(_load_source, args.data_dir))
+    rows = result.rows()
+    _write_out(format_rows(result.variables, rows), args.out)
+    print(f"{len(rows)} rows", file=sys.stderr)
     return 0
 
 
 def cmd_bench(args) -> int:
     _, mapping = _load_mapping(args.mapping)
-    qdir = Path(args.queries_dir)
-    query_files = sorted(qdir.glob("*.rq"))
+    query_files = sorted(Path(args.queries_dir).glob("*.rq"))
     if not query_files:
         raise SourceInputError(f"no .rq files under {args.queries_dir!r}")
-    queries = [(p.stem, _load_query(str(p))) for p in query_files]
-    sigma = _load_sources(mapping, args.data_dir)
-    rows, full_graph = bench_mod.run_benchmark(
-        mapping,
-        queries,
-        sigma,
-        repetitions=args.repetitions,
-        assume_nonempty=args.assume_nonempty_refs,
+    queries = []
+    for path in query_files:
+        query = _load_query(str(path))
+        try:
+            evaluable_bgp(query)
+        except RmlPruneError as exc:
+            raise RmlPruneError(f"{path}: {exc}") from None
+        queries.append((path.stem, query))
+    rows, full_triples = run_benchmark(
+        mapping, queries, partial(_load_source, args.data_dir), args.repetitions,
+        args.assume_nonempty_refs,
     )
-    print(f"full output: {len(full_graph.triples)} triples", file=sys.stderr)
+    print(f"full output: {full_triples} triples", file=sys.stderr)
     for r in rows:
-        print(
-            f"{r.query}: {r.trmaps_before} -> {r.trmaps_after} TrMap-expressions, "
-            f"{r.triples} triples, {r.result_rows} rows, {r.equal}",
-            file=sys.stderr,
-        )
-    _write_out(bench_mod.format_csv(rows), args.out)
+        print(f"{r.query}: {r.trmaps_before} -> {r.trmaps_after} TrMap-expressions, "
+              f"{r.triples} triples, {r.result_rows} rows, {r.equal}", file=sys.stderr)
+    _write_out(format_csv(rows), args.out)
     return 1 if any(r.equal == "FAIL" for r in rows) else 0
 
 
@@ -199,6 +147,13 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rmlprune",
@@ -206,11 +161,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, mapping=True, out=True):
-        if mapping:
-            p.add_argument("--mapping", required=True, help="RML mapping (Turtle)")
-        if out:
-            p.add_argument("--out", help="output file (default: stdout)")
+    def add_common(p):
+        p.add_argument("--mapping", required=True, help="RML mapping (Turtle)")
+        p.add_argument("--out", help="output file (default: stdout)")
+
+    assume_nonempty = dict(action=argparse.BooleanOptionalAction, default=True,
+                           help="treat referenced data values as never empty (default: on)")
 
     p = sub.add_parser("translate", help="translate a mapping into algebra")
     add_common(p)
@@ -221,12 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--query", required=True, help="SPARQL query file")
     p.add_argument("--dump-algebra", action="store_true", help="print the pruned plan")
-    p.add_argument(
-        "--assume-nonempty-refs",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="treat referenced data values as never empty (default: on)",
-    )
+    p.add_argument("--assume-nonempty-refs", **assume_nonempty)
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("materialize", help="materialize a mapping to N-Triples")
@@ -234,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", required=True, help="directory with the CSV sources")
     p.set_defaults(func=cmd_materialize)
 
-    p = sub.add_parser("query", help="evaluate a query over the materialized output")
+    p = sub.add_parser("query", help="prune, then evaluate a query over the pruned output")
     add_common(p)
     p.add_argument("--query", required=True, help="SPARQL query file")
     p.add_argument("--data-dir", required=True, help="directory with the CSV sources")
@@ -244,18 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--queries-dir", required=True, help="directory with .rq files")
     p.add_argument("--data-dir", required=True, help="directory with the CSV sources")
-    p.add_argument("--repetitions", type=int, default=4, help="measured runs per stage")
-    p.add_argument(
-        "--assume-nonempty-refs",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="treat referenced data values as never empty (default: on)",
-    )
+    p.add_argument("--repetitions", type=positive_int, default=4, help="measured runs per stage")
+    p.add_argument("--assume-nonempty-refs", **assume_nonempty)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-data", help="generate the benchmark corpus")
     p.add_argument("--out", required=True, help="target directory")
-    p.add_argument("--scale", type=int, default=1, help="size multiplier")
+    p.add_argument("--scale", type=positive_int, default=1, help="size multiplier")
     p.add_argument("--seed", type=int, default=42, help="random seed")
     p.set_defaults(func=cmd_gen_data)
 

@@ -23,13 +23,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ._lexer import INTEGER_RE, Lexer
+from ._lexer import Lexer
 from .errors import SparqlError, UnsupportedSparqlError
 from .rdf import RDF_TYPE, Bgp, Iri, TriplePattern, Variable
 
 _VAR_RE = re.compile(r"[?$]([A-Za-z0-9_]+)")
 # a '+' that starts a number begins the object, not a path
 _SIGNED_NUMBER_RE = re.compile(r"\+\.?\d")
+_UNSIGNED_INTEGER_RE = re.compile(r"\d+")
 
 
 @dataclass(frozen=True)
@@ -401,32 +402,47 @@ class _QueryParser(Lexer):
         return self.read_constant()
 
     def _parse_solution_modifiers(self, modifiers: Modifiers):
-        while True:
+        # GroupClause? HavingClause? OrderClause? LimitOffsetClauses?, where
+        # LIMIT and OFFSET may come in either order
+        modifiers.group_by = self._read_condition("GROUP BY")
+        modifiers.having = self._read_condition("HAVING")
+        modifiers.order_by = self._read_condition("ORDER BY")
+        for _ in range(2):
             self.skip_ws()
-            if self.try_keyword("GROUP"):
-                self.skip_ws()
-                if not self.try_keyword("BY"):
-                    raise self.error("expected BY after GROUP")
-                modifiers.group_by = self._capture_until_stop()
-            elif self.try_keyword("HAVING"):
-                modifiers.having = self._capture_until_stop()
-            elif self.try_keyword("ORDER"):
-                self.skip_ws()
-                if not self.try_keyword("BY"):
-                    raise self.error("expected BY after ORDER")
-                modifiers.order_by = self._capture_until_stop()
-            elif self.try_keyword("LIMIT"):
+            if modifiers.limit is None and self.try_keyword("LIMIT"):
                 modifiers.limit = self._read_int()
-            elif self.try_keyword("OFFSET"):
+            elif modifiers.offset is None and self.try_keyword("OFFSET"):
                 modifiers.offset = self._read_int()
-            else:
-                break
+        self.skip_ws()
+        for keyword in self._STOP_KEYWORDS:
+            if self.keyword_ahead(keyword):
+                clause = keyword + " BY" if keyword in ("GROUP", "ORDER") else keyword
+                raise self.error(
+                    f"{clause} is repeated or out of order: solution modifiers come "
+                    "as GROUP BY, HAVING, ORDER BY, then LIMIT and OFFSET"
+                )
+
+    def _read_condition(self, clause: str) -> str | None:
+        """The raw condition text of *clause* (``ORDER BY`` ...) when the
+        query continues with it, else None."""
+        self.skip_ws()
+        first, _, by = clause.partition(" ")
+        if not self.try_keyword(first):
+            return None
+        if by:
+            self.skip_ws()
+            if not self.try_keyword(by):
+                raise self.error(f"expected {by} after {first}")
+        condition = self._capture_until_stop()
+        if not condition:
+            raise self.error(f"expected a condition after {clause}")
+        return condition
 
     def _read_int(self) -> int:
         self.skip_ws()
-        match = INTEGER_RE.match(self.text, self.pos)
+        match = _UNSIGNED_INTEGER_RE.match(self.text, self.pos)
         if not match:
-            raise self.error("expected an integer")
+            raise self.error("expected an unsigned integer")
         self.pos = match.end()
         return int(match.group())
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rmlprune.bench import BENCH_HEADER, BenchRow, format_csv, run_benchmark
+from rmlprune.answer import BENCH_HEADER, BenchRow, format_csv, run_benchmark
 from rmlprune.gendata import QUERIES
 from rmlprune.sparql import parse_query
 
@@ -11,10 +11,10 @@ from .test_gendata import corpus, corpus_mapping, corpus_sigma  # noqa: F401
 
 def test_run_benchmark_rows(corpus_mapping, corpus_sigma):
     queries = [(name, parse_query(QUERIES[name])) for name in ("q01", "q05", "q07")]
-    rows, full_graph = run_benchmark(
-        corpus_mapping, queries, corpus_sigma, repetitions=1
+    rows, full_triples = run_benchmark(
+        corpus_mapping, queries, corpus_sigma.__getitem__, repetitions=1
     )
-    assert len(full_graph.triples) == 1570
+    assert full_triples == 1570
     assert [r.query for r in rows] == ["q01", "q05", "q07"]
 
     q01, q05, q07 = rows
@@ -37,7 +37,7 @@ def test_run_benchmark_rows(corpus_mapping, corpus_sigma):
 
 def test_run_benchmark_rejects_zero_repetitions(corpus_mapping, corpus_sigma):
     with pytest.raises(ValueError):
-        run_benchmark(corpus_mapping, [], corpus_sigma, repetitions=0)
+        run_benchmark(corpus_mapping, [], corpus_sigma.__getitem__, repetitions=0)
 
 
 def test_format_csv_layout():

@@ -1,15 +1,23 @@
 """End-to-end command-line tests (in-process, via ``main``)."""
 
 import logging
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from rmlprune.bench import BENCH_HEADER
+import rmlprune
+from rmlprune.algebra import DataObject
+from rmlprune.answer import BENCH_HEADER, answer, format_rows
+from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.cli import main
-from rmlprune.gendata import generate
+from rmlprune.gendata import QUERIES, generate
 from rmlprune.ntriples import parse_graph
 from rmlprune.rml import normalize, parse_rml, translate
+from rmlprune.sparql import parse_query
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +221,99 @@ def test_query_distinct_deduplicates(corpus, capsys, tmp_path):
     assert "5 rows" in err
 
 
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_query_output_equals_the_full_pipeline(corpus, capsys, name):
+    mapping = translate(normalize(parse_rml((corpus / "mapping.ttl").read_bytes())))
+    query = parse_query(QUERIES[name])
+
+    def load(ref):
+        return DataObject(kind=CSV_KIND, payload=parse_csv((corpus / ref).read_bytes()))
+
+    full = answer(query, mapping, load, prune=False)
+    code, out, err = run(
+        capsys,
+        "query",
+        "--mapping",
+        str(corpus / "mapping.ttl"),
+        "--query",
+        str(corpus / "queries" / f"{name}.rq"),
+        "--data-dir",
+        str(corpus),
+    )
+    assert code == 0, err
+    assert out == format_rows(full.variables, full.rows())
+    assert f"{len(full.rows())} rows" in err
+
+
+def test_query_reads_only_the_sources_the_pruned_mapping_needs(corpus, capsys, tmp_path):
+    # q05 prunes every expression, so it needs no data at all
+    code, out, err = run(
+        capsys,
+        "query",
+        "--mapping",
+        str(corpus / "mapping.ttl"),
+        "--query",
+        str(corpus / "queries" / "q05.rq"),
+        "--data-dir",
+        str(tmp_path),
+    )
+    assert (code, out) == (0, "?s\n"), err
+    # q02 keeps one expression over stops.csv
+    shutil.copy(corpus / "stops.csv", tmp_path / "stops.csv")
+    code, out, err = run(
+        capsys,
+        "query",
+        "--mapping",
+        str(corpus / "mapping.ttl"),
+        "--query",
+        str(corpus / "queries" / "q02.rq"),
+        "--data-dir",
+        str(tmp_path),
+    )
+    assert code == 0, err
+    assert "100 rows" in err and out.startswith("?s\t?n\n")
+
+
+def test_query_prunes_soundly_for_empty_cells(capsys, tmp_path):
+    # the default non-empty assumption would prune the only expression
+    # producing <http://ex/s/>, the subject built from the empty id
+    (tmp_path / "t.csv").write_text("id,name\n,Alpha\n", encoding="utf-8")
+    mapping = tmp_path / "m.ttl"
+    mapping.write_text(
+        "@prefix rr: <http://www.w3.org/ns/r2rml#> .\n"
+        "@prefix rml: <http://semweb.mmlab.be/ns/rml#> .\n"
+        "@prefix ql: <http://semweb.mmlab.be/ns/ql#> .\n"
+        "<http://ex/tm>\n"
+        '  rml:logicalSource [ rml:source "t.csv" ; rml:referenceFormulation ql:CSV ] ;\n'
+        '  rr:subjectMap [ rr:template "http://ex/s/{id}" ] ;\n'
+        "  rr:predicateObjectMap [ rr:predicate <http://ex/name> ;\n"
+        '    rr:objectMap [ rml:reference "name" ] ] .\n',
+        encoding="utf-8",
+    )
+    q = tmp_path / "q.rq"
+    q.write_text("SELECT ?n WHERE { <http://ex/s/> <http://ex/name> ?n }\n", encoding="utf-8")
+    argv = ("--mapping", str(mapping), "--query", str(q))
+    code, out, err = run(capsys, "query", *argv, "--data-dir", str(tmp_path))
+    assert code == 0, err
+    assert out == '?n\n"Alpha"\n'
+    _, _, err = run(capsys, "prune", *argv)
+    assert "1 -> 0 TrMap-expressions" in err
+    _, _, err = run(capsys, "prune", *argv, "--no-assume-nonempty-refs")
+    assert "1 -> 1 TrMap-expressions" in err
+
+
+def test_select_star_columns_do_not_depend_on_the_hash_seed(corpus):
+    src = str(Path(rmlprune.__file__).parent.parent)
+    argv = [sys.executable, "-m", "rmlprune.cli", "query", "--mapping",
+            str(corpus / "mapping.ttl"), "--query", str(corpus / "queries" / "q01.rq"),
+            "--data-dir", str(corpus)]
+    for seed in range(5):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split("\n", 1)[0] == "?s\t?p\t?o"
+
+
 def test_bench_csv_and_exit_code(corpus, capsys, tmp_path):
     csv_file = tmp_path / "bench.csv"
     code, _, err = run(
@@ -301,6 +402,69 @@ def test_query_rejects_order_by(corpus, capsys, tmp_path):
     )
     assert code == 2
     assert "ORDER BY" in err
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("{ ?s ex:name ?n . OPTIONAL { ?s ex:lat ?lat . } }", "basic graph patterns"),
+        ("{ ?s ex:name ?n . } ORDER BY ?s", "ORDER BY"),
+        ("{ ?s ex:name ?n . } LIMIT 3", "LIMIT"),
+    ],
+)
+def test_bench_refuses_a_query_it_cannot_evaluate(corpus, capsys, tmp_path, where, message):
+    queries = tmp_path / "queries"
+    shutil.copytree(corpus / "queries", queries)
+    bad = queries / "q09.rq"
+    bad.write_text("PREFIX ex: <http://example.com/ns#>\nSELECT * WHERE " + where + "\n")
+    code, out, err = run(
+        capsys,
+        "bench",
+        "--mapping",
+        str(corpus / "mapping.ttl"),
+        "--queries-dir",
+        str(queries),
+        "--data-dir",
+        str(corpus),
+        "--repetitions",
+        "1",
+    )
+    assert (code, out) == (2, "")
+    assert f"error: {bad}: " in err and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bench", "--repetitions", "0"),
+        ("gen-data", "--scale", "0"),
+        ("gen-data", "--scale", "-1"),
+        ("gen-data", "--scale", "many"),
+    ],
+)
+def test_bad_numeric_arguments_exit_2_with_usage(corpus, capsys, tmp_path, argv):
+    command, flag, value = argv
+    if command == "bench":
+        rest = ["--mapping", str(corpus / "mapping.ttl"), "--queries-dir",
+                str(corpus / "queries"), "--data-dir", str(corpus)]
+    else:
+        rest = ["--out", str(tmp_path / "made")]
+    with pytest.raises(SystemExit) as info:
+        main([command, *rest, flag, value])
+    err = capsys.readouterr().err
+    assert info.value.code == 2
+    assert err.startswith("usage: rmlprune " + command) and flag in err
+    assert not (tmp_path / "made").exists()
+
+
+def test_prune_rejects_a_modifier_without_its_condition(corpus, capsys, tmp_path):
+    q = tmp_path / "ord.rq"
+    q.write_text("SELECT * WHERE { ?s ?p ?o } ORDER BY LIMIT 3\n")
+    code, out, err = run(
+        capsys, "prune", "--mapping", str(corpus / "mapping.ttl"), "--query", str(q)
+    )
+    assert (code, out) == (2, "")
+    assert "line 1, column 38: expected a condition after ORDER BY" in err
 
 
 def test_query_rejects_select_expressions(corpus, capsys, tmp_path):

@@ -186,6 +186,36 @@ def test_end_of_input_names_what_is_missing(query, message):
     assert not isinstance(info.value, UnsupportedSparqlError)
 
 
+@pytest.mark.parametrize(
+    "modifiers, column, message",
+    [
+        ("ORDER BY", 37, "expected a condition after ORDER BY"),
+        ("ORDER BY LIMIT 3", 38, "expected a condition after ORDER BY"),
+        ("GROUP BY ORDER BY ?s", 38, "expected a condition after GROUP BY"),
+        ("HAVING", 35, "expected a condition after HAVING"),
+        ("LIMIT 3 LIMIT 4", 37, "LIMIT is repeated or out of order"),
+        ("OFFSET 1 LIMIT 3 OFFSET 2", 46, "OFFSET is repeated or out of order"),
+        ("LIMIT 3 ORDER BY ?s", 37, "ORDER BY is repeated or out of order"),
+        ("ORDER BY ?s GROUP BY ?s", 41, "GROUP BY is repeated or out of order"),
+        ("ORDER BY ?s HAVING (?s)", 41, "HAVING is repeated or out of order"),
+        ("OFFSET -1", 36, "expected an unsigned integer"),
+        ("LIMIT +3", 35, "expected an unsigned integer"),
+    ],
+)
+def test_solution_modifiers_follow_the_grammar(modifiers, column, message):
+    # GroupClause? HavingClause? OrderClause? LimitOffsetClauses?
+    with pytest.raises(SparqlError, match=message) as info:
+        parse_query("SELECT * WHERE { ?s ?p ?o } " + modifiers)
+    assert (info.value.line, info.value.column) == (1, column)
+    assert not isinstance(info.value, UnsupportedSparqlError)
+
+
+def test_limit_and_offset_come_in_either_order():
+    for text in ("LIMIT 3 OFFSET 2", "OFFSET 2 LIMIT 3"):
+        q = parse_query("SELECT * WHERE { ?s ?p ?o } " + text)
+        assert (q.modifiers.limit, q.modifiers.offset) == (3, 2)
+
+
 def test_syntax_error_has_position():
     with pytest.raises(SparqlError) as exc:
         parse_query("SELECT ?s WHERE { ?s ?p }")
