@@ -31,7 +31,6 @@ from .errors import (
     CsvError,
     InvalidTermError,
     MappingModelError,
-    NTriplesError,
     RmlPruneError,
     SourceInputError,
     SparqlError,
@@ -73,7 +72,6 @@ __all__ = [
     "Iri",
     "Literal",
     "MappingModelError",
-    "NTriplesError",
     "RdfGraph",
     "RmlDocument",
     "RmlMappingExpr",

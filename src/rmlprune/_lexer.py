@@ -1,4 +1,4 @@
-"""The token layer shared by the Turtle, SPARQL and N-Triples readers.
+"""The token layer shared by the Turtle and SPARQL readers.
 
 RDF 1.1 Turtle takes its terminals from SPARQL 1.1 §19.8, so one lexer
 serves both parsers; each parser subclasses :class:`Lexer` and adds only

@@ -13,10 +13,10 @@ The expression language mirrors how RML builds terms from tabular data:
 * an :class:`RmlMappingExpr` is the union of its triples-map expressions.
 
 Evaluation takes a *source assignment* binding each source reference to a
-parsed data object and turns each triples-map expression straight into
-triples: every extracted row (a dict from attributes to RDF terms or
-:data:`EPSILON`) gives a subject, a predicate and an object, the object of
-a joined expression coming from each parent row the row joins with.
+parsed CSV table and turns each triples-map expression straight into
+triples: every extracted row (a dict from attributes to the cells of their
+columns) gives a subject, a predicate and an object, the object of a
+joined expression coming from each parent row the row joins with.
 :func:`materialize` feeds them into :func:`graph_from_triples`, which keeps
 the well-formed ones; no intermediate relation is built.
 
@@ -30,10 +30,10 @@ import hashlib
 import logging
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from typing import Union
 
-from .csvsource import CsvSource
+from .csvsource import CSV_KIND
 from .errors import InvalidTermError, SourceInputError, StructuralError
 from .ntriples import escape_string, format_term
 from .rdf import BlankNode, Iri, Literal, RdfGraph, RdfTerm, Triple, is_absolute_iri, is_term, is_valid_iri
@@ -237,12 +237,10 @@ def evaluate_extend(expr: ExtendExpr, tup: Mapping[Attribute, Value]) -> Value:
 # sources and extraction
 # ---------------------------------------------------------------------------
 
-SOURCE_TYPES = {CsvSource.kind: CsvSource}
-
-
 @dataclass
 class DataObject:
-    """A parsed source: its source-type kind plus the parsed payload."""
+    """A parsed source: its kind (only :data:`CSV_KIND` exists) plus the
+    parsed payload, a :class:`~rmlprune.csvsource.CsvTable`."""
 
     kind: str
     payload: object
@@ -253,17 +251,11 @@ SourceAssignment = Mapping[str, DataObject]
 
 @dataclass
 class ExtractSpec:
-    """What to pull out of one source: which source reference, which
-    source type, which iterator query, and one selector per attribute."""
+    """What to pull out of one CSV source: which source reference, and
+    which column each attribute reads."""
 
     source_ref: str
-    source_type: str
-    query: str
     selectors: dict[Attribute, str]
-
-    def __post_init__(self):
-        if self.source_type not in SOURCE_TYPES:
-            raise StructuralError(f"unknown source type: {self.source_type!r}")
 
     @property
     def attrs(self) -> frozenset[Attribute]:
@@ -377,17 +369,17 @@ def _source_data(spec: ExtractSpec, sigma: SourceAssignment) -> DataObject:
     data = sigma.get(spec.source_ref)
     if data is None:
         raise SourceInputError(f"source assignment lacks source reference {spec.source_ref!r}")
-    if data.kind != spec.source_type:
+    if data.kind != CSV_KIND:
         raise SourceInputError(
             f"source reference {spec.source_ref!r} is bound to a {data.kind!r} "
-            f"object but the mapping needs {spec.source_type!r}"
+            f"object but the mapping needs {CSV_KIND!r}"
         )
     return data
 
 
 def check_valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> None:
     """Raise :class:`SourceInputError` unless *sigma* covers every source
-    reference of *m* with a data object of the declared source type."""
+    reference of *m* with a CSV data object."""
     for tm in m.trmaps:
         for spec in (tm.extract, tm.parent_extract):
             if spec is not None:
@@ -397,31 +389,27 @@ def check_valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> None:
 def _extract(
     spec: ExtractSpec, sigma: SourceAssignment, warned: set[tuple[str, str]]
 ) -> Iterator[dict[Attribute, Value]]:
-    """The rows of one extraction, each a fresh dict over ``spec.attrs``.
-    A row may come out more than once: set semantics is the graph's.
-    *warned* holds the (source, selector) pairs whose "matches nothing"
-    warning this evaluation has already logged."""
-    source = SOURCE_TYPES[spec.source_type]
-    data = _source_data(spec, sigma)
-    selectors = sorted(spec.selectors.items())
-    for component in source.enumerate(data.payload, spec.query):
-        columns: list[list[tuple[Attribute, Value]]] = []
-        for attr, selector in selectors:
-            values = source.select(data.payload, component, selector)
-            if not values:
-                key = (spec.source_ref, selector)
-                if key not in warned:
-                    warned.add(key)
-                    logger.warning(
-                        "selector %r matches nothing in source %r; rows are dropped",
-                        selector,
-                        spec.source_ref,
-                    )
-                break
-            columns.append([(attr, source.cast(v)) for v in values])
-        else:
-            for combo in product(*columns):
-                yield dict(combo)
+    """The rows of one extraction, each a fresh dict from every attribute
+    to its cell as an ``xsd:string`` literal.  A row may come out more than
+    once: set semantics is the graph's.  A selector that names no column
+    empties the extraction; *warned* holds the (source, selector) pairs
+    whose warning this evaluation has already logged."""
+    table = _source_data(spec, sigma).payload
+    columns = [(attr, table.column_index(selector)) for attr, selector in spec.selectors.items()]
+    missing = [spec.selectors[attr] for attr, i in columns if i is None]
+    for selector in missing:
+        key = (spec.source_ref, selector)
+        if key not in warned:
+            warned.add(key)
+            logger.warning(
+                "selector %r matches nothing in source %r; rows are dropped",
+                selector,
+                spec.source_ref,
+            )
+    if missing:
+        return
+    for row in table.rows:
+        yield {attr: Literal(row[i]) for attr, i in columns}
 
 
 def _triples(
@@ -549,10 +537,7 @@ def dump_plan(node: PlanNode, indent: int = 0) -> str:
         sel = ", ".join(
             f"{escape_string(a)}<-{escape_string(q)}" for a, q in sorted(spec.selectors.items())
         )
-        return (
-            f"{pad}(extract source={spec.source_ref!r} type={spec.source_type} "
-            f"query={spec.query!r} [{sel}])"
-        )
+        return f"{pad}(extract source={spec.source_ref!r} [{sel}])"
     if isinstance(node, ExtendNode):
         return (
             f"{pad}(extend {node.attr} {_format_extend(node.expr)}\n"

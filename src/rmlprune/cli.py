@@ -43,7 +43,10 @@ def _write_out(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise SourceInputError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _load_mapping(path: str):
@@ -60,6 +63,8 @@ def _load_query(path: str):
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise SourceInputError(f"cannot read query {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SourceInputError(f"query {path!r} is not valid UTF-8: {exc}") from None
     return parse_query(text)
 
 
@@ -140,7 +145,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_gen_data(args) -> int:
-    counts = generate(args.out, scale=args.scale, seed=args.seed)
+    try:
+        counts = generate(args.out, scale=args.scale, seed=args.seed)
+    except OSError as exc:
+        raise SourceInputError(f"cannot write the corpus to {args.out!r}: {exc}") from exc
     for name, count in counts.items():
         print(f"{name}: {count} rows")
     print(f"corpus written to {args.out}")

@@ -1,4 +1,4 @@
-"""The CSV source type: parsing, row enumeration, cell selection, casting.
+"""CSV sources: parsing bytes or text into a :class:`CsvTable`.
 
 CSV files are parsed with the standard library's RFC 4180 reader: quoted
 fields, embedded separators and newlines, and both LF and CRLF line ends
@@ -6,10 +6,8 @@ are handled.  A header row is mandatory; header names must be non-empty
 and unique, and every data row must have exactly as many fields as the
 header (ragged rows are an error that names the offending row).
 
-Selection is per-column: selecting a column from a row yields a singleton
-list with the cell (the empty string is a legitimate cell), or the empty
-list when the column does not exist.  Casting never fails: every cell
-becomes a plain ``xsd:string`` literal.
+Extraction (:mod:`rmlprune.algebra`) reads a table by column name: each
+cell, the empty string included, becomes a plain ``xsd:string`` literal.
 """
 
 from __future__ import annotations
@@ -18,11 +16,9 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .errors import CsvError, StructuralError
-from .rdf import Literal
+from .errors import CsvError
 
 CSV_KIND = "csv"
-ROWS_QUERY = "rows"
 
 Row = tuple[str, ...]
 
@@ -70,39 +66,4 @@ def parse_csv(data: bytes | str) -> CsvTable:
     header = records[0]
     if header == ("",) or not header:
         raise CsvError("missing header row")
-    width = len(header)
-    for i, rec in enumerate(records[1:], start=2):
-        if len(rec) != width:
-            raise CsvError(f"row {i}: expected {width} fields, found {len(rec)}")
     return CsvTable(header=header, rows=tuple(records[1:]))
-
-
-def enumerate_rows(table: CsvTable, query: str) -> tuple[Row, ...]:
-    """The components of a table under an iterator query; only ``rows`` exists."""
-    if query != ROWS_QUERY:
-        raise StructuralError(f"unknown CSV iterator query: {query!r} (only {ROWS_QUERY!r} exists)")
-    return table.rows
-
-
-def select_values(table: CsvTable, row: Row, column: str) -> list[str]:
-    """The cell of *row* under *column* as a singleton, or [] if absent."""
-    i = table.column_index(column)
-    if i is None:
-        return []
-    return [row[i]]
-
-
-def cast_value(value: str) -> Literal:
-    """Cast a raw cell to a term; for CSV this is always an xsd:string literal."""
-    return Literal(value)
-
-
-class CsvSource:
-    """Adapter bundling the CSV operations behind the source-type interface."""
-
-    kind = CSV_KIND
-
-    parse = staticmethod(parse_csv)
-    enumerate = staticmethod(enumerate_rows)
-    select = staticmethod(select_values)
-    cast = staticmethod(cast_value)

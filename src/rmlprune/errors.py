@@ -26,16 +26,6 @@ class CsvError(RmlPruneError, ValueError):
     """Malformed CSV input (ragged rows, duplicate or empty headers...)."""
 
 
-class NTriplesError(RmlPruneError, ValueError):
-    """Malformed N-Triples input."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
-
-
 class TurtleError(RmlPruneError, ValueError):
     """Malformed Turtle input, with a position when available."""
 

@@ -38,7 +38,7 @@ from .algebra import (
     TextPart,
     TriplesMapExpr,
 )
-from .csvsource import CSV_KIND, ROWS_QUERY
+from .csvsource import CSV_KIND
 from .errors import MappingModelError
 from .ntriples import escape_string, format_term
 from .rdf import RDF_TYPE, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, Triple
@@ -428,8 +428,12 @@ def _parse_pom(g: _Graph, key: str, visited: set[str]) -> PredicateObjectMapMode
 
 def parse_rml(data: bytes | str) -> RmlDocument:
     """Parse an RML mapping document from Turtle bytes or text."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    tdoc = parse_turtle(text)
+    if isinstance(data, bytes):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MappingModelError(f"not valid UTF-8: {exc}") from None
+    tdoc = parse_turtle(data)
     g = _Graph(tdoc.triples)
 
     tm_keys = [
@@ -737,8 +741,6 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
             child_attr_of = {r: r for r in child_refs}
             extract = ExtractSpec(
                 source_ref=tm.logical_source.source,
-                source_type=CSV_KIND,
-                query=ROWS_QUERY,
                 selectors=dict(child_attr_of),
             )
             subject_expr = _to_extend(tm.subject_map, child_attr_of, base, "subject", subject_where)
@@ -766,8 +768,6 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
                     parent_attr_of[r] = name
                 parent_extract = ExtractSpec(
                     source_ref=parent_tm.logical_source.source,
-                    source_type=CSV_KIND,
-                    query=ROWS_QUERY,
                     selectors={attr: r for r, attr in parent_attr_of.items()},
                 )
                 object_expr = _to_extend(

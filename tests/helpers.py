@@ -6,6 +6,7 @@ from rmlprune.errors import SourceInputError
 from rmlprune.pruning import format_pattern_term
 from rmlprune.rdf import (
     Bgp,
+    BlankNode,
     RdfGraph,
     SolutionMapping,
     Triple,
@@ -14,6 +15,7 @@ from rmlprune.rdf import (
     eval_bgp,
 )
 from rmlprune.sparql import FilterNode, GroupNode, OptionalNode, PatternNode, SelectQuery
+from rmlprune.turtle import parse_turtle
 
 # ---------------------------------------------------------------------------
 # algebra
@@ -88,6 +90,18 @@ def eval_triple_pattern(tp: TriplePattern, g: RdfGraph) -> set[SolutionMapping]:
 
 def is_subgraph_of(g: RdfGraph, other: RdfGraph) -> bool:
     return g.triples <= other.triples
+
+
+def read_ntriples(text: str) -> RdfGraph:
+    """Parse N-Triples text with the Turtle reader (N-Triples is a subset
+    of Turtle), giving each blank node back its label in *text*."""
+    doc = parse_turtle(text)
+    label_of = {internal: label for label, internal in doc.bnode_labels.items()}
+
+    def relabel(term):
+        return BlankNode(label_of[term.label]) if isinstance(term, BlankNode) else term
+
+    return RdfGraph(Triple(relabel(t.s), t.p, relabel(t.o)) for t in doc.triples)
 
 
 # ---------------------------------------------------------------------------

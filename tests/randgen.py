@@ -30,7 +30,7 @@ from rmlprune.algebra import (
     TextPart,
     TriplesMapExpr,
 )
-from rmlprune.csvsource import CSV_KIND, ROWS_QUERY, parse_csv
+from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.rdf import (
     XSD_DOUBLE,
     XSD_INTEGER,
@@ -134,7 +134,7 @@ def _joined_object(
     rng: random.Random, child_cols: list[str], parent_name: str, parent_cols: list[str]
 ):
     renamed = {f"{c}@parent": c for c in parent_cols}
-    parent_extract = ExtractSpec(parent_name, CSV_KIND, ROWS_QUERY, renamed)
+    parent_extract = ExtractSpec(parent_name, renamed)
     conds = [(rng.choice(child_cols), f"{rng.choice(parent_cols)}@parent")]
     if rng.random() < 0.3:
         conds.append((rng.choice(child_cols), f"{rng.choice(parent_cols)}@parent"))
@@ -165,7 +165,7 @@ def make_instance(seed: int, allow_empty: bool = False) -> RandomInstance:
     for e in range(rng.randint(1, 3)):
         name = rng.choice(table_names)
         cols = tables[name]
-        extract = ExtractSpec(name, CSV_KIND, ROWS_QUERY, {c: c for c in cols})
+        extract = ExtractSpec(name, {c: c for c in cols})
         subject = _subject_expr(rng, cols, e)
         for k in range(rng.randint(2, 4)):
             predicate = ConstantTerm(rng.choice(PREDICATES))
@@ -293,7 +293,7 @@ def wide_mapping(rng: random.Random, n_trmaps: int) -> RmlMappingExpr:
     trmaps = []
     for i in range(n_trmaps):
         cols = [f"c{j}" for j in range(3)]
-        extract = ExtractSpec(f"w{i % 9}.csv", CSV_KIND, ROWS_QUERY, {c: c for c in cols})
+        extract = ExtractSpec(f"w{i % 9}.csv", {c: c for c in cols})
         subject = BuildIri(
             TemplateConcat(
                 (TextPart(f"{rng.choice(HOSTS)}r{i}/"), AttrRef(rng.choice(cols)))

@@ -14,7 +14,6 @@ import pytest
 from rmlprune import pruning
 from rmlprune.algebra import RmlMappingExpr, materialize, materialize_trmap
 from rmlprune.gendata import MAPPING_TTL, QUERIES
-from rmlprune.ntriples import parse_graph
 from rmlprune.pruning import (
     FullyPruned,
     incompatibility_trace,

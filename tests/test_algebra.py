@@ -9,7 +9,6 @@ import pytest
 from rmlprune import algebra
 from rmlprune.algebra import (
     EPSILON,
-    SOURCE_TYPES,
     AttrRef,
     BuildBlank,
     BuildIri,
@@ -32,7 +31,7 @@ from rmlprune.algebra import (
     string_to_bnode,
     template_attrs,
 )
-from rmlprune.csvsource import CSV_KIND, ROWS_QUERY, parse_csv
+from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.errors import SourceInputError, StructuralError
 from rmlprune.rdf import (
     XSD_DOUBLE,
@@ -64,8 +63,6 @@ def tuple_set(*tuples: dict) -> set[frozenset]:
 def csv_extract(source: str, *attrs: str, selectors: dict | None = None) -> ExtractSpec:
     return ExtractSpec(
         source_ref=source,
-        source_type=CSV_KIND,
-        query=ROWS_QUERY,
         selectors=selectors if selectors is not None else {a: a for a in attrs},
     )
 
@@ -176,11 +173,6 @@ def test_constructor_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_extract_spec_guards():
-    with pytest.raises(StructuralError):
-        ExtractSpec("f", "parquet", ROWS_QUERY, {})
-
-
 def test_extract_produces_one_tuple_per_row():
     sigma = csv_sigma(**{"t.csv": "a,b\n1,x\n2,y\n"})
     spec = csv_extract("t.csv", "a", "b")
@@ -218,21 +210,12 @@ def test_extract_missing_column_drops_rows_and_warns_once(caplog):
     assert len(warnings) == 2
 
 
-def test_extract_cross_product_of_multi_valued_selectors(monkeypatch):
-    class MultiSource:
-        kind = "multi"
-        parse = staticmethod(lambda data: data)
-        enumerate = staticmethod(lambda payload, query: payload)
-        select = staticmethod(lambda payload, comp, sel: comp.get(sel, []))
-        cast = staticmethod(Literal)
-
-    monkeypatch.setitem(SOURCE_TYPES, "multi", MultiSource)
-    spec = ExtractSpec("m", "multi", "all", {"a": "a", "b": "b"})
-    sigma = {"m": DataObject(kind="multi", payload=[{"a": ["1", "2"], "b": ["x"]}])}
-    assert tuple_set(*algebra._extract(spec, sigma, set())) == tuple_set(
-        {"a": Literal("1"), "b": Literal("x")},
-        {"a": Literal("2"), "b": Literal("x")},
-    )
+def test_extract_missing_column_of_a_header_only_table_warns_once(caplog):
+    sigma = csv_sigma(**{"t.csv": "a\n"})
+    spec = csv_extract("t.csv", selectors={"x": "nope", "a": "a"})
+    with caplog.at_level(logging.WARNING, logger="rmlprune.algebra"):
+        assert list(algebra._extract(spec, sigma, set())) == []
+    assert len([r for r in caplog.records if "nope" in r.getMessage()]) == 1
 
 
 def test_extract_unbound_source_reference():

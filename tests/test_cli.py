@@ -15,9 +15,10 @@ from rmlprune.answer import BENCH_HEADER, answer, format_rows
 from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.cli import main
 from rmlprune.gendata import QUERIES, generate
-from rmlprune.ntriples import parse_graph
 from rmlprune.rml import normalize, parse_rml, translate
 from rmlprune.sparql import parse_query
+
+from .helpers import read_ntriples
 
 
 @pytest.fixture(scope="module")
@@ -148,7 +149,7 @@ def test_materialize_writes_ntriples(corpus, capsys):
     )
     assert code == 0
     assert "1570 triples" in err
-    graph = parse_graph(out)
+    graph = read_ntriples(out)
     assert len(graph.triples) == 1570
 
 
@@ -518,6 +519,48 @@ def test_invalid_mapping_reports_error(capsys, tmp_path):
     code, _, err = run(capsys, "translate", "--mapping", str(bad))
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_latin1_query_exits_2(corpus, capsys, tmp_path):
+    q = tmp_path / "latin1.rq"
+    q.write_bytes('SELECT * WHERE { ?s ?p "café" }\n'.encode("latin-1"))
+    code, _, err = run(
+        capsys, "prune", "--mapping", str(corpus / "mapping.ttl"), "--query", str(q)
+    )
+    assert code == 2
+    assert "not valid UTF-8" in err and "latin1.rq" in err
+
+
+def test_latin1_mapping_exits_2(corpus, capsys, tmp_path):
+    m = tmp_path / "latin1.ttl"
+    text = (corpus / "mapping.ttl").read_text().replace("stop_name", "café")
+    m.write_bytes(text.encode("latin-1"))
+    code, _, err = run(capsys, "translate", "--mapping", str(m))
+    assert code == 2
+    assert "not valid UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["materialize", "bench"])
+def test_output_into_a_missing_directory_exits_2(corpus, capsys, tmp_path, command):
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    shutil.copy(corpus / "queries" / "q05.rq", queries)
+    out = tmp_path / "missing" / "out"
+    extra = ["--queries-dir", str(queries), "--repetitions", "1"] if command == "bench" else []
+    code, _, err = run(
+        capsys, command, "--mapping", str(corpus / "mapping.ttl"), "--data-dir", str(corpus),
+        "--out", str(out), *extra,
+    )
+    assert code == 2
+    assert "cannot write" in err and str(out) in err
+
+
+def test_gen_data_onto_an_existing_file_exits_2(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("not a directory\n")
+    code, _, err = run(capsys, "gen-data", "--out", str(target))
+    assert code == 2
+    assert "cannot write the corpus" in err and str(target) in err
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,19 @@
-"""CSV parsing and the row/selector/cast source interface."""
+"""CSV parsing, and how extraction turns cells into terms."""
 
 import pytest
 
-from rmlprune.csvsource import (
-    CSV_KIND,
-    ROWS_QUERY,
-    CsvSource,
-    cast_value,
-    enumerate_rows,
-    parse_csv,
-    select_values,
-)
-from rmlprune.errors import CsvError, StructuralError
+from rmlprune import algebra
+from rmlprune.algebra import DataObject, ExtractSpec
+from rmlprune.csvsource import CSV_KIND, parse_csv
+from rmlprune.errors import CsvError
 from rmlprune.rdf import XSD_STRING, Literal
+
+
+def extract_column(text: str, column: str) -> list:
+    """The values extraction gives attribute ``v`` reading *column*."""
+    sigma = {"t.csv": DataObject(kind=CSV_KIND, payload=parse_csv(text))}
+    rows = algebra._extract(ExtractSpec("t.csv", {"v": column}), sigma, set())
+    return [row["v"] for row in rows]
 
 
 def test_parse_simple():
@@ -56,34 +57,9 @@ def test_parse_ragged_row_reports_record_number():
         parse_csv("a,b\n1,2\n1\n")
 
 
-def test_enumerate_rows_only_supports_rows_query():
-    table = parse_csv("a\n1\n2\n")
-    assert enumerate_rows(table, ROWS_QUERY) == (("1",), ("2",))
-    with pytest.raises(StructuralError):
-        enumerate_rows(table, "columns")
-
-
-def test_select_values_singleton_or_empty():
-    table = parse_csv("a,b\nx,y\n")
-    row = table.rows[0]
-    assert select_values(table, row, "a") == ["x"]
-    assert select_values(table, row, "b") == ["y"]
-    assert select_values(table, row, "missing") == []
-
-
 def test_select_preserves_empty_cells():
-    table = parse_csv("a,b\n,y\n")
-    assert select_values(table, table.rows[0], "a") == [""]
+    assert extract_column("a,b\n,y\n", "a") == [Literal("")]
 
 
 def test_cast_always_builds_string_literals():
-    assert cast_value("42") == Literal("42", XSD_STRING)
-    assert cast_value("") == Literal("")
-
-
-def test_source_adapter():
-    assert CsvSource.kind == CSV_KIND
-    table = CsvSource.parse("a\nv\n")
-    rows = CsvSource.enumerate(table, ROWS_QUERY)
-    assert CsvSource.select(table, rows[0], "a") == ["v"]
-    assert CsvSource.cast("v") == Literal("v")
+    assert extract_column("a\n42\n\"\"\n", "a") == [Literal("42", XSD_STRING), Literal("")]

@@ -1,11 +1,10 @@
-"""The lexer shared by the Turtle and SPARQL parsers (and the N-Triples
-reader's escapes): both parsers must read every term spelling alike."""
+"""The lexer shared by the Turtle and SPARQL parsers: both parsers must
+read every term spelling alike."""
 
 import pytest
 
 from rmlprune._lexer import MAX_NESTING
-from rmlprune.errors import NTriplesError, SparqlError, TurtleError, UnsupportedSparqlError
-from rmlprune.ntriples import parse_graph
+from rmlprune.errors import SparqlError, TurtleError, UnsupportedSparqlError
 from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal
 from rmlprune.sparql import collect_triple_patterns, parse_query
 from rmlprune.turtle import parse_turtle
@@ -106,8 +105,6 @@ def test_hex_escape_outside_unicode_is_a_positioned_error(escape):
         parse_query(f'SELECT * WHERE {{ ?s ?p "{escape}" }}')
     with pytest.raises(SparqlError, match="line 1"):
         parse_query(f"SELECT * WHERE {{ ?s ?p <http://ex.org/{escape}> }}")
-    with pytest.raises(NTriplesError, match="line 2"):
-        parse_graph(f'<{EX}s> <{EX}p> "a" .\n<{EX}s> <{EX}p> "{escape}" .\n')
 
 
 @pytest.mark.parametrize("escape", ["\\u+041", "\\u 041", "\\u0_41", "\\u\u0966\u0966\u096a\u0967"])
@@ -119,8 +116,6 @@ def test_uchar_takes_exactly_its_hex_digits(escape):
         parse_turtle(f"<http://ex.org/{escape}> <{EX}p> <{EX}o> .\n")
     with pytest.raises(SparqlError, match="line 1"):
         parse_query(f'SELECT * WHERE {{ ?s ?p "{escape}" }}')
-    with pytest.raises(NTriplesError, match="line 1"):
-        parse_graph(f'<{EX}s> <{EX}p> "{escape}" .\n')
 
 
 @pytest.mark.parametrize("verb", ["?p", "a", f"<{EX}p>"])

@@ -144,7 +144,6 @@ def test_tp_incompatible_literal_objects():
 
 def test_tp_incompatible_literal_lexical_space():
     from rmlprune.algebra import ExtractSpec, TriplesMapExpr
-    from rmlprune.csvsource import CSV_KIND, ROWS_QUERY
 
     tm = TriplesMapExpr(
         subject_expr=BuildIri(AttrRef("id"), BASE),
@@ -152,7 +151,7 @@ def test_tp_incompatible_literal_lexical_space():
         object_expr=BuildLiteral(
             TemplateConcat((TextPart("ID-"), AttrRef("id"))), XSD_INTEGER
         ),
-        extract=ExtractSpec("t.csv", CSV_KIND, ROWS_QUERY, {"id": "id"}),
+        extract=ExtractSpec("t.csv", {"id": "id"}),
     )
     hit = TriplePattern(V("s"), V("p"), Literal("ID-7", XSD_INTEGER))
     miss = TriplePattern(V("s"), V("p"), Literal("XX-7", XSD_INTEGER))
