@@ -15,7 +15,6 @@ from .algebra import (
     BuildBlank,
     BuildIri,
     BuildLiteral,
-    ConstantBlank,
     ConstantTerm,
     DataObject,
     ExtractSpec,
@@ -62,7 +61,6 @@ __all__ = [
     "BuildBlank",
     "BuildIri",
     "BuildLiteral",
-    "ConstantBlank",
     "ConstantTerm",
     "CsvError",
     "DataObject",

@@ -5,8 +5,8 @@ The expression language mirrors how RML builds terms from tabular data:
 * *template expressions* (:class:`TextPart`, :class:`AttrRef`,
   :class:`TemplateConcat`) evaluate to strings, with the error value
   :data:`EPSILON` propagating through concatenation;
-* *term constructors* (:class:`ConstantTerm`, :class:`ConstantBlank`,
-  :class:`BuildLiteral`, :class:`BuildIri`, :class:`BuildBlank`) turn those
+* *term constructors* (:class:`ConstantTerm`, :class:`BuildLiteral`,
+  :class:`BuildIri`, :class:`BuildBlank`) turn those
   strings into RDF terms, again yielding :data:`EPSILON` on failure;
 * a :class:`TriplesMapExpr` glues an extraction from one source (or a join
   of two) to one constructor per triple position; and
@@ -142,17 +142,6 @@ class ConstantTerm:
 
 
 @dataclass(frozen=True)
-class ConstantBlank:
-    """A fixed blank node."""
-
-    node: BlankNode
-
-    def __post_init__(self):
-        if not isinstance(self.node, BlankNode):
-            raise StructuralError(f"not a blank node: {self.node!r}")
-
-
-@dataclass(frozen=True)
 class BuildLiteral:
     """Make a literal with a fixed datatype from a template expression."""
 
@@ -188,11 +177,11 @@ class BuildBlank:
     body: TemplateExpr
 
 
-ExtendExpr = Union[ConstantTerm, ConstantBlank, BuildLiteral, BuildIri, BuildBlank]
+ExtendExpr = Union[ConstantTerm, BuildLiteral, BuildIri, BuildBlank]
 
 
 def extend_attrs(expr: ExtendExpr) -> frozenset[Attribute]:
-    if isinstance(expr, (ConstantTerm, ConstantBlank)):
+    if isinstance(expr, ConstantTerm):
         return frozenset()
     if isinstance(expr, (BuildLiteral, BuildIri, BuildBlank)):
         return template_attrs(expr.body)
@@ -219,8 +208,6 @@ def evaluate_extend(expr: ExtendExpr, tup: Mapping[Attribute, Value]) -> Value:
     """The term value of a constructor over one tuple (EPSILON on failure)."""
     if isinstance(expr, ConstantTerm):
         return expr.term
-    if isinstance(expr, ConstantBlank):
-        return expr.node
     if not isinstance(expr, (BuildLiteral, BuildIri, BuildBlank)):
         raise TypeError(f"not a term constructor: {expr!r}")
     body = evaluate_template(expr.body, tup)
@@ -519,8 +506,6 @@ def _format_template(expr: TemplateExpr) -> str:
 def _format_extend(expr: ExtendExpr) -> str:
     if isinstance(expr, ConstantTerm):
         return f"(const {format_term(expr.term)})"
-    if isinstance(expr, ConstantBlank):
-        return f"(const {format_term(expr.node)})"
     if isinstance(expr, BuildLiteral):
         return f"(to-literal {_format_template(expr.body)} <{expr.datatype}>)"
     if isinstance(expr, BuildIri):

@@ -23,7 +23,7 @@ from .errors import RmlPruneError, SourceInputError
 from .gendata import generate
 from .ntriples import serialize_graph
 from .pruning import FullyPruned, prune
-from .rml import normalize, parse_rml, serialize_pruned, translate
+from .rml import parse_rml, serialize_pruned, translate
 from .sparql import collect_triple_patterns, parse_query
 
 
@@ -54,8 +54,11 @@ def _load_mapping(path: str):
         data = Path(path).read_bytes()
     except OSError as exc:
         raise SourceInputError(f"cannot read mapping {path!r}: {exc}") from exc
-    doc = normalize(parse_rml(data))
-    return doc, translate(doc)
+    try:
+        doc = parse_rml(data)
+        return doc, translate(doc)
+    except RmlPruneError as exc:
+        raise RmlPruneError(f"{path}: {exc}") from None
 
 
 def _load_query(path: str):
@@ -69,11 +72,15 @@ def _load_query(path: str):
 
 
 def _load_source(data_dir: str, ref: str) -> DataObject:
+    path = Path(data_dir) / ref
     try:
-        raw = (Path(data_dir) / ref).read_bytes()
+        raw = path.read_bytes()
     except OSError as exc:
         raise SourceInputError(f"source {ref!r} not found under {data_dir!r}: {exc}") from exc
-    return DataObject(kind=CSV_KIND, payload=parse_csv(raw))
+    try:
+        return DataObject(kind=CSV_KIND, payload=parse_csv(raw))
+    except RmlPruneError as exc:
+        raise RmlPruneError(f"{path}: {exc}") from None
 
 
 def cmd_translate(args) -> int:

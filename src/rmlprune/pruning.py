@@ -27,7 +27,6 @@ from .algebra import (
     BuildBlank,
     BuildIri,
     BuildLiteral,
-    ConstantBlank,
     ConstantTerm,
     ExtendExpr,
     RmlMappingExpr,
@@ -82,7 +81,7 @@ def iri_incompatible(
     """A reason the constructor can never produce the IRI *u*, or ``None``."""
     if isinstance(expr, BuildLiteral):
         return "builds literals, but the pattern term is an IRI"
-    if isinstance(expr, (BuildBlank, ConstantBlank)):
+    if isinstance(expr, BuildBlank):
         return "builds blank nodes, but the pattern term is an IRI"
     if isinstance(expr, ConstantTerm):
         if expr.term == u:
@@ -99,7 +98,7 @@ def _literal_incompatible(
 ) -> Union[str, None]:
     if isinstance(expr, BuildIri):
         return "builds IRIs, but the pattern object is a literal"
-    if isinstance(expr, (BuildBlank, ConstantBlank)):
+    if isinstance(expr, BuildBlank):
         return "builds blank nodes, but the pattern object is a literal"
     if isinstance(expr, ConstantTerm):
         if expr.term == lit:

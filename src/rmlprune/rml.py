@@ -1,4 +1,4 @@
-"""RML mapping documents: parsing, normalization, translation, serialization.
+"""RML mapping documents: parsing, translation, serialization.
 
 Both RML generations are accepted: the current namespace
 (``http://w3id.org/rml/``) and the legacy pair of ``rr:``
@@ -10,26 +10,26 @@ Unknown properties on mapping nodes are likewise rejected rather than
 dropped; triples whose subject is unreachable from every triples map only
 produce a logged warning.
 
-A document is *normal* when every triples map has an explicit subject map,
-no class shortcuts, and each predicate-object map carries exactly one
-predicate map and one object map.  :func:`normalize` rewrites any parsed
-document into that form (idempotently); :func:`translate` requires it and
-emits one triples-map expression per (triples map, predicate-object map)
-pair, tagging each with a provenance id that :func:`serialize_pruned` uses
-to write the surviving subset back out as a standalone mapping document.
+A parsed document has one shape: every triples map has a subject map, and
+each predicate-object map pairs one predicate map with one object map.
+:func:`parse_rml` gets there by turning shortcuts into constant maps,
+classes into leading ``rdf:type`` pairs, and several predicate or object
+maps into their product.  :func:`translate` emits one triples-map
+expression per (triples map, predicate-object map) pair, tagging each with
+a provenance id that :func:`serialize_pruned` uses to write the surviving
+subset back out as a standalone mapping document.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .algebra import (
     AttrRef,
     BuildBlank,
     BuildIri,
     BuildLiteral,
-    ConstantBlank,
     ConstantTerm,
     ExtendExpr,
     ExtractSpec,
@@ -38,7 +38,6 @@ from .algebra import (
     TextPart,
     TriplesMapExpr,
 )
-from .csvsource import CSV_KIND
 from .errors import MappingModelError
 from .ntriples import escape_string, format_term
 from .rdf import RDF_TYPE, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, Triple
@@ -116,10 +115,7 @@ _TERM_TYPES = {
     RR + "BlankNode": BNODE_TYPE,
 }
 
-_FORMULATIONS = {
-    QL + "CSV": CSV_KIND,
-    RML_NEW + "CSV": CSV_KIND,
-}
+_CSV_FORMULATIONS = {QL + "CSV", RML_NEW + "CSV"}
 _KNOWN_OTHER_FORMULATIONS = {
     QL + "JSONPath": "JSON",
     QL + "XPath": "XML",
@@ -149,25 +145,20 @@ class RefObjectMapModel:
 
 @dataclass
 class PredicateObjectMapModel:
-    predicate_maps: tuple[TermMapModel, ...] = ()
-    predicate_shortcuts: tuple[Iri, ...] = ()
-    object_maps: tuple[TermMapModel | RefObjectMapModel, ...] = ()
-    object_shortcuts: tuple[RdfTerm, ...] = ()
+    predicate_map: TermMapModel
+    object_map: TermMapModel | RefObjectMapModel
 
 
 @dataclass
 class LogicalSourceModel:
     source: str
-    formulation: str = CSV_KIND
 
 
 @dataclass
 class TriplesMapModel:
     id: str
     logical_source: LogicalSourceModel
-    subject_map: TermMapModel | None = None
-    subject_shortcut: RdfTerm | None = None
-    classes: tuple[str, ...] = ()
+    subject_map: TermMapModel
     poms: tuple[PredicateObjectMapModel, ...] = ()
 
 
@@ -229,7 +220,6 @@ def _as_string_literal(obj: RdfTerm, what: str, node: str) -> str:
 
 def _parse_logical_source(g: _Graph, key: str) -> LogicalSourceModel:
     source = None
-    formulation = None
     for pred, obj in g.props(key):
         token = _prop_token(pred, key)
         if token == "source":
@@ -239,8 +229,7 @@ def _parse_logical_source(g: _Graph, key: str) -> LogicalSourceModel:
                 raise MappingModelError(
                     f"reference formulation on {_fmt_node(key)} must be an IRI"
                 )
-            formulation = _FORMULATIONS.get(obj.value)
-            if formulation is None:
+            if obj.value not in _CSV_FORMULATIONS:
                 kind = _KNOWN_OTHER_FORMULATIONS.get(obj.value, obj.value)
                 raise MappingModelError(
                     f"unsupported reference formulation {kind!r} on {_fmt_node(key)}; "
@@ -259,17 +248,17 @@ def _parse_logical_source(g: _Graph, key: str) -> LogicalSourceModel:
             )
     if source is None:
         raise MappingModelError(f"logical source {_fmt_node(key)} has no source")
-    return LogicalSourceModel(source=source, formulation=formulation or CSV_KIND)
+    return LogicalSourceModel(source=source)
 
 
 def _parse_term_map(
     g: _Graph, key: str, *, allow_classes: bool = False
-) -> tuple[TermMapModel, tuple[str, ...]]:
+) -> tuple[TermMapModel, tuple[Iri, ...]]:
     kind = None
     value: RdfTerm | str | None = None
     term_type = None
     datatype = None
-    classes: list[str] = []
+    classes: list[Iri] = []
     for pred, obj in g.props(key):
         token = _prop_token(pred, key)
         if token == "constant":
@@ -296,7 +285,7 @@ def _parse_term_map(
                 )
             if not isinstance(obj, Iri):
                 raise MappingModelError(f"class on {_fmt_node(key)} must be an IRI")
-            classes.append(obj.value)
+            classes.append(obj)
         elif token == "type":
             continue
         else:
@@ -375,7 +364,10 @@ def _has_parent(g: _Graph, key: str) -> bool:
     return False
 
 
-def _parse_pom(g: _Graph, key: str, visited: set[str]) -> PredicateObjectMapModel:
+def _parse_pom(g: _Graph, key: str, visited: set[str]) -> list[PredicateObjectMapModel]:
+    """One predicate-object map per (predicate, object) of the node:
+    predicate maps before predicate shortcuts, object maps before object
+    shortcuts, predicate-major."""
     visited.add(key)
     predicate_maps: list[TermMapModel] = []
     predicate_shortcuts: list[Iri] = []
@@ -414,16 +406,13 @@ def _parse_pom(g: _Graph, key: str, visited: set[str]) -> PredicateObjectMapMode
                 f"property {token!r} does not belong on a predicate-object map "
                 f"({_fmt_node(key)})"
             )
-    if not predicate_maps and not predicate_shortcuts:
+    predicate_maps += [TermMapModel(kind="constant", value=p) for p in predicate_shortcuts]
+    object_maps += [TermMapModel(kind="constant", value=o) for o in object_shortcuts]
+    if not predicate_maps:
         raise MappingModelError(f"predicate-object map {_fmt_node(key)} has no predicate")
-    if not object_maps and not object_shortcuts:
+    if not object_maps:
         raise MappingModelError(f"predicate-object map {_fmt_node(key)} has no object")
-    return PredicateObjectMapModel(
-        predicate_maps=tuple(predicate_maps),
-        predicate_shortcuts=tuple(predicate_shortcuts),
-        object_maps=tuple(object_maps),
-        object_shortcuts=tuple(object_shortcuts),
-    )
+    return [PredicateObjectMapModel(pm, om) for pm in predicate_maps for om in object_maps]
 
 
 def parse_rml(data: bytes | str) -> RmlDocument:
@@ -451,7 +440,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
         logical_source = None
         subject_map = None
         subject_shortcut = None
-        classes: tuple[str, ...] = ()
+        classes: tuple[Iri, ...] = ()
         poms: list[PredicateObjectMapModel] = []
         for pred, obj in g.props(key):
             token = _prop_token(pred, key)
@@ -474,7 +463,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
             elif token == "subject":
                 subject_shortcut = obj
             elif token == "predicateObjectMap":
-                poms.append(_parse_pom(g, _node_key(obj), visited))
+                poms += _parse_pom(g, _node_key(obj), visited)
             elif token == "type":
                 continue
             else:
@@ -487,14 +476,19 @@ def parse_rml(data: bytes | str) -> RmlDocument:
             )
         if subject_map is None and subject_shortcut is None:
             raise MappingModelError(f"triples map {_fmt_node(key)} lacks a subject map")
+        class_poms = [
+            PredicateObjectMapModel(
+                TermMapModel(kind="constant", value=Iri(RDF_TYPE)),
+                TermMapModel(kind="constant", value=cls),
+            )
+            for cls in classes
+        ]
         triples_maps.append(
             TriplesMapModel(
                 id=key,
                 logical_source=logical_source,
-                subject_map=subject_map,
-                subject_shortcut=subject_shortcut,
-                classes=classes,
-                poms=tuple(poms),
+                subject_map=subject_map or TermMapModel(kind="constant", value=subject_shortcut),
+                poms=tuple(class_poms + poms),
             )
         )
 
@@ -511,66 +505,9 @@ def parse_rml(data: bytes | str) -> RmlDocument:
     return RmlDocument(triples_maps=tuple(triples_maps), base_iri=base)
 
 
-# ---------------------------------------------------------------------------
-# normalization
-# ---------------------------------------------------------------------------
-
-
-def _shortcut_to_map(term: RdfTerm) -> TermMapModel:
-    return TermMapModel(kind="constant", value=term)
-
-
-def is_normal(doc: RmlDocument) -> bool:
-    for tm in doc.triples_maps:
-        if tm.subject_map is None or tm.subject_shortcut is not None or tm.classes:
-            return False
-        for pom in tm.poms:
-            if pom.predicate_shortcuts or pom.object_shortcuts:
-                return False
-            if len(pom.predicate_maps) != 1 or len(pom.object_maps) != 1:
-                return False
-    return True
-
-
 def normalize(doc: RmlDocument) -> RmlDocument:
-    """Rewrite shortcuts, class assertions and multi-maps into singleton
-    predicate-object maps.  Idempotent; already-normal documents come back
-    structurally identical."""
-    new_tms = []
-    for tm in doc.triples_maps:
-        subject_map = tm.subject_map
-        if subject_map is None:
-            subject_map = _shortcut_to_map(tm.subject_shortcut)
-        poms: list[PredicateObjectMapModel] = []
-        for cls in tm.classes:
-            poms.append(
-                PredicateObjectMapModel(
-                    predicate_maps=(TermMapModel(kind="constant", value=Iri(RDF_TYPE)),),
-                    object_maps=(TermMapModel(kind="constant", value=Iri(cls)),),
-                )
-            )
-        for pom in tm.poms:
-            predicates = list(pom.predicate_maps) + [
-                _shortcut_to_map(p) for p in pom.predicate_shortcuts
-            ]
-            objects = list(pom.object_maps) + [
-                _shortcut_to_map(o) for o in pom.object_shortcuts
-            ]
-            for pm in predicates:
-                for om in objects:
-                    poms.append(
-                        PredicateObjectMapModel(predicate_maps=(pm,), object_maps=(om,))
-                    )
-        new_tms.append(
-            replace(
-                tm,
-                subject_map=subject_map,
-                subject_shortcut=None,
-                classes=(),
-                poms=tuple(poms),
-            )
-        )
-    return RmlDocument(triples_maps=tuple(new_tms), base_iri=doc.base_iri)
+    """The document itself: :func:`parse_rml` already yields the normal form."""
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -625,12 +562,19 @@ def parse_template(template: str) -> list[tuple[str, str]]:
     return parts
 
 
-def _term_map_refs(model: TermMapModel) -> list[str]:
-    if model.kind == "reference":
-        return [model.value]
-    if model.kind == "template":
-        return [name for kind, name in parse_template(model.value) if kind == "ref"]
-    return []
+class _Templates(dict):
+    """Parsed templates by text, so one translation parses each only once."""
+
+    def __missing__(self, template: str) -> list[tuple[str, str]]:
+        parts = self[template] = parse_template(template)
+        return parts
+
+    def refs(self, model: TermMapModel) -> list[str]:
+        if model.kind == "reference":
+            return [model.value]
+        if model.kind == "template":
+            return [name for kind, name in self[model.value] if kind == "ref"]
+        return []
 
 
 # ---------------------------------------------------------------------------
@@ -678,19 +622,22 @@ def _check_term_map(model: TermMapModel, position: str, where: str) -> str:
 
 
 def _to_extend(
-    model: TermMapModel, attr_of: dict[str, str], base: str, position: str, where: str
+    model: TermMapModel,
+    attr_of: dict[str, str],
+    base: str,
+    position: str,
+    where: str,
+    templates: _Templates,
 ) -> ExtendExpr:
     ttype = _check_term_map(model, position, where)
     if model.kind == "constant":
-        if isinstance(model.value, BlankNode):
-            return ConstantBlank(model.value)
         return ConstantTerm(model.value)
     if model.kind == "reference":
         body: TextPart | AttrRef | TemplateConcat = AttrRef(attr_of[model.value])
     else:
         mapped = [
             TextPart(text) if kind == "text" else AttrRef(attr_of[text])
-            for kind, text in parse_template(model.value)
+            for kind, text in templates[model.value]
         ]
         body = mapped[0] if len(mapped) == 1 else TemplateConcat(tuple(mapped))
     if ttype == LITERAL_TYPE:
@@ -710,59 +657,51 @@ def _parent_attr_name(ref: str, taken: set[str]) -> str:
 def translate(doc: RmlDocument) -> RmlMappingExpr:
     """One triples-map expression per (triples map, predicate-object map).
 
-    The document must be normal (see :func:`normalize`).
+    Attributes are named after the references they select, in order of
+    first appearance; a joined parent's get an ``@parent`` suffix, plus
+    ``'`` until they clash with no child attribute.
     """
-    if not is_normal(doc):
-        raise MappingModelError("translate requires a normalized document")
     by_id = {tm.id: tm for tm in doc.triples_maps}
     base = doc.base_iri
+    templates = _Templates()
     exprs: list[TriplesMapExpr] = []
     for tm in doc.triples_maps:
-        if tm.logical_source.formulation != CSV_KIND:
-            raise MappingModelError(
-                f"triples map {_fmt_node(tm.id)} uses a non-CSV source"
-            )
-        subject_where = f"subject map of {_fmt_node(tm.id)}"
+        if not tm.poms:
+            continue
+        subject_refs = templates.refs(tm.subject_map)
+        subject_expr = _to_extend(
+            tm.subject_map,
+            {r: r for r in subject_refs},
+            base,
+            "subject",
+            f"subject map of {_fmt_node(tm.id)}",
+            templates,
+        )
         for j, pom in enumerate(tm.poms):
-            pm = pom.predicate_maps[0]
-            om = pom.object_maps[0]
+            pm, om = pom.predicate_map, pom.object_map
             where = f"predicate-object map {j} of {_fmt_node(tm.id)}"
-
-            child_refs: list[str] = []
-            for refs in (
-                _term_map_refs(tm.subject_map),
-                _term_map_refs(pm),
-                _term_map_refs(om) if isinstance(om, TermMapModel) else [],
-                [c for c, _ in om.joins] if isinstance(om, RefObjectMapModel) else [],
-            ):
-                for r in refs:
-                    if r not in child_refs:
-                        child_refs.append(r)
-            child_attr_of = {r: r for r in child_refs}
-            extract = ExtractSpec(
-                source_ref=tm.logical_source.source,
-                selectors=dict(child_attr_of),
+            joined = isinstance(om, RefObjectMapModel)
+            child_refs = dict.fromkeys(
+                subject_refs
+                + templates.refs(pm)
+                + ([c for c, _ in om.joins] if joined else templates.refs(om))
             )
-            subject_expr = _to_extend(tm.subject_map, child_attr_of, base, "subject", subject_where)
-            predicate_expr = _to_extend(pm, child_attr_of, base, "predicate", where)
-
-            if isinstance(om, RefObjectMapModel):
+            selectors = {r: r for r in child_refs}
+            extract = ExtractSpec(source_ref=tm.logical_source.source, selectors=selectors)
+            predicate_expr = _to_extend(pm, selectors, base, "predicate", where, templates)
+            parent_extract = None
+            join_conditions: tuple[tuple[str, str], ...] = ()
+            if joined:
                 parent_tm = by_id.get(om.parent)
                 if parent_tm is None:
                     raise MappingModelError(
                         f"{where}: parent triples map {_fmt_node(om.parent)} does not exist"
                     )
-                if parent_tm.logical_source.formulation != CSV_KIND:
-                    raise MappingModelError(
-                        f"{where}: parent triples map {_fmt_node(om.parent)} uses a non-CSV source"
-                    )
-                parent_refs: list[str] = []
-                for r in _term_map_refs(parent_tm.subject_map) + [p for _, p in om.joins]:
-                    if r not in parent_refs:
-                        parent_refs.append(r)
                 taken = set(child_refs)
                 parent_attr_of: dict[str, str] = {}
-                for r in parent_refs:
+                for r in dict.fromkeys(
+                    templates.refs(parent_tm.subject_map) + [p for _, p in om.joins]
+                ):
                     name = _parent_attr_name(r, taken)
                     taken.add(name)
                     parent_attr_of[r] = name
@@ -776,32 +715,22 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
                     base,
                     "parent-subject",
                     f"subject map of {_fmt_node(parent_tm.id)}",
+                    templates,
                 )
-                join_conditions = tuple(
-                    (c, parent_attr_of[p]) for c, p in om.joins
-                )
-                exprs.append(
-                    TriplesMapExpr(
-                        subject_expr=subject_expr,
-                        predicate_expr=predicate_expr,
-                        object_expr=object_expr,
-                        extract=extract,
-                        parent_extract=parent_extract,
-                        join_conditions=join_conditions,
-                        provenance=f"{tm.id}#pom{j}",
-                    )
-                )
+                join_conditions = tuple((c, parent_attr_of[p]) for c, p in om.joins)
             else:
-                object_expr = _to_extend(om, child_attr_of, base, "object", where)
-                exprs.append(
-                    TriplesMapExpr(
-                        subject_expr=subject_expr,
-                        predicate_expr=predicate_expr,
-                        object_expr=object_expr,
-                        extract=extract,
-                        provenance=f"{tm.id}#pom{j}",
-                    )
+                object_expr = _to_extend(om, selectors, base, "object", where, templates)
+            exprs.append(
+                TriplesMapExpr(
+                    subject_expr=subject_expr,
+                    predicate_expr=predicate_expr,
+                    object_expr=object_expr,
+                    extract=extract,
+                    parent_extract=parent_extract,
+                    join_conditions=join_conditions,
+                    provenance=f"{tm.id}#pom{j}",
                 )
+            )
     if not exprs:
         raise MappingModelError(
             "the document has no predicate-object maps, so it produces no triples"
@@ -834,11 +763,8 @@ def _render_term_map(model: TermMapModel, position: str, indent: str) -> list[st
     return lines
 
 
-def _render_tm_ref(key: str, pom_index: int | None = None) -> str:
-    if key.startswith("_:"):
-        label = key[2:]
-        return f"_:{label}" if pom_index is None else f"_:{label}_pom{pom_index}"
-    return f"<{key}>" if pom_index is None else f"<{key}-pom{pom_index}>"
+def _render_tm_ref(key: str) -> str:
+    return key if key.startswith("_:") else f"<{key}>"
 
 
 def _render_logical_source(ls: LogicalSourceModel) -> str:
@@ -848,81 +774,74 @@ def _render_logical_source(ls: LogicalSourceModel) -> str:
     )
 
 
+def _render_object_map(om: TermMapModel | RefObjectMapModel) -> list[str]:
+    if isinstance(om, TermMapModel):
+        return _render_term_map(om, "object", "      ")
+    lines = [f"      rml:parentTriplesMap {_render_tm_ref(om.parent)} ;"]
+    for child_ref, parent_ref in om.joins:
+        lines.append(
+            f'      rml:joinCondition [ rml:child "{escape_string(child_ref)}" ; '
+            f'rml:parent "{escape_string(parent_ref)}" ] ;'
+        )
+    lines[-1] = lines[-1].rstrip(" ;")
+    return lines
+
+
+def _render_triples_map(tm: TriplesMapModel, poms: list[PredicateObjectMapModel]) -> str:
+    lines = [f"{_render_tm_ref(tm.id)} {_render_logical_source(tm.logical_source)} ;"]
+    lines.append("  rml:subjectMap [")
+    lines.extend(_render_term_map(tm.subject_map, "subject", "    "))
+    lines.append("  ]")
+    for pom in poms:
+        lines[-1] += " ;"
+        lines.append("  rml:predicateObjectMap [")
+        lines.append("    rml:predicateMap [")
+        lines.extend(_render_term_map(pom.predicate_map, "predicate", "      "))
+        lines.append("    ] ;")
+        lines.append("    rml:objectMap [")
+        lines.extend(_render_object_map(pom.object_map))
+        lines.append("    ]")
+        lines.append("  ]")
+    lines[-1] += " ."
+    return "\n".join(lines)
+
+
 def serialize_pruned(retained, doc: RmlDocument) -> str:
     """An RML document containing the retained triples-map expressions.
 
-    *retained* is an iterable of expressions produced by translating
-    (a normalization of) *doc*; each becomes one triples map with a single
-    predicate-object map.  Joined expressions additionally pull in one
-    pom-less helper triples map per referenced parent, so join targets
-    resolve.  With nothing retained, the output is an empty mapping with a
-    marker comment.
+    *retained* is an iterable of expressions produced by translating *doc*.
+    Each triples map with a retained expression is written once, under its
+    own identifier, with its retained predicate-object maps in document
+    order.  A parent that a retained join references but that retains
+    nothing itself is written with only its logical source and subject map,
+    so join targets resolve.  The document's base is written too, so
+    relative templates build the same IRIs.  With nothing retained, the
+    output is an empty mapping with a marker comment.
     """
     if isinstance(retained, RmlMappingExpr):
         retained = retained.trmaps
-    ndoc = normalize(doc)
-    index: dict[str, tuple[TriplesMapModel, int, PredicateObjectMapModel]] = {}
-    for tm in ndoc.triples_maps:
-        for j, pom in enumerate(tm.poms):
-            index[f"{tm.id}#pom{j}"] = (tm, j, pom)
-    by_id = {tm.id: tm for tm in ndoc.triples_maps}
-
-    blocks: list[str] = []
-    parents_needed: dict[str, TriplesMapModel] = {}
-    seen: set[str] = set()
+    by_id = {tm.id: tm for tm in doc.triples_maps}
+    kept: dict[str, set[int]] = {}
+    parents: set[str] = set()
     for expr in retained:
-        if expr.provenance in seen:
-            continue
-        seen.add(expr.provenance)
-        entry = index.get(expr.provenance)
-        if entry is None:
+        tm_id, _, index = expr.provenance.rpartition("#pom")
+        tm = by_id.get(tm_id)
+        if tm is None or not index.isdecimal() or int(index) >= len(tm.poms):
             raise MappingModelError(
                 f"retained expression {expr.provenance!r} does not come from this document"
             )
-        tm, j, pom = entry
-        pm = pom.predicate_maps[0]
-        om = pom.object_maps[0]
-        lines = [f"{_render_tm_ref(tm.id, j)} {_render_logical_source(tm.logical_source)} ;"]
-        lines.append("  rml:subjectMap [")
-        lines.extend(_render_term_map(tm.subject_map, "subject", "    "))
-        lines.append("  ] ;")
-        lines.append("  rml:predicateObjectMap [")
-        lines.append("    rml:predicateMap [")
-        lines.extend(_render_term_map(pm, "predicate", "      "))
-        lines.append("    ] ;")
+        j = int(index)
+        kept.setdefault(tm_id, set()).add(j)
+        om = tm.poms[j].object_map
         if isinstance(om, RefObjectMapModel):
-            parent_tm = by_id.get(om.parent)
-            if parent_tm is None:
-                raise MappingModelError(
-                    f"parent triples map {_fmt_node(om.parent)} does not exist"
-                )
-            parents_needed.setdefault(om.parent, parent_tm)
-            lines.append("    rml:objectMap [")
-            lines.append(f"      rml:parentTriplesMap {_render_tm_ref(om.parent)} ;")
-            for k, (child_ref, parent_ref) in enumerate(om.joins):
-                tail = " ;" if k + 1 < len(om.joins) else ""
-                lines.append(
-                    f'      rml:joinCondition [ rml:child "{escape_string(child_ref)}" ; '
-                    f'rml:parent "{escape_string(parent_ref)}" ]{tail}'
-                )
-            lines.append("    ]")
-        else:
-            lines.append("    rml:objectMap [")
-            lines.extend(_render_term_map(om, "object", "      "))
-            lines.append("    ]")
-        lines.append("  ] .")
-        blocks.append("\n".join(lines))
-
-    for parent_id, parent_tm in parents_needed.items():
-        lines = [
-            f"{_render_tm_ref(parent_id)} {_render_logical_source(parent_tm.logical_source)} ;"
-        ]
-        lines.append("  rml:subjectMap [")
-        lines.extend(_render_term_map(parent_tm.subject_map, "subject", "    "))
-        lines.append("  ] .")
-        blocks.append("\n".join(lines))
+            parents.add(om.parent)
 
     header = "@prefix rml: <http://w3id.org/rml/> .\n"
-    if not blocks:
+    if not kept:
         return header + "\n# fully pruned: no triples map is compatible with the query\n"
-    return header + "\n" + "\n\n".join(blocks) + "\n"
+    blocks = [
+        _render_triples_map(tm, [tm.poms[j] for j in sorted(kept.get(tm.id, ()))])
+        for tm in doc.triples_maps
+        if tm.id in kept or tm.id in parents
+    ]
+    return header + f"@base <{doc.base_iri}> .\n\n" + "\n\n".join(blocks) + "\n"

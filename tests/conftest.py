@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from rmlprune.algebra import DataObject, RmlMappingExpr
 from rmlprune.csvsource import CSV_KIND, parse_csv
-from rmlprune.rml import RmlDocument, normalize, parse_rml, translate
+from rmlprune.rml import RmlDocument, parse_rml, translate
 
 settings.register_profile(
     "default",
@@ -25,7 +25,7 @@ def data_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def airports_doc() -> RmlDocument:
-    return normalize(parse_rml((DATA_DIR / "airports.ttl").read_bytes()))
+    return parse_rml((DATA_DIR / "airports.ttl").read_bytes())
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ from rmlprune.rdf import (
     Variable,
     eval_bgp,
 )
-from rmlprune.rml import normalize, parse_rml, serialize_pruned, translate
+from rmlprune.rml import parse_rml, serialize_pruned, translate
 from rmlprune.sparql import collect_triple_patterns, parse_query
 
 from . import randgen
@@ -75,7 +75,7 @@ def _clear_prune_caches():
 
 def test_demo_prunes_two_to_one_quickly():
     t0 = time.monotonic()
-    doc = normalize(parse_rml((DATA / "airports.ttl").read_bytes()))
+    doc = parse_rml((DATA / "airports.ttl").read_bytes())
     mapping = translate(doc)
     query = parse_query((DATA / "airports.rq").read_text())
     patterns = collect_triple_patterns(query.where)
@@ -198,8 +198,8 @@ def test_pruned_output_is_subgraph_of_full_output():
 
 def test_all_variable_pattern_retains_everything():
     wildcard = [TriplePattern(Variable("s"), Variable("p"), Variable("o"))]
-    cases = [translate(normalize(parse_rml(MAPPING_TTL)))]
-    cases.append(translate(normalize(parse_rml((DATA / "airports.ttl").read_bytes()))))
+    cases = [translate(parse_rml(MAPPING_TTL))]
+    cases.append(translate(parse_rml((DATA / "airports.ttl").read_bytes())))
     cases.extend(randgen.make_instance(seed).mapping for seed in range(2000, 2050))
     bad = 0
     for mapping in cases:
@@ -275,7 +275,7 @@ def test_gtfs_reference_counts():
     if not root:
         pytest.skip("set RMLPRUNE_GTFS_DIR to a GTFS-Madrid mapping directory")
     root = Path(root)
-    doc = normalize(parse_rml((root / "mapping.ttl").read_bytes()))
+    doc = parse_rml((root / "mapping.ttl").read_bytes())
     mapping = translate(doc)
     results = {}
     diverged = []
@@ -302,9 +302,9 @@ def test_gtfs_reference_counts():
 
 
 def test_serializer_round_trips_up_to_renaming():
-    corpus_doc = normalize(parse_rml(MAPPING_TTL))
+    corpus_doc = parse_rml(MAPPING_TTL)
     corpus_mapping = translate(corpus_doc)
-    airports_doc = normalize(parse_rml((DATA / "airports.ttl").read_bytes()))
+    airports_doc = parse_rml((DATA / "airports.ttl").read_bytes())
     airports_mapping = translate(airports_doc)
 
     cases = [(corpus_doc, corpus_mapping, QUERIES[name]) for name in sorted(QUERIES)]
@@ -323,13 +323,13 @@ def test_serializer_round_trips_up_to_renaming():
             if "fully pruned" not in text:
                 mismatches.append("missing fully-pruned marker")
             continue
-        reparsed = translate(normalize(parse_rml(text)))
+        reparsed = translate(parse_rml(text))
         compared += 1
         if _shape(reparsed) != _shape(result):
             mismatches.append(query_text.splitlines()[-1][:40])
     # the unpruned mappings must round-trip too
     for doc, mapping in ((corpus_doc, corpus_mapping), (airports_doc, airports_mapping)):
-        reparsed = translate(normalize(parse_rml(serialize_pruned(mapping, doc))))
+        reparsed = translate(parse_rml(serialize_pruned(mapping, doc)))
         compared += 1
         if _shape(reparsed) != _shape(mapping):
             mismatches.append("full mapping")

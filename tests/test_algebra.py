@@ -13,7 +13,6 @@ from rmlprune.algebra import (
     BuildBlank,
     BuildIri,
     BuildLiteral,
-    ConstantBlank,
     ConstantTerm,
     DataObject,
     ExtractSpec,
@@ -110,7 +109,7 @@ def test_evaluate_template():
 
 def test_extend_attrs():
     assert extend_attrs(ConstantTerm(Iri("http://e/x"))) == frozenset()
-    assert extend_attrs(ConstantBlank(BlankNode("b"))) == frozenset()
+    assert extend_attrs(ConstantTerm(BlankNode("b"))) == frozenset()
     assert extend_attrs(BuildLiteral(AttrRef("a"), XSD_STRING)) == {"a"}
     assert extend_attrs(BuildIri(AttrRef("a"), BASE)) == {"a"}
     assert extend_attrs(BuildBlank(AttrRef("a"))) == {"a"}
@@ -126,7 +125,7 @@ def test_resolve_iri_absolute_relative_invalid():
 def test_evaluate_extend_constants():
     tup = {}
     assert evaluate_extend(ConstantTerm(Literal("v")), tup) == Literal("v")
-    assert evaluate_extend(ConstantBlank(BlankNode("b7")), tup) == BlankNode("b7")
+    assert evaluate_extend(ConstantTerm(BlankNode("b7")), tup) == BlankNode("b7")
 
 
 def test_evaluate_extend_literal_and_iri():
@@ -165,7 +164,7 @@ def test_constructor_validation():
     with pytest.raises(StructuralError):
         BuildIri(AttrRef("a"), "not-an-iri")
     with pytest.raises(StructuralError):
-        ConstantBlank(Iri("http://e/x"))
+        ConstantTerm("http://e/x")
 
 
 # ---------------------------------------------------------------------------

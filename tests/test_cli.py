@@ -15,7 +15,7 @@ from rmlprune.answer import BENCH_HEADER, answer, format_rows
 from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.cli import main
 from rmlprune.gendata import QUERIES, generate
-from rmlprune.rml import normalize, parse_rml, translate
+from rmlprune.rml import parse_rml, translate
 from rmlprune.sparql import parse_query
 
 from .helpers import read_ntriples
@@ -106,7 +106,7 @@ def test_prune_writes_reparsable_mapping(corpus, capsys):
     assert code == 0
     assert "14 -> 1 TrMap-expressions retained (" in err
     assert " ms)" in err
-    reparsed = translate(normalize(parse_rml(out)))
+    reparsed = translate(parse_rml(out))
     assert len(reparsed.trmaps) == 1
 
 
@@ -224,7 +224,7 @@ def test_query_distinct_deduplicates(corpus, capsys, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_query_output_equals_the_full_pipeline(corpus, capsys, name):
-    mapping = translate(normalize(parse_rml((corpus / "mapping.ttl").read_bytes())))
+    mapping = translate(parse_rml((corpus / "mapping.ttl").read_bytes()))
     query = parse_query(QUERIES[name])
 
     def load(ref):
@@ -537,7 +537,18 @@ def test_latin1_mapping_exits_2(corpus, capsys, tmp_path):
     m.write_bytes(text.encode("latin-1"))
     code, _, err = run(capsys, "translate", "--mapping", str(m))
     assert code == 2
-    assert "not valid UTF-8" in err
+    assert f"error: {m}: not valid UTF-8" in err
+
+
+def test_ragged_csv_error_names_the_file(corpus, capsys, tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(corpus, data)
+    (data / "stops.csv").write_text("stop_id,stop_name,lat,lon,zone\n1,a\n")
+    code, _, err = run(
+        capsys, "materialize", "--mapping", str(data / "mapping.ttl"), "--data-dir", str(data)
+    )
+    assert code == 2
+    assert f"error: {data / 'stops.csv'}: row 2: expected 5 fields, found 2" in err
 
 
 @pytest.mark.parametrize("command", ["materialize", "bench"])

@@ -9,7 +9,6 @@ from rmlprune.algebra import (
     BuildBlank,
     BuildIri,
     BuildLiteral,
-    ConstantBlank,
     ConstantTerm,
     RmlMappingExpr,
     TemplateConcat,
@@ -82,7 +81,7 @@ IRI_U = Iri("http://e.com/s/41")
 def test_iri_incompatible_against_literal_and_bnode_builders():
     assert iri_incompatible(BuildLiteral(AttrRef("a"), XSD_INTEGER), IRI_U)
     assert iri_incompatible(BuildBlank(AttrRef("a")), IRI_U)
-    assert iri_incompatible(ConstantBlank(BlankNode("b")), IRI_U)
+    assert iri_incompatible(ConstantTerm(BlankNode("b")), IRI_U)
 
 
 def test_iri_incompatible_constants():

@@ -1,6 +1,8 @@
-"""RML documents: parsing, normalization, translation, serialization."""
+"""RML documents: parsing into normal form, translation, serialization."""
 
+import importlib.util
 import logging
+from pathlib import Path
 
 import pytest
 
@@ -17,18 +19,20 @@ from rmlprune.algebra import (
 )
 from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.errors import MappingModelError
+from rmlprune.gendata import MAPPING_TTL, QUERIES
+from rmlprune.pruning import FullyPruned, prune
 from rmlprune.rdf import RDF_TYPE, XSD_DOUBLE, XSD_STRING, Iri, Literal, Triple
 from rmlprune.rml import (
     DEFAULT_BASE_IRI,
     RmlDocument,
     effective_term_type,
-    is_normal,
     normalize,
     parse_rml,
     parse_template,
     serialize_pruned,
     translate,
 )
+from rmlprune.sparql import collect_triple_patterns, parse_query
 
 EX = "http://example.com/ns#"
 GTFS = "http://vocab.gtfs.org/terms#"
@@ -83,17 +87,19 @@ def test_parse_airports_document(airports_doc):
     (tm,) = airports_doc.triples_maps
     assert tm.id == "http://example.com/tm/airports"
     assert tm.logical_source.source == "airports.csv"
-    assert tm.logical_source.formulation == CSV_KIND
     assert tm.subject_map.kind == "reference"
     assert tm.subject_map.value == "aiport_id"
     assert tm.subject_map.term_type == "iri"
-    assert len(tm.poms) == 2
+    assert [pom.predicate_map.value for pom in tm.poms] == [
+        Iri(EX + "route"),
+        Iri(GTFS + "long"),
+    ]
 
 
 def test_datatype_alias_spelling_is_accepted(airports_doc):
     (tm,) = airports_doc.triples_maps
     long_pom = tm.poms[1]
-    assert long_pom.object_maps[0].datatype == XSD_DOUBLE
+    assert long_pom.object_map.datatype == XSD_DOUBLE
 
 
 def test_parse_requires_a_triples_map():
@@ -209,7 +215,7 @@ def test_document_base_defaults_when_absent(airports_doc):
 
 
 # ---------------------------------------------------------------------------
-# normalization
+# normal form: shortcuts, classes and multi-maps are expanded while parsing
 # ---------------------------------------------------------------------------
 
 
@@ -224,32 +230,42 @@ SHORTCUT_DOC = NEW_HEADER + (
 
 
 def test_normalize_expands_shortcuts_classes_and_products():
-    doc = parse_rml(SHORTCUT_DOC)
-    assert not is_normal(doc)
-    ndoc = normalize(doc)
-    assert is_normal(ndoc)
-    (tm,) = ndoc.triples_maps
-    assert tm.classes == ()
-    # 1 class pom + 2 predicates x 2 objects
-    assert len(tm.poms) == 5
-    class_pom = tm.poms[0]
-    assert class_pom.predicate_maps[0].value == Iri(RDF_TYPE)
-    assert class_pom.object_maps[0].value == Iri(EX + "T")
-    pairs = {
-        (pom.predicate_maps[0].value, pom.object_maps[0].value)
-        for pom in tm.poms[1:]
-    }
-    assert pairs == {
+    (tm,) = parse_rml(SHORTCUT_DOC).triples_maps
+    # the class pom first, then 2 predicates x 2 objects, predicate-major
+    pairs = [(pom.predicate_map, pom.object_map) for pom in tm.poms]
+    assert [(pm.kind, om.kind) for pm, om in pairs] == [("constant", "constant")] * 5
+    assert [(pm.value, om.value) for pm, om in pairs] == [
+        (Iri(RDF_TYPE), Iri(EX + "T")),
         (Iri(EX + "p"), Iri(EX + "o1")),
         (Iri(EX + "p"), Literal("v")),
         (Iri(EX + "q"), Iri(EX + "o1")),
         (Iri(EX + "q"), Literal("v")),
-    }
+    ]
+
+
+def test_maps_come_before_shortcuts_in_the_product():
+    text = NEW_HEADER + (
+        "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:template \"http://e/{a}\" ] ;\n"
+        "  rml:predicateObjectMap [\n"
+        "    rml:predicate ex:p ;\n"
+        "    rml:predicateMap [ rml:template \"http://e/p/{b}\" ] ;\n"
+        "    rml:object \"v\" ;\n"
+        "    rml:objectMap [ rml:reference \"c\" ] ] .\n"
+    )
+    (tm,) = parse_rml(text).triples_maps
+    assert [(pom.predicate_map.value, pom.object_map.value) for pom in tm.poms] == [
+        ("http://e/p/{b}", "c"),
+        ("http://e/p/{b}", Literal("v")),
+        (Iri(EX + "p"), "c"),
+        (Iri(EX + "p"), Literal("v")),
+    ]
 
 
 def test_normalize_is_idempotent():
-    ndoc = normalize(parse_rml(SHORTCUT_DOC))
-    assert normalize(ndoc) == ndoc
+    doc = parse_rml(SHORTCUT_DOC)
+    assert normalize(doc) is doc
+    assert normalize(normalize(doc)) is doc
 
 
 def test_subject_shortcut_becomes_constant_map():
@@ -258,8 +274,7 @@ def test_subject_shortcut_becomes_constant_map():
         "  rml:subject ex:thing ;\n"
         "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
     )
-    ndoc = normalize(parse_rml(text))
-    (tm,) = ndoc.triples_maps
+    (tm,) = parse_rml(text).triples_maps
     assert tm.subject_map.kind == "constant"
     assert tm.subject_map.value == Iri(EX + "thing")
 
@@ -289,12 +304,6 @@ def test_effective_term_type_defaults():
 # ---------------------------------------------------------------------------
 # translation
 # ---------------------------------------------------------------------------
-
-
-def test_translate_requires_normal_documents():
-    doc = parse_rml(SHORTCUT_DOC)
-    with pytest.raises(MappingModelError, match="normal"):
-        translate(doc)
 
 
 def test_translate_airports(airports_mapping):
@@ -345,7 +354,7 @@ JOIN_DOC = NEW_HEADER + (
 
 
 def test_translate_joined_renames_parent_attributes():
-    m = translate(normalize(parse_rml(JOIN_DOC)))
+    m = translate(parse_rml(JOIN_DOC))
     joined = m.trmaps[0]
     assert joined.is_joined
     assert joined.extract.selectors == {"id": "id", "pid": "pid"}
@@ -359,7 +368,7 @@ def test_translate_joined_renames_parent_attributes():
 
 
 def test_translate_joined_materializes(tmp_path):
-    m = translate(normalize(parse_rml(JOIN_DOC)))
+    m = translate(parse_rml(JOIN_DOC))
     sigma = {
         "c.csv": DataObject(CSV_KIND, parse_csv("id,pid\n1,9\n2,404\n")),
         "p.csv": DataObject(CSV_KIND, parse_csv("id,name\n9,Nine\n")),
@@ -376,7 +385,7 @@ def test_translate_blank_node_term_type():
         "  rml:subjectMap [ rml:reference \"a\" ; rml:termType rml:BlankNode ] ;\n"
         "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
     )
-    m = translate(normalize(parse_rml(text)))
+    m = translate(parse_rml(text))
     assert m.trmaps[0].subject_expr == BuildBlank(AttrRef("a"))
 
 
@@ -387,7 +396,7 @@ def test_translate_rejects_literal_subjects_and_predicates():
         "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
     )
     with pytest.raises(MappingModelError, match="literal"):
-        translate(normalize(parse_rml(bad_subject)))
+        translate(parse_rml(bad_subject))
     bad_predicate = NEW_HEADER + (
         "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
         "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
@@ -396,7 +405,7 @@ def test_translate_rejects_literal_subjects_and_predicates():
         "    rml:object \"v\" ] .\n"
     )
     with pytest.raises(MappingModelError, match="predicate"):
-        translate(normalize(parse_rml(bad_predicate)))
+        translate(parse_rml(bad_predicate))
 
 
 def test_translate_rejects_datatype_on_non_literal():
@@ -410,7 +419,7 @@ def test_translate_rejects_datatype_on_non_literal():
     # force IRI to trigger the conflict
     text = text.replace('rml:datatype xsd:double', 'rml:datatype xsd:double ; rml:termType rml:IRI')
     with pytest.raises(MappingModelError, match="datatype"):
-        translate(normalize(parse_rml(text)))
+        translate(parse_rml(text))
 
 
 def test_translate_rejects_missing_parent():
@@ -422,7 +431,7 @@ def test_translate_rejects_missing_parent():
         "      rml:joinCondition [ rml:child \"a\" ; rml:parent \"b\" ] ] ] .\n"
     )
     with pytest.raises(MappingModelError, match="does not exist"):
-        translate(normalize(parse_rml(text)))
+        translate(parse_rml(text))
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +482,14 @@ def _shape(m):
 
 def test_serialize_pruned_round_trips(airports_doc, airports_mapping):
     text = serialize_pruned(airports_mapping, airports_doc)
-    reparsed = translate(normalize(parse_rml(text)))
+    reparsed = translate(parse_rml(text))
     assert _shape(reparsed) == _shape(airports_mapping)
 
 
 def test_serialize_subset_keeps_only_named_expressions(airports_doc, airports_mapping):
     keep = airports_mapping.trmaps[1:]
     text = serialize_pruned(keep, airports_doc)
-    reparsed = translate(normalize(parse_rml(text)))
+    reparsed = translate(parse_rml(text))
     assert len(reparsed.trmaps) == 1
     assert _shape(reparsed) == _shape(type(airports_mapping)(tuple(keep)))
     assert GTFS + "long" in text
@@ -494,27 +503,25 @@ def test_serialize_fully_pruned_is_marked(airports_doc):
 
 
 def test_serialize_joined_round_trips():
-    doc = normalize(parse_rml(JOIN_DOC))
+    doc = parse_rml(JOIN_DOC)
     m = translate(doc)
     text = serialize_pruned((m.trmaps[0],), doc)
-    reparsed = translate(normalize(parse_rml(text)))
+    reparsed = translate(parse_rml(text))
     (joined,) = reparsed.trmaps
     assert joined.is_joined
     assert _shape(reparsed) == _shape(type(m)((m.trmaps[0],)))
 
 
 def test_serialize_escapes_constants_and_strings():
-    doc = normalize(
-        parse_rml(
-            NEW_HEADER
-            + '<http://e/tm> rml:logicalSource [ rml:source "f\\"1.csv" ] ;\n'
-            '  rml:subjectMap [ rml:template "http://e/{a}" ] ;\n'
-            "  rml:predicateObjectMap [ rml:predicate ex:p ;\n"
-            '    rml:object "say \\"hi\\"\\n\\u0001\\\\" , "7"^^xsd:double ] .\n'
-        )
+    doc = parse_rml(
+        NEW_HEADER
+        + '<http://e/tm> rml:logicalSource [ rml:source "f\\"1.csv" ] ;\n'
+        '  rml:subjectMap [ rml:template "http://e/{a}" ] ;\n'
+        "  rml:predicateObjectMap [ rml:predicate ex:p ;\n"
+        '    rml:object "say \\"hi\\"\\n\\u0001\\\\" , "7"^^xsd:double ] .\n'
     )
     m = translate(doc)
-    reparsed = translate(normalize(parse_rml(serialize_pruned(m, doc))))
+    reparsed = translate(parse_rml(serialize_pruned(m, doc)))
     assert _shape(reparsed) == _shape(m)
     assert {tm.object_expr.term for tm in reparsed.trmaps} == {
         Literal('say "hi"\n\x01\\'),
@@ -524,6 +531,93 @@ def test_serialize_escapes_constants_and_strings():
 
 
 def test_serialize_rejects_foreign_expressions(airports_doc):
-    other = translate(normalize(parse_rml(JOIN_DOC)))
+    other = translate(parse_rml(JOIN_DOC))
     with pytest.raises(MappingModelError, match="document"):
         serialize_pruned((other.trmaps[0],), airports_doc)
+
+
+def _load_perfbench_corpus():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """The benchmark's 40-copy corpus mapping, its document and one copy's tag."""
+    corpus = _load_perfbench_corpus()
+    tags = corpus.copy_tags(40, 1)
+    doc = parse_rml(corpus.wide_mapping(tags))
+    return corpus, tags[7], doc, translate(doc)
+
+
+def _without_provenance(m):
+    return [
+        (
+            tm.subject_expr,
+            tm.predicate_expr,
+            tm.object_expr,
+            tm.extract,
+            tm.parent_extract,
+            tm.join_conditions,
+        )
+        for tm in m.trmaps
+    ]
+
+
+def _assert_prune_round_trips(doc, mapping, query_text):
+    result = prune(collect_triple_patterns(parse_query(query_text)), mapping)
+    if isinstance(result, FullyPruned):
+        assert "fully pruned" in serialize_pruned((), doc)
+        return
+    reparsed = translate(parse_rml(serialize_pruned(result, doc)))
+    assert _without_provenance(reparsed) == _without_provenance(result)
+
+
+@pytest.mark.parametrize("name", sorted(QUERIES))
+def test_pruned_document_translates_to_the_retained_expressions(name, wide):
+    doc = parse_rml(MAPPING_TTL)
+    _assert_prune_round_trips(doc, translate(doc), QUERIES[name])
+    corpus, tag, wide_doc, wide_mapping = wide
+    _assert_prune_round_trips(wide_doc, wide_mapping, corpus.instantiate(QUERIES[name], tag))
+
+
+def test_keeping_everything_writes_each_triples_map_once(wide):
+    _, _, wide_doc, wide_mapping = wide
+    corpus_doc = parse_rml(MAPPING_TTL)
+    for doc, mapping, count in (
+        (corpus_doc, translate(corpus_doc), 3),
+        (wide_doc, wide_mapping, 120),
+    ):
+        text = serialize_pruned(mapping, doc)
+        assert text.count("rml:logicalSource") == count
+        reparsed = parse_rml(text)
+        assert [tm.id for tm in reparsed.triples_maps] == [tm.id for tm in doc.triples_maps]
+        assert _without_provenance(translate(reparsed)) == _without_provenance(mapping)
+
+
+def test_pruned_join_writes_its_parent_without_predicate_object_maps():
+    doc = parse_rml(JOIN_DOC)
+    joined = translate(doc).trmaps[0]
+    reparsed = parse_rml(serialize_pruned((joined,), doc))
+    child, parent = reparsed.triples_maps
+    assert (child.id, len(child.poms)) == ("http://e/child", 1)
+    assert (parent.id, parent.poms) == ("http://e/parent", ())
+    assert parent.subject_map.value == "http://e/p/{id}"
+
+
+def test_pruned_document_keeps_the_base():
+    text = "@base <http://doc.example/> .\n" + NEW_HEADER + (
+        "<tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:template \"item/{id}\" ] ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
+    )
+    doc = parse_rml(text)
+    m = translate(doc)
+    sigma = {"f.csv": DataObject(CSV_KIND, parse_csv("id\n1\n"))}
+    full = materialize(m, sigma)
+    assert {t.s for t in full.triples} == {Iri("http://doc.example/item/1")}
+    pruned = translate(parse_rml(serialize_pruned(m, doc)))
+    assert materialize(pruned, sigma).triples == full.triples
