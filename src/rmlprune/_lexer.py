@@ -15,6 +15,11 @@ its grammar.  Implemented here, once:
 * ``INTEGER``, ``DECIMAL``, ``DOUBLE`` and the boolean keywords;
 * ``WS`` and ``#`` comments.
 
+A token in a common spelling (an IRIREF, a prefixed name or a short
+string without escapes, or punctuation) is read by one regex match that
+also skips the whitespace before it; every other spelling falls through
+to the token's reader.  Each IRI is built once per parser instance.
+
 Two simplifications: name characters are Python's alphanumerics rather
 than the exact ``PN_CHARS`` ranges, and a ``%`` in a local name is taken as
 is, without checking the two hex digits of ``PERCENT``.  Literals are
@@ -60,6 +65,27 @@ _PLX_RE = re.compile(r"\\(.)")
 _A_RE = re.compile(r"a(?![\w.:-])")
 _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 _IRI_CHARS_RE = re.compile(r'[^<>"{}|^`\\\x00-\x20]*')
+# Whitespace and comments, then one token in its common spelling: a
+# punctuation mark, or an IRIREF, a prefixed name or a double-quoted short
+# string, none with an escape.  With no token the match still skips the
+# whitespace; any other spelling (escapes, long and single-quoted strings,
+# a datatype or language tag after the string, numbers, blank nodes) is
+# left to the readers below, so they alone hold each token's full grammar
+# and errors.  A local name stops before a bare trailing '.', and the
+# lookahead after it rejects, one character at a time, any shorter name
+# than the readers would take.
+_TOKEN_RE = re.compile(
+    r"([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)"
+    r"(?:([][(),;.])"
+    r"|<([^<>\"{}|^`\\\x00-\x20]*)>"
+    r"|((?:[^\W\d_][\w.-]*(?<!\.))?)"
+    r":([\w:%-]*(?:\.+[\w:%-]+)*)(?![\w:%-]|\.+[\w:%-]|\.*\\)"
+    r"|\"([^\"\\\r\n]*)\"(?![\"@^]))?"
+)
+# the group numbers of _TOKEN_RE, as Match.lastindex reports the token read
+# (1, the whitespace, when the readers must take it); a prefixed name's
+# prefix is group PNAME - 1, its local name group PNAME
+PUNCT, IRIREF, PNAME, STRING = 2, 3, 5, 6
 # the characters a string body takes without a second look
 _STRING_CHARS = {
     '"""': re.compile(r'[^"\\]*'),
@@ -86,6 +112,9 @@ class Lexer:
         self.base = base
         self.prefixes: dict[str, str] = {}
         self.depth = 0
+        # every IRI read so far, by its absolute spelling: only a resolved
+        # IRI is ever a key, so a later BASE or PREFIX cannot make one stale
+        self._iris: dict[str, Iri] = {}
 
     # -- cursor ------------------------------------------------------------
 
@@ -103,6 +132,47 @@ class Lexer:
 
     def skip_ws(self):
         self.pos = _WS_RE.match(self.text, self.pos).end()
+
+    def next_token(self) -> re.Match:
+        """Skip whitespace and comments and match the token after them.
+
+        The cursor stops at the token's start; ``lastindex`` of the match
+        names what was read, and :meth:`read_token_term` consumes a term.
+        """
+        match = _TOKEN_RE.match(self.text, self.pos)
+        self.pos = match.end(1)
+        return match
+
+    def read_token_term(self, match: re.Match, constant: bool) -> Iri | Literal | None:
+        """The IRI (or, in a *constant*'s place, the string literal) that
+        *match* read at the cursor, consumed; None, with the cursor unmoved,
+        for anything a reader must take."""
+        kind = match.lastindex
+        if kind == PNAME:
+            prefix = match[PNAME - 1]
+            ns = self.prefixes.get(prefix)
+            # where a constant may stand, 'true:' starts the keyword true
+            if ns is None or constant and prefix.lower() in ("true", "false"):
+                return None
+            self.pos = match.end()
+            iri = ns + match[PNAME]
+        elif kind == IRIREF:
+            self.pos = match.end()
+            iri = match[IRIREF]
+        elif kind == STRING and constant:
+            self.pos = match.end()
+            return Literal(match[STRING])
+        else:
+            return None
+        # the table lookup first spares a call for the IRIs seen before
+        return self._iris.get(iri) or self.resolve(iri)
+
+    def _read_token_at_cursor(self, constant: bool) -> Iri | Literal | None:
+        """:meth:`read_token_term` for a token that starts at the cursor."""
+        match = _TOKEN_RE.match(self.text, self.pos)
+        if match.end(1) != self.pos:
+            return None
+        return self.read_token_term(match, constant)
 
     def descend(self):
         """Enter one more level of nesting at the cursor; the caller leaves
@@ -144,14 +214,23 @@ class Lexer:
     # -- IRIs --------------------------------------------------------------
 
     def resolve(self, iri: str) -> Iri:
+        """The IRI *iri* names, relative ones against the base; one object
+        per distinct IRI of the text."""
+        term = self._iris.get(iri)
+        if term is not None:
+            return term
         if not is_absolute_iri(iri):
             if self.base is None:
                 raise self.error(f"relative IRI {iri!r} without a base")
             iri = self.base + iri
+            term = self._iris.get(iri)
+            if term is not None:
+                return term
         try:
-            return Iri(iri)
+            term = self._iris[iri] = Iri(iri)
         except InvalidTermError:
             raise self.error(f"not a valid IRI: {iri!r}") from None
+        return term
 
     def read_iriref(self) -> Iri:
         self.expect("<")
@@ -203,6 +282,9 @@ class Lexer:
         return self.resolve(ns + local)
 
     def read_iri(self) -> Iri:
+        term = self._read_token_at_cursor(constant=False)
+        if term is not None:
+            return term
         if self.peek() == "<":
             return self.read_iriref()
         return self.read_prefixed_name()
@@ -275,6 +357,9 @@ class Lexer:
 
     def read_constant(self) -> Iri | Literal:
         """An IRI, or a quoted, numeric or boolean literal."""
+        term = self._read_token_at_cursor(constant=True)
+        if term is not None:
+            return term
         ch = self.peek()
         if ch and ch in "\"'":
             return self.read_literal()

@@ -274,13 +274,14 @@ class TriplesMapExpr:
 
     def __post_init__(self):
         self.join_conditions = tuple((a, b) for a, b in self.join_conditions)
-        child = self.extract.attrs
+        # the selectors' keys are the attribute sets
+        child = self.extract.selectors.keys()
         if self.parent_extract is None:
             if self.join_conditions:
                 raise StructuralError("join conditions require a second extraction")
             object_scope, object_where = child, "extraction"
         else:
-            parent = self.parent_extract.attrs
+            parent = self.parent_extract.selectors.keys()
             overlap = child & parent
             if overlap:
                 raise StructuralError(f"the two extractions share attributes: {sorted(overlap)}")
@@ -300,6 +301,8 @@ class TriplesMapExpr:
             ("predicate", self.predicate_expr, child, "extraction"),
             ("object", self.object_expr, object_scope, object_where),
         ):
+            if type(expr) is ConstantTerm:
+                continue
             missing = extend_attrs(expr) - scope
             if missing:
                 raise StructuralError(

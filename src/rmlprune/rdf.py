@@ -80,7 +80,8 @@ class Literal:
     datatype: str = XSD_STRING
 
     def __post_init__(self):
-        if not is_valid_iri(self.datatype):
+        # the default datatype is a valid IRI; every CSV cell and string pays this
+        if self.datatype != XSD_STRING and not is_valid_iri(self.datatype):
             raise InvalidTermError(f"literal datatype is not a valid IRI: {self.datatype!r}")
 
     def __repr__(self):

@@ -23,6 +23,7 @@ subset back out as a standalone mapping document.
 from __future__ import annotations
 
 import logging
+import re
 from dataclasses import dataclass
 
 from .algebra import (
@@ -40,8 +41,8 @@ from .algebra import (
 )
 from .errors import MappingModelError
 from .ntriples import escape_string, format_term
-from .rdf import RDF_TYPE, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, Triple
-from .turtle import parse_turtle
+from .rdf import RDF_TYPE, XSD_STRING, BlankNode, Iri, Literal, RdfTerm
+from .turtle import TurtleParser
 
 logger = logging.getLogger("rmlprune.rml")
 
@@ -185,29 +186,46 @@ def _fmt_node(key: str) -> str:
     return key if key.startswith("_:") else f"<{key}>"
 
 
-class _Graph:
-    def __init__(self, triples: list[Triple]):
-        self._props: dict[str, list[tuple[Iri, RdfTerm]]] = {}
-        for t in triples:
-            self._props.setdefault(_node_key(t.s), []).append((t.p, t.o))
+# the property token of every IRI a mapping node may carry
+_TOKENS = {**_VOCAB, RDF_TYPE: "type"}
+_RDF_TYPE_IRI = Iri(RDF_TYPE)
 
-    def subjects(self) -> list[str]:
-        return list(self._props)
-
-    def props(self, key: str) -> list[tuple[Iri, RdfTerm]]:
-        return self._props.get(key, [])
+# A mapping document as its subjects' properties, by node key, each a
+# (token, predicate, object), the token None for a property that no mapping
+# node may carry; the walk below rejects one only where it reaches it.
+_Graph = dict[str, list[tuple[str | None, Iri, RdfTerm]]]
 
 
-def _prop_token(pred: Iri, node: str) -> str:
-    token = _VOCAB.get(pred.value)
+class _MappingReader(TurtleParser):
+    """The Turtle reader of a mapping: it files each triple under its
+    subject, as :data:`_Graph` holds it, and keeps no triple list."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.graph: _Graph = {}
+        self.logical: set[str] = set()  # the subjects with a logical source
+
+    def add(self, s: Iri | BlankNode, p: Iri, o: RdfTerm):
+        key = "_:" + s.label if type(s) is BlankNode else s.value
+        token = _TOKENS.get(p.value)
+        props = self.graph.get(key)
+        if props is None:
+            props = self.graph[key] = []
+        props.append((token, p, o))
+        if token == "logicalSource":
+            self.logical.add(key)
+
+
+def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingModelError:
+    """The error for a property *node* may not carry, being *what*."""
     if token is not None:
-        return token
-    if pred.value == RDF_TYPE:
-        return "type"
+        return MappingModelError(
+            f"property {token!r} does not belong on {what} ({_fmt_node(node)})"
+        )
     message = _REJECTED_PROPS.get(pred.value)
     if message is not None:
-        raise MappingModelError(f"{message} (property <{pred.value}> on {_fmt_node(node)})")
-    raise MappingModelError(
+        return MappingModelError(f"{message} (property <{pred.value}> on {_fmt_node(node)})")
+    return MappingModelError(
         f"unknown property <{pred.value}> on {_fmt_node(node)}; refusing to drop it silently"
     )
 
@@ -220,8 +238,7 @@ def _as_string_literal(obj: RdfTerm, what: str, node: str) -> str:
 
 def _parse_logical_source(g: _Graph, key: str) -> LogicalSourceModel:
     source = None
-    for pred, obj in g.props(key):
-        token = _prop_token(pred, key)
+    for token, pred, obj in g.get(key, ()):
         if token == "source":
             source = _as_string_literal(obj, "source", key)
         elif token == "referenceFormulation":
@@ -243,9 +260,7 @@ def _parse_logical_source(g: _Graph, key: str) -> LogicalSourceModel:
         elif token == "type":
             continue
         else:
-            raise MappingModelError(
-                f"property {token!r} does not belong on a logical source ({_fmt_node(key)})"
-            )
+            raise _misplaced(token, pred, key, "a logical source")
     if source is None:
         raise MappingModelError(f"logical source {_fmt_node(key)} has no source")
     return LogicalSourceModel(source=source)
@@ -259,8 +274,7 @@ def _parse_term_map(
     term_type = None
     datatype = None
     classes: list[Iri] = []
-    for pred, obj in g.props(key):
-        token = _prop_token(pred, key)
+    for token, pred, obj in g.get(key, ()):
         if token == "constant":
             _set_kind(key, kind, "constant")
             kind, value = "constant", obj
@@ -289,9 +303,7 @@ def _parse_term_map(
         elif token == "type":
             continue
         else:
-            raise MappingModelError(
-                f"property {token!r} does not belong on a term map ({_fmt_node(key)})"
-            )
+            raise _misplaced(token, pred, key, "a term map")
     if kind is None:
         raise MappingModelError(
             f"term map {_fmt_node(key)} needs exactly one of constant, reference, template"
@@ -310,16 +322,14 @@ def _set_kind(key: str, current: str | None, new: str):
 def _parse_ref_object_map(g: _Graph, key: str) -> RefObjectMapModel:
     parent = None
     joins: list[tuple[str, str]] = []
-    for pred, obj in g.props(key):
-        token = _prop_token(pred, key)
+    for token, pred, obj in g.get(key, ()):
         if token == "parentTriplesMap":
             parent = _node_key(obj)
         elif token == "joinCondition":
             child_ref = None
             parent_ref = None
             jkey = _node_key(obj)
-            for jpred, jobj in g.props(jkey):
-                jtoken = _prop_token(jpred, jkey)
+            for jtoken, jpred, jobj in g.get(jkey, ()):
                 if jtoken == "child":
                     child_ref = _as_string_literal(jobj, "child", jkey)
                 elif jtoken == "parent":
@@ -327,10 +337,7 @@ def _parse_ref_object_map(g: _Graph, key: str) -> RefObjectMapModel:
                 elif jtoken == "type":
                     continue
                 else:
-                    raise MappingModelError(
-                        f"property {jtoken!r} does not belong on a join condition "
-                        f"({_fmt_node(jkey)})"
-                    )
+                    raise _misplaced(jtoken, jpred, jkey, "a join condition")
             if child_ref is None or parent_ref is None:
                 raise MappingModelError(
                     f"join condition {_fmt_node(jkey)} needs both child and parent"
@@ -343,10 +350,7 @@ def _parse_ref_object_map(g: _Graph, key: str) -> RefObjectMapModel:
         elif token == "type":
             continue
         else:
-            raise MappingModelError(
-                f"property {token!r} does not belong on a referencing object map "
-                f"({_fmt_node(key)})"
-            )
+            raise _misplaced(token, pred, key, "a referencing object map")
     if parent is None:
         raise MappingModelError(f"referencing object map {_fmt_node(key)} has no parent triples map")
     if not joins:
@@ -358,10 +362,7 @@ def _parse_ref_object_map(g: _Graph, key: str) -> RefObjectMapModel:
 
 
 def _has_parent(g: _Graph, key: str) -> bool:
-    for pred, _ in g.props(key):
-        if _VOCAB.get(pred.value) == "parentTriplesMap":
-            return True
-    return False
+    return any(token == "parentTriplesMap" for token, _, _ in g.get(key, ()))
 
 
 def _parse_pom(g: _Graph, key: str, visited: set[str]) -> list[PredicateObjectMapModel]:
@@ -373,8 +374,7 @@ def _parse_pom(g: _Graph, key: str, visited: set[str]) -> list[PredicateObjectMa
     predicate_shortcuts: list[Iri] = []
     object_maps: list[TermMapModel | RefObjectMapModel] = []
     object_shortcuts: list[RdfTerm] = []
-    for pred, obj in g.props(key):
-        token = _prop_token(pred, key)
+    for token, pred, obj in g.get(key, ()):
         if token == "predicateMap":
             pkey = _node_key(obj)
             visited.add(pkey)
@@ -390,7 +390,7 @@ def _parse_pom(g: _Graph, key: str, visited: set[str]) -> list[PredicateObjectMa
             okey = _node_key(obj)
             visited.add(okey)
             if _has_parent(g, okey):
-                for _, jobj in g.props(okey):
+                for _, _, jobj in g[okey]:
                     if isinstance(jobj, (Iri, BlankNode)):
                         visited.add(_node_key(jobj))
                 object_maps.append(_parse_ref_object_map(g, okey))
@@ -402,10 +402,7 @@ def _parse_pom(g: _Graph, key: str, visited: set[str]) -> list[PredicateObjectMa
         elif token == "type":
             continue
         else:
-            raise MappingModelError(
-                f"property {token!r} does not belong on a predicate-object map "
-                f"({_fmt_node(key)})"
-            )
+            raise _misplaced(token, pred, key, "a predicate-object map")
     predicate_maps += [TermMapModel(kind="constant", value=p) for p in predicate_shortcuts]
     object_maps += [TermMapModel(kind="constant", value=o) for o in object_shortcuts]
     if not predicate_maps:
@@ -422,14 +419,11 @@ def parse_rml(data: bytes | str) -> RmlDocument:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MappingModelError(f"not valid UTF-8: {exc}") from None
-    tdoc = parse_turtle(data)
-    g = _Graph(tdoc.triples)
-
-    tm_keys = [
-        key
-        for key in g.subjects()
-        if any(_VOCAB.get(p.value) == "logicalSource" for p, _ in g.props(key))
-    ]
+    reader = _MappingReader(data)
+    base = reader.parse().base
+    g = reader.graph
+    # the triples maps: the subjects that carry a logical source, in order
+    tm_keys = [key for key in g if key in reader.logical]
     if not tm_keys:
         raise MappingModelError("no triples maps found (no subject carries a logical source)")
 
@@ -442,8 +436,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
         subject_shortcut = None
         classes: tuple[Iri, ...] = ()
         poms: list[PredicateObjectMapModel] = []
-        for pred, obj in g.props(key):
-            token = _prop_token(pred, key)
+        for token, pred, obj in g[key]:
             if token == "logicalSource":
                 if logical_source is not None:
                     raise MappingModelError(
@@ -461,15 +454,17 @@ def parse_rml(data: bytes | str) -> RmlDocument:
                 visited.add(skey)
                 subject_map, classes = _parse_term_map(g, skey, allow_classes=True)
             elif token == "subject":
+                if subject_shortcut is not None:
+                    raise MappingModelError(
+                        f"triples map {_fmt_node(key)} has more than one subject shortcut"
+                    )
                 subject_shortcut = obj
             elif token == "predicateObjectMap":
                 poms += _parse_pom(g, _node_key(obj), visited)
             elif token == "type":
                 continue
             else:
-                raise MappingModelError(
-                    f"property {token!r} does not belong on a triples map ({_fmt_node(key)})"
-                )
+                raise _misplaced(token, pred, key, "a triples map")
         if subject_map is not None and subject_shortcut is not None:
             raise MappingModelError(
                 f"triples map {_fmt_node(key)} has both a subject map and a subject shortcut"
@@ -478,7 +473,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
             raise MappingModelError(f"triples map {_fmt_node(key)} lacks a subject map")
         class_poms = [
             PredicateObjectMapModel(
-                TermMapModel(kind="constant", value=Iri(RDF_TYPE)),
+                TermMapModel(kind="constant", value=_RDF_TYPE_IRI),
                 TermMapModel(kind="constant", value=cls),
             )
             for cls in classes
@@ -492,17 +487,14 @@ def parse_rml(data: bytes | str) -> RmlDocument:
             )
         )
 
-    unreachable = [k for k in g.subjects() if k not in visited]
-    for key in unreachable:
-        significant = [p for p, _ in g.props(key) if p.value != RDF_TYPE]
-        if significant:
+    for key, props in g.items():
+        if key not in visited and any(token != "type" for token, _, _ in props):
             logger.warning(
                 "subject %s is not reachable from any triples map; ignoring it",
                 _fmt_node(key),
             )
 
-    base = tdoc.base or DEFAULT_BASE_IRI
-    return RmlDocument(triples_maps=tuple(triples_maps), base_iri=base)
+    return RmlDocument(triples_maps=tuple(triples_maps), base_iri=base or DEFAULT_BASE_IRI)
 
 
 def normalize(doc: RmlDocument) -> RmlDocument:
@@ -515,6 +507,14 @@ def normalize(doc: RmlDocument) -> RmlDocument:
 # ---------------------------------------------------------------------------
 
 
+# A run of text (backslash escapes the next character), a placeholder, or a
+# character that starts neither: a dangling '\\', a stray '}' or a '{' that
+# opens no well-formed placeholder.
+_TEMPLATE_RE = re.compile(r"((?:[^\\{}]|\\.)+)|\{([^{}\\]*)\}|(.)", re.DOTALL)
+_TEMPLATE_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
+_PLACEHOLDER_RE = re.compile(r"[^{}\\]*")
+
+
 def parse_template(template: str) -> list[tuple[str, str]]:
     """Split a template into ("text", s) and ("ref", name) parts.
 
@@ -522,44 +522,31 @@ def parse_template(template: str) -> list[tuple[str, str]]:
     placeholders may not nest and may not be empty.
     """
     parts: list[tuple[str, str]] = []
-    buf: list[str] = []
-    i = 0
-    n = len(template)
-    while i < n:
-        ch = template[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                raise MappingModelError(f"dangling escape at end of template {template!r}")
-            buf.append(template[i + 1])
-            i += 2
-        elif ch == "{":
-            j = i + 1
-            name: list[str] = []
-            while j < n and template[j] != "}":
-                if template[j] in "{\\":
-                    raise MappingModelError(
-                        f"invalid character {template[j]!r} inside placeholder of "
-                        f"template {template!r}"
-                    )
-                name.append(template[j])
-                j += 1
-            if j >= n:
-                raise MappingModelError(f"unbalanced '{{' in template {template!r}")
-            if not name:
-                raise MappingModelError(f"empty placeholder in template {template!r}")
-            if buf:
-                parts.append(("text", "".join(buf)))
-                buf = []
-            parts.append(("ref", "".join(name)))
-            i = j + 1
-        elif ch == "}":
-            raise MappingModelError(f"unbalanced '}}' in template {template!r}")
+    for match in _TEMPLATE_RE.finditer(template):
+        text, name = match.group(1, 2)
+        if text is not None:
+            parts.append(("text", _TEMPLATE_ESCAPE_RE.sub(r"\1", text) if "\\" in text else text))
+        elif name:
+            parts.append(("ref", name))
+        elif name is not None:
+            raise MappingModelError(f"empty placeholder in template {template!r}")
         else:
-            buf.append(ch)
-            i += 1
-    if buf or not parts:
-        parts.append(("text", "".join(buf)))
-    return parts
+            raise _template_error(template, match.start())
+    return parts or [("text", "")]
+
+
+def _template_error(template: str, pos: int) -> MappingModelError:
+    """Why the character at *pos* starts neither text nor a placeholder."""
+    if template[pos] == "\\":
+        return MappingModelError(f"dangling escape at end of template {template!r}")
+    if template[pos] == "}":
+        return MappingModelError(f"unbalanced '}}' in template {template!r}")
+    end = _PLACEHOLDER_RE.match(template, pos + 1).end()
+    if end == len(template):
+        return MappingModelError(f"unbalanced '{{' in template {template!r}")
+    return MappingModelError(
+        f"invalid character {template[end]!r} inside placeholder of template {template!r}"
+    )
 
 
 class _Templates(dict):
@@ -582,6 +569,14 @@ class _Templates(dict):
 # ---------------------------------------------------------------------------
 
 
+def _constant_type(value: RdfTerm) -> str:
+    if isinstance(value, Iri):
+        return IRI_TYPE
+    if isinstance(value, BlankNode):
+        return BNODE_TYPE
+    return LITERAL_TYPE
+
+
 def effective_term_type(model: TermMapModel, position: str) -> str:
     """The term type a map produces, after defaulting rules.
 
@@ -592,11 +587,7 @@ def effective_term_type(model: TermMapModel, position: str) -> str:
     if model.term_type is not None:
         return model.term_type
     if model.kind == "constant":
-        if isinstance(model.value, Iri):
-            return IRI_TYPE
-        if isinstance(model.value, BlankNode):
-            return BNODE_TYPE
-        return LITERAL_TYPE
+        return _constant_type(model.value)
     if position == "object" and (model.kind == "reference" or model.datatype is not None):
         return LITERAL_TYPE
     return IRI_TYPE
@@ -604,12 +595,10 @@ def effective_term_type(model: TermMapModel, position: str) -> str:
 
 def _check_term_map(model: TermMapModel, position: str, where: str) -> str:
     ttype = effective_term_type(model, position)
-    if model.kind == "constant":
-        value_type = effective_term_type(TermMapModel(kind="constant", value=model.value), position)
-        if ttype != value_type:
-            raise MappingModelError(
-                f"{where}: constant {model.value!r} conflicts with term type {ttype!r}"
-            )
+    if model.kind == "constant" and ttype != _constant_type(model.value):
+        raise MappingModelError(
+            f"{where}: constant {model.value!r} conflicts with term type {ttype!r}"
+        )
     if position in ("subject", "parent-subject") and ttype == LITERAL_TYPE:
         raise MappingModelError(f"{where}: subject maps cannot produce literals")
     if position == "predicate" and ttype != IRI_TYPE:
@@ -668,25 +657,27 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
     for tm in doc.triples_maps:
         if not tm.poms:
             continue
+        node = _fmt_node(tm.id)
         subject_refs = templates.refs(tm.subject_map)
         subject_expr = _to_extend(
             tm.subject_map,
             {r: r for r in subject_refs},
             base,
             "subject",
-            f"subject map of {_fmt_node(tm.id)}",
+            f"subject map of {node}",
             templates,
         )
         for j, pom in enumerate(tm.poms):
             pm, om = pom.predicate_map, pom.object_map
-            where = f"predicate-object map {j} of {_fmt_node(tm.id)}"
+            where = f"predicate-object map {j} of {node}"
             joined = isinstance(om, RefObjectMapModel)
-            child_refs = dict.fromkeys(
+            refs = (
                 subject_refs
                 + templates.refs(pm)
                 + ([c for c, _ in om.joins] if joined else templates.refs(om))
             )
-            selectors = {r: r for r in child_refs}
+            # each reference selects itself, in order of first appearance
+            selectors = dict(zip(refs, refs))
             extract = ExtractSpec(source_ref=tm.logical_source.source, selectors=selectors)
             predicate_expr = _to_extend(pm, selectors, base, "predicate", where, templates)
             parent_extract = None
@@ -697,7 +688,7 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
                     raise MappingModelError(
                         f"{where}: parent triples map {_fmt_node(om.parent)} does not exist"
                     )
-                taken = set(child_refs)
+                taken = set(selectors)
                 parent_attr_of: dict[str, str] = {}
                 for r in dict.fromkeys(
                     templates.refs(parent_tm.subject_map) + [p for _, p in om.joins]

@@ -15,7 +15,10 @@ Blank node labels from the document are renamed to fresh internal labels
 (first-occurrence order), so documents cannot collide with generated ones.
 
 Tokens are read by the lexer shared with the SPARQL parser
-(:mod:`rmlprune._lexer`); this module holds only the grammar.
+(:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
+step from token to token with :meth:`~rmlprune._lexer.Lexer.next_token`,
+which skips whitespace and reads a common term or punctuation mark in one
+regex match.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ._lexer import Lexer
+from ._lexer import PUNCT, Lexer
 from .errors import TurtleError
 from .rdf import RDF_NS, BlankNode, Iri, RdfTerm, Triple
 
@@ -53,6 +56,11 @@ class TurtleParser(Lexer):
         self._label_map: dict[str, str] = {}
         self._bnode_counter = 0
 
+    def add(self, s: Iri | BlankNode, p: Iri, o: RdfTerm):
+        """Record one triple; a reader that keeps triples its own way
+        overrides this."""
+        self.triples.append(Triple(s, p, o))
+
     def fresh_bnode(self) -> BlankNode:
         self._bnode_counter += 1
         return BlankNode(f"b{self._bnode_counter}")
@@ -69,12 +77,11 @@ class TurtleParser(Lexer):
 
     def parse(self) -> TurtleDocument:
         while True:
-            self.skip_ws()
+            token = self.next_token()
             if self.at_end():
                 break
             if not self._parse_directive():
-                self._parse_triples()
-                self.skip_ws()
+                self._parse_triples(token)
                 self.expect(".")
         return TurtleDocument(
             triples=self.triples,
@@ -120,16 +127,17 @@ class TurtleParser(Lexer):
         self.skip_ws()
         self.base = self.read_iriref().value
 
-    def _parse_triples(self):
-        if self.peek() == "[":
+    def _parse_triples(self, token):
+        """Subject and predicate-object list, from the subject's token; the
+        cursor ends on the token after them."""
+        if token[PUNCT] == "[":
             subject = self._parse_bnode_property_list()
-            self.skip_ws()
-            if self.peek() != ".":
-                self._parse_predicate_object_list(subject)
+            token = self.next_token()
+            if token[PUNCT] != ".":
+                self._parse_predicate_object_list(subject, token)
             return
-        subject = self._parse_subject()
-        self.skip_ws()
-        self._parse_predicate_object_list(subject)
+        subject = self.read_token_term(token, constant=False) or self._parse_subject()
+        self._parse_predicate_object_list(subject, self.next_token())
 
     def _parse_subject(self):
         ch = self.peek()
@@ -148,79 +156,87 @@ class TurtleParser(Lexer):
             raise self.error("empty blank node label")
         return self.labeled_bnode(label)
 
-    def _parse_predicate_object_list(self, subject):
+    def _parse_predicate_object_list(self, subject, token):
+        """From the first verb's token to the token after the list."""
+        add = self.add
+        next_token = self.next_token
         while True:
-            self.skip_ws()
-            predicate = self._parse_verb()
+            predicate = self.read_token_term(token, constant=False) or self._parse_verb()
             while True:
-                self.skip_ws()
-                obj = self._parse_object()
-                self.triples.append(Triple(subject, predicate, obj))
-                self.skip_ws()
-                if not self.try_consume(","):
+                token = next_token()
+                obj = self.read_token_term(token, constant=True) or self._parse_object(token)
+                add(subject, predicate, obj)
+                token = next_token()
+                if token[PUNCT] != ",":
                     break
-            if not self.try_consume(";"):
+                self.pos += 1
+            if token[PUNCT] != ";":
                 break
-            self.skip_ws()
             # a dangling ';' before '.', ']' or another ';' is allowed
-            while self.try_consume(";"):
-                self.skip_ws()
+            while token[PUNCT] == ";":
+                self.pos += 1
+                token = next_token()
             if self.peek() in (".", "]", ""):
                 break
 
     def _parse_verb(self) -> Iri:
+        """A verb the token read left to the readers."""
         if self.try_a():
             return RDF_TYPE_IRI
         return self.read_iri()
 
-    def _parse_object(self) -> RdfTerm:
+    def _parse_object(self, token) -> RdfTerm:
+        """An object other than the terms :meth:`read_token_term` takes."""
+        punct = token[PUNCT]
+        if punct == "[":
+            return self._parse_bnode_property_list()
+        if punct == "(":
+            return self._parse_collection()
         ch = self.peek()
         if ch == "":
             raise self.error("expected an object")
-        if ch == "[":
-            return self._parse_bnode_property_list()
-        if ch == "(":
-            return self._parse_collection()
         if ch == "_":
             return self._read_bnode_label()
         return self.read_constant()
 
     def _parse_bnode_property_list(self) -> BlankNode:
+        """From the '[' at the cursor to just past its ']'."""
         self.descend()
-        self.expect("[")
+        self.pos += 1
         node = self.fresh_bnode()
-        self.skip_ws()
-        if not self.try_consume("]"):
-            self._parse_predicate_object_list(node)
-            self.skip_ws()
-            self.expect("]")
+        token = self.next_token()
+        if token[PUNCT] != "]":
+            self._parse_predicate_object_list(node, token)
+        self.expect("]")
         self.depth -= 1
         return node
 
     def _parse_collection(self):
+        """From the '(' at the cursor to just past its ')'."""
         self.descend()
-        self.expect("(")
+        self.pos += 1
         items = []
         while True:
-            self.skip_ws()
-            if self.try_consume(")"):
+            token = self.next_token()
+            if token[PUNCT] == ")":
+                self.pos += 1
                 break
             if self.at_end():
                 raise self.error("unterminated collection")
-            items.append(self._parse_object())
+            items.append(self.read_token_term(token, constant=True) or self._parse_object(token))
         self.depth -= 1
         if not items:
             return RDF_NIL
         head = self.fresh_bnode()
         node = head
         for i, item in enumerate(items):
-            self.triples.append(Triple(node, RDF_FIRST, item))
+            self.add(node, RDF_FIRST, item)
             if i + 1 < len(items):
                 nxt = self.fresh_bnode()
-                self.triples.append(Triple(node, RDF_REST, nxt))
+                self.add(node, RDF_REST, nxt)
                 node = nxt
             else:
-                self.triples.append(Triple(node, RDF_REST, RDF_NIL))
+                self.add(node, RDF_REST, RDF_NIL)
         return head
 
 

@@ -1,6 +1,9 @@
 """Helpers that only the tests use: small oracles and conveniences built on
 the package's public API, kept out of the package itself."""
 
+import importlib.util
+from pathlib import Path
+
 from rmlprune.algebra import RmlMappingExpr, TriplesMapExpr, check_valid_input
 from rmlprune.errors import SourceInputError
 from rmlprune.pruning import format_pattern_term
@@ -165,3 +168,23 @@ def format_query(query: SelectQuery) -> str:
     if mods.offset is not None:
         lines.append(f"OFFSET {mods.offset}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# benchmark inputs
+# ---------------------------------------------------------------------------
+
+
+def perfbench_corpus():
+    """``perfbench/corpus.py``, the benchmark's input builder, as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def wide_mapping_text(seed: int = 42) -> str:
+    """The 95 KB, 560-expression mapping the prune-wide workload loads."""
+    corpus = perfbench_corpus()
+    return corpus.wide_mapping(corpus.copy_tags(40, seed))

@@ -521,6 +521,19 @@ def test_invalid_mapping_reports_error(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_several_subject_shortcuts_exit_2(capsys, tmp_path):
+    bad = tmp_path / "two-subjects.ttl"
+    bad.write_text(
+        "@prefix rml: <http://w3id.org/rml/> .\n@prefix ex: <http://e/> .\n"
+        "ex:tm rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subject ex:a , ex:b ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object ex:o ] .\n"
+    )
+    code, _, err = run(capsys, "translate", "--mapping", str(bad))
+    assert code == 2
+    assert "has more than one subject" in err
+
+
 def test_latin1_query_exits_2(corpus, capsys, tmp_path):
     q = tmp_path / "latin1.rq"
     q.write_bytes('SELECT * WHERE { ?s ?p "café" }\n'.encode("latin-1"))

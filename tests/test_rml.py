@@ -1,10 +1,11 @@
 """RML documents: parsing into normal form, translation, serialization."""
 
-import importlib.util
+import hashlib
 import logging
-from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rmlprune.algebra import (
     AttrRef,
@@ -15,6 +16,7 @@ from rmlprune.algebra import (
     DataObject,
     TemplateConcat,
     TextPart,
+    dump_plan,
     materialize,
 )
 from rmlprune.csvsource import CSV_KIND, parse_csv
@@ -33,6 +35,8 @@ from rmlprune.rml import (
     translate,
 )
 from rmlprune.sparql import collect_triple_patterns, parse_query
+
+from .helpers import perfbench_corpus, wide_mapping_text
 
 EX = "http://example.com/ns#"
 GTFS = "http://vocab.gtfs.org/terms#"
@@ -75,6 +79,74 @@ def test_parse_template_escapes():
 def test_parse_template_errors(bad):
     with pytest.raises(MappingModelError):
         parse_template(bad)
+
+
+def parse_template_by_character(template: str) -> list[tuple[str, str]]:
+    """The character-by-character template scanner that parse_template
+    replaced, kept as its oracle."""
+    parts: list[tuple[str, str]] = []
+    buf: list[str] = []
+    i = 0
+    n = len(template)
+    while i < n:
+        ch = template[i]
+        if ch == "\\":
+            if i + 1 >= n:
+                raise MappingModelError(f"dangling escape at end of template {template!r}")
+            buf.append(template[i + 1])
+            i += 2
+        elif ch == "{":
+            j = i + 1
+            name: list[str] = []
+            while j < n and template[j] != "}":
+                if template[j] in "{\\":
+                    raise MappingModelError(
+                        f"invalid character {template[j]!r} inside placeholder of "
+                        f"template {template!r}"
+                    )
+                name.append(template[j])
+                j += 1
+            if j >= n:
+                raise MappingModelError(f"unbalanced '{{' in template {template!r}")
+            if not name:
+                raise MappingModelError(f"empty placeholder in template {template!r}")
+            if buf:
+                parts.append(("text", "".join(buf)))
+                buf = []
+            parts.append(("ref", "".join(name)))
+            i = j + 1
+        elif ch == "}":
+            raise MappingModelError(f"unbalanced '}}' in template {template!r}")
+        else:
+            buf.append(ch)
+            i += 1
+    if buf or not parts:
+        parts.append(("text", "".join(buf)))
+    return parts
+
+
+def _template_outcome(parse, template):
+    try:
+        return parse(template)
+    except MappingModelError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "template",
+    ["{unclosed", "closed}", "{}", "{a{b}}", "{a\\}b}", "end\\", "a\\\nb{c}", "{a}{b}", "x\\}{y}z"],
+)
+def test_parse_template_matches_the_character_scanner(template):
+    assert _template_outcome(parse_template, template) == _template_outcome(
+        parse_template_by_character, template
+    )
+
+
+@given(st.text(alphabet=st.sampled_from("ab/\\{}\n é"), max_size=14) | st.text(max_size=10))
+def test_parse_template_matches_the_character_scanner_on_any_text(template):
+    assert _template_outcome(parse_template, template) == _template_outcome(
+        parse_template_by_character, template
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +349,17 @@ def test_subject_shortcut_becomes_constant_map():
     (tm,) = parse_rml(text).triples_maps
     assert tm.subject_map.kind == "constant"
     assert tm.subject_map.value == Iri(EX + "thing")
+
+
+@pytest.mark.parametrize("subjects", ["ex:a , ex:b", "ex:a ;\n  rml:subject ex:a"])
+def test_parse_rejects_several_subject_shortcuts(subjects):
+    text = NEW_HEADER + (
+        "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        f"  rml:subject {subjects} ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
+    )
+    with pytest.raises(MappingModelError, match="has more than one subject"):
+        parse_rml(text)
 
 
 # ---------------------------------------------------------------------------
@@ -536,21 +619,23 @@ def test_serialize_rejects_foreign_expressions(airports_doc):
         serialize_pruned((other.trmaps[0],), airports_doc)
 
 
-def _load_perfbench_corpus():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def wide():
     """The benchmark's 40-copy corpus mapping, its document and one copy's tag."""
-    corpus = _load_perfbench_corpus()
+    corpus = perfbench_corpus()
     tags = corpus.copy_tags(40, 1)
     doc = parse_rml(corpus.wide_mapping(tags))
     return corpus, tags[7], doc, translate(doc)
+
+
+# sha256 and line count of the wide mapping's --dump-algebra plan at seed
+# 42; a faster parse or translation must not change a byte of it
+WIDE_PLAN = ("2930e920eb30e4676993311635410544fbac61f543bee0624a7061f9805fc3e1", 2961)
+
+
+def test_wide_mapping_plan_is_pinned():
+    plan = dump_plan(translate(parse_rml(wide_mapping_text())).plan())
+    assert (hashlib.sha256(plan.encode("utf-8")).hexdigest(), plan.count("\n") + 1) == WIDE_PLAN
 
 
 def _without_provenance(m):

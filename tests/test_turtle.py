@@ -1,10 +1,15 @@
 """Turtle parsing: directives, abbreviations, strings, collections, errors."""
 
+import hashlib
+
 import pytest
 
 from rmlprune.errors import TurtleError
+from rmlprune.ntriples import format_term
 from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, BlankNode, Iri, Literal, Triple
-from rmlprune.turtle import parse_turtle
+from rmlprune.turtle import TurtleParser, parse_turtle
+
+from .helpers import wide_mapping_text
 
 EX = "http://example.com/"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -212,3 +217,116 @@ def test_explicit_base_parameter():
 def test_document_base_is_reported():
     doc = parse_turtle("@base <http://doc.example/> .\n<s> <p> <o> .")
     assert doc.base == "http://doc.example/"
+
+
+# ---------------------------------------------------------------------------
+# the lexer's one-match token read and the per-document IRI table
+# ---------------------------------------------------------------------------
+
+
+def formatted(text: str) -> list[str]:
+    return [" ".join(format_term(x) for x in (t.s, t.p, t.o)) for t in parse_turtle(text).triples]
+
+
+# sha256 of the wide mapping's triples, one formatted triple a line in
+# document order, and their count
+WIDE_TRIPLES = ("7237efe49213ab72ded250f09e91d03d214af263deb89fa83560c234e6bee042", 3080)
+
+
+def test_wide_mapping_triples_are_pinned():
+    lines = formatted(wide_mapping_text())
+    text = "".join(line + " .\n" for line in lines)
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest(), len(lines)) == WIDE_TRIPLES
+
+
+def test_equal_iris_of_a_document_are_one_object():
+    doc = parse_turtle(
+        "@prefix ex: <http://example.com/> .\n"
+        "ex:a ex:p ex:a .\n<http://example.com/a> ex:p [ ex:p <http://example.com/a> ] ."
+    )
+    a, p = doc.triples[0].s, doc.triples[0].p
+    assert a == Iri(EX + "a")
+    assert all(t.s is a or t.o is a for t in doc.triples)
+    assert all(t.p is p for t in doc.triples)
+
+
+def test_iris_after_a_base_or_prefix_change_use_the_new_value():
+    text = (
+        "@base <http://one/> .\n@prefix ex: <http://one/ns#> .\n"
+        "<a> ex:p <b> .\n"
+        "@base <http://two/> .\nPREFIX ex: <http://two/ns#>\n"
+        "<a> ex:p <b> .\n"
+    )
+    assert formatted(text) == [
+        "<http://one/a> <http://one/ns#p> <http://one/b>",
+        "<http://two/a> <http://two/ns#p> <http://two/b>",
+    ]
+
+
+def test_a_failed_iri_is_not_remembered():
+    parser = TurtleParser("")
+    for _ in range(2):
+        with pytest.raises(TurtleError, match="without a base"):
+            parser.resolve("rel")
+        with pytest.raises(TurtleError, match="not a valid IRI"):
+            parser.resolve("http://e/a b")
+    parser.base = "http://b/"
+    assert parser.resolve("rel") == Iri("http://b/rel")
+
+
+FALL_THROUGH_HEADER = "@prefix ex: <http://ex.org/> .\n@prefix true: <http://t/> .\n"
+# Spellings the one-match token read leaves to the readers, each with what
+# the parser gave for it before that read existed: the formatted triples,
+# or the error with its line and column.  A 'true:' prefixed name is an
+# IRI as a subject or verb, but the keyword true where an object stands.
+FALL_THROUGH = [
+    ('ex:s ex:p ex:a\\. .', ['<http://ex.org/s> <http://ex.org/p> <http://ex.org/a.>']),
+    ('ex:s ex:p ex:a.', ['<http://ex.org/s> <http://ex.org/p> <http://ex.org/a>']),
+    ('ex:s ex:p ex:a.b .', ['<http://ex.org/s> <http://ex.org/p> <http://ex.org/a.b>']),
+    ('ex:s ex:p "x"^^ex:int .', ['<http://ex.org/s> <http://ex.org/p> "x"^^<http://ex.org/int>']),
+    ('ex:s ex:p """a"b""" .', ['<http://ex.org/s> <http://ex.org/p> "a\\"b"']),
+    ("ex:s ex:p 'x' .", ['<http://ex.org/s> <http://ex.org/p> "x"']),
+    ('ex:s ex:p <http://x/\\u0041> .', ['<http://ex.org/s> <http://ex.org/p> <http://x/A>']),
+    ('_:b1 ex:p _:b1 .', ['_:b1 <http://ex.org/p> _:b1']),
+    (
+        'ex:s ex:p ( ex:a ( ) ) .',
+        [
+            '_:b1 <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://ex.org/a>',
+            '_:b1 <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> _:b2',
+            '_:b2 <http://www.w3.org/1999/02/22-rdf-syntax-ns#first> <http://www.w3.org/1999/02/22-rdf-syntax-ns#nil>',
+            '_:b2 <http://www.w3.org/1999/02/22-rdf-syntax-ns#rest> <http://www.w3.org/1999/02/22-rdf-syntax-ns#nil>',
+            '<http://ex.org/s> <http://ex.org/p> _:b1',
+        ],
+    ),
+    (
+        'ex:s a ex:C .',
+        [
+            '<http://ex.org/s> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> <http://ex.org/C>',
+        ],
+    ),
+    (
+        'ex:s ex:p 1, -2.5, .5e1, true .',
+        [
+            '<http://ex.org/s> <http://ex.org/p> "1"^^<http://www.w3.org/2001/XMLSchema#integer>',
+            '<http://ex.org/s> <http://ex.org/p> "-2.5"^^<http://www.w3.org/2001/XMLSchema#decimal>',
+            '<http://ex.org/s> <http://ex.org/p> ".5e1"^^<http://www.w3.org/2001/XMLSchema#double>',
+            '<http://ex.org/s> <http://ex.org/p> "true"^^<http://www.w3.org/2001/XMLSchema#boolean>',
+        ],
+    ),
+    ('true:s true:p ex:o .', ['<http://t/s> <http://t/p> <http://ex.org/o>']),
+    ('ex:s ex:p true:o .', ("line 3, column 15: expected '.'", 3, 15)),
+    (
+        'ex:s ex:p "x"@en .',
+        ('line 3, column 14: language-tagged literals are not supported', 3, 14),
+    ),
+    ('ex:s ex:p nope:o .', ("line 3, column 17: undeclared prefix: 'nope'", 3, 17)),
+]
+
+
+@pytest.mark.parametrize("body,expected", FALL_THROUGH, ids=[b for b, _ in FALL_THROUGH])
+def test_spellings_left_to_the_readers_parse_as_before(body, expected):
+    try:
+        got = formatted(FALL_THROUGH_HEADER + body)
+    except TurtleError as exc:
+        got = (str(exc), exc.line, exc.column)
+    assert got == expected
