@@ -3,22 +3,21 @@
 The expression language mirrors how RML builds terms from tabular data:
 
 * *template expressions* (:class:`TextPart`, :class:`AttrRef`,
-  :class:`TemplateConcat`) evaluate to strings, with the error value
-  :data:`EPSILON` propagating through concatenation;
+  :class:`TemplateConcat`) evaluate to strings;
 * *term constructors* (:class:`ConstantTerm`, :class:`BuildLiteral`,
-  :class:`BuildIri`, :class:`BuildBlank`) turn those
-  strings into RDF terms, again yielding :data:`EPSILON` on failure;
+  :class:`BuildIri`, :class:`BuildBlank`) turn those strings into RDF
+  terms, yielding the error value :data:`EPSILON` on failure;
 * a :class:`TriplesMapExpr` glues an extraction from one source (or a join
   of two) to one constructor per triple position; and
 * an :class:`RmlMappingExpr` is the union of its triples-map expressions.
 
 Evaluation takes a *source assignment* binding each source reference to a
-parsed CSV table and turns each triples-map expression straight into
-triples: every extracted row (a dict from attributes to the cells of their
-columns) gives a subject, a predicate and an object, the object of a
-joined expression coming from each parent row the row joins with.
-:func:`materialize` feeds them into :func:`graph_from_triples`, which keeps
-the well-formed ones; no intermediate relation is built.
+parsed CSV table.  :func:`materialize` compiles every constructor, for that
+call only, into a function of a raw CSV row, then walks each source's rows
+once: every expression over the source runs on each row, a subject that
+several expressions share is built once per row, and a joined expression
+looks its objects up in buckets of the parent table.  Terms are interned by
+the strings they are built from, and the triples stream into the graph.
 
 ``plan()`` spells an expression as an operator tree that only
 :func:`dump_plan` reads: the printed form of ``--dump-algebra``.
@@ -28,12 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import chain
-from typing import Union
+from functools import partial
+from operator import itemgetter
+from typing import ClassVar, Union
 
-from .csvsource import CSV_KIND
+from .csvsource import CSV_KIND, CsvTable, Row
 from .errors import InvalidTermError, SourceInputError, StructuralError
 from .ntriples import escape_string, format_term
 from .rdf import BlankNode, Iri, Literal, RdfGraph, RdfTerm, Triple, is_absolute_iri, is_term, is_valid_iri
@@ -75,8 +75,7 @@ class TextPart:
 
 @dataclass(frozen=True)
 class AttrRef:
-    """A reference to an attribute; evaluates to the lexical form of its
-    value when that value is a literal, and to EPSILON otherwise."""
+    """A reference to an attribute; evaluates to its cell."""
 
     attr: Attribute
 
@@ -100,29 +99,10 @@ TemplateExpr = Union[TextPart, AttrRef, TemplateConcat]
 
 
 def template_attrs(expr: TemplateExpr) -> frozenset[Attribute]:
-    if isinstance(expr, TextPart):
-        return frozenset()
-    if isinstance(expr, AttrRef):
-        return frozenset((expr.attr,))
-    if isinstance(expr, TemplateConcat):
-        return frozenset(p.attr for p in expr.parts if isinstance(p, AttrRef))
-    raise TypeError(f"not a template expression: {expr!r}")
-
-
-def evaluate_template(expr: TemplateExpr, tup: Mapping[Attribute, Value]) -> str | Epsilon:
-    """The string value of a template expression over one tuple."""
-    if isinstance(expr, TextPart):
-        return expr.text
-    if isinstance(expr, AttrRef):
-        try:
-            value = tup[expr.attr]
-        except KeyError:
-            raise StructuralError(f"tuple lacks attribute {expr.attr!r}") from None
-        return value.lex if isinstance(value, Literal) else EPSILON
-    if isinstance(expr, TemplateConcat):
-        pieces = [evaluate_template(part, tup) for part in expr.parts]
-        return EPSILON if EPSILON in pieces else "".join(pieces)
-    raise TypeError(f"not a template expression: {expr!r}")
+    if not isinstance(expr, (TextPart, AttrRef, TemplateConcat)):
+        raise TypeError(f"not a template expression: {expr!r}")
+    parts = expr.parts if isinstance(expr, TemplateConcat) else (expr,)
+    return frozenset(p.attr for p in parts if isinstance(p, AttrRef))
 
 
 # ---------------------------------------------------------------------------
@@ -135,26 +115,37 @@ class ConstantTerm:
     """A fixed RDF term."""
 
     term: RdfTerm
+    attrs: ClassVar[frozenset[Attribute]] = frozenset()
 
     def __post_init__(self):
         if not is_term(self.term):
             raise StructuralError(f"not an RDF term: {self.term!r}")
 
 
+class _FromTemplate:
+    """A constructor built from ``body``; ``attrs`` holds what it reads."""
+
+    attrs: frozenset[Attribute]
+
+    def __post_init__(self):
+        object.__setattr__(self, "attrs", template_attrs(self.body))
+
+
 @dataclass(frozen=True)
-class BuildLiteral:
+class BuildLiteral(_FromTemplate):
     """Make a literal with a fixed datatype from a template expression."""
 
     body: TemplateExpr
     datatype: str
 
     def __post_init__(self):
+        super().__post_init__()
         if not is_valid_iri(self.datatype):
             raise StructuralError(f"datatype is not a valid IRI: {self.datatype!r}")
 
 
 @dataclass(frozen=True)
-class BuildIri:
+class BuildIri(_FromTemplate):
     """Make an IRI from a template expression.
 
     An absolute result is used as-is; anything else is prefixed with the
@@ -166,26 +157,19 @@ class BuildIri:
     base: str
 
     def __post_init__(self):
+        super().__post_init__()
         if not is_valid_iri(self.base):
             raise StructuralError(f"base is not a valid IRI: {self.base!r}")
 
 
 @dataclass(frozen=True)
-class BuildBlank:
+class BuildBlank(_FromTemplate):
     """Make a blank node whose label is a stable hash of the body string."""
 
     body: TemplateExpr
 
 
 ExtendExpr = Union[ConstantTerm, BuildLiteral, BuildIri, BuildBlank]
-
-
-def extend_attrs(expr: ExtendExpr) -> frozenset[Attribute]:
-    if isinstance(expr, ConstantTerm):
-        return frozenset()
-    if isinstance(expr, (BuildLiteral, BuildIri, BuildBlank)):
-        return template_attrs(expr.body)
-    raise TypeError(f"not a term constructor: {expr!r}")
 
 
 def string_to_bnode(s: str) -> BlankNode:
@@ -202,22 +186,6 @@ def resolve_iri(body: str, base: str) -> Iri | Epsilon:
         return Iri(candidate)
     except InvalidTermError:
         return EPSILON
-
-
-def evaluate_extend(expr: ExtendExpr, tup: Mapping[Attribute, Value]) -> Value:
-    """The term value of a constructor over one tuple (EPSILON on failure)."""
-    if isinstance(expr, ConstantTerm):
-        return expr.term
-    if not isinstance(expr, (BuildLiteral, BuildIri, BuildBlank)):
-        raise TypeError(f"not a term constructor: {expr!r}")
-    body = evaluate_template(expr.body, tup)
-    if body is EPSILON:
-        return EPSILON
-    if isinstance(expr, BuildLiteral):
-        return Literal(body, expr.datatype)
-    if isinstance(expr, BuildIri):
-        return resolve_iri(body, expr.base)
-    return string_to_bnode(body)
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +211,6 @@ class ExtractSpec:
 
     source_ref: str
     selectors: dict[Attribute, str]
-
-    @property
-    def attrs(self) -> frozenset[Attribute]:
-        return frozenset(self.selectors)
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +265,7 @@ class TriplesMapExpr:
             ("predicate", self.predicate_expr, child, "extraction"),
             ("object", self.object_expr, object_scope, object_where),
         ):
-            if type(expr) is ConstantTerm:
-                continue
-            missing = extend_attrs(expr) - scope
+            missing = expr.attrs - scope
             if missing:
                 raise StructuralError(
                     f"{name} constructor references attributes outside the "
@@ -324,10 +286,8 @@ class TriplesMapExpr:
         return ExtendNode(inner, "@o", self.object_expr)
 
     def source_refs(self) -> tuple[str, ...]:
-        refs = [self.extract.source_ref]
-        if self.parent_extract is not None:
-            refs.append(self.parent_extract.source_ref)
-        return tuple(refs)
+        specs = (self.extract,) if self.parent_extract is None else (self.extract, self.parent_extract)
+        return tuple(spec.source_ref for spec in specs)
 
 
 @dataclass(eq=False)
@@ -355,109 +315,171 @@ class RmlMappingExpr:
 # ---------------------------------------------------------------------------
 
 
-def _source_data(spec: ExtractSpec, sigma: SourceAssignment) -> DataObject:
-    data = sigma.get(spec.source_ref)
-    if data is None:
-        raise SourceInputError(f"source assignment lacks source reference {spec.source_ref!r}")
-    if data.kind != CSV_KIND:
-        raise SourceInputError(
-            f"source reference {spec.source_ref!r} is bound to a {data.kind!r} "
-            f"object but the mapping needs {CSV_KIND!r}"
-        )
-    return data
-
-
 def check_valid_input(sigma: SourceAssignment, m: RmlMappingExpr) -> None:
     """Raise :class:`SourceInputError` unless *sigma* covers every source
     reference of *m* with a CSV data object."""
-    for tm in m.trmaps:
-        for spec in (tm.extract, tm.parent_extract):
-            if spec is not None:
-                _source_data(spec, sigma)
-
-
-def _extract(
-    spec: ExtractSpec, sigma: SourceAssignment, warned: set[tuple[str, str]]
-) -> Iterator[dict[Attribute, Value]]:
-    """The rows of one extraction, each a fresh dict from every attribute
-    to its cell as an ``xsd:string`` literal.  A row may come out more than
-    once: set semantics is the graph's.  A selector that names no column
-    empties the extraction; *warned* holds the (source, selector) pairs
-    whose warning this evaluation has already logged."""
-    table = _source_data(spec, sigma).payload
-    columns = [(attr, table.column_index(selector)) for attr, selector in spec.selectors.items()]
-    missing = [spec.selectors[attr] for attr, i in columns if i is None]
-    for selector in missing:
-        key = (spec.source_ref, selector)
-        if key not in warned:
-            warned.add(key)
-            logger.warning(
-                "selector %r matches nothing in source %r; rows are dropped",
-                selector,
-                spec.source_ref,
+    for ref in m.source_refs():
+        data = sigma.get(ref)
+        if data is None:
+            raise SourceInputError(f"source assignment lacks source reference {ref!r}")
+        if data.kind != CSV_KIND:
+            raise SourceInputError(
+                f"source reference {ref!r} is bound to a {data.kind!r} "
+                f"object but the mapping needs {CSV_KIND!r}"
             )
-    if missing:
-        return
-    for row in table.rows:
-        yield {attr: Literal(row[i]) for attr, i in columns}
 
 
-def _triples(
-    tm: TriplesMapExpr, sigma: SourceAssignment, warned: set[tuple[str, str]]
-) -> Iterator[tuple[Value, Value, Value]]:
-    """The (subject, predicate, object) values of one triples-map
-    expression, :data:`EPSILON` included, one child row at a time.
+def _columns(
+    spec: ExtractSpec, sigma: SourceAssignment, warned: set[tuple[str, str]]
+) -> dict[Attribute, int] | None:
+    """Each attribute's column index in the extraction's table, or None when
+    a selector names no column and the expression drops its rows.  *warned*
+    holds the (source, selector) pairs this call has warned about."""
+    table: CsvTable = sigma[spec.source_ref].payload
+    column = {attr: table.column_index(selector) for attr, selector in spec.selectors.items()}
+    missing = [spec.selectors[attr] for attr, i in column.items() if i is None]
+    for selector in missing:
+        if (spec.source_ref, selector) not in warned:
+            warned.add((spec.source_ref, selector))
+            logger.warning(
+                "selector %r matches nothing in source %r; rows are dropped", selector, spec.source_ref
+            )
+    return None if missing else column
 
-    A join buckets the distinct parent rows by their join values (EPSILON
-    matches EPSILON; no conditions make one bucket, a cross product) and
-    builds the object from each parent row a child row meets.
+
+def _cells(indices: list[int]) -> Callable[[Row], object]:
+    """The cells of a row at *indices*, as a hashable key."""
+    return itemgetter(*indices) if indices else lambda row: ()
+
+
+def _template(body: TemplateExpr, column: Mapping[Attribute, int]) -> Callable[[Row], str]:
+    """A template expression as a function of a raw row: a column read, a
+    fixed text, or a format string whose text parts have braces doubled."""
+    if isinstance(body, AttrRef):
+        return itemgetter(column[body.attr])
+    if isinstance(body, TextPart):
+        return lambda row, text=body.text: text
+    return "".join(
+        f"{{0[{column[p.attr]}]}}" if isinstance(p, AttrRef)
+        else p.text.replace("{", "{{").replace("}", "}}")
+        for p in body.parts
+    ).format
+
+
+class _Interned(dict):
+    """Terms by the string they are built from; each is built once."""
+
+    def __init__(self, build: Callable[[str], Value]):
+        self.build = build
+
+    def __missing__(self, body: str) -> Value:
+        term = self[body] = self.build(body)
+        return term
+
+
+def _compile(
+    expr: ExtendExpr,
+    column: Mapping[Attribute, int],
+    interned: dict[tuple, _Interned],
+    kinds: tuple[type, ...] = (Iri, BlankNode, Literal),
+) -> Callable[[Row], Value]:
+    """A constructor as a function of a raw row whose cells *column*
+    locates; EPSILON throughout when it can build no term of *kinds*.
+    Built terms come from the call's *interned* tables, one per
+    constructor kind and base or datatype."""
+    if isinstance(expr, ConstantTerm):
+        term = expr.term if isinstance(expr.term, kinds) else EPSILON
+        return lambda row: term
+    if isinstance(expr, BuildIri):
+        kind, key, build = Iri, (BuildIri, expr.base), partial(resolve_iri, base=expr.base)
+    elif isinstance(expr, BuildLiteral):
+        kind, key, build = Literal, (BuildLiteral, expr.datatype), partial(Literal, datatype=expr.datatype)
+    else:
+        kind, key, build = BlankNode, (BuildBlank,), string_to_bnode
+    if not issubclass(kind, kinds):
+        return lambda row: EPSILON
+    table = interned.setdefault(key, _Interned(build))
+    body = _template(expr.body, column)
+    return lambda row: table[body(row)]
+
+
+def _joined_objects(
+    tm: TriplesMapExpr,
+    sigma: SourceAssignment,
+    child: Mapping[Attribute, int],
+    parent: Mapping[Attribute, int],
+    interned: dict[tuple, _Interned],
+) -> Callable[[Row], tuple[Value, ...]]:
+    """The objects a child row of a joined expression meets.  The parent table
+    is bucketed once by its join cells (no conditions make one bucket, a
+    cross product); each distinct parent row builds its object once."""
+    key = _cells([parent[b] for _, b in tm.join_conditions])
+    cells = _cells([parent[a] for a in sorted(tm.object_expr.attrs)])
+    obj = _compile(tm.object_expr, parent, interned)
+    built: dict[object, dict[object, Value]] = {}
+    for row in sigma[tm.parent_extract.source_ref].payload.rows:
+        bucket = built.setdefault(key(row), {})
+        c = cells(row)
+        if c not in bucket:
+            bucket[c] = obj(row)
+    buckets = {k: tuple(bucket.values()) for k, bucket in built.items()}
+    child_key = _cells([child[a] for a, _ in tm.join_conditions])
+    return lambda row: buckets.get(child_key(row), ())
+
+
+def _triples(m: RmlMappingExpr, sigma: SourceAssignment) -> Iterator[Triple]:
+    """The well-formed triples of *m*, in one pass over each source's rows.
+
+    Every expression is compiled first; one whose selector names no column
+    drops its rows.  A triple is dropped without error when a term is
+    :data:`EPSILON` or cannot stand at its position (a literal subject, a
+    predicate that is no IRI).
     """
-    subject, predicate, obj = tm.subject_expr, tm.predicate_expr, tm.object_expr
-    rows = _extract(tm.extract, sigma, warned)
-    if tm.parent_extract is None:
-        for row in rows:
-            s, p = evaluate_extend(subject, row), evaluate_extend(predicate, row)
-            yield s, p, evaluate_extend(obj, row)
-        return
-    # a bucket keeps each distinct parent row once, keyed by all its values
-    parent_attrs = sorted(tm.parent_extract.attrs)
-    buckets: dict[tuple[Value, ...], dict[tuple[Value, ...], dict[Attribute, Value]]] = {}
-    for parent in _extract(tm.parent_extract, sigma, warned):
-        key = tuple(parent[b] for _, b in tm.join_conditions)
-        buckets.setdefault(key, {}).setdefault(tuple(parent[a] for a in parent_attrs), parent)
-    for row in rows:
-        matches = buckets.get(tuple(row[a] for a, _ in tm.join_conditions))
-        if matches:
-            s, p = evaluate_extend(subject, row), evaluate_extend(predicate, row)
-            for parent in matches.values():
-                yield s, p, evaluate_extend(obj, parent)
-
-
-def graph_from_triples(triples: Iterable[tuple[Value, Value, Value]]) -> RdfGraph:
-    """The well-formed triples among *triples*: subject an IRI or blank
-    node, predicate an IRI, object any RDF term.  The rest, :data:`EPSILON`
-    included, is dropped without error.  *triples* is read once, so it may
-    be a stream; equal terms end up as one object in the graph."""
-    terms: dict[RdfTerm, RdfTerm] = {}
-    share = terms.setdefault
-    subjects, objects = (Iri, BlankNode), (Iri, BlankNode, Literal)
-    return RdfGraph(
-        Triple(share(s, s), share(p, p), share(o, o))
-        for s, p, o in triples
-        if isinstance(s, subjects) and isinstance(p, Iri) and isinstance(o, objects)
-    )
+    interned: dict[tuple, _Interned] = {}
+    warned: set[tuple[str, str]] = set()
+    # source -> shared subject (constructor, its columns) -> (subject,
+    # [(predicate, objects)]), where objects gives a row's objects
+    passes: dict[str, dict[tuple, tuple[Callable, list]]] = {}
+    for tm in m.trmaps:
+        column = _columns(tm.extract, sigma, warned)
+        parent = None if tm.parent_extract is None else _columns(tm.parent_extract, sigma, warned)
+        if column is None or (tm.parent_extract is not None and parent is None):
+            continue
+        subject = tm.subject_expr
+        groups = passes.setdefault(tm.extract.source_ref, {})
+        key = (subject, tuple(column[a] for a in sorted(subject.attrs)))
+        if key not in groups:
+            groups[key] = (_compile(subject, column, interned, (Iri, BlankNode)), [])
+        if parent is None:
+            obj = _compile(tm.object_expr, column, interned)
+            objects = lambda row, obj=obj: (obj(row),)
+        else:
+            objects = _joined_objects(tm, sigma, column, parent, interned)
+        groups[key][1].append((_compile(tm.predicate_expr, column, interned, (Iri,)), objects))
+    for ref, by_subject in passes.items():
+        groups = list(by_subject.values())
+        for row in sigma[ref].payload.rows:
+            for subject, pairs in groups:
+                s = subject(row)
+                if s is EPSILON:
+                    continue
+                for predicate, objects in pairs:
+                    p = predicate(row)
+                    if p is not EPSILON:
+                        for o in objects(row):
+                            if o is not EPSILON:
+                                yield Triple(s, p, o)
 
 
 def materialize(m: RmlMappingExpr, sigma: SourceAssignment) -> RdfGraph:
     """Evaluate the whole mapping and keep the well-formed triples."""
     check_valid_input(sigma, m)
-    warned: set[tuple[str, str]] = set()
-    return graph_from_triples(chain.from_iterable(_triples(tm, sigma, warned) for tm in m.trmaps))
+    return RdfGraph(_triples(m, sigma))
 
 
 def materialize_trmap(tm: TriplesMapExpr, sigma: SourceAssignment) -> RdfGraph:
     """The graph produced by a single triples-map expression."""
-    return graph_from_triples(_triples(tm, sigma, set()))
+    return materialize(RmlMappingExpr((tm,)), sigma)
 
 
 # ---------------------------------------------------------------------------

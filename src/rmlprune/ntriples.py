@@ -50,11 +50,32 @@ def format_term(term: RdfTerm) -> str:
     raise TypeError(f"not an RDF term: {term!r}")
 
 
-def format_triple(triple: Triple) -> str:
-    return f"{format_term(triple.s)} {format_term(triple.p)} {format_term(triple.o)} ."
+def _subject_chunks(g: Iterable[Triple]) -> list[str]:
+    """Each subject's sorted lines joined into one string, in the order of
+    the subjects' spellings."""
+    by_subject: dict[RdfTerm, list[Triple]] = {}
+    for t in g:
+        group = by_subject.get(t.s)
+        if group is None:
+            by_subject[t.s] = [t]
+        else:
+            group.append(t)
+    chunks = []
+    for subject, triples in sorted((format_term(s), group) for s, group in by_subject.items()):
+        lines = [f"{subject} {format_term(t.p)} {format_term(t.o)} .\n" for t in triples]
+        lines.sort()
+        chunks.append("".join(lines))
+    return chunks
 
 
 def serialize_graph(g: RdfGraph | Iterable[Triple]) -> str:
-    """The graph as N-Triples text, one sorted line per triple."""
-    lines = sorted(format_triple(t) for t in g)
-    return "\n".join(lines) + "\n" if lines else ""
+    """The graph as N-Triples text, one sorted line per triple.
+
+    Sorting each subject's lines, with the subjects in the order of their
+    spellings, gives the order of sorting all lines: no subject's spelling
+    is a proper prefix of another's followed by a character below the space
+    (an IRI's ends in ``>``, a blank node label's characters are above the
+    space).  The text is joined from one chunk per subject, so its peak is
+    about twice the text, not every line plus two copies of the text.
+    """
+    return "".join(_subject_chunks(g))

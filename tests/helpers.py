@@ -2,14 +2,39 @@
 the package's public API, kept out of the package itself."""
 
 import importlib.util
+from collections.abc import Iterable, Iterator, Mapping
+from itertools import chain
 from pathlib import Path
 
-from rmlprune.algebra import RmlMappingExpr, TriplesMapExpr, check_valid_input
-from rmlprune.errors import SourceInputError
+from rmlprune.algebra import (
+    EPSILON,
+    AttrRef,
+    BuildBlank,
+    BuildIri,
+    BuildLiteral,
+    ConstantTerm,
+    Epsilon,
+    ExtendExpr,
+    ExtractSpec,
+    RmlMappingExpr,
+    SourceAssignment,
+    TemplateConcat,
+    TemplateExpr,
+    TextPart,
+    TriplesMapExpr,
+    Value,
+    check_valid_input,
+    resolve_iri,
+    string_to_bnode,
+)
+from rmlprune.errors import SourceInputError, StructuralError
+from rmlprune.ntriples import format_term
 from rmlprune.pruning import format_pattern_term
 from rmlprune.rdf import (
     Bgp,
     BlankNode,
+    Iri,
+    Literal,
     RdfGraph,
     SolutionMapping,
     Triple,
@@ -41,6 +66,121 @@ def valid_input(sigma, m: RmlMappingExpr) -> bool:
     except SourceInputError:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the reference evaluator: one extraction per expression, a dict of
+# ``xsd:string`` literals per row, constructors interpreted per tuple
+# ---------------------------------------------------------------------------
+
+
+def evaluate_template(expr: TemplateExpr, tup: Mapping[str, Value]) -> str | Epsilon:
+    """The string value of a template expression over one tuple."""
+    if isinstance(expr, TextPart):
+        return expr.text
+    if isinstance(expr, AttrRef):
+        try:
+            value = tup[expr.attr]
+        except KeyError:
+            raise StructuralError(f"tuple lacks attribute {expr.attr!r}") from None
+        return value.lex if isinstance(value, Literal) else EPSILON
+    if isinstance(expr, TemplateConcat):
+        pieces = [evaluate_template(part, tup) for part in expr.parts]
+        return EPSILON if EPSILON in pieces else "".join(pieces)
+    raise TypeError(f"not a template expression: {expr!r}")
+
+
+def evaluate_extend(expr: ExtendExpr, tup: Mapping[str, Value]) -> Value:
+    """The term value of a constructor over one tuple (EPSILON on failure)."""
+    if isinstance(expr, ConstantTerm):
+        return expr.term
+    if not isinstance(expr, (BuildLiteral, BuildIri, BuildBlank)):
+        raise TypeError(f"not a term constructor: {expr!r}")
+    body = evaluate_template(expr.body, tup)
+    if body is EPSILON:
+        return EPSILON
+    if isinstance(expr, BuildLiteral):
+        return Literal(body, expr.datatype)
+    if isinstance(expr, BuildIri):
+        return resolve_iri(body, expr.base)
+    return string_to_bnode(body)
+
+
+def extract_rows(
+    spec: ExtractSpec, sigma: SourceAssignment, warned: set[tuple[str, str]]
+) -> Iterator[dict[str, Value]]:
+    """The rows of one extraction, each a fresh dict from every attribute
+    to its cell as an ``xsd:string`` literal.  A selector that names no
+    column empties the extraction and adds its (source, selector) pair to
+    *warned*."""
+    table = sigma[spec.source_ref].payload
+    columns = [(attr, table.column_index(selector)) for attr, selector in spec.selectors.items()]
+    missing = {(spec.source_ref, spec.selectors[attr]) for attr, i in columns if i is None}
+    warned |= missing
+    if missing:
+        return
+    for row in table.rows:
+        yield {attr: Literal(row[i]) for attr, i in columns}
+
+
+def trmap_values(
+    tm: TriplesMapExpr, sigma: SourceAssignment, warned: set[tuple[str, str]]
+) -> Iterator[tuple[Value, Value, Value]]:
+    """The (subject, predicate, object) values of one triples-map
+    expression, EPSILON included, one child row at a time.  A join meets
+    each child row with every parent row whose join values equal its own
+    (no conditions: every parent row)."""
+    rows = list(extract_rows(tm.extract, sigma, warned))
+    if tm.parent_extract is None:
+        for row in rows:
+            s, p = evaluate_extend(tm.subject_expr, row), evaluate_extend(tm.predicate_expr, row)
+            yield s, p, evaluate_extend(tm.object_expr, row)
+        return
+    parents = list(extract_rows(tm.parent_extract, sigma, warned))
+    for row in rows:
+        for parent in parents:
+            if all(row[a] == parent[b] for a, b in tm.join_conditions):
+                s, p = evaluate_extend(tm.subject_expr, row), evaluate_extend(tm.predicate_expr, row)
+                yield s, p, evaluate_extend(tm.object_expr, parent)
+
+
+def graph_from_triples(triples: Iterable[tuple[Value, Value, Value]]) -> RdfGraph:
+    """The well-formed triples among *triples*: subject an IRI or blank
+    node, predicate an IRI, object any RDF term.  The rest, EPSILON
+    included, is dropped without error."""
+    subjects, objects = (Iri, BlankNode), (Iri, BlankNode, Literal)
+    return RdfGraph(
+        Triple(s, p, o)
+        for s, p, o in triples
+        if isinstance(s, subjects) and isinstance(p, Iri) and isinstance(o, objects)
+    )
+
+
+def reference_materialize(
+    m: RmlMappingExpr, sigma: SourceAssignment, warned: set[tuple[str, str]] | None = None
+) -> RdfGraph:
+    """The oracle for ``materialize``: each expression evaluated on its own
+    over dict rows.  *warned* collects the (source, selector) pairs whose
+    selector names no column."""
+    check_valid_input(sigma, m)
+    warned = set() if warned is None else warned
+    return graph_from_triples(chain.from_iterable(trmap_values(tm, sigma, warned) for tm in m.trmaps))
+
+
+# ---------------------------------------------------------------------------
+# N-Triples
+# ---------------------------------------------------------------------------
+
+
+def format_triple(triple: Triple) -> str:
+    return f"{format_term(triple.s)} {format_term(triple.p)} {format_term(triple.o)} ."
+
+
+def reference_serialize(g: Iterable[Triple]) -> str:
+    """The oracle for ``serialize_graph``: every line formatted, then all
+    of them sorted."""
+    lines = sorted(format_triple(t) for t in g)
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 # ---------------------------------------------------------------------------

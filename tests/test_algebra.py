@@ -1,8 +1,14 @@
 """Template expressions, term constructors, extraction, triples-map
-evaluation and the printed plan."""
+evaluation and the printed plan.
+
+The one-pass ``materialize`` is checked against the reference evaluator in
+``tests/helpers.py``, which evaluates each expression on its own over a
+dict of literals per row.
+"""
 
 import logging
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,16 +27,13 @@ from rmlprune.algebra import (
     TextPart,
     TriplesMapExpr,
     dump_plan,
-    evaluate_extend,
-    evaluate_template,
-    extend_attrs,
     materialize,
     materialize_trmap,
     resolve_iri,
     string_to_bnode,
     template_attrs,
 )
-from rmlprune.csvsource import CSV_KIND, parse_csv
+from rmlprune.csvsource import CSV_KIND, CsvTable, parse_csv
 from rmlprune.errors import SourceInputError, StructuralError
 from rmlprune.rdf import (
     XSD_DOUBLE,
@@ -41,9 +44,17 @@ from rmlprune.rdf import (
     RdfGraph,
     Triple,
 )
+from rmlprune.rml import parse_rml, translate
 
 from . import randgen
-from .helpers import unique_trmaps, valid_input
+from .helpers import (
+    evaluate_extend,
+    evaluate_template,
+    reference_materialize,
+    trmap_values,
+    unique_trmaps,
+    valid_input,
+)
 
 BASE = "http://example.com/base/"
 
@@ -53,10 +64,6 @@ def csv_sigma(**files: str) -> dict[str, DataObject]:
         name: DataObject(kind=CSV_KIND, payload=parse_csv(text))
         for name, text in files.items()
     }
-
-
-def tuple_set(*tuples: dict) -> set[frozenset]:
-    return {frozenset(t.items()) for t in tuples}
 
 
 def csv_extract(source: str, *attrs: str, selectors: dict | None = None) -> ExtractSpec:
@@ -108,11 +115,12 @@ def test_evaluate_template():
 
 
 def test_extend_attrs():
-    assert extend_attrs(ConstantTerm(Iri("http://e/x"))) == frozenset()
-    assert extend_attrs(ConstantTerm(BlankNode("b"))) == frozenset()
-    assert extend_attrs(BuildLiteral(AttrRef("a"), XSD_STRING)) == {"a"}
-    assert extend_attrs(BuildIri(AttrRef("a"), BASE)) == {"a"}
-    assert extend_attrs(BuildBlank(AttrRef("a"))) == {"a"}
+    assert ConstantTerm(Iri("http://e/x")).attrs == frozenset()
+    assert ConstantTerm(BlankNode("b")).attrs == frozenset()
+    assert BuildLiteral(AttrRef("a"), XSD_STRING).attrs == {"a"}
+    assert BuildIri(AttrRef("a"), BASE).attrs == {"a"}
+    concat = TemplateConcat((TextPart("http://e/"), AttrRef("a"), AttrRef("b")))
+    assert BuildBlank(concat).attrs == {"a", "b"}
 
 
 def test_resolve_iri_absolute_relative_invalid():
@@ -168,64 +176,83 @@ def test_constructor_validation():
 
 
 # ---------------------------------------------------------------------------
-# extraction
+# extraction: the rows materialize reads from a source
 # ---------------------------------------------------------------------------
+
+
+def rows_trmap(spec: ExtractSpec) -> TriplesMapExpr:
+    """An expression with one object per extracted row: "row", then each
+    attribute's cell after a "|", in attribute order."""
+    parts = [TextPart("row")]
+    for attr in sorted(spec.selectors):
+        parts += [TextPart("|"), AttrRef(attr)]
+    body = parts[0] if len(parts) == 1 else TemplateConcat(tuple(parts))
+    return TriplesMapExpr(
+        subject_expr=ConstantTerm(Iri("http://e.com/s")),
+        predicate_expr=ConstantTerm(Iri("http://e.com/row")),
+        object_expr=BuildLiteral(body, XSD_STRING),
+        extract=spec,
+    )
+
+
+def extracted(spec: ExtractSpec, sigma) -> list[str]:
+    """The distinct rows of one extraction, as ``rows_trmap`` spells them."""
+    return sorted(t.o.lex for t in materialize_trmap(rows_trmap(spec), sigma))
+
+
+def missing_column_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records if "nope" in r.getMessage()]
 
 
 def test_extract_produces_one_tuple_per_row():
     sigma = csv_sigma(**{"t.csv": "a,b\n1,x\n2,y\n"})
-    spec = csv_extract("t.csv", "a", "b")
-    assert spec.attrs == {"a", "b"}
-    assert tuple_set(*algebra._extract(spec, sigma, set())) == tuple_set(
-        {"a": Literal("1"), "b": Literal("x")},
-        {"a": Literal("2"), "b": Literal("y")},
-    )
+    assert extracted(csv_extract("t.csv", "a", "b"), sigma) == ["row|1|x", "row|2|y"]
 
 
 def test_extract_set_semantics_collapses_duplicate_rows():
     sigma = csv_sigma(**{"t.csv": "a\nv\nv\n"})
-    rows = algebra._extract(csv_extract("t.csv", "a"), sigma, set())
-    assert tuple_set(*rows) == tuple_set({"a": Literal("v")})
+    assert extracted(csv_extract("t.csv", "a"), sigma) == ["row|v"]
 
 
 def test_extract_with_no_selectors_yields_one_empty_tuple():
     sigma = csv_sigma(**{"t.csv": "a\n1\n2\n"})
-    spec = csv_extract("t.csv")
-    assert spec.attrs == frozenset()
-    assert tuple_set(*algebra._extract(spec, sigma, set())) == tuple_set({})
+    assert extracted(csv_extract("t.csv"), sigma) == ["row"]
+    assert extracted(csv_extract("t.csv"), csv_sigma(**{"t.csv": "a\n"})) == []
 
 
 def test_extract_missing_column_drops_rows_and_warns_once(caplog):
-    # once per evaluation call: three rows give one warning, and a second
-    # call over the same source and selector warns again
+    # once per evaluation call: three rows and two expressions over the
+    # missing column give one warning, and a second call warns again
     sigma = csv_sigma(**{"t.csv": "a\n1\n2\n3\n"})
     spec = csv_extract("t.csv", selectors={"x": "nope", "a": "a"})
+    other = replace(rows_trmap(spec), predicate_expr=ConstantTerm(Iri("http://e.com/other")))
+    m = RmlMappingExpr((rows_trmap(spec), other, rows_trmap(csv_extract("t.csv", "a"))))
     with caplog.at_level(logging.WARNING, logger="rmlprune.algebra"):
-        rows = list(algebra._extract(spec, sigma, set()))
-        assert len([r for r in caplog.records if "nope" in r.getMessage()]) == 1
-        list(algebra._extract(spec, sigma, set()))
-    assert rows == []
-    warnings = [r for r in caplog.records if "nope" in r.getMessage()]
-    assert len(warnings) == 2
+        graph = materialize(m, sigma)
+        assert len(missing_column_warnings(caplog)) == 1
+        materialize(m, sigma)
+    # only the expression that reads no missing column keeps its rows
+    assert sorted(t.o.lex for t in graph) == ["row|1", "row|2", "row|3"]
+    assert len(missing_column_warnings(caplog)) == 2
 
 
 def test_extract_missing_column_of_a_header_only_table_warns_once(caplog):
     sigma = csv_sigma(**{"t.csv": "a\n"})
     spec = csv_extract("t.csv", selectors={"x": "nope", "a": "a"})
     with caplog.at_level(logging.WARNING, logger="rmlprune.algebra"):
-        assert list(algebra._extract(spec, sigma, set())) == []
-    assert len([r for r in caplog.records if "nope" in r.getMessage()]) == 1
+        assert extracted(spec, sigma) == []
+    assert len(missing_column_warnings(caplog)) == 1
 
 
 def test_extract_unbound_source_reference():
     with pytest.raises(SourceInputError):
-        list(algebra._extract(csv_extract("absent.csv", "a"), {}, set()))
+        extracted(csv_extract("absent.csv", "a"), {})
 
 
 def test_extract_wrong_source_kind():
     sigma = {"t.csv": DataObject(kind="other", payload=None)}
     with pytest.raises(SourceInputError):
-        list(algebra._extract(csv_extract("t.csv", "a"), sigma, set()))
+        extracted(csv_extract("t.csv", "a"), sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +492,7 @@ def test_wide_mapping_evaluates_without_recursion():
     for tm in mapping.trmaps:
         per_trmap |= materialize_trmap(tm, sigma).triples
     assert graph.triples == per_trmap
+    assert graph == reference_materialize(mapping, sigma)
     assert len(graph) > 5000
     text = dump_plan(mapping.plan())
     assert text.count("(project [@s @p @o]") == 5000
@@ -473,20 +501,26 @@ def test_wide_mapping_evaluates_without_recursion():
 
 def test_join_streams_each_distinct_parent_tuple_once(monkeypatch):
     calls = []
-    real_extend = algebra.evaluate_extend
+    real_compile = algebra._compile
 
-    def counting_extend(expr, tup):
-        calls.append(tup)
-        return real_extend(expr, tup)
+    def counting_compile(expr, *args):
+        build = real_compile(expr, *args)
 
-    monkeypatch.setattr(algebra, "evaluate_extend", counting_extend)
+        def counted(row):
+            calls.append((expr, row))
+            return build(row)
+
+        return counted
+
+    monkeypatch.setattr(algebra, "_compile", counting_compile)
     sigma = csv_sigma(
         **{"child.csv": "a,b\n1,x\n", "parent.csv": "c,d\nx,P\nx,P\nx,Q\n"}
     )
-    graph = materialize_trmap(joined_trmap(), sigma)
+    tm = joined_trmap()
+    graph = materialize_trmap(tm, sigma)
     assert graph.triples == {link_triple("1", "P"), link_triple("1", "Q")}
     # the repeated parent row "x,P" builds its object once
-    assert sorted(t["d@p"].lex for t in calls if "d@p" in t) == ["P", "Q"]
+    assert sorted(row for expr, row in calls if expr is tm.object_expr) == [("x", "P"), ("x", "Q")]
 
 
 def test_dump_plan_renders_operators():
@@ -529,3 +563,88 @@ def test_dump_plan_escapes_names_and_texts():
     assert '(const "a\\"b\\nc")' in text
     assert "[x\\ny<-col\\\\\\n]" in text
     assert "(join [a\\n=k\\n@p]" in text
+
+
+# ---------------------------------------------------------------------------
+# the one-pass materialize against the reference evaluator
+# ---------------------------------------------------------------------------
+
+# the text of the RML template "\{x\}\{0[1]\}\{": a format string that did
+# not double its braces would read a field here
+BRACES = TextPart("{x}{0[1]}{")
+
+
+def vary(tm: TriplesMapExpr, rng: random.Random) -> TriplesMapExpr:
+    """*tm*, or at random a variant: its join conditions dropped, one of
+    its selectors naming a missing column or another column (so a subject
+    constructor shared with other expressions reads other cells), or an
+    object whose template text holds braces (as an IRI it is invalid, so
+    EPSILON)."""
+    roll = rng.random()
+    attr = rng.choice(sorted(tm.subject_expr.attrs or tm.extract.selectors))
+    if roll < 0.3 and tm.parent_extract is not None:
+        return replace(tm, join_conditions=())
+    if roll < 0.55:
+        column = "missing" if roll < 0.4 else rng.choice(sorted(tm.extract.selectors.values()))
+        selectors = {**tm.extract.selectors, attr: column}
+        return replace(tm, extract=ExtractSpec(tm.extract.source_ref, selectors))
+    if roll < 0.8 and tm.parent_extract is None:
+        body = TemplateConcat((BRACES, AttrRef(attr), TextPart("}")))
+        obj = rng.choice([BuildLiteral(body, XSD_STRING), BuildBlank(body), BuildIri(body, BASE)])
+        return replace(tm, object_expr=obj)
+    return tm
+
+
+def doubled(sigma: dict[str, DataObject]) -> dict[str, DataObject]:
+    """Every table with each of its rows twice: duplicate parent rows."""
+    return {
+        ref: DataObject(kind=CSV_KIND, payload=CsvTable(data.payload.header, data.payload.rows * 2))
+        for ref, data in sigma.items()
+    }
+
+
+def check_against_reference(m: RmlMappingExpr, sigma, caplog) -> set[tuple[str, str]]:
+    """Assert that materialize gives the reference graph and warns once for
+    each (source, selector) pair the reference drops; returns the pairs."""
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="rmlprune.algebra"):
+        graph = materialize(m, sigma)
+    warned: set[tuple[str, str]] = set()
+    assert graph == reference_materialize(m, sigma, warned)
+    logged = [(r.args[1], r.args[0]) for r in caplog.records if "matches nothing" in r.getMessage()]
+    assert sorted(logged) == sorted(warned)
+    return warned
+
+
+def test_materialize_matches_reference_on_random_instances(caplog):
+    cases = ("join without conditions", "duplicate parent rows", "missing column", "empty cell", "EPSILON")
+    seen = dict.fromkeys(cases, 0)
+    for seed in range(150):
+        inst = randgen.make_instance(seed, allow_empty=seed % 3 == 2)
+        rng = random.Random(seed)
+        varied = RmlMappingExpr(tuple(vary(tm, rng) for tm in inst.mapping.trmaps))
+        check_against_reference(inst.mapping, inst.sigma, caplog)
+        check_against_reference(inst.mapping, doubled(inst.sigma), caplog)
+        seen["missing column"] += bool(check_against_reference(varied, inst.sigma, caplog))
+        joined = [tm for tm in varied.trmaps if tm.is_joined]
+        seen["join without conditions"] += any(not tm.join_conditions for tm in joined)
+        seen["duplicate parent rows"] += bool(joined)
+        seen["empty cell"] += any("" in row for data in inst.sigma.values() for row in data.payload.rows)
+        seen["EPSILON"] += any(
+            EPSILON in values for tm in varied.trmaps for values in trmap_values(tm, inst.sigma, set())
+        )
+    assert all(seen.values()), seen
+
+
+def test_escaped_braces_in_an_rml_template_stay_text(caplog):
+    doc = parse_rml(
+        "@prefix rml: <http://w3id.org/rml/> .\n"
+        "<http://e.com/tm> rml:logicalSource [ rml:source \"t.csv\" ; rml:referenceFormulation rml:CSV ] ;\n"
+        "  rml:subjectMap [ rml:template \"http://e.com/s/{id}\" ] ;\n"
+        "  rml:predicateObjectMap [ rml:predicate <http://e.com/p> ;\n"
+        "    rml:objectMap [ rml:template \"\\\\{x\\\\}\\\\{0[0]\\\\}{v}\" ; rml:termType rml:Literal ] ] .\n"
+    )
+    sigma = csv_sigma(**{"t.csv": "id,v\n7,a\n8,{id}\n"})
+    m = translate(doc)
+    check_against_reference(m, sigma, caplog)
+    assert sorted(t.o.lex for t in materialize(m, sigma)) == ["{x}{0[0]}a", "{x}{0[0]}{id}"]

@@ -2,18 +2,30 @@
 
 import pytest
 
-from rmlprune import algebra
-from rmlprune.algebra import DataObject, ExtractSpec
+from rmlprune.algebra import (
+    AttrRef,
+    BuildLiteral,
+    ConstantTerm,
+    DataObject,
+    ExtractSpec,
+    TriplesMapExpr,
+    materialize_trmap,
+)
 from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.errors import CsvError
-from rmlprune.rdf import XSD_STRING, Literal
+from rmlprune.rdf import XSD_STRING, Iri, Literal
 
 
-def extract_column(text: str, column: str) -> list:
-    """The values extraction gives attribute ``v`` reading *column*."""
+def extract_column(text: str, column: str) -> set:
+    """The terms a reference to *column* gives, one per distinct cell."""
     sigma = {"t.csv": DataObject(kind=CSV_KIND, payload=parse_csv(text))}
-    rows = algebra._extract(ExtractSpec("t.csv", {"v": column}), sigma, set())
-    return [row["v"] for row in rows]
+    tm = TriplesMapExpr(
+        subject_expr=ConstantTerm(Iri("http://e.com/s")),
+        predicate_expr=ConstantTerm(Iri("http://e.com/v")),
+        object_expr=BuildLiteral(AttrRef("v"), XSD_STRING),
+        extract=ExtractSpec("t.csv", {"v": column}),
+    )
+    return {t.o for t in materialize_trmap(tm, sigma)}
 
 
 def test_parse_simple():
@@ -58,8 +70,8 @@ def test_parse_ragged_row_reports_record_number():
 
 
 def test_select_preserves_empty_cells():
-    assert extract_column("a,b\n,y\n", "a") == [Literal("")]
+    assert extract_column("a,b\n,y\n", "a") == {Literal("")}
 
 
 def test_cast_always_builds_string_literals():
-    assert extract_column("a\n42\n\"\"\n", "a") == [Literal("42", XSD_STRING), Literal("")]
+    assert extract_column("a\n42\n\"\"\n", "a") == {Literal("42", XSD_STRING), Literal("")}

@@ -1,5 +1,5 @@
-"""EPSILON, and the graph built from the (subject, predicate, object)
-values that evaluation yields.
+"""EPSILON, and the graph the reference evaluator builds from the
+(subject, predicate, object) values it yields.
 
 ``graph_from_triples`` is checked against a per-triple oracle: a value
 triple contributes a triple exactly when its three values are a legal
@@ -9,8 +9,10 @@ triple contributes a triple exactly when its three values are a legal
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rmlprune.algebra import EPSILON, Epsilon, graph_from_triples
+from rmlprune.algebra import EPSILON, Epsilon
 from rmlprune.rdf import BlankNode, Iri, Literal, Triple
+
+from .helpers import graph_from_triples
 
 EX = "http://example.com/"
 
