@@ -11,7 +11,6 @@ chain for one query.
 """
 
 from .algebra import (
-    AttrRef,
     BuildBlank,
     BuildIri,
     BuildLiteral,
@@ -19,8 +18,7 @@ from .algebra import (
     DataObject,
     ExtractSpec,
     RmlMappingExpr,
-    TemplateConcat,
-    TextPart,
+    Template,
     TriplesMapExpr,
     materialize,
     materialize_trmap,
@@ -55,7 +53,6 @@ from .sparql import SelectQuery, collect_triple_patterns, flatten_bgp, parse_que
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttrRef",
     "Bgp",
     "BlankNode",
     "BuildBlank",
@@ -78,8 +75,7 @@ __all__ = [
     "SourceInputError",
     "SparqlError",
     "StructuralError",
-    "TemplateConcat",
-    "TextPart",
+    "Template",
     "Triple",
     "TriplePattern",
     "TriplesMapExpr",

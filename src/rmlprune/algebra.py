@@ -2,8 +2,8 @@
 
 The expression language mirrors how RML builds terms from tabular data:
 
-* *template expressions* (:class:`TextPart`, :class:`AttrRef`,
-  :class:`TemplateConcat`) evaluate to strings;
+* a :class:`Template` alternates fixed texts with attribute names and
+  evaluates to a string: the texts with each attribute's cell between them;
 * *term constructors* (:class:`ConstantTerm`, :class:`BuildLiteral`,
   :class:`BuildIri`, :class:`BuildBlank`) turn those strings into RDF
   terms, yielding the error value :data:`EPSILON` on failure;
@@ -19,8 +19,8 @@ several expressions share is built once per row, and a joined expression
 looks its objects up in buckets of the parent table.  Terms are interned by
 the strings they are built from, and the triples stream into the graph.
 
-``plan()`` spells an expression as an operator tree that only
-:func:`dump_plan` reads: the printed form of ``--dump-algebra``.
+:func:`dump_plan` prints an expression as nested operators (extract,
+extend, join, project, union), the form of ``--dump-algebra``.
 """
 
 from __future__ import annotations
@@ -62,47 +62,31 @@ EPSILON = Epsilon()
 Value = RdfTerm | Epsilon
 
 # ---------------------------------------------------------------------------
-# template expressions (string-valued)
+# templates (string-valued)
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class TextPart:
-    """A fixed string segment."""
+class Template:
+    """Texts alternating with attribute names, text first and last; a text
+    may be empty.  ``http://ex/{a}/{b}`` is ``("http://ex/", "a", "/", "b",
+    "")`` and a bare reference to ``a`` is ``("", "a", "")``."""
 
-    text: str
-
-
-@dataclass(frozen=True)
-class AttrRef:
-    """A reference to an attribute; evaluates to its cell."""
-
-    attr: Attribute
-
-
-@dataclass(frozen=True)
-class TemplateConcat:
-    """Concatenation of two or more fixed segments and attribute references."""
-
-    parts: tuple[Union[TextPart, AttrRef], ...]
+    parts: tuple[str, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
-        if len(self.parts) < 2:
-            raise StructuralError("a concatenation needs at least two parts")
+        if len(self.parts) % 2 == 0:
+            raise StructuralError(
+                f"a template alternates texts and attributes, text first and last: {self.parts!r}"
+            )
         for part in self.parts:
-            if not isinstance(part, (TextPart, AttrRef)):
-                raise StructuralError(f"concatenation parts must be atomic: {part!r}")
+            if not isinstance(part, str):
+                raise StructuralError(f"template parts must be strings: {part!r}")
 
-
-TemplateExpr = Union[TextPart, AttrRef, TemplateConcat]
-
-
-def template_attrs(expr: TemplateExpr) -> frozenset[Attribute]:
-    if not isinstance(expr, (TextPart, AttrRef, TemplateConcat)):
-        raise TypeError(f"not a template expression: {expr!r}")
-    parts = expr.parts if isinstance(expr, TemplateConcat) else (expr,)
-    return frozenset(p.attr for p in parts if isinstance(p, AttrRef))
+    @property
+    def attrs(self) -> frozenset[Attribute]:
+        return frozenset(self.parts[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +112,14 @@ class _FromTemplate:
     attrs: frozenset[Attribute]
 
     def __post_init__(self):
-        object.__setattr__(self, "attrs", template_attrs(self.body))
+        object.__setattr__(self, "attrs", self.body.attrs)
 
 
 @dataclass(frozen=True)
 class BuildLiteral(_FromTemplate):
-    """Make a literal with a fixed datatype from a template expression."""
+    """Make a literal with a fixed datatype from a template."""
 
-    body: TemplateExpr
+    body: Template
     datatype: str
 
     def __post_init__(self):
@@ -146,14 +130,14 @@ class BuildLiteral(_FromTemplate):
 
 @dataclass(frozen=True)
 class BuildIri(_FromTemplate):
-    """Make an IRI from a template expression.
+    """Make an IRI from a template.
 
     An absolute result is used as-is; anything else is prefixed with the
     base, verbatim.  A result that is no syntactically valid IRI becomes
     EPSILON.
     """
 
-    body: TemplateExpr
+    body: Template
     base: str
 
     def __post_init__(self):
@@ -166,7 +150,7 @@ class BuildIri(_FromTemplate):
 class BuildBlank(_FromTemplate):
     """Make a blank node whose label is a stable hash of the body string."""
 
-    body: TemplateExpr
+    body: Template
 
 
 ExtendExpr = Union[ConstantTerm, BuildLiteral, BuildIri, BuildBlank]
@@ -276,14 +260,10 @@ class TriplesMapExpr:
     def is_joined(self) -> bool:
         return self.parent_extract is not None
 
-    def plan(self) -> "PlanNode":
-        """The operator tree this expression denotes, for :func:`dump_plan`."""
-        inner: PlanNode = ExtractNode(self.extract)
-        inner = ExtendNode(inner, "@s", self.subject_expr)
-        inner = ExtendNode(inner, "@p", self.predicate_expr)
-        if self.parent_extract is not None:
-            inner = JoinNode(inner, ExtractNode(self.parent_extract), self.join_conditions)
-        return ExtendNode(inner, "@o", self.object_expr)
+    def plan(self) -> "TriplesMapExpr":
+        """The expression itself, which :func:`dump_plan` prints;
+        ``perfbench/workloads.py`` still calls it."""
+        return self
 
     def source_refs(self) -> tuple[str, ...]:
         specs = (self.extract,) if self.parent_extract is None else (self.extract, self.parent_extract)
@@ -304,10 +284,6 @@ class RmlMappingExpr:
     def source_refs(self) -> list[str]:
         """Every source reference the expressions read, sorted, each once."""
         return sorted({ref for tm in self.trmaps for ref in tm.source_refs()})
-
-    def plan(self) -> "PlanNode":
-        projected = tuple(ProjectNode(tm.plan()) for tm in self.trmaps)
-        return projected[0] if len(projected) == 1 else UnionNode(projected)
 
 
 # ---------------------------------------------------------------------------
@@ -352,17 +328,17 @@ def _cells(indices: list[int]) -> Callable[[Row], object]:
     return itemgetter(*indices) if indices else lambda row: ()
 
 
-def _template(body: TemplateExpr, column: Mapping[Attribute, int]) -> Callable[[Row], str]:
-    """A template expression as a function of a raw row: a column read, a
-    fixed text, or a format string whose text parts have braces doubled."""
-    if isinstance(body, AttrRef):
-        return itemgetter(column[body.attr])
-    if isinstance(body, TextPart):
-        return lambda row, text=body.text: text
+def _template(body: Template, column: Mapping[Attribute, int]) -> Callable[[Row], str]:
+    """A template as a function of a raw row: a column read, a fixed text,
+    or a format string whose texts have braces doubled."""
+    parts = body.parts
+    if parts[::2] == ("", ""):
+        return itemgetter(column[parts[1]])
+    if len(parts) == 1:
+        return lambda row, text=parts[0]: text
     return "".join(
-        f"{{0[{column[p.attr]}]}}" if isinstance(p, AttrRef)
-        else p.text.replace("{", "{{").replace("}", "}}")
-        for p in body.parts
+        f"{{0[{column[p]}]}}" if i % 2 else p.replace("{", "{{").replace("}", "}}")
+        for i, p in enumerate(parts)
     ).format
 
 
@@ -483,49 +459,18 @@ def materialize_trmap(tm: TriplesMapExpr, sigma: SourceAssignment) -> RdfGraph:
 
 
 # ---------------------------------------------------------------------------
-# operator tree: the printed form of an expression; evaluation never reads it
+# the printed form of ``--dump-algebra``
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class ExtractNode:
-    spec: ExtractSpec
-
-
-@dataclass(eq=False)
-class ExtendNode:
-    child: "PlanNode"
-    attr: Attribute
-    expr: ExtendExpr
-
-
-@dataclass(eq=False)
-class ProjectNode:
-    child: "PlanNode"
-
-
-@dataclass(eq=False)
-class JoinNode:
-    left: "PlanNode"
-    right: "PlanNode"
-    conditions: tuple[tuple[Attribute, Attribute], ...]
-
-
-@dataclass(eq=False)
-class UnionNode:
-    operands: tuple["PlanNode", ...]
-
-
-PlanNode = Union[ExtractNode, ExtendNode, ProjectNode, JoinNode, UnionNode]
-
-
-def _format_template(expr: TemplateExpr) -> str:
-    if isinstance(expr, TextPart):
-        return f'(text "{escape_string(expr.text)}")'
-    if isinstance(expr, AttrRef):
-        return f'(attr "{escape_string(expr.attr)}")'
-    parts = " ".join(_format_template(p) for p in expr.parts)
-    return f"(concat {parts})"
+def _format_template(body: Template) -> str:
+    """One attribute or non-empty text alone, else their concatenation."""
+    printed = [
+        f'(attr "{escape_string(p)}")' if i % 2 else f'(text "{escape_string(p)}")'
+        for i, p in enumerate(body.parts)
+        if i % 2 or p
+    ] or ['(text "")']
+    return printed[0] if len(printed) == 1 else f"(concat {' '.join(printed)})"
 
 
 def _format_extend(expr: ExtendExpr) -> str:
@@ -538,31 +483,38 @@ def _format_extend(expr: ExtendExpr) -> str:
     return f"(to-bnode {_format_template(expr.body)})"
 
 
-def dump_plan(node: PlanNode, indent: int = 0) -> str:
-    """A one-operator-per-line rendering of an operator tree.  Names and
+def _format_extract(spec: ExtractSpec, depth: int) -> str:
+    sel = ", ".join(f"{escape_string(a)}<-{escape_string(q)}" for a, q in sorted(spec.selectors.items()))
+    return f"{'  ' * depth}(extract source={spec.source_ref!r} [{sel}])"
+
+
+def _dump_trmap(tm: TriplesMapExpr, depth: int) -> str:
+    """The expression as nested operators: the object extends a join of the
+    subject and predicate extensions with the parent extraction, or extends
+    those extensions directly."""
+    pad = "  " * depth
+    joined = tm.parent_extract is not None
+    lines = [f"{pad}(extend @o {_format_extend(tm.object_expr)}"]
+    if joined:
+        conds = ", ".join(f"{escape_string(a)}={escape_string(b)}" for a, b in tm.join_conditions)
+        lines.append(f"{pad}  (join [{conds}]")
+    inner = depth + joined + 1
+    lines.append(f"{'  ' * inner}(extend @p {_format_extend(tm.predicate_expr)}")
+    lines.append(f"{'  ' * (inner + 1)}(extend @s {_format_extend(tm.subject_expr)}")
+    lines.append(_format_extract(tm.extract, inner + 2) + ("))" if joined else ")))"))
+    if joined:
+        lines.append(_format_extract(tm.parent_extract, depth + 2) + "))")
+    return "\n".join(lines)
+
+
+def dump_plan(expr: RmlMappingExpr | TriplesMapExpr) -> str:
+    """A one-operator-per-line rendering of an expression: a mapping is the
+    union of its expressions, each projected to ``@s @p @o``.  Names and
     texts are escaped, so no value can break a line."""
-    pad = "  " * indent
-    if isinstance(node, ExtractNode):
-        spec = node.spec
-        sel = ", ".join(
-            f"{escape_string(a)}<-{escape_string(q)}" for a, q in sorted(spec.selectors.items())
-        )
-        return f"{pad}(extract source={spec.source_ref!r} [{sel}])"
-    if isinstance(node, ExtendNode):
-        return (
-            f"{pad}(extend {node.attr} {_format_extend(node.expr)}\n"
-            f"{dump_plan(node.child, indent + 1)})"
-        )
-    if isinstance(node, ProjectNode):
-        return f"{pad}(project [@s @p @o]\n{dump_plan(node.child, indent + 1)})"
-    if isinstance(node, JoinNode):
-        conds = ", ".join(f"{escape_string(a)}={escape_string(b)}" for a, b in node.conditions)
-        return (
-            f"{pad}(join [{conds}]\n"
-            f"{dump_plan(node.left, indent + 1)}\n"
-            f"{dump_plan(node.right, indent + 1)})"
-        )
-    if isinstance(node, UnionNode):
-        operands = "\n".join(dump_plan(n, indent + 1) for n in node.operands)
-        return f"{pad}(union\n{operands})"
-    raise TypeError(f"not a plan node: {node!r}")
+    if isinstance(expr, TriplesMapExpr):
+        return _dump_trmap(expr, 0)
+    union = len(expr.trmaps) > 1
+    projected = [
+        f"{'  ' * union}(project [@s @p @o]\n{_dump_trmap(tm, union + 1)})" for tm in expr.trmaps
+    ]
+    return "(union\n" + "\n".join(projected) + ")" if union else projected[0]

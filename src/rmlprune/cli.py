@@ -87,7 +87,7 @@ def cmd_translate(args) -> int:
     _, mapping = _load_mapping(args.mapping)
     print(f"{len(mapping.trmaps)} TrMap-expressions", file=sys.stderr)
     if args.dump_algebra:
-        _write_out(dump_plan(mapping.plan()) + "\n", args.out)
+        _write_out(dump_plan(mapping) + "\n", args.out)
     return 0
 
 
@@ -102,7 +102,7 @@ def cmd_prune(args) -> int:
     print(f"{len(mapping.trmaps)} -> {after} TrMap-expressions retained ({elapsed_ms:.2f} ms)",
           file=sys.stderr)
     if args.dump_algebra and retained:
-        print(dump_plan(retained.plan()), file=sys.stderr)
+        print(dump_plan(retained), file=sys.stderr)
     _write_out(serialize_pruned(retained, doc), args.out)
     return 0
 

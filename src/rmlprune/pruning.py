@@ -23,16 +23,13 @@ from functools import lru_cache
 from typing import Iterable, Union
 
 from .algebra import (
-    AttrRef,
     BuildBlank,
     BuildIri,
     BuildLiteral,
     ConstantTerm,
     ExtendExpr,
     RmlMappingExpr,
-    TemplateConcat,
-    TemplateExpr,
-    TextPart,
+    Template,
     TriplesMapExpr,
 )
 from .ntriples import format_term
@@ -47,16 +44,11 @@ def escape_regex_text(text: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def template_regex(expr: TemplateExpr, assume_nonempty: bool = True) -> str:
-    """Anchored-regex source for the strings a template can produce."""
+def template_regex(body: Template, assume_nonempty: bool = True) -> str:
+    """Anchored-regex source for the strings a template can produce: its
+    texts, escaped, with a wildcard for each attribute between them."""
     wildcard = ".+" if assume_nonempty else ".*"
-    if isinstance(expr, TextPart):
-        return escape_regex_text(expr.text)
-    if isinstance(expr, AttrRef):
-        return wildcard
-    if isinstance(expr, TemplateConcat):
-        return "".join(template_regex(p, assume_nonempty) for p in expr.parts)
-    raise TypeError(f"not a template expression: {expr!r}")
+    return wildcard.join(escape_regex_text(text) for text in body.parts[::2])
 
 
 @lru_cache(maxsize=None)

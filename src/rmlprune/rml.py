@@ -27,7 +27,6 @@ import re
 from dataclasses import dataclass
 
 from .algebra import (
-    AttrRef,
     BuildBlank,
     BuildIri,
     BuildLiteral,
@@ -35,8 +34,7 @@ from .algebra import (
     ExtendExpr,
     ExtractSpec,
     RmlMappingExpr,
-    TemplateConcat,
-    TextPart,
+    Template,
     TriplesMapExpr,
 )
 from .errors import MappingModelError
@@ -151,14 +149,9 @@ class PredicateObjectMapModel:
 
 
 @dataclass
-class LogicalSourceModel:
-    source: str
-
-
-@dataclass
 class TriplesMapModel:
     id: str
-    logical_source: LogicalSourceModel
+    source: str  # the CSV file its logical source names
     subject_map: TermMapModel
     poms: tuple[PredicateObjectMapModel, ...] = ()
 
@@ -236,7 +229,8 @@ def _as_string_literal(obj: RdfTerm, what: str, node: str) -> str:
     raise MappingModelError(f"{what} on {_fmt_node(node)} must be a plain string, found {obj!r}")
 
 
-def _parse_logical_source(g: _Graph, key: str) -> LogicalSourceModel:
+def _parse_logical_source(g: _Graph, key: str) -> str:
+    """The CSV source of a logical source."""
     source = None
     for token, pred, obj in g.get(key, ()):
         if token == "source":
@@ -263,7 +257,7 @@ def _parse_logical_source(g: _Graph, key: str) -> LogicalSourceModel:
             raise _misplaced(token, pred, key, "a logical source")
     if source is None:
         raise MappingModelError(f"logical source {_fmt_node(key)} has no source")
-    return LogicalSourceModel(source=source)
+    return source
 
 
 def _parse_term_map(
@@ -431,20 +425,20 @@ def parse_rml(data: bytes | str) -> RmlDocument:
     triples_maps: list[TriplesMapModel] = []
     for key in tm_keys:
         visited.add(key)
-        logical_source = None
+        source = None
         subject_map = None
         subject_shortcut = None
         classes: tuple[Iri, ...] = ()
         poms: list[PredicateObjectMapModel] = []
         for token, pred, obj in g[key]:
             if token == "logicalSource":
-                if logical_source is not None:
+                if source is not None:
                     raise MappingModelError(
                         f"triples map {_fmt_node(key)} has more than one logical source"
                     )
                 ls_key = _node_key(obj)
                 visited.add(ls_key)
-                logical_source = _parse_logical_source(g, ls_key)
+                source = _parse_logical_source(g, ls_key)
             elif token == "subjectMap":
                 if subject_map is not None:
                     raise MappingModelError(
@@ -481,7 +475,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
         triples_maps.append(
             TriplesMapModel(
                 id=key,
-                logical_source=logical_source,
+                source=source,
                 subject_map=subject_map or TermMapModel(kind="constant", value=subject_shortcut),
                 poms=tuple(class_poms + poms),
             )
@@ -515,24 +509,25 @@ _TEMPLATE_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _PLACEHOLDER_RE = re.compile(r"[^{}\\]*")
 
 
-def parse_template(template: str) -> list[tuple[str, str]]:
-    """Split a template into ("text", s) and ("ref", name) parts.
+def parse_template(template: str) -> tuple[str, ...]:
+    """Split a template into texts alternating with placeholder names, text
+    first and last, as :class:`~rmlprune.algebra.Template` holds them.
 
     Backslash escapes the next character (so ``\\{`` is a literal brace);
     placeholders may not nest and may not be empty.
     """
-    parts: list[tuple[str, str]] = []
+    parts = [""]
     for match in _TEMPLATE_RE.finditer(template):
         text, name = match.group(1, 2)
         if text is not None:
-            parts.append(("text", _TEMPLATE_ESCAPE_RE.sub(r"\1", text) if "\\" in text else text))
+            parts[-1] += _TEMPLATE_ESCAPE_RE.sub(r"\1", text) if "\\" in text else text
         elif name:
-            parts.append(("ref", name))
+            parts += (name, "")
         elif name is not None:
             raise MappingModelError(f"empty placeholder in template {template!r}")
         else:
             raise _template_error(template, match.start())
-    return parts or [("text", "")]
+    return tuple(parts)
 
 
 def _template_error(template: str, pos: int) -> MappingModelError:
@@ -552,16 +547,19 @@ def _template_error(template: str, pos: int) -> MappingModelError:
 class _Templates(dict):
     """Parsed templates by text, so one translation parses each only once."""
 
-    def __missing__(self, template: str) -> list[tuple[str, str]]:
+    def __missing__(self, template: str) -> tuple[str, ...]:
         parts = self[template] = parse_template(template)
         return parts
 
-    def refs(self, model: TermMapModel) -> list[str]:
+    def parts(self, model: TermMapModel) -> tuple[str, ...]:
+        """The template parts of a map; a reference is a template of one
+        attribute, a constant one of no attribute."""
         if model.kind == "reference":
-            return [model.value]
-        if model.kind == "template":
-            return [name for kind, name in self[model.value] if kind == "ref"]
-        return []
+            return ("", model.value, "")
+        return self[model.value] if model.kind == "template" else ("",)
+
+    def refs(self, model: TermMapModel) -> list[str]:
+        return list(self.parts(model)[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -621,14 +619,9 @@ def _to_extend(
     ttype = _check_term_map(model, position, where)
     if model.kind == "constant":
         return ConstantTerm(model.value)
-    if model.kind == "reference":
-        body: TextPart | AttrRef | TemplateConcat = AttrRef(attr_of[model.value])
-    else:
-        mapped = [
-            TextPart(text) if kind == "text" else AttrRef(attr_of[text])
-            for kind, text in templates[model.value]
-        ]
-        body = mapped[0] if len(mapped) == 1 else TemplateConcat(tuple(mapped))
+    parts = list(templates.parts(model))
+    parts[1::2] = [attr_of[ref] for ref in parts[1::2]]
+    body = Template(tuple(parts))
     if ttype == LITERAL_TYPE:
         return BuildLiteral(body, model.datatype or XSD_STRING)
     if ttype == BNODE_TYPE:
@@ -678,7 +671,7 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
             )
             # each reference selects itself, in order of first appearance
             selectors = dict(zip(refs, refs))
-            extract = ExtractSpec(source_ref=tm.logical_source.source, selectors=selectors)
+            extract = ExtractSpec(source_ref=tm.source, selectors=selectors)
             predicate_expr = _to_extend(pm, selectors, base, "predicate", where, templates)
             parent_extract = None
             join_conditions: tuple[tuple[str, str], ...] = ()
@@ -697,7 +690,7 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
                     taken.add(name)
                     parent_attr_of[r] = name
                 parent_extract = ExtractSpec(
-                    source_ref=parent_tm.logical_source.source,
+                    source_ref=parent_tm.source,
                     selectors={attr: r for r, attr in parent_attr_of.items()},
                 )
                 object_expr = _to_extend(
@@ -754,21 +747,10 @@ def _render_term_map(model: TermMapModel, position: str, indent: str) -> list[st
     return lines
 
 
-def _render_tm_ref(key: str) -> str:
-    return key if key.startswith("_:") else f"<{key}>"
-
-
-def _render_logical_source(ls: LogicalSourceModel) -> str:
-    return (
-        f'rml:logicalSource [ rml:source "{escape_string(ls.source)}" ; '
-        f"rml:referenceFormulation rml:CSV ]"
-    )
-
-
 def _render_object_map(om: TermMapModel | RefObjectMapModel) -> list[str]:
     if isinstance(om, TermMapModel):
         return _render_term_map(om, "object", "      ")
-    lines = [f"      rml:parentTriplesMap {_render_tm_ref(om.parent)} ;"]
+    lines = [f"      rml:parentTriplesMap {_fmt_node(om.parent)} ;"]
     for child_ref, parent_ref in om.joins:
         lines.append(
             f'      rml:joinCondition [ rml:child "{escape_string(child_ref)}" ; '
@@ -779,7 +761,10 @@ def _render_object_map(om: TermMapModel | RefObjectMapModel) -> list[str]:
 
 
 def _render_triples_map(tm: TriplesMapModel, poms: list[PredicateObjectMapModel]) -> str:
-    lines = [f"{_render_tm_ref(tm.id)} {_render_logical_source(tm.logical_source)} ;"]
+    lines = [
+        f'{_fmt_node(tm.id)} rml:logicalSource [ rml:source "{escape_string(tm.source)}" ; '
+        "rml:referenceFormulation rml:CSV ] ;"
+    ]
     lines.append("  rml:subjectMap [")
     lines.extend(_render_term_map(tm.subject_map, "subject", "    "))
     lines.append("  ]")

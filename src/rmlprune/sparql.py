@@ -204,27 +204,38 @@ class _QueryParser(Lexer):
         return tuple(variables), tuple(expressions)
 
     def _read_balanced_parens(self) -> str:
+        """The parenthesized expression at the cursor, parentheses included."""
+        start = self.pos
+        if not self._scan_expression(stop=False):
+            raise self.error("unbalanced parentheses")
+        return self.text[start : self.pos]
+
+    def _scan_expression(self, stop: bool) -> bool:
+        """Advance over an expression, reading each quoted string whole.
+        Without *stop*, end after the parenthesis that closes the first one;
+        with it, end before a solution-modifier keyword outside parentheses,
+        or at the end of the text.  False when the text ends first without
+        *stop*."""
         start = self.pos
         depth = 0
-        in_string: str | None = None
         while not self.at_end():
             ch = self.text[self.pos]
-            if in_string is not None:
-                if ch == "\\":
-                    self.pos += 1
-                elif ch == in_string:
-                    in_string = None
-            elif ch in "\"'":
-                in_string = ch
-            elif ch == "(":
+            if ch in "\"'":
+                self.read_string()
+                continue
+            if ch == "(":
                 depth += 1
             elif ch == ")":
                 depth -= 1
-                if depth == 0:
+                if depth == 0 and not stop:
                     self.pos += 1
-                    return self.text[start : self.pos]
+                    return True
+            elif stop and depth == 0 and any(self.keyword_ahead(k) for k in self._STOP_KEYWORDS):
+                prev = self.text[self.pos - 1] if self.pos > start else " "
+                if not (prev.isalnum() or prev in "_?$"):
+                    return True
             self.pos += 1
-        raise self.error("unbalanced parentheses")
+        return stop
 
     def _parse_group(self) -> PatternNode:
         self.descend()
@@ -449,28 +460,7 @@ class _QueryParser(Lexer):
     def _capture_until_stop(self) -> str:
         self.skip_ws()
         start = self.pos
-        depth = 0
-        in_string: str | None = None
-        while not self.at_end():
-            ch = self.text[self.pos]
-            prev = self.text[self.pos - 1] if self.pos > start else " "
-            at_boundary = not (prev.isalnum() or prev in "_?$")
-            if in_string is not None:
-                if ch == "\\":
-                    self.pos += 1
-                elif ch == in_string:
-                    in_string = None
-            elif ch in "\"'":
-                in_string = ch
-            elif ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif depth == 0 and at_boundary and any(
-                self.keyword_ahead(k) for k in self._STOP_KEYWORDS
-            ):
-                break
-            self.pos += 1
+        self._scan_expression(stop=True)
         return self.text[start : self.pos].strip()
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 
 from rmlprune.algebra import (
     EPSILON,
-    AttrRef,
     BuildBlank,
     BuildIri,
     BuildLiteral,
@@ -18,9 +17,7 @@ from rmlprune.algebra import (
     ExtractSpec,
     RmlMappingExpr,
     SourceAssignment,
-    TemplateConcat,
-    TemplateExpr,
-    TextPart,
+    Template,
     TriplesMapExpr,
     Value,
     check_valid_input,
@@ -50,6 +47,11 @@ from rmlprune.turtle import parse_turtle
 # ---------------------------------------------------------------------------
 
 
+def ref(attr: str) -> Template:
+    """The template of a bare reference to *attr*."""
+    return Template(("", attr, ""))
+
+
 def unique_trmaps(m: RmlMappingExpr) -> list[TriplesMapExpr]:
     """The triples-map expressions of *m*, de-duplicated by provenance id,
     in first-occurrence order."""
@@ -74,20 +76,20 @@ def valid_input(sigma, m: RmlMappingExpr) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def evaluate_template(expr: TemplateExpr, tup: Mapping[str, Value]) -> str | Epsilon:
-    """The string value of a template expression over one tuple."""
-    if isinstance(expr, TextPart):
-        return expr.text
-    if isinstance(expr, AttrRef):
-        try:
-            value = tup[expr.attr]
-        except KeyError:
-            raise StructuralError(f"tuple lacks attribute {expr.attr!r}") from None
-        return value.lex if isinstance(value, Literal) else EPSILON
-    if isinstance(expr, TemplateConcat):
-        pieces = [evaluate_template(part, tup) for part in expr.parts]
-        return EPSILON if EPSILON in pieces else "".join(pieces)
-    raise TypeError(f"not a template expression: {expr!r}")
+def evaluate_template(body: Template, tup: Mapping[str, Value]) -> str | Epsilon:
+    """The string value of a template over one tuple: each text as it is,
+    each attribute as its cell's lexical form, EPSILON when a cell is no
+    literal."""
+    pieces = []
+    for i, part in enumerate(body.parts):
+        if i % 2 == 0:
+            pieces.append(part)
+        elif part not in tup:
+            raise StructuralError(f"tuple lacks attribute {part!r}")
+        else:
+            value = tup[part]
+            pieces.append(value.lex if isinstance(value, Literal) else EPSILON)
+    return EPSILON if EPSILON in pieces else "".join(pieces)
 
 
 def evaluate_extend(expr: ExtendExpr, tup: Mapping[str, Value]) -> Value:

@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass
 
 from rmlprune.algebra import (
-    AttrRef,
     BuildBlank,
     BuildIri,
     BuildLiteral,
@@ -26,8 +25,7 @@ from rmlprune.algebra import (
     DataObject,
     ExtractSpec,
     RmlMappingExpr,
-    TemplateConcat,
-    TextPart,
+    Template,
     TriplesMapExpr,
 )
 from rmlprune.csvsource import CSV_KIND, parse_csv
@@ -100,34 +98,29 @@ def fresh_sigma(
 def _subject_expr(rng: random.Random, columns: list[str], index: int):
     roll = rng.random()
     if roll < 0.75:
-        parts = [TextPart(rng.choice(HOSTS)), AttrRef(rng.choice(columns))]
+        parts = [rng.choice(HOSTS), rng.choice(columns)]
         if rng.random() < 0.3:
-            parts += [TextPart("/s."), AttrRef(rng.choice(columns))]
-        return BuildIri(TemplateConcat(tuple(parts)), BASE)
+            parts += ["/s.", rng.choice(columns)]
+        return BuildIri(Template((*parts, "")), BASE)
     if roll < 0.9:
-        return BuildIri(AttrRef(rng.choice(columns)), BASE)
+        return BuildIri(Template(("", rng.choice(columns), "")), BASE)
     return ConstantTerm(Iri(f"{rng.choice(HOSTS)}fixed{index}"))
 
 
 def _object_expr(rng: random.Random, columns: list[str]):
     roll = rng.random()
     if roll < 0.35:
-        return BuildLiteral(AttrRef(rng.choice(columns)), rng.choice(DATATYPES))
+        return BuildLiteral(Template(("", rng.choice(columns), "")), rng.choice(DATATYPES))
     if roll < 0.45:
-        template = TemplateConcat(
-            (TextPart(f"v[{rng.randrange(9)}]."), AttrRef(rng.choice(columns)))
-        )
+        template = Template((f"v[{rng.randrange(9)}].", rng.choice(columns), ""))
         return BuildLiteral(template, rng.choice(DATATYPES))
     if roll < 0.6:
-        template = TemplateConcat(
-            (TextPart(rng.choice(HOSTS)), AttrRef(rng.choice(columns)))
-        )
-        return BuildIri(template, BASE)
+        return BuildIri(Template((rng.choice(HOSTS), rng.choice(columns), "")), BASE)
     if roll < 0.72:
         return ConstantTerm(Iri(f"{rng.choice(HOSTS)}c{rng.randrange(9)}"))
     if roll < 0.85:
         return ConstantTerm(Literal(random_value(rng), rng.choice(DATATYPES)))
-    return BuildBlank(AttrRef(rng.choice(columns)))
+    return BuildBlank(Template(("", rng.choice(columns), "")))
 
 
 def _joined_object(
@@ -138,12 +131,7 @@ def _joined_object(
     conds = [(rng.choice(child_cols), f"{rng.choice(parent_cols)}@parent")]
     if rng.random() < 0.3:
         conds.append((rng.choice(child_cols), f"{rng.choice(parent_cols)}@parent"))
-    obj = BuildIri(
-        TemplateConcat(
-            (TextPart(rng.choice(HOSTS)), AttrRef(f"{rng.choice(parent_cols)}@parent"))
-        ),
-        BASE,
-    )
+    obj = BuildIri(Template((rng.choice(HOSTS), f"{rng.choice(parent_cols)}@parent", "")), BASE)
     return obj, parent_extract, tuple(dict.fromkeys(conds))
 
 
@@ -269,23 +257,22 @@ def random_patterns(
 
 def template_round_trip_case(
     rng: random.Random, assume_nonempty: bool = True
-) -> tuple[object, str]:
-    """A template expression plus one string it can actually produce."""
-    parts = []
+) -> tuple[Template, str]:
+    """A template plus one string it can actually produce."""
+    parts = [""]
     rendered = []
-    for _ in range(rng.randint(1, 4)):
+    for i in range(rng.randint(1, 4)):
         if rng.random() < 0.5:
             text = "".join(
                 rng.choice(_SAFE + _SPICY + "$^") for _ in range(rng.randint(1, 5))
             )
-            parts.append(TextPart(text))
+            parts[-1] += text
             rendered.append(text)
         else:
             value = random_value(rng, allow_empty=not assume_nonempty)
-            parts.append(AttrRef(f"a{len(parts)}"))
+            parts += [f"a{i}", ""]
             rendered.append(value)
-    template = parts[0] if len(parts) == 1 else TemplateConcat(tuple(parts))
-    return template, "".join(rendered)
+    return Template(tuple(parts)), "".join(rendered)
 
 
 def wide_mapping(rng: random.Random, n_trmaps: int) -> RmlMappingExpr:
@@ -294,12 +281,7 @@ def wide_mapping(rng: random.Random, n_trmaps: int) -> RmlMappingExpr:
     for i in range(n_trmaps):
         cols = [f"c{j}" for j in range(3)]
         extract = ExtractSpec(f"w{i % 9}.csv", {c: c for c in cols})
-        subject = BuildIri(
-            TemplateConcat(
-                (TextPart(f"{rng.choice(HOSTS)}r{i}/"), AttrRef(rng.choice(cols)))
-            ),
-            BASE,
-        )
+        subject = BuildIri(Template((f"{rng.choice(HOSTS)}r{i}/", rng.choice(cols), "")), BASE)
         predicate = ConstantTerm(Iri(f"http://vocab.test/wide{i % 17}"))
         trmaps.append(
             TriplesMapExpr(

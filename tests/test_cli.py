@@ -468,6 +468,16 @@ def test_prune_rejects_a_modifier_without_its_condition(corpus, capsys, tmp_path
     assert "line 1, column 38: expected a condition after ORDER BY" in err
 
 
+def test_prune_reads_a_long_string_in_a_filter(corpus, capsys, tmp_path):
+    q = tmp_path / "long.rq"
+    q.write_text('SELECT * WHERE { ?s ?p ?o FILTER(?o = """a"b""") }\n')
+    code, _, err = run(
+        capsys, "prune", "--mapping", str(corpus / "mapping.ttl"), "--query", str(q)
+    )
+    assert code == 0
+    assert "14 -> 14 TrMap-expressions retained" in err
+
+
 def test_query_rejects_select_expressions(corpus, capsys, tmp_path):
     q = tmp_path / "as.rq"
     q.write_text(

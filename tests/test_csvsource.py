@@ -3,11 +3,11 @@
 import pytest
 
 from rmlprune.algebra import (
-    AttrRef,
     BuildLiteral,
     ConstantTerm,
     DataObject,
     ExtractSpec,
+    Template,
     TriplesMapExpr,
     materialize_trmap,
 )
@@ -22,7 +22,7 @@ def extract_column(text: str, column: str) -> set:
     tm = TriplesMapExpr(
         subject_expr=ConstantTerm(Iri("http://e.com/s")),
         predicate_expr=ConstantTerm(Iri("http://e.com/v")),
-        object_expr=BuildLiteral(AttrRef("v"), XSD_STRING),
+        object_expr=BuildLiteral(Template(("", "v", "")), XSD_STRING),
         extract=ExtractSpec("t.csv", {"v": column}),
     )
     return {t.o for t in materialize_trmap(tm, sigma)}

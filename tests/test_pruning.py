@@ -5,14 +5,12 @@ import re
 import pytest
 
 from rmlprune.algebra import (
-    AttrRef,
     BuildBlank,
     BuildIri,
     BuildLiteral,
     ConstantTerm,
     RmlMappingExpr,
-    TemplateConcat,
-    TextPart,
+    Template,
 )
 from rmlprune.pruning import (
     FullyPruned,
@@ -35,6 +33,7 @@ from rmlprune.rdf import (
 )
 from rmlprune.sparql import collect_triple_patterns, parse_query
 
+from .helpers import ref
 from .test_algebra import BASE, joined_trmap, simple_trmap
 
 V = Variable
@@ -54,11 +53,11 @@ def test_escape_regex_text_escapes_all_metacharacters():
 
 
 def test_template_regex_parts():
-    assert template_regex(TextPart("a.b")) == "a\\.b"
-    assert template_regex(AttrRef("x")) == ".+"
-    assert template_regex(AttrRef("x"), False) == ".*"
-    concat = TemplateConcat((TextPart("http://e/"), AttrRef("x"), TextPart("?q=1")))
-    assert template_regex(concat) == "http://e/.+\\?q=1"
+    assert template_regex(Template(("a.b",))) == "a\\.b"
+    assert template_regex(ref("x")) == ".+"
+    assert template_regex(ref("x"), False) == ".*"
+    assert template_regex(Template(("http://e/", "x", "?q=1"))) == "http://e/.+\\?q=1"
+    assert template_regex(Template(("", "x", "", "y", "."))) == ".+.+\\."
 
 
 def test_regex_fullmatch_is_anchored_and_dotall():
@@ -79,8 +78,8 @@ IRI_U = Iri("http://e.com/s/41")
 
 
 def test_iri_incompatible_against_literal_and_bnode_builders():
-    assert iri_incompatible(BuildLiteral(AttrRef("a"), XSD_INTEGER), IRI_U)
-    assert iri_incompatible(BuildBlank(AttrRef("a")), IRI_U)
+    assert iri_incompatible(BuildLiteral(ref("a"), XSD_INTEGER), IRI_U)
+    assert iri_incompatible(BuildBlank(ref("a")), IRI_U)
     assert iri_incompatible(ConstantTerm(BlankNode("b")), IRI_U)
 
 
@@ -91,7 +90,7 @@ def test_iri_incompatible_constants():
 
 
 def test_iri_incompatible_templates():
-    expr = BuildIri(TemplateConcat((TextPart("http://e.com/s/"), AttrRef("id"))), BASE)
+    expr = BuildIri(Template(("http://e.com/s/", "id", "")), BASE)
     assert iri_incompatible(expr, Iri("http://e.com/s/41")) is None
     assert iri_incompatible(expr, Iri("http://e.com/other/41"))
     # the empty-remainder case depends on the nonempty assumption
@@ -100,18 +99,16 @@ def test_iri_incompatible_templates():
 
 
 def test_iri_incompatible_considers_base_prefixed_form():
-    expr = BuildIri(AttrRef("id"), BASE)
+    expr = BuildIri(ref("id"), BASE)
     # the raw body .+ matches any IRI, so nothing is incompatible
     assert iri_incompatible(expr, IRI_U) is None
-    rooted = BuildIri(TemplateConcat((TextPart("x/"), AttrRef("id"))), BASE)
+    rooted = BuildIri(Template(("x/", "id", "")), BASE)
     assert iri_incompatible(rooted, Iri(BASE + "x/7")) is None
     assert iri_incompatible(rooted, Iri("http://other.example/x/7"))
 
 
 def test_iri_incompatible_regex_specials_in_text_are_literal():
-    expr = BuildIri(
-        TemplateConcat((TextPart("http://e.com/a+b/"), AttrRef("id"))), BASE
-    )
+    expr = BuildIri(Template(("http://e.com/a+b/", "id", "")), BASE)
     assert iri_incompatible(expr, Iri("http://e.com/a+b/1")) is None
     assert iri_incompatible(expr, Iri("http://e.com/aab/1"))
 
@@ -145,11 +142,9 @@ def test_tp_incompatible_literal_lexical_space():
     from rmlprune.algebra import ExtractSpec, TriplesMapExpr
 
     tm = TriplesMapExpr(
-        subject_expr=BuildIri(AttrRef("id"), BASE),
+        subject_expr=BuildIri(ref("id"), BASE),
         predicate_expr=ConstantTerm(Iri("http://e.com/code")),
-        object_expr=BuildLiteral(
-            TemplateConcat((TextPart("ID-"), AttrRef("id"))), XSD_INTEGER
-        ),
+        object_expr=BuildLiteral(Template(("ID-", "id", "")), XSD_INTEGER),
         extract=ExtractSpec("t.csv", {"id": "id"}),
     )
     hit = TriplePattern(V("s"), V("p"), Literal("ID-7", XSD_INTEGER))

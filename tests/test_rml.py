@@ -8,14 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rmlprune.algebra import (
-    AttrRef,
     BuildBlank,
     BuildIri,
     BuildLiteral,
     ConstantTerm,
     DataObject,
-    TemplateConcat,
-    TextPart,
+    Template,
     dump_plan,
     materialize,
 )
@@ -36,7 +34,7 @@ from rmlprune.rml import (
 )
 from rmlprune.sparql import collect_triple_patterns, parse_query
 
-from .helpers import perfbench_corpus, wide_mapping_text
+from .helpers import perfbench_corpus, ref, wide_mapping_text
 
 EX = "http://example.com/ns#"
 GTFS = "http://vocab.gtfs.org/terms#"
@@ -60,19 +58,16 @@ NEW_HEADER = (
 
 
 def test_parse_template_text_and_refs():
-    assert parse_template("http://e/{id}/x") == [
-        ("text", "http://e/"),
-        ("ref", "id"),
-        ("text", "/x"),
-    ]
-    assert parse_template("{only}") == [("ref", "only")]
-    assert parse_template("plain") == [("text", "plain")]
-    assert parse_template("") == [("text", "")]
+    assert parse_template("http://e/{id}/x") == ("http://e/", "id", "/x")
+    assert parse_template("{only}") == ("", "only", "")
+    assert parse_template("{a}{b}") == ("", "a", "", "b", "")
+    assert parse_template("plain") == ("plain",)
+    assert parse_template("") == ("",)
 
 
 def test_parse_template_escapes():
-    assert parse_template(r"a\{b\}c") == [("text", "a{b}c")]
-    assert parse_template(r"a\\{r}") == [("text", "a\\"), ("ref", "r")]
+    assert parse_template(r"a\{b\}c") == ("a{b}c",)
+    assert parse_template(r"a\\{r}") == ("a\\", "r", "")
 
 
 @pytest.mark.parametrize("bad", ["{unclosed", "closed}", "{}", "{a{b}}", "end\\"])
@@ -81,10 +76,11 @@ def test_parse_template_errors(bad):
         parse_template(bad)
 
 
-def parse_template_by_character(template: str) -> list[tuple[str, str]]:
+def parse_template_by_character(template: str) -> tuple[str, ...]:
     """The character-by-character template scanner that parse_template
-    replaced, kept as its oracle."""
-    parts: list[tuple[str, str]] = []
+    replaced, kept as its oracle: texts alternating with placeholder
+    names, text first and last."""
+    parts: list[str] = []
     buf: list[str] = []
     i = 0
     n = len(template)
@@ -110,19 +106,16 @@ def parse_template_by_character(template: str) -> list[tuple[str, str]]:
                 raise MappingModelError(f"unbalanced '{{' in template {template!r}")
             if not name:
                 raise MappingModelError(f"empty placeholder in template {template!r}")
-            if buf:
-                parts.append(("text", "".join(buf)))
-                buf = []
-            parts.append(("ref", "".join(name)))
+            parts += ["".join(buf), "".join(name)]
+            buf = []
             i = j + 1
         elif ch == "}":
             raise MappingModelError(f"unbalanced '}}' in template {template!r}")
         else:
             buf.append(ch)
             i += 1
-    if buf or not parts:
-        parts.append(("text", "".join(buf)))
-    return parts
+    parts.append("".join(buf))
+    return tuple(parts)
 
 
 def _template_outcome(parse, template):
@@ -158,7 +151,7 @@ def test_parse_airports_document(airports_doc):
     assert isinstance(airports_doc, RmlDocument)
     (tm,) = airports_doc.triples_maps
     assert tm.id == "http://example.com/tm/airports"
-    assert tm.logical_source.source == "airports.csv"
+    assert tm.source == "airports.csv"
     assert tm.subject_map.kind == "reference"
     assert tm.subject_map.value == "aiport_id"
     assert tm.subject_map.term_type == "iri"
@@ -396,14 +389,13 @@ def test_translate_airports(airports_mapping):
         "http://example.com/tm/airports#pom1",
     ]
     route, long_ = tms
-    assert route.subject_expr == BuildIri(AttrRef("aiport_id"), DEFAULT_BASE_IRI)
+    assert route.subject_expr == BuildIri(ref("aiport_id"), DEFAULT_BASE_IRI)
     assert route.predicate_expr == ConstantTerm(Iri(EX + "route"))
     assert route.object_expr == BuildIri(
-        TemplateConcat((TextPart("http://example.com/route/"), AttrRef("transitRoute"))),
-        DEFAULT_BASE_IRI,
+        Template(("http://example.com/route/", "transitRoute", "")), DEFAULT_BASE_IRI
     )
     assert long_.predicate_expr == ConstantTerm(Iri(GTFS + "long"))
-    assert long_.object_expr == BuildLiteral(AttrRef("long"), XSD_DOUBLE)
+    assert long_.object_expr == BuildLiteral(ref("long"), XSD_DOUBLE)
     assert not route.is_joined and not long_.is_joined
     assert route.extract.source_ref == "airports.csv"
     assert set(route.extract.selectors) == {"aiport_id", "transitRoute"}
@@ -444,10 +436,7 @@ def test_translate_joined_renames_parent_attributes():
     # the parent also selects "id"; its attribute must not clash
     assert joined.parent_extract.selectors == {"id@parent": "id"}
     assert joined.join_conditions == (("pid", "id@parent"),)
-    assert joined.object_expr == BuildIri(
-        TemplateConcat((TextPart("http://e/p/"), AttrRef("id@parent"))),
-        DEFAULT_BASE_IRI,
-    )
+    assert joined.object_expr == BuildIri(Template(("http://e/p/", "id@parent", "")), DEFAULT_BASE_IRI)
 
 
 def test_translate_joined_materializes(tmp_path):
@@ -469,7 +458,7 @@ def test_translate_blank_node_term_type():
         "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
     )
     m = translate(parse_rml(text))
-    assert m.trmaps[0].subject_expr == BuildBlank(AttrRef("a"))
+    assert m.trmaps[0].subject_expr == BuildBlank(ref("a"))
 
 
 def test_translate_rejects_literal_subjects_and_predicates():
@@ -525,12 +514,8 @@ def test_translate_rejects_missing_parent():
 def _shape(m):
     """Structure of a mapping up to attribute renaming and trmap identity."""
 
-    def tshape(expr, renaming):
-        if isinstance(expr, (TextPart,)):
-            return ("text", expr.text)
-        if isinstance(expr, AttrRef):
-            return ("attr", renaming[expr.attr])
-        return ("concat", tuple(tshape(p, renaming) for p in expr.parts))
+    def tshape(body, renaming):
+        return tuple(renaming[p] if i % 2 else p for i, p in enumerate(body.parts))
 
     def eshape(expr, renaming):
         if isinstance(expr, ConstantTerm):
@@ -631,11 +616,19 @@ def wide():
 # sha256 and line count of the wide mapping's --dump-algebra plan at seed
 # 42; a faster parse or translation must not change a byte of it
 WIDE_PLAN = ("2930e920eb30e4676993311635410544fbac61f543bee0624a7061f9805fc3e1", 2961)
+# sha256 of `rmlprune translate --dump-algebra` on the seed corpus mapping,
+# trailing newline included: the plan.txt that CI checks
+SCALE1_PLAN = "cf5f0b7de20dc508005d43ea8da00105068ae5403c0453f8af1c29778a69e09a"
 
 
 def test_wide_mapping_plan_is_pinned():
-    plan = dump_plan(translate(parse_rml(wide_mapping_text())).plan())
+    plan = dump_plan(translate(parse_rml(wide_mapping_text())))
     assert (hashlib.sha256(plan.encode("utf-8")).hexdigest(), plan.count("\n") + 1) == WIDE_PLAN
+
+
+def test_corpus_mapping_plan_is_pinned():
+    plan = dump_plan(translate(parse_rml(MAPPING_TTL))) + "\n"
+    assert hashlib.sha256(plan.encode("utf-8")).hexdigest() == SCALE1_PLAN
 
 
 def _without_provenance(m):

@@ -116,6 +116,40 @@ def test_select_expression_is_recorded_raw():
     assert "COUNT(?s)" in q.select_expressions[0]
 
 
+@pytest.mark.parametrize(
+    "literal",
+    ['"""a"b"""', "'''it's'''", r'"a\"b)"', "'('", "'''x\n)y'''", r'""""a"" \""""'],
+)
+def test_filter_reads_every_string_form_whole(literal):
+    # quotes and parentheses inside a string neither end it nor count
+    q = parse_query(f"SELECT * WHERE {{ ?s ?p ?o FILTER(?o = {literal}) }}")
+    assert q.where.expression == f"(?o = {literal})"
+
+
+def test_select_expression_holds_a_long_string():
+    q = parse_query('SELECT (CONCAT("""a"b""", ?o) AS ?x) WHERE { ?s ?p ?o }')
+    assert q.select_expressions == ('(CONCAT("""a"b""", ?o) AS ?x)',)
+
+
+def test_a_long_string_in_a_condition_leaves_the_next_modifier():
+    q = parse_query('SELECT * WHERE { ?s ?p ?o } ORDER BY (STR("""x"y""")) LIMIT 5')
+    assert (q.modifiers.order_by, q.modifiers.limit) == ('(STR("""x"y"""))', 5)
+    q = parse_query('SELECT * WHERE { ?s ?p ?o } ORDER BY ?o "LIMIT 3" OFFSET 2')
+    assert (q.modifiers.order_by, q.modifiers.limit, q.modifiers.offset) == ('?o "LIMIT 3"', None, 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'SELECT * WHERE { ?s ?p ?o FILTER(?o = "a) }',
+        "SELECT * WHERE { ?s ?p ?o } ORDER BY '''x",
+    ],
+)
+def test_an_unterminated_string_in_an_expression_is_a_syntax_error(text):
+    with pytest.raises(SparqlError, match="unterminated string"):
+        parse_query(text)
+
+
 def test_modifiers_are_recorded():
     q = parse_query(
         "SELECT DISTINCT ?s WHERE { ?s ?p ?o } ORDER BY ?s LIMIT 10 OFFSET 5"
