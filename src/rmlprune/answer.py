@@ -57,8 +57,14 @@ class Answer:
     def rows(self) -> list[tuple[str, ...]]:
         """The projected rows as N-Triples terms ("" for unbound), sorted;
         each distinct row once under ``DISTINCT``."""
-        rows = [tuple(format_term(mu[v]) if v in mu else "" for v in self.variables)
-                for mu in self.solutions]
+        rows = []
+        columns, where = None, []
+        for mu in self.solutions:
+            if mu.columns is not columns:  # once, as the solutions share it
+                columns = mu.columns
+                where = [columns.get(v) for v in self.variables]
+            terms = mu.terms
+            rows.append(tuple("" if i is None else format_term(terms[i]) for i in where))
         return sorted(set(rows) if self.distinct else rows)
 
 
@@ -75,7 +81,8 @@ def answer(query: SelectQuery, mapping: RmlMappingExpr, load_source: SourceLoade
     *prune* is false.  ``load_source(ref)`` is called once for each source
     the materialized expressions read and for no other, so a fully pruned
     query opens no source.  ``SELECT *`` projects the variables in order of
-    first appearance, reading each pattern's subject, predicate, object."""
+    first appearance, reading each pattern's subject, predicate, object, and
+    leaves out the stand-ins of ``[]`` blank nodes."""
     bgp = evaluable_bgp(query)
     t0 = time.perf_counter()
     kept = prune_mapping(bgp.patterns, mapping, assume_nonempty) if prune else mapping
@@ -92,7 +99,9 @@ def answer(query: SelectQuery, mapping: RmlMappingExpr, load_source: SourceLoade
     variables = query.variables
     if variables is None:
         terms = (x for tp in bgp.patterns for x in (tp.s, tp.p, tp.o))
-        variables = tuple(dict.fromkeys(x for x in terms if isinstance(x, Variable)))
+        variables = tuple(dict.fromkeys(
+            x for x in terms if isinstance(x, Variable) and not x.anonymous
+        ))
     return Answer(
         solutions=solutions, variables=variables, distinct=query.modifiers.distinct,
         trmaps_after=0 if isinstance(kept, FullyPruned) else len(kept.trmaps),

@@ -164,7 +164,7 @@ def prune(
 
 def format_pattern_term(term) -> str:
     if isinstance(term, Variable):
-        return f"?{term.name}"
+        return repr(term)
     return format_term(term)
 
 

@@ -9,7 +9,16 @@ the pruning checks reason about.
 
 Pattern evaluation returns *sets* of solution mappings: a solution binds
 exactly the variables of the pattern, and a basic graph pattern is the join
-of its triple patterns over compatible solutions.
+of its triple patterns over compatible solutions.  :func:`eval_bgp` reads
+each pattern's candidates once (from the predicate index when the predicate
+is a constant, else from one scan of the graph), filtered by the pattern's
+other constants and repeated variables, as one tuple of terms per match.  It
+then joins the patterns one at a time, next the one with the fewest
+candidates among those sharing a bound variable (the smallest of all when
+none does), through a hash table keyed on the shared variables; with none
+shared that is a cross product.  Rows stay plain tuples until the end, where
+each becomes a :class:`SolutionMapping` over one column index that the whole
+result shares.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Union
 
 from .errors import InvalidTermError, StructuralError
@@ -99,14 +109,19 @@ def is_term(value: object) -> bool:
 
 @dataclass(frozen=True)
 class Variable:
+    """A query variable.  An *anonymous* one stands in for a ``[]`` blank
+    node of the query: it never equals a variable the query names, and
+    ``SELECT *`` does not project it."""
+
     name: str
+    anonymous: bool = False
 
     def __post_init__(self):
         if not _VAR_NAME_RE.match(self.name):
             raise InvalidTermError(f"invalid variable name: {self.name!r}")
 
     def __repr__(self):
-        return f"?{self.name}"
+        return f"_:{self.name}" if self.anonymous else f"?{self.name}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,41 +183,52 @@ class Bgp:
         return out
 
 
-class SolutionMapping(Mapping):
-    """An immutable, hashable partial function from variables to terms."""
+def _column_key(var: Variable) -> tuple[str, bool]:
+    return var.name, var.anonymous
 
-    __slots__ = ("_bindings", "_hash")
+
+class SolutionMapping(Mapping):
+    """An immutable, hashable partial function from variables to terms.
+
+    ``terms`` holds the bound terms in the order of the variables' names, and
+    ``columns`` maps each variable to its position; all the solutions that
+    :func:`eval_bgp` returns share one ``columns``, and neither is mutated.
+    A solution equals another, or a plain dict, with the same bindings."""
+
+    __slots__ = ("columns", "terms")
 
     def __init__(self, bindings: Mapping[Variable, RdfTerm] | Iterable[tuple[Variable, RdfTerm]] = ()):
-        self._bindings = dict(bindings)
-        self._hash: int | None = None
+        items = sorted(dict(bindings).items(), key=lambda kv: _column_key(kv[0]))
+        self.columns = {var: i for i, (var, _) in enumerate(items)}
+        self.terms = tuple(term for _, term in items)
 
     def __getitem__(self, var: Variable) -> RdfTerm:
-        return self._bindings[var]
+        return self.terms[self.columns[var]]
+
+    def __contains__(self, var: object) -> bool:
+        return var in self.columns
 
     def __iter__(self) -> Iterator[Variable]:
-        return iter(self._bindings)
+        return iter(self.columns)
 
     def __len__(self) -> int:
-        return len(self._bindings)
+        return len(self.terms)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SolutionMapping):
-            return self._bindings == other._bindings
+            # both column orders are canonical, so equal indexes align the terms
+            return self.terms == other.terms and (
+                self.columns is other.columns or self.columns == other.columns
+            )
         if isinstance(other, Mapping):
-            return self._bindings == dict(other)
+            return dict(zip(self.columns, self.terms)) == dict(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._bindings.items()))
-        return self._hash
+        return hash(self.terms)
 
     def __repr__(self):
-        inner = ", ".join(
-            f"{var!r}->{term!r}" for var, term in sorted(self._bindings.items(), key=lambda kv: kv[0].name)
-        )
-        return "{" + inner + "}"
+        return "{" + ", ".join(f"{var!r}->{term!r}" for var, term in zip(self.columns, self.terms)) + "}"
 
 
 class RdfGraph:
@@ -212,7 +238,7 @@ class RdfGraph:
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples = frozenset(triples)
-        self._by_predicate: dict[Iri, frozenset[Triple]] | None = None
+        self._by_predicate: dict[str, tuple[Triple, ...]] | None = None
 
     @property
     def triples(self) -> frozenset[Triple]:
@@ -235,40 +261,83 @@ class RdfGraph:
     def __hash__(self) -> int:
         return hash(self._triples)
 
-    def with_predicate(self, p: Iri) -> frozenset[Triple]:
+    def with_predicate(self, p: Iri) -> tuple[Triple, ...]:
+        """The triples whose predicate is *p*, each once."""
         if self._by_predicate is None:
-            index: dict[Iri, set[Triple]] = {}
+            # keyed by the IRI's string, whose hash is cached; the triples
+            # are distinct already, so no triple is hashed again
+            index: dict[str, list[Triple]] = {}
             for t in self._triples:
-                index.setdefault(t.p, set()).add(t)
-            self._by_predicate = {k: frozenset(v) for k, v in index.items()}
-        return self._by_predicate.get(p, frozenset())
+                index.setdefault(t.p.value, []).append(t)
+            self._by_predicate = {k: tuple(v) for k, v in index.items()}
+        return self._by_predicate.get(p.value, ())
 
     def __repr__(self):
         return f"RdfGraph({len(self._triples)} triples)"
 
 
-def _match(tp: TriplePattern, triple: Triple, base: dict[Variable, RdfTerm]) -> dict[Variable, RdfTerm] | None:
-    """Extend *base* so that tp matches triple, or None when impossible."""
-    bindings = dict(base)
-    for pat, term in ((tp.s, triple.s), (tp.p, triple.p), (tp.o, triple.o)):
-        if isinstance(pat, Variable):
-            bound = bindings.get(pat)
-            if bound is None:
-                bindings[pat] = term
-            elif bound != term:
-                return None
-        elif pat != term:
-            return None
-    return bindings
+# variables, and one row of terms per match or solution in their order
+Relation = tuple[tuple[Variable, ...], list[tuple]]
 
 
-def _candidates(g: RdfGraph, tp: TriplePattern, base: dict[Variable, RdfTerm]) -> Iterable[Triple]:
-    p = tp.p
-    if isinstance(p, Variable):
-        p = base.get(p, p)
-    if isinstance(p, Iri):
-        return g.with_predicate(p)
-    return g.triples
+def _pattern_rows(tp: TriplePattern, g: RdfGraph) -> Relation:
+    """The distinct variables of *tp*, sorted by name, and one row of their
+    terms per triple of *g* that *tp* matches."""
+    first: dict[Variable, int] = {}
+    constants: list[tuple[int, RdfTerm]] = []
+    repeats: list[tuple[int, int]] = []
+    for i, x in enumerate((tp.s, tp.p, tp.o)):
+        if not isinstance(x, Variable):
+            if i != 1:  # a constant predicate picks the index entry below
+                constants.append((i, x))
+        elif x in first:
+            repeats.append((first[x], i))
+        else:
+            first[x] = i
+    triples = g.triples if isinstance(tp.p, Variable) else g.with_predicate(tp.p)
+    matches: Iterable[tuple] = ((t.s, t.p, t.o) for t in triples)
+    if constants or repeats:
+        matches = (
+            m for m in matches
+            if all(m[i] == x for i, x in constants) and all(m[i] == m[j] for i, j in repeats)
+        )
+    variables = sorted(first, key=_column_key)
+    return tuple(variables), list(map(_picker([first[var] for var in variables]), matches))
+
+
+def _picker(positions: list[int]):
+    """A function from a row to the tuple of its terms at *positions*."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda row: (row[i],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+def _bgp_rows(patterns: list[TriplePattern], g: RdfGraph) -> Relation:
+    """The solutions of *patterns* over *g* as rows over the returned
+    variables; no rows when there is no solution."""
+    pending = [_pattern_rows(tp, g) for tp in patterns]
+    start = min(range(len(pending)), key=lambda i: len(pending[i][1]))
+    columns, rows = pending.pop(start)
+    columns = list(columns)
+    while pending and rows:
+        at = {var: i for i, var in enumerate(columns)}
+        # next: fewest candidates among the patterns sharing a bound variable
+        nxt = min(
+            range(len(pending)),
+            key=lambda i: (not any(var in at for var in pending[i][0]), len(pending[i][1])),
+        )
+        variables, candidates = pending.pop(nxt)
+        shared = [j for j, var in enumerate(variables) if var in at]
+        fresh = [j for j, var in enumerate(variables) if var not in at]
+        key, rest = _picker(shared), _picker(fresh)
+        table: dict[tuple, list[tuple]] = {}
+        for row in candidates:
+            table.setdefault(key(row), []).append(rest(row))
+        probe = _picker([at[variables[j]] for j in shared])
+        rows = [row + more for row in rows for more in table.get(probe(row), ())]
+        columns.extend(variables[j] for j in fresh)
+    return tuple(columns), rows
 
 
 def eval_bgp(bgp: Bgp | Iterable[TriplePattern], g: RdfGraph) -> set[SolutionMapping]:
@@ -276,15 +345,14 @@ def eval_bgp(bgp: Bgp | Iterable[TriplePattern], g: RdfGraph) -> set[SolutionMap
     patterns = list(bgp.patterns) if isinstance(bgp, Bgp) else list(bgp)
     if not patterns:
         raise StructuralError("cannot evaluate an empty basic graph pattern")
-    partial: list[dict[Variable, RdfTerm]] = [{}]
-    for tp in patterns:
-        grown: list[dict[Variable, RdfTerm]] = []
-        for base in partial:
-            for triple in _candidates(g, tp, base):
-                bindings = _match(tp, triple, base)
-                if bindings is not None:
-                    grown.append(bindings)
-        partial = grown
-        if not partial:
-            break
-    return {SolutionMapping(b) for b in partial}
+    variables, rows = _bgp_rows(patterns, g)
+    order = sorted(range(len(variables)), key=lambda i: _column_key(variables[i]))
+    if order != sorted(order):
+        rows = map(_picker(order), rows)
+    columns = {variables[i]: n for n, i in enumerate(order)}
+    solutions = set()
+    for terms in rows:
+        mu = object.__new__(SolutionMapping)
+        mu.columns, mu.terms = columns, terms
+        solutions.add(mu)
+    return solutions

@@ -116,10 +116,9 @@ class _QueryParser(Lexer):
         self._anon = 0
 
     def fresh_variable(self) -> Variable:
-        # stands in for an anonymous blank node; the prefix makes a clash
-        # with user variables unlikely and harmless for pruning
+        # stands in for an anonymous blank node
         self._anon += 1
-        return Variable(f"_bnode{self._anon}")
+        return Variable(f"b{self._anon}", anonymous=True)
 
     def read_variable(self) -> Variable:
         match = _VAR_RE.match(self.text, self.pos)

@@ -33,6 +33,7 @@ from rmlprune.rdf import (
     Iri,
     Literal,
     RdfGraph,
+    RdfTerm,
     SolutionMapping,
     Triple,
     TriplePattern,
@@ -231,6 +232,31 @@ def eval_triple_pattern(tp: TriplePattern, g: RdfGraph) -> set[SolutionMapping]:
     the variables of *tp*, and substituting it into *tp* gives a triple of
     *g*."""
     return eval_bgp(Bgp((tp,)), g)
+
+
+def _match(tp: TriplePattern, triple: Triple, base: dict[Variable, RdfTerm]) -> dict[Variable, RdfTerm] | None:
+    """Extend *base* so that tp matches triple, or None when impossible."""
+    bindings = dict(base)
+    for pat, term in ((tp.s, triple.s), (tp.p, triple.p), (tp.o, triple.o)):
+        if isinstance(pat, Variable):
+            bound = bindings.get(pat)
+            if bound is None:
+                bindings[pat] = term
+            elif bound != term:
+                return None
+        elif pat != term:
+            return None
+    return bindings
+
+
+def nested_loop_eval_bgp(patterns: Iterable[TriplePattern], g: RdfGraph) -> list[SolutionMapping]:
+    """The oracle for ``eval_bgp``: extend every partial solution by every
+    triple, pattern by pattern in query order.  Returns a list, so a
+    solution found twice would show."""
+    partial: list[dict[Variable, RdfTerm]] = [{}]
+    for tp in patterns:
+        partial = [b for base in partial for t in g.triples if (b := _match(tp, t, base)) is not None]
+    return [SolutionMapping(b) for b in partial]
 
 
 def is_subgraph_of(g: RdfGraph, other: RdfGraph) -> bool:

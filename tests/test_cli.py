@@ -222,6 +222,25 @@ def test_query_distinct_deduplicates(corpus, capsys, tmp_path):
     assert "5 rows" in err
 
 
+def test_query_blank_node_is_not_a_user_variable_and_not_projected(corpus, capsys, tmp_path):
+    # every route has one name: ?_bnode1 ranges over the 20 routes
+    # independently of the [] stand-in, a cross product of 400 rows
+    q = tmp_path / "anon.rq"
+    q.write_text(
+        "PREFIX ex: <http://example.com/ns#>\n"
+        "SELECT * WHERE { ?_bnode1 a ex:Route . [] ex:routeName ?n . }\n"
+    )
+    code, out, err = run(
+        capsys, "query", "--mapping", str(corpus / "mapping.ttl"), "--query", str(q),
+        "--data-dir", str(corpus),
+    )
+    assert code == 0, err
+    lines = out.splitlines()
+    assert lines[0] == "?_bnode1\t?n"
+    assert len(lines) - 1 == 400
+    assert "400 rows" in err
+
+
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_query_output_equals_the_full_pipeline(corpus, capsys, name):
     mapping = translate(parse_rml((corpus / "mapping.ttl").read_bytes()))

@@ -2,16 +2,21 @@
 
 The evaluator is checked against a brute-force oracle that enumerates
 every candidate variable assignment over the graph's term universe and
-keeps those whose substituted patterns are all triples of the graph.
+keeps those whose substituted patterns are all triples of the graph, and
+against the nested-loop evaluator on ``randgen`` graphs.
 """
 
+import functools
 import itertools
+import random
 import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rmlprune import rdf
+from rmlprune.algebra import materialize
 from rmlprune.errors import InvalidTermError, StructuralError
 from rmlprune.rdf import (
     XSD_DOUBLE,
@@ -30,7 +35,15 @@ from rmlprune.rdf import (
     is_valid_iri,
 )
 
-from .helpers import apply_solution, compatible, eval_triple_pattern, is_subgraph_of, merge
+from . import randgen
+from .helpers import (
+    apply_solution,
+    compatible,
+    eval_triple_pattern,
+    is_subgraph_of,
+    merge,
+    nested_loop_eval_bgp,
+)
 
 EX = "http://example.com/"
 
@@ -176,6 +189,24 @@ def test_solution_mapping_behaves_like_a_mapping():
     assert set(mu) == {Variable("x")}
     assert mu == SolutionMapping({Variable("x"): iri("a")})
     assert hash(mu) == hash(SolutionMapping({Variable("x"): iri("a")}))
+
+
+def test_solution_mapping_equality_ignores_binding_order():
+    x, y, z = Variable("x"), Variable("y"), Variable("z")
+    bindings = {z: Literal("3"), x: iri("a"), y: BlankNode("b")}
+    orders = [dict(perm) for perm in itertools.permutations(bindings.items())]
+    solutions = [SolutionMapping(order) for order in orders]
+    assert len(set(solutions)) == 1
+    assert len({hash(mu) for mu in solutions}) == 1
+    for mu in solutions:
+        assert mu == bindings and bindings == mu
+        assert list(mu) == [x, y, z]
+        assert dict(mu.items()) == bindings
+    assert solutions[0] != SolutionMapping({x: iri("a"), y: BlankNode("b")})
+    assert solutions[0] != {x: iri("a"), y: BlankNode("b"), z: Literal("4")}
+    # same terms over other variables: a different solution
+    assert SolutionMapping({x: iri("a")}) != SolutionMapping({y: iri("a")})
+    assert SolutionMapping({x: iri("a")}) != SolutionMapping({Variable("x", anonymous=True): iri("a")})
 
 
 def test_solution_mapping_compatibility_and_merge():
@@ -338,11 +369,76 @@ _patterns = st.builds(TriplePattern, _pattern_subjects, _pattern_predicates, _pa
 
 @given(
     st.lists(_triples, min_size=0, max_size=7),
-    st.lists(_patterns, min_size=1, max_size=3),
+    st.lists(_patterns, min_size=1, max_size=4),
 )
 def test_eval_bgp_matches_brute_force_oracle(triples, patterns):
     g = RdfGraph(triples)
     assert eval_bgp(Bgp(tuple(patterns)), g) == oracle_eval_bgp(patterns, g)
+
+
+# ---------------------------------------------------------------------------
+# evaluation: the nested-loop oracle on randgen graphs
+# ---------------------------------------------------------------------------
+
+
+@functools.cache
+def randgen_graph(seed: int) -> tuple[Triple, ...]:
+    inst = randgen.make_instance(seed)
+    return tuple(sorted(materialize(inst.mapping, inst.sigma), key=repr))
+
+
+_join_variables = [Variable(f"v{i}") for i in range(4)]
+
+
+@st.composite
+def _graph_and_join(draw):
+    """A subgraph of a randgen graph and 2-4 patterns over 3 variables, so
+    patterns share variables, repeat one (``?v0 ex:p ?v0``), leave the
+    predicate open, or share nothing; constants come from the whole graph,
+    so some match nothing in the subgraph."""
+    triples = randgen_graph(draw(st.integers(0, 199)))
+    # at most 16 triples, so a cross product of 4 patterns stays small
+    g = RdfGraph(draw(st.lists(st.sampled_from(triples), max_size=16)))
+    variables = st.sampled_from(_join_variables[:3])
+    subjects = st.sampled_from([t.s for t in triples if isinstance(t.s, Iri)] or [Iri(randgen.BASE)])
+    predicates = st.sampled_from([t.p for t in triples] + [randgen.PREDICATES[0]])
+    objects = st.sampled_from([t.o for t in triples if not isinstance(t.o, BlankNode)] or [Literal("")])
+    pattern = st.builds(
+        TriplePattern,
+        st.one_of(variables, variables, subjects),
+        st.one_of(variables, predicates),
+        st.one_of(variables, variables, objects),
+    )
+    return g, draw(st.lists(pattern, min_size=2, max_size=4))
+
+
+def assert_matches_nested_loop(patterns, g: RdfGraph):
+    expected = nested_loop_eval_bgp(patterns, g)
+    assert eval_bgp(Bgp(tuple(patterns)), g) == set(expected)
+    _, rows = rdf._bgp_rows(patterns, g)
+    assert len(rows) == len(set(rows)) == len(expected)  # no solution produced twice
+
+
+@given(_graph_and_join())
+def test_eval_bgp_matches_nested_loop_oracle(case):
+    g, patterns = case
+    assert_matches_nested_loop(patterns, g)
+
+
+def test_eval_bgp_matches_nested_loop_oracle_on_fixed_shapes():
+    # each shape on every graph, whatever the draws above reach
+    x, y, z, w = _join_variables
+    for seed in range(40):
+        g = RdfGraph(randgen_graph(seed))
+        p = random.Random(seed).choice(sorted({t.p for t in g}, key=repr))
+        for patterns in (
+            [TriplePattern(x, p, y), TriplePattern(y, z, w)],  # chain, open predicate
+            [TriplePattern(x, p, x), TriplePattern(x, y, z)],  # repeated variable
+            [TriplePattern(x, p, y), TriplePattern(z, p, w)],  # no shared variable
+            [TriplePattern(x, p, y), TriplePattern(x, z, y)],  # two shared variables
+            [TriplePattern(x, y, z), TriplePattern(x, p, w), TriplePattern(w, y, z)],
+        ):
+            assert_matches_nested_loop(patterns, g)
 
 
 def test_graph_subgraph_and_predicate_index():
@@ -350,7 +446,8 @@ def test_graph_subgraph_and_predicate_index():
     sub = RdfGraph([Triple(iri("s1"), iri("p"), iri("o1"))])
     assert is_subgraph_of(sub, g)
     assert not is_subgraph_of(g, sub)
-    assert g.with_predicate(iri("q")) == frozenset(
-        {Triple(iri("o1"), iri("q"), Literal("5", XSD_INTEGER))}
+    assert list(g.with_predicate(iri("q"))) == [Triple(iri("o1"), iri("q"), Literal("5", XSD_INTEGER))]
+    assert sorted(g.with_predicate(iri("p")), key=repr) == sorted(
+        (t for t in g if t.p == iri("p")), key=repr
     )
-    assert g.with_predicate(iri("missing")) == frozenset()
+    assert list(g.with_predicate(iri("missing"))) == []

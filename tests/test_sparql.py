@@ -83,7 +83,15 @@ def test_anonymous_bnode_becomes_fresh_variable():
     pats = sorted(collect_triple_patterns(q), key=repr)
     subjects = {p.s for p in pats}
     assert len(subjects) == 2
-    assert all(isinstance(s, Variable) and s.name.startswith("_bnode") for s in subjects)
+    assert all(isinstance(s, Variable) and s.anonymous for s in subjects)
+
+
+@pytest.mark.parametrize("name", ["b1", "_bnode1"])
+def test_anonymous_bnode_stand_ins_never_equal_user_variables(name):
+    q = parse_query(f"SELECT * WHERE {{ ?{name} <http://e/p> ?o . [] <http://e/q> ?o2 . }}")
+    (user,) = patterns(f"SELECT * WHERE {{ ?{name} <http://e/p> ?o }}")
+    (stand_in,) = {tp.s for tp in collect_triple_patterns(q)} - {user.s}
+    assert stand_in.anonymous and stand_in != Variable(stand_in.name)
 
 
 def test_optional_and_filter_structure():
