@@ -8,7 +8,8 @@ its grammar.  Implemented here, once:
   forbidden-character check.  A relative IRI is resolved by concatenation
   with the in-scope base;
 * ``PNAME_NS`` and ``PNAME_LN``: ``PN_PREFIX`` and ``PN_LOCAL`` with
-  ``PLX`` (``PN_LOCAL_ESC``).  An escaped ``\\.`` may end a local name; a
+  ``PLX`` (``PN_LOCAL_ESC``).  A prefix starts with a letter, a local name
+  not with ``-`` or ``.``.  An escaped ``\\.`` may end a local name; a
   bare trailing ``.`` is left to end the statement;
 * ``STRING_LITERAL1``, ``STRING_LITERAL2``, ``STRING_LITERAL_LONG1`` and
   ``STRING_LITERAL_LONG2``, with ``ECHAR`` and ``UCHAR``;
@@ -60,6 +61,8 @@ MAX_NESTING = 100
 # In a str pattern \w is exactly str.isalnum() plus '_'.
 _WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _PREFIX_RE = re.compile(r"[\w.-]*")
+# PN_PREFIX starts with a letter
+_PREFIX_START_RE = re.compile(r"[^\W\d_]")
 _LOCAL_RE = re.compile(r"(?:[\w.:%-]|\\[_~.\-!$&'()*+,;=/?#@%])*")
 _PLX_RE = re.compile(r"\\(.)")
 _A_RE = re.compile(r"a(?![\w.:-])")
@@ -79,7 +82,7 @@ _TOKEN_RE = re.compile(
     r"(?:([][(),;.])"
     r"|<([^<>\"{}|^`\\\x00-\x20]*)>"
     r"|((?:[^\W\d_][\w.-]*(?<!\.))?)"
-    r":([\w:%-]*(?:\.+[\w:%-]+)*)(?![\w:%-]|\.+[\w:%-]|\.*\\)"
+    r":((?:[\w:%][\w:%-]*(?:\.+[\w:%-]+)*)?)(?![\w:%-]|\.+[\w:%-]|\.*\\)"
     r"|\"([^\"\\\r\n]*)\"(?![\"@^]))?"
 )
 # the group numbers of _TOKEN_RE, as Match.lastindex reports the token read
@@ -255,6 +258,8 @@ class Lexer:
         """The part before ':' in a prefixed name or prefix declaration."""
         end = _PREFIX_RE.match(self.text, self.pos).end()
         name = self.text[self.pos : end]
+        if name and not _PREFIX_START_RE.match(name):
+            raise self.error(f"prefix name must start with a letter: {name!r}")
         self.pos = end
         if name.endswith("."):
             raise self.error(f"prefix name may not end with '.': {name!r}")
@@ -269,6 +274,8 @@ class Lexer:
         name = self.text[self.pos : end].rstrip(".")
         if name.endswith("\\"):
             name += "."
+        if name[:1] in ("-", "."):
+            raise self.error(f"local name may not start with {name[0]!r}: {name!r}")
         self.pos += len(name)
         return _PLX_RE.sub(r"\1", name) if "\\" in name else name
 

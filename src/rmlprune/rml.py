@@ -14,17 +14,21 @@ A parsed document has one shape: every triples map has a subject map, and
 each predicate-object map pairs one predicate map with one object map.
 :func:`parse_rml` gets there by turning shortcuts into constant maps,
 classes into leading ``rdf:type`` pairs, and several predicate or object
-maps into their product.  :func:`translate` emits one triples-map
-expression per (triples map, predicate-object map) pair, tagging each with
-a provenance id that :func:`serialize_pruned` uses to write the surviving
-subset back out as a standalone mapping document.
+maps into their product.  It builds each term map's constructor once, as
+it walks the map: R2RML's term-type rules (§7.4) and the rules of the
+map's position are applied there, and nowhere else, and the constructor's
+attributes are named after the references it reads.  :func:`translate`
+only wires those constructors to extractions and joins: it emits one
+triples-map expression per (triples map, predicate-object map) pair,
+tagging each with a provenance id that :func:`serialize_pruned` uses to
+write the surviving subset back out as a standalone mapping document.
 """
 
 from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .algebra import (
     BuildBlank,
@@ -50,10 +54,6 @@ RML_OLD = "http://semweb.mmlab.be/ns/rml#"
 QL = "http://semweb.mmlab.be/ns/ql#"
 
 DEFAULT_BASE_IRI = "http://example.com/base/"
-
-IRI_TYPE = "iri"
-LITERAL_TYPE = "literal"
-BNODE_TYPE = "bnode"
 
 _VOCAB: dict[str, str] = {}
 
@@ -105,14 +105,17 @@ _REJECTED_PROPS[RML_OLD + "query"] = "query-backed sources are not supported"
 _REJECTED_PROPS["http://semweb.mmlab.be/ns/fnml#functionValue"] = "function maps are not supported"
 _REJECTED_PROPS[RML_NEW + "logicalTarget"] = "logical targets are not supported"
 
+# each term type as the constructor that builds its terms
 _TERM_TYPES = {
-    RML_NEW + "IRI": IRI_TYPE,
-    RR + "IRI": IRI_TYPE,
-    RML_NEW + "Literal": LITERAL_TYPE,
-    RR + "Literal": LITERAL_TYPE,
-    RML_NEW + "BlankNode": BNODE_TYPE,
-    RR + "BlankNode": BNODE_TYPE,
+    RML_NEW + "IRI": BuildIri,
+    RR + "IRI": BuildIri,
+    RML_NEW + "Literal": BuildLiteral,
+    RR + "Literal": BuildLiteral,
+    RML_NEW + "BlankNode": BuildBlank,
+    RR + "BlankNode": BuildBlank,
 }
+_CONSTANT_TYPES = {Iri: BuildIri, Literal: BuildLiteral, BlankNode: BuildBlank}
+_TYPE_KEYWORD = {BuildIri: "rml:IRI", BuildLiteral: "rml:Literal", BuildBlank: "rml:BlankNode"}
 
 _CSV_FORMULATIONS = {QL + "CSV", RML_NEW + "CSV"}
 _KNOWN_OTHER_FORMULATIONS = {
@@ -130,10 +133,12 @@ _KNOWN_OTHER_FORMULATIONS = {
 
 @dataclass
 class TermMapModel:
+    """A term map as written, which :func:`serialize_pruned` writes back,
+    and the constructor it builds."""
+
     kind: str  # "constant" | "reference" | "template"
     value: RdfTerm | str
-    term_type: str | None = None
-    datatype: str | None = None
+    expr: ExtendExpr
 
 
 @dataclass
@@ -260,9 +265,67 @@ def _parse_logical_source(g: _Graph, key: str) -> str:
     return source
 
 
+def _term_map(
+    kind: str,
+    value: RdfTerm | str,
+    position: str,
+    where: str,
+    base: str,
+    term_type: type | None = None,
+    datatype: str | None = None,
+) -> TermMapModel:
+    """A term map at *position* ("subject", "predicate" or "object") with
+    its constructor, after R2RML's term-type rules: a constant has its
+    term's type; otherwise an explicit term type holds, an object map that
+    is reference-valued or datatyped builds literals, and every other map
+    builds IRIs.  Subject maps build no literals, predicate maps only IRIs,
+    and only a literal-building map takes a datatype.  *where* names the
+    map in errors."""
+    if kind == "constant":
+        if datatype is not None:
+            typed = f" ({format_term(Literal(value.lex, datatype))})" if type(value) is Literal else ""
+            raise MappingModelError(
+                f"{where}: a constant map takes no datatype; write the typed literal{typed} "
+                f"as the constant"
+            )
+        built = _CONSTANT_TYPES[type(value)]
+        if term_type not in (None, built):
+            raise MappingModelError(
+                f"{where}: constant {value!r} conflicts with term type {_TYPE_KEYWORD[term_type]}"
+            )
+    elif term_type is not None:
+        built = term_type
+    elif position == "object" and (kind == "reference" or datatype is not None):
+        built = BuildLiteral
+    else:
+        built = BuildIri
+    if position == "subject" and built is BuildLiteral:
+        raise MappingModelError(f"{where}: subject maps cannot produce literals")
+    if position == "predicate" and built is not BuildIri:
+        raise MappingModelError(f"{where}: predicate maps must produce IRIs")
+    if datatype is not None and built is not BuildLiteral:
+        raise MappingModelError(f"{where}: datatype is only allowed on literal-producing maps")
+    if kind == "constant":
+        return TermMapModel(kind, value, ConstantTerm(value))
+    if kind == "reference":
+        body = Template(("", value, ""))
+    else:
+        try:
+            body = Template(parse_template(value))
+        except MappingModelError as exc:
+            raise MappingModelError(f"{where}: {exc}") from None
+    if built is BuildLiteral:
+        return TermMapModel(kind, value, BuildLiteral(body, datatype or XSD_STRING))
+    if built is BuildBlank:
+        return TermMapModel(kind, value, BuildBlank(body))
+    return TermMapModel(kind, value, BuildIri(body, base))
+
+
 def _parse_term_map(
-    g: _Graph, key: str, *, allow_classes: bool = False
+    g: _Graph, key: str, position: str, tm_node: str, base: str
 ) -> tuple[TermMapModel, tuple[Iri, ...]]:
+    """The term map at node *key*, at *position* in triples map *tm_node*,
+    and, on a subject map, its classes."""
     kind = None
     value: RdfTerm | str | None = None
     term_type = None
@@ -287,7 +350,7 @@ def _parse_term_map(
                 raise MappingModelError(f"datatype on {_fmt_node(key)} must be an IRI")
             datatype = obj.value
         elif token == "class":
-            if not allow_classes:
+            if position != "subject":
                 raise MappingModelError(
                     f"class is only allowed on subject maps ({_fmt_node(key)})"
                 )
@@ -302,7 +365,8 @@ def _parse_term_map(
         raise MappingModelError(
             f"term map {_fmt_node(key)} needs exactly one of constant, reference, template"
         )
-    return TermMapModel(kind=kind, value=value, term_type=term_type, datatype=datatype), tuple(classes)
+    where = f"{position} map {_fmt_node(key)} of {tm_node}"
+    return _term_map(kind, value, position, where, base, term_type, datatype), tuple(classes)
 
 
 def _set_kind(key: str, current: str | None, new: str):
@@ -359,26 +423,23 @@ def _has_parent(g: _Graph, key: str) -> bool:
     return any(token == "parentTriplesMap" for token, _, _ in g.get(key, ()))
 
 
-def _parse_pom(g: _Graph, key: str, visited: set[str]) -> list[PredicateObjectMapModel]:
+def _parse_pom(
+    g: _Graph, key: str, visited: set[str], tm_node: str, base: str
+) -> list[PredicateObjectMapModel]:
     """One predicate-object map per (predicate, object) of the node:
     predicate maps before predicate shortcuts, object maps before object
     shortcuts, predicate-major."""
     visited.add(key)
     predicate_maps: list[TermMapModel] = []
-    predicate_shortcuts: list[Iri] = []
+    predicate_shortcuts: list[RdfTerm] = []
     object_maps: list[TermMapModel | RefObjectMapModel] = []
     object_shortcuts: list[RdfTerm] = []
     for token, pred, obj in g.get(key, ()):
         if token == "predicateMap":
             pkey = _node_key(obj)
             visited.add(pkey)
-            model, _ = _parse_term_map(g, pkey)
-            predicate_maps.append(model)
+            predicate_maps.append(_parse_term_map(g, pkey, "predicate", tm_node, base)[0])
         elif token == "predicate":
-            if not isinstance(obj, Iri):
-                raise MappingModelError(
-                    f"predicate shortcut on {_fmt_node(key)} must be an IRI, found {obj!r}"
-                )
             predicate_shortcuts.append(obj)
         elif token == "objectMap":
             okey = _node_key(obj)
@@ -389,16 +450,16 @@ def _parse_pom(g: _Graph, key: str, visited: set[str]) -> list[PredicateObjectMa
                         visited.add(_node_key(jobj))
                 object_maps.append(_parse_ref_object_map(g, okey))
             else:
-                model, _ = _parse_term_map(g, okey)
-                object_maps.append(model)
+                object_maps.append(_parse_term_map(g, okey, "object", tm_node, base)[0])
         elif token == "object":
             object_shortcuts.append(obj)
         elif token == "type":
             continue
         else:
             raise _misplaced(token, pred, key, "a predicate-object map")
-    predicate_maps += [TermMapModel(kind="constant", value=p) for p in predicate_shortcuts]
-    object_maps += [TermMapModel(kind="constant", value=o) for o in object_shortcuts]
+    where = f"predicate-object map {_fmt_node(key)} of {tm_node}"
+    predicate_maps += [_term_map("constant", p, "predicate", where, base) for p in predicate_shortcuts]
+    object_maps += [_term_map("constant", o, "object", where, base) for o in object_shortcuts]
     if not predicate_maps:
         raise MappingModelError(f"predicate-object map {_fmt_node(key)} has no predicate")
     if not object_maps:
@@ -414,7 +475,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
         except UnicodeDecodeError as exc:
             raise MappingModelError(f"not valid UTF-8: {exc}") from None
     reader = _MappingReader(data)
-    base = reader.parse().base
+    base = reader.parse().base or DEFAULT_BASE_IRI
     g = reader.graph
     # the triples maps: the subjects that carry a logical source, in order
     tm_keys = [key for key in g if key in reader.logical]
@@ -425,6 +486,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
     triples_maps: list[TriplesMapModel] = []
     for key in tm_keys:
         visited.add(key)
+        node = _fmt_node(key)
         source = None
         subject_map = None
         subject_shortcut = None
@@ -433,52 +495,46 @@ def parse_rml(data: bytes | str) -> RmlDocument:
         for token, pred, obj in g[key]:
             if token == "logicalSource":
                 if source is not None:
-                    raise MappingModelError(
-                        f"triples map {_fmt_node(key)} has more than one logical source"
-                    )
+                    raise MappingModelError(f"triples map {node} has more than one logical source")
                 ls_key = _node_key(obj)
                 visited.add(ls_key)
                 source = _parse_logical_source(g, ls_key)
             elif token == "subjectMap":
                 if subject_map is not None:
-                    raise MappingModelError(
-                        f"triples map {_fmt_node(key)} has more than one subject map"
-                    )
+                    raise MappingModelError(f"triples map {node} has more than one subject map")
                 skey = _node_key(obj)
                 visited.add(skey)
-                subject_map, classes = _parse_term_map(g, skey, allow_classes=True)
+                subject_map, classes = _parse_term_map(g, skey, "subject", node, base)
             elif token == "subject":
                 if subject_shortcut is not None:
                     raise MappingModelError(
-                        f"triples map {_fmt_node(key)} has more than one subject shortcut"
+                        f"triples map {node} has more than one subject shortcut"
                     )
                 subject_shortcut = obj
             elif token == "predicateObjectMap":
-                poms += _parse_pom(g, _node_key(obj), visited)
+                poms += _parse_pom(g, _node_key(obj), visited, node, base)
             elif token == "type":
                 continue
             else:
                 raise _misplaced(token, pred, key, "a triples map")
         if subject_map is not None and subject_shortcut is not None:
             raise MappingModelError(
-                f"triples map {_fmt_node(key)} has both a subject map and a subject shortcut"
+                f"triples map {node} has both a subject map and a subject shortcut"
             )
-        if subject_map is None and subject_shortcut is None:
-            raise MappingModelError(f"triples map {_fmt_node(key)} lacks a subject map")
+        if subject_shortcut is not None:
+            subject_map = _term_map("constant", subject_shortcut, "subject", f"subject of {node}", base)
+        elif subject_map is None:
+            raise MappingModelError(f"triples map {node} lacks a subject map")
+        where = f"subject map of {node}"
         class_poms = [
             PredicateObjectMapModel(
-                TermMapModel(kind="constant", value=_RDF_TYPE_IRI),
-                TermMapModel(kind="constant", value=cls),
+                _term_map("constant", _RDF_TYPE_IRI, "predicate", where, base),
+                _term_map("constant", cls, "object", where, base),
             )
             for cls in classes
         ]
         triples_maps.append(
-            TriplesMapModel(
-                id=key,
-                source=source,
-                subject_map=subject_map or TermMapModel(kind="constant", value=subject_shortcut),
-                poms=tuple(class_poms + poms),
-            )
+            TriplesMapModel(id=key, source=source, subject_map=subject_map, poms=tuple(class_poms + poms))
         )
 
     for key, props in g.items():
@@ -488,7 +544,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
                 _fmt_node(key),
             )
 
-    return RmlDocument(triples_maps=tuple(triples_maps), base_iri=base or DEFAULT_BASE_IRI)
+    return RmlDocument(triples_maps=tuple(triples_maps), base_iri=base)
 
 
 def normalize(doc: RmlDocument) -> RmlDocument:
@@ -544,172 +600,81 @@ def _template_error(template: str, pos: int) -> MappingModelError:
     )
 
 
-class _Templates(dict):
-    """Parsed templates by text, so one translation parses each only once."""
-
-    def __missing__(self, template: str) -> tuple[str, ...]:
-        parts = self[template] = parse_template(template)
-        return parts
-
-    def parts(self, model: TermMapModel) -> tuple[str, ...]:
-        """The template parts of a map; a reference is a template of one
-        attribute, a constant one of no attribute."""
-        if model.kind == "reference":
-            return ("", model.value, "")
-        return self[model.value] if model.kind == "template" else ("",)
-
-    def refs(self, model: TermMapModel) -> list[str]:
-        return list(self.parts(model)[1::2])
-
-
 # ---------------------------------------------------------------------------
 # translation
 # ---------------------------------------------------------------------------
 
 
-def _constant_type(value: RdfTerm) -> str:
-    if isinstance(value, Iri):
-        return IRI_TYPE
-    if isinstance(value, BlankNode):
-        return BNODE_TYPE
-    return LITERAL_TYPE
+def _refs(expr: ExtendExpr) -> tuple[str, ...]:
+    """The references a constructor reads, in order, repeats included."""
+    return () if isinstance(expr, ConstantTerm) else expr.body.parts[1::2]
 
 
-def effective_term_type(model: TermMapModel, position: str) -> str:
-    """The term type a map produces, after defaulting rules.
-
-    Subject and predicate maps default to IRIs.  Object maps default to
-    literals when reference-valued or datatyped, and to IRIs otherwise.
-    Constants carry their own kind.
-    """
-    if model.term_type is not None:
-        return model.term_type
-    if model.kind == "constant":
-        return _constant_type(model.value)
-    if position == "object" and (model.kind == "reference" or model.datatype is not None):
-        return LITERAL_TYPE
-    return IRI_TYPE
-
-
-def _check_term_map(model: TermMapModel, position: str, where: str) -> str:
-    ttype = effective_term_type(model, position)
-    if model.kind == "constant" and ttype != _constant_type(model.value):
-        raise MappingModelError(
-            f"{where}: constant {model.value!r} conflicts with term type {ttype!r}"
-        )
-    if position in ("subject", "parent-subject") and ttype == LITERAL_TYPE:
-        raise MappingModelError(f"{where}: subject maps cannot produce literals")
-    if position == "predicate" and ttype != IRI_TYPE:
-        raise MappingModelError(f"{where}: predicate maps must produce IRIs")
-    if model.datatype is not None and ttype != LITERAL_TYPE:
-        raise MappingModelError(
-            f"{where}: datatype is only allowed on literal-producing maps"
-        )
-    return ttype
-
-
-def _to_extend(
-    model: TermMapModel,
-    attr_of: dict[str, str],
-    base: str,
-    position: str,
-    where: str,
-    templates: _Templates,
-) -> ExtendExpr:
-    ttype = _check_term_map(model, position, where)
-    if model.kind == "constant":
-        return ConstantTerm(model.value)
-    parts = list(templates.parts(model))
-    parts[1::2] = [attr_of[ref] for ref in parts[1::2]]
-    body = Template(tuple(parts))
-    if ttype == LITERAL_TYPE:
-        return BuildLiteral(body, model.datatype or XSD_STRING)
-    if ttype == BNODE_TYPE:
-        return BuildBlank(body)
-    return BuildIri(body, base)
-
-
-def _parent_attr_name(ref: str, taken: set[str]) -> str:
-    candidate = f"{ref}@parent"
-    while candidate in taken:
-        candidate += "'"
-    return candidate
+def _renamed(expr: ExtendExpr, name_of: dict[str, str]) -> ExtendExpr:
+    """A copy of *expr* reading attribute ``name_of[a]`` for each ``a``."""
+    if isinstance(expr, ConstantTerm):
+        return expr
+    parts = list(expr.body.parts)
+    parts[1::2] = [name_of[ref] for ref in parts[1::2]]
+    return replace(expr, body=Template(tuple(parts)))
 
 
 def translate(doc: RmlDocument) -> RmlMappingExpr:
     """One triples-map expression per (triples map, predicate-object map).
 
-    Attributes are named after the references they select, in order of
-    first appearance; a joined parent's get an ``@parent`` suffix, plus
-    ``'`` until they clash with no child attribute.
+    The parsed constructors are reused; their attributes are named after
+    the references they select, in order of first appearance.  A joined
+    parent's subject constructor is copied with its attributes renamed
+    with an ``@parent`` suffix, plus ``'`` until they clash with no child
+    attribute.
     """
     by_id = {tm.id: tm for tm in doc.triples_maps}
-    base = doc.base_iri
-    templates = _Templates()
     exprs: list[TriplesMapExpr] = []
     for tm in doc.triples_maps:
-        if not tm.poms:
-            continue
-        node = _fmt_node(tm.id)
-        subject_refs = templates.refs(tm.subject_map)
-        subject_expr = _to_extend(
-            tm.subject_map,
-            {r: r for r in subject_refs},
-            base,
-            "subject",
-            f"subject map of {node}",
-            templates,
-        )
+        subject_expr = tm.subject_map.expr
+        subject_refs = _refs(subject_expr)
         for j, pom in enumerate(tm.poms):
-            pm, om = pom.predicate_map, pom.object_map
-            where = f"predicate-object map {j} of {node}"
+            predicate_expr, om = pom.predicate_map.expr, pom.object_map
             joined = isinstance(om, RefObjectMapModel)
             refs = (
                 subject_refs
-                + templates.refs(pm)
-                + ([c for c, _ in om.joins] if joined else templates.refs(om))
+                + _refs(predicate_expr)
+                + (tuple(c for c, _ in om.joins) if joined else _refs(om.expr))
             )
             # each reference selects itself, in order of first appearance
             selectors = dict(zip(refs, refs))
-            extract = ExtractSpec(source_ref=tm.source, selectors=selectors)
-            predicate_expr = _to_extend(pm, selectors, base, "predicate", where, templates)
             parent_extract = None
             join_conditions: tuple[tuple[str, str], ...] = ()
             if joined:
                 parent_tm = by_id.get(om.parent)
                 if parent_tm is None:
                     raise MappingModelError(
-                        f"{where}: parent triples map {_fmt_node(om.parent)} does not exist"
+                        f"predicate-object map {j} of {_fmt_node(tm.id)}: parent triples map "
+                        f"{_fmt_node(om.parent)} does not exist"
                     )
+                parent_subject = parent_tm.subject_map.expr
                 taken = set(selectors)
-                parent_attr_of: dict[str, str] = {}
-                for r in dict.fromkeys(
-                    templates.refs(parent_tm.subject_map) + [p for _, p in om.joins]
-                ):
-                    name = _parent_attr_name(r, taken)
+                name_of: dict[str, str] = {}
+                for ref in dict.fromkeys(_refs(parent_subject) + tuple(p for _, p in om.joins)):
+                    name = f"{ref}@parent"
+                    while name in taken:
+                        name += "'"
                     taken.add(name)
-                    parent_attr_of[r] = name
+                    name_of[ref] = name
                 parent_extract = ExtractSpec(
                     source_ref=parent_tm.source,
-                    selectors={attr: r for r, attr in parent_attr_of.items()},
+                    selectors={name: ref for ref, name in name_of.items()},
                 )
-                object_expr = _to_extend(
-                    parent_tm.subject_map,
-                    parent_attr_of,
-                    base,
-                    "parent-subject",
-                    f"subject map of {_fmt_node(parent_tm.id)}",
-                    templates,
-                )
-                join_conditions = tuple((c, parent_attr_of[p]) for c, p in om.joins)
+                object_expr = _renamed(parent_subject, name_of)
+                join_conditions = tuple((c, name_of[p]) for c, p in om.joins)
             else:
-                object_expr = _to_extend(om, selectors, base, "object", where, templates)
+                object_expr = om.expr
             exprs.append(
                 TriplesMapExpr(
                     subject_expr=subject_expr,
                     predicate_expr=predicate_expr,
                     object_expr=object_expr,
-                    extract=extract,
+                    extract=ExtractSpec(source_ref=tm.source, selectors=selectors),
                     parent_extract=parent_extract,
                     join_conditions=join_conditions,
                     provenance=f"{tm.id}#pom{j}",
@@ -727,29 +692,22 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
 # ---------------------------------------------------------------------------
 
 
-_TYPE_KEYWORD = {IRI_TYPE: "rml:IRI", LITERAL_TYPE: "rml:Literal", BNODE_TYPE: "rml:BlankNode"}
-
-
-def _render_term_map(model: TermMapModel, position: str, indent: str) -> list[str]:
-    lines = []
+def _render_term_map(model: TermMapModel, indent: str) -> list[str]:
     if model.kind == "constant":
-        lines.append(f"{indent}rml:constant {format_term(model.value)} ;")
-    elif model.kind == "reference":
-        lines.append(f'{indent}rml:reference "{escape_string(model.value)}" ;')
-    else:
-        lines.append(f'{indent}rml:template "{escape_string(model.value)}" ;')
-    if model.kind != "constant":
-        ttype = effective_term_type(model, position)
-        lines.append(f"{indent}rml:termType {_TYPE_KEYWORD[ttype]} ;")
-    if model.datatype is not None and model.datatype != XSD_STRING:
-        lines.append(f"{indent}rml:datatype <{model.datatype}> ;")
+        return [f"{indent}rml:constant {format_term(model.value)}"]
+    lines = [
+        f'{indent}rml:{model.kind} "{escape_string(model.value)}" ;',
+        f"{indent}rml:termType {_TYPE_KEYWORD[type(model.expr)]} ;",
+    ]
+    if isinstance(model.expr, BuildLiteral) and model.expr.datatype != XSD_STRING:
+        lines.append(f"{indent}rml:datatype <{model.expr.datatype}> ;")
     lines[-1] = lines[-1].rstrip(" ;")
     return lines
 
 
 def _render_object_map(om: TermMapModel | RefObjectMapModel) -> list[str]:
     if isinstance(om, TermMapModel):
-        return _render_term_map(om, "object", "      ")
+        return _render_term_map(om, "      ")
     lines = [f"      rml:parentTriplesMap {_fmt_node(om.parent)} ;"]
     for child_ref, parent_ref in om.joins:
         lines.append(
@@ -766,13 +724,13 @@ def _render_triples_map(tm: TriplesMapModel, poms: list[PredicateObjectMapModel]
         "rml:referenceFormulation rml:CSV ] ;"
     ]
     lines.append("  rml:subjectMap [")
-    lines.extend(_render_term_map(tm.subject_map, "subject", "    "))
+    lines.extend(_render_term_map(tm.subject_map, "    "))
     lines.append("  ]")
     for pom in poms:
         lines[-1] += " ;"
         lines.append("  rml:predicateObjectMap [")
         lines.append("    rml:predicateMap [")
-        lines.extend(_render_term_map(pom.predicate_map, "predicate", "      "))
+        lines.extend(_render_term_map(pom.predicate_map, "      "))
         lines.append("    ] ;")
         lines.append("    rml:objectMap [")
         lines.extend(_render_object_map(pom.object_map))

@@ -9,9 +9,9 @@ literals receive their XSD datatypes; ``^^`` annotations are honored.
 
 Everything else is rejected with a positioned error naming the feature:
 UNION, MINUS, GRAPH, SERVICE, BIND, VALUES, subqueries, property paths,
-FILTER EXISTS, bracketed blank-node property lists, language tags, and
-non-SELECT query forms.  A bare ``[]`` becomes a fresh variable, so
-patterns never contain blank nodes.
+FILTER EXISTS, blank-node labels, bracketed blank-node property lists,
+language tags, and non-SELECT query forms.  A bare ``[]`` becomes a fresh
+variable, so patterns never contain blank nodes.
 
 Pattern extraction (:func:`collect_triple_patterns`) walks the entire
 tree, including OPTIONAL bodies and FILTER-wrapped groups: a pattern that
@@ -242,6 +242,9 @@ class _QueryParser(Lexer):
         children: list[PatternNode] = []
         filters: list[str] = []
         current: list[TriplePattern] = []
+        # a triples block not ended by '.' may only be followed by '}', a
+        # group, OPTIONAL or FILTER
+        open_block = False
 
         def flush():
             if current:
@@ -256,6 +259,7 @@ class _QueryParser(Lexer):
             if ch == "}":
                 self.pos += 1
                 break
+            after_open_block, open_block = open_block, False
             if ch == "{":
                 save = self.pos
                 self.pos += 1
@@ -287,9 +291,11 @@ class _QueryParser(Lexer):
             for feature in ("MINUS", "GRAPH", "SERVICE", "BIND", "VALUES", "UNION"):
                 if self.keyword_ahead(feature):
                     raise self.error(f"{feature} is not supported", unsupported=True)
+            if after_open_block:
+                raise self.error("expected '.' or '}' after a triple pattern")
             self._parse_triples_same_subject(current)
             self.skip_ws()
-            self.try_consume_dot()
+            open_block = not self.try_consume_dot()
 
         flush()
         node: PatternNode
@@ -358,7 +364,12 @@ class _QueryParser(Lexer):
             raise self.error("literal subjects are not supported", unsupported=True)
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)
+        self._reject_bnode_label()
         return self.read_iri()
+
+    def _reject_bnode_label(self):
+        if self.text.startswith("_:", self.pos):
+            raise self.error("blank node labels (_:b) in patterns are not supported", unsupported=True)
 
     def _parse_anon(self) -> Variable:
         self.expect("[")
@@ -409,6 +420,7 @@ class _QueryParser(Lexer):
             return self._parse_anon()
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)
+        self._reject_bnode_label()
         return self.read_constant()
 
     def _parse_solution_modifiers(self, modifiers: Modifiers):

@@ -151,6 +151,8 @@ class TurtleParser(Lexer):
         self.expect("_:")
         end = _LABEL_RE.match(self.text, self.pos).end()
         label = self.text[self.pos : end].rstrip(".")
+        if label[:1] in ("-", "."):
+            raise self.error(f"blank node label may not start with {label[0]!r}: {label!r}")
         self.pos += len(label)
         if not label:
             raise self.error("empty blank node label")

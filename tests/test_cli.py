@@ -563,6 +563,29 @@ def test_several_subject_shortcuts_exit_2(capsys, tmp_path):
     assert "has more than one subject" in err
 
 
+@pytest.mark.parametrize(
+    "subject",
+    [
+        'rml:subject "lit"',
+        'rml:subjectMap [ rml:template "{bad" ]',
+        'rml:subjectMap [ rml:reference "a" ; rml:datatype rml:x ]',
+    ],
+    ids=["literal subject", "malformed template", "datatype on a subject map"],
+)
+def test_a_bad_subject_without_predicate_object_maps_exits_2(capsys, tmp_path, subject):
+    bad = tmp_path / "bare.ttl"
+    bad.write_text(
+        "@prefix rml: <http://w3id.org/rml/> .\n@prefix ex: <http://e/> .\n"
+        "ex:ok rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object ex:o ] .\n"
+        f"ex:bare rml:logicalSource [ rml:source \"f.csv\" ] ;\n  {subject} .\n"
+    )
+    code, _, err = run(capsys, "translate", "--mapping", str(bad))
+    assert code == 2
+    assert err.startswith("error:") and "<http://e/bare>" in err
+
+
 def test_latin1_query_exits_2(corpus, capsys, tmp_path):
     q = tmp_path / "latin1.rq"
     q.write_bytes('SELECT * WHERE { ?s ?p "café" }\n'.encode("latin-1"))

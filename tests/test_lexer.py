@@ -72,6 +72,44 @@ def test_both_parsers_read_a_term_alike(spelling, term):
     assert sparql_object(spelling) == term
 
 
+# Names whose first character the grammar forbids: PN_PREFIX starts with a
+# letter; PN_LOCAL and BLANK_NODE_LABEL do not start with '-' or '.'.  Each
+# is a statement of both languages; SPARQL has no blank node labels in
+# patterns at all.
+MISSPELLINGS = [
+    ("@prefix -a: <http://ex.org/> .", "PREFIX -a: <http://ex.org/>"),
+    ("@prefix .a: <http://ex.org/> .", "PREFIX .a: <http://ex.org/>"),
+    ("@prefix 1a: <http://ex.org/> .", "PREFIX 1a: <http://ex.org/>"),
+    ("@prefix _a: <http://ex.org/> .", "PREFIX _a: <http://ex.org/>"),
+    ("ex:s ex:p ex:-o .", "ex:s ex:p ex:-o"),
+    ("ex:s ex:p ex:.o .", "ex:s ex:p ex:.o"),
+    ("ex:s ex:p ex:..o .", "ex:s ex:p ex:..o"),
+    ("ex:-s ex:p ex:o .", "ex:-s ex:p ex:o"),
+    ("ex:s ex:-p ex:o .", "ex:s ex:-p ex:o"),
+    ("ex:s ex:p _:-a .", "ex:s ex:p _:-a"),
+    ("ex:s ex:p _:.a .", "ex:s ex:p _:.a"),
+]
+
+
+@pytest.mark.parametrize("turtle,sparql", MISSPELLINGS, ids=[t for t, _ in MISSPELLINGS])
+def test_both_parsers_reject_a_name_that_starts_wrong(turtle, sparql):
+    with pytest.raises(TurtleError, match="line 2"):
+        parse_turtle(f"@prefix ex: <{EX}> .\n{turtle}\n")
+    if sparql.startswith("PREFIX"):
+        sparql = f"{sparql} SELECT * WHERE {{ ?s ?p ?o }}"
+    else:
+        sparql = f"PREFIX ex: <{EX}> SELECT * WHERE {{ {sparql} }}"
+    with pytest.raises(SparqlError, match="line 1"):
+        parse_query(sparql)
+
+
+def test_names_may_start_with_a_digit_or_an_escape():
+    doc = parse_turtle(f"@prefix ex: <{EX}> .\nex:1s ex:p ex:\\-o , ex:o.-p , _:1a , _:a-.b .\n")
+    assert [t.o for t in doc.triples][:2] == [Iri(EX + "-o"), Iri(EX + "o.-p")]
+    assert doc.triples[0].s == Iri(EX + "1s")
+    assert len(set(t.o for t in doc.triples)) == 4
+
+
 # ---------------------------------------------------------------------------
 # regressions: the two parsers used to read these differently
 # ---------------------------------------------------------------------------

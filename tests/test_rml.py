@@ -21,11 +21,10 @@ from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.errors import MappingModelError
 from rmlprune.gendata import MAPPING_TTL, QUERIES
 from rmlprune.pruning import FullyPruned, prune
-from rmlprune.rdf import RDF_TYPE, XSD_DOUBLE, XSD_STRING, Iri, Literal, Triple
+from rmlprune.rdf import RDF_TYPE, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Iri, Literal, Triple
 from rmlprune.rml import (
     DEFAULT_BASE_IRI,
     RmlDocument,
-    effective_term_type,
     normalize,
     parse_rml,
     parse_template,
@@ -154,7 +153,7 @@ def test_parse_airports_document(airports_doc):
     assert tm.source == "airports.csv"
     assert tm.subject_map.kind == "reference"
     assert tm.subject_map.value == "aiport_id"
-    assert tm.subject_map.term_type == "iri"
+    assert tm.subject_map.expr == BuildIri(ref("aiport_id"), DEFAULT_BASE_IRI)
     assert [pom.predicate_map.value for pom in tm.poms] == [
         Iri(EX + "route"),
         Iri(GTFS + "long"),
@@ -164,7 +163,7 @@ def test_parse_airports_document(airports_doc):
 def test_datatype_alias_spelling_is_accepted(airports_doc):
     (tm,) = airports_doc.triples_maps
     long_pom = tm.poms[1]
-    assert long_pom.object_map.datatype == XSD_DOUBLE
+    assert long_pom.object_map.expr.datatype == XSD_DOUBLE
 
 
 def test_parse_requires_a_triples_map():
@@ -361,20 +360,29 @@ def test_parse_rejects_several_subject_shortcuts(subjects):
 
 
 def test_effective_term_type_defaults():
-    from rmlprune.rml import TermMapModel
-
-    ref = TermMapModel(kind="reference", value="a")
-    tpl = TermMapModel(kind="template", value="http://e/{a}")
-    typed = TermMapModel(kind="reference", value="a", datatype=XSD_DOUBLE)
-    assert effective_term_type(ref, "subject") == "iri"
-    assert effective_term_type(ref, "predicate") == "iri"
-    assert effective_term_type(ref, "object") == "literal"
-    assert effective_term_type(tpl, "object") == "iri"
-    assert effective_term_type(typed, "object") == "literal"
-    const_lit = TermMapModel(kind="constant", value=Literal("v"))
-    assert effective_term_type(const_lit, "object") == "literal"
-    explicit = TermMapModel(kind="reference", value="a", term_type="bnode")
-    assert effective_term_type(explicit, "object") == "bnode"
+    text = NEW_HEADER + (
+        "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
+        "  rml:predicateObjectMap [\n"
+        "    rml:predicateMap [ rml:reference \"p\" ] ;\n"
+        "    rml:objectMap [ rml:reference \"a\" ] ,\n"
+        "      [ rml:template \"http://e/{a}\" ] ,\n"
+        "      [ rml:reference \"a\" ; rml:datatype xsd:double ] ,\n"
+        "      [ rml:constant \"v\" ] ,\n"
+        "      [ rml:reference \"a\" ; rml:termType rml:BlankNode ] ] .\n"
+    )
+    (tm,) = parse_rml(text).triples_maps
+    a = ref("a")
+    # subject and predicate maps build IRIs from a reference
+    assert tm.subject_map.expr == BuildIri(a, DEFAULT_BASE_IRI)
+    assert tm.poms[0].predicate_map.expr == BuildIri(ref("p"), DEFAULT_BASE_IRI)
+    assert [pom.object_map.expr for pom in tm.poms] == [
+        BuildLiteral(a, XSD_STRING),  # a reference object builds a literal
+        BuildIri(Template(("http://e/", "a", "")), DEFAULT_BASE_IRI),  # a template an IRI
+        BuildLiteral(a, XSD_DOUBLE),  # so does a datatyped map
+        ConstantTerm(Literal("v")),  # a constant has its term's type
+        BuildBlank(a),  # and an explicit term type wins
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +476,7 @@ def test_translate_rejects_literal_subjects_and_predicates():
         "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
     )
     with pytest.raises(MappingModelError, match="literal"):
-        translate(parse_rml(bad_subject))
+        parse_rml(bad_subject)
     bad_predicate = NEW_HEADER + (
         "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
         "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
@@ -477,7 +485,7 @@ def test_translate_rejects_literal_subjects_and_predicates():
         "    rml:object \"v\" ] .\n"
     )
     with pytest.raises(MappingModelError, match="predicate"):
-        translate(parse_rml(bad_predicate))
+        parse_rml(bad_predicate)
 
 
 def test_translate_rejects_datatype_on_non_literal():
@@ -491,7 +499,48 @@ def test_translate_rejects_datatype_on_non_literal():
     # force IRI to trigger the conflict
     text = text.replace('rml:datatype xsd:double', 'rml:datatype xsd:double ; rml:termType rml:IRI')
     with pytest.raises(MappingModelError, match="datatype"):
-        translate(parse_rml(text))
+        parse_rml(text)
+
+
+def test_parse_rejects_a_datatype_on_a_constant():
+    # the constant builds "7" as an xsd:string, so the datatype would be lost
+    text = NEW_HEADER + (
+        "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ;\n"
+        "    rml:objectMap <http://e/om> ] .\n"
+        "<http://e/om> rml:constant \"7\" ; rml:datatype xsd:integer .\n"
+    )
+    with pytest.raises(MappingModelError, match="takes no datatype") as info:
+        parse_rml(text)
+    message = str(info.value)
+    assert f'write the typed literal ("7"^^<{XSD_INTEGER}>) as the constant' in message
+    assert "<http://e/om>" in message and "<http://e/tm>" in message
+
+
+UNCHECKED_SUBJECTS = {
+    "literal subject": 'rml:subject "lit"',
+    "malformed template": 'rml:subjectMap [ rml:template "{bad" ]',
+    "datatype on a subject map": 'rml:subjectMap [ rml:reference "a" ; rml:datatype xsd:integer ]',
+}
+
+
+def without_predicate_object_maps(subject: str) -> str:
+    """A document whose second triples map, with *subject*, has no
+    predicate-object map, beside one that yields an expression."""
+    return NEW_HEADER + (
+        "<http://e/ok> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
+        "<http://e/bare> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        f"  {subject} .\n"
+    )
+
+
+@pytest.mark.parametrize("subject", UNCHECKED_SUBJECTS.values(), ids=list(UNCHECKED_SUBJECTS))
+def test_a_triples_map_without_predicate_object_maps_is_checked(subject):
+    with pytest.raises(MappingModelError, match="<http://e/bare>"):
+        parse_rml(without_predicate_object_maps(subject))
 
 
 def test_translate_rejects_missing_parent():
@@ -629,6 +678,20 @@ def test_wide_mapping_plan_is_pinned():
 def test_corpus_mapping_plan_is_pinned():
     plan = dump_plan(translate(parse_rml(MAPPING_TTL))) + "\n"
     assert hashlib.sha256(plan.encode("utf-8")).hexdigest() == SCALE1_PLAN
+
+
+# sha256 of `rmlprune prune` of q01 on the seed corpus mapping: ?s ?p ?o
+# keeps every expression, so this is the whole mapping written back with
+# every term-map kind (constant, reference, template; IRI, literal, blank
+# node, datatyped; joins).  It is the q01.ttl that CI checks
+Q01_PRUNED = "886314e865f28975820c0bcd3e7ec564db7fa26a4da08c98f68dd1f2e59942d6"
+
+
+def test_q01_pruned_document_is_pinned():
+    doc = parse_rml(MAPPING_TTL)
+    result = prune(collect_triple_patterns(parse_query(QUERIES["q01"])), translate(doc))
+    text = serialize_pruned(result, doc)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == Q01_PRUNED
 
 
 def _without_provenance(m):

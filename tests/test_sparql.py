@@ -196,6 +196,8 @@ def test_group_by_and_having_recorded():
         ("SELECT * WHERE { [ <http://e/p> ?o ] <http://e/q> ?x }", "property list"),
         ('SELECT * WHERE { ?s ?p "x"@en }', "language"),
         ("SELECT * WHERE { ?s ?p (1 2) }", "collection"),
+        ("SELECT * WHERE { _:b ?p ?o }", "blank node labels"),
+        ("SELECT * WHERE { ?s ?p _:b }", "blank node labels"),
         ("CONSTRUCT { ?s ?p ?o } WHERE { ?s ?p ?o }", "CONSTRUCT"),
         ("ASK { ?s ?p ?o }", "ASK"),
     ],
@@ -206,6 +208,22 @@ def test_unsupported_forms_are_rejected_with_position(text, needle):
     message = str(exc.value)
     assert needle.lower() in message.lower()
     assert "line" in message
+
+
+def test_a_second_triples_block_needs_a_dot():
+    # TriplesBlock ::= TriplesSameSubjectPath ( '.' TriplesBlock? )?
+    with pytest.raises(SparqlError, match="expected '.' or '}'") as info:
+        parse_query("SELECT * WHERE { ?s <http://e/p> ?o ?x <http://e/p> ?y }")
+    assert (info.value.line, info.value.column) == (1, 37)
+    assert not isinstance(info.value, UnsupportedSparqlError)
+
+
+@pytest.mark.parametrize(
+    "between", [" . ", " OPTIONAL { ?a ?b ?c } ", " FILTER(?o) ", " { ?a ?b ?c } "]
+)
+def test_a_triples_block_may_end_before_a_group_optional_or_filter(between):
+    query = parse_query("SELECT * WHERE { ?s ?p ?o" + between + "?x ?y ?z }")
+    assert Variable("x") in {tp.s for tp in collect_triple_patterns(query)}
 
 
 def test_literal_subject_rejected():
