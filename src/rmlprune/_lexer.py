@@ -288,13 +288,18 @@ class Lexer:
             raise self.error(f"undeclared prefix: {prefix!r}")
         return self.resolve(ns + local)
 
-    def read_iri(self) -> Iri:
+    def read_iri(self, expected: str = "an IRI") -> Iri:
+        """An IRI at the cursor; an error naming the *expected* term at any
+        character that starts neither an IRIREF nor a prefixed name."""
         term = self._read_token_at_cursor(constant=False)
         if term is not None:
             return term
-        if self.peek() == "<":
+        ch = self.peek()
+        if ch == "<":
             return self.read_iriref()
-        return self.read_prefixed_name()
+        if ch == ":" or _PREFIX_START_RE.match(ch):
+            return self.read_prefixed_name()
+        raise self.error(f"expected {expected}, found {ch!r}" if ch else f"expected {expected}")
 
     # -- literals ----------------------------------------------------------
 
@@ -380,4 +385,4 @@ class Lexer:
                 if match:
                     self.pos = match.end()
                     return Literal(match.group(), datatype)
-        return self.read_iri()
+        return self.read_iri("an object")

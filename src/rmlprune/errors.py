@@ -26,28 +26,24 @@ class CsvError(RmlPruneError, ValueError):
     """Malformed CSV input (ragged rows, duplicate or empty headers...)."""
 
 
-class TurtleError(RmlPruneError, ValueError):
+class _PositionedError(RmlPruneError, ValueError):
+    """Malformed text, with a position when available."""
+
+    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+        if line is not None:
+            where = f"line {line}" if column is None else f"line {line}, column {column}"
+            message = f"{where}: {message}"
+        super().__init__(message)
+        self.line = line
+        self.column = column
+
+
+class TurtleError(_PositionedError):
     """Malformed Turtle input, with a position when available."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            where = f"line {line}" if column is None else f"line {line}, column {column}"
-            message = f"{where}: {message}"
-        super().__init__(message)
-        self.line = line
-        self.column = column
 
-
-class SparqlError(RmlPruneError, ValueError):
+class SparqlError(_PositionedError):
     """Malformed SPARQL input, with a position when available."""
-
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            where = f"line {line}" if column is None else f"line {line}, column {column}"
-            message = f"{where}: {message}"
-        super().__init__(message)
-        self.line = line
-        self.column = column
 
 
 class UnsupportedSparqlError(SparqlError):

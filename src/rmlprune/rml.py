@@ -6,9 +6,12 @@ Both RML generations are accepted: the current namespace
 (``http://semweb.mmlab.be/ns/rml#``).  Only CSV logical sources are in
 scope; other reference formulations, graph maps, language maps, logical
 tables and functions are rejected with messages naming the offending node.
-Unknown properties on mapping nodes are likewise rejected rather than
-dropped; triples whose subject is unreachable from every triples map only
-produce a logged warning.
+One table, :data:`_TAKES`, says which properties each kind of mapping node
+takes and which of them it takes only once, and one reader checks every
+node against it: a property the node does not take, or a once-only one
+stated twice, is rejected rather than dropped, and every error below a
+triples map names it.  Triples whose subject is unreachable from every
+triples map only produce a logged warning.
 
 A parsed document has one shape: every triples map has a subject map, and
 each predicate-object map pairs one predicate map with one object map.
@@ -215,11 +218,9 @@ class _MappingReader(TurtleParser):
 
 
 def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingModelError:
-    """The error for a property *node* may not carry, being *what*."""
+    """The error for a property *node* may not carry, being a *what*."""
     if token is not None:
-        return MappingModelError(
-            f"property {token!r} does not belong on {what} ({_fmt_node(node)})"
-        )
+        return MappingModelError(f"property {token!r} does not belong on {what} {_fmt_node(node)}")
     message = _REJECTED_PROPS.get(pred.value)
     if message is not None:
         return MappingModelError(f"{message} (property <{pred.value}> on {_fmt_node(node)})")
@@ -228,41 +229,75 @@ def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingMod
     )
 
 
+def _takes(once: str, repeats: str = "") -> dict[str, bool]:
+    return dict.fromkeys(once.split(), False) | dict.fromkeys(repeats.split(), True)
+
+
+# The property tokens each kind of mapping node takes, those it takes once
+# and those that may repeat (R2RML §6.1, §7, §8), by whether they repeat.
+_TERM_MAP = "constant reference template termType datatype"
+_KINDS = frozenset(("constant", "reference", "template"))
+_TAKES: dict[str, dict[str, bool]] = {
+    "triples map": _takes("logicalSource subjectMap subject", "predicateObjectMap"),
+    "logical source": _takes("source referenceFormulation iterator"),
+    "subject map": _takes(_TERM_MAP, "class"),
+    "predicate map": _takes(_TERM_MAP),
+    "object map": _takes(_TERM_MAP),
+    "predicate-object map": _takes("", "predicateMap predicate objectMap object"),
+    "referencing object map": _takes("parentTriplesMap", "joinCondition"),
+    "join condition": _takes("child parent"),
+}
+
+
+def _read_node(g: _Graph, key: str, what: str, visited: set[str]) -> dict:
+    """The properties of node *key*, a *what*, by token: the object of one
+    it takes once, the list of objects, in document order, of one that may
+    repeat.  Any other property but ``rdf:type`` is an error, and so is a
+    once-only property stated twice."""
+    visited.add(key)
+    takes = _TAKES[what]
+    props: dict = {}
+    for token, pred, obj in g.get(key, ()):
+        repeats = takes.get(token)
+        if repeats:
+            props.setdefault(token, []).append(obj)
+        elif repeats is None:
+            if token != "type":
+                raise _misplaced(token, pred, key, what)
+        elif token in props:
+            raise MappingModelError(f"{what} {_fmt_node(key)} has more than one {token}")
+        else:
+            props[token] = obj
+    return props
+
+
 def _as_string_literal(obj: RdfTerm, what: str, node: str) -> str:
     if isinstance(obj, Literal) and obj.datatype == XSD_STRING:
         return obj.lex
     raise MappingModelError(f"{what} on {_fmt_node(node)} must be a plain string, found {obj!r}")
 
 
-def _parse_logical_source(g: _Graph, key: str) -> str:
+def _parse_logical_source(g: _Graph, key: str, visited: set[str]) -> str:
     """The CSV source of a logical source."""
-    source = None
-    for token, pred, obj in g.get(key, ()):
-        if token == "source":
-            source = _as_string_literal(obj, "source", key)
-        elif token == "referenceFormulation":
-            if not isinstance(obj, Iri):
-                raise MappingModelError(
-                    f"reference formulation on {_fmt_node(key)} must be an IRI"
-                )
-            if obj.value not in _CSV_FORMULATIONS:
-                kind = _KNOWN_OTHER_FORMULATIONS.get(obj.value, obj.value)
-                raise MappingModelError(
-                    f"unsupported reference formulation {kind!r} on {_fmt_node(key)}; "
-                    f"only CSV sources are supported"
-                )
-        elif token == "iterator":
+    props = _read_node(g, key, "logical source", visited)
+    formulation = props.get("referenceFormulation")
+    if formulation is not None:
+        if not isinstance(formulation, Iri):
+            raise MappingModelError(f"reference formulation on {_fmt_node(key)} must be an IRI")
+        if formulation.value not in _CSV_FORMULATIONS:
+            kind = _KNOWN_OTHER_FORMULATIONS.get(formulation.value, formulation.value)
             raise MappingModelError(
-                f"iterator on {_fmt_node(key)} is not supported: CSV sources are "
-                f"always iterated row by row"
+                f"unsupported reference formulation {kind!r} on {_fmt_node(key)}; "
+                f"only CSV sources are supported"
             )
-        elif token == "type":
-            continue
-        else:
-            raise _misplaced(token, pred, key, "a logical source")
-    if source is None:
+    if "iterator" in props:
+        raise MappingModelError(
+            f"iterator on {_fmt_node(key)} is not supported: CSV sources are "
+            f"always iterated row by row"
+        )
+    if "source" not in props:
         raise MappingModelError(f"logical source {_fmt_node(key)} has no source")
-    return source
+    return _as_string_literal(props["source"], "source", key)
 
 
 def _term_map(
@@ -322,148 +357,79 @@ def _term_map(
 
 
 def _parse_term_map(
-    g: _Graph, key: str, position: str, tm_node: str, base: str
+    g: _Graph, key: str, position: str, base: str, visited: set[str]
 ) -> tuple[TermMapModel, tuple[Iri, ...]]:
-    """The term map at node *key*, at *position* in triples map *tm_node*,
-    and, on a subject map, its classes."""
-    kind = None
-    value: RdfTerm | str | None = None
-    term_type = None
-    datatype = None
-    classes: list[Iri] = []
-    for token, pred, obj in g.get(key, ()):
-        if token == "constant":
-            _set_kind(key, kind, "constant")
-            kind, value = "constant", obj
-        elif token == "reference":
-            _set_kind(key, kind, "reference")
-            kind, value = "reference", _as_string_literal(obj, "reference", key)
-        elif token == "template":
-            _set_kind(key, kind, "template")
-            kind, value = "template", _as_string_literal(obj, "template", key)
-        elif token == "termType":
-            if not isinstance(obj, Iri) or obj.value not in _TERM_TYPES:
-                raise MappingModelError(f"unknown term type {obj!r} on {_fmt_node(key)}")
-            term_type = _TERM_TYPES[obj.value]
-        elif token == "datatype":
-            if not isinstance(obj, Iri):
-                raise MappingModelError(f"datatype on {_fmt_node(key)} must be an IRI")
-            datatype = obj.value
-        elif token == "class":
-            if position != "subject":
-                raise MappingModelError(
-                    f"class is only allowed on subject maps ({_fmt_node(key)})"
-                )
-            if not isinstance(obj, Iri):
-                raise MappingModelError(f"class on {_fmt_node(key)} must be an IRI")
-            classes.append(obj)
-        elif token == "type":
-            continue
-        else:
-            raise _misplaced(token, pred, key, "a term map")
-    if kind is None:
-        raise MappingModelError(
-            f"term map {_fmt_node(key)} needs exactly one of constant, reference, template"
-        )
-    where = f"{position} map {_fmt_node(key)} of {tm_node}"
+    """The term map at node *key*, at *position*, and, on a subject map,
+    its classes."""
+    what = f"{position} map"
+    props = _read_node(g, key, what, visited)
+    where = f"{what} {_fmt_node(key)}"
+    kinds = _KINDS & props.keys()
+    if len(kinds) != 1:
+        raise MappingModelError(f"{where} needs exactly one of constant, reference, template")
+    (kind,) = kinds
+    value = props[kind] if kind == "constant" else _as_string_literal(props[kind], kind, key)
+    term_type = props.get("termType")
+    if term_type is not None:
+        term_type = _TERM_TYPES.get(term_type.value) if isinstance(term_type, Iri) else None
+        if term_type is None:
+            raise MappingModelError(f"{where}: unknown term type {props['termType']!r}")
+    datatype = props.get("datatype")
+    if datatype is not None:
+        if not isinstance(datatype, Iri):
+            raise MappingModelError(f"{where}: datatype must be an IRI")
+        datatype = datatype.value
+    classes = props.get("class", ())
+    for cls in classes:
+        if not isinstance(cls, Iri):
+            raise MappingModelError(f"{where}: class must be an IRI")
     return _term_map(kind, value, position, where, base, term_type, datatype), tuple(classes)
 
 
-def _set_kind(key: str, current: str | None, new: str):
-    if current is not None:
-        raise MappingModelError(
-            f"term map {_fmt_node(key)} mixes {current} with {new}; exactly one of "
-            f"constant, reference, template is allowed"
-        )
-
-
-def _parse_ref_object_map(g: _Graph, key: str) -> RefObjectMapModel:
-    parent = None
+def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> RefObjectMapModel:
+    props = _read_node(g, key, "referencing object map", visited)
     joins: list[tuple[str, str]] = []
-    for token, pred, obj in g.get(key, ()):
-        if token == "parentTriplesMap":
-            parent = _node_key(obj)
-        elif token == "joinCondition":
-            child_ref = None
-            parent_ref = None
-            jkey = _node_key(obj)
-            for jtoken, jpred, jobj in g.get(jkey, ()):
-                if jtoken == "child":
-                    child_ref = _as_string_literal(jobj, "child", jkey)
-                elif jtoken == "parent":
-                    parent_ref = _as_string_literal(jobj, "parent", jkey)
-                elif jtoken == "type":
-                    continue
-                else:
-                    raise _misplaced(jtoken, jpred, jkey, "a join condition")
-            if child_ref is None or parent_ref is None:
-                raise MappingModelError(
-                    f"join condition {_fmt_node(jkey)} needs both child and parent"
-                )
-            joins.append((child_ref, parent_ref))
-        elif token in ("constant", "reference", "template", "termType", "datatype"):
-            raise MappingModelError(
-                f"object map {_fmt_node(key)} mixes parentTriplesMap with {token}"
-            )
-        elif token == "type":
-            continue
-        else:
-            raise _misplaced(token, pred, key, "a referencing object map")
-    if parent is None:
-        raise MappingModelError(f"referencing object map {_fmt_node(key)} has no parent triples map")
+    for obj in props.get("joinCondition", ()):
+        jkey = _node_key(obj)
+        join = _read_node(g, jkey, "join condition", visited)
+        if "child" not in join or "parent" not in join:
+            raise MappingModelError(f"join condition {_fmt_node(jkey)} needs both child and parent")
+        child, parent = join["child"], join["parent"]
+        joins.append((_as_string_literal(child, "child", jkey), _as_string_literal(parent, "parent", jkey)))
     if not joins:
         raise MappingModelError(
             f"referencing object map {_fmt_node(key)} has no join conditions; an "
             f"unconditioned join is not supported"
         )
-    return RefObjectMapModel(parent=parent, joins=tuple(joins))
+    return RefObjectMapModel(parent=_node_key(props["parentTriplesMap"]), joins=tuple(joins))
 
 
-def _has_parent(g: _Graph, key: str) -> bool:
-    return any(token == "parentTriplesMap" for token, _, _ in g.get(key, ()))
-
-
-def _parse_pom(
-    g: _Graph, key: str, visited: set[str], tm_node: str, base: str
-) -> list[PredicateObjectMapModel]:
+def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[PredicateObjectMapModel]:
     """One predicate-object map per (predicate, object) of the node:
     predicate maps before predicate shortcuts, object maps before object
     shortcuts, predicate-major."""
-    visited.add(key)
-    predicate_maps: list[TermMapModel] = []
-    predicate_shortcuts: list[RdfTerm] = []
+    props = _read_node(g, key, "predicate-object map", visited)
+    where = f"predicate-object map {_fmt_node(key)}"
+    predicate_maps = [
+        _parse_term_map(g, _node_key(obj), "predicate", base, visited)[0]
+        for obj in props.get("predicateMap", ())
+    ]
+    predicate_maps += [
+        _term_map("constant", p, "predicate", where, base) for p in props.get("predicate", ())
+    ]
     object_maps: list[TermMapModel | RefObjectMapModel] = []
-    object_shortcuts: list[RdfTerm] = []
-    for token, pred, obj in g.get(key, ()):
-        if token == "predicateMap":
-            pkey = _node_key(obj)
-            visited.add(pkey)
-            predicate_maps.append(_parse_term_map(g, pkey, "predicate", tm_node, base)[0])
-        elif token == "predicate":
-            predicate_shortcuts.append(obj)
-        elif token == "objectMap":
-            okey = _node_key(obj)
-            visited.add(okey)
-            if _has_parent(g, okey):
-                for _, _, jobj in g[okey]:
-                    if isinstance(jobj, (Iri, BlankNode)):
-                        visited.add(_node_key(jobj))
-                object_maps.append(_parse_ref_object_map(g, okey))
-            else:
-                object_maps.append(_parse_term_map(g, okey, "object", tm_node, base)[0])
-        elif token == "object":
-            object_shortcuts.append(obj)
-        elif token == "type":
-            continue
+    for obj in props.get("objectMap", ()):
+        okey = _node_key(obj)
+        # a referencing object map is the one that names a parent
+        if any(token == "parentTriplesMap" for token, _, _ in g.get(okey, ())):
+            object_maps.append(_parse_ref_object_map(g, okey, visited))
         else:
-            raise _misplaced(token, pred, key, "a predicate-object map")
-    where = f"predicate-object map {_fmt_node(key)} of {tm_node}"
-    predicate_maps += [_term_map("constant", p, "predicate", where, base) for p in predicate_shortcuts]
-    object_maps += [_term_map("constant", o, "object", where, base) for o in object_shortcuts]
+            object_maps.append(_parse_term_map(g, okey, "object", base, visited)[0])
+    object_maps += [_term_map("constant", o, "object", where, base) for o in props.get("object", ())]
     if not predicate_maps:
-        raise MappingModelError(f"predicate-object map {_fmt_node(key)} has no predicate")
+        raise MappingModelError(f"{where} has no predicate")
     if not object_maps:
-        raise MappingModelError(f"predicate-object map {_fmt_node(key)} has no object")
+        raise MappingModelError(f"{where} has no object")
     return [PredicateObjectMapModel(pm, om) for pm in predicate_maps for om in object_maps]
 
 
@@ -485,44 +451,28 @@ def parse_rml(data: bytes | str) -> RmlDocument:
     visited: set[str] = set()
     triples_maps: list[TriplesMapModel] = []
     for key in tm_keys:
-        visited.add(key)
+        props = _read_node(g, key, "triples map", visited)
+        subject_map, classes = None, ()
+        # the nodes below a triples map name it in their errors
+        try:
+            source = _parse_logical_source(g, _node_key(props["logicalSource"]), visited)
+            if "subjectMap" in props:
+                skey = _node_key(props["subjectMap"])
+                subject_map, classes = _parse_term_map(g, skey, "subject", base, visited)
+            poms = [
+                pom
+                for obj in props.get("predicateObjectMap", ())
+                for pom in _parse_pom(g, _node_key(obj), base, visited)
+            ]
+        except MappingModelError as exc:
+            raise MappingModelError(f"triples map {_fmt_node(key)}: {exc}") from None
         node = _fmt_node(key)
-        source = None
-        subject_map = None
-        subject_shortcut = None
-        classes: tuple[Iri, ...] = ()
-        poms: list[PredicateObjectMapModel] = []
-        for token, pred, obj in g[key]:
-            if token == "logicalSource":
-                if source is not None:
-                    raise MappingModelError(f"triples map {node} has more than one logical source")
-                ls_key = _node_key(obj)
-                visited.add(ls_key)
-                source = _parse_logical_source(g, ls_key)
-            elif token == "subjectMap":
-                if subject_map is not None:
-                    raise MappingModelError(f"triples map {node} has more than one subject map")
-                skey = _node_key(obj)
-                visited.add(skey)
-                subject_map, classes = _parse_term_map(g, skey, "subject", node, base)
-            elif token == "subject":
-                if subject_shortcut is not None:
-                    raise MappingModelError(
-                        f"triples map {node} has more than one subject shortcut"
-                    )
-                subject_shortcut = obj
-            elif token == "predicateObjectMap":
-                poms += _parse_pom(g, _node_key(obj), visited, node, base)
-            elif token == "type":
-                continue
-            else:
-                raise _misplaced(token, pred, key, "a triples map")
-        if subject_map is not None and subject_shortcut is not None:
-            raise MappingModelError(
-                f"triples map {node} has both a subject map and a subject shortcut"
-            )
-        if subject_shortcut is not None:
-            subject_map = _term_map("constant", subject_shortcut, "subject", f"subject of {node}", base)
+        if "subject" in props:
+            if subject_map is not None:
+                raise MappingModelError(
+                    f"triples map {node} has both a subject map and a subject shortcut"
+                )
+            subject_map = _term_map("constant", props["subject"], "subject", f"subject of {node}", base)
         elif subject_map is None:
             raise MappingModelError(f"triples map {node} lacks a subject map")
         where = f"subject map of {node}"

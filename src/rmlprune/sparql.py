@@ -365,7 +365,7 @@ class _QueryParser(Lexer):
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)
         self._reject_bnode_label()
-        return self.read_iri()
+        return self.read_iri("a subject")
 
     def _reject_bnode_label(self):
         if self.text.startswith("_:", self.pos):
@@ -396,7 +396,7 @@ class _QueryParser(Lexer):
         elif self.try_a():
             verb = Iri(RDF_TYPE)
         else:
-            verb = self.read_iri()
+            verb = self.read_iri("a predicate")
         # a path operator directly after the verb makes this a property path
         save = self.pos
         self.skip_ws()

@@ -145,7 +145,7 @@ class TurtleParser(Lexer):
             return self._parse_collection()
         if ch == "_":
             return self._read_bnode_label()
-        return self.read_iri()
+        return self.read_iri("a subject")
 
     def _read_bnode_label(self) -> BlankNode:
         self.expect("_:")
@@ -185,7 +185,7 @@ class TurtleParser(Lexer):
         """A verb the token read left to the readers."""
         if self.try_a():
             return RDF_TYPE_IRI
-        return self.read_iri()
+        return self.read_iri("a predicate")
 
     def _parse_object(self, token) -> RdfTerm:
         """An object other than the terms :meth:`read_token_term` takes."""

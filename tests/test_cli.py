@@ -563,6 +563,19 @@ def test_several_subject_shortcuts_exit_2(capsys, tmp_path):
     assert "has more than one subject" in err
 
 
+def test_a_source_stated_twice_exits_2(capsys, tmp_path):
+    bad = tmp_path / "two-sources.ttl"
+    bad.write_text(
+        "@prefix rml: <http://w3id.org/rml/> .\n@prefix ex: <http://e/> .\n"
+        "ex:tm rml:logicalSource [ rml:source \"a.csv\", \"b.csv\" ] ;\n"
+        "  rml:subject ex:a ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object ex:o ] .\n"
+    )
+    code, _, err = run(capsys, "translate", "--mapping", str(bad))
+    assert code == 2
+    assert "triples map <http://e/tm>" in err and "has more than one source" in err
+
+
 @pytest.mark.parametrize(
     "subject",
     [

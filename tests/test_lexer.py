@@ -103,6 +103,35 @@ def test_both_parsers_reject_a_name_that_starts_wrong(turtle, sparql):
         parse_query(sparql)
 
 
+# A stray '.', ',' or '}' where a term belongs: the error names the missing
+# term and the character found, at that character, in both languages.
+TURTLE_STRAYS = [
+    ("ex:s ex:p .", "line 2, column 11: expected an object, found '.'"),
+    ("ex:s ex:p , ex:o .", "line 2, column 11: expected an object, found ','"),
+    ("ex:s ex:p ex:o ; , ex:q .", "line 2, column 18: expected a predicate, found ','"),
+]
+SPARQL_STRAYS = [
+    ("{ ?s ?p ?o . . }", "line 1, column 29: expected a subject, found '.'"),
+    ("{ ?s ?p . }", "line 1, column 24: expected an object, found '.'"),
+    ("{ ?s ?p ?o , }", "line 1, column 29: expected an object, found '}'"),
+]
+
+
+@pytest.mark.parametrize("turtle,message", TURTLE_STRAYS, ids=[t for t, _ in TURTLE_STRAYS])
+def test_turtle_stray_punctuation_names_the_missing_term(turtle, message):
+    with pytest.raises(TurtleError) as info:
+        parse_turtle(f"@prefix ex: <{EX}> .\n{turtle}\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("group,message", SPARQL_STRAYS, ids=[g for g, _ in SPARQL_STRAYS])
+def test_sparql_stray_punctuation_names_the_missing_term(group, message):
+    with pytest.raises(SparqlError) as info:
+        parse_query(f"SELECT * WHERE {group}")
+    assert str(info.value) == message
+    assert not isinstance(info.value, UnsupportedSparqlError)
+
+
 def test_names_may_start_with_a_digit_or_an_escape():
     doc = parse_turtle(f"@prefix ex: <{EX}> .\nex:1s ex:p ex:\\-o , ex:o.-p , _:1a , _:a-.b .\n")
     assert [t.o for t in doc.triples][:2] == [Iri(EX + "-o"), Iri(EX + "o.-p")]

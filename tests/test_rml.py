@@ -355,6 +355,121 @@ def test_parse_rejects_several_subject_shortcuts(subjects):
 
 
 # ---------------------------------------------------------------------------
+# the properties each mapping node takes
+# ---------------------------------------------------------------------------
+
+
+def one_triples_map(
+    source='rml:source "f.csv"',
+    subject='rml:subjectMap [ rml:reference "a" ]',
+    pom="rml:predicate ex:p",
+    object_map='rml:reference "b"',
+):
+    """Triples map <http://e/tm> with one predicate-object map, beside a
+    parent <http://e/parent> that a join may name."""
+    return NEW_HEADER + (
+        f"<http://e/tm> rml:logicalSource [ {source} ] ;\n"
+        f"  {subject} ;\n"
+        f"  rml:predicateObjectMap [ {pom} ; rml:objectMap [ {object_map} ] ] .\n"
+        "<http://e/parent> rml:logicalSource [ rml:source \"p.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:template \"http://e/p/{id}\" ] .\n"
+    )
+
+
+JOIN = "rml:parentTriplesMap <http://e/parent> ; rml:joinCondition [ {} ]"
+
+# (the property the error names, the document's parts) per once-only
+# property stated twice
+STATED_TWICE = {
+    "source": ("source", {"source": 'rml:source "a.csv", "b.csv"'}),
+    "referenceFormulation": (
+        "referenceFormulation",
+        {"source": 'rml:source "f.csv" ; rml:referenceFormulation rml:CSV, rml:CSV'},
+    ),
+    "termType": ("termType", {"object_map": 'rml:reference "b" ; rml:termType rml:IRI, rml:Literal'}),
+    "datatype": ("datatype", {"object_map": 'rml:reference "b" ; rml:datatype xsd:integer, xsd:double'}),
+    "datatType beside datatype": (
+        "datatype",
+        {"object_map": 'rml:reference "b" ; rml:datatype xsd:integer ; rml:datatType xsd:double'},
+    ),
+    "parentTriplesMap": (
+        "parentTriplesMap",
+        {
+            "object_map": "rml:parentTriplesMap <http://e/parent>, <http://e/tm> ; "
+            'rml:joinCondition [ rml:child "a" ; rml:parent "id" ]'
+        },
+    ),
+    "child": ("child", {"object_map": JOIN.format('rml:child "x", "y" ; rml:parent "id"')}),
+    "parent": ("parent", {"object_map": JOIN.format('rml:child "a" ; rml:parent "id", "a"')}),
+    "logicalSource": (
+        "logicalSource",
+        {"subject": 'rml:logicalSource [ rml:source "g.csv" ] ; rml:subjectMap [ rml:reference "a" ]'},
+    ),
+    "subjectMap": ("subjectMap", {"subject": 'rml:subjectMap [ rml:reference "a" ] , [ rml:reference "c" ]'}),
+}
+
+
+@pytest.mark.parametrize("prop,parts", STATED_TWICE.values(), ids=list(STATED_TWICE))
+def test_parse_rejects_a_once_only_property_stated_twice(prop, parts):
+    with pytest.raises(MappingModelError, match=f"has more than one {prop}$"):
+        parse_rml(one_triples_map(**parts))
+
+
+# (the property, the node it is misplaced on, the document's parts)
+MISPLACED = {
+    "class on an object map": (
+        "class",
+        "object map",
+        {"object_map": 'rml:reference "b" ; rml:class ex:C'},
+    ),
+    "child on a predicate-object map": (
+        "child",
+        "predicate-object map",
+        {"pom": 'rml:predicate ex:p ; rml:child "a"'},
+    ),
+    "template on a logical source": (
+        "template",
+        "logical source",
+        {"source": 'rml:source "f.csv" ; rml:template "{a}"'},
+    ),
+    "joinCondition on a term map": (
+        "joinCondition",
+        "object map",
+        {"object_map": 'rml:reference "b" ; rml:joinCondition [ rml:child "a" ; rml:parent "id" ]'},
+    ),
+    "source on a join condition": (
+        "source",
+        "join condition",
+        {"object_map": JOIN.format('rml:child "a" ; rml:parent "id" ; rml:source "f.csv"')},
+    ),
+}
+
+
+@pytest.mark.parametrize("prop,what,parts", MISPLACED.values(), ids=list(MISPLACED))
+def test_parse_rejects_a_property_the_node_does_not_take(prop, what, parts):
+    with pytest.raises(MappingModelError, match=f"property '{prop}' does not belong on {what} _:"):
+        parse_rml(one_triples_map(**parts))
+
+
+# errors on nodes below a triples map, each of which must name it once
+BELOW_A_TRIPLES_MAP = {
+    "misplaced property": {"object_map": 'rml:reference "b" ; rml:class ex:C'},
+    "property stated twice": {"object_map": 'rml:reference "b" ; rml:datatype xsd:integer, xsd:double'},
+    "join condition without parent": {"object_map": JOIN.format('rml:child "a"')},
+    "unknown property": {"pom": "rml:predicate ex:p ; ex:bogus ex:x"},
+    "term-type rule": {"subject": 'rml:subjectMap [ rml:reference "a" ; rml:termType rml:Literal ]'},
+    "on the triples map": {"subject": 'rml:subjectMap [ rml:reference "a" ] ; rml:class ex:C'},
+}
+
+
+@pytest.mark.parametrize("parts", BELOW_A_TRIPLES_MAP.values(), ids=list(BELOW_A_TRIPLES_MAP))
+def test_a_walk_error_names_its_triples_map_once(parts):
+    with pytest.raises(MappingModelError) as info:
+        parse_rml(one_triples_map(**parts))
+    assert str(info.value).count("<http://e/tm>") == 1
+
+
+# ---------------------------------------------------------------------------
 # term type defaulting
 # ---------------------------------------------------------------------------
 
