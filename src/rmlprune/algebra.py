@@ -17,7 +17,9 @@ call only, into a function of a raw CSV row, then walks each source's rows
 once: every expression over the source runs on each row, a subject that
 several expressions share is built once per row, and a joined expression
 looks its objects up in buckets of the parent table.  Terms are interned by
-the strings they are built from, and the triples stream into the graph.
+the strings they are built from.  No :class:`~rmlprune.rdf.Triple` is built:
+each (subject, object) pair is filed under its predicate, once, and each
+predicate's pairs become the graph's columns.
 
 :func:`dump_plan` prints an expression as nested operators (extract,
 extend, join, project, union), the form of ``--dump-algebra``.
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import partial
 from operator import itemgetter
@@ -36,7 +38,7 @@ from typing import ClassVar, Union
 from .csvsource import CSV_KIND, CsvTable, Row
 from .errors import InvalidTermError, SourceInputError, StructuralError
 from .ntriples import escape_string, format_term
-from .rdf import BlankNode, Iri, Literal, RdfGraph, RdfTerm, Triple, is_absolute_iri, is_term, is_valid_iri
+from .rdf import BlankNode, Iri, Literal, Pairs, RdfGraph, RdfTerm, is_absolute_iri, is_term, is_valid_iri
 
 logger = logging.getLogger("rmlprune.algebra")
 
@@ -403,8 +405,9 @@ def _joined_objects(
     return lambda row: buckets.get(child_key(row), ())
 
 
-def _triples(m: RmlMappingExpr, sigma: SourceAssignment) -> Iterator[Triple]:
-    """The well-formed triples of *m*, in one pass over each source's rows.
+def _pairs(m: RmlMappingExpr, sigma: SourceAssignment) -> Pairs:
+    """The well-formed triples of *m*, in one pass over each source's rows,
+    as each predicate's distinct (subject, object) pairs.
 
     Every expression is compiled first; one whose selector names no column
     drops its rows.  A triple is dropped without error when a term is
@@ -432,25 +435,32 @@ def _triples(m: RmlMappingExpr, sigma: SourceAssignment) -> Iterator[Triple]:
         else:
             objects = _joined_objects(tm, sigma, column, parent, interned)
         groups[key][1].append((_compile(tm.predicate_expr, column, interned, (Iri,)), objects))
+    pairs: Pairs = {}
     for ref, by_subject in passes.items():
         groups = list(by_subject.values())
         for row in sigma[ref].payload.rows:
-            for subject, pairs in groups:
+            for subject, predicates in groups:
                 s = subject(row)
                 if s is EPSILON:
                     continue
-                for predicate, objects in pairs:
+                for predicate, objects in predicates:
                     p = predicate(row)
-                    if p is not EPSILON:
-                        for o in objects(row):
-                            if o is not EPSILON:
-                                yield Triple(s, p, o)
+                    if p is EPSILON:
+                        continue
+                    filed = pairs.get(p.value)
+                    if filed is None:
+                        filed = pairs[p.value] = (p, {})
+                    seen = filed[1]
+                    for o in objects(row):
+                        if o is not EPSILON:
+                            seen[s, o] = None
+    return pairs
 
 
 def materialize(m: RmlMappingExpr, sigma: SourceAssignment) -> RdfGraph:
     """Evaluate the whole mapping and keep the well-formed triples."""
     check_valid_input(sigma, m)
-    return RdfGraph(_triples(m, sigma))
+    return RdfGraph.from_pairs(_pairs(m, sigma))
 
 
 def materialize_trmap(tm: TriplesMapExpr, sigma: SourceAssignment) -> RdfGraph:

@@ -87,7 +87,7 @@ def answer(query: SelectQuery, mapping: RmlMappingExpr, load_source: SourceLoade
     t0 = time.perf_counter()
     kept = prune_mapping(bgp.patterns, mapping, assume_nonempty) if prune else mapping
     prune_ms = (time.perf_counter() - t0) * 1e3
-    graph, materialize_ms = RdfGraph(frozenset()), 0.0
+    graph, materialize_ms = RdfGraph(), 0.0
     if not isinstance(kept, FullyPruned):
         sigma = {ref: load_source(ref) for ref in kept.source_refs()}
         t0 = time.perf_counter()
@@ -105,7 +105,7 @@ def answer(query: SelectQuery, mapping: RmlMappingExpr, load_source: SourceLoade
     return Answer(
         solutions=solutions, variables=variables, distinct=query.modifiers.distinct,
         trmaps_after=0 if isinstance(kept, FullyPruned) else len(kept.trmaps),
-        triples=len(graph.triples), prune_ms=prune_ms, materialize_ms=materialize_ms,
+        triples=len(graph), prune_ms=prune_ms, materialize_ms=materialize_ms,
         query_ms=query_ms,
     )
 

@@ -111,7 +111,7 @@ def cmd_materialize(args) -> int:
     _, mapping = _load_mapping(args.mapping)
     sigma = {ref: _load_source(args.data_dir, ref) for ref in mapping.source_refs()}
     graph = materialize(mapping, sigma)
-    print(f"{len(graph.triples)} triples", file=sys.stderr)
+    print(f"{len(graph)} triples", file=sys.stderr)
     _write_out(serialize_graph(graph), args.out)
     return 0
 

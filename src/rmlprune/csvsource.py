@@ -4,7 +4,9 @@ CSV files are parsed with the standard library's RFC 4180 reader: quoted
 fields, embedded separators and newlines, and both LF and CRLF line ends
 are handled.  A header row is mandatory; header names must be non-empty
 and unique, and every data row must have exactly as many fields as the
-header (ragged rows are an error that names the offending row).
+header (ragged rows are an error that names the offending row).  Equal
+cells of one table share one string, so a value repeated down a column is
+held once.
 
 Extraction (:mod:`rmlprune.algebra`) reads a table by column name: each
 cell, the empty string included, becomes a plain ``xsd:string`` literal.
@@ -57,8 +59,9 @@ def parse_csv(data: bytes | str) -> CsvTable:
     else:
         text = data.lstrip("﻿")
     reader = csv.reader(io.StringIO(text, newline=""))
+    cells: dict[str, str] = {}
     try:
-        records = [tuple(rec) for rec in reader]
+        records = [tuple(map(cells.setdefault, rec, rec)) for rec in reader]
     except csv.Error as exc:
         raise CsvError(f"malformed CSV: {exc}") from None
     if not records:

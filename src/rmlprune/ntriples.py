@@ -9,9 +9,8 @@ are written without a datatype suffix, following the usual canonical form.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
 
-from .rdf import XSD_STRING, BlankNode, Iri, Literal, RdfGraph, RdfTerm, Triple
+from .rdf import XSD_STRING, BlankNode, Iri, Literal, RdfGraph, RdfTerm
 
 _ESCAPES = {
     '"': '\\"',
@@ -50,27 +49,34 @@ def format_term(term: RdfTerm) -> str:
     raise TypeError(f"not an RDF term: {term!r}")
 
 
-def _subject_chunks(g: Iterable[Triple]) -> list[str]:
+def _subject_chunks(g: RdfGraph) -> list[str]:
     """Each subject's sorted lines joined into one string, in the order of
     the subjects' spellings."""
-    by_subject: dict[RdfTerm, list[Triple]] = {}
-    for t in g:
-        group = by_subject.get(t.s)
-        if group is None:
-            by_subject[t.s] = [t]
-        else:
-            group.append(t)
+    # each subject's predicate spellings and objects, alternating
+    by_subject: dict[RdfTerm, list] = {}
+    for p, subjects, objects in g.columns():
+        predicate = format_term(p)
+        for s, o in zip(subjects, objects):
+            group = by_subject.get(s)
+            if group is None:
+                by_subject[s] = [predicate, o]
+            else:
+                group += predicate, o
     chunks = []
-    for subject, triples in sorted((format_term(s), group) for s, group in by_subject.items()):
-        lines = [f"{subject} {format_term(t.p)} {format_term(t.o)} .\n" for t in triples]
+    for subject, group in sorted((format_term(s), group) for s, group in by_subject.items()):
+        lines = [
+            f"{subject} {predicate} {format_term(o)} .\n"
+            for predicate, o in zip(group[::2], group[1::2])
+        ]
         lines.sort()
         chunks.append("".join(lines))
     return chunks
 
 
-def serialize_graph(g: RdfGraph | Iterable[Triple]) -> str:
+def serialize_graph(g: RdfGraph) -> str:
     """The graph as N-Triples text, one sorted line per triple.
 
+    The triples are grouped by subject straight from the graph's columns.
     Sorting each subject's lines, with the subjects in the order of their
     spellings, gives the order of sorting all lines: no subject's spelling
     is a proper prefix of another's followed by a character below the space

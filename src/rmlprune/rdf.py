@@ -7,12 +7,18 @@ literal carries a datatype IRI; a plain string literal is normalized to
 ``"01"^^xsd:integer`` are different terms, which is precisely the equality
 the pruning checks reason about.
 
+An :class:`RdfGraph` holds no :class:`Triple` objects: for each predicate,
+keyed by its IRI's string, it keeps a tuple of subjects and a tuple of
+objects, the i-th triple being the i-th of each.  The pairs are made
+distinct once, when the graph is built; ``triples``, iteration, ``in``,
+``==`` and ``hash`` build triples on demand and keep none of them.
+
 Pattern evaluation returns *sets* of solution mappings: a solution binds
 exactly the variables of the pattern, and a basic graph pattern is the join
 of its triple patterns over compatible solutions.  :func:`eval_bgp` reads
-each pattern's candidates once (from the predicate index when the predicate
-is a constant, else from one scan of the graph), filtered by the pattern's
-other constants and repeated variables, as one tuple of terms per match.  It
+each pattern's candidates once (one predicate's columns when the predicate
+is a constant, else every predicate's), filtered by the pattern's other
+constants and repeated variables, as one tuple of terms per match.  It
 then joins the patterns one at a time, next the one with the fewest
 candidates among those sharing a bound variable (the smallest of all when
 none does), through a hash table keyed on the shared variables; with none
@@ -24,8 +30,9 @@ result shares.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Union
 
@@ -231,49 +238,84 @@ class SolutionMapping(Mapping):
         return "{" + ", ".join(f"{var!r}->{term!r}" for var, term in zip(self.columns, self.terms)) + "}"
 
 
-class RdfGraph:
-    """An immutable set of triples with a lazy predicate index."""
+# A graph's triples by the string of their predicate IRI: the predicate,
+# then the subjects and objects of its triples, position by position.
+Columns = dict[str, tuple[Iri, tuple[Union[Iri, BlankNode], ...], tuple[RdfTerm, ...]]]
+# The same while it is built: each (subject, object) pair filed once.
+Pairs = dict[str, tuple[Iri, dict[tuple[Union[Iri, BlankNode], RdfTerm], None]]]
 
-    __slots__ = ("_triples", "_by_predicate")
+
+class RdfGraph:
+    """An immutable set of triples, held as one column pair per predicate.
+
+    ``triples``, iteration, ``in``, ``==`` and ``hash`` build their
+    :class:`Triple` objects on demand and keep none of them."""
+
+    __slots__ = ("_columns",)
 
     def __init__(self, triples: Iterable[Triple] = ()):
-        self._triples = frozenset(triples)
-        self._by_predicate: dict[str, tuple[Triple, ...]] | None = None
+        pairs: Pairs = {}
+        for t in triples:
+            filed = pairs.get(t.p.value)
+            if filed is None:
+                filed = pairs[t.p.value] = (t.p, {})
+            filed[1][t.s, t.o] = None
+        self._columns = _freeze(pairs)
+
+    @classmethod
+    def from_pairs(cls, pairs: Pairs) -> "RdfGraph":
+        """The graph of *pairs*, which it empties: each predicate's pairs
+        are dropped as soon as its columns exist."""
+        g = object.__new__(cls)
+        g._columns = _freeze(pairs)
+        return g
+
+    def columns(self) -> ValuesView[tuple[Iri, tuple, tuple]]:
+        """Each predicate with the subjects and objects of its triples."""
+        return self._columns.values()
 
     @property
     def triples(self) -> frozenset[Triple]:
-        return self._triples
+        return frozenset(self)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return sum(len(subjects) for _, subjects, _ in self._columns.values())
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(self._triples)
+        for p, subjects, objects in self._columns.values():
+            for s, o in zip(subjects, objects):
+                yield Triple(s, p, o)
 
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+    def __contains__(self, triple: object) -> bool:
+        if not isinstance(triple, Triple):
+            return False
+        column = self._columns.get(triple.p.value)
+        return column is not None and (triple.s, triple.o) in zip(column[1], column[2])
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RdfGraph):
-            return self._triples == other._triples
-        return NotImplemented
+        if not isinstance(other, RdfGraph):
+            return NotImplemented
+        return self._pair_sets() == other._pair_sets()
 
     def __hash__(self) -> int:
-        return hash(self._triples)
+        return hash(self.triples)
 
-    def with_predicate(self, p: Iri) -> tuple[Triple, ...]:
-        """The triples whose predicate is *p*, each once."""
-        if self._by_predicate is None:
-            # keyed by the IRI's string, whose hash is cached; the triples
-            # are distinct already, so no triple is hashed again
-            index: dict[str, list[Triple]] = {}
-            for t in self._triples:
-                index.setdefault(t.p.value, []).append(t)
-            self._by_predicate = {k: tuple(v) for k, v in index.items()}
-        return self._by_predicate.get(p.value, ())
+    def _pair_sets(self) -> dict[str, set]:
+        return {key: set(zip(subjects, objects)) for key, (_, subjects, objects) in self._columns.items()}
 
     def __repr__(self):
-        return f"RdfGraph({len(self._triples)} triples)"
+        return f"RdfGraph({len(self)} triples)"
+
+
+def _freeze(pairs: Pairs) -> Columns:
+    """The columns of *pairs*, emptying it one predicate at a time."""
+    columns: Columns = {}
+    for key in list(pairs):
+        p, filed = pairs.pop(key)
+        if filed:
+            subjects, objects = zip(*filed)
+            columns[key] = (p, subjects, objects)
+    return columns
 
 
 # variables, and one row of terms per match or solution in their order
@@ -288,14 +330,20 @@ def _pattern_rows(tp: TriplePattern, g: RdfGraph) -> Relation:
     repeats: list[tuple[int, int]] = []
     for i, x in enumerate((tp.s, tp.p, tp.o)):
         if not isinstance(x, Variable):
-            if i != 1:  # a constant predicate picks the index entry below
+            if i != 1:  # a constant predicate picks its columns below
                 constants.append((i, x))
         elif x in first:
             repeats.append((first[x], i))
         else:
             first[x] = i
-    triples = g.triples if isinstance(tp.p, Variable) else g.with_predicate(tp.p)
-    matches: Iterable[tuple] = ((t.s, t.p, t.o) for t in triples)
+    if isinstance(tp.p, Variable):
+        columns = g.columns()
+    else:
+        column = g._columns.get(tp.p.value)
+        columns = () if column is None else (column,)
+    matches: Iterable[tuple] = chain.from_iterable(
+        zip(subjects, repeat(p), objects) for p, subjects, objects in columns
+    )
     if constants or repeats:
         matches = (
             m for m in matches

@@ -175,12 +175,13 @@ class RmlDocument:
 # ---------------------------------------------------------------------------
 
 
-def _node_key(term) -> str:
+def _node_key(term, token: str) -> str:
+    """The key of the node that property *token* names."""
     if isinstance(term, Iri):
         return term.value
     if isinstance(term, BlankNode):
         return "_:" + term.label
-    raise MappingModelError(f"expected an IRI or blank node, found {term!r}")
+    raise MappingModelError(f"property {token!r} must name an IRI or blank node, found {term!r}")
 
 
 def _fmt_node(key: str) -> str:
@@ -390,7 +391,7 @@ def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> RefObjectMa
     props = _read_node(g, key, "referencing object map", visited)
     joins: list[tuple[str, str]] = []
     for obj in props.get("joinCondition", ()):
-        jkey = _node_key(obj)
+        jkey = _node_key(obj, "joinCondition")
         join = _read_node(g, jkey, "join condition", visited)
         if "child" not in join or "parent" not in join:
             raise MappingModelError(f"join condition {_fmt_node(jkey)} needs both child and parent")
@@ -401,7 +402,9 @@ def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> RefObjectMa
             f"referencing object map {_fmt_node(key)} has no join conditions; an "
             f"unconditioned join is not supported"
         )
-    return RefObjectMapModel(parent=_node_key(props["parentTriplesMap"]), joins=tuple(joins))
+    return RefObjectMapModel(
+        parent=_node_key(props["parentTriplesMap"], "parentTriplesMap"), joins=tuple(joins)
+    )
 
 
 def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[PredicateObjectMapModel]:
@@ -411,7 +414,7 @@ def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[Predic
     props = _read_node(g, key, "predicate-object map", visited)
     where = f"predicate-object map {_fmt_node(key)}"
     predicate_maps = [
-        _parse_term_map(g, _node_key(obj), "predicate", base, visited)[0]
+        _parse_term_map(g, _node_key(obj, "predicateMap"), "predicate", base, visited)[0]
         for obj in props.get("predicateMap", ())
     ]
     predicate_maps += [
@@ -419,7 +422,7 @@ def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[Predic
     ]
     object_maps: list[TermMapModel | RefObjectMapModel] = []
     for obj in props.get("objectMap", ()):
-        okey = _node_key(obj)
+        okey = _node_key(obj, "objectMap")
         # a referencing object map is the one that names a parent
         if any(token == "parentTriplesMap" for token, _, _ in g.get(okey, ())):
             object_maps.append(_parse_ref_object_map(g, okey, visited))
@@ -455,14 +458,14 @@ def parse_rml(data: bytes | str) -> RmlDocument:
         subject_map, classes = None, ()
         # the nodes below a triples map name it in their errors
         try:
-            source = _parse_logical_source(g, _node_key(props["logicalSource"]), visited)
+            source = _parse_logical_source(g, _node_key(props["logicalSource"], "logicalSource"), visited)
             if "subjectMap" in props:
-                skey = _node_key(props["subjectMap"])
+                skey = _node_key(props["subjectMap"], "subjectMap")
                 subject_map, classes = _parse_term_map(g, skey, "subject", base, visited)
             poms = [
                 pom
                 for obj in props.get("predicateObjectMap", ())
-                for pom in _parse_pom(g, _node_key(obj), base, visited)
+                for pom in _parse_pom(g, _node_key(obj, "predicateObjectMap"), base, visited)
             ]
         except MappingModelError as exc:
             raise MappingModelError(f"triples map {_fmt_node(key)}: {exc}") from None

@@ -32,6 +32,7 @@ from rmlprune.algebra import (
 )
 from rmlprune.csvsource import CSV_KIND, CsvTable, parse_csv
 from rmlprune.errors import SourceInputError, StructuralError
+from rmlprune.gendata import generate
 from rmlprune.rdf import (
     XSD_DOUBLE,
     XSD_STRING,
@@ -684,6 +685,24 @@ def test_materialize_matches_reference_on_random_instances(caplog):
             EPSILON in values for tm in varied.trmaps for values in trmap_values(tm, inst.sigma, set())
         )
     assert all(seen.values()), seen
+
+
+def test_materialize_constructs_no_triple(tmp_path, monkeypatch):
+    # the graph files each (subject, object) pair under its predicate; a
+    # Triple exists only when a caller iterates the graph
+    generate(tmp_path, scale=1, seed=42)
+    sigma = {
+        name: DataObject(kind=CSV_KIND, payload=parse_csv((tmp_path / name).read_bytes()))
+        for name in ("stops.csv", "routes.csv", "shapes.csv")
+    }
+    mapping = translate(parse_rml((tmp_path / "mapping.ttl").read_bytes()))
+    built = []
+    init = Triple.__init__
+    monkeypatch.setattr(Triple, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    graph = materialize(mapping, sigma)
+    assert len(graph) == 1570
+    assert not built
+    assert len(graph.triples) == len(built) == 1570  # the count sees every Triple
 
 
 def test_escaped_braces_in_an_rml_template_stay_text(caplog):

@@ -576,6 +576,19 @@ def test_a_source_stated_twice_exits_2(capsys, tmp_path):
     assert "triples map <http://e/tm>" in err and "has more than one source" in err
 
 
+def test_a_literal_subject_map_exits_2_naming_the_property(capsys, tmp_path):
+    bad = tmp_path / "literal-subject-map.ttl"
+    bad.write_text(
+        "@prefix rml: <http://w3id.org/rml/> .\n@prefix ex: <http://e/> .\n"
+        "ex:tm rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap \"x\" ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object ex:o ] .\n"
+    )
+    code, _, err = run(capsys, "translate", "--mapping", str(bad))
+    assert code == 2
+    assert "triples map <http://e/tm>: property 'subjectMap' must name an IRI or blank node" in err
+
+
 @pytest.mark.parametrize(
     "subject",
     [

@@ -34,6 +34,14 @@ def test_parse_simple():
     assert table.rows == (("1", "2"), ("3", "4"))
 
 
+def test_parse_shares_equal_cells_of_a_table():
+    table = parse_csv("a,b,c\nstop-1,route-9,stop-1\nroute-9,stop-1,other\n")
+    assert table.rows == (("stop-1", "route-9", "stop-1"), ("route-9", "stop-1", "other"))
+    (first, second) = table.rows
+    assert first[0] is first[2] is second[1]
+    assert first[1] is second[0]
+
+
 def test_parse_bytes_with_bom():
     table = parse_csv("﻿a,b\n1,2\n".encode("utf-8"))
     assert table.header == ("a", "b")

@@ -441,13 +441,48 @@ def test_eval_bgp_matches_nested_loop_oracle_on_fixed_shapes():
             assert_matches_nested_loop(patterns, g)
 
 
+@st.composite
+def _triples_with_repeats(draw):
+    """Triples of a randgen graph, some of them repeated, in drawn order."""
+    triples = randgen_graph(draw(st.integers(0, 199)))
+    if not triples:
+        return []
+    return draw(st.lists(st.sampled_from(triples), max_size=40))
+
+
+@given(_triples_with_repeats(), st.randoms(use_true_random=False))
+def test_graph_holds_each_distinct_triple_once(triples, rnd):
+    g = RdfGraph(triples)
+    distinct = frozenset(triples)
+    assert g.triples == distinct
+    assert len(g) == len(distinct)
+    listed = list(g)
+    assert len(listed) == len(distinct) and set(listed) == distinct
+    shuffled = list(triples)
+    rnd.shuffle(shuffled)
+    assert RdfGraph(shuffled) == g
+    assert hash(RdfGraph(shuffled)) == hash(g)
+    assert all(t in g for t in triples)
+    for t in triples:
+        # the same (subject, object) pair under another predicate
+        twin = Triple(t.s, Iri(t.p.value + "-twin"), t.o)
+        assert twin not in g
+        both = RdfGraph([t, twin, t])
+        assert len(both) == 2 and t in both and twin in both
+        assert both.triples == {t, twin}
+        assert RdfGraph(triples + [twin]) != g
+
+
 def test_graph_subgraph_and_predicate_index():
     g = small_graph()
     sub = RdfGraph([Triple(iri("s1"), iri("p"), iri("o1"))])
     assert is_subgraph_of(sub, g)
     assert not is_subgraph_of(g, sub)
-    assert list(g.with_predicate(iri("q"))) == [Triple(iri("o1"), iri("q"), Literal("5", XSD_INTEGER))]
-    assert sorted(g.with_predicate(iri("p")), key=repr) == sorted(
-        (t for t in g if t.p == iri("p")), key=repr
-    )
-    assert list(g.with_predicate(iri("missing"))) == []
+    x, y = Variable("x"), Variable("y")
+    assert eval_bgp([TriplePattern(x, iri("q"), y)], g) == {
+        SolutionMapping({x: iri("o1"), y: Literal("5", XSD_INTEGER)})
+    }
+    assert eval_bgp([TriplePattern(x, iri("p"), y)], g) == {
+        SolutionMapping({x: t.s, y: t.o}) for t in g if t.p == iri("p")
+    }
+    assert eval_bgp([TriplePattern(x, iri("missing"), y)], g) == set()

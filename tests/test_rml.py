@@ -451,6 +451,33 @@ def test_parse_rejects_a_property_the_node_does_not_take(prop, what, parts):
         parse_rml(one_triples_map(**parts))
 
 
+# (the node-valued property given a literal, the document)
+LITERAL_FOR_A_NODE = {
+    "logicalSource": NEW_HEADER + '<http://e/tm> rml:logicalSource "f.csv" ; rml:subject ex:s .\n',
+    "subjectMap": one_triples_map(subject='rml:subjectMap "x"'),
+    "predicateObjectMap": one_triples_map(
+        subject='rml:subjectMap [ rml:reference "a" ] ; rml:predicateObjectMap "y"'
+    ),
+    "predicateMap": one_triples_map(pom='rml:predicateMap "p"'),
+    "objectMap": one_triples_map(pom='rml:predicate ex:p ; rml:objectMap "o"'),
+    "parentTriplesMap": one_triples_map(
+        object_map='rml:parentTriplesMap "t" ; rml:joinCondition [ rml:child "a" ; rml:parent "id" ]'
+    ),
+    "joinCondition": one_triples_map(
+        object_map='rml:parentTriplesMap <http://e/parent> ; rml:joinCondition "j"'
+    ),
+}
+
+
+@pytest.mark.parametrize("prop,text", LITERAL_FOR_A_NODE.items(), ids=list(LITERAL_FOR_A_NODE))
+def test_parse_names_the_property_whose_node_is_a_literal(prop, text):
+    with pytest.raises(MappingModelError) as info:
+        parse_rml(text)
+    message = str(info.value)
+    assert message.startswith("triples map <http://e/tm>: ")
+    assert f"property '{prop}' must name an IRI or blank node, found \"" in message
+
+
 # errors on nodes below a triples map, each of which must name it once
 BELOW_A_TRIPLES_MAP = {
     "misplaced property": {"object_map": 'rml:reference "b" ; rml:class ex:C'},
