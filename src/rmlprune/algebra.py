@@ -7,6 +7,7 @@ The expression language mirrors how RML builds terms from tabular data:
 * *term constructors* (:class:`ConstantTerm`, :class:`BuildLiteral`,
   :class:`BuildIri`, :class:`BuildBlank`) turn those strings into RDF
   terms, yielding the error value :data:`EPSILON` on failure;
+* an empty cell is NULL (R2RML §11): it builds no term and joins nothing;
 * a :class:`TriplesMapExpr` glues an extraction from one source (or a join
   of two) to one constructor per triple position; and
 * an :class:`RmlMappingExpr` is the union of its triples-map expressions.
@@ -362,9 +363,10 @@ def _compile(
     kinds: tuple[type, ...] = (Iri, BlankNode, Literal),
 ) -> Callable[[Row], Value]:
     """A constructor as a function of a raw row whose cells *column*
-    locates; EPSILON throughout when it can build no term of *kinds*.
-    Built terms come from the call's *interned* tables, one per
-    constructor kind and base or datatype."""
+    locates; EPSILON throughout when it can build no term of *kinds*, and
+    for a row with an empty cell among those it reads.  Built terms come
+    from the call's *interned* tables, one per constructor kind and base or
+    datatype."""
     if isinstance(expr, ConstantTerm):
         term = expr.term if isinstance(expr.term, kinds) else EPSILON
         return lambda row: term
@@ -378,7 +380,11 @@ def _compile(
         return lambda row: EPSILON
     table = interned.setdefault(key, _Interned(build))
     body = _template(expr.body, column)
-    return lambda row: table[body(row)]
+    refs = sorted({column[a] for a in expr.attrs})
+    if len(refs) == 1:
+        return lambda row, i=refs[0]: table[body(row)] if row[i] else EPSILON
+    cells = _cells(refs)  # a tuple, as there are none or several
+    return lambda row: EPSILON if "" in cells(row) else table[body(row)]
 
 
 def _joined_objects(
@@ -390,8 +396,11 @@ def _joined_objects(
 ) -> Callable[[Row], tuple[Value, ...]]:
     """The objects a child row of a joined expression meets.  The parent table
     is bucketed once by its join cells (no conditions make one bucket, a
-    cross product); each distinct parent row builds its object once."""
-    key = _cells([parent[b] for _, b in tm.join_conditions])
+    cross product); each distinct parent row builds its object once.  A
+    bucket keyed by an empty join cell, a NULL, is dropped: its rows join nothing."""
+    joins = [parent[b] for _, b in tm.join_conditions]
+    key = _cells(joins)
+    null = (lambda k: not k) if len(joins) == 1 else (lambda k: "" in k)
     cells = _cells([parent[a] for a in sorted(tm.object_expr.attrs)])
     obj = _compile(tm.object_expr, parent, interned)
     built: dict[object, dict[object, Value]] = {}
@@ -400,7 +409,7 @@ def _joined_objects(
         c = cells(row)
         if c not in bucket:
             bucket[c] = obj(row)
-    buckets = {k: tuple(bucket.values()) for k, bucket in built.items()}
+    buckets = {k: tuple(bucket.values()) for k, bucket in built.items() if not null(k)}
     child_key = _cells([child[a] for a, _ in tm.join_conditions])
     return lambda row: buckets.get(child_key(row), ())
 

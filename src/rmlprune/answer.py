@@ -76,7 +76,7 @@ def format_rows(variables: Sequence[Variable], rows: Sequence[tuple[str, ...]]) 
 
 
 def answer(query: SelectQuery, mapping: RmlMappingExpr, load_source: SourceLoader, *,
-           prune: bool = True, assume_nonempty: bool = False) -> Answer:
+           prune: bool = True) -> Answer:
     """Answer *query* over the graph of *mapping*, pruned first unless
     *prune* is false.  ``load_source(ref)`` is called once for each source
     the materialized expressions read and for no other, so a fully pruned
@@ -85,7 +85,7 @@ def answer(query: SelectQuery, mapping: RmlMappingExpr, load_source: SourceLoade
     leaves out the stand-ins of ``[]`` blank nodes."""
     bgp = evaluable_bgp(query)
     t0 = time.perf_counter()
-    kept = prune_mapping(bgp.patterns, mapping, assume_nonempty) if prune else mapping
+    kept = prune_mapping(bgp.patterns, mapping) if prune else mapping
     prune_ms = (time.perf_counter() - t0) * 1e3
     graph, materialize_ms = RdfGraph(), 0.0
     if not isinstance(kept, FullyPruned):
@@ -127,8 +127,7 @@ class BenchRow:
 
 
 def run_benchmark(mapping: RmlMappingExpr, queries: Sequence[tuple[str, SelectQuery]],
-                  load_source: SourceLoader, repetitions: int = 4,
-                  assume_nonempty: bool = True) -> tuple[list[BenchRow], int]:
+                  load_source: SourceLoader, repetitions: int = 4) -> tuple[list[BenchRow], int]:
     """Run :func:`answer` pruned once as a warm-up, then *repetitions* times
     (each stage's milliseconds are the average), then once in full; a row is
     ``PASS`` when both give the same solution set.  Each source is loaded
@@ -140,7 +139,7 @@ def run_benchmark(mapping: RmlMappingExpr, queries: Sequence[tuple[str, SelectQu
     rows: list[BenchRow] = []
     full_triples = 0
     for name, query in queries:
-        run = functools.partial(answer, query, mapping, load_source, assume_nonempty=assume_nonempty)
+        run = functools.partial(answer, query, mapping, load_source)
         run()
         timings = []
         for _ in range(repetitions):

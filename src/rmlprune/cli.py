@@ -95,7 +95,7 @@ def cmd_prune(args) -> int:
     doc, mapping = _load_mapping(args.mapping)
     patterns = collect_triple_patterns(_load_query(args.query))
     t0 = time.monotonic()
-    result = prune(patterns, mapping, args.assume_nonempty_refs)
+    result = prune(patterns, mapping)
     elapsed_ms = (time.monotonic() - t0) * 1000.0
     retained = () if isinstance(result, FullyPruned) else result
     after = len(retained.trmaps) if retained else 0
@@ -118,7 +118,6 @@ def cmd_materialize(args) -> int:
 
 def cmd_query(args) -> int:
     _, mapping = _load_mapping(args.mapping)
-    # pruning without the non-empty assumption is sound for any data
     result = answer(_load_query(args.query), mapping, partial(_load_source, args.data_dir))
     rows = result.rows()
     _write_out(format_rows(result.variables, rows), args.out)
@@ -139,10 +138,8 @@ def cmd_bench(args) -> int:
         except RmlPruneError as exc:
             raise RmlPruneError(f"{path}: {exc}") from None
         queries.append((path.stem, query))
-    rows, full_triples = run_benchmark(
-        mapping, queries, partial(_load_source, args.data_dir), args.repetitions,
-        args.assume_nonempty_refs,
-    )
+    load = partial(_load_source, args.data_dir)
+    rows, full_triples = run_benchmark(mapping, queries, load, args.repetitions)
     print(f"full output: {full_triples} triples", file=sys.stderr)
     for r in rows:
         print(f"{r.query}: {r.trmaps_before} -> {r.trmaps_after} TrMap-expressions, "
@@ -180,9 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mapping", required=True, help="RML mapping (Turtle)")
         p.add_argument("--out", help="output file (default: stdout)")
 
-    assume_nonempty = dict(action=argparse.BooleanOptionalAction, default=True,
-                           help="treat referenced data values as never empty (default: on)")
-
     p = sub.add_parser("translate", help="translate a mapping into algebra")
     add_common(p)
     p.add_argument("--dump-algebra", action="store_true", help="print the algebra plan")
@@ -192,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--query", required=True, help="SPARQL query file")
     p.add_argument("--dump-algebra", action="store_true", help="print the pruned plan")
-    p.add_argument("--assume-nonempty-refs", **assume_nonempty)
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("materialize", help="materialize a mapping to N-Triples")
@@ -211,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--queries-dir", required=True, help="directory with .rq files")
     p.add_argument("--data-dir", required=True, help="directory with the CSV sources")
     p.add_argument("--repetitions", type=positive_int, default=4, help="measured runs per stage")
-    p.add_argument("--assume-nonempty-refs", **assume_nonempty)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("gen-data", help="generate the benchmark corpus")

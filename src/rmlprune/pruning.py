@@ -9,10 +9,10 @@ triples-map expression iff at least one pattern of the query is not
 incompatible with it; everything else can be dropped without changing any
 answer of the query.
 
-By default attribute references translate to ``.+`` — which assumes data
-values are never empty strings.  Passing ``assume_nonempty=False`` uses
-``.*`` instead, weakening the checks but covering sources with empty
-cells.
+Each attribute reference becomes ``.+``, which is exact for every source:
+an empty cell is NULL, and a constructor that reads one builds no term
+(R2RML §11), so every term built puts at least one character in each
+reference's place.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ def escape_regex_text(text: str) -> str:
 
 
 @lru_cache(maxsize=None)
-def template_regex(body: Template, assume_nonempty: bool = True) -> str:
+def template_regex(body: Template) -> str:
     """Anchored-regex source for the strings a template can produce: its
-    texts, escaped, with a wildcard for each attribute between them."""
-    wildcard = ".+" if assume_nonempty else ".*"
-    return wildcard.join(escape_regex_text(text) for text in body.parts[::2])
+    texts, escaped, with ``.+`` for each attribute between them."""
+    return ".+".join(escape_regex_text(text) for text in body.parts[::2])
 
 
 @lru_cache(maxsize=None)
@@ -62,14 +61,12 @@ def regex_fullmatch(pattern: str, value: str) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _iri_regexes(expr: BuildIri, assume_nonempty: bool) -> tuple[str, str]:
-    body = template_regex(expr.body, assume_nonempty)
+def _iri_regexes(expr: BuildIri) -> tuple[str, str]:
+    body = template_regex(expr.body)
     return body, escape_regex_text(expr.base) + body
 
 
-def iri_incompatible(
-    expr: ExtendExpr, u: Iri, assume_nonempty: bool = True
-) -> Union[str, None]:
+def iri_incompatible(expr: ExtendExpr, u: Iri) -> Union[str, None]:
     """A reason the constructor can never produce the IRI *u*, or ``None``."""
     if isinstance(expr, BuildLiteral):
         return "builds literals, but the pattern term is an IRI"
@@ -79,15 +76,13 @@ def iri_incompatible(
         if expr.term == u:
             return None
         return f"constant {expr.term!r} differs from <{u.value}>"
-    plain, based = _iri_regexes(expr, assume_nonempty)
+    plain, based = _iri_regexes(expr)
     if regex_fullmatch(plain, u.value) or regex_fullmatch(based, u.value):
         return None
     return f"<{u.value}> matches neither /{plain}/ nor /{based}/"
 
 
-def _literal_incompatible(
-    expr: ExtendExpr, lit: Literal, assume_nonempty: bool
-) -> Union[str, None]:
+def _literal_incompatible(expr: ExtendExpr, lit: Literal) -> Union[str, None]:
     if isinstance(expr, BuildIri):
         return "builds IRIs, but the pattern object is a literal"
     if isinstance(expr, BuildBlank):
@@ -98,36 +93,34 @@ def _literal_incompatible(
         return f"constant {expr.term!r} differs from {lit!r}"
     if expr.datatype != lit.datatype:
         return f"datatype <{expr.datatype}> differs from <{lit.datatype}>"
-    pattern = template_regex(expr.body, assume_nonempty)
+    pattern = template_regex(expr.body)
     if regex_fullmatch(pattern, lit.lex):
         return None
     return f"lexical form {lit.lex!r} does not match /{pattern}/"
 
 
-def tp_incompatible(
-    tp: TriplePattern, tm: TriplesMapExpr, assume_nonempty: bool = True
-) -> Union[str, None]:
+def tp_incompatible(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
     """A reason *tm* can never emit a triple matching *tp*, or ``None``.
 
     ``None`` means the syntactic checks cannot rule the pair out; it does
     not promise a match exists.
     """
     if isinstance(tp.s, Iri):
-        reason = iri_incompatible(tm.subject_expr, tp.s, assume_nonempty)
+        reason = iri_incompatible(tm.subject_expr, tp.s)
         if reason is not None:
             return f"subject: {reason}"
     if isinstance(tp.p, Iri):
-        reason = iri_incompatible(tm.predicate_expr, tp.p, assume_nonempty)
+        reason = iri_incompatible(tm.predicate_expr, tp.p)
         if reason is not None:
             return f"predicate: {reason}"
     if isinstance(tp.o, Iri):
-        reason = iri_incompatible(tm.object_expr, tp.o, assume_nonempty)
+        reason = iri_incompatible(tm.object_expr, tp.o)
         if reason is not None:
             return f"object: {reason}"
     elif isinstance(tp.o, Literal):
         if tm.is_joined:
             return "object: a joined object is never a literal"
-        reason = _literal_incompatible(tm.object_expr, tp.o, assume_nonempty)
+        reason = _literal_incompatible(tm.object_expr, tp.o)
         if reason is not None:
             return f"object: {reason}"
     return None
@@ -141,9 +134,7 @@ class FullyPruned:
 
 
 def prune(
-    patterns: Iterable[TriplePattern],
-    mapping: RmlMappingExpr,
-    assume_nonempty: bool = True,
+    patterns: Iterable[TriplePattern], mapping: RmlMappingExpr
 ) -> Union[RmlMappingExpr, FullyPruned]:
     """Keep the expressions compatible with at least one pattern.
 
@@ -155,7 +146,7 @@ def prune(
     retained = tuple(
         tm
         for tm in mapping.trmaps
-        if any(tp_incompatible(tp, tm, assume_nonempty) is None for tp in tps)
+        if any(tp_incompatible(tp, tm) is None for tp in tps)
     )
     if not retained:
         return FullyPruned(original_count=len(mapping.trmaps))
@@ -175,16 +166,12 @@ def format_pattern(tp: TriplePattern) -> str:
     )
 
 
-def incompatibility_trace(
-    patterns: Iterable[TriplePattern],
-    mapping: RmlMappingExpr,
-    assume_nonempty: bool = True,
-) -> str:
+def incompatibility_trace(patterns: Iterable[TriplePattern], mapping: RmlMappingExpr) -> str:
     """Human-readable account of every (expression, pattern) check."""
     tps = list(patterns)
     lines = []
     for tm in mapping.trmaps:
-        reasons = [tp_incompatible(tp, tm, assume_nonempty) for tp in tps]
+        reasons = [tp_incompatible(tp, tm) for tp in tps]
         verdict = "pruned" if all(r is not None for r in reasons) else "retained"
         lines.append(f"{tm.provenance or '<anonymous>'}: {verdict}")
         for tp, reason in zip(tps, reasons):

@@ -192,20 +192,43 @@ def _fmt_node(key: str) -> str:
 _TOKENS = {**_VOCAB, RDF_TYPE: "type"}
 _RDF_TYPE_IRI = Iri(RDF_TYPE)
 
-# A mapping document as its subjects' properties, by node key, each a
-# (token, predicate, object), the token None for a property that no mapping
-# node may carry; the walk below rejects one only where it reaches it.
-_Graph = dict[str, list[tuple[str | None, Iri, RdfTerm]]]
+
+class _Graph(dict[str, list[tuple[str | None, Iri, RdfTerm]]]):
+    """A mapping document as its subjects' properties, by node key, each a
+    (token, predicate, object), the token None for a property that no
+    mapping node may carry; the walk below rejects one only where it
+    reaches it.  It also keeps what an error needs to name a blank node
+    the way the document writes it."""
+
+    def __init__(self, text: str, labels: dict[str, str]):
+        super().__init__()
+        self.text, self.labels = text, labels  # the labels: document's -> the reader's
+        self.made: list[int] = []  # blank node bN was made at offset made[N - 1]
+
+    def name(self, key: str) -> str:
+        """Node *key* for an error message: an IRI, the document's label of
+        a blank node, or ``[ ]`` with the line it opens on."""
+        if not key.startswith("_:"):
+            return f"<{key}>"
+        for label, internal in self.labels.items():
+            if key[2:] == internal:
+                return "_:" + label
+        line = self.text.count("\n", 0, self.made[int(key[3:]) - 1]) + 1
+        return f"[ ] at line {line}"
 
 
 class _MappingReader(TurtleParser):
     """The Turtle reader of a mapping: it files each triple under its
-    subject, as :data:`_Graph` holds it, and keeps no triple list."""
+    subject, as :class:`_Graph` holds it, and keeps no triple list."""
 
     def __init__(self, text: str):
         super().__init__(text)
-        self.graph: _Graph = {}
+        self.graph = _Graph(text, self._label_map)
         self.logical: set[str] = set()  # the subjects with a logical source
+
+    def fresh_bnode(self) -> BlankNode:
+        self.graph.made.append(self.pos)
+        return super().fresh_bnode()
 
     def add(self, s: Iri | BlankNode, p: Iri, o: RdfTerm):
         key = "_:" + s.label if type(s) is BlankNode else s.value
@@ -219,15 +242,13 @@ class _MappingReader(TurtleParser):
 
 
 def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingModelError:
-    """The error for a property *node* may not carry, being a *what*."""
+    """The error for a property the *what* named *node* may not carry."""
     if token is not None:
-        return MappingModelError(f"property {token!r} does not belong on {what} {_fmt_node(node)}")
+        return MappingModelError(f"property {token!r} does not belong on {what} {node}")
     message = _REJECTED_PROPS.get(pred.value)
     if message is not None:
-        return MappingModelError(f"{message} (property <{pred.value}> on {_fmt_node(node)})")
-    return MappingModelError(
-        f"unknown property <{pred.value}> on {_fmt_node(node)}; refusing to drop it silently"
-    )
+        return MappingModelError(f"{message} (property <{pred.value}> on {node})")
+    return MappingModelError(f"unknown property <{pred.value}> on {node}; refusing to drop it silently")
 
 
 def _takes(once: str, repeats: str = "") -> dict[str, bool]:
@@ -264,18 +285,18 @@ def _read_node(g: _Graph, key: str, what: str, visited: set[str]) -> dict:
             props.setdefault(token, []).append(obj)
         elif repeats is None:
             if token != "type":
-                raise _misplaced(token, pred, key, what)
+                raise _misplaced(token, pred, g.name(key), what)
         elif token in props:
-            raise MappingModelError(f"{what} {_fmt_node(key)} has more than one {token}")
+            raise MappingModelError(f"{what} {g.name(key)} has more than one {token}")
         else:
             props[token] = obj
     return props
 
 
-def _as_string_literal(obj: RdfTerm, what: str, node: str) -> str:
+def _as_string_literal(obj: RdfTerm, what: str, g: _Graph, key: str) -> str:
     if isinstance(obj, Literal) and obj.datatype == XSD_STRING:
         return obj.lex
-    raise MappingModelError(f"{what} on {_fmt_node(node)} must be a plain string, found {obj!r}")
+    raise MappingModelError(f"{what} on {g.name(key)} must be a plain string, found {obj!r}")
 
 
 def _parse_logical_source(g: _Graph, key: str, visited: set[str]) -> str:
@@ -284,28 +305,27 @@ def _parse_logical_source(g: _Graph, key: str, visited: set[str]) -> str:
     formulation = props.get("referenceFormulation")
     if formulation is not None:
         if not isinstance(formulation, Iri):
-            raise MappingModelError(f"reference formulation on {_fmt_node(key)} must be an IRI")
+            raise MappingModelError(f"reference formulation on {g.name(key)} must be an IRI")
         if formulation.value not in _CSV_FORMULATIONS:
             kind = _KNOWN_OTHER_FORMULATIONS.get(formulation.value, formulation.value)
             raise MappingModelError(
-                f"unsupported reference formulation {kind!r} on {_fmt_node(key)}; "
+                f"unsupported reference formulation {kind!r} on {g.name(key)}; "
                 f"only CSV sources are supported"
             )
     if "iterator" in props:
         raise MappingModelError(
-            f"iterator on {_fmt_node(key)} is not supported: CSV sources are "
+            f"iterator on {g.name(key)} is not supported: CSV sources are "
             f"always iterated row by row"
         )
     if "source" not in props:
-        raise MappingModelError(f"logical source {_fmt_node(key)} has no source")
-    return _as_string_literal(props["source"], "source", key)
+        raise MappingModelError(f"logical source {g.name(key)} has no source")
+    return _as_string_literal(props["source"], "source", g, key)
 
 
 def _term_map(
     kind: str,
     value: RdfTerm | str,
     position: str,
-    where: str,
     base: str,
     term_type: type | None = None,
     datatype: str | None = None,
@@ -315,19 +335,19 @@ def _term_map(
     term's type; otherwise an explicit term type holds, an object map that
     is reference-valued or datatyped builds literals, and every other map
     builds IRIs.  Subject maps build no literals, predicate maps only IRIs,
-    and only a literal-building map takes a datatype.  *where* names the
-    map in errors."""
+    and only a literal-building map takes a datatype.  Its errors do not
+    name the map: the caller, which knows where it is, adds that."""
     if kind == "constant":
         if datatype is not None:
             typed = f" ({format_term(Literal(value.lex, datatype))})" if type(value) is Literal else ""
             raise MappingModelError(
-                f"{where}: a constant map takes no datatype; write the typed literal{typed} "
+                f"a constant map takes no datatype; write the typed literal{typed} "
                 f"as the constant"
             )
         built = _CONSTANT_TYPES[type(value)]
         if term_type not in (None, built):
             raise MappingModelError(
-                f"{where}: constant {value!r} conflicts with term type {_TYPE_KEYWORD[term_type]}"
+                f"constant {value!r} conflicts with term type {_TYPE_KEYWORD[term_type]}"
             )
     elif term_type is not None:
         built = term_type
@@ -336,20 +356,17 @@ def _term_map(
     else:
         built = BuildIri
     if position == "subject" and built is BuildLiteral:
-        raise MappingModelError(f"{where}: subject maps cannot produce literals")
+        raise MappingModelError("subject maps cannot produce literals")
     if position == "predicate" and built is not BuildIri:
-        raise MappingModelError(f"{where}: predicate maps must produce IRIs")
+        raise MappingModelError("predicate maps must produce IRIs")
     if datatype is not None and built is not BuildLiteral:
-        raise MappingModelError(f"{where}: datatype is only allowed on literal-producing maps")
+        raise MappingModelError("datatype is only allowed on literal-producing maps")
     if kind == "constant":
         return TermMapModel(kind, value, ConstantTerm(value))
     if kind == "reference":
         body = Template(("", value, ""))
     else:
-        try:
-            body = Template(parse_template(value))
-        except MappingModelError as exc:
-            raise MappingModelError(f"{where}: {exc}") from None
+        body = Template(parse_template(value))
     if built is BuildLiteral:
         return TermMapModel(kind, value, BuildLiteral(body, datatype or XSD_STRING))
     if built is BuildBlank:
@@ -364,27 +381,28 @@ def _parse_term_map(
     its classes."""
     what = f"{position} map"
     props = _read_node(g, key, what, visited)
-    where = f"{what} {_fmt_node(key)}"
     kinds = _KINDS & props.keys()
     if len(kinds) != 1:
-        raise MappingModelError(f"{where} needs exactly one of constant, reference, template")
+        raise MappingModelError(
+            f"{what} {g.name(key)} needs exactly one of constant, reference, template"
+        )
     (kind,) = kinds
-    value = props[kind] if kind == "constant" else _as_string_literal(props[kind], kind, key)
-    term_type = props.get("termType")
-    if term_type is not None:
-        term_type = _TERM_TYPES.get(term_type.value) if isinstance(term_type, Iri) else None
-        if term_type is None:
-            raise MappingModelError(f"{where}: unknown term type {props['termType']!r}")
-    datatype = props.get("datatype")
-    if datatype is not None:
-        if not isinstance(datatype, Iri):
-            raise MappingModelError(f"{where}: datatype must be an IRI")
-        datatype = datatype.value
-    classes = props.get("class", ())
-    for cls in classes:
-        if not isinstance(cls, Iri):
-            raise MappingModelError(f"{where}: class must be an IRI")
-    return _term_map(kind, value, position, where, base, term_type, datatype), tuple(classes)
+    value = props[kind] if kind == "constant" else _as_string_literal(props[kind], kind, g, key)
+    term_type, datatype, classes = props.get("termType"), props.get("datatype"), props.get("class", ())
+    try:
+        if term_type is not None:
+            term_type = _TERM_TYPES.get(term_type.value) if isinstance(term_type, Iri) else None
+            if term_type is None:
+                raise MappingModelError(f"unknown term type {props['termType']!r}")
+        if datatype is not None:
+            if not isinstance(datatype, Iri):
+                raise MappingModelError("datatype must be an IRI")
+            datatype = datatype.value
+        if not all(isinstance(cls, Iri) for cls in classes):
+            raise MappingModelError("class must be an IRI")
+        return _term_map(kind, value, position, base, term_type, datatype), tuple(classes)
+    except MappingModelError as exc:
+        raise MappingModelError(f"{what} {g.name(key)}: {exc}") from None
 
 
 def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> RefObjectMapModel:
@@ -394,17 +412,19 @@ def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> RefObjectMa
         jkey = _node_key(obj, "joinCondition")
         join = _read_node(g, jkey, "join condition", visited)
         if "child" not in join or "parent" not in join:
-            raise MappingModelError(f"join condition {_fmt_node(jkey)} needs both child and parent")
-        child, parent = join["child"], join["parent"]
-        joins.append((_as_string_literal(child, "child", jkey), _as_string_literal(parent, "parent", jkey)))
+            raise MappingModelError(f"join condition {g.name(jkey)} needs both child and parent")
+        joins.append(tuple(_as_string_literal(join[end], end, g, jkey) for end in ("child", "parent")))
     if not joins:
         raise MappingModelError(
-            f"referencing object map {_fmt_node(key)} has no join conditions; an "
+            f"referencing object map {g.name(key)} has no join conditions; an "
             f"unconditioned join is not supported"
         )
-    return RefObjectMapModel(
-        parent=_node_key(props["parentTriplesMap"], "parentTriplesMap"), joins=tuple(joins)
-    )
+    parent = _node_key(props["parentTriplesMap"], "parentTriplesMap")
+    if not any(token == "logicalSource" for token, _, _ in g.get(parent, ())):
+        raise MappingModelError(
+            f"referencing object map {g.name(key)}: parent triples map {g.name(parent)} does not exist"
+        )
+    return RefObjectMapModel(parent=parent, joins=tuple(joins))
 
 
 def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[PredicateObjectMapModel]:
@@ -412,14 +432,14 @@ def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[Predic
     predicate maps before predicate shortcuts, object maps before object
     shortcuts, predicate-major."""
     props = _read_node(g, key, "predicate-object map", visited)
-    where = f"predicate-object map {_fmt_node(key)}"
     predicate_maps = [
         _parse_term_map(g, _node_key(obj, "predicateMap"), "predicate", base, visited)[0]
         for obj in props.get("predicateMap", ())
     ]
-    predicate_maps += [
-        _term_map("constant", p, "predicate", where, base) for p in props.get("predicate", ())
-    ]
+    try:
+        predicate_maps += [_term_map("constant", p, "predicate", base) for p in props.get("predicate", ())]
+    except MappingModelError as exc:
+        raise MappingModelError(f"predicate-object map {g.name(key)}: {exc}") from None
     object_maps: list[TermMapModel | RefObjectMapModel] = []
     for obj in props.get("objectMap", ()):
         okey = _node_key(obj, "objectMap")
@@ -428,11 +448,12 @@ def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[Predic
             object_maps.append(_parse_ref_object_map(g, okey, visited))
         else:
             object_maps.append(_parse_term_map(g, okey, "object", base, visited)[0])
-    object_maps += [_term_map("constant", o, "object", where, base) for o in props.get("object", ())]
+    # a constant object map is any term, so it cannot fail
+    object_maps += [_term_map("constant", o, "object", base) for o in props.get("object", ())]
     if not predicate_maps:
-        raise MappingModelError(f"{where} has no predicate")
+        raise MappingModelError(f"predicate-object map {g.name(key)} has no predicate")
     if not object_maps:
-        raise MappingModelError(f"{where} has no object")
+        raise MappingModelError(f"predicate-object map {g.name(key)} has no object")
     return [PredicateObjectMapModel(pm, om) for pm in predicate_maps for om in object_maps]
 
 
@@ -462,27 +483,23 @@ def parse_rml(data: bytes | str) -> RmlDocument:
             if "subjectMap" in props:
                 skey = _node_key(props["subjectMap"], "subjectMap")
                 subject_map, classes = _parse_term_map(g, skey, "subject", base, visited)
+            if "subject" in props:
+                if subject_map is not None:
+                    raise MappingModelError("a subject map and a subject shortcut are both given")
+                subject_map = _term_map("constant", props["subject"], "subject", base)
             poms = [
                 pom
                 for obj in props.get("predicateObjectMap", ())
                 for pom in _parse_pom(g, _node_key(obj, "predicateObjectMap"), base, visited)
             ]
         except MappingModelError as exc:
-            raise MappingModelError(f"triples map {_fmt_node(key)}: {exc}") from None
-        node = _fmt_node(key)
-        if "subject" in props:
-            if subject_map is not None:
-                raise MappingModelError(
-                    f"triples map {node} has both a subject map and a subject shortcut"
-                )
-            subject_map = _term_map("constant", props["subject"], "subject", f"subject of {node}", base)
-        elif subject_map is None:
-            raise MappingModelError(f"triples map {node} lacks a subject map")
-        where = f"subject map of {node}"
+            raise MappingModelError(f"triples map {g.name(key)}: {exc}") from None
+        if subject_map is None:
+            raise MappingModelError(f"triples map {g.name(key)} lacks a subject map")
         class_poms = [
             PredicateObjectMapModel(
-                _term_map("constant", _RDF_TYPE_IRI, "predicate", where, base),
-                _term_map("constant", cls, "object", where, base),
+                _term_map("constant", _RDF_TYPE_IRI, "predicate", base),
+                _term_map("constant", cls, "object", base),
             )
             for cls in classes
         ]
@@ -494,7 +511,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
         if key not in visited and any(token != "type" for token, _, _ in props):
             logger.warning(
                 "subject %s is not reachable from any triples map; ignoring it",
-                _fmt_node(key),
+                g.name(key),
             )
 
     return RmlDocument(triples_maps=tuple(triples_maps), base_iri=base)
@@ -599,12 +616,7 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
             parent_extract = None
             join_conditions: tuple[tuple[str, str], ...] = ()
             if joined:
-                parent_tm = by_id.get(om.parent)
-                if parent_tm is None:
-                    raise MappingModelError(
-                        f"predicate-object map {j} of {_fmt_node(tm.id)}: parent triples map "
-                        f"{_fmt_node(om.parent)} does not exist"
-                    )
+                parent_tm = by_id[om.parent]  # parse_rml checked that it exists
                 parent_subject = parent_tm.subject_map.expr
                 taken = set(selectors)
                 name_of: dict[str, str] = {}

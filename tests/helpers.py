@@ -80,7 +80,7 @@ def valid_input(sigma, m: RmlMappingExpr) -> bool:
 def evaluate_template(body: Template, tup: Mapping[str, Value]) -> str | Epsilon:
     """The string value of a template over one tuple: each text as it is,
     each attribute as its cell's lexical form, EPSILON when a cell is no
-    literal."""
+    literal or is empty (a NULL)."""
     pieces = []
     for i, part in enumerate(body.parts):
         if i % 2 == 0:
@@ -89,7 +89,7 @@ def evaluate_template(body: Template, tup: Mapping[str, Value]) -> str | Epsilon
             raise StructuralError(f"tuple lacks attribute {part!r}")
         else:
             value = tup[part]
-            pieces.append(value.lex if isinstance(value, Literal) else EPSILON)
+            pieces.append(value.lex if isinstance(value, Literal) and value.lex else EPSILON)
     return EPSILON if EPSILON in pieces else "".join(pieces)
 
 
@@ -132,7 +132,7 @@ def trmap_values(
     """The (subject, predicate, object) values of one triples-map
     expression, EPSILON included, one child row at a time.  A join meets
     each child row with every parent row whose join values equal its own
-    (no conditions: every parent row)."""
+    and are not empty (no conditions: every parent row)."""
     rows = list(extract_rows(tm.extract, sigma, warned))
     if tm.parent_extract is None:
         for row in rows:
@@ -142,7 +142,7 @@ def trmap_values(
     parents = list(extract_rows(tm.parent_extract, sigma, warned))
     for row in rows:
         for parent in parents:
-            if all(row[a] == parent[b] for a, b in tm.join_conditions):
+            if all(row[a] == parent[b] and row[a].lex for a, b in tm.join_conditions):
                 s, p = evaluate_extend(tm.subject_expr, row), evaluate_extend(tm.predicate_expr, row)
                 yield s, p, evaluate_extend(tm.object_expr, parent)
 

@@ -6,8 +6,8 @@ tables and expressions) so whole-pipeline properties can be checked across
 hundreds of them quickly.
 
 Cell values mix plain text with regex metacharacters, colons and slashes;
-``allow_empty`` additionally permits empty cells, in which case pruning
-must be run without the non-empty assumption to stay sound.
+``allow_empty`` additionally permits empty cells, which are NULL: a
+constructor that reads one builds no term, and a join on one never holds.
 """
 
 from __future__ import annotations
@@ -255,10 +255,9 @@ def random_patterns(
     return patterns
 
 
-def template_round_trip_case(
-    rng: random.Random, assume_nonempty: bool = True
-) -> tuple[Template, str]:
-    """A template plus one string it can actually produce."""
+def template_round_trip_case(rng: random.Random) -> tuple[Template, str]:
+    """A template plus one string it can actually produce: its attributes
+    hold non-empty values, as an empty one builds nothing."""
     parts = [""]
     rendered = []
     for i in range(rng.randint(1, 4)):
@@ -269,7 +268,7 @@ def template_round_trip_case(
             parts[-1] += text
             rendered.append(text)
         else:
-            value = random_value(rng, allow_empty=not assume_nonempty)
+            value = random_value(rng)
             parts += [f"a{i}", ""]
             rendered.append(value)
     return Template(tuple(parts)), "".join(rendered)

@@ -116,13 +116,11 @@ def test_answer_preservation_over_random_instances():
     failures = []
     nonempty = 0
     for seed in range(n_instances):
-        allow_empty = seed % 5 == 4
-        inst = randgen.make_instance(seed, allow_empty=allow_empty)
-        assume = not allow_empty
+        inst = randgen.make_instance(seed, allow_empty=seed % 5 == 4)
         full = materialize(inst.mapping, inst.sigma)
         rng = random.Random(seed * 31 + 7)
         patterns = randgen.random_patterns(rng, full)
-        result = prune(patterns, inst.mapping, assume)
+        result = prune(patterns, inst.mapping)
         if isinstance(result, FullyPruned):
             pruned_graph = RdfGraph(frozenset())
         else:
@@ -148,13 +146,11 @@ def test_pruned_expressions_stay_empty_on_fresh_data():
     checked = 0
     violations = []
     for seed in range(40):
-        allow_empty = seed % 5 == 4
-        inst = randgen.make_instance(seed, allow_empty=allow_empty)
-        assume = not allow_empty
+        inst = randgen.make_instance(seed, allow_empty=seed % 5 == 4)
         full = materialize(inst.mapping, inst.sigma)
         rng = random.Random(seed * 131 + 5)
         patterns = randgen.random_patterns(rng, full)
-        result = prune(patterns, inst.mapping, assume)
+        result = prune(patterns, inst.mapping)
         retained = () if isinstance(result, FullyPruned) else result.trmaps
         for tm in inst.mapping.trmaps:
             if tm in retained:
@@ -178,12 +174,11 @@ def test_pruned_expressions_stay_empty_on_fresh_data():
 def test_pruned_output_is_subgraph_of_full_output():
     bad = []
     for seed in range(1000, 1120):
-        allow_empty = seed % 5 == 4
-        inst = randgen.make_instance(seed, allow_empty=allow_empty)
+        inst = randgen.make_instance(seed, allow_empty=seed % 5 == 4)
         full = materialize(inst.mapping, inst.sigma)
         rng = random.Random(seed)
         patterns = randgen.random_patterns(rng, full)
-        result = prune(patterns, inst.mapping, not allow_empty)
+        result = prune(patterns, inst.mapping)
         if isinstance(result, FullyPruned):
             continue
         if not is_subgraph_of(materialize(result, inst.sigma), full):
@@ -216,10 +211,9 @@ def test_all_variable_pattern_retains_everything():
 def test_template_regex_round_trips():
     rng = random.Random(2024)
     failures = 0
-    for i in range(1000):
-        assume = i % 4 != 3
-        template, rendered = randgen.template_round_trip_case(rng, assume)
-        if not regex_fullmatch(template_regex(template, assume), rendered):
+    for _ in range(1000):
+        template, rendered = randgen.template_round_trip_case(rng)
+        if not regex_fullmatch(template_regex(template), rendered):
             failures += 1
     report(
         "template regex round trips",

@@ -445,6 +445,56 @@ def test_materialize_drops_invalid_iris():
     assert g.triples == frozenset()
 
 
+# an empty cell is NULL (R2RML §11): a constructor that reads one builds no term
+NULL_READERS = {
+    "bare reference": BuildLiteral(ref("v"), XSD_STRING),
+    "one-attribute IRI template": BuildIri(Template(("http://e.com/z/", "v", "")), BASE),
+    "two-attribute template, one side empty": BuildIri(
+        Template(("http://e.com/z/", "w", "-", "v", "")), BASE
+    ),
+    "blank-node template": BuildBlank(ref("v")),
+}
+
+
+@pytest.mark.parametrize("obj", NULL_READERS.values(), ids=list(NULL_READERS))
+def test_an_empty_cell_builds_no_term(obj):
+    sigma = csv_sigma(**{"t.csv": "id,v,w\n1,,x\n2,y,x\n"})
+    tm = TriplesMapExpr(
+        subject_expr=BuildIri(Template(("http://e.com/s/", "id", "")), BASE),
+        predicate_expr=ConstantTerm(Iri("http://e.com/p")),
+        object_expr=obj,
+        extract=csv_extract("t.csv", "id", "v", "w"),
+    )
+    graph = materialize_trmap(tm, sigma)
+    assert [t.s for t in graph] == [Iri("http://e.com/s/2")]
+    assert graph == reference_materialize(RmlMappingExpr((tm,)), sigma)
+
+
+def test_an_empty_subject_or_predicate_cell_drops_the_triple():
+    sigma = csv_sigma(**{"t.csv": "id,p\n,a\n1,\n2,b\n"})
+    tm = TriplesMapExpr(
+        subject_expr=BuildIri(Template(("http://e.com/s/", "id", "")), BASE),
+        predicate_expr=BuildIri(Template(("http://e.com/", "p", "")), BASE),
+        object_expr=ConstantTerm(Literal("o")),
+        extract=csv_extract("t.csv", "id", "p"),
+    )
+    graph = materialize_trmap(tm, sigma)
+    assert graph.triples == {Triple(Iri("http://e.com/s/2"), Iri("http://e.com/b"), Literal("o"))}
+    assert graph == reference_materialize(RmlMappingExpr((tm,)), sigma)
+
+
+@pytest.mark.parametrize(
+    "conditions", [(("b", "c@p"),), (("a", "d@p"), ("b", "c@p"))], ids=["one", "two"]
+)
+def test_an_empty_join_cell_joins_nothing(conditions):
+    # child 1 and parent 1 are equal on every condition, "" = "" included
+    sigma = csv_sigma(**{"child.csv": "a,b\n1,\n2,x\n", "parent.csv": "c,d\n,1\nx,2\n"})
+    tm = joined_trmap(conditions)
+    graph = materialize_trmap(tm, sigma)
+    assert graph.triples == {link_triple("2", "2")}
+    assert graph == reference_materialize(RmlMappingExpr((tm,)), sigma)
+
+
 def test_materialize_joined_golden():
     sigma = csv_sigma(
         **{"child.csv": "a,b\n1,x\n2,y\n", "parent.csv": "c,d\nx,P1\nz,P2\n"}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from rmlprune.answer import BENCH_HEADER, BenchRow, format_csv, run_benchmark
+from rmlprune.answer import BENCH_HEADER, BenchRow, answer, format_csv, run_benchmark
 from rmlprune.gendata import QUERIES
 from rmlprune.sparql import parse_query
 
@@ -33,6 +33,13 @@ def test_run_benchmark_rows(corpus_mapping, corpus_sigma):
     assert q07.equal == "PASS"
     assert q07.result_rows == 20  # every route has a first stop
     assert all(r.prune_ms >= 0.0 and r.query_ms >= 0.0 for r in rows)
+
+
+def test_answer_prunes_the_boundary_iri_of_a_template(corpus_mapping, corpus_sigma):
+    # <http://example.com/stop/> needs an empty stop id, which builds no IRI
+    query = parse_query("SELECT * WHERE { <http://example.com/stop/> ?p ?o }")
+    result = answer(query, corpus_mapping, corpus_sigma.__getitem__)
+    assert (result.trmaps_after, result.triples, result.solutions) == (0, 0, set())
 
 
 def test_run_benchmark_rejects_zero_repetitions(corpus_mapping, corpus_sigma):

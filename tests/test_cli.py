@@ -124,7 +124,7 @@ def test_prune_fully_pruned_output(corpus, capsys):
     assert "fully pruned" in out
 
 
-def test_prune_no_assume_nonempty_flag(corpus, capsys):
+def test_prune_q02_retains_one_expression(corpus, capsys):
     code, _, err = run(
         capsys,
         "prune",
@@ -132,7 +132,6 @@ def test_prune_no_assume_nonempty_flag(corpus, capsys):
         str(corpus / "mapping.ttl"),
         "--query",
         str(corpus / "queries" / "q02.rq"),
-        "--no-assume-nonempty-refs",
     )
     assert code == 0
     assert "14 -> 1" in err
@@ -295,9 +294,9 @@ def test_query_reads_only_the_sources_the_pruned_mapping_needs(corpus, capsys, t
 
 
 def test_query_prunes_soundly_for_empty_cells(capsys, tmp_path):
-    # the default non-empty assumption would prune the only expression
-    # producing <http://ex/s/>, the subject built from the empty id
-    (tmp_path / "t.csv").write_text("id,name\n,Alpha\n", encoding="utf-8")
+    # the empty id is NULL, so its row builds no subject: no expression can
+    # produce <http://ex/s/>, and pruning the only one loses no answer
+    (tmp_path / "t.csv").write_text("id,name\n,Alpha\n7,Beta\n", encoding="utf-8")
     mapping = tmp_path / "m.ttl"
     mapping.write_text(
         "@prefix rr: <http://www.w3.org/ns/r2rml#> .\n"
@@ -315,11 +314,13 @@ def test_query_prunes_soundly_for_empty_cells(capsys, tmp_path):
     argv = ("--mapping", str(mapping), "--query", str(q))
     code, out, err = run(capsys, "query", *argv, "--data-dir", str(tmp_path))
     assert code == 0, err
-    assert out == '?n\n"Alpha"\n'
+    assert out == "?n\n"
     _, _, err = run(capsys, "prune", *argv)
     assert "1 -> 0 TrMap-expressions" in err
-    _, _, err = run(capsys, "prune", *argv, "--no-assume-nonempty-refs")
-    assert "1 -> 1 TrMap-expressions" in err
+    q.write_text("SELECT ?s ?n WHERE { ?s <http://ex/name> ?n }\n", encoding="utf-8")
+    code, out, err = run(capsys, "query", *argv, "--data-dir", str(tmp_path))
+    assert code == 0, err
+    assert out == '?s\t?n\n<http://ex/s/7>\t"Beta"\n'
 
 
 def test_select_star_columns_do_not_depend_on_the_hash_seed(corpus):

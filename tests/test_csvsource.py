@@ -78,8 +78,13 @@ def test_parse_ragged_row_reports_record_number():
 
 
 def test_select_preserves_empty_cells():
-    assert extract_column("a,b\n,y\n", "a") == {Literal("")}
+    # the table keeps the empty cell; a reference reads it as NULL and builds nothing
+    assert list(parse_csv("a,b\n,y\n").rows) == [("", "y")]
+    assert extract_column("a,b\n,y\n", "a") == set()
+    assert extract_column("a,b\n,y\n", "b") == {Literal("y")}
 
 
 def test_cast_always_builds_string_literals():
-    assert extract_column("a\n42\n\"\"\n", "a") == {Literal("42", XSD_STRING), Literal("")}
+    # a quoted empty cell is empty too; a blank one is not
+    assert extract_column("a\n42\n\"\"\n", "a") == {Literal("42", XSD_STRING)}
+    assert extract_column("a\n\" \"\n", "a") == {Literal(" ", XSD_STRING)}

@@ -55,7 +55,8 @@ def test_escape_regex_text_escapes_all_metacharacters():
 def test_template_regex_parts():
     assert template_regex(Template(("a.b",))) == "a\\.b"
     assert template_regex(ref("x")) == ".+"
-    assert template_regex(ref("x"), False) == ".*"
+    # an empty cell builds no term, so a reference never matches ""
+    assert not regex_fullmatch(template_regex(ref("x")), "")
     assert template_regex(Template(("http://e/", "x", "?q=1"))) == "http://e/.+\\?q=1"
     assert template_regex(Template(("", "x", "", "y", "."))) == ".+.+\\."
 
@@ -93,9 +94,8 @@ def test_iri_incompatible_templates():
     expr = BuildIri(Template(("http://e.com/s/", "id", "")), BASE)
     assert iri_incompatible(expr, Iri("http://e.com/s/41")) is None
     assert iri_incompatible(expr, Iri("http://e.com/other/41"))
-    # the empty-remainder case depends on the nonempty assumption
+    # the bare prefix needs an empty id, which is NULL and builds no IRI
     assert iri_incompatible(expr, Iri("http://e.com/s/"))
-    assert iri_incompatible(expr, Iri("http://e.com/s/"), assume_nonempty=False) is None
 
 
 def test_iri_incompatible_considers_base_prefixed_form():
@@ -220,14 +220,12 @@ def test_prune_airports_route_pattern_alone_keeps_route(airports_mapping):
     assert result.trmaps[0].provenance.endswith("#pom0")
 
 
-def test_assume_nonempty_toggle_changes_outcomes():
+def test_prune_drops_a_template_at_its_boundary_iri():
+    # <http://e.com/s/> would need an empty id, and an empty cell builds nothing
     tm = simple_trmap()
     boundary = TriplePattern(Iri("http://e.com/s/"), V("p"), V("o"))
     assert tp_incompatible(boundary, tm) is not None
-    assert tp_incompatible(boundary, tm, assume_nonempty=False) is None
-    m = RmlMappingExpr((tm,))
-    assert isinstance(prune([boundary], m), FullyPruned)
-    assert isinstance(prune([boundary], m, assume_nonempty=False), RmlMappingExpr)
+    assert isinstance(prune([boundary], RmlMappingExpr((tm,))), FullyPruned)
 
 
 def test_incompatibility_trace_mentions_every_pair():

@@ -447,8 +447,35 @@ MISPLACED = {
 
 @pytest.mark.parametrize("prop,what,parts", MISPLACED.values(), ids=list(MISPLACED))
 def test_parse_rejects_a_property_the_node_does_not_take(prop, what, parts):
-    with pytest.raises(MappingModelError, match=f"property '{prop}' does not belong on {what} _:"):
+    # an anonymous node is named by the line its "[" opens on
+    line = 4 if what == "logical source" else 6
+    message = rf"property '{prop}' does not belong on {what} \[ \] at line {line}$"
+    with pytest.raises(MappingModelError, match=message):
         parse_rml(one_triples_map(**parts))
+
+
+def test_walk_errors_name_a_blank_node_as_the_document_writes_it():
+    labeled = NEW_HEADER + (
+        "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:objectMap _:om ] .\n"
+        "_:om rml:reference \"b\" ; rml:class ex:C .\n"
+    )
+    with pytest.raises(MappingModelError, match="does not belong on object map _:om$"):
+        parse_rml(labeled)
+    nested = NEW_HEADER + (
+        "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
+        "  rml:predicateObjectMap [\n"
+        "    rml:predicate ex:p ;\n"
+        "    rml:objectMap [\n"
+        "      rml:reference \"b\" ; rml:class ex:C ] ] .\n"
+    )
+    with pytest.raises(MappingModelError, match=r"does not belong on object map \[ \] at line 8$"):
+        parse_rml(nested)
+    gone = JOIN.replace("<http://e/parent>", "_:gone").format('rml:child "a" ; rml:parent "id"')
+    with pytest.raises(MappingModelError, match="parent triples map _:gone does not exist$"):
+        parse_rml(one_triples_map(object_map=gone))
 
 
 # (the node-valued property given a literal, the document)
