@@ -47,7 +47,7 @@ from .rdf import (
     Variable,
     eval_bgp,
 )
-from .rml import RmlDocument, normalize, parse_rml, serialize_pruned, translate
+from .rml import RmlDocument, parse_rml, serialize_pruned, translate
 from .sparql import SelectQuery, collect_triple_patterns, flatten_bgp, parse_query
 
 __version__ = "0.1.0"
@@ -89,7 +89,6 @@ __all__ = [
     "incompatibility_trace",
     "materialize",
     "materialize_trmap",
-    "normalize",
     "parse_query",
     "parse_rml",
     "prune",

@@ -10,8 +10,9 @@ the pruning checks reason about.
 An :class:`RdfGraph` holds no :class:`Triple` objects: for each predicate,
 keyed by its IRI's string, it keeps a tuple of subjects and a tuple of
 objects, the i-th triple being the i-th of each.  The pairs are made
-distinct once, when the graph is built; ``triples``, iteration, ``in``,
-``==`` and ``hash`` build triples on demand and keep none of them.
+distinct once, when the graph is built; ``triples`` and iteration build
+triples on demand and keep none of them.  Two graphs are compared through
+their ``triples``.
 
 Pattern evaluation returns *sets* of solution mappings: a solution binds
 exactly the variables of the pattern, and a basic graph pattern is the join
@@ -24,13 +25,14 @@ candidates among those sharing a bound variable (the smallest of all when
 none does), through a hash table keyed on the shared variables; with none
 shared that is a cross product.  Rows stay plain tuples until the end, where
 each becomes a :class:`SolutionMapping` over one column index that the whole
-result shares.
+result shares.  A solution is no dict: it looks a variable up (``mu[v]``,
+``v in mu``), and equals and hashes by its bindings.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping, ValuesView
+from collections.abc import Iterable, Iterator, ValuesView
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import itemgetter
@@ -167,9 +169,6 @@ class TriplePattern:
                 f"pattern object must be an IRI, literal, or variable: {self.o!r}"
             )
 
-    def variables(self) -> frozenset[Variable]:
-        return frozenset(x for x in (self.s, self.p, self.o) if isinstance(x, Variable))
-
     def __repr__(self):
         return f"({self.s!r} {self.p!r} {self.o!r})"
 
@@ -183,31 +182,23 @@ class Bgp:
     def __post_init__(self):
         object.__setattr__(self, "patterns", tuple(self.patterns))
 
-    def variables(self) -> frozenset[Variable]:
-        out: frozenset[Variable] = frozenset()
-        for tp in self.patterns:
-            out |= tp.variables()
-        return out
-
 
 def _column_key(var: Variable) -> tuple[str, bool]:
     return var.name, var.anonymous
 
 
-class SolutionMapping(Mapping):
+class SolutionMapping:
     """An immutable, hashable partial function from variables to terms.
 
     ``terms`` holds the bound terms in the order of the variables' names, and
     ``columns`` maps each variable to its position; all the solutions that
     :func:`eval_bgp` returns share one ``columns``, and neither is mutated.
-    A solution equals another, or a plain dict, with the same bindings."""
+    A solution equals another with the same bindings."""
 
     __slots__ = ("columns", "terms")
 
-    def __init__(self, bindings: Mapping[Variable, RdfTerm] | Iterable[tuple[Variable, RdfTerm]] = ()):
-        items = sorted(dict(bindings).items(), key=lambda kv: _column_key(kv[0]))
-        self.columns = {var: i for i, (var, _) in enumerate(items)}
-        self.terms = tuple(term for _, term in items)
+    def __init__(self, columns: dict[Variable, int], terms: tuple[RdfTerm, ...]):
+        self.columns, self.terms = columns, terms
 
     def __getitem__(self, var: Variable) -> RdfTerm:
         return self.terms[self.columns[var]]
@@ -215,21 +206,11 @@ class SolutionMapping(Mapping):
     def __contains__(self, var: object) -> bool:
         return var in self.columns
 
-    def __iter__(self) -> Iterator[Variable]:
-        return iter(self.columns)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, SolutionMapping):
-            # both column orders are canonical, so equal indexes align the terms
-            return self.terms == other.terms and (
-                self.columns is other.columns or self.columns == other.columns
-            )
-        if isinstance(other, Mapping):
-            return dict(zip(self.columns, self.terms)) == dict(other)
-        return NotImplemented
+        if not isinstance(other, SolutionMapping):
+            return NotImplemented
+        # both column orders are canonical, so equal indexes align the terms
+        return self.terms == other.terms and (self.columns is other.columns or self.columns == other.columns)
 
     def __hash__(self) -> int:
         return hash(self.terms)
@@ -248,8 +229,8 @@ Pairs = dict[str, tuple[Iri, dict[tuple[Union[Iri, BlankNode], RdfTerm], None]]]
 class RdfGraph:
     """An immutable set of triples, held as one column pair per predicate.
 
-    ``triples``, iteration, ``in``, ``==`` and ``hash`` build their
-    :class:`Triple` objects on demand and keep none of them."""
+    ``triples`` and iteration build their :class:`Triple` objects on demand
+    and keep none of them."""
 
     __slots__ = ("_columns",)
 
@@ -285,23 +266,6 @@ class RdfGraph:
         for p, subjects, objects in self._columns.values():
             for s, o in zip(subjects, objects):
                 yield Triple(s, p, o)
-
-    def __contains__(self, triple: object) -> bool:
-        if not isinstance(triple, Triple):
-            return False
-        column = self._columns.get(triple.p.value)
-        return column is not None and (triple.s, triple.o) in zip(column[1], column[2])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RdfGraph):
-            return NotImplemented
-        return self._pair_sets() == other._pair_sets()
-
-    def __hash__(self) -> int:
-        return hash(self.triples)
-
-    def _pair_sets(self) -> dict[str, set]:
-        return {key: set(zip(subjects, objects)) for key, (_, subjects, objects) in self._columns.items()}
 
     def __repr__(self):
         return f"RdfGraph({len(self)} triples)"
@@ -398,9 +362,4 @@ def eval_bgp(bgp: Bgp | Iterable[TriplePattern], g: RdfGraph) -> set[SolutionMap
     if order != sorted(order):
         rows = map(_picker(order), rows)
     columns = {variables[i]: n for n, i in enumerate(order)}
-    solutions = set()
-    for terms in rows:
-        mu = object.__new__(SolutionMapping)
-        mu.columns, mu.terms = columns, terms
-        solutions.add(mu)
-    return solutions
+    return {SolutionMapping(columns, terms) for terms in rows}

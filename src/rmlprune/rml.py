@@ -223,12 +223,12 @@ class _MappingReader(TurtleParser):
 
     def __init__(self, text: str):
         super().__init__(text)
-        self.graph = _Graph(text, self._label_map)
+        self.graph = _Graph(text, self.bnode_labels)
         self.logical: set[str] = set()  # the subjects with a logical source
 
-    def fresh_bnode(self) -> BlankNode:
-        self.graph.made.append(self.pos)
-        return super().fresh_bnode()
+    def fresh_bnode(self, at: int | None = None) -> BlankNode:
+        self.graph.made.append(self.pos if at is None else at)
+        return super().fresh_bnode(at)
 
     def add(self, s: Iri | BlankNode, p: Iri, o: RdfTerm):
         key = "_:" + s.label if type(s) is BlankNode else s.value
@@ -465,7 +465,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
         except UnicodeDecodeError as exc:
             raise MappingModelError(f"not valid UTF-8: {exc}") from None
     reader = _MappingReader(data)
-    base = reader.parse().base or DEFAULT_BASE_IRI
+    base = reader.parse() or DEFAULT_BASE_IRI
     g = reader.graph
     # the triples maps: the subjects that carry a logical source, in order
     tm_keys = [key for key in g if key in reader.logical]
@@ -518,7 +518,8 @@ def parse_rml(data: bytes | str) -> RmlDocument:
 
 
 def normalize(doc: RmlDocument) -> RmlDocument:
-    """The document itself: :func:`parse_rml` already yields the normal form."""
+    """The document itself: :func:`parse_rml` already yields the normal
+    form.  Kept only because the benchmark in ``perfbench/`` imports it."""
     return doc
 
 

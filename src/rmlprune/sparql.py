@@ -102,8 +102,6 @@ class SelectQuery:
     where: PatternNode
     modifiers: Modifiers = field(default_factory=Modifiers)
     select_expressions: tuple[str, ...] = ()
-    prefixes: dict[str, str] = field(default_factory=dict)
-    base: str | None = None
 
 
 class _QueryParser(Lexer):
@@ -157,8 +155,6 @@ class _QueryParser(Lexer):
             where=where,
             modifiers=modifiers,
             select_expressions=expressions,
-            prefixes=dict(self.prefixes),
-            base=self.base,
         )
 
     def _parse_prologue(self):

@@ -12,7 +12,12 @@ matching how IRI templates are expanded elsewhere in this package; a
 relative IRI without a base is an error.
 
 Blank node labels from the document are renamed to fresh internal labels
-(first-occurrence order), so documents cannot collide with generated ones.
+(first-occurrence order), so documents cannot collide with generated ones;
+:attr:`TurtleParser.bnode_labels` maps the first to the second.
+
+:class:`TurtleParser` keeps no triples: it hands each to
+:meth:`~TurtleParser.add`, which each reader implements (the RML layer's
+files it under its subject).  :meth:`~TurtleParser.parse` returns the base.
 
 Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
@@ -24,11 +29,10 @@ regex match.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from ._lexer import PUNCT, Lexer
 from .errors import TurtleError
-from .rdf import RDF_NS, BlankNode, Iri, RdfTerm, Triple
+from .rdf import RDF_NS, BlankNode, Iri, RdfTerm
 
 RDF_FIRST = Iri(RDF_NS + "first")
 RDF_REST = Iri(RDF_NS + "rest")
@@ -38,44 +42,37 @@ RDF_TYPE_IRI = Iri(RDF_NS + "type")
 _LABEL_RE = re.compile(r"[\w.-]*")
 
 
-@dataclass
-class TurtleDocument:
-    triples: list[Triple]
-    prefixes: dict[str, str]
-    base: str | None
-    # document label -> internal label, insertion ordered
-    bnode_labels: dict[str, str] = field(default_factory=dict)
-
-
 class TurtleParser(Lexer):
     error_class = unsupported_class = TurtleError
 
     def __init__(self, text: str, base: str | None = None):
         super().__init__(text, base)
-        self.triples: list[Triple] = []
-        self._label_map: dict[str, str] = {}
+        # document label -> internal label, insertion ordered
+        self.bnode_labels: dict[str, str] = {}
         self._bnode_counter = 0
 
     def add(self, s: Iri | BlankNode, p: Iri, o: RdfTerm):
-        """Record one triple; a reader that keeps triples its own way
-        overrides this."""
-        self.triples.append(Triple(s, p, o))
+        """Take one triple of the document, in document order."""
+        raise NotImplementedError
 
-    def fresh_bnode(self) -> BlankNode:
+    def fresh_bnode(self, at: int | None = None) -> BlankNode:
+        """A new blank node, which opens at offset *at* or the cursor."""
         self._bnode_counter += 1
         return BlankNode(f"b{self._bnode_counter}")
 
     def labeled_bnode(self, doc_label: str) -> BlankNode:
-        internal = self._label_map.get(doc_label)
+        internal = self.bnode_labels.get(doc_label)
         if internal is None:
             node = self.fresh_bnode()
-            self._label_map[doc_label] = node.label
+            self.bnode_labels[doc_label] = node.label
             return node
         return BlankNode(internal)
 
     # -- grammar -----------------------------------------------------------
 
-    def parse(self) -> TurtleDocument:
+    def parse(self) -> str | None:
+        """Hand every triple to :meth:`add`; returns the base in scope at
+        the end of the document."""
         while True:
             token = self.next_token()
             if self.at_end():
@@ -83,12 +80,7 @@ class TurtleParser(Lexer):
             if not self._parse_directive():
                 self._parse_triples(token)
                 self.expect(".")
-        return TurtleDocument(
-            triples=self.triples,
-            prefixes=dict(self.prefixes),
-            base=self.base,
-            bnode_labels=dict(self._label_map),
-        )
+        return self.base
 
     def _parse_directive(self) -> bool:
         if self.try_consume("@prefix"):
@@ -103,7 +95,8 @@ class TurtleParser(Lexer):
             return True
         if self.keyword_ahead("prefix"):
             after = self.text[self.pos + 6 : self.pos + 7]
-            if after in (" ", "\t", "\r", "\n", ":", ""):
+            # "prefix:s" is a prefixed name, not the directive
+            if after in (" ", "\t", "\r", "\n", ""):
                 self.pos += len("prefix")
                 self._parse_prefix_body()
                 return True
@@ -214,8 +207,10 @@ class TurtleParser(Lexer):
         return node
 
     def _parse_collection(self):
-        """From the '(' at the cursor to just past its ')'."""
+        """From the '(' at the cursor to just past its ')'.  Its nodes are
+        made after its items, but open at the '('."""
         self.descend()
+        opens = self.pos
         self.pos += 1
         items = []
         while True:
@@ -229,19 +224,8 @@ class TurtleParser(Lexer):
         self.depth -= 1
         if not items:
             return RDF_NIL
-        head = self.fresh_bnode()
-        node = head
-        for i, item in enumerate(items):
+        nodes = [self.fresh_bnode(opens) for _ in items]
+        for node, item, rest in zip(nodes, items, [*nodes[1:], RDF_NIL]):
             self.add(node, RDF_FIRST, item)
-            if i + 1 < len(items):
-                nxt = self.fresh_bnode()
-                self.add(node, RDF_REST, nxt)
-                node = nxt
-            else:
-                self.add(node, RDF_REST, RDF_NIL)
-        return head
-
-
-def parse_turtle(text: str, base: str | None = None) -> TurtleDocument:
-    """Parse Turtle text; errors carry line and column."""
-    return TurtleParser(text, base=base).parse()
+            self.add(node, RDF_REST, rest)
+        return nodes[0]

@@ -41,7 +41,7 @@ from rmlprune.rdf import (
     eval_bgp,
 )
 from rmlprune.sparql import FilterNode, GroupNode, OptionalNode, PatternNode, SelectQuery
-from rmlprune.turtle import parse_turtle
+from rmlprune.turtle import TurtleParser
 
 # ---------------------------------------------------------------------------
 # algebra
@@ -191,21 +191,28 @@ def reference_serialize(g: Iterable[Triple]) -> str:
 # ---------------------------------------------------------------------------
 
 
+def solution(bound: Mapping[Variable, RdfTerm] | None = None) -> SolutionMapping:
+    """The solution with the bindings *bound*, its variables in the order
+    ``eval_bgp`` gives them: by name, a named one before an anonymous one."""
+    items = sorted((bound or {}).items(), key=lambda kv: (kv[0].name, kv[0].anonymous))
+    return SolutionMapping({var: i for i, (var, _) in enumerate(items)}, tuple(term for _, term in items))
+
+
+def bindings(mu: SolutionMapping) -> dict[Variable, RdfTerm]:
+    """The bindings of *mu* as a dict."""
+    return dict(zip(mu.columns, mu.terms))
+
+
 def compatible(mu1: SolutionMapping, mu2: SolutionMapping) -> bool:
     """True when the two solutions agree on every shared variable."""
-    small, large = (mu1, mu2) if len(mu1) <= len(mu2) else (mu2, mu1)
-    for var, term in small.items():
-        bound = large.get(var)
-        if bound is not None and bound != term:
-            return False
-    return True
+    return all(mu2[var] == term for var, term in bindings(mu1).items() if var in mu2)
 
 
 def merge(mu1: SolutionMapping, mu2: SolutionMapping) -> SolutionMapping | None:
     """The union of two solutions, or None when they disagree."""
     if not compatible(mu1, mu2):
         return None
-    return SolutionMapping({**mu1, **mu2})
+    return solution({**bindings(mu1), **bindings(mu2)})
 
 
 def apply_solution(mu: SolutionMapping, tp: TriplePattern) -> Triple | TriplePattern:
@@ -256,17 +263,35 @@ def nested_loop_eval_bgp(patterns: Iterable[TriplePattern], g: RdfGraph) -> list
     partial: list[dict[Variable, RdfTerm]] = [{}]
     for tp in patterns:
         partial = [b for base in partial for t in g.triples if (b := _match(tp, t, base)) is not None]
-    return [SolutionMapping(b) for b in partial]
+    return [solution(b) for b in partial]
 
 
 def is_subgraph_of(g: RdfGraph, other: RdfGraph) -> bool:
     return g.triples <= other.triples
 
 
+class TripleCollector(TurtleParser):
+    """A Turtle reader that keeps the document's triples in a list."""
+
+    def __init__(self, text: str, base: str | None = None):
+        super().__init__(text, base)
+        self.triples: list[Triple] = []
+
+    def add(self, s, p, o):
+        self.triples.append(Triple(s, p, o))
+
+
+def read_turtle(text: str, base: str | None = None) -> TripleCollector:
+    """The reader of *text* once it has read all of it."""
+    reader = TripleCollector(text, base)
+    reader.parse()
+    return reader
+
+
 def read_ntriples(text: str) -> RdfGraph:
     """Parse N-Triples text with the Turtle reader (N-Triples is a subset
     of Turtle), giving each blank node back its label in *text*."""
-    doc = parse_turtle(text)
+    doc = read_turtle(text)
     label_of = {internal: label for label, internal in doc.bnode_labels.items()}
 
     def relabel(term):

@@ -467,7 +467,7 @@ def test_an_empty_cell_builds_no_term(obj):
     )
     graph = materialize_trmap(tm, sigma)
     assert [t.s for t in graph] == [Iri("http://e.com/s/2")]
-    assert graph == reference_materialize(RmlMappingExpr((tm,)), sigma)
+    assert graph.triples == reference_materialize(RmlMappingExpr((tm,)), sigma).triples
 
 
 def test_an_empty_subject_or_predicate_cell_drops_the_triple():
@@ -480,7 +480,7 @@ def test_an_empty_subject_or_predicate_cell_drops_the_triple():
     )
     graph = materialize_trmap(tm, sigma)
     assert graph.triples == {Triple(Iri("http://e.com/s/2"), Iri("http://e.com/b"), Literal("o"))}
-    assert graph == reference_materialize(RmlMappingExpr((tm,)), sigma)
+    assert graph.triples == reference_materialize(RmlMappingExpr((tm,)), sigma).triples
 
 
 @pytest.mark.parametrize(
@@ -492,7 +492,7 @@ def test_an_empty_join_cell_joins_nothing(conditions):
     tm = joined_trmap(conditions)
     graph = materialize_trmap(tm, sigma)
     assert graph.triples == {link_triple("2", "2")}
-    assert graph == reference_materialize(RmlMappingExpr((tm,)), sigma)
+    assert graph.triples == reference_materialize(RmlMappingExpr((tm,)), sigma).triples
 
 
 def test_materialize_joined_golden():
@@ -545,7 +545,7 @@ def test_wide_mapping_evaluates_without_recursion():
     for tm in mapping.trmaps:
         per_trmap |= materialize_trmap(tm, sigma).triples
     assert graph.triples == per_trmap
-    assert graph == reference_materialize(mapping, sigma)
+    assert graph.triples == reference_materialize(mapping, sigma).triples
     assert len(graph) > 5000
     text = dump_plan(mapping)
     assert text.count("(project [@s @p @o]") == 5000
@@ -711,7 +711,7 @@ def check_against_reference(m: RmlMappingExpr, sigma, caplog) -> set[tuple[str, 
     with caplog.at_level(logging.WARNING, logger="rmlprune.algebra"):
         graph = materialize(m, sigma)
     warned: set[tuple[str, str]] = set()
-    assert graph == reference_materialize(m, sigma, warned)
+    assert graph.triples == reference_materialize(m, sigma, warned).triples
     logged = [(r.args[1], r.args[0]) for r in caplog.records if "matches nothing" in r.getMessage()]
     assert sorted(logged) == sorted(warned)
     return warned

@@ -1,10 +1,16 @@
-"""The benchmark harness."""
+"""The benchmark harness, and the names ``perfbench/`` takes from the
+package."""
+
+import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
 from rmlprune.answer import BENCH_HEADER, BenchRow, answer, format_csv, run_benchmark
-from rmlprune.gendata import QUERIES
-from rmlprune.sparql import parse_query
+from rmlprune.gendata import MAPPING_TTL, QUERIES
+from rmlprune.rdf import Bgp, eval_bgp
+from rmlprune.sparql import flatten_bgp, parse_query
 
 from .test_gendata import corpus, corpus_mapping, corpus_sigma  # noqa: F401
 
@@ -64,3 +70,32 @@ def test_format_csv_layout():
     assert lines[0] == BENCH_HEADER
     assert lines[1] == "qx,5,2,1.23,10.00,42,0.06,PASS"
     assert text.endswith("\n")
+
+
+PERFBENCH = Path(__file__).parent.parent / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``perfbench/workloads.py``, imported the way ``perfbench/run.py``
+    imports it; its modules are dropped again afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        for name in ("workloads", "corpus", "tracing"):
+            sys.modules.pop(name, None)
+
+
+def test_perfbench_finds_every_name_it_uses(workloads, corpus):
+    # the import resolves every name perfbench takes from the package; the
+    # calls below reach what it uses of them
+    _, mapping = workloads.load_mapping(MAPPING_TTL.encode("utf-8"), workloads.NULL)
+    files = {name: (corpus / name).read_bytes() for name in ("stops.csv", "routes.csv", "shapes.csv")}
+    graph = workloads.ExpressionGraphs(files).union(mapping.trmaps)
+    assert len(graph) == len(list(graph)) == 1570
+    assert len(workloads.load_sources(mapping, files, workloads.NULL)) == 3
+    query = parse_query(QUERIES["q07"])
+    patterns = flatten_bgp(query)
+    rows = workloads.project(query, eval_bgp(Bgp(tuple(patterns)), graph))
+    assert len(rows) == 20 == len(workloads.TripleIndex(graph).solutions(patterns))

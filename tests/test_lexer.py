@@ -7,13 +7,14 @@ from rmlprune._lexer import MAX_NESTING
 from rmlprune.errors import SparqlError, TurtleError, UnsupportedSparqlError
 from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal
 from rmlprune.sparql import collect_triple_patterns, parse_query
-from rmlprune.turtle import parse_turtle
+
+from .helpers import read_turtle
 
 EX = "http://ex.org/"
 
 
 def turtle_object(spelling: str):
-    doc = parse_turtle(f"@prefix ex: <{EX}> .\nex:s ex:p {spelling} .\n")
+    doc = read_turtle(f"@prefix ex: <{EX}> .\nex:s ex:p {spelling} .\n")
     (triple,) = doc.triples
     return triple.o
 
@@ -94,7 +95,7 @@ MISSPELLINGS = [
 @pytest.mark.parametrize("turtle,sparql", MISSPELLINGS, ids=[t for t, _ in MISSPELLINGS])
 def test_both_parsers_reject_a_name_that_starts_wrong(turtle, sparql):
     with pytest.raises(TurtleError, match="line 2"):
-        parse_turtle(f"@prefix ex: <{EX}> .\n{turtle}\n")
+        read_turtle(f"@prefix ex: <{EX}> .\n{turtle}\n")
     if sparql.startswith("PREFIX"):
         sparql = f"{sparql} SELECT * WHERE {{ ?s ?p ?o }}"
     else:
@@ -120,7 +121,7 @@ SPARQL_STRAYS = [
 @pytest.mark.parametrize("turtle,message", TURTLE_STRAYS, ids=[t for t, _ in TURTLE_STRAYS])
 def test_turtle_stray_punctuation_names_the_missing_term(turtle, message):
     with pytest.raises(TurtleError) as info:
-        parse_turtle(f"@prefix ex: <{EX}> .\n{turtle}\n")
+        read_turtle(f"@prefix ex: <{EX}> .\n{turtle}\n")
     assert str(info.value) == message
 
 
@@ -133,7 +134,7 @@ def test_sparql_stray_punctuation_names_the_missing_term(group, message):
 
 
 def test_names_may_start_with_a_digit_or_an_escape():
-    doc = parse_turtle(f"@prefix ex: <{EX}> .\nex:1s ex:p ex:\\-o , ex:o.-p , _:1a , _:a-.b .\n")
+    doc = read_turtle(f"@prefix ex: <{EX}> .\nex:1s ex:p ex:\\-o , ex:o.-p , _:1a , _:a-.b .\n")
     assert [t.o for t in doc.triples][:2] == [Iri(EX + "-o"), Iri(EX + "o.-p")]
     assert doc.triples[0].s == Iri(EX + "1s")
     assert len(set(t.o for t in doc.triples)) == 4
@@ -156,7 +157,7 @@ def test_sparql_iriref_with_uchar_escape():
 
 def test_local_name_ending_in_escaped_dot():
     # a bare '.' right after the escaped one still ends the statement
-    doc = parse_turtle(f"@prefix ex: <{EX}> .\nex:s ex:p ex:a\\. .\nex:t ex:p ex:b\\..\n")
+    doc = read_turtle(f"@prefix ex: <{EX}> .\nex:s ex:p ex:a\\. .\nex:t ex:p ex:b\\..\n")
     assert [t.o for t in doc.triples] == [Iri(EX + "a."), Iri(EX + "b.")]
     query = parse_query(f"PREFIX ex: <{EX}>\nSELECT * WHERE {{ ?s ex:p ex:a\\. . ?s ?p ?o }}")
     assert Iri(EX + "a.") in {tp.o for tp in collect_triple_patterns(query)}
@@ -165,9 +166,9 @@ def test_local_name_ending_in_escaped_dot():
 @pytest.mark.parametrize("escape", ["\\U00110000", "\\uD800", "\\uDFFF"])
 def test_hex_escape_outside_unicode_is_a_positioned_error(escape):
     with pytest.raises(TurtleError, match="line 2, column 15"):
-        parse_turtle(f'@prefix ex: <{EX}> .\nex:s ex:p "x{escape}" .\n')
+        read_turtle(f'@prefix ex: <{EX}> .\nex:s ex:p "x{escape}" .\n')
     with pytest.raises(TurtleError, match="line 1"):
-        parse_turtle(f"<http://ex.org/{escape}> <{EX}p> <{EX}o> .\n")
+        read_turtle(f"<http://ex.org/{escape}> <{EX}p> <{EX}o> .\n")
     with pytest.raises(SparqlError, match="line 1"):
         parse_query(f'SELECT * WHERE {{ ?s ?p "{escape}" }}')
     with pytest.raises(SparqlError, match="line 1"):
@@ -178,9 +179,9 @@ def test_hex_escape_outside_unicode_is_a_positioned_error(escape):
 def test_uchar_takes_exactly_its_hex_digits(escape):
     # int(digits, 16) alone reads each of these as "A"
     with pytest.raises(TurtleError, match="line 2, column 15"):
-        parse_turtle(f'@prefix ex: <{EX}> .\nex:s ex:p "x{escape}" .\n')
+        read_turtle(f'@prefix ex: <{EX}> .\nex:s ex:p "x{escape}" .\n')
     with pytest.raises(TurtleError, match="line 1"):
-        parse_turtle(f"<http://ex.org/{escape}> <{EX}p> <{EX}o> .\n")
+        read_turtle(f"<http://ex.org/{escape}> <{EX}p> <{EX}o> .\n")
     with pytest.raises(SparqlError, match="line 1"):
         parse_query(f'SELECT * WHERE {{ ?s ?p "{escape}" }}')
 
@@ -210,7 +211,7 @@ NESTINGS = {
 @pytest.mark.parametrize("kind", sorted(NESTINGS))
 def test_nesting_deeper_than_the_cap_is_a_positioned_error(kind):
     opener, build = NESTINGS[kind]
-    parse, error = (parse_query, SparqlError) if opener == "{" else (parse_turtle, TurtleError)
+    parse, error = (parse_query, SparqlError) if opener == "{" else (read_turtle, TurtleError)
     parse(build(MAX_NESTING))
     for depth in (MAX_NESTING + 1, 3000):
         text = build(depth)

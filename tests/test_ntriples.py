@@ -103,7 +103,7 @@ def test_serialize_is_sorted_and_deterministic():
 
 def test_serialize_empty_graph_is_empty_text():
     assert serialize_graph(RdfGraph()) == ""
-    assert read_ntriples(serialize_graph(RdfGraph())) == RdfGraph()
+    assert read_ntriples(serialize_graph(RdfGraph())).triples == frozenset()
 
 
 # IRIs and blank node labels that are string prefixes of one another, so a
@@ -223,4 +223,4 @@ _pred_pool = st.sampled_from([iri("p"), iri("q")])
 @given(st.sets(st.builds(Triple, _subject_pool, _pred_pool, _term_pool), max_size=8))
 def test_serialize_parse_round_trip(triples):
     g = RdfGraph(triples)
-    assert read_ntriples(serialize_graph(g)) == g
+    assert read_ntriples(serialize_graph(g)).triples == g.triples

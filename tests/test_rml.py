@@ -478,6 +478,25 @@ def test_walk_errors_name_a_blank_node_as_the_document_writes_it():
         parse_rml(one_triples_map(object_map=gone))
 
 
+def test_a_collection_is_named_at_the_line_of_its_parenthesis(caplog):
+    in_object_map = NEW_HEADER + (
+        "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ;\n"
+        "    rml:objectMap (\n"
+        "      \"b\" ) ] .\n"
+    )
+    with pytest.raises(MappingModelError, match=r"unknown property <\S+#first> on \[ \] at line 7;"):
+        parse_rml(in_object_map)
+    # every node of a collection opens at its '(', not at its items
+    unreachable = one_triples_map() + '( "x"\n  "y" [ ex:p ex:o ]\n) ex:q ex:r .\n'
+    with caplog.at_level(logging.WARNING, logger="rmlprune.rml"):
+        parse_rml(unreachable)
+    line = len(one_triples_map().splitlines()) + 1
+    named = [r.getMessage().split(" is not")[0] for r in caplog.records]
+    assert named == [f"subject [ ] at line {n}" for n in (line + 1, line, line, line)]
+
+
 # (the node-valued property given a literal, the document)
 LITERAL_FOR_A_NODE = {
     "logicalSource": NEW_HEADER + '<http://e/tm> rml:logicalSource "f.csv" ; rml:subject ex:s .\n',

@@ -7,16 +7,16 @@ import pytest
 from rmlprune.errors import TurtleError
 from rmlprune.ntriples import format_term
 from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, BlankNode, Iri, Literal, Triple
-from rmlprune.turtle import TurtleParser, parse_turtle
+from rmlprune.turtle import TurtleParser
 
-from .helpers import wide_mapping_text
+from .helpers import TripleCollector, read_turtle, wide_mapping_text
 
 EX = "http://example.com/"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 
 
 def triples(text: str, base=None) -> set[Triple]:
-    return set(parse_turtle(text, base=base).triples)
+    return set(read_turtle(text, base=base).triples)
 
 
 def test_simple_statement_with_prefixes():
@@ -51,6 +51,18 @@ def test_prefix_named_like_directives():
     )
     assert triples(text) == {
         Triple(Iri(EX + "x"), Iri("http://a.example/y"), Iri(EX + "z"))
+    }
+    for name in ("prefix", "PREFIX", "base", "BASE"):
+        text = f"@prefix {name}: <http://e/> .\n{name}:s <http://e/p> {name}:o ."
+        assert triples(text) == {Triple(Iri("http://e/s"), Iri("http://e/p"), Iri("http://e/o"))}
+
+
+def test_sparql_prefix_directive_needs_a_space_before_its_name():
+    # "PREFIX:<iri>" is a prefixed name of the prefix "PREFIX", not a directive
+    with pytest.raises(TurtleError, match="undeclared prefix: 'PREFIX'"):
+        read_turtle("PREFIX:<http://e/>\n")
+    assert triples("PREFIX : <http://e/>\n:s :p :o .") == {
+        Triple(Iri("http://e/s"), Iri("http://e/p"), Iri("http://e/o"))
     }
 
 
@@ -116,7 +128,7 @@ def test_typed_literal_and_numbers():
 def test_language_tags_are_rejected():
     text = '@prefix ex: <http://e/> .\nex:s ex:p "hi"@en .'
     with pytest.raises(TurtleError, match="[Ll]anguage"):
-        parse_turtle(text)
+        read_turtle(text)
 
 
 def test_labeled_bnodes_are_renamed_consistently():
@@ -178,29 +190,29 @@ def test_comments_anywhere():
 
 def test_unknown_prefix_is_an_error():
     with pytest.raises(TurtleError, match="prefix"):
-        parse_turtle("nope:s <http://e/p> <http://e/o> .")
+        read_turtle("nope:s <http://e/p> <http://e/o> .")
 
 
 def test_error_carries_line_and_column():
     text = "@prefix ex: <http://e/> .\nex:s ex:p .\n"
     with pytest.raises(TurtleError) as exc:
-        parse_turtle(text)
+        read_turtle(text)
     assert "line 2" in str(exc.value)
 
 
 def test_missing_final_dot():
     with pytest.raises(TurtleError):
-        parse_turtle("<http://e/s> <http://e/p> <http://e/o>")
+        read_turtle("<http://e/s> <http://e/p> <http://e/o>")
 
 
 def test_iriref_rejects_forbidden_characters():
     with pytest.raises(TurtleError):
-        parse_turtle("<http://e/a b> <http://e/p> <http://e/o> .")
+        read_turtle("<http://e/a b> <http://e/p> <http://e/o> .")
 
 
 def test_relative_iri_without_base_fails():
     with pytest.raises(TurtleError):
-        parse_turtle("<s> <http://e/p> <http://e/o> .")
+        read_turtle("<s> <http://e/p> <http://e/o> .")
 
 
 def test_explicit_base_parameter():
@@ -215,8 +227,8 @@ def test_explicit_base_parameter():
 
 
 def test_document_base_is_reported():
-    doc = parse_turtle("@base <http://doc.example/> .\n<s> <p> <o> .")
-    assert doc.base == "http://doc.example/"
+    assert TripleCollector("@base <http://doc.example/> .\n<s> <p> <o> .").parse() == "http://doc.example/"
+    assert TripleCollector("<http://e/s> <http://e/p> <http://e/o> .").parse() is None
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +237,7 @@ def test_document_base_is_reported():
 
 
 def formatted(text: str) -> list[str]:
-    return [" ".join(format_term(x) for x in (t.s, t.p, t.o)) for t in parse_turtle(text).triples]
+    return [" ".join(format_term(x) for x in (t.s, t.p, t.o)) for t in read_turtle(text).triples]
 
 
 # sha256 of the wide mapping's triples, one formatted triple a line in
@@ -240,7 +252,7 @@ def test_wide_mapping_triples_are_pinned():
 
 
 def test_equal_iris_of_a_document_are_one_object():
-    doc = parse_turtle(
+    doc = read_turtle(
         "@prefix ex: <http://example.com/> .\n"
         "ex:a ex:p ex:a .\n<http://example.com/a> ex:p [ ex:p <http://example.com/a> ] ."
     )
