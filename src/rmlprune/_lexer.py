@@ -19,7 +19,8 @@ its grammar.  Implemented here, once:
 A token in a common spelling (an IRIREF, a prefixed name or a short
 string without escapes, or punctuation) is read by one regex match that
 also skips the whitespace before it; every other spelling falls through
-to the token's reader.  Each IRI is built once per parser instance.
+to the token's reader.  Each IRI is built once per parser instance, one
+the match read without a second check of its characters.
 
 Two simplifications: name characters are Python's alphanumerics rather
 than the exact ``PN_CHARS`` ranges, and a ``%`` in a local name is taken as
@@ -34,7 +35,7 @@ from __future__ import annotations
 import re
 
 from .errors import InvalidTermError
-from .rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal, is_absolute_iri
+from .rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal, is_absolute_iri, trusted_iri
 
 _ECHAR = {
     't': '\t',
@@ -81,14 +82,14 @@ _TOKEN_RE = re.compile(
     r"([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)"
     r"(?:([][(),;.])"
     r"|<([^<>\"{}|^`\\\x00-\x20]*)>"
-    r"|((?:[^\W\d_][\w.-]*(?<!\.))?)"
-    r":((?:[\w:%][\w:%-]*(?:\.+[\w:%-]+)*)?)(?![\w:%-]|\.+[\w:%-]|\.*\\)"
+    r"|(((?:[^\W\d_][\w.-]*(?<!\.))?)"
+    r":((?:[\w:%][\w:%-]*(?:\.+[\w:%-]+)*)?))(?![\w:%-]|\.+[\w:%-]|\.*\\)"
     r"|\"([^\"\\\r\n]*)\"(?![\"@^]))?"
 )
 # the group numbers of _TOKEN_RE, as Match.lastindex reports the token read
 # (1, the whitespace, when the readers must take it); a prefixed name's
-# prefix is group PNAME - 1, its local name group PNAME
-PUNCT, IRIREF, PNAME, STRING = 2, 3, 5, 6
+# prefix is group PNAME + 1, its local name group PNAME + 2
+PUNCT, IRIREF, PNAME, STRING = 2, 3, 4, 7
 # the characters a string body takes without a second look
 _STRING_CHARS = {
     '"""': re.compile(r'[^"\\]*'),
@@ -118,6 +119,9 @@ class Lexer:
         # every IRI read so far, by its absolute spelling: only a resolved
         # IRI is ever a key, so a later BASE or PREFIX cannot make one stale
         self._iris: dict[str, Iri] = {}
+        # the IRI of each prefixed name the token read took, by its spelling,
+        # until the next prefix declaration
+        self._pnames: dict[str, Iri] = {}
 
     # -- cursor ------------------------------------------------------------
 
@@ -152,23 +156,38 @@ class Lexer:
         for anything a reader must take."""
         kind = match.lastindex
         if kind == PNAME:
-            prefix = match[PNAME - 1]
+            term = self._pnames.get(match[PNAME])
+            if term is not None:
+                self.pos = match.end()
+                return term
+            prefix = match[PNAME + 1]
             ns = self.prefixes.get(prefix)
             # where a constant may stand, 'true:' starts the keyword true
             if ns is None or constant and prefix.lower() in ("true", "false"):
                 return None
-            self.pos = match.end()
-            iri = ns + match[PNAME]
+            iri = ns + match[PNAME + 2]
         elif kind == IRIREF:
-            self.pos = match.end()
             iri = match[IRIREF]
         elif kind == STRING and constant:
             self.pos = match.end()
             return Literal(match[STRING])
         else:
             return None
-        # the table lookup first spares a call for the IRIs seen before
-        return self._iris.get(iri) or self.resolve(iri)
+        self.pos = match.end()
+        term = self._iris.get(iri)
+        if term is None:
+            # the token holds no character an IRI forbids, and a namespace is
+            # absolute, so only a relative IRIREF is left to check
+            if not is_absolute_iri(iri):
+                return self.resolve(iri)
+            term = self._iris[iri] = trusted_iri(iri)
+        if kind == PNAME and prefix.lower() not in ("true", "false"):
+            self._pnames[match[PNAME]] = term
+        return term
+
+    def declare_prefix(self, prefix: str, namespace: str):
+        self.prefixes[prefix] = namespace
+        self._pnames.clear()
 
     def _read_token_at_cursor(self, constant: bool) -> Iri | Literal | None:
         """:meth:`read_token_term` for a token that starts at the cursor."""
@@ -206,6 +225,16 @@ class Lexer:
             self.pos += len(word)
             return True
         return False
+
+    def try_directive(self, word: str, also: str = "") -> bool:
+        """Consume a directive's keyword, in any case, if whitespace, a comment,
+        the end or a character of *also* follows: ``PREFIX:`` is a name."""
+        end = self.pos + len(word)
+        after = self.text[end : end + 1]
+        if self.text[self.pos : end].lower() != word.lower() or after and after not in " \t\r\n#" + also:
+            return False
+        self.pos = end
+        return True
 
     def try_a(self) -> bool:
         """Consume the ``a`` that abbreviates ``rdf:type`` as a verb."""

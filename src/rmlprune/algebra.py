@@ -39,7 +39,7 @@ from typing import ClassVar, Union
 from .csvsource import CSV_KIND, CsvTable, Row
 from .errors import InvalidTermError, SourceInputError, StructuralError
 from .ntriples import escape_string, format_term
-from .rdf import BlankNode, Iri, Literal, Pairs, RdfGraph, RdfTerm, is_absolute_iri, is_term, is_valid_iri
+from .rdf import XSD_STRING, BlankNode, Iri, Literal, Pairs, RdfGraph, RdfTerm, is_absolute_iri, is_term, is_valid_iri
 
 logger = logging.getLogger("rmlprune.algebra")
 
@@ -127,7 +127,7 @@ class BuildLiteral(_FromTemplate):
 
     def __post_init__(self):
         super().__post_init__()
-        if not is_valid_iri(self.datatype):
+        if self.datatype != XSD_STRING and not is_valid_iri(self.datatype):
             raise StructuralError(f"datatype is not a valid IRI: {self.datatype!r}")
 
 

@@ -109,6 +109,21 @@ class Literal:
         return f'"{self.lex}"^^<{self.datatype}>'
 
 
+def _trusted(cls: type):
+    """``cls(value)`` without its check, for a reader that has made it: an
+    IRI whose characters and scheme it matched, a label it made up."""
+    new, set_value = object.__new__, getattr(cls, cls.__slots__[0]).__set__
+
+    def make(value: str):
+        term = new(cls)
+        set_value(term, value)
+        return term
+
+    return make
+
+
+trusted_iri, trusted_bnode = _trusted(Iri), _trusted(BlankNode)
+
 RdfTerm = Union[Iri, BlankNode, Literal]
 
 

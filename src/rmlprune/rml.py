@@ -6,12 +6,14 @@ Both RML generations are accepted: the current namespace
 (``http://semweb.mmlab.be/ns/rml#``).  Only CSV logical sources are in
 scope; other reference formulations, graph maps, language maps, logical
 tables and functions are rejected with messages naming the offending node.
-One table, :data:`_TAKES`, says which properties each kind of mapping node
-takes and which of them it takes only once, and one reader checks every
-node against it: a property the node does not take, or a once-only one
-stated twice, is rejected rather than dropped, and every error below a
-triples map names it.  Triples whose subject is unreachable from every
-triples map only produce a logged warning.
+The Turtle reader files each subject's (predicate, object) pairs in
+document order, and one pass over them finds the triples maps and the
+referencing object maps.  One table, :data:`_TAKES`, says by IRI which
+properties each kind of mapping node takes and which of them it takes only
+once, and one reader checks every node against it: a property the node
+does not take, or a once-only one stated twice, is rejected rather than
+dropped, and every error below a triples map names it.  Triples whose
+subject is unreachable from every triples map only produce a logged warning.
 
 A parsed document has one shape: every triples map has a subject map, and
 each predicate-object map pairs one predicate map with one object map.
@@ -193,17 +195,15 @@ _TOKENS = {**_VOCAB, RDF_TYPE: "type"}
 _RDF_TYPE_IRI = Iri(RDF_TYPE)
 
 
-class _Graph(dict[str, list[tuple[str | None, Iri, RdfTerm]]]):
-    """A mapping document as its subjects' properties, by node key, each a
-    (token, predicate, object), the token None for a property that no
-    mapping node may carry; the walk below rejects one only where it
-    reaches it.  It also keeps what an error needs to name a blank node
-    the way the document writes it."""
+class _Graph(dict[str, list[tuple[Iri, RdfTerm]]]):
+    """A mapping document as its subjects' (predicate, object) pairs, in
+    document order, by node key.  It also keeps what an error needs to name
+    a blank node the way the document writes it."""
 
-    def __init__(self, text: str, labels: dict[str, str]):
+    def __init__(self, reader: TurtleParser):
         super().__init__()
-        self.text, self.labels = text, labels  # the labels: document's -> the reader's
-        self.made: list[int] = []  # blank node bN was made at offset made[N - 1]
+        self.text, self.labels = reader.text, reader.bnode_labels  # the labels: document's -> the reader's
+        self.made = reader.bnode_offsets  # blank node bN was made at offset made[N - 1]
 
     def name(self, key: str) -> str:
         """Node *key* for an error message: an IRI, the document's label of
@@ -216,29 +216,29 @@ class _Graph(dict[str, list[tuple[str | None, Iri, RdfTerm]]]):
         line = self.text.count("\n", 0, self.made[int(key[3:]) - 1]) + 1
         return f"[ ] at line {line}"
 
+    def index(self):
+        """Note the nodes that carry a logical source, the triples maps, and
+        those that name a parent, the referencing object maps."""
+        self.logical, self.referencing = set(), set()
+        nodes_of = {"logicalSource": self.logical, "parentTriplesMap": self.referencing}
+        found = {iri: nodes_of[token] for iri, token in _TOKENS.items() if token in nodes_of}
+        for key, props in self.items():
+            for pred, _ in props:
+                if pred.value in found:
+                    found[pred.value].add(key)
+
 
 class _MappingReader(TurtleParser):
-    """The Turtle reader of a mapping: it files each triple under its
-    subject, as :class:`_Graph` holds it, and keeps no triple list."""
+    """The Turtle reader of a mapping: it files each (predicate, object)
+    pair under its subject, as :class:`_Graph` holds them."""
 
     def __init__(self, text: str):
         super().__init__(text)
-        self.graph = _Graph(text, self.bnode_labels)
-        self.logical: set[str] = set()  # the subjects with a logical source
+        self.graph = _Graph(self)
 
-    def fresh_bnode(self, at: int | None = None) -> BlankNode:
-        self.graph.made.append(self.pos if at is None else at)
-        return super().fresh_bnode(at)
-
-    def add(self, s: Iri | BlankNode, p: Iri, o: RdfTerm):
+    def properties(self, s: Iri | BlankNode):
         key = "_:" + s.label if type(s) is BlankNode else s.value
-        token = _TOKENS.get(p.value)
-        props = self.graph.get(key)
-        if props is None:
-            props = self.graph[key] = []
-        props.append((token, p, o))
-        if token == "logicalSource":
-            self.logical.add(key)
+        return self.graph.setdefault(key, []).append
 
 
 def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingModelError:
@@ -251,15 +251,18 @@ def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingMod
     return MappingModelError(f"unknown property <{pred.value}> on {node}; refusing to drop it silently")
 
 
-def _takes(once: str, repeats: str = "") -> dict[str, bool]:
-    return dict.fromkeys(once.split(), False) | dict.fromkeys(repeats.split(), True)
+def _takes(once: str, repeats: str = "") -> dict[str, tuple[str, bool]]:
+    """Each property a kind of node takes, as (token, whether it may
+    repeat), by every IRI that spells it."""
+    tokens = dict.fromkeys(once.split(), False) | dict.fromkeys(repeats.split(), True)
+    return {iri: (token, tokens[token]) for iri, token in _TOKENS.items() if token in tokens}
 
 
 # The property tokens each kind of mapping node takes, those it takes once
-# and those that may repeat (R2RML §6.1, §7, §8), by whether they repeat.
+# and those that may repeat (R2RML §6.1, §7, §8).
 _TERM_MAP = "constant reference template termType datatype"
 _KINDS = frozenset(("constant", "reference", "template"))
-_TAKES: dict[str, dict[str, bool]] = {
+_TAKES: dict[str, dict[str, tuple[str, bool]]] = {
     "triples map": _takes("logicalSource subjectMap subject", "predicateObjectMap"),
     "logical source": _takes("source referenceFormulation iterator"),
     "subject map": _takes(_TERM_MAP, "class"),
@@ -279,13 +282,16 @@ def _read_node(g: _Graph, key: str, what: str, visited: set[str]) -> dict:
     visited.add(key)
     takes = _TAKES[what]
     props: dict = {}
-    for token, pred, obj in g.get(key, ()):
-        repeats = takes.get(token)
-        if repeats:
-            props.setdefault(token, []).append(obj)
-        elif repeats is None:
+    for pred, obj in g.get(key, ()):
+        taken = takes.get(pred.value)
+        if taken is None:
+            token = _TOKENS.get(pred.value)
             if token != "type":
                 raise _misplaced(token, pred, g.name(key), what)
+            continue
+        token, repeats = taken
+        if repeats:
+            props.setdefault(token, []).append(obj)
         elif token in props:
             raise MappingModelError(f"{what} {g.name(key)} has more than one {token}")
         else:
@@ -363,10 +369,7 @@ def _term_map(
         raise MappingModelError("datatype is only allowed on literal-producing maps")
     if kind == "constant":
         return TermMapModel(kind, value, ConstantTerm(value))
-    if kind == "reference":
-        body = Template(("", value, ""))
-    else:
-        body = Template(parse_template(value))
+    body = Template(("", value, "") if kind == "reference" else parse_template(value))
     if built is BuildLiteral:
         return TermMapModel(kind, value, BuildLiteral(body, datatype or XSD_STRING))
     if built is BuildBlank:
@@ -398,7 +401,7 @@ def _parse_term_map(
             if not isinstance(datatype, Iri):
                 raise MappingModelError("datatype must be an IRI")
             datatype = datatype.value
-        if not all(isinstance(cls, Iri) for cls in classes):
+        if classes and not all(isinstance(cls, Iri) for cls in classes):
             raise MappingModelError("class must be an IRI")
         return _term_map(kind, value, position, base, term_type, datatype), tuple(classes)
     except MappingModelError as exc:
@@ -420,7 +423,7 @@ def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> RefObjectMa
             f"unconditioned join is not supported"
         )
     parent = _node_key(props["parentTriplesMap"], "parentTriplesMap")
-    if not any(token == "logicalSource" for token, _, _ in g.get(parent, ())):
+    if parent not in g.logical:
         raise MappingModelError(
             f"referencing object map {g.name(key)}: parent triples map {g.name(parent)} does not exist"
         )
@@ -432,24 +435,25 @@ def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[Predic
     predicate maps before predicate shortcuts, object maps before object
     shortcuts, predicate-major."""
     props = _read_node(g, key, "predicate-object map", visited)
-    predicate_maps = [
-        _parse_term_map(g, _node_key(obj, "predicateMap"), "predicate", base, visited)[0]
-        for obj in props.get("predicateMap", ())
-    ]
+    predicate_maps: list[TermMapModel] = []
+    for obj in props.get("predicateMap", ()):
+        predicate_maps.append(_parse_term_map(g, _node_key(obj, "predicateMap"), "predicate", base, visited)[0])
     try:
-        predicate_maps += [_term_map("constant", p, "predicate", base) for p in props.get("predicate", ())]
+        for p in props.get("predicate", ()):
+            predicate_maps.append(_term_map("constant", p, "predicate", base))
     except MappingModelError as exc:
         raise MappingModelError(f"predicate-object map {g.name(key)}: {exc}") from None
     object_maps: list[TermMapModel | RefObjectMapModel] = []
     for obj in props.get("objectMap", ()):
         okey = _node_key(obj, "objectMap")
         # a referencing object map is the one that names a parent
-        if any(token == "parentTriplesMap" for token, _, _ in g.get(okey, ())):
+        if okey in g.referencing:
             object_maps.append(_parse_ref_object_map(g, okey, visited))
         else:
             object_maps.append(_parse_term_map(g, okey, "object", base, visited)[0])
     # a constant object map is any term, so it cannot fail
-    object_maps += [_term_map("constant", o, "object", base) for o in props.get("object", ())]
+    for o in props.get("object", ()):
+        object_maps.append(_term_map("constant", o, "object", base))
     if not predicate_maps:
         raise MappingModelError(f"predicate-object map {g.name(key)} has no predicate")
     if not object_maps:
@@ -468,12 +472,14 @@ def parse_rml(data: bytes | str) -> RmlDocument:
     base = reader.parse() or DEFAULT_BASE_IRI
     g = reader.graph
     # the triples maps: the subjects that carry a logical source, in order
-    tm_keys = [key for key in g if key in reader.logical]
+    g.index()
+    tm_keys = [key for key in g if key in g.logical]
     if not tm_keys:
         raise MappingModelError("no triples maps found (no subject carries a logical source)")
 
     visited: set[str] = set()
     triples_maps: list[TriplesMapModel] = []
+    type_map = _term_map("constant", _RDF_TYPE_IRI, "predicate", base)
     for key in tm_keys:
         props = _read_node(g, key, "triples map", visited)
         subject_map, classes = None, ()
@@ -496,19 +502,13 @@ def parse_rml(data: bytes | str) -> RmlDocument:
             raise MappingModelError(f"triples map {g.name(key)}: {exc}") from None
         if subject_map is None:
             raise MappingModelError(f"triples map {g.name(key)} lacks a subject map")
-        class_poms = [
-            PredicateObjectMapModel(
-                _term_map("constant", _RDF_TYPE_IRI, "predicate", base),
-                _term_map("constant", cls, "object", base),
-            )
-            for cls in classes
-        ]
+        class_poms = [PredicateObjectMapModel(type_map, _term_map("constant", cls, "object", base)) for cls in classes]
         triples_maps.append(
             TriplesMapModel(id=key, source=source, subject_map=subject_map, poms=tuple(class_poms + poms))
         )
 
     for key, props in g.items():
-        if key not in visited and any(token != "type" for token, _, _ in props):
+        if key not in visited and any(_TOKENS.get(pred.value) != "type" for pred, _ in props):
             logger.warning(
                 "subject %s is not reachable from any triples map; ignoring it",
                 g.name(key),
@@ -597,7 +597,7 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
     the references they select, in order of first appearance.  A joined
     parent's subject constructor is copied with its attributes renamed
     with an ``@parent`` suffix, plus ``'`` until they clash with no child
-    attribute.
+    attribute.  *doc* is one that :func:`parse_rml` built.
     """
     by_id = {tm.id: tm for tm in doc.triples_maps}
     exprs: list[TriplesMapExpr] = []
@@ -635,17 +635,14 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
                 join_conditions = tuple((c, name_of[p]) for c, p in om.joins)
             else:
                 object_expr = om.expr
-            exprs.append(
-                TriplesMapExpr(
-                    subject_expr=subject_expr,
-                    predicate_expr=predicate_expr,
-                    object_expr=object_expr,
-                    extract=ExtractSpec(source_ref=tm.source, selectors=selectors),
-                    parent_extract=parent_extract,
-                    join_conditions=join_conditions,
-                    provenance=f"{tm.id}#pom{j}",
-                )
-            )
+            # the checks of TriplesMapExpr hold by construction: each
+            # constructor reads only the selectors named after its references,
+            # and a joined object, a subject map, builds no literal
+            expr = object.__new__(TriplesMapExpr)
+            expr.subject_expr, expr.predicate_expr, expr.object_expr = subject_expr, predicate_expr, object_expr
+            expr.extract, expr.parent_extract = ExtractSpec(tm.source, selectors), parent_extract
+            expr.join_conditions, expr.provenance = join_conditions, f"{tm.id}#pom{j}"
+            exprs.append(expr)
     if not exprs:
         raise MappingModelError(
             "the document has no predicate-object maps, so it produces no triples"

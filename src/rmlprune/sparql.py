@@ -160,14 +160,14 @@ class _QueryParser(Lexer):
     def _parse_prologue(self):
         while True:
             self.skip_ws()
-            if self.try_keyword("PREFIX"):
+            if self.try_directive("PREFIX"):
                 self.skip_ws()
                 prefix = self.read_prefix_name()
                 self.expect(":")
                 self.skip_ws()
                 iri = self.read_iriref()
-                self.prefixes[prefix] = iri.value
-            elif self.try_keyword("BASE"):
+                self.declare_prefix(prefix, iri.value)
+            elif self.try_directive("BASE", "<"):
                 self.skip_ws()
                 iri = self.read_iriref()
                 self.base = iri.value

@@ -13,26 +13,30 @@ relative IRI without a base is an error.
 
 Blank node labels from the document are renamed to fresh internal labels
 (first-occurrence order), so documents cannot collide with generated ones;
-:attr:`TurtleParser.bnode_labels` maps the first to the second.
+:attr:`TurtleParser.bnode_labels` maps the first to the second.  The
+reader made the labels, so it skips the check of ``BlankNode(...)``.
 
-:class:`TurtleParser` keeps no triples: it hands each to
-:meth:`~TurtleParser.add`, which each reader implements (the RML layer's
-files it under its subject).  :meth:`~TurtleParser.parse` returns the base.
+:class:`TurtleParser` keeps no triples: at the first triple of each run
+with one subject it asks :meth:`~TurtleParser.properties`, which each
+reader implements, where the run's (predicate, object) pairs go (the RML
+layer answers with the append of the subject's list, so filing costs no
+call).  :meth:`~TurtleParser.parse` returns the base.
 
 Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
-step from token to token with :meth:`~rmlprune._lexer.Lexer.next_token`,
-which skips whitespace and reads a common term or punctuation mark in one
-regex match.
+step from token to token as :meth:`~rmlprune._lexer.Lexer.next_token`
+does, with one regex match that skips whitespace and reads a common term
+or punctuation mark.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 
-from ._lexer import PUNCT, Lexer
+from ._lexer import _TOKEN_RE, PUNCT, Lexer
 from .errors import TurtleError
-from .rdf import RDF_NS, BlankNode, Iri, RdfTerm
+from .rdf import RDF_NS, BlankNode, Iri, RdfTerm, trusted_bnode
 
 RDF_FIRST = Iri(RDF_NS + "first")
 RDF_REST = Iri(RDF_NS + "rest")
@@ -49,30 +53,26 @@ class TurtleParser(Lexer):
         super().__init__(text, base)
         # document label -> internal label, insertion ordered
         self.bnode_labels: dict[str, str] = {}
-        self._bnode_counter = 0
+        # blank node bN opens at offset bnode_offsets[N - 1]
+        self.bnode_offsets: list[int] = []
 
-    def add(self, s: Iri | BlankNode, p: Iri, o: RdfTerm):
-        """Take one triple of the document, in document order."""
+    def properties(self, s: Iri | BlankNode) -> Callable[[tuple[Iri, RdfTerm]], object]:
+        """The function that takes each (predicate, object) pair of subject
+        *s*, in document order.  The grammar asks for it at the first triple
+        of each run of triples with subject *s*."""
         raise NotImplementedError
 
     def fresh_bnode(self, at: int | None = None) -> BlankNode:
         """A new blank node, which opens at offset *at* or the cursor."""
-        self._bnode_counter += 1
-        return BlankNode(f"b{self._bnode_counter}")
-
-    def labeled_bnode(self, doc_label: str) -> BlankNode:
-        internal = self.bnode_labels.get(doc_label)
-        if internal is None:
-            node = self.fresh_bnode()
-            self.bnode_labels[doc_label] = node.label
-            return node
-        return BlankNode(internal)
+        offsets = self.bnode_offsets
+        offsets.append(self.pos if at is None else at)
+        return trusted_bnode(f"b{len(offsets)}")
 
     # -- grammar -----------------------------------------------------------
 
     def parse(self) -> str | None:
-        """Hand every triple to :meth:`add`; returns the base in scope at
-        the end of the document."""
+        """Hand every triple to :meth:`properties`; returns the base in
+        scope at the end of the document."""
         while True:
             token = self.next_token()
             if self.at_end():
@@ -93,19 +93,12 @@ class TurtleParser(Lexer):
             self.skip_ws()
             self.expect(".")
             return True
-        if self.keyword_ahead("prefix"):
-            after = self.text[self.pos + 6 : self.pos + 7]
-            # "prefix:s" is a prefixed name, not the directive
-            if after in (" ", "\t", "\r", "\n", ""):
-                self.pos += len("prefix")
-                self._parse_prefix_body()
-                return True
-        if self.keyword_ahead("base"):
-            after = self.text[self.pos + 4 : self.pos + 5]
-            if after in (" ", "\t", "\r", "\n", "<", ""):
-                self.pos += len("base")
-                self._parse_base_body()
-                return True
+        if self.try_directive("prefix"):
+            self._parse_prefix_body()
+            return True
+        if self.try_directive("base", "<"):
+            self._parse_base_body()
+            return True
         return False
 
     def _parse_prefix_body(self):
@@ -114,7 +107,7 @@ class TurtleParser(Lexer):
         self.expect(":")
         self.skip_ws()
         iri = self.read_iriref()
-        self.prefixes[prefix] = iri.value
+        self.declare_prefix(prefix, iri.value)
 
     def _parse_base_body(self):
         self.skip_ws()
@@ -149,30 +142,46 @@ class TurtleParser(Lexer):
         self.pos += len(label)
         if not label:
             raise self.error("empty blank node label")
-        return self.labeled_bnode(label)
+        internal = self.bnode_labels.get(label)
+        if internal is None:
+            node = self.fresh_bnode()
+            self.bnode_labels[label] = node.label
+            return node
+        return trusted_bnode(internal)
 
-    def _parse_predicate_object_list(self, subject, token):
-        """From the first verb's token to the token after the list."""
-        add = self.add
-        next_token = self.next_token
+    def _parse_predicate_object_list(self, subject, token) -> str | None:
+        """From the first verb's token to the token after the list, whose
+        punctuation mark (None for another token) it returns."""
+        take = None
+        text, match, read = self.text, _TOKEN_RE.match, self.read_token_term
         while True:
-            predicate = self.read_token_term(token, constant=False) or self._parse_verb()
+            predicate = read(token, constant=False) or self._parse_verb()
             while True:
-                token = next_token()
-                obj = self.read_token_term(token, constant=True) or self._parse_object(token)
-                add(subject, predicate, obj)
-                token = next_token()
-                if token[PUNCT] != ",":
+                # each step to a token is next_token(), written out
+                token = match(text, self.pos)
+                self.pos = token.end(1)
+                if token[PUNCT] == "[":
+                    obj = self._parse_bnode_property_list()
+                else:
+                    obj = read(token, constant=True) or self._parse_object(token)
+                if take is None:
+                    take = self.properties(subject)
+                take((predicate, obj))
+                token = match(text, self.pos)
+                self.pos = token.end(1)
+                punct = token[PUNCT]
+                if punct != ",":
                     break
                 self.pos += 1
-            if token[PUNCT] != ";":
-                break
+            if punct != ";":
+                return punct
             # a dangling ';' before '.', ']' or another ';' is allowed
-            while token[PUNCT] == ";":
-                self.pos += 1
-                token = next_token()
-            if self.peek() in (".", "]", ""):
-                break
+            while punct == ";":
+                token = match(text, self.pos + 1)
+                self.pos = token.end(1)
+                punct = token[PUNCT]
+            if punct in (".", "]") or self.pos == len(text):
+                return punct
 
     def _parse_verb(self) -> Iri:
         """A verb the token read left to the readers."""
@@ -199,10 +208,14 @@ class TurtleParser(Lexer):
         self.descend()
         self.pos += 1
         node = self.fresh_bnode()
-        token = self.next_token()
-        if token[PUNCT] != "]":
-            self._parse_predicate_object_list(node, token)
-        self.expect("]")
+        token = _TOKEN_RE.match(self.text, self.pos)  # next_token(), written out
+        self.pos = token.end(1)
+        punct = token[PUNCT]
+        if punct != "]":
+            punct = self._parse_predicate_object_list(node, token)
+        if punct != "]":
+            raise self.error("expected ']'")
+        self.pos += 1
         self.depth -= 1
         return node
 
@@ -226,6 +239,7 @@ class TurtleParser(Lexer):
             return RDF_NIL
         nodes = [self.fresh_bnode(opens) for _ in items]
         for node, item, rest in zip(nodes, items, [*nodes[1:], RDF_NIL]):
-            self.add(node, RDF_FIRST, item)
-            self.add(node, RDF_REST, rest)
+            take = self.properties(node)
+            take((RDF_FIRST, item))
+            take((RDF_REST, rest))
         return nodes[0]

@@ -277,8 +277,8 @@ class TripleCollector(TurtleParser):
         super().__init__(text, base)
         self.triples: list[Triple] = []
 
-    def add(self, s, p, o):
-        self.triples.append(Triple(s, p, o))
+    def properties(self, s):
+        return lambda pair: self.triples.append(Triple(s, *pair))
 
 
 def read_turtle(text: str, base: str | None = None) -> TripleCollector:

@@ -528,6 +528,16 @@ def test_query_with_escape_beyond_unicode_exits_2(corpus, capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_a_prefix_keyword_glued_to_its_colon_exits_2(corpus, capsys, tmp_path):
+    q = tmp_path / "glued.rq"
+    q.write_text("PREFIX:<http://e/> SELECT * WHERE { :s ?p ?o }\n")
+    code, _, err = run(
+        capsys, "prune", "--mapping", str(corpus / "mapping.ttl"), "--query", str(q)
+    )
+    assert code == 2
+    assert "line 1, column 1: expected SELECT" in err
+
+
 def test_deeply_nested_inputs_exit_2_without_a_traceback(corpus, capsys, tmp_path):
     q = tmp_path / "deep.rq"
     q.write_text("SELECT * WHERE " + "{ " * 3000 + "?s ?p ?o" + " }" * 3000 + "\n")

@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+from dataclasses import fields
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,7 @@ from rmlprune.algebra import (
     ConstantTerm,
     DataObject,
     Template,
+    TriplesMapExpr,
     dump_plan,
     materialize,
 )
@@ -861,6 +863,107 @@ SCALE1_PLAN = "cf5f0b7de20dc508005d43ea8da00105068ae5403c0453f8af1c29778a69e09a"
 def test_wide_mapping_plan_is_pinned():
     plan = dump_plan(translate(parse_rml(wide_mapping_text())))
     assert (hashlib.sha256(plan.encode("utf-8")).hexdigest(), plan.count("\n") + 1) == WIDE_PLAN
+
+
+# sha256 and line count of the wide mapping written back whole: it pins what
+# the plan does not, the term maps as written, the predicate-object maps'
+# order, the parents a join names and the base
+WIDE_WRITTEN_BACK = ("7fc1469cf951d61f26071a3c2b5b8e4d71520e71e64bb05735031d3190a75534", 5882)
+
+
+def test_wide_mapping_written_back_is_pinned():
+    doc = parse_rml(wide_mapping_text())
+    text = serialize_pruned(translate(doc), doc)
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest(), text.count("\n")) == WIDE_WRITTEN_BACK
+
+
+# One triples map, four ways: three classes, a predicate-object map with two
+# predicates, two object maps and an object shortcut, a join, a datatype.
+ONE_MAP_FOUR_WAYS = {
+    "nested": (
+        '<http://e/tm> rml:logicalSource [ rml:source "f.csv" ; rml:referenceFormulation rml:CSV ] ;\n'
+        '  rml:subjectMap [ rml:template "http://e/s/{id}" ; rml:class ex:C ; rml:class ex:D ; rml:class ex:E ] ;\n'
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:predicate ex:q ;\n"
+        '    rml:objectMap [ rml:reference "a" ] ; rml:objectMap [ rml:template "http://e/o/{b}" ] ;\n'
+        '    rml:object "lit" ] ;\n'
+        "  rml:predicateObjectMap [ rml:predicateMap [ rml:constant ex:r ] ;\n"
+        "    rml:objectMap [ rml:parentTriplesMap <http://e/parent> ;\n"
+        '      rml:joinCondition [ rml:child "pid" ; rml:parent "id" ] ] ] ;\n'
+        '  rml:predicateObjectMap [ rml:predicate ex:n ; rml:objectMap [ rml:reference "n" ; rml:datatype xsd:integer ] ] .\n'
+    ),
+    "labeled, declared after use": (
+        "<http://e/tm> rml:logicalSource _:ls ; rml:subjectMap _:sm ;\n"
+        "  rml:predicateObjectMap _:pom1 ; rml:predicateObjectMap _:pom2 ; rml:predicateObjectMap _:pom3 .\n"
+        '_:ls rml:source "f.csv" ; rml:referenceFormulation rml:CSV .\n'
+        '_:sm rml:template "http://e/s/{id}" ; rml:class ex:C ; rml:class ex:D ; rml:class ex:E .\n'
+        '_:pom1 rml:predicate ex:p ; rml:predicate ex:q ; rml:objectMap _:oa ; rml:objectMap _:ob ; rml:object "lit" .\n'
+        '_:oa rml:reference "a" .\n'
+        '_:ob rml:template "http://e/o/{b}" .\n'
+        "_:pom2 rml:predicateMap _:pm ; rml:objectMap _:rom .\n"
+        "_:pm rml:constant ex:r .\n"
+        "_:rom rml:parentTriplesMap <http://e/parent> ; rml:joinCondition _:jc .\n"
+        '_:jc rml:child "pid" ; rml:parent "id" .\n'
+        "_:pom3 rml:predicate ex:n ; rml:objectMap _:on .\n"
+        '_:on rml:reference "n" ; rml:datatype xsd:integer .\n'
+    ),
+    "predicate and object lists": (
+        '<http://e/tm> rml:logicalSource [ rml:source "f.csv" ; rml:referenceFormulation rml:CSV ] ;\n'
+        '  rml:subjectMap [ rml:template "http://e/s/{id}" ; rml:class ex:C, ex:D, ex:E ] ;\n'
+        "  rml:predicateObjectMap [ rml:predicate ex:p, ex:q ;\n"
+        '    rml:objectMap [ rml:reference "a" ], [ rml:template "http://e/o/{b}" ] ; rml:object "lit" ],\n'
+        "  [ rml:predicateMap [ rml:constant ex:r ] ;\n"
+        "    rml:objectMap [ rml:parentTriplesMap <http://e/parent> ;\n"
+        '      rml:joinCondition [ rml:child "pid" ; rml:parent "id" ] ] ],\n'
+        '  [ rml:predicate ex:n ; rml:objectMap [ rml:reference "n" ; rml:datatype xsd:integer ] ] .\n'
+    ),
+    # one token spelled by two IRIs on one node, interleaved: the classes
+    # must keep their document order, not be grouped by IRI
+    "rr: and old rml: beside new rml:": (
+        "@prefix rr: <http://www.w3.org/ns/r2rml#> .\n"
+        "@prefix rmlold: <http://semweb.mmlab.be/ns/rml#> .\n"
+        "@prefix ql: <http://semweb.mmlab.be/ns/ql#> .\n"
+        '<http://e/tm> rmlold:logicalSource [ rml:source "f.csv" ; rmlold:referenceFormulation ql:CSV ] ;\n'
+        '  rr:subjectMap [ rml:template "http://e/s/{id}" ; rml:class ex:C ; rr:class ex:D ; rml:class ex:E ] ;\n'
+        "  rml:predicateObjectMap [ rr:predicate ex:p ; rml:predicate ex:q ;\n"
+        '    rml:objectMap [ rmlold:reference "a" ] ; rr:objectMap [ rr:template "http://e/o/{b}" ] ;\n'
+        '    rr:object "lit" ] ;\n'
+        "  rr:predicateObjectMap [ rr:predicateMap [ rml:constant ex:r ] ;\n"
+        "    rml:objectMap [ rr:parentTriplesMap <http://e/parent> ;\n"
+        '      rml:joinCondition [ rr:child "pid" ; rml:parent "id" ] ] ] ;\n'
+        '  rml:predicateObjectMap [ rml:predicate ex:n ; rr:objectMap [ rr:column "n" ; rr:datatype xsd:integer ] ] .\n'
+    ),
+}
+PARENT_MAP = (
+    '<http://e/parent> rml:logicalSource [ rml:source "p.csv" ] ;\n'
+    '  rml:subjectMap [ rml:template "http://e/p/{id}" ] .\n'
+)
+
+
+def test_a_triples_map_reads_the_same_however_it_is_written():
+    # every form names the same triples maps, so even the provenance agrees
+    written = set()
+    for text in ONE_MAP_FOUR_WAYS.values():
+        doc = parse_rml(NEW_HEADER + text + PARENT_MAP)
+        m = translate(doc)
+        assert len(m.trmaps) == 3 + 2 * 3 + 1 + 1
+        written.add((dump_plan(m), serialize_pruned(m, doc)))
+    assert len(written) == 1
+    ((_, text),) = written
+    assert text.index(f"<{EX}C>") < text.index(f"<{EX}D>") < text.index(f"<{EX}E>")
+    labeled = ONE_MAP_FOUR_WAYS["labeled, declared after use"].replace(
+        '_:oa rml:reference "a" .', '_:oa rml:reference "a" ; rml:class ex:C .'
+    )
+    with pytest.raises(MappingModelError, match="does not belong on object map _:oa$"):
+        parse_rml(NEW_HEADER + labeled + PARENT_MAP)
+
+
+def test_translated_expressions_pass_the_public_checks():
+    # translate builds its expressions without re-running the checks of
+    # TriplesMapExpr, which its construction makes hold
+    for text in (MAPPING_TTL, wide_mapping_text(), JOIN_DOC):
+        for expr in translate(parse_rml(text)).trmaps:
+            rebuilt = TriplesMapExpr(**{f.name: getattr(expr, f.name) for f in fields(TriplesMapExpr)})
+            assert vars(rebuilt) == vars(expr)
 
 
 def test_corpus_mapping_plan_is_pinned():

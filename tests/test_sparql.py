@@ -297,6 +297,20 @@ def test_default_prefix_and_base():
     }
 
 
+def test_prefix_keyword_needs_whitespace_or_a_comment_after_it():
+    # "PREFIX:" is one PNAME_NS token, so this is no prologue but a bad query
+    with pytest.raises(SparqlError, match=r"^line 1, column 1: expected SELECT$"):
+        parse_query("PREFIX:<http://e/> SELECT * WHERE { :s ?p ?o }")
+    for prologue, name in (
+        ("PREFIX : <http://e/>", ""),
+        ("PREFIX\t:<http://e/>", ""),
+        ("PREFIX# a comment\n:<http://e/>", ""),
+        ("prefix ex:<http://e/>", "ex"),
+    ):
+        q = parse_query(f"{prologue} SELECT * WHERE {{ {name}:s ?p ?o }}")
+        assert collect_triple_patterns(q) == {tp(Iri("http://e/s"), Variable("p"), Variable("o"))}
+
+
 def test_flatten_bgp():
     q = parse_query("SELECT * WHERE { ?s ?p ?o . ?o ?q ?r }")
     flat = flatten_bgp(q)

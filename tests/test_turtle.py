@@ -66,6 +66,12 @@ def test_sparql_prefix_directive_needs_a_space_before_its_name():
     }
 
 
+def test_a_comment_may_follow_a_sparql_style_directive_keyword():
+    assert triples("PREFIX# the empty prefix\n : <http://e/>\nBASE#\n<http://e/>\n:s :p <o> .") == {
+        Triple(Iri("http://e/s"), Iri("http://e/p"), Iri("http://e/o"))
+    }
+
+
 def test_a_keyword_is_rdf_type():
     text = "@prefix ex: <http://example.com/> .\nex:s a ex:T ."
     assert triples(text) == {Triple(Iri(EX + "s"), Iri(RDF + "type"), Iri(EX + "T"))}
