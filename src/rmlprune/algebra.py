@@ -20,7 +20,8 @@ several expressions share is built once per row, and a joined expression
 looks its objects up in buckets of the parent table.  Terms are interned by
 the strings they are built from.  No :class:`~rmlprune.rdf.Triple` is built:
 each (subject, object) pair is filed under its predicate, once, and each
-predicate's pairs become the graph's columns.
+predicate's pairs become the graph's columns.  A pair builds no tuple unless
+its subject already has another object under that predicate.
 
 :func:`dump_plan` prints an expression as nested operators (extract,
 extend, join, project, union), the form of ``--dump-algebra``.
@@ -39,7 +40,19 @@ from typing import ClassVar, Union
 from .csvsource import CSV_KIND, CsvTable, Row
 from .errors import InvalidTermError, SourceInputError, StructuralError
 from .ntriples import escape_string, format_term
-from .rdf import XSD_STRING, BlankNode, Iri, Literal, Pairs, RdfGraph, RdfTerm, is_absolute_iri, is_term, is_valid_iri
+from .rdf import (
+    XSD_STRING,
+    BlankNode,
+    Iri,
+    Literal,
+    Pairs,
+    RdfGraph,
+    RdfTerm,
+    is_absolute_iri,
+    is_term,
+    is_valid_iri,
+    trusted_literal,
+)
 
 logger = logging.getLogger("rmlprune.algebra")
 
@@ -373,7 +386,8 @@ def _compile(
     if isinstance(expr, BuildIri):
         kind, key, build = Iri, (BuildIri, expr.base), partial(resolve_iri, base=expr.base)
     elif isinstance(expr, BuildLiteral):
-        kind, key, build = Literal, (BuildLiteral, expr.datatype), partial(Literal, datatype=expr.datatype)
+        # BuildLiteral has checked the datatype, so no literal checks it again
+        kind, key, build = Literal, (BuildLiteral, expr.datatype), partial(trusted_literal, datatype=expr.datatype)
     else:
         kind, key, build = BlankNode, (BuildBlank,), string_to_bnode
     if not issubclass(kind, kinds):
@@ -416,7 +430,8 @@ def _joined_objects(
 
 def _pairs(m: RmlMappingExpr, sigma: SourceAssignment) -> Pairs:
     """The well-formed triples of *m*, in one pass over each source's rows,
-    as each predicate's distinct (subject, object) pairs.
+    as each predicate's distinct (subject, object) pairs, filed as
+    :data:`~rmlprune.rdf.Pairs` describes.
 
     Every expression is compiled first; one whose selector names no column
     drops its rows.  A triple is dropped without error when a term is
@@ -458,11 +473,13 @@ def _pairs(m: RmlMappingExpr, sigma: SourceAssignment) -> Pairs:
                         continue
                     filed = pairs.get(p.value)
                     if filed is None:
-                        filed = pairs[p.value] = (p, {})
-                    seen = filed[1]
+                        filed = pairs[p.value] = (p, {}, {})
+                    _, first, others = filed
                     for o in objects(row):
                         if o is not EPSILON:
-                            seen[s, o] = None
+                            prev = first.setdefault(s, o)
+                            if prev is not o and prev != o:
+                                others[s, o] = None
     return pairs
 
 

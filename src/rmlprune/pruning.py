@@ -13,6 +13,10 @@ Each attribute reference becomes ``.+``, which is exact for every source:
 an empty cell is NULL, and a constructor that reads one builds no term
 (R2RML §11), so every term built puts at least one character in each
 reference's place.
+
+The regex sources and compiled patterns are cached, each table keeping the
+:data:`CACHE_SIZE` most recently used entries, so a long-lived caller
+pruning ever new mappings holds a bounded number of them.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ from .ntriples import format_term
 from .rdf import Iri, Literal, TriplePattern, Variable
 
 _REGEX_SPECIALS = set(".[]\\()*+?{}|^$")
+# entries per cache; the seed-42 prune-wide mapping (560 expressions) fills
+# 121 regex sources, 241 compiled patterns and 120 IRI constructors
+CACHE_SIZE = 1024
 
 
 def escape_regex_text(text: str) -> str:
@@ -43,14 +50,14 @@ def escape_regex_text(text: str) -> str:
     return "".join("\\" + ch if ch in _REGEX_SPECIALS else ch for ch in text)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def template_regex(body: Template) -> str:
     """Anchored-regex source for the strings a template can produce: its
     texts, escaped, with ``.+`` for each attribute between them."""
     return ".+".join(escape_regex_text(text) for text in body.parts[::2])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _compiled(pattern: str) -> re.Pattern[str]:
     return re.compile(pattern, re.DOTALL)
 
@@ -60,7 +67,7 @@ def regex_fullmatch(pattern: str, value: str) -> bool:
     return _compiled(pattern).fullmatch(value) is not None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _iri_regexes(expr: BuildIri) -> tuple[str, str]:
     body = template_regex(expr.body)
     return body, escape_regex_text(expr.base) + body

@@ -10,9 +10,12 @@ the pruning checks reason about.
 An :class:`RdfGraph` holds no :class:`Triple` objects: for each predicate,
 keyed by its IRI's string, it keeps a tuple of subjects and a tuple of
 objects, the i-th triple being the i-th of each.  The pairs are made
-distinct once, when the graph is built; ``triples`` and iteration build
-triples on demand and keep none of them.  Two graphs are compared through
-their ``triples``.
+distinct once, when the graph is built, without a tuple per pair: each
+subject's first object is filed in a dict keyed by the subject, and only a
+subject's second and later distinct objects as (subject, object) pairs.
+The columns hold the first pairs, then the others; ``triples`` and
+iteration build triples on demand and keep none of them.  Two graphs are
+compared through their ``triples``.
 
 Pattern evaluation returns *sets* of solution mappings: a solution binds
 exactly the variables of the pattern, and a basic graph pattern is the join
@@ -110,9 +113,21 @@ class Literal:
 
 
 def _trusted(cls: type):
-    """``cls(value)`` without its check, for a reader that has made it: an
-    IRI whose characters and scheme it matched, a label it made up."""
-    new, set_value = object.__new__, getattr(cls, cls.__slots__[0]).__set__
+    """``cls(...)`` without its check, for a caller that has made the values
+    valid: an IRI whose characters and scheme a reader matched, a label it
+    made up, a literal whose datatype a constructor has checked."""
+    new = object.__new__
+    if cls is Literal:
+        set_lex, set_datatype = Literal.lex.__set__, Literal.datatype.__set__
+
+        def make_literal(lex: str, datatype: str):
+            term = new(Literal)
+            set_lex(term, lex)
+            set_datatype(term, datatype)
+            return term
+
+        return make_literal
+    set_value = getattr(cls, cls.__slots__[0]).__set__
 
     def make(value: str):
         term = new(cls)
@@ -122,7 +137,7 @@ def _trusted(cls: type):
     return make
 
 
-trusted_iri, trusted_bnode = _trusted(Iri), _trusted(BlankNode)
+trusted_iri, trusted_bnode, trusted_literal = _trusted(Iri), _trusted(BlankNode), _trusted(Literal)
 
 RdfTerm = Union[Iri, BlankNode, Literal]
 
@@ -237,8 +252,16 @@ class SolutionMapping:
 # A graph's triples by the string of their predicate IRI: the predicate,
 # then the subjects and objects of its triples, position by position.
 Columns = dict[str, tuple[Iri, tuple[Union[Iri, BlankNode], ...], tuple[RdfTerm, ...]]]
-# The same while it is built: each (subject, object) pair filed once.
-Pairs = dict[str, tuple[Iri, dict[tuple[Union[Iri, BlankNode], RdfTerm], None]]]
+# The same while it is built: each subject's first object by subject, and
+# each (subject, object) pair whose subject has another object first.
+Pairs = dict[
+    str,
+    tuple[
+        Iri,
+        dict[Union[Iri, BlankNode], RdfTerm],
+        dict[tuple[Union[Iri, BlankNode], RdfTerm], None],
+    ],
+]
 
 
 class RdfGraph:
@@ -254,8 +277,12 @@ class RdfGraph:
         for t in triples:
             filed = pairs.get(t.p.value)
             if filed is None:
-                filed = pairs[t.p.value] = (t.p, {})
-            filed[1][t.s, t.o] = None
+                filed = pairs[t.p.value] = (t.p, {}, {})
+            _, first, others = filed
+            s, o = t.s, t.o
+            prev = first.setdefault(s, o)
+            if prev is not o and prev != o:
+                others[s, o] = None
         self._columns = _freeze(pairs)
 
     @classmethod
@@ -287,12 +314,19 @@ class RdfGraph:
 
 
 def _freeze(pairs: Pairs) -> Columns:
-    """The columns of *pairs*, emptying it one predicate at a time."""
+    """The columns of *pairs*, emptying it one predicate at a time: each
+    subject's first pair, then the other pairs."""
     columns: Columns = {}
     for key in list(pairs):
-        p, filed = pairs.pop(key)
-        if filed:
-            subjects, objects = zip(*filed)
+        p, first, others = pairs.pop(key)
+        if first:
+            subjects, objects = tuple(first), tuple(first.values())
+            first.clear()
+            if others:
+                more_subjects, more_objects = zip(*others)
+                others.clear()
+                subjects += more_subjects
+                objects += more_objects
             columns[key] = (p, subjects, objects)
     return columns
 

@@ -8,11 +8,12 @@ dict of literals per row.
 
 import logging
 import random
+import tracemalloc
 from dataclasses import replace
 
 import pytest
 
-from rmlprune import algebra
+from rmlprune import algebra, rdf
 from rmlprune.algebra import (
     EPSILON,
     BuildBlank,
@@ -33,6 +34,7 @@ from rmlprune.algebra import (
 from rmlprune.csvsource import CSV_KIND, CsvTable, parse_csv
 from rmlprune.errors import SourceInputError, StructuralError
 from rmlprune.gendata import generate
+from rmlprune.ntriples import serialize_graph
 from rmlprune.rdf import (
     XSD_DOUBLE,
     XSD_STRING,
@@ -753,6 +755,64 @@ def test_materialize_constructs_no_triple(tmp_path, monkeypatch):
     assert len(graph) == 1570
     assert not built
     assert len(graph.triples) == len(built) == 1570  # the count sees every Triple
+
+
+def test_materialize_peak_memory_stays_below_150_bytes_per_triple(tmp_path):
+    # the seed-42 scale-10 corpus (15,700 triples): filing every pair as a
+    # (subject, object) tuple peaked at about 178 bytes per triple, filing
+    # each subject's first object without a tuple at about 139
+    generate(tmp_path, scale=10, seed=42)
+    sigma = {
+        name: DataObject(kind=CSV_KIND, payload=parse_csv((tmp_path / name).read_bytes()))
+        for name in ("stops.csv", "routes.csv", "shapes.csv")
+    }
+    mapping = translate(parse_rml((tmp_path / "mapping.ttl").read_bytes()))
+    tracemalloc.start()
+    try:
+        graph = materialize(mapping, sigma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 15_700
+    assert peak < 150 * len(graph), peak / len(graph)
+
+
+@pytest.mark.parametrize("constant_first", [False, True])
+def test_materialize_files_each_triple_once(constant_first):
+    # one predicate with several objects per subject, rows repeating pairs,
+    # and a constant literal equal to, but not the same object as, the
+    # literal built from a cell
+    sigma = csv_sigma(**{"t.csv": "id,name\n1,Alpha\n1,Beta\n1,Alpha\n1,Beta\n2,Gamma\n2,Alpha\n2,Gamma\n"})
+    name = Iri("http://e.com/name")
+    built = simple_trmap()
+    constant = replace(built, object_expr=ConstantTerm(Literal("Alpha")), provenance="tm#pom1")
+    m = RmlMappingExpr((constant, built) if constant_first else (built, constant))
+    g = materialize(m, sigma)
+    s1, s2 = Iri("http://e.com/s/1"), Iri("http://e.com/s/2")
+    expected = {
+        Triple(s1, name, Literal("Alpha")),
+        Triple(s1, name, Literal("Beta")),
+        Triple(s2, name, Literal("Gamma")),
+        Triple(s2, name, Literal("Alpha")),
+    }
+    listed = list(g)
+    assert len(g) == len(listed) == 4
+    assert set(listed) == expected
+    assert serialize_graph(g).count("\n") == 4
+
+
+def test_typed_literals_skip_the_datatype_check(monkeypatch):
+    # BuildLiteral checks its datatype once; the literals it builds do not
+    trmap = replace(simple_trmap(), object_expr=BuildLiteral(ref("name"), XSD_DOUBLE))
+    sigma = csv_sigma(**{"t.csv": "id,name\n1,1.5\n2,2.5\n"})
+    expected = {Literal("1.5", XSD_DOUBLE), Literal("2.5", XSD_DOUBLE)}
+    checked = []
+    is_valid_iri = rdf.is_valid_iri
+    monkeypatch.setattr(rdf, "is_valid_iri", lambda value: checked.append(value) or is_valid_iri(value))
+    g = materialize(RmlMappingExpr((trmap,)), sigma)
+    monkeypatch.undo()
+    assert {t.o for t in g} == expected
+    assert checked == ["http://e.com/s/1", "http://e.com/s/2"]  # only the subjects' IRIs
 
 
 def test_escaped_braces_in_an_rml_template_stay_text(caplog):

@@ -1,9 +1,11 @@
 """Incompatibility checks and mapping pruning."""
 
 import re
+from dataclasses import replace
 
 import pytest
 
+from rmlprune import pruning
 from rmlprune.algebra import (
     BuildBlank,
     BuildIri,
@@ -13,6 +15,7 @@ from rmlprune.algebra import (
     Template,
 )
 from rmlprune.pruning import (
+    CACHE_SIZE,
     FullyPruned,
     escape_regex_text,
     incompatibility_trace,
@@ -25,6 +28,7 @@ from rmlprune.pruning import (
 from rmlprune.rdf import (
     XSD_DOUBLE,
     XSD_INTEGER,
+    XSD_STRING,
     BlankNode,
     Iri,
     Literal,
@@ -244,3 +248,24 @@ def test_incompatibility_trace_escapes_literals():
     trace = incompatibility_trace([pattern], m)
     assert '"say \\"hi\\"\\n\\u0001"' in trace
     assert len(trace.splitlines()) == 2
+
+
+def test_prune_caches_stay_within_their_bound():
+    # a long-lived caller pruning ever new mappings: each mapping adds two
+    # regex sources, three compiled patterns and one IRI constructor
+    caches = (template_regex, pruning._compiled, pruning._iri_regexes)
+    for cache in caches:
+        cache.cache_clear()
+    patterns = [
+        TriplePattern(V("s"), V("p"), Literal("none")),  # no object matches
+        TriplePattern(Iri("http://e.com/0/1"), V("p"), V("o")),
+    ]
+    for i in range(CACHE_SIZE + CACHE_SIZE // 4):
+        tm = replace(
+            simple_trmap(),
+            subject_expr=BuildIri(Template((f"http://e.com/{i}/", "id", "")), BASE),
+            object_expr=BuildLiteral(Template((f"v{i}-", "name", "")), XSD_STRING),
+        )
+        kept = prune(patterns, RmlMappingExpr((tm,)))
+        assert isinstance(kept, FullyPruned) == (i != 0)
+    assert [cache.cache_info().currsize for cache in caches] == [CACHE_SIZE] * 3

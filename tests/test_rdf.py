@@ -475,6 +475,21 @@ def test_graph_holds_each_distinct_triple_once(triples, rnd):
         assert RdfGraph(triples + [twin]).triples != g.triples
 
 
+def test_graph_files_equal_objects_once_whichever_comes_first():
+    # several objects per subject under one predicate, repeated pairs, and
+    # objects that are equal but not the same object
+    p = iri("p")
+    a, b = iri("a"), iri("b")
+    first = [Triple(a, p, Literal("x")), Triple(a, p, Literal("y")), Triple(b, p, Literal("y"))]
+    copies = [Triple(Iri(t.s.value), p, Literal(t.o.lex)) for t in first]
+    assert all(c == t and c.o is not t.o for c, t in zip(copies, first))
+    for triples in (first + copies + first, copies + first, first[::-1] + copies):
+        g = RdfGraph(triples)
+        listed = list(g)
+        assert len(g) == len(listed) == 3
+        assert set(listed) == set(first)
+
+
 def test_graph_subgraph_and_predicate_index():
     g = small_graph()
     sub = RdfGraph([Triple(iri("s1"), iri("p"), iri("o1"))])
