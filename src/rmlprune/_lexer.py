@@ -35,7 +35,8 @@ from __future__ import annotations
 import re
 
 from .errors import InvalidTermError
-from .rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal, is_absolute_iri, trusted_iri
+from .rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Iri, Literal, is_absolute_iri
+from .rdf import trusted_iri, trusted_literal
 
 _ECHAR = {
     't': '\t',
@@ -67,6 +68,8 @@ _PREFIX_START_RE = re.compile(r"[^\W\d_]")
 _LOCAL_RE = re.compile(r"(?:[\w.:%-]|\\[_~.\-!$&'()*+,;=/?#@%])*")
 _PLX_RE = re.compile(r"\\(.)")
 _A_RE = re.compile(r"a(?![\w.:-])")
+# 'true' or 'false', unless a longer name or a prefixed name starts there
+_BOOLEAN_RE = re.compile(r"(?:true|false)(?!\w|[\w.-]*:)")
 _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 _IRI_CHARS_RE = re.compile(r'[^<>"{}|^`\\\x00-\x20]*')
 # Whitespace and comments, then one token in its common spelling: a
@@ -77,14 +80,15 @@ _IRI_CHARS_RE = re.compile(r'[^<>"{}|^`\\\x00-\x20]*')
 # left to the readers below, so they alone hold each token's full grammar
 # and errors.  A local name stops before a bare trailing '.', and the
 # lookahead after it rejects, one character at a time, any shorter name
-# than the readers would take.
+# than the readers would take.  An optional part is written '(?:...|)', and
+# comments are looked for only at a '#': sre runs that faster than '?' or '*'.
 _TOKEN_RE = re.compile(
-    r"([ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*)"
+    r"([ \t\r\n]*(?:(?=#)(?:#[^\n]*[ \t\r\n]*)*|))"
     r"(?:([][(),;.])"
     r"|<([^<>\"{}|^`\\\x00-\x20]*)>"
-    r"|(((?:[^\W\d_][\w.-]*(?<!\.))?)"
-    r":((?:[\w:%][\w:%-]*(?:\.+[\w:%-]+)*)?))(?![\w:%-]|\.+[\w:%-]|\.*\\)"
-    r"|\"([^\"\\\r\n]*)\"(?![\"@^]))?"
+    r"|(((?:[^\W\d_][\w.-]*(?<!\.)|))"
+    r":((?:[\w:%][\w:%.-]*(?<!\.)|)))(?![\w:%-]|\.+[\w:%-]|\.*\\)"
+    r"|\"([^\"\\\r\n]*)\"(?![\"@^])|)"
 )
 # the group numbers of _TOKEN_RE, as Match.lastindex reports the token read
 # (1, the whitespace, when the readers must take it); a prefixed name's
@@ -109,6 +113,8 @@ class Lexer:
 
     error_class: type
     unsupported_class: type
+    # Turtle's booleans are case-sensitive (SPARQL's, keywords, are not)
+    boolean_re = _BOOLEAN_RE
 
     def __init__(self, text: str, base: str | None = None):
         self.text = text
@@ -160,17 +166,15 @@ class Lexer:
             if term is not None:
                 self.pos = match.end()
                 return term
-            prefix = match[PNAME + 1]
-            ns = self.prefixes.get(prefix)
-            # where a constant may stand, 'true:' starts the keyword true
-            if ns is None or constant and prefix.lower() in ("true", "false"):
+            ns = self.prefixes.get(match[PNAME + 1])
+            if ns is None:
                 return None
             iri = ns + match[PNAME + 2]
         elif kind == IRIREF:
             iri = match[IRIREF]
         elif kind == STRING and constant:
             self.pos = match.end()
-            return Literal(match[STRING])
+            return trusted_literal(match[STRING], XSD_STRING)
         else:
             return None
         self.pos = match.end()
@@ -181,7 +185,7 @@ class Lexer:
             if not is_absolute_iri(iri):
                 return self.resolve(iri)
             term = self._iris[iri] = trusted_iri(iri)
-        if kind == PNAME and prefix.lower() not in ("true", "false"):
+        if kind == PNAME:
             self._pnames[match[PNAME]] = term
         return term
 
@@ -404,10 +408,10 @@ class Lexer:
         ch = self.peek()
         if ch and ch in "\"'":
             return self.read_literal()
-        if self.try_keyword("true"):
-            return Literal("true", XSD_BOOLEAN)
-        if self.try_keyword("false"):
-            return Literal("false", XSD_BOOLEAN)
+        match = self.boolean_re.match(self.text, self.pos)
+        if match:
+            self.pos = match.end()
+            return Literal(match[0].lower(), XSD_BOOLEAN)
         if ch.isdigit() or ch in "+-.":
             for regex, datatype in _NUMBERS:
                 match = regex.match(self.text, self.pos)

@@ -82,7 +82,7 @@ Value = RdfTerm | Epsilon
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Template:
     """Texts alternating with attribute names, text first and last; a text
     may be empty.  ``http://ex/{a}/{b}`` is ``("http://ex/", "a", "/", "b",
@@ -110,7 +110,7 @@ class Template:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConstantTerm:
     """A fixed RDF term."""
 
@@ -123,15 +123,16 @@ class ConstantTerm:
 
 
 class _FromTemplate:
-    """A constructor built from ``body``; ``attrs`` holds what it reads."""
+    """A constructor built from ``body``; ``attrs`` is what it reads."""
 
-    attrs: frozenset[Attribute]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "attrs", self.body.attrs)
+    @property
+    def attrs(self) -> frozenset[Attribute]:
+        return self.body.attrs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuildLiteral(_FromTemplate):
     """Make a literal with a fixed datatype from a template."""
 
@@ -139,12 +140,11 @@ class BuildLiteral(_FromTemplate):
     datatype: str
 
     def __post_init__(self):
-        super().__post_init__()
         if self.datatype != XSD_STRING and not is_valid_iri(self.datatype):
             raise StructuralError(f"datatype is not a valid IRI: {self.datatype!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuildIri(_FromTemplate):
     """Make an IRI from a template.
 
@@ -157,12 +157,11 @@ class BuildIri(_FromTemplate):
     base: str
 
     def __post_init__(self):
-        super().__post_init__()
         if not is_valid_iri(self.base):
             raise StructuralError(f"base is not a valid IRI: {self.base!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BuildBlank(_FromTemplate):
     """Make a blank node whose label is a stable hash of the body string."""
 
@@ -387,7 +386,7 @@ def _compile(
         kind, key, build = Iri, (BuildIri, expr.base), partial(resolve_iri, base=expr.base)
     elif isinstance(expr, BuildLiteral):
         # BuildLiteral has checked the datatype, so no literal checks it again
-        kind, key, build = Literal, (BuildLiteral, expr.datatype), partial(trusted_literal, datatype=expr.datatype)
+        kind, key, build = Literal, (BuildLiteral, expr.datatype), lambda body, dt=expr.datatype: trusted_literal(body, dt)
     else:
         kind, key, build = BlankNode, (BuildBlank,), string_to_bnode
     if not issubclass(kind, kinds):

@@ -112,32 +112,33 @@ class Literal:
         return f'"{self.lex}"^^<{self.datatype}>'
 
 
-def _trusted(cls: type):
+def trusted(cls: type):
     """``cls(...)`` without its check, for a caller that has made the values
     valid: an IRI whose characters and scheme a reader matched, a label it
-    made up, a literal whose datatype a constructor has checked."""
+    made up, a literal whose datatype a constructor has checked, or a term
+    constructor the RML walk builds.  *cls* has slots for one or two fields."""
     new = object.__new__
-    if cls is Literal:
-        set_lex, set_datatype = Literal.lex.__set__, Literal.datatype.__set__
+    if len(cls.__slots__) == 2:
+        set_first, set_second = (getattr(cls, name).__set__ for name in cls.__slots__)
 
-        def make_literal(lex: str, datatype: str):
-            term = new(Literal)
-            set_lex(term, lex)
-            set_datatype(term, datatype)
-            return term
+        def make_pair(first, second):
+            obj = new(cls)
+            set_first(obj, first)
+            set_second(obj, second)
+            return obj
 
-        return make_literal
+        return make_pair
     set_value = getattr(cls, cls.__slots__[0]).__set__
 
-    def make(value: str):
-        term = new(cls)
-        set_value(term, value)
-        return term
+    def make(value):
+        obj = new(cls)
+        set_value(obj, value)
+        return obj
 
     return make
 
 
-trusted_iri, trusted_bnode, trusted_literal = _trusted(Iri), _trusted(BlankNode), _trusted(Literal)
+trusted_iri, trusted_bnode, trusted_literal = trusted(Iri), trusted(BlankNode), trusted(Literal)
 
 RdfTerm = Union[Iri, BlankNode, Literal]
 

@@ -6,22 +6,23 @@ Both RML generations are accepted: the current namespace
 (``http://semweb.mmlab.be/ns/rml#``).  Only CSV logical sources are in
 scope; other reference formulations, graph maps, language maps, logical
 tables and functions are rejected with messages naming the offending node.
-The Turtle reader files each subject's (predicate, object) pairs in
-document order, and one pass over them finds the triples maps and the
-referencing object maps.  One table, :data:`_TAKES`, says by IRI which
-properties each kind of mapping node takes and which of them it takes only
-once, and one reader checks every node against it: a property the node
-does not take, or a once-only one stated twice, is rejected rather than
-dropped, and every error below a triples map names it.  Triples whose
-subject is unreachable from every triples map only produce a logged warning.
+The Turtle reader files each subject's predicates and objects, in
+document order, alternating in one list, and one pass over them finds the
+triples maps and the referencing object maps.  One table, :data:`_TAKES`,
+says by IRI which properties each kind of mapping node takes, in which
+order, and which of them only once, and one reader returns them in that
+order: a property the node does not take, or a once-only one stated
+twice, is rejected rather than dropped, and every error below a triples
+map names it.  A subject no triples map reaches only gets a warning.
 
 A parsed document has one shape: every triples map has a subject map, and
 each predicate-object map pairs one predicate map with one object map.
 :func:`parse_rml` gets there by turning shortcuts into constant maps,
 classes into leading ``rdf:type`` pairs, and several predicate or object
 maps into their product.  It builds each term map's constructor once, as
-it walks the map: R2RML's term-type rules (§7.4) and the rules of the
-map's position are applied there, and nowhere else, and the constructor's
+it walks the map, without the public constructors' checks, which hold by
+construction: R2RML's term-type rules (§7.4) and the rules of the map's
+position are applied there, and nowhere else, and the constructor's
 attributes are named after the references it reads.  :func:`translate`
 only wires those constructors to extractions and joins: it emits one
 triples-map expression per (triples map, predicate-object map) pair,
@@ -33,7 +34,9 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, replace
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
 
 from .algebra import (
     BuildBlank,
@@ -48,7 +51,7 @@ from .algebra import (
 )
 from .errors import MappingModelError
 from .ntriples import escape_string, format_term
-from .rdf import RDF_TYPE, XSD_STRING, BlankNode, Iri, Literal, RdfTerm
+from .rdf import RDF_TYPE, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, trusted
 from .turtle import TurtleParser
 
 logger = logging.getLogger("rmlprune.rml")
@@ -60,43 +63,17 @@ QL = "http://semweb.mmlab.be/ns/ql#"
 
 DEFAULT_BASE_IRI = "http://example.com/base/"
 
-_VOCAB: dict[str, str] = {}
-
-
-def _vocab(token: str, *iris: str):
-    for iri in iris:
-        _VOCAB[iri] = token
-
-
-_vocab("logicalSource", RML_NEW + "logicalSource", RML_OLD + "logicalSource")
-_vocab("source", RML_NEW + "source", RML_OLD + "source")
-_vocab("referenceFormulation", RML_NEW + "referenceFormulation", RML_OLD + "referenceFormulation")
-_vocab("iterator", RML_NEW + "iterator", RML_OLD + "iterator")
-_vocab("subjectMap", RML_NEW + "subjectMap", RR + "subjectMap")
-_vocab("subject", RML_NEW + "subject", RR + "subject")
-_vocab("predicateObjectMap", RML_NEW + "predicateObjectMap", RR + "predicateObjectMap")
-_vocab("predicateMap", RML_NEW + "predicateMap", RR + "predicateMap")
-_vocab("predicate", RML_NEW + "predicate", RR + "predicate")
-_vocab("objectMap", RML_NEW + "objectMap", RR + "objectMap")
-_vocab("object", RML_NEW + "object", RR + "object")
-_vocab("constant", RML_NEW + "constant", RR + "constant")
-_vocab("reference", RML_NEW + "reference", RML_OLD + "reference", RR + "column")
-_vocab("template", RML_NEW + "template", RR + "template")
-_vocab("termType", RML_NEW + "termType", RR + "termType")
-# "datatType" is accepted as a datatype alias: it appears in the wild
-_vocab(
-    "datatype",
-    RML_NEW + "datatype",
-    RR + "datatype",
-    RML_NEW + "datatType",
-    RML_OLD + "datatType",
-    RR + "datatType",
+# The property token of every IRI that spells it: the legacy rml: namespace
+# spells a logical source's properties, r2rml the others, the current one all.
+_LOGICAL = "logicalSource source referenceFormulation iterator reference"
+_R2RML = (
+    "subjectMap subject predicateObjectMap predicateMap predicate objectMap object constant "
+    "template termType datatype class parentTriplesMap joinCondition child parent"
 )
-_vocab("class", RML_NEW + "class", RR + "class")
-_vocab("parentTriplesMap", RML_NEW + "parentTriplesMap", RR + "parentTriplesMap")
-_vocab("joinCondition", RML_NEW + "joinCondition", RR + "joinCondition")
-_vocab("child", RML_NEW + "child", RR + "child")
-_vocab("parent", RML_NEW + "parent", RR + "parent")
+# rr:column is a reference; "datatType" is a datatype alias that appears in the wild
+_VOCAB = {RR + "column": "reference"} | {ns + "datatType": "datatype" for ns in (RML_NEW, RML_OLD, RR)}
+for _ns, _tokens in ((RML_OLD, _LOGICAL), (RR, _R2RML), (RML_NEW, f"{_LOGICAL} {_R2RML}")):
+    _VOCAB.update((_ns + token, token) for token in _tokens.split())
 
 _REJECTED_PROPS: dict[str, str] = {}
 for _ns in (RML_NEW, RR):
@@ -110,24 +87,18 @@ _REJECTED_PROPS[RML_OLD + "query"] = "query-backed sources are not supported"
 _REJECTED_PROPS["http://semweb.mmlab.be/ns/fnml#functionValue"] = "function maps are not supported"
 _REJECTED_PROPS[RML_NEW + "logicalTarget"] = "logical targets are not supported"
 
-# each term type as the constructor that builds its terms
-_TERM_TYPES = {
-    RML_NEW + "IRI": BuildIri,
-    RR + "IRI": BuildIri,
-    RML_NEW + "Literal": BuildLiteral,
-    RR + "Literal": BuildLiteral,
-    RML_NEW + "BlankNode": BuildBlank,
-    RR + "BlankNode": BuildBlank,
-}
 _CONSTANT_TYPES = {Iri: BuildIri, Literal: BuildLiteral, BlankNode: BuildBlank}
 _TYPE_KEYWORD = {BuildIri: "rml:IRI", BuildLiteral: "rml:Literal", BuildBlank: "rml:BlankNode"}
+# each term type as the constructor that builds its terms
+_TERM_TYPES = {ns + keyword[4:]: cls for cls, keyword in _TYPE_KEYWORD.items() for ns in (RML_NEW, RR)}
+
+# the walk's constructors, without the checks that its values pass by construction:
+# a term, base or datatype the reader checked, template parts that parse_template split
+_NEW = {cls: trusted(cls) for cls in (Template, ConstantTerm, BuildLiteral, BuildIri, BuildBlank)}
 
 _CSV_FORMULATIONS = {QL + "CSV", RML_NEW + "CSV"}
 _KNOWN_OTHER_FORMULATIONS = {
-    QL + "JSONPath": "JSON",
-    QL + "XPath": "XML",
-    RML_NEW + "JSONPath": "JSON",
-    RML_NEW + "XPath": "XML",
+    ns + name: kind for ns in (QL, RML_NEW) for name, kind in (("JSONPath", "JSON"), ("XPath", "XML"))
 }
 
 
@@ -136,7 +107,7 @@ _KNOWN_OTHER_FORMULATIONS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class TermMapModel:
     """A term map as written, which :func:`serialize_pruned` writes back,
     and the constructor it builds."""
@@ -152,7 +123,7 @@ class RefObjectMapModel:
     joins: tuple[tuple[str, str], ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class PredicateObjectMapModel:
     predicate_map: TermMapModel
     object_map: TermMapModel | RefObjectMapModel
@@ -179,10 +150,10 @@ class RmlDocument:
 
 def _node_key(term, token: str) -> str:
     """The key of the node that property *token* names."""
-    if isinstance(term, Iri):
-        return term.value
-    if isinstance(term, BlankNode):
+    if type(term) is BlankNode:
         return "_:" + term.label
+    if type(term) is Iri:
+        return term.value
     raise MappingModelError(f"property {token!r} must name an IRI or blank node, found {term!r}")
 
 
@@ -195,26 +166,33 @@ _TOKENS = {**_VOCAB, RDF_TYPE: "type"}
 _RDF_TYPE_IRI = Iri(RDF_TYPE)
 
 
-class _Graph(dict[str, list[tuple[Iri, RdfTerm]]]):
-    """A mapping document as its subjects' (predicate, object) pairs, in
-    document order, by node key.  It also keeps what an error needs to name
-    a blank node the way the document writes it."""
+class _Graph(dict[str, list]):
+    """A mapping document as each subject's predicates and objects, in
+    document order and alternating in one list, by node key.  It also keeps
+    what an error needs to name a blank node the way the document writes it."""
 
     def __init__(self, reader: TurtleParser):
         super().__init__()
         self.text, self.labels = reader.text, reader.bnode_labels  # the labels: document's -> the reader's
         self.made = reader.bnode_offsets  # blank node bN was made at offset made[N - 1]
 
+    @cached_property
+    def _label_of(self) -> dict[str, str]:
+        return {internal: label for label, internal in self.labels.items()}
+
+    @cached_property
+    def _newlines(self) -> list[int]:
+        return [match.start() for match in re.finditer("\n", self.text)]
+
     def name(self, key: str) -> str:
         """Node *key* for an error message: an IRI, the document's label of
         a blank node, or ``[ ]`` with the line it opens on."""
         if not key.startswith("_:"):
             return f"<{key}>"
-        for label, internal in self.labels.items():
-            if key[2:] == internal:
-                return "_:" + label
-        line = self.text.count("\n", 0, self.made[int(key[3:]) - 1]) + 1
-        return f"[ ] at line {line}"
+        label = self._label_of.get(key[2:])
+        if label is not None:
+            return "_:" + label
+        return f"[ ] at line {bisect_left(self._newlines, self.made[int(key[3:]) - 1]) + 1}"
 
     def index(self):
         """Note the nodes that carry a logical source, the triples maps, and
@@ -223,14 +201,14 @@ class _Graph(dict[str, list[tuple[Iri, RdfTerm]]]):
         nodes_of = {"logicalSource": self.logical, "parentTriplesMap": self.referencing}
         found = {iri: nodes_of[token] for iri, token in _TOKENS.items() if token in nodes_of}
         for key, props in self.items():
-            for pred, _ in props:
+            for pred in props[::2]:
                 if pred.value in found:
                     found[pred.value].add(key)
 
 
 class _MappingReader(TurtleParser):
-    """The Turtle reader of a mapping: it files each (predicate, object)
-    pair under its subject, as :class:`_Graph` holds them."""
+    """The Turtle reader of a mapping: it files each predicate and object
+    under its subject, as :class:`_Graph` holds them."""
 
     def __init__(self, text: str):
         super().__init__(text)
@@ -238,7 +216,7 @@ class _MappingReader(TurtleParser):
 
     def properties(self, s: Iri | BlankNode):
         key = "_:" + s.label if type(s) is BlankNode else s.value
-        return self.graph.setdefault(key, []).append
+        return self.graph.setdefault(key, []).extend
 
 
 def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingModelError:
@@ -251,18 +229,18 @@ def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingMod
     return MappingModelError(f"unknown property <{pred.value}> on {node}; refusing to drop it silently")
 
 
-def _takes(once: str, repeats: str = "") -> dict[str, tuple[str, bool]]:
-    """Each property a kind of node takes, as (token, whether it may
-    repeat), by every IRI that spells it."""
-    tokens = dict.fromkeys(once.split(), False) | dict.fromkeys(repeats.split(), True)
-    return {iri: (token, tokens[token]) for iri, token in _TOKENS.items() if token in tokens}
+def _takes(once: str, repeats: str = "") -> tuple[dict[str, tuple[int, bool]], int]:
+    """By every IRI of a property a kind of node takes, its place among the
+    tokens, *once* then *repeats*, and whether it repeats; and their count."""
+    tokens = once.split() + repeats.split()
+    place = {token: (i, token in repeats.split()) for i, token in enumerate(tokens)}
+    return {iri: place[token] for iri, token in _TOKENS.items() if token in place}, len(tokens)
 
 
-# The property tokens each kind of mapping node takes, those it takes once
-# and those that may repeat (R2RML §6.1, §7, §8).
+# The property tokens each kind of mapping node takes, once and repeating
+# (R2RML §6.1, §7, §8), in the order that _read_node returns them.
 _TERM_MAP = "constant reference template termType datatype"
-_KINDS = frozenset(("constant", "reference", "template"))
-_TAKES: dict[str, dict[str, tuple[str, bool]]] = {
+_TAKES: dict[str, tuple[dict[str, tuple[int, bool]], int]] = {
     "triples map": _takes("logicalSource subjectMap subject", "predicateObjectMap"),
     "logical source": _takes("source referenceFormulation iterator"),
     "subject map": _takes(_TERM_MAP, "class"),
@@ -274,41 +252,45 @@ _TAKES: dict[str, dict[str, tuple[str, bool]]] = {
 }
 
 
-def _read_node(g: _Graph, key: str, what: str, visited: set[str]) -> dict:
-    """The properties of node *key*, a *what*, by token: the object of one
-    it takes once, the list of objects, in document order, of one that may
-    repeat.  Any other property but ``rdf:type`` is an error, and so is a
-    once-only property stated twice."""
+def _read_node(g: _Graph, key: str, what: str, visited: set[str]) -> list:
+    """The properties of node *key*, a *what*, in the order of its tokens in
+    :data:`_TAKES`: the object of one it takes once, the list of objects, in
+    document order, of one that may repeat, and None for one not stated.
+    Any other property but ``rdf:type`` is an error, and so is a once-only
+    property stated twice."""
     visited.add(key)
-    takes = _TAKES[what]
-    props: dict = {}
-    for pred, obj in g.get(key, ()):
+    takes, size = _TAKES[what]
+    values = [None] * size
+    props = iter(g.get(key, ()))
+    for pred, obj in zip(props, props):
         taken = takes.get(pred.value)
         if taken is None:
             token = _TOKENS.get(pred.value)
             if token != "type":
                 raise _misplaced(token, pred, g.name(key), what)
             continue
-        token, repeats = taken
+        i, repeats = taken
         if repeats:
-            props.setdefault(token, []).append(obj)
-        elif token in props:
-            raise MappingModelError(f"{what} {g.name(key)} has more than one {token}")
+            if values[i] is None:
+                values[i] = [obj]
+            else:
+                values[i].append(obj)
+        elif values[i] is not None:
+            raise MappingModelError(f"{what} {g.name(key)} has more than one {_TOKENS[pred.value]}")
         else:
-            props[token] = obj
-    return props
+            values[i] = obj
+    return values
 
 
 def _as_string_literal(obj: RdfTerm, what: str, g: _Graph, key: str) -> str:
-    if isinstance(obj, Literal) and obj.datatype == XSD_STRING:
+    if type(obj) is Literal and obj.datatype == XSD_STRING:
         return obj.lex
     raise MappingModelError(f"{what} on {g.name(key)} must be a plain string, found {obj!r}")
 
 
 def _parse_logical_source(g: _Graph, key: str, visited: set[str]) -> str:
     """The CSV source of a logical source."""
-    props = _read_node(g, key, "logical source", visited)
-    formulation = props.get("referenceFormulation")
+    source, formulation, iterator = _read_node(g, key, "logical source", visited)
     if formulation is not None:
         if not isinstance(formulation, Iri):
             raise MappingModelError(f"reference formulation on {g.name(key)} must be an IRI")
@@ -318,14 +300,14 @@ def _parse_logical_source(g: _Graph, key: str, visited: set[str]) -> str:
                 f"unsupported reference formulation {kind!r} on {g.name(key)}; "
                 f"only CSV sources are supported"
             )
-    if "iterator" in props:
+    if iterator is not None:
         raise MappingModelError(
             f"iterator on {g.name(key)} is not supported: CSV sources are "
             f"always iterated row by row"
         )
-    if "source" not in props:
+    if source is None:
         raise MappingModelError(f"logical source {g.name(key)} has no source")
-    return _as_string_literal(props["source"], "source", g, key)
+    return _as_string_literal(source, "source", g, key)
 
 
 def _term_map(
@@ -368,13 +350,13 @@ def _term_map(
     if datatype is not None and built is not BuildLiteral:
         raise MappingModelError("datatype is only allowed on literal-producing maps")
     if kind == "constant":
-        return TermMapModel(kind, value, ConstantTerm(value))
-    body = Template(("", value, "") if kind == "reference" else parse_template(value))
+        return TermMapModel(kind, value, _NEW[ConstantTerm](value))
+    body = _NEW[Template](("", value, "") if kind == "reference" else parse_template(value))
     if built is BuildLiteral:
-        return TermMapModel(kind, value, BuildLiteral(body, datatype or XSD_STRING))
+        return TermMapModel(kind, value, _NEW[BuildLiteral](body, datatype or XSD_STRING))
     if built is BuildBlank:
-        return TermMapModel(kind, value, BuildBlank(body))
-    return TermMapModel(kind, value, BuildIri(body, base))
+        return TermMapModel(kind, value, _NEW[BuildBlank](body))
+    return TermMapModel(kind, value, _NEW[BuildIri](body, base))
 
 
 def _parse_term_map(
@@ -384,19 +366,24 @@ def _parse_term_map(
     its classes."""
     what = f"{position} map"
     props = _read_node(g, key, what, visited)
-    kinds = _KINDS & props.keys()
-    if len(kinds) != 1:
+    classes = (props.pop() or ()) if position == "subject" else ()
+    constant, reference, template, term_type, datatype = props
+    if (constant is None) + (reference is None) + (template is None) != 2:
         raise MappingModelError(
             f"{what} {g.name(key)} needs exactly one of constant, reference, template"
         )
-    (kind,) = kinds
-    value = props[kind] if kind == "constant" else _as_string_literal(props[kind], kind, g, key)
-    term_type, datatype, classes = props.get("termType"), props.get("datatype"), props.get("class", ())
+    if constant is not None:
+        kind, value = "constant", constant
+    elif reference is not None:
+        kind, value = "reference", _as_string_literal(reference, "reference", g, key)
+    else:
+        kind, value = "template", _as_string_literal(template, "template", g, key)
     try:
         if term_type is not None:
-            term_type = _TERM_TYPES.get(term_type.value) if isinstance(term_type, Iri) else None
-            if term_type is None:
-                raise MappingModelError(f"unknown term type {props['termType']!r}")
+            built = _TERM_TYPES.get(term_type.value) if isinstance(term_type, Iri) else None
+            if built is None:
+                raise MappingModelError(f"unknown term type {term_type!r}")
+            term_type = built
         if datatype is not None:
             if not isinstance(datatype, Iri):
                 raise MappingModelError("datatype must be an IRI")
@@ -409,20 +396,20 @@ def _parse_term_map(
 
 
 def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> RefObjectMapModel:
-    props = _read_node(g, key, "referencing object map", visited)
+    parent, conditions = _read_node(g, key, "referencing object map", visited)
     joins: list[tuple[str, str]] = []
-    for obj in props.get("joinCondition", ()):
+    for obj in conditions or ():
         jkey = _node_key(obj, "joinCondition")
         join = _read_node(g, jkey, "join condition", visited)
-        if "child" not in join or "parent" not in join:
+        if None in join:
             raise MappingModelError(f"join condition {g.name(jkey)} needs both child and parent")
-        joins.append(tuple(_as_string_literal(join[end], end, g, jkey) for end in ("child", "parent")))
+        joins.append(tuple(_as_string_literal(o, end, g, jkey) for o, end in zip(join, ("child", "parent"))))
     if not joins:
         raise MappingModelError(
             f"referencing object map {g.name(key)} has no join conditions; an "
             f"unconditioned join is not supported"
         )
-    parent = _node_key(props["parentTriplesMap"], "parentTriplesMap")
+    parent = _node_key(parent, "parentTriplesMap")
     if parent not in g.logical:
         raise MappingModelError(
             f"referencing object map {g.name(key)}: parent triples map {g.name(parent)} does not exist"
@@ -434,17 +421,17 @@ def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[Predic
     """One predicate-object map per (predicate, object) of the node:
     predicate maps before predicate shortcuts, object maps before object
     shortcuts, predicate-major."""
-    props = _read_node(g, key, "predicate-object map", visited)
+    predicate_nodes, predicates, object_nodes, objects = _read_node(g, key, "predicate-object map", visited)
     predicate_maps: list[TermMapModel] = []
-    for obj in props.get("predicateMap", ()):
+    for obj in predicate_nodes or ():
         predicate_maps.append(_parse_term_map(g, _node_key(obj, "predicateMap"), "predicate", base, visited)[0])
     try:
-        for p in props.get("predicate", ()):
+        for p in predicates or ():
             predicate_maps.append(_term_map("constant", p, "predicate", base))
     except MappingModelError as exc:
         raise MappingModelError(f"predicate-object map {g.name(key)}: {exc}") from None
     object_maps: list[TermMapModel | RefObjectMapModel] = []
-    for obj in props.get("objectMap", ()):
+    for obj in object_nodes or ():
         okey = _node_key(obj, "objectMap")
         # a referencing object map is the one that names a parent
         if okey in g.referencing:
@@ -452,7 +439,7 @@ def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[Predic
         else:
             object_maps.append(_parse_term_map(g, okey, "object", base, visited)[0])
     # a constant object map is any term, so it cannot fail
-    for o in props.get("object", ()):
+    for o in objects or ():
         object_maps.append(_term_map("constant", o, "object", base))
     if not predicate_maps:
         raise MappingModelError(f"predicate-object map {g.name(key)} has no predicate")
@@ -481,21 +468,21 @@ def parse_rml(data: bytes | str) -> RmlDocument:
     triples_maps: list[TriplesMapModel] = []
     type_map = _term_map("constant", _RDF_TYPE_IRI, "predicate", base)
     for key in tm_keys:
-        props = _read_node(g, key, "triples map", visited)
+        logical_source, subject_node, subject, pom_nodes = _read_node(g, key, "triples map", visited)
         subject_map, classes = None, ()
         # the nodes below a triples map name it in their errors
         try:
-            source = _parse_logical_source(g, _node_key(props["logicalSource"], "logicalSource"), visited)
-            if "subjectMap" in props:
-                skey = _node_key(props["subjectMap"], "subjectMap")
+            source = _parse_logical_source(g, _node_key(logical_source, "logicalSource"), visited)
+            if subject_node is not None:
+                skey = _node_key(subject_node, "subjectMap")
                 subject_map, classes = _parse_term_map(g, skey, "subject", base, visited)
-            if "subject" in props:
+            if subject is not None:
                 if subject_map is not None:
                     raise MappingModelError("a subject map and a subject shortcut are both given")
-                subject_map = _term_map("constant", props["subject"], "subject", base)
+                subject_map = _term_map("constant", subject, "subject", base)
             poms = [
                 pom
-                for obj in props.get("predicateObjectMap", ())
+                for obj in pom_nodes or ()
                 for pom in _parse_pom(g, _node_key(obj, "predicateObjectMap"), base, visited)
             ]
         except MappingModelError as exc:
@@ -507,12 +494,11 @@ def parse_rml(data: bytes | str) -> RmlDocument:
             TriplesMapModel(id=key, source=source, subject_map=subject_map, poms=tuple(class_poms + poms))
         )
 
-    for key, props in g.items():
-        if key not in visited and any(_TOKENS.get(pred.value) != "type" for pred, _ in props):
-            logger.warning(
-                "subject %s is not reachable from any triples map; ignoring it",
-                g.name(key),
-            )
+    # names are formatted only for a record that is emitted
+    if logger.isEnabledFor(logging.WARNING):
+        for key, props in g.items():
+            if key not in visited and any(_TOKENS.get(pred.value) != "type" for pred in props[::2]):
+                logger.warning("subject %s is not reachable from any triples map; ignoring it", g.name(key))
 
     return RmlDocument(triples_maps=tuple(triples_maps), base_iri=base)
 
@@ -531,7 +517,7 @@ def normalize(doc: RmlDocument) -> RmlDocument:
 # A run of text (backslash escapes the next character), a placeholder, or a
 # character that starts neither: a dangling '\\', a stray '}' or a '{' that
 # opens no well-formed placeholder.
-_TEMPLATE_RE = re.compile(r"((?:[^\\{}]|\\.)+)|\{([^{}\\]*)\}|(.)", re.DOTALL)
+_TEMPLATE_RE = re.compile(r"((?:[^\\{}]+|\\.)+)|\{([^{}\\]*)\}|(.)", re.DOTALL)
 _TEMPLATE_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 _PLACEHOLDER_RE = re.compile(r"[^{}\\]*")
 
@@ -582,12 +568,14 @@ def _refs(expr: ExtendExpr) -> tuple[str, ...]:
 
 
 def _renamed(expr: ExtendExpr, name_of: dict[str, str]) -> ExtendExpr:
-    """A copy of *expr* reading attribute ``name_of[a]`` for each ``a``."""
+    """A copy of subject constructor *expr* reading attribute
+    ``name_of[a]`` for each ``a``."""
     if isinstance(expr, ConstantTerm):
         return expr
     parts = list(expr.body.parts)
     parts[1::2] = [name_of[ref] for ref in parts[1::2]]
-    return replace(expr, body=Template(tuple(parts)))
+    body = _NEW[Template](tuple(parts))
+    return _NEW[BuildIri](body, expr.base) if type(expr) is BuildIri else _NEW[BuildBlank](body)
 
 
 def translate(doc: RmlDocument) -> RmlMappingExpr:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from ._lexer import Lexer
+from ._lexer import _BOOLEAN_RE, Lexer
 from .errors import SparqlError, UnsupportedSparqlError
 from .rdf import RDF_TYPE, Bgp, Iri, TriplePattern, Variable
 
@@ -107,6 +107,7 @@ class SelectQuery:
 class _QueryParser(Lexer):
     error_class = SparqlError
     unsupported_class = UnsupportedSparqlError
+    boolean_re = re.compile(_BOOLEAN_RE.pattern, re.IGNORECASE)
     _STOP_KEYWORDS = ("GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET")
 
     def __init__(self, text: str):

@@ -19,8 +19,8 @@ reader made the labels, so it skips the check of ``BlankNode(...)``.
 :class:`TurtleParser` keeps no triples: at the first triple of each run
 with one subject it asks :meth:`~TurtleParser.properties`, which each
 reader implements, where the run's (predicate, object) pairs go (the RML
-layer answers with the append of the subject's list, so filing costs no
-call).  :meth:`~TurtleParser.parse` returns the base.
+layer answers with the extend of the subject's flat list, so filing costs
+no call and keeps no tuple).  :meth:`~TurtleParser.parse` returns the base.
 
 Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from ._lexer import _TOKEN_RE, PUNCT, Lexer
+from ._lexer import _TOKEN_RE, MAX_NESTING, PUNCT, Lexer
 from .errors import TurtleError
 from .rdf import RDF_NS, BlankNode, Iri, RdfTerm, trusted_bnode
 
@@ -44,6 +44,7 @@ RDF_NIL = Iri(RDF_NS + "nil")
 RDF_TYPE_IRI = Iri(RDF_NS + "type")
 
 _LABEL_RE = re.compile(r"[\w.-]*")
+_SPACED_PUNCT = frozenset((" ,", " ;", " .", " ]"))  # one space, then a mark that may end an object
 
 
 class TurtleParser(Lexer):
@@ -83,23 +84,18 @@ class TurtleParser(Lexer):
         return self.base
 
     def _parse_directive(self) -> bool:
-        if self.try_consume("@prefix"):
+        # '@prefix' and '@base' end with '.', SPARQL-style directives do not
+        at = self.peek() == "@"
+        if self.try_consume("@prefix") or not at and self.try_directive("prefix"):
             self._parse_prefix_body()
+        elif self.try_consume("@base") or not at and self.try_directive("base", "<"):
+            self._parse_base_body()
+        else:
+            return False
+        if at:
             self.skip_ws()
             self.expect(".")
-            return True
-        if self.try_consume("@base"):
-            self._parse_base_body()
-            self.skip_ws()
-            self.expect(".")
-            return True
-        if self.try_directive("prefix"):
-            self._parse_prefix_body()
-            return True
-        if self.try_directive("base", "<"):
-            self._parse_base_body()
-            return True
-        return False
+        return True
 
     def _parse_prefix_body(self):
         self.skip_ws()
@@ -155,21 +151,28 @@ class TurtleParser(Lexer):
         take = None
         text, match, read = self.text, _TOKEN_RE.match, self.read_token_term
         while True:
-            predicate = read(token, constant=False) or self._parse_verb()
+            predicate = read(token, False) or self._parse_verb()
             while True:
-                # each step to a token is next_token(), written out
-                token = match(text, self.pos)
-                self.pos = token.end(1)
-                if token[PUNCT] == "[":
+                # next_token(), written out, or one space skipped before a '['
+                pos = self.pos
+                if text[pos : pos + 2] == " [":
+                    self.pos = pos + 1
                     obj = self._parse_bnode_property_list()
                 else:
-                    obj = read(token, constant=True) or self._parse_object(token)
+                    token = match(text, pos)
+                    self.pos = token.end(1)
+                    obj = read(token, True) or self._parse_object(token)
                 if take is None:
                     take = self.properties(subject)
                 take((predicate, obj))
-                token = match(text, self.pos)
-                self.pos = token.end(1)
-                punct = token[PUNCT]
+                pos = self.pos
+                if text[pos : pos + 2] in _SPACED_PUNCT:
+                    punct = text[pos + 1]
+                    self.pos = pos + 1
+                else:
+                    token = match(text, pos)
+                    self.pos = token.end(1)
+                    punct = token[PUNCT]
                 if punct != ",":
                     break
                 self.pos += 1
@@ -204,10 +207,14 @@ class TurtleParser(Lexer):
         return self.read_constant()
 
     def _parse_bnode_property_list(self) -> BlankNode:
-        """From the '[' at the cursor to just past its ']'."""
-        self.descend()
+        """From the '[' at the cursor to just past its ']'; descend() and fresh_bnode() written out."""
+        if self.depth == MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+        self.depth += 1
         self.pos += 1
-        node = self.fresh_bnode()
+        offsets = self.bnode_offsets
+        offsets.append(self.pos)
+        node = trusted_bnode(f"b{len(offsets)}")
         token = _TOKEN_RE.match(self.text, self.pos)  # next_token(), written out
         self.pos = token.end(1)
         punct = token[PUNCT]

@@ -73,6 +73,39 @@ def test_both_parsers_read_a_term_alike(spelling, term):
     assert sparql_object(spelling) == term
 
 
+
+# By longest match 'true:x' is one PNAME_LN token, in either language and in
+# every position, never the keyword true followed by ':x'.
+@pytest.mark.parametrize("word", ["true", "false"])
+def test_a_true_or_false_prefix_names_an_iri_where_an_object_stands(word):
+    turtle = read_turtle(f"@prefix {word}: <http://t/> . <http://e/s> <http://e/p> {word}:x .")
+    assert [triple.o for triple in turtle.triples] == [Iri("http://t/x")]
+    query = parse_query(f"PREFIX {word}: <http://t/> SELECT * WHERE {{ ?s ?p {word}:x }}")
+    assert [pattern.o for pattern in collect_triple_patterns(query)] == [Iri("http://t/x")]
+
+
+@pytest.mark.parametrize("word", ["true", "false"])
+def test_an_undeclared_true_or_false_prefix_is_an_error_not_a_boolean(word):
+    # the error stands after the name, as for any other undeclared prefix
+    column = 27 + len(word) + 2
+    with pytest.raises(TurtleError, match=f"line 1, column {column}: undeclared prefix: '{word}'"):
+        read_turtle(f"<http://e/s> <http://e/p> {word}:x .")
+    with pytest.raises(SparqlError, match=f"undeclared prefix: '{word}'"):
+        parse_query(f"SELECT * WHERE {{ ?s ?p {word}:x }}")
+
+
+def test_turtle_booleans_are_case_sensitive_and_sparql_booleans_are_not():
+    # Turtle's grammar spells them 'true' and 'false'; in SPARQL they are
+    # keywords, which match in any case
+    with pytest.raises(TurtleError, match="line 1, column 31: expected ':'"):
+        read_turtle("<http://e/s> <http://e/p> TRUE .")
+    assert sparql_object("TRUE") == Literal("true", XSD_BOOLEAN)
+    assert sparql_object("False") == Literal("false", XSD_BOOLEAN)
+    # a '.' right after the keyword ends the statement
+    (triple,) = read_turtle("<http://e/s> <http://e/p> true.").triples
+    assert triple.o == Literal("true", XSD_BOOLEAN)
+
+
 # Names whose first character the grammar forbids: PN_PREFIX starts with a
 # letter; PN_LOCAL and BLANK_NODE_LABEL do not start with '-' or '.'.  Each
 # is a statement of both languages; SPARQL has no blank node labels in

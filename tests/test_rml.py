@@ -2,6 +2,7 @@
 
 import hashlib
 import logging
+import time
 from dataclasses import fields
 
 import pytest
@@ -20,8 +21,10 @@ from rmlprune.algebra import (
     materialize,
 )
 from rmlprune.csvsource import CSV_KIND, parse_csv
+from rmlprune import rml
 from rmlprune.errors import MappingModelError
 from rmlprune.gendata import MAPPING_TTL, QUERIES
+from rmlprune.ntriples import format_term
 from rmlprune.pruning import FullyPruned, prune
 from rmlprune.rdf import RDF_TYPE, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Iri, Literal, Triple
 from rmlprune.rml import (
@@ -499,6 +502,40 @@ def test_a_collection_is_named_at_the_line_of_its_parenthesis(caplog):
     assert named == [f"subject [ ] at line {n}" for n in (line + 1, line, line, line)]
 
 
+
+def unreachable_subjects(n: int) -> str:
+    """A mapping with n labeled and n anonymous subjects no triples map reaches."""
+    labeled = "".join(f"_:n{i} ex:p ex:o .\n" for i in range(n))
+    return one_triples_map() + labeled + "[ ex:p ex:o ] .\n" * n
+
+
+def test_unreachable_subjects_are_named_only_for_an_emitted_warning(monkeypatch):
+    named = []
+    name = rml._Graph.name
+    monkeypatch.setattr(rml._Graph, "name", lambda g, key: named.append(key) or name(g, key))
+    logging.disable(logging.CRITICAL)
+    try:
+        parse_rml(unreachable_subjects(3))
+    finally:
+        logging.disable(logging.NOTSET)
+    assert named == []
+
+
+def test_many_unreachable_subjects_are_named_in_linear_time(caplog):
+    # naming each one used to scan every label, or count the lines from the
+    # start of the text: 4,000 of each took seconds
+    n, line = 4000, len(one_triples_map().splitlines()) + 1
+    start = time.perf_counter()
+    with caplog.at_level(logging.WARNING, logger="rmlprune.rml"):
+        parse_rml(unreachable_subjects(n))
+    seconds = time.perf_counter() - start
+    named = [r.getMessage().split(" is not")[0] for r in caplog.records]
+    assert len(named) == 2 * n
+    assert named[0] == "subject _:n0" and named[n - 1] == f"subject _:n{n - 1}"
+    assert named[n] == f"subject [ ] at line {line + n}" and named[-1] == f"subject [ ] at line {line + 2 * n - 1}"
+    assert seconds < 2.0
+
+
 # (the node-valued property given a literal, the document)
 LITERAL_FOR_A_NODE = {
     "logicalSource": NEW_HEADER + '<http://e/tm> rml:logicalSource "f.csv" ; rml:subject ex:s .\n',
@@ -875,6 +912,28 @@ def test_wide_mapping_written_back_is_pinned():
     doc = parse_rml(wide_mapping_text())
     text = serialize_pruned(translate(doc), doc)
     assert (hashlib.sha256(text.encode("utf-8")).hexdigest(), text.count("\n")) == WIDE_WRITTEN_BACK
+
+
+
+# sha256 and line count of what the mapping reader keeps of the wide mapping:
+# each subject's predicates and objects as filed, then the document's blank
+# node labels and the offset each blank node opens at, which the walk's
+# error messages read
+WIDE_FILED = ("d68d46e54c7110c4226deea170f7f207441740abdb39a847169bdbdf5bd401d2", 4320)
+
+
+def test_wide_mapping_as_the_reader_files_it_is_pinned():
+    reader = rml._MappingReader(wide_mapping_text())
+    reader.parse()
+    lines = [
+        f"{key} {format_term(p)} {format_term(o)}"
+        for key, props in reader.graph.items()
+        for p, o in zip(props[::2], props[1::2])
+    ]
+    lines += [f"_:{label} _:{internal}" for label, internal in reader.bnode_labels.items()]
+    lines += [str(offset) for offset in reader.bnode_offsets]
+    text = "".join(line + "\n" for line in lines)
+    assert (hashlib.sha256(text.encode("utf-8")).hexdigest(), len(lines)) == WIDE_FILED
 
 
 # One triples map, four ways: three classes, a predicate-object map with two
