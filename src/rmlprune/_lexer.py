@@ -71,7 +71,11 @@ _A_RE = re.compile(r"a(?![\w.:-])")
 # 'true' or 'false', unless a longer name or a prefixed name starts there
 _BOOLEAN_RE = re.compile(r"(?:true|false)(?!\w|[\w.-]*:)")
 _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
-_IRI_CHARS_RE = re.compile(r'[^<>"{}|^`\\\x00-\x20]*')
+# the characters of an IRIREF without an escape
+_IRI_CHARS = r'[^<>"{}|^`\\\x00-\x20]*'
+_IRI_CHARS_RE = re.compile(_IRI_CHARS)
+# an IRIREF without an escape, as SPARQL's longest-match tokenizer reads it
+_IRIREF_RE = re.compile(f"<{_IRI_CHARS}>")
 # Whitespace and comments, then one token in its common spelling: a
 # punctuation mark, or an IRIREF, a prefixed name or a double-quoted short
 # string, none with an escape.  With no token the match still skips the
@@ -85,7 +89,7 @@ _IRI_CHARS_RE = re.compile(r'[^<>"{}|^`\\\x00-\x20]*')
 _TOKEN_RE = re.compile(
     r"([ \t\r\n]*(?:(?=#)(?:#[^\n]*[ \t\r\n]*)*|))"
     r"(?:([][(),;.])"
-    r"|<([^<>\"{}|^`\\\x00-\x20]*)>"
+    rf"|<({_IRI_CHARS})>"
     r"|(((?:[^\W\d_][\w.-]*(?<!\.)|))"
     r":((?:[\w:%][\w:%.-]*(?<!\.)|)))(?![\w:%-]|\.+[\w:%-]|\.*\\)"
     r"|\"([^\"\\\r\n]*)\"(?![\"@^])|)"

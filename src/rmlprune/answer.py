@@ -18,15 +18,17 @@ from .rdf import Bgp, RdfGraph, SolutionMapping, Variable, eval_bgp
 from .sparql import SelectQuery, flatten_bgp
 
 SourceLoader = Callable[[str], DataObject]
+# the solution modifiers evaluation cannot run, in the grammar's order
+_MODIFIERS = ("REDUCED", "GROUP BY", "HAVING", "ORDER BY", "LIMIT", "OFFSET")
 
 
 def evaluable_bgp(query: SelectQuery) -> Bgp:
     """The query's patterns as one basic graph pattern; raises
     :class:`RmlPruneError` unless the query is a non-empty plain BGP with no
     ``AS`` projection and no modifier other than ``DISTINCT``."""
-    if query.select_expressions:
+    if "AS" in query.unevaluable:
         raise RmlPruneError("expression projections (AS) are not supported in query evaluation")
-    extra = query.modifiers.beyond_distinct()
+    extra = [name for name in _MODIFIERS if name in query.unevaluable]
     if extra:
         raise RmlPruneError(
             "solution modifiers not supported in query evaluation: " + ", ".join(extra)
@@ -80,9 +82,7 @@ def answer(query: SelectQuery, mapping: RmlMappingExpr, load_source: SourceLoade
     """Answer *query* over the graph of *mapping*, pruned first unless
     *prune* is false.  ``load_source(ref)`` is called once for each source
     the materialized expressions read and for no other, so a fully pruned
-    query opens no source.  ``SELECT *`` projects the variables in order of
-    first appearance, reading each pattern's subject, predicate, object, and
-    leaves out the stand-ins of ``[]`` blank nodes."""
+    query opens no source."""
     bgp = evaluable_bgp(query)
     t0 = time.perf_counter()
     kept = prune_mapping(bgp.patterns, mapping) if prune else mapping
@@ -96,14 +96,8 @@ def answer(query: SelectQuery, mapping: RmlMappingExpr, load_source: SourceLoade
     t0 = time.perf_counter()
     solutions = eval_bgp(bgp, graph)
     query_ms = (time.perf_counter() - t0) * 1e3
-    variables = query.variables
-    if variables is None:
-        terms = (x for tp in bgp.patterns for x in (tp.s, tp.p, tp.o))
-        variables = tuple(dict.fromkeys(
-            x for x in terms if isinstance(x, Variable) and not x.anonymous
-        ))
     return Answer(
-        solutions=solutions, variables=variables, distinct=query.modifiers.distinct,
+        solutions=solutions, variables=query.variables, distinct=query.distinct,
         trmaps_after=0 if isinstance(kept, FullyPruned) else len(kept.trmaps),
         triples=len(graph), prune_ms=prune_ms, materialize_ms=materialize_ms,
         query_ms=query_ms,

@@ -1,31 +1,35 @@
 """A SPARQL SELECT parser for the query shapes the pruner consumes.
 
 Supported: prologue (PREFIX/BASE), SELECT with ``*``, plain variables or
-raw ``(expr AS ?var)`` projections, basic graph patterns with predicate
-and object lists, nested groups, OPTIONAL, FILTER (kept as an opaque
-expression string), DISTINCT/REDUCED, and GROUP BY / HAVING / ORDER BY /
-LIMIT / OFFSET recorded verbatim.  Integer, decimal, double and boolean
-literals receive their XSD datatypes; ``^^`` annotations are honored.
+``(expr AS ?var)`` projections, basic graph patterns with predicate and
+object lists, nested groups, OPTIONAL, FILTER, DISTINCT/REDUCED, and GROUP
+BY / HAVING / ORDER BY / LIMIT / OFFSET.  Integer, decimal, double and
+boolean literals receive their XSD datatypes; ``^^`` annotations are
+honored.
+
+A query parses into what pruning and evaluation read (:class:`SelectQuery`):
+its projected variables, every triple pattern in document order (OPTIONAL
+bodies and FILTER-wrapped groups included: a pattern that occurs anywhere
+in the query matters for pruning), DISTINCT, and the names of the
+constructs evaluation cannot run.  Expressions (``AS``, FILTER constraints,
+solution-modifier conditions) are checked only for balanced parentheses
+and stepped over, reading strings and IRIREFs whole and skipping comments.
 
 Everything else is rejected with a positioned error naming the feature:
 UNION, MINUS, GRAPH, SERVICE, BIND, VALUES, subqueries, property paths,
 FILTER EXISTS, blank-node labels, bracketed blank-node property lists,
 language tags, and non-SELECT query forms.  A bare ``[]`` becomes a fresh
 variable, so patterns never contain blank nodes.
-
-Pattern extraction (:func:`collect_triple_patterns`) walks the entire
-tree, including OPTIONAL bodies and FILTER-wrapped groups: a pattern that
-occurs anywhere in the query matters for pruning.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ._lexer import _BOOLEAN_RE, Lexer
+from ._lexer import _BOOLEAN_RE, _IRIREF_RE, Lexer
 from .errors import SparqlError, UnsupportedSparqlError
-from .rdf import RDF_TYPE, Bgp, Iri, TriplePattern, Variable
+from .rdf import RDF_TYPE, Iri, TriplePattern, Variable
 
 _VAR_RE = re.compile(r"[?$]([A-Za-z0-9_]+)")
 # a '+' that starts a number begins the object, not a path
@@ -33,75 +37,23 @@ _SIGNED_NUMBER_RE = re.compile(r"\+\.?\d")
 _UNSIGNED_INTEGER_RE = re.compile(r"\d+")
 
 
-@dataclass(frozen=True)
-class GroupNode:
-    """A conjunction of child patterns."""
-
-    children: tuple["PatternNode", ...]
-
-
-@dataclass(frozen=True)
-class OptionalNode:
-    """An OPTIONAL part; its patterns still count for pruning."""
-
-    inner: "PatternNode"
-
-
-@dataclass(frozen=True)
-class FilterNode:
-    """A FILTER kept as raw text around the group it constrains.
-
-    Filters never influence pruning; they are preserved so the tree can be
-    re-serialized faithfully.
-    """
-
-    expression: str
-    inner: "PatternNode"
-
-
-PatternNode = Bgp | GroupNode | OptionalNode | FilterNode
-
-
-@dataclass
-class Modifiers:
-    distinct: bool = False
-    reduced: bool = False
-    group_by: str | None = None
-    having: str | None = None
-    order_by: str | None = None
-    limit: int | None = None
-    offset: int | None = None
-
-    def beyond_distinct(self) -> list[str]:
-        """The modifier names (other than DISTINCT) present on this query."""
-        out = []
-        if self.reduced:
-            out.append("REDUCED")
-        if self.group_by is not None:
-            out.append("GROUP BY")
-        if self.having is not None:
-            out.append("HAVING")
-        if self.order_by is not None:
-            out.append("ORDER BY")
-        if self.limit is not None:
-            out.append("LIMIT")
-        if self.offset is not None:
-            out.append("OFFSET")
-        return out
-
-
 @dataclass
 class SelectQuery:
-    """A parsed SELECT query.
+    """What pruning and evaluation read of a parsed SELECT query.
 
-    ``variables`` is None for ``SELECT *``; ``select_expressions`` holds raw
-    ``(expr AS ?var)`` projections verbatim.
+    ``variables`` is the projection; for ``SELECT *`` it holds the named
+    variables of the patterns in order of first appearance, without the
+    stand-ins of ``[]``.  ``patterns`` holds every triple pattern in document
+    order, OPTIONAL bodies and filtered groups included.  ``unevaluable``
+    names the constructs the query uses that evaluation cannot run: ``AS``,
+    ``OPTIONAL``, ``FILTER``, ``REDUCED``, ``GROUP BY``, ``HAVING``,
+    ``ORDER BY``, ``LIMIT`` and ``OFFSET``.
     """
 
-    variables: tuple[Variable, ...] | None
-    where: PatternNode
-    modifiers: Modifiers = field(default_factory=Modifiers)
-    select_expressions: tuple[str, ...] = ()
+    variables: tuple[Variable, ...]
+    patterns: tuple[TriplePattern, ...]
+    distinct: bool
+    unevaluable: frozenset[str]
 
 
 class _QueryParser(Lexer):
@@ -113,6 +65,8 @@ class _QueryParser(Lexer):
     def __init__(self, text: str):
         super().__init__(text)
         self._anon = 0
+        self.patterns: list[TriplePattern] = []
+        self.unevaluable: set[str] = set()
 
     def fresh_variable(self) -> Variable:
         # stands in for an anonymous blank node
@@ -136,27 +90,25 @@ class _QueryParser(Lexer):
                 raise self.error(f"{form} queries are not supported", unsupported=True)
         if not self.try_keyword("SELECT"):
             raise self.error("expected SELECT")
-        modifiers = Modifiers()
         self.skip_ws()
-        if self.try_keyword("DISTINCT"):
-            modifiers.distinct = True
-        elif self.try_keyword("REDUCED"):
-            modifiers.reduced = True
-        variables, expressions = self._parse_projection()
+        distinct = self.try_keyword("DISTINCT")
+        if not distinct and self.try_keyword("REDUCED"):
+            self.unevaluable.add("REDUCED")
+        variables = self._parse_projection()
         self.skip_ws()
         self.try_keyword("WHERE")
         self.skip_ws()
-        where = self._parse_group()
-        self._parse_solution_modifiers(modifiers)
+        self._parse_group()
+        self._parse_solution_modifiers()
         self.skip_ws()
         if not self.at_end():
             raise self.error("unexpected content after the query")
-        return SelectQuery(
-            variables=variables,
-            where=where,
-            modifiers=modifiers,
-            select_expressions=expressions,
-        )
+        if variables is None:
+            terms = (x for tp in self.patterns for x in (tp.s, tp.p, tp.o))
+            variables = tuple(dict.fromkeys(
+                x for x in terms if isinstance(x, Variable) and not x.anonymous
+            ))
+        return SelectQuery(variables, tuple(self.patterns), distinct, frozenset(self.unevaluable))
 
     def _parse_prologue(self):
         while True:
@@ -175,10 +127,10 @@ class _QueryParser(Lexer):
             else:
                 break
 
-    def _parse_projection(self):
+    def _parse_projection(self) -> tuple[Variable, ...] | None:
+        """The projected variables, None for ``SELECT *``."""
         variables: list[Variable] = []
-        expressions: list[str] = []
-        star = False
+        star = expressions = False
         while True:
             self.skip_ws()
             ch = self.peek()
@@ -188,30 +140,30 @@ class _QueryParser(Lexer):
             elif ch and ch in "?$":
                 variables.append(self.read_variable())
             elif ch == "(":
-                expressions.append(self._read_balanced_parens())
+                self._skip_parenthesized()
+                expressions = True
             else:
                 break
+        if expressions:
+            self.unevaluable.add("AS")
         if star:
             if variables or expressions:
                 raise self.error("SELECT * cannot be combined with named projections")
-            return None, ()
+            return None
         if not variables and not expressions:
             raise self.error("SELECT needs * or at least one projection")
-        return tuple(variables), tuple(expressions)
+        return tuple(variables)
 
-    def _read_balanced_parens(self) -> str:
-        """The parenthesized expression at the cursor, parentheses included."""
-        start = self.pos
+    def _skip_parenthesized(self):
         if not self._scan_expression(stop=False):
             raise self.error("unbalanced parentheses")
-        return self.text[start : self.pos]
 
     def _scan_expression(self, stop: bool) -> bool:
-        """Advance over an expression, reading each quoted string whole.
-        Without *stop*, end after the parenthesis that closes the first one;
-        with it, end before a solution-modifier keyword outside parentheses,
-        or at the end of the text.  False when the text ends first without
-        *stop*."""
+        """Advance over an expression, reading each quoted string and each
+        IRIREF whole and skipping each comment.  Without *stop*, end after
+        the parenthesis that closes the first one; with it, end before a
+        solution-modifier keyword outside parentheses, or at the end of the
+        text.  False when the text ends first without *stop*."""
         start = self.pos
         depth = 0
         while not self.at_end():
@@ -219,7 +171,19 @@ class _QueryParser(Lexer):
             if ch in "\"'":
                 self.read_string()
                 continue
-            if ch == "(":
+            if ch == "#":
+                self.skip_ws()
+                continue
+            if ch == "\\":
+                # a local name's escape: the next character is part of the name
+                self.pos = min(self.pos + 2, len(self.text))
+                continue
+            if ch == "<":
+                iri = _IRIREF_RE.match(self.text, self.pos)
+                if iri:
+                    self.pos = iri.end()
+                    continue
+            elif ch == "(":
                 depth += 1
             elif ch == ")":
                 depth -= 1
@@ -233,21 +197,13 @@ class _QueryParser(Lexer):
             self.pos += 1
         return stop
 
-    def _parse_group(self) -> PatternNode:
+    def _parse_group(self):
+        """Read a group, adding its triple patterns to ``self.patterns``."""
         self.descend()
         self.expect("{")
-        children: list[PatternNode] = []
-        filters: list[str] = []
-        current: list[TriplePattern] = []
         # a triples block not ended by '.' may only be followed by '}', a
         # group, OPTIONAL or FILTER
         open_block = False
-
-        def flush():
-            if current:
-                children.append(Bgp(tuple(current)))
-                current.clear()
-
         while True:
             self.skip_ws()
             if self.at_end():
@@ -264,25 +220,24 @@ class _QueryParser(Lexer):
                 if self.keyword_ahead("SELECT"):
                     raise self.error("subqueries are not supported", unsupported=True)
                 self.pos = save
-                flush()
-                nested = self._parse_group()
+                self._parse_group()
                 self.skip_ws()
                 if self.keyword_ahead("UNION"):
                     raise self.error("UNION is not supported", unsupported=True)
-                children.append(nested)
                 self.try_consume_dot()
                 continue
             if self.try_keyword("OPTIONAL"):
-                flush()
+                self.unevaluable.add("OPTIONAL")
                 self.skip_ws()
-                children.append(OptionalNode(self._parse_group()))
+                self._parse_group()
                 self.try_consume_dot()
                 continue
             if self.try_keyword("FILTER"):
                 self.skip_ws()
                 if self.keyword_ahead("EXISTS") or self.keyword_ahead("NOT"):
                     raise self.error("FILTER EXISTS is not supported", unsupported=True)
-                filters.append(self._read_filter_constraint())
+                self._skip_filter_constraint()
+                self.unevaluable.add("FILTER")
                 self.try_consume_dot()
                 continue
             for feature in ("MINUS", "GRAPH", "SERVICE", "BIND", "VALUES", "UNION"):
@@ -290,20 +245,10 @@ class _QueryParser(Lexer):
                     raise self.error(f"{feature} is not supported", unsupported=True)
             if after_open_block:
                 raise self.error("expected '.' or '}' after a triple pattern")
-            self._parse_triples_same_subject(current)
+            self._parse_triples_same_subject(self.patterns)
             self.skip_ws()
             open_block = not self.try_consume_dot()
-
-        flush()
-        node: PatternNode
-        if len(children) == 1 and not filters:
-            node = children[0]
-        else:
-            node = GroupNode(tuple(children))
-        for expression in filters:
-            node = FilterNode(expression, node)
         self.depth -= 1
-        return node
 
     def try_consume_dot(self) -> bool:
         self.skip_ws()
@@ -312,9 +257,8 @@ class _QueryParser(Lexer):
             return True
         return False
 
-    def _read_filter_constraint(self) -> str:
+    def _skip_filter_constraint(self):
         self.skip_ws()
-        start = self.pos
         if self.peek() != "(":
             # builtin or function call: name, then its argument list
             while not self.at_end() and (self.text[self.pos].isalnum() or self.text[self.pos] in "_:<>/#.-"):
@@ -322,9 +266,7 @@ class _QueryParser(Lexer):
             self.skip_ws()
             if self.peek() != "(":
                 raise self.error("unsupported FILTER constraint form")
-        name = self.text[start : self.pos]
-        args = self._read_balanced_parens()
-        return name + args
+        self._skip_parenthesized()
 
     def _parse_triples_same_subject(self, out: list[TriplePattern]):
         subject = self._parse_subject_position()
@@ -420,18 +362,18 @@ class _QueryParser(Lexer):
         self._reject_bnode_label()
         return self.read_constant()
 
-    def _parse_solution_modifiers(self, modifiers: Modifiers):
+    def _parse_solution_modifiers(self):
         # GroupClause? HavingClause? OrderClause? LimitOffsetClauses?, where
         # LIMIT and OFFSET may come in either order
-        modifiers.group_by = self._read_condition("GROUP BY")
-        modifiers.having = self._read_condition("HAVING")
-        modifiers.order_by = self._read_condition("ORDER BY")
+        for clause in ("GROUP BY", "HAVING", "ORDER BY"):
+            self._skip_condition(clause)
         for _ in range(2):
             self.skip_ws()
-            if modifiers.limit is None and self.try_keyword("LIMIT"):
-                modifiers.limit = self._read_int()
-            elif modifiers.offset is None and self.try_keyword("OFFSET"):
-                modifiers.offset = self._read_int()
+            for clause in ("LIMIT", "OFFSET"):
+                if clause not in self.unevaluable and self.try_keyword(clause):
+                    self._skip_unsigned_integer()
+                    self.unevaluable.add(clause)
+                    break
         self.skip_ws()
         for keyword in self._STOP_KEYWORDS:
             if self.keyword_ahead(keyword):
@@ -441,35 +383,30 @@ class _QueryParser(Lexer):
                     "as GROUP BY, HAVING, ORDER BY, then LIMIT and OFFSET"
                 )
 
-    def _read_condition(self, clause: str) -> str | None:
-        """The raw condition text of *clause* (``ORDER BY`` ...) when the
-        query continues with it, else None."""
+    def _skip_condition(self, clause: str):
+        """Advance over *clause* (``ORDER BY`` ...) and its condition, and
+        record it, when the query continues with it."""
         self.skip_ws()
         first, _, by = clause.partition(" ")
         if not self.try_keyword(first):
-            return None
+            return
         if by:
             self.skip_ws()
             if not self.try_keyword(by):
                 raise self.error(f"expected {by} after {first}")
-        condition = self._capture_until_stop()
-        if not condition:
+        self.skip_ws()
+        start = self.pos
+        self._scan_expression(stop=True)
+        if self.pos == start:
             raise self.error(f"expected a condition after {clause}")
-        return condition
+        self.unevaluable.add(clause)
 
-    def _read_int(self) -> int:
+    def _skip_unsigned_integer(self):
         self.skip_ws()
         match = _UNSIGNED_INTEGER_RE.match(self.text, self.pos)
         if not match:
             raise self.error("expected an unsigned integer")
         self.pos = match.end()
-        return int(match.group())
-
-    def _capture_until_stop(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        self._scan_expression(stop=True)
-        return self.text[start : self.pos].strip()
 
 
 def parse_query(text: str) -> SelectQuery:
@@ -478,41 +415,12 @@ def parse_query(text: str) -> SelectQuery:
     return _QueryParser(text).parse()
 
 
-def collect_triple_patterns(node: SelectQuery | PatternNode) -> set[TriplePattern]:
+def collect_triple_patterns(query: SelectQuery) -> set[TriplePattern]:
     """Every triple pattern of the query, wherever it occurs."""
-    out: set[TriplePattern] = set()
-    # a loop, not recursion: each FILTER of a group wraps it once more, so
-    # the tree can be deeper than the parser's nesting limit
-    stack = [node.where if isinstance(node, SelectQuery) else node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Bgp):
-            out.update(node.patterns)
-        elif isinstance(node, GroupNode):
-            stack.extend(node.children)
-        elif isinstance(node, (OptionalNode, FilterNode)):
-            stack.append(node.inner)
-        else:
-            raise TypeError(f"not a pattern node: {node!r}")
-    return out
+    return set(query.patterns)
 
 
 def flatten_bgp(query: SelectQuery) -> list[TriplePattern] | None:
     """The query's patterns as one conjunction, or None when the query uses
-    OPTIONAL or FILTER and therefore is not a plain basic graph pattern.
-    The walk recurses only through groups, which the nesting limit bounds."""
-
-    def walk(node: PatternNode) -> list[TriplePattern] | None:
-        if isinstance(node, Bgp):
-            return list(node.patterns)
-        if isinstance(node, GroupNode):
-            out: list[TriplePattern] = []
-            for child in node.children:
-                part = walk(child)
-                if part is None:
-                    return None
-                out.extend(part)
-            return out
-        return None
-
-    return walk(query.where)
+    OPTIONAL or FILTER and therefore is not a plain basic graph pattern."""
+    return None if {"OPTIONAL", "FILTER"} & query.unevaluable else list(query.patterns)

@@ -26,7 +26,6 @@ from rmlprune.algebra import (
 )
 from rmlprune.errors import SourceInputError, StructuralError
 from rmlprune.ntriples import format_term
-from rmlprune.pruning import format_pattern_term
 from rmlprune.rdf import (
     Bgp,
     BlankNode,
@@ -40,7 +39,6 @@ from rmlprune.rdf import (
     Variable,
     eval_bgp,
 )
-from rmlprune.sparql import FilterNode, GroupNode, OptionalNode, PatternNode, SelectQuery
 from rmlprune.turtle import TurtleParser
 
 # ---------------------------------------------------------------------------
@@ -298,69 +296,6 @@ def read_ntriples(text: str) -> RdfGraph:
         return BlankNode(label_of[term.label]) if isinstance(term, BlankNode) else term
 
     return RdfGraph(Triple(relabel(t.s), t.p, relabel(t.o)) for t in doc.triples)
-
-
-# ---------------------------------------------------------------------------
-# SPARQL text
-# ---------------------------------------------------------------------------
-
-
-def _render(node: PatternNode) -> list[str]:
-    if isinstance(node, Bgp):
-        return [
-            f"{format_pattern_term(tp.s)} {format_pattern_term(tp.p)} "
-            f"{format_pattern_term(tp.o)} ."
-            for tp in node.patterns
-        ]
-    if isinstance(node, GroupNode):
-        lines: list[str] = []
-        for child in node.children:
-            if isinstance(child, (GroupNode, Bgp)) and len(node.children) > 1:
-                lines.append("{")
-                lines.extend("  " + line for line in _render(child))
-                lines.append("}")
-            else:
-                lines.extend(_render(child))
-        return lines
-    if isinstance(node, OptionalNode):
-        return ["OPTIONAL {"] + ["  " + line for line in _render(node.inner)] + ["}"]
-    if isinstance(node, FilterNode):
-        return _render(node.inner) + [f"FILTER {node.expression}"]
-    raise TypeError(f"not a pattern node: {node!r}")
-
-
-def format_query(query: SelectQuery) -> str:
-    """Serialize a parsed query back to SPARQL text.
-
-    The output uses full IRIs (the prologue has already been applied), so
-    re-parsing yields the same triple patterns.
-    """
-    head = ["SELECT"]
-    if query.modifiers.distinct:
-        head.append("DISTINCT")
-    if query.modifiers.reduced:
-        head.append("REDUCED")
-    if query.variables is None and not query.select_expressions:
-        head.append("*")
-    else:
-        for var in query.variables or ():
-            head.append(f"?{var.name}")
-        head.extend(query.select_expressions)
-    lines = [" ".join(head), "WHERE {"]
-    lines.extend("  " + line for line in _render(query.where))
-    lines.append("}")
-    mods = query.modifiers
-    if mods.group_by is not None:
-        lines.append(f"GROUP BY {mods.group_by}")
-    if mods.having is not None:
-        lines.append(f"HAVING {mods.having}")
-    if mods.order_by is not None:
-        lines.append(f"ORDER BY {mods.order_by}")
-    if mods.limit is not None:
-        lines.append(f"LIMIT {mods.limit}")
-    if mods.offset is not None:
-        lines.append(f"OFFSET {mods.offset}")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_demo_prunes_two_to_one_quickly():
     doc = parse_rml((DATA / "airports.ttl").read_bytes())
     mapping = translate(doc)
     query = parse_query((DATA / "airports.rq").read_text())
-    patterns = collect_triple_patterns(query.where)
+    patterns = collect_triple_patterns(query)
     result = prune(patterns, mapping)
     from rmlprune.csvsource import CSV_KIND, parse_csv
     from rmlprune.algebra import DataObject

@@ -99,3 +99,12 @@ def test_perfbench_finds_every_name_it_uses(workloads, corpus):
     patterns = flatten_bgp(query)
     rows = workloads.project(query, eval_bgp(Bgp(tuple(patterns)), graph))
     assert len(rows) == 20 == len(workloads.TripleIndex(graph).solutions(patterns))
+
+
+def test_perfbench_projects_select_star_as_answer_does(workloads, corpus_mapping, corpus_sigma):
+    # SELECT * projects the named variables only, not the stand-in of []
+    query = parse_query("SELECT * WHERE { [] <http://example.com/ns#name> ?n }")
+    result = answer(query, corpus_mapping, corpus_sigma.__getitem__, prune=False)
+    rows = result.rows()
+    assert rows and all(len(row) == 1 for row in rows)
+    assert workloads.project(query, result.solutions) == rows

@@ -14,16 +14,7 @@ from rmlprune.rdf import (
     TriplePattern,
     Variable,
 )
-from rmlprune.sparql import (
-    FilterNode,
-    GroupNode,
-    OptionalNode,
-    collect_triple_patterns,
-    flatten_bgp,
-    parse_query,
-)
-
-from .helpers import format_query
+from rmlprune.sparql import collect_triple_patterns, flatten_bgp, parse_query
 
 EX = "http://example.com/ns#"
 
@@ -48,9 +39,12 @@ def test_parse_airports_query(airports_query_text):
 
 def test_select_star_and_explicit_vars():
     q = parse_query("SELECT * WHERE { ?s ?p ?o }")
-    assert q.variables is None
+    assert q.variables == (Variable("s"), Variable("p"), Variable("o"))
     q2 = parse_query("SELECT ?s ?o WHERE { ?s ?p ?o }")
     assert q2.variables == (Variable("s"), Variable("o"))
+    # in order of first appearance, without the stand-ins of []
+    q3 = parse_query("SELECT * WHERE { [] ?p ?o . ?o ?q [] . ?s ?p ?o }")
+    assert q3.variables == (Variable("p"), Variable("o"), Variable("q"), Variable("s"))
 
 
 def test_predicate_object_lists_and_a():
@@ -99,29 +93,30 @@ def test_optional_and_filter_structure():
         "SELECT * WHERE { ?s <http://e/p> ?o . "
         "OPTIONAL { ?s <http://e/q> ?x } FILTER (?o > 3) }"
     )
-    assert isinstance(q.where, FilterNode)
-    assert "?o > 3" in q.where.expression
-    inner = q.where.inner
-    assert isinstance(inner, GroupNode)
-    assert any(isinstance(c, OptionalNode) for c in inner.children)
-    assert collect_triple_patterns(q) == {
+    assert q.unevaluable == {"OPTIONAL", "FILTER"}
+    assert q.patterns == (
         tp(Variable("s"), Iri("http://e/p"), Variable("o")),
         tp(Variable("s"), Iri("http://e/q"), Variable("x")),
-    }
+    )
 
 
 def test_filter_with_builtin_call():
     q = parse_query(
         'SELECT * WHERE { ?s <http://e/p> ?o . FILTER regex(?o, "^a(b)c$") }'
     )
-    assert isinstance(q.where, FilterNode)
-    assert 'regex(?o, "^a(b)c$")' in q.where.expression
+    assert q.unevaluable == {"FILTER"}
+    assert q.patterns == (tp(Variable("s"), Iri("http://e/p"), Variable("o")),)
 
 
-def test_select_expression_is_recorded_raw():
-    q = parse_query("SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o }")
-    assert q.select_expressions
-    assert "COUNT(?s)" in q.select_expressions[0]
+def test_select_expression_is_recorded_by_name():
+    for text in (
+        "SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o }",
+        # an IRIREF is read whole, parentheses and all
+        "SELECT (<http://e/f)>(?o) AS ?x) WHERE { ?s ?p ?o }",
+    ):
+        q = parse_query(text)
+        assert (q.variables, q.unevaluable) == ((), {"AS"})
+        assert q.patterns == (tp(Variable("s"), Variable("p"), Variable("o")),)
 
 
 @pytest.mark.parametrize(
@@ -129,21 +124,32 @@ def test_select_expression_is_recorded_raw():
     ['"""a"b"""', "'''it's'''", r'"a\"b)"', "'('", "'''x\n)y'''", r'""""a"" \""""'],
 )
 def test_filter_reads_every_string_form_whole(literal):
-    # quotes and parentheses inside a string neither end it nor count
-    q = parse_query(f"SELECT * WHERE {{ ?s ?p ?o FILTER(?o = {literal}) }}")
-    assert q.where.expression == f"(?o = {literal})"
+    # quotes and parentheses inside a string neither end it nor count, so
+    # the FILTER ends where the pattern after it starts
+    q = parse_query(f"SELECT * WHERE {{ ?s ?p ?o FILTER(?o = {literal}) ?o ?q ?r }}")
+    assert q.patterns == (
+        tp(Variable("s"), Variable("p"), Variable("o")),
+        tp(Variable("o"), Variable("q"), Variable("r")),
+    )
 
 
 def test_select_expression_holds_a_long_string():
     q = parse_query('SELECT (CONCAT("""a"b""", ?o) AS ?x) WHERE { ?s ?p ?o }')
-    assert q.select_expressions == ('(CONCAT("""a"b""", ?o) AS ?x)',)
+    assert (q.variables, q.unevaluable) == ((), {"AS"})
+    assert q.patterns == (tp(Variable("s"), Variable("p"), Variable("o")),)
 
 
 def test_a_long_string_in_a_condition_leaves_the_next_modifier():
-    q = parse_query('SELECT * WHERE { ?s ?p ?o } ORDER BY (STR("""x"y""")) LIMIT 5')
-    assert (q.modifiers.order_by, q.modifiers.limit) == ('(STR("""x"y"""))', 5)
-    q = parse_query('SELECT * WHERE { ?s ?p ?o } ORDER BY ?o "LIMIT 3" OFFSET 2')
-    assert (q.modifiers.order_by, q.modifiers.limit, q.modifiers.offset) == ('?o "LIMIT 3"', None, 2)
+    for modifiers, names in (
+        ('ORDER BY (STR("""x"y""")) LIMIT 5', {"ORDER BY", "LIMIT"}),
+        ('ORDER BY ?o "LIMIT 3" OFFSET 2', {"ORDER BY", "OFFSET"}),
+        # an IRIREF is read whole, and a comment runs to the end of its line
+        ("ORDER BY <http://e/LIMIT> ?s", {"ORDER BY"}),
+        ("ORDER BY ?s # LIMIT 3\n", {"ORDER BY"}),
+        ("GROUP BY ?p # HAVING\n", {"GROUP BY"}),
+    ):
+        q = parse_query("SELECT * WHERE { ?s ?p ?o } " + modifiers)
+        assert q.unevaluable == names, modifiers
 
 
 @pytest.mark.parametrize(
@@ -162,21 +168,19 @@ def test_modifiers_are_recorded():
     q = parse_query(
         "SELECT DISTINCT ?s WHERE { ?s ?p ?o } ORDER BY ?s LIMIT 10 OFFSET 5"
     )
-    assert q.modifiers.distinct
-    assert q.modifiers.order_by == "?s"
-    assert q.modifiers.limit == 10
-    assert q.modifiers.offset == 5
-    assert set(q.modifiers.beyond_distinct()) == {"ORDER BY", "LIMIT", "OFFSET"}
+    assert q.distinct
+    assert q.unevaluable == {"ORDER BY", "LIMIT", "OFFSET"}
     plain = parse_query("SELECT DISTINCT ?s WHERE { ?s ?p ?o }")
-    assert plain.modifiers.beyond_distinct() == []
+    assert (plain.distinct, plain.unevaluable) == (True, set())
+    reduced = parse_query("SELECT REDUCED ?s WHERE { ?s ?p ?o }")
+    assert (reduced.distinct, reduced.unevaluable) == (False, {"REDUCED"})
 
 
 def test_group_by_and_having_recorded():
     q = parse_query(
         "SELECT ?s WHERE { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(?o) > 1)"
     )
-    assert q.modifiers.group_by == "?s"
-    assert "COUNT(?o) > 1" in q.modifiers.having
+    assert q.unevaluable == {"GROUP BY", "HAVING"}
 
 
 @pytest.mark.parametrize(
@@ -219,7 +223,21 @@ def test_a_second_triples_block_needs_a_dot():
 
 
 @pytest.mark.parametrize(
-    "between", [" . ", " OPTIONAL { ?a ?b ?c } ", " FILTER(?o) ", " { ?a ?b ?c } "]
+    "between",
+    [
+        " . ",
+        " OPTIONAL { ?a ?b ?c } ",
+        " FILTER(?o) ",
+        " { ?a ?b ?c } ",
+        # an IRIREF in an expression is read whole, and a comment runs to
+        # the end of its line
+        " FILTER(?o != <http://e/a(b>) ",
+        " FILTER(?o != <http://e/it's>) ",
+        " FILTER(?o > 1 # a ) comment\n) ",
+        # an escaped character belongs to its local name
+        r" FILTER(?o = ex:a\#b) ",
+        r" FILTER(?o = ex:a\)b) ",
+    ],
 )
 def test_a_triples_block_may_end_before_a_group_optional_or_filter(between):
     query = parse_query("SELECT * WHERE { ?s ?p ?o" + between + "?x ?y ?z }")
@@ -273,7 +291,7 @@ def test_solution_modifiers_follow_the_grammar(modifiers, column, message):
 def test_limit_and_offset_come_in_either_order():
     for text in ("LIMIT 3 OFFSET 2", "OFFSET 2 LIMIT 3"):
         q = parse_query("SELECT * WHERE { ?s ?p ?o } " + text)
-        assert (q.modifiers.limit, q.modifiers.offset) == (3, 2)
+        assert q.unevaluable == {"LIMIT", "OFFSET"}
 
 
 def test_syntax_error_has_position():
@@ -324,15 +342,27 @@ def test_flatten_bgp():
     assert flat4 is not None and len(flat4) == 2
 
 
-def test_format_query_reparses_to_same_patterns(airports_query_text):
-    for text in (
-        airports_query_text,
-        "SELECT * WHERE { ?s ?p ?o OPTIONAL { ?s <http://e/q> ?x } }",
-        "SELECT DISTINCT ?s WHERE { ?s <http://e/p> 5 . FILTER (?s != <http://e/x>) } LIMIT 3",
+def test_patterns_are_read_in_document_order(airports_query_text):
+    a, s = Variable("airportId"), Variable("s")
+    for text, patterns, names in (
+        (
+            airports_query_text,
+            (
+                tp(a, Iri(EX + "route"), Iri("http://transit.api/route/43")),
+                tp(a, Iri("http://vocab.gtfs.org/terms#long"), Literal("23.0", XSD_DOUBLE)),
+            ),
+            set(),
+        ),
+        (
+            "SELECT * WHERE { ?s ?p ?o OPTIONAL { ?s <http://e/q> ?x } }",
+            (tp(s, Variable("p"), Variable("o")), tp(s, Iri("http://e/q"), Variable("x"))),
+            {"OPTIONAL"},
+        ),
+        (
+            "SELECT DISTINCT ?s WHERE { ?s <http://e/p> 5 . FILTER (?s != <http://e/x>) } LIMIT 3",
+            (tp(s, Iri("http://e/p"), Literal("5", XSD_INTEGER)),),
+            {"FILTER", "LIMIT"},
+        ),
     ):
         q = parse_query(text)
-        rendered = format_query(q)
-        q2 = parse_query(rendered)
-        assert collect_triple_patterns(q2) == collect_triple_patterns(q)
-        assert q2.variables == q.variables
-        assert q2.modifiers == q.modifiers
+        assert (q.patterns, q.unevaluable) == (patterns, names)
