@@ -14,7 +14,8 @@ its grammar.  Implemented here, once:
 * ``STRING_LITERAL1``, ``STRING_LITERAL2``, ``STRING_LITERAL_LONG1`` and
   ``STRING_LITERAL_LONG2``, with ``ECHAR`` and ``UCHAR``;
 * ``INTEGER``, ``DECIMAL``, ``DOUBLE`` and the boolean keywords;
-* ``WS`` and ``#`` comments.
+* ``WS`` and ``#`` comments;
+* the bodies of prefix and base declarations, alike in both prologues.
 
 A token in a common spelling (an IRIREF, a prefixed name or a short
 string without escapes, or punctuation) is read by one regex match that
@@ -196,6 +197,19 @@ class Lexer:
     def declare_prefix(self, prefix: str, namespace: str):
         self.prefixes[prefix] = namespace
         self._pnames.clear()
+
+    def _parse_prefix_body(self):
+        """A prefix declaration after its keyword."""
+        self.skip_ws()
+        prefix = self.read_prefix_name()
+        self.expect(":")
+        self.skip_ws()
+        self.declare_prefix(prefix, self.read_iriref().value)
+
+    def _parse_base_body(self):
+        """A base declaration after its keyword."""
+        self.skip_ws()
+        self.base = self.read_iriref().value
 
     def _read_token_at_cursor(self, constant: bool) -> Iri | Literal | None:
         """:meth:`read_token_term` for a token that starts at the cursor."""

@@ -8,8 +8,9 @@ header (ragged rows are an error that names the offending row).  Equal
 cells of one table share one string, so a value repeated down a column is
 held once.
 
-Extraction (:mod:`rmlprune.algebra`) reads a table by column name: each
-cell, the empty string included, becomes a plain ``xsd:string`` literal.
+Evaluation (:mod:`rmlprune.algebra`) reads a table by column name and
+keeps its cells as raw strings: each constructor builds its term from
+them, and an empty cell is NULL, so it builds no term and joins nothing.
 """
 
 from __future__ import annotations

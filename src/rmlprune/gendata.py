@@ -5,9 +5,9 @@ queries into a directory.  The mapping deliberately mixes both RML
 namespace generations and covers every constructor kind: templated and
 referenced terms, typed literals, a cross-source join (routes to stops), a
 two-condition self-join (shape points to their predecessor) and a
-blank-node object.  After normalization it yields 14 triples-map
-expressions.  Generation is seeded, so the same (seed, scale) pair always
-produces byte-identical files.
+blank-node object.  It translates to 14 triples-map expressions.
+Generation is seeded, so the same (seed, scale) pair always produces
+byte-identical files.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._lexer import _BOOLEAN_RE, _IRIREF_RE, Lexer
+from ._lexer import _BOOLEAN_RE, _IRIREF_RE, _PREFIX_RE, Lexer
 from .errors import SparqlError, UnsupportedSparqlError
 from .rdf import RDF_TYPE, Iri, TriplePattern, Variable
 
@@ -35,6 +35,7 @@ _VAR_RE = re.compile(r"[?$]([A-Za-z0-9_]+)")
 # a '+' that starts a number begins the object, not a path
 _SIGNED_NUMBER_RE = re.compile(r"\+\.?\d")
 _UNSIGNED_INTEGER_RE = re.compile(r"\d+")
+_WORD_RE = re.compile(r"\w*")
 
 
 @dataclass
@@ -114,16 +115,9 @@ class _QueryParser(Lexer):
         while True:
             self.skip_ws()
             if self.try_directive("PREFIX"):
-                self.skip_ws()
-                prefix = self.read_prefix_name()
-                self.expect(":")
-                self.skip_ws()
-                iri = self.read_iriref()
-                self.declare_prefix(prefix, iri.value)
+                self._parse_prefix_body()
             elif self.try_directive("BASE", "<"):
-                self.skip_ws()
-                iri = self.read_iriref()
-                self.base = iri.value
+                self._parse_base_body()
             else:
                 break
 
@@ -260,9 +254,17 @@ class _QueryParser(Lexer):
     def _skip_filter_constraint(self):
         self.skip_ws()
         if self.peek() != "(":
-            # builtin or function call: name, then its argument list
-            while not self.at_end() and (self.text[self.pos].isalnum() or self.text[self.pos] in "_:<>/#.-"):
-                self.pos += 1
+            # builtin or function call: its name (an IRIREF, a prefixed name
+            # whose prefix is not resolved, or a word), then its argument list
+            iri = _IRIREF_RE.match(self.text, self.pos)
+            if iri:
+                self.pos = iri.end()
+            elif self.text.startswith(":", _PREFIX_RE.match(self.text, self.pos).end()):
+                self.read_prefix_name()
+                self.expect(":")
+                self.read_local_name()
+            else:
+                self.pos = _WORD_RE.match(self.text, self.pos).end()
             self.skip_ws()
             if self.peek() != "(":
                 raise self.error("unsupported FILTER constraint form")

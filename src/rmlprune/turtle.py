@@ -97,18 +97,6 @@ class TurtleParser(Lexer):
             self.expect(".")
         return True
 
-    def _parse_prefix_body(self):
-        self.skip_ws()
-        prefix = self.read_prefix_name()
-        self.expect(":")
-        self.skip_ws()
-        iri = self.read_iriref()
-        self.declare_prefix(prefix, iri.value)
-
-    def _parse_base_body(self):
-        self.skip_ws()
-        self.base = self.read_iriref().value
-
     def _parse_triples(self, token):
         """Subject and predicate-object list, from the subject's token; the
         cursor ends on the token after them."""

@@ -105,6 +105,27 @@ def test_frozen_retention_counts(name, corpus_mapping):
         assert len(result.trmaps) == EXPECTED_RETAINED[name]
 
 
+# Today's pruning precision on the corpus mapping, pinned so that a change
+# meant to keep every decision keeps these.  Join-aware pruning (the first
+# three) and exact single-pattern satisfiability (the last three) will
+# lower them on purpose.
+PRECISION_PINS = {
+    "?s a ex:Stop . ?s ?p ?o": 14,
+    "?s ?p ?o . ?o a ex:Stop": 14,
+    "?s ex:name ?n . ?s ex:routeName ?m": 2,
+    "?x ex:zone ?x": 1,
+    "?x ex:name ?x": 1,
+    "<http://example.com/shape/A/3> ex:prev <http://example.com/shape/B/2>": 1,
+}
+
+
+@pytest.mark.parametrize("bgp", list(PRECISION_PINS))
+def test_pruning_precision_pins(bgp, corpus_mapping):
+    query = parse_query(f"PREFIX ex: <http://example.com/ns#> SELECT * WHERE {{ {bgp} }}")
+    result = prune(query.patterns, corpus_mapping)
+    assert len(result.trmaps) == PRECISION_PINS[bgp]
+
+
 def test_full_materialization_size(corpus_mapping, corpus_sigma):
     graph = materialize(corpus_mapping, corpus_sigma)
     # 100 stops x 5 + 20 routes x 4 + 200 shape points x 4 + 190 predecessor links

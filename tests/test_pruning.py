@@ -1,6 +1,5 @@
 """Incompatibility checks and mapping pruning."""
 
-import re
 from dataclasses import replace
 
 import pytest
@@ -17,12 +16,9 @@ from rmlprune.algebra import (
 from rmlprune.pruning import (
     CACHE_SIZE,
     FullyPruned,
-    escape_regex_text,
     incompatibility_trace,
-    iri_incompatible,
     prune,
-    regex_fullmatch,
-    template_regex,
+    term_incompatible,
     tp_incompatible,
 )
 from rmlprune.rdf import (
@@ -44,77 +40,80 @@ V = Variable
 
 
 # ---------------------------------------------------------------------------
-# regex construction
+# per-constructor checks
 # ---------------------------------------------------------------------------
+
+
+def builds(text: str, parts: tuple[str, ...]) -> bool:
+    """Whether a string literal constructor over *parts* can build *text*."""
+    return term_incompatible(BuildLiteral(Template(parts), XSD_STRING), Literal(text)) is None
 
 
 def test_escape_regex_text_escapes_all_metacharacters():
     specials = ".[]\\()*+?{}|^$"
-    escaped = escape_regex_text(specials)
-    assert escaped == "".join("\\" + c for c in specials)
-    assert re.fullmatch(escaped, specials)
-    assert escape_regex_text("plain-text_123") == "plain-text_123"
+    assert builds(specials, (specials,))
+    assert not builds("x" * len(specials), (specials,))
+    assert builds("plain-text_123", ("plain-text_123",))
 
 
 def test_template_regex_parts():
-    assert template_regex(Template(("a.b",))) == "a\\.b"
-    assert template_regex(ref("x")) == ".+"
+    assert builds("a.b", ("a.b",))
+    assert not builds("axb", ("a.b",))
+    assert builds("anything", ref("x").parts)
     # an empty cell builds no term, so a reference never matches ""
-    assert not regex_fullmatch(template_regex(ref("x")), "")
-    assert template_regex(Template(("http://e/", "x", "?q=1"))) == "http://e/.+\\?q=1"
-    assert template_regex(Template(("", "x", "", "y", "."))) == ".+.+\\."
+    assert not builds("", ref("x").parts)
+    assert builds("http://e/1?q=1", ("http://e/", "x", "?q=1"))
+    assert not builds("http://e/1xq=1", ("http://e/", "x", "?q=1"))
+    assert builds("ab.", ("", "x", "", "y", "."))
+    assert not builds("a.", ("", "x", "", "y", "."))
 
 
 def test_regex_fullmatch_is_anchored_and_dotall():
-    assert regex_fullmatch("a.+c", "abc")
-    assert regex_fullmatch("a.+c", "a\nc")  # wildcard spans newlines
-    assert not regex_fullmatch("a.+c", "abcd")
-    assert not regex_fullmatch("a.+c", "xabc")
-    assert not regex_fullmatch(".+", "")
-    assert regex_fullmatch(".*", "")
-
-
-# ---------------------------------------------------------------------------
-# per-constructor checks
-# ---------------------------------------------------------------------------
+    template = ("a", "x", "c")
+    assert builds("abc", template)
+    assert builds("a\nc", template)  # wildcard spans newlines
+    assert not builds("abcd", template)
+    assert not builds("xabc", template)
+    assert not builds("", ("", "x", ""))
+    assert builds("", ("",))
 
 
 IRI_U = Iri("http://e.com/s/41")
 
 
 def test_iri_incompatible_against_literal_and_bnode_builders():
-    assert iri_incompatible(BuildLiteral(ref("a"), XSD_INTEGER), IRI_U)
-    assert iri_incompatible(BuildBlank(ref("a")), IRI_U)
-    assert iri_incompatible(ConstantTerm(BlankNode("b")), IRI_U)
+    assert term_incompatible(BuildLiteral(ref("a"), XSD_INTEGER), IRI_U) == "builds literals, not IRIs"
+    assert term_incompatible(BuildBlank(ref("a")), IRI_U) == "builds blank nodes, not IRIs"
+    assert term_incompatible(ConstantTerm(BlankNode("b")), IRI_U)
 
 
 def test_iri_incompatible_constants():
-    assert iri_incompatible(ConstantTerm(IRI_U), IRI_U) is None
-    assert iri_incompatible(ConstantTerm(Iri("http://e.com/other")), IRI_U)
-    assert iri_incompatible(ConstantTerm(Literal("x")), IRI_U)
+    assert term_incompatible(ConstantTerm(IRI_U), IRI_U) is None
+    assert term_incompatible(ConstantTerm(Iri("http://e.com/other")), IRI_U)
+    assert term_incompatible(ConstantTerm(Literal("x")), IRI_U)
 
 
 def test_iri_incompatible_templates():
     expr = BuildIri(Template(("http://e.com/s/", "id", "")), BASE)
-    assert iri_incompatible(expr, Iri("http://e.com/s/41")) is None
-    assert iri_incompatible(expr, Iri("http://e.com/other/41"))
+    assert term_incompatible(expr, Iri("http://e.com/s/41")) is None
+    assert term_incompatible(expr, Iri("http://e.com/other/41"))
     # the bare prefix needs an empty id, which is NULL and builds no IRI
-    assert iri_incompatible(expr, Iri("http://e.com/s/"))
+    assert term_incompatible(expr, Iri("http://e.com/s/"))
 
 
 def test_iri_incompatible_considers_base_prefixed_form():
     expr = BuildIri(ref("id"), BASE)
     # the raw body .+ matches any IRI, so nothing is incompatible
-    assert iri_incompatible(expr, IRI_U) is None
+    assert term_incompatible(expr, IRI_U) is None
     rooted = BuildIri(Template(("x/", "id", "")), BASE)
-    assert iri_incompatible(rooted, Iri(BASE + "x/7")) is None
-    assert iri_incompatible(rooted, Iri("http://other.example/x/7"))
+    assert term_incompatible(rooted, Iri(BASE + "x/7")) is None
+    assert term_incompatible(rooted, Iri("http://other.example/x/7"))
 
 
 def test_iri_incompatible_regex_specials_in_text_are_literal():
     expr = BuildIri(Template(("http://e.com/a+b/", "id", "")), BASE)
-    assert iri_incompatible(expr, Iri("http://e.com/a+b/1")) is None
-    assert iri_incompatible(expr, Iri("http://e.com/aab/1"))
+    assert term_incompatible(expr, Iri("http://e.com/a+b/1")) is None
+    assert term_incompatible(expr, Iri("http://e.com/aab/1"))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +159,8 @@ def test_tp_incompatible_literal_lexical_space():
 def test_tp_incompatible_joined_object_never_literal():
     tm = joined_trmap()
     lit = TriplePattern(V("s"), V("p"), Literal("v"))
-    assert "joined" in tp_incompatible(lit, tm)
+    # the kind check rules it out: a joined object's constructor builds no literal
+    assert tp_incompatible(lit, tm) == "object: builds IRIs, not literals"
     iri_ok = TriplePattern(V("s"), V("p"), Iri("http://e.com/o/P1"))
     assert tp_incompatible(iri_ok, tm) is None
     iri_bad = TriplePattern(V("s"), V("p"), Iri("http://other/o"))
@@ -251,11 +251,10 @@ def test_incompatibility_trace_escapes_literals():
 
 
 def test_prune_caches_stay_within_their_bound():
-    # a long-lived caller pruning ever new mappings: each mapping adds two
-    # regex sources, three compiled patterns and one IRI constructor
-    caches = (template_regex, pruning._compiled, pruning._iri_regexes)
-    for cache in caches:
-        cache.cache_clear()
+    # a long-lived caller pruning ever new mappings: each mapping compiles
+    # the regexes of its subject and object constructors
+    (cache,) = [fn for fn in vars(pruning).values() if hasattr(fn, "cache_info")]
+    cache.cache_clear()
     patterns = [
         TriplePattern(V("s"), V("p"), Literal("none")),  # no object matches
         TriplePattern(Iri("http://e.com/0/1"), V("p"), V("o")),
@@ -268,4 +267,36 @@ def test_prune_caches_stay_within_their_bound():
         )
         kept = prune(patterns, RmlMappingExpr((tm,)))
         assert isinstance(kept, FullyPruned) == (i != 0)
-    assert [cache.cache_info().currsize for cache in caches] == [CACHE_SIZE] * 3
+    assert cache.cache_info().currsize == CACHE_SIZE
+
+
+def test_incompatibility_trace_pins_every_outcome():
+    note = replace(
+        simple_trmap(provenance="tm#note"),
+        predicate_expr=ConstantTerm(Iri("http://e.com/note")),
+        object_expr=ConstantTerm(Literal("a\nb")),
+    )
+    m = RmlMappingExpr((note, simple_trmap(provenance="tm#name")))
+    patterns = [
+        TriplePattern(V("s"), V("p"), Iri("http://e.com/x")),
+        TriplePattern(V("s"), V("p"), Literal("7", XSD_INTEGER)),
+        TriplePattern(Iri("http://other/7"), V("p"), V("o")),
+        TriplePattern(V("s"), Iri("http://e.com/name"), Literal("a\nb")),
+    ]
+    subject_regex = "/(?:http://example\\.com/base/)?http://e\\.com/s/.+/"
+    assert incompatibility_trace(patterns, m) == "\n".join([
+        "tm#note: pruned",
+        '  ?s ?p <http://e.com/x> . -> object: constant "a\\nb" differs from <http://e.com/x>',
+        '  ?s ?p "7"^^<http://www.w3.org/2001/XMLSchema#integer> . -> object: constant "a\\nb"'
+        ' differs from "7"^^<http://www.w3.org/2001/XMLSchema#integer>',
+        f"  <http://other/7> ?p ?o . -> subject: <http://other/7> does not match {subject_regex}",
+        '  ?s <http://e.com/name> "a\\nb" . -> predicate: constant <http://e.com/note>'
+        " differs from <http://e.com/name>",
+        "tm#name: retained",
+        "  ?s ?p <http://e.com/x> . -> object: builds literals, not IRIs",
+        '  ?s ?p "7"^^<http://www.w3.org/2001/XMLSchema#integer> . -> object: datatype'
+        " <http://www.w3.org/2001/XMLSchema#string> differs from"
+        " <http://www.w3.org/2001/XMLSchema#integer>",
+        f"  <http://other/7> ?p ?o . -> subject: <http://other/7> does not match {subject_regex}",
+        '  ?s <http://e.com/name> "a\\nb" . -> compatible',
+    ])

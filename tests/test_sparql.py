@@ -237,6 +237,10 @@ def test_a_second_triples_block_needs_a_dot():
         # an escaped character belongs to its local name
         r" FILTER(?o = ex:a\#b) ",
         r" FILTER(?o = ex:a\)b) ",
+        # a function's name is read as the lexer reads an IRIREF or a
+        # prefixed name, whose prefix is not resolved
+        " FILTER <http://e/a(b>(?o) ",
+        r" FILTER ex:f\((?o) ",
     ],
 )
 def test_a_triples_block_may_end_before_a_group_optional_or_filter(between):
