@@ -17,11 +17,15 @@ parsed CSV table.  :func:`materialize` compiles every constructor, for that
 call only, into a function of a raw CSV row, then walks each source's rows
 once: every expression over the source runs on each row, a subject that
 several expressions share is built once per row, and a joined expression
-looks its objects up in buckets of the parent table.  Terms are interned by
-the strings they are built from.  No :class:`~rmlprune.rdf.Triple` is built:
-each (subject, object) pair is filed under its predicate, once, and each
-predicate's pairs become the graph's columns.  A pair builds no tuple unless
-its subject already has another object under that predicate.
+looks its objects up in buckets of the parent table.  No term object is
+built: an IRI or blank node is its N-Triples spelling, interned by the
+string it is built from and IRI-checked once per distinct string, and a
+literal is its lexical form, which for a reference is the CSV cell itself.
+Each (subject, object) pair is filed, once, under its predicate's spelling
+and its object's datatype (``None`` for a node), and those pairs become the
+graph's typed string columns (:class:`~rmlprune.rdf.RdfGraph`).  A pair
+builds no tuple unless its subject already has another object in that
+column.
 
 :func:`dump_plan` prints an expression as nested operators (extract,
 extend, join, project, union), the form of ``--dump-algebra``.
@@ -38,8 +42,7 @@ from operator import itemgetter
 from typing import ClassVar, Union
 
 from .csvsource import CSV_KIND, CsvTable, Row
-from .errors import InvalidTermError, SourceInputError, StructuralError
-from .ntriples import escape_string, format_term
+from .errors import SourceInputError, StructuralError
 from .rdf import (
     XSD_STRING,
     BlankNode,
@@ -48,10 +51,12 @@ from .rdf import (
     Pairs,
     RdfGraph,
     RdfTerm,
+    encode_term,
+    escape_string,
+    format_term,
     is_absolute_iri,
     is_term,
     is_valid_iri,
-    trusted_literal,
 )
 
 logger = logging.getLogger("rmlprune.algebra")
@@ -75,7 +80,9 @@ class Epsilon:
 
 EPSILON = Epsilon()
 
-Value = RdfTerm | Epsilon
+# what a constructor builds from a row: a node's spelling or a literal's
+# lexical form, or EPSILON
+Value = str | Epsilon
 
 # ---------------------------------------------------------------------------
 # templates (string-valued)
@@ -171,20 +178,17 @@ class BuildBlank(_FromTemplate):
 ExtendExpr = Union[ConstantTerm, BuildLiteral, BuildIri, BuildBlank]
 
 
-def string_to_bnode(s: str) -> BlankNode:
-    """An injective, run-stable mapping from strings to blank nodes."""
-    digest = hashlib.blake2b(s.encode("utf-8"), digest_size=16).hexdigest()
-    return BlankNode("b" + digest)
+def string_to_bnode(s: str) -> str:
+    """The spelling of a blank node: an injective, run-stable mapping from
+    strings to blank nodes."""
+    return "_:b" + hashlib.blake2b(s.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def resolve_iri(body: str, base: str) -> Iri | Epsilon:
-    """IRI construction: absolute as-is, otherwise base-prefixed; EPSILON
-    when the outcome is not a valid IRI."""
+def resolve_iri(body: str, base: str) -> str | Epsilon:
+    """The spelling of a constructed IRI: absolute as-is, otherwise
+    base-prefixed; EPSILON when the outcome is not a valid IRI."""
     candidate = body if is_absolute_iri(body) else base + body
-    try:
-        return Iri(candidate)
-    except InvalidTermError:
-        return EPSILON
+    return f"<{candidate}>" if is_valid_iri(candidate) else EPSILON
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +361,30 @@ def _template(body: Template, column: Mapping[Attribute, int]) -> Callable[[Row]
     ).format
 
 
+def _resolve_spelled(spelled: str, base: str) -> str | Epsilon:
+    """:func:`resolve_iri` of the body between the angle brackets of
+    *spelled*; *spelled* itself when that is the spelling."""
+    spelling = resolve_iri(spelled[1:-1], base)
+    return spelled if spelling == spelled else spelling
+
+
 class _Interned(dict):
-    """Terms by the string they are built from; each is built once."""
+    """Node spellings by the string they are built from, each built once: an
+    IRI's by its template's spelling, a blank node's by its template's value."""
 
     def __init__(self, build: Callable[[str], Value]):
         self.build = build
 
     def __missing__(self, body: str) -> Value:
-        term = self[body] = self.build(body)
-        return term
+        spelling = self[body] = self.build(body)
+        return spelling
+
+
+def _datatype(expr: ExtendExpr) -> str | None:
+    """The datatype of the literals *expr* builds, or None for nodes."""
+    if isinstance(expr, BuildLiteral):
+        return expr.datatype
+    return encode_term(expr.term)[1] if isinstance(expr, ConstantTerm) else None
 
 
 def _compile(
@@ -375,28 +394,36 @@ def _compile(
     kinds: tuple[type, ...] = (Iri, BlankNode, Literal),
 ) -> Callable[[Row], Value]:
     """A constructor as a function of a raw row whose cells *column*
-    locates; EPSILON throughout when it can build no term of *kinds*, and
-    for a row with an empty cell among those it reads.  Built terms come
-    from the call's *interned* tables, one per constructor kind and base or
-    datatype."""
+    locates: a node's spelling or a literal's lexical form; EPSILON
+    throughout when it can build no term of *kinds*, and for a row with an
+    empty cell among those it reads.  Node spellings come from the call's
+    *interned* tables, one per constructor kind and base."""
     if isinstance(expr, ConstantTerm):
-        term = expr.term if isinstance(expr.term, kinds) else EPSILON
-        return lambda row: term
+        value = encode_term(expr.term)[0] if isinstance(expr.term, kinds) else EPSILON
+        return lambda row: value
+    template = expr.body
     if isinstance(expr, BuildIri):
-        kind, key, build = Iri, (BuildIri, expr.base), partial(resolve_iri, base=expr.base)
+        kind, key, build = Iri, (BuildIri, expr.base), partial(_resolve_spelled, base=expr.base)
+        # the template spells the IRI, which is then its own key when absolute
+        parts = list(template.parts)
+        parts[0], parts[-1] = "<" + parts[0], parts[-1] + ">"
+        template = Template(parts)
     elif isinstance(expr, BuildLiteral):
-        # BuildLiteral has checked the datatype, so no literal checks it again
-        kind, key, build = Literal, (BuildLiteral, expr.datatype), lambda body, dt=expr.datatype: trusted_literal(body, dt)
+        kind, key, build = Literal, None, None
     else:
         kind, key, build = BlankNode, (BuildBlank,), string_to_bnode
     if not issubclass(kind, kinds):
         return lambda row: EPSILON
-    table = interned.setdefault(key, _Interned(build))
-    body = _template(expr.body, column)
+    body = _template(template, column)
     refs = sorted({column[a] for a in expr.attrs})
+    cells = _cells(refs)  # a tuple when there are none or several
+    if build is None:  # a literal is its lexical form, a reference's the cell
+        if len(refs) == 1:
+            return lambda row, i=refs[0]: body(row) if row[i] else EPSILON
+        return lambda row: EPSILON if "" in cells(row) else body(row)
+    table = interned.setdefault(key, _Interned(build))
     if len(refs) == 1:
         return lambda row, i=refs[0]: table[body(row)] if row[i] else EPSILON
-    cells = _cells(refs)  # a tuple, as there are none or several
     return lambda row: EPSILON if "" in cells(row) else table[body(row)]
 
 
@@ -407,10 +434,11 @@ def _joined_objects(
     parent: Mapping[Attribute, int],
     interned: dict[tuple, _Interned],
 ) -> Callable[[Row], tuple[Value, ...]]:
-    """The objects a child row of a joined expression meets.  The parent table
-    is bucketed once by its join cells (no conditions make one bucket, a
-    cross product); each distinct parent row builds its object once.  A
-    bucket keyed by an empty join cell, a NULL, is dropped: its rows join nothing."""
+    """The objects a child row of a joined expression meets, EPSILON left
+    out.  The parent table is bucketed once by its join cells (no conditions
+    make one bucket, a cross product); each distinct parent row builds its
+    object once.  A bucket keyed by an empty join cell, a NULL, is dropped:
+    its rows join nothing."""
     joins = [parent[b] for _, b in tm.join_conditions]
     key = _cells(joins)
     null = (lambda k: not k) if len(joins) == 1 else (lambda k: "" in k)
@@ -422,14 +450,16 @@ def _joined_objects(
         c = cells(row)
         if c not in bucket:
             bucket[c] = obj(row)
-    buckets = {k: tuple(bucket.values()) for k, bucket in built.items() if not null(k)}
+    buckets = {
+        k: tuple(o for o in bucket.values() if o is not EPSILON) for k, bucket in built.items() if not null(k)
+    }
     child_key = _cells([child[a] for a, _ in tm.join_conditions])
     return lambda row: buckets.get(child_key(row), ())
 
 
 def _pairs(m: RmlMappingExpr, sigma: SourceAssignment) -> Pairs:
     """The well-formed triples of *m*, in one pass over each source's rows,
-    as each predicate's distinct (subject, object) pairs, filed as
+    as each column's distinct (subject, object) pairs, filed as
     :data:`~rmlprune.rdf.Pairs` describes.
 
     Every expression is compiled first; one whose selector names no column
@@ -439,14 +469,24 @@ def _pairs(m: RmlMappingExpr, sigma: SourceAssignment) -> Pairs:
     """
     interned: dict[tuple, _Interned] = {}
     warned: set[tuple[str, str]] = set()
+    pairs: Pairs = {}
     # source -> shared subject (constructor, its columns) -> (subject,
-    # [(predicate, objects)]), where objects gives a row's objects
+    # [(predicate, datatype, filed, obj, joined)]): a constant predicate's
+    # column is filed up front, another's per row; obj gives a row's object,
+    # or a joined expression's objects
     passes: dict[str, dict[tuple, tuple[Callable, list]]] = {}
     for tm in m.trmaps:
         column = _columns(tm.extract, sigma, warned)
         parent = None if tm.parent_extract is None else _columns(tm.parent_extract, sigma, warned)
         if column is None or (tm.parent_extract is not None and parent is None):
             continue
+        predicate = _compile(tm.predicate_expr, column, interned, (Iri,))
+        datatype, filed = _datatype(tm.object_expr), None
+        if isinstance(tm.predicate_expr, ConstantTerm):
+            p = predicate(())
+            if p is EPSILON:
+                continue
+            filed = pairs.setdefault((p, datatype), ({}, {}))
         subject = tm.subject_expr
         groups = passes.setdefault(tm.extract.source_ref, {})
         key = (subject, tuple(column[a] for a in sorted(subject.attrs)))
@@ -454,11 +494,9 @@ def _pairs(m: RmlMappingExpr, sigma: SourceAssignment) -> Pairs:
             groups[key] = (_compile(subject, column, interned, (Iri, BlankNode)), [])
         if parent is None:
             obj = _compile(tm.object_expr, column, interned)
-            objects = lambda row, obj=obj: (obj(row),)
         else:
-            objects = _joined_objects(tm, sigma, column, parent, interned)
-        groups[key][1].append((_compile(tm.predicate_expr, column, interned, (Iri,)), objects))
-    pairs: Pairs = {}
+            obj = _joined_objects(tm, sigma, column, parent, interned)
+        groups[key][1].append((predicate, datatype, filed, obj, parent is not None))
     for ref, by_subject in passes.items():
         groups = list(by_subject.values())
         for row in sigma[ref].payload.rows:
@@ -466,19 +504,22 @@ def _pairs(m: RmlMappingExpr, sigma: SourceAssignment) -> Pairs:
                 s = subject(row)
                 if s is EPSILON:
                     continue
-                for predicate, objects in predicates:
-                    p = predicate(row)
-                    if p is EPSILON:
-                        continue
-                    filed = pairs.get(p.value)
+                for predicate, datatype, filed, obj, joined in predicates:
                     if filed is None:
-                        filed = pairs[p.value] = (p, {}, {})
-                    _, first, others = filed
-                    for o in objects(row):
-                        if o is not EPSILON:
-                            prev = first.setdefault(s, o)
-                            if prev is not o and prev != o:
+                        p = predicate(row)
+                        if p is EPSILON:
+                            continue
+                        column_key = (p, datatype)
+                        filed = pairs.get(column_key) or pairs.setdefault(column_key, ({}, {}))
+                    first, others = filed
+                    if joined:
+                        for o in obj(row):
+                            if first.setdefault(s, o) != o:
                                 others[s, o] = None
+                    else:
+                        o = obj(row)
+                        if o is not EPSILON and first.setdefault(s, o) != o:
+                            others[s, o] = None
     return pairs
 
 

@@ -12,7 +12,6 @@ from typing import Callable, Sequence
 
 from .algebra import DataObject, RmlMappingExpr, materialize
 from .errors import RmlPruneError
-from .ntriples import format_term
 from .pruning import FullyPruned, prune as prune_mapping
 from .rdf import Bgp, RdfGraph, SolutionMapping, Variable, eval_bgp
 from .sparql import SelectQuery, flatten_bgp
@@ -57,16 +56,16 @@ class Answer:
     query_ms: float
 
     def rows(self) -> list[tuple[str, ...]]:
-        """The projected rows as N-Triples terms ("" for unbound), sorted;
-        each distinct row once under ``DISTINCT``."""
+        """The projected rows as the solutions' N-Triples spellings (""
+        for unbound), sorted; each distinct row once under ``DISTINCT``."""
         rows = []
         columns, where = None, []
         for mu in self.solutions:
             if mu.columns is not columns:  # once, as the solutions share it
                 columns = mu.columns
                 where = [columns.get(v) for v in self.variables]
-            terms = mu.terms
-            rows.append(tuple("" if i is None else format_term(terms[i]) for i in where))
+            spellings = mu.spellings
+            rows.append(tuple("" if i is None else spellings[i] for i in where))
         return sorted(set(rows) if self.distinct else rows)
 
 

@@ -1,76 +1,50 @@
 """N-Triples writing.
 
 The writer emits one triple per line, sorted, so output files are
-deterministic for a given graph.  Blank node labels are written as-is and
-therefore stay stable across a run.  Literals with datatype ``xsd:string``
-are written without a datatype suffix, following the usual canonical form.
+deterministic for a given graph.  It writes a graph's typed string columns
+(:class:`~rmlprune.rdf.RdfGraph`) without a term object: node spellings as
+they are, and each literal from its column as ``"`` + its escaped lexical
+form + ``"`` + the column's datatype suffix, which is empty for
+``xsd:string``, following the usual canonical form.  Blank node labels are
+written as-is and therefore stay stable across a run.  A term's spelling,
+:func:`format_term`, and :func:`escape_string` live next to the term
+classes in :mod:`rmlprune.rdf`.
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterator
 
-from .rdf import XSD_STRING, BlankNode, Iri, Literal, RdfGraph, RdfTerm
+from .rdf import RdfGraph, datatype_suffix, escape_string, format_term
 
-_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
-_ESCAPED_RE = re.compile(r'["\\\x00-\x1f]')
-
-
-def _escape_char(m: re.Match) -> str:
-    ch = m.group()
-    return _ESCAPES.get(ch) or f"\\u{ord(ch):04X}"
-
-
-def escape_string(s: str) -> str:
-    """The body of a double-quoted string, valid in N-Triples, Turtle and
-    SPARQL alike."""
-    return _ESCAPED_RE.sub(_escape_char, s)
-
-
-def format_term(term: RdfTerm) -> str:
-    """The N-Triples spelling of a term, which is valid Turtle too."""
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    if isinstance(term, Literal):
-        body = f'"{escape_string(term.lex)}"'
-        if term.datatype == XSD_STRING:
-            return body
-        return f"{body}^^<{term.datatype}>"
-    raise TypeError(f"not an RDF term: {term!r}")
+__all__ = ["escape_string", "format_term", "serialize_graph"]
 
 
 def _subject_chunks(g: RdfGraph) -> Iterator[str]:
     """Each subject's sorted lines joined into one string, in the order of
     the subjects' spellings; a subject's group is dropped once its chunk is
     made."""
-    # each subject's predicate spellings and objects, alternating
-    by_subject: dict[RdfTerm, list] = {}
-    for p, subjects, objects in g.columns():
-        predicate = format_term(p)
+    # each subject's column records and objects, alternating; a record is
+    # what a line holds before and after the object, and how the object is
+    # written: a node as it is, a literal escaped unless its column needs no
+    # escape at all
+    by_subject: dict[str, list] = {}
+    for (p, datatype), (subjects, objects) in g.columns():
+        if datatype is None:
+            record = (f" {p} ", " .\n", str)
+        else:
+            text = "".join(objects)
+            escape = str if escape_string(text) == text else escape_string
+            record = (f' {p} "', f'"{datatype_suffix(datatype)} .\n', escape)
         for s, o in zip(subjects, objects):
             group = by_subject.get(s)
             if group is None:
-                by_subject[s] = [predicate, o]
+                by_subject[s] = [record, o]
             else:
-                group += predicate, o
-    for s in sorted(by_subject, key=format_term):
-        group = by_subject.pop(s)
-        subject = format_term(s)
-        lines = [
-            f"{subject} {predicate} {format_term(o)} .\n"
-            for predicate, o in zip(group[::2], group[1::2])
-        ]
+                group += record, o
+    for s in sorted(by_subject):
+        group = iter(by_subject.pop(s))
+        lines = [f"{s}{before}{escape(o)}{after}" for (before, after, escape), o in zip(group, group)]
         lines.sort()
         yield "".join(lines)
 

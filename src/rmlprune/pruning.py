@@ -9,7 +9,9 @@ one kind of term, a literal constructor one datatype, and its strings
 match one anchored regex: the template's texts, escaped, joined by ``.+``,
 with an IRI constructor's base optionally in front.  A mapping keeps an
 expression iff at least one pattern of the query is not incompatible with
-it; dropping the rest changes no answer of the query.
+it; dropping the rest changes no answer of the query.  :func:`prune` and
+:func:`incompatibility_trace` decide by the same checks, and only the
+trace spells a reason.
 
 Each attribute reference becomes ``.+``, which is exact for every source:
 an empty cell is NULL, and a constructor that reads one builds no term
@@ -28,8 +30,7 @@ from typing import Iterable, Union
 
 from .algebra import BuildBlank, BuildIri, BuildLiteral, ConstantTerm, ExtendExpr, RmlMappingExpr
 from .algebra import TriplesMapExpr
-from .ntriples import format_term
-from .rdf import BlankNode, Iri, Literal, TriplePattern, Variable
+from .rdf import BlankNode, Iri, Literal, TriplePattern, Variable, format_term
 
 # constructors in the cache; the seed-42 prune-wide mapping (560 expressions)
 # has 247 template constructors, and its query mix compiles 121 of them
@@ -40,31 +41,62 @@ _BUILDS = {BuildIri: Iri, BuildLiteral: Literal, BuildBlank: BlankNode}
 _KIND_NAMES = {Iri: "IRIs", Literal: "literals", BlankNode: "blank nodes"}
 
 
+def _regex_text(text: str) -> str:
+    """A regex matching exactly *text*, each control character spelled as
+    a ``\\xNN`` escape, so that the regex source prints on one line."""
+    return "".join(f"\\x{ord(ch):02x}" if ch < " " else re.escape(ch) for ch in text)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def _constructor_regex(expr: BuildIri | BuildLiteral) -> re.Pattern[str]:
     """The anchored regex of the strings a template constructor can build."""
-    body = ".+".join(map(re.escape, expr.body.parts[::2]))
+    body = ".+".join(map(_regex_text, expr.body.parts[::2]))
     if isinstance(expr, BuildIri):
-        body = f"(?:{re.escape(expr.base)})?{body}"
+        body = f"(?:{_regex_text(expr.base)})?{body}"
     return re.compile(body, re.DOTALL)
+
+
+def _failed_check(expr: ExtendExpr, term: Iri | Literal) -> Union[str, None]:
+    """The check by which the constructor can never build the pattern
+    constant *term* (``"constant"``, ``"kind"``, ``"datatype"`` or
+    ``"regex"``), or ``None``."""
+    if isinstance(expr, ConstantTerm):
+        return None if expr.term == term else "constant"
+    kind = _BUILDS[type(expr)]
+    if kind is not type(term):
+        return "kind"
+    if kind is Literal and expr.datatype != term.datatype:
+        return "datatype"
+    return None if _constructor_regex(expr).fullmatch(term.value if kind is Iri else term.lex) else "regex"
 
 
 def term_incompatible(expr: ExtendExpr, term: Iri | Literal) -> Union[str, None]:
     """A reason the constructor can never build the pattern constant *term*,
     or ``None``."""
-    if isinstance(expr, ConstantTerm):
-        if expr.term == term:
-            return None
+    check = _failed_check(expr, term)
+    if check == "constant":
         return f"constant {format_term(expr.term)} differs from {format_term(term)}"
-    kind = _BUILDS[type(expr)]
-    if kind is not type(term):
-        return f"builds {_KIND_NAMES[kind]}, not {_KIND_NAMES[type(term)]}"
-    if kind is Literal and expr.datatype != term.datatype:
+    if check == "kind":
+        return f"builds {_KIND_NAMES[_BUILDS[type(expr)]]}, not {_KIND_NAMES[type(term)]}"
+    if check == "datatype":
         return f"datatype <{expr.datatype}> differs from <{term.datatype}>"
-    regex = _constructor_regex(expr)
-    if regex.fullmatch(term.value if kind is Iri else term.lex):
-        return None
-    return f"{format_term(term)} does not match /{regex.pattern}/"
+    if check == "regex":
+        return f"{format_term(term)} does not match /{_constructor_regex(expr).pattern}/"
+    return None
+
+
+def _ruling(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
+    """The first position at which *tm* can never emit a triple matching
+    *tp* (``"subject"``, ``"predicate"`` or ``"object"``), or ``None``: the
+    decision that :func:`prune` and :func:`incompatibility_trace` share.
+    It spells nothing."""
+    if type(tp.s) is not Variable and _failed_check(tm.subject_expr, tp.s):
+        return "subject"
+    if type(tp.p) is not Variable and _failed_check(tm.predicate_expr, tp.p):
+        return "predicate"
+    if type(tp.o) is not Variable and _failed_check(tm.object_expr, tp.o):
+        return "object"
+    return None
 
 
 def tp_incompatible(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
@@ -73,19 +105,12 @@ def tp_incompatible(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
     ``None`` means the syntactic checks cannot rule the pair out; it does
     not promise a match exists.
     """
-    if type(tp.s) is not Variable:
-        reason = term_incompatible(tm.subject_expr, tp.s)
-        if reason is not None:
-            return f"subject: {reason}"
-    if type(tp.p) is not Variable:
-        reason = term_incompatible(tm.predicate_expr, tp.p)
-        if reason is not None:
-            return f"predicate: {reason}"
-    if type(tp.o) is not Variable:
-        reason = term_incompatible(tm.object_expr, tp.o)
-        if reason is not None:
-            return f"object: {reason}"
-    return None
+    position = _ruling(tp, tm)
+    if position is None:
+        return None
+    # the pattern's s, p or o, and the expression's constructor there
+    reason = term_incompatible(getattr(tm, f"{position}_expr"), getattr(tp, position[0]))
+    return f"{position}: {reason}"
 
 
 @dataclass(frozen=True)
@@ -106,7 +131,7 @@ def prune(
     """
     tps = list(patterns)
     retained = tuple(
-        tm for tm in mapping.trmaps if any(tp_incompatible(tp, tm) is None for tp in tps)
+        tm for tm in mapping.trmaps if any(_ruling(tp, tm) is None for tp in tps)
     )
     if not retained:
         return FullyPruned(original_count=len(mapping.trmaps))

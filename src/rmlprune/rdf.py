@@ -1,4 +1,5 @@
-"""RDF terms, triples, graphs, and evaluation of basic graph patterns.
+"""RDF terms, their N-Triples spellings, graphs, and evaluation of basic
+graph patterns.
 
 Terms follow the usual split into IRIs, blank nodes, and literals.  Every
 literal carries a datatype IRI; a plain string literal is normalized to
@@ -7,37 +8,46 @@ literal carries a datatype IRI; a plain string literal is normalized to
 ``"01"^^xsd:integer`` are different terms, which is precisely the equality
 the pruning checks reason about.
 
-An :class:`RdfGraph` holds no :class:`Triple` objects: for each predicate,
-keyed by its IRI's string, it keeps a tuple of subjects and a tuple of
-objects, the i-th triple being the i-th of each.  The pairs are made
-distinct once, when the graph is built, without a tuple per pair: each
-subject's first object is filed in a dict keyed by the subject, and only a
-subject's second and later distinct objects as (subject, object) pairs.
-The columns hold the first pairs, then the others; ``triples`` and
-iteration build triples on demand and keep none of them.  Two graphs are
-compared through their ``triples``.
+Term objects live at the edges (mapping constants, query patterns, pruning,
+the readers); graphs and solutions hold strings.  :func:`format_term` spells
+a term in N-Triples, :func:`encode_term` gives what a graph column holds,
+and :func:`decode_term` turns either back into the term.
+
+An :class:`RdfGraph` holds typed string columns: for each predicate's
+spelling and each datatype of its objects (``None`` for IRIs and blank
+nodes), a tuple of subject spellings and a tuple of objects, the i-th
+triple being the i-th of each.  A node object is its spelling and a literal
+its lexical form, so a typed literal does not repeat its datatype.  The
+pairs are made distinct once, when the graph is built, without a tuple per
+pair: each subject's first object is filed in a dict keyed by the subject,
+and only its second and later distinct objects as (subject, object) pairs;
+the columns hold the first pairs, then the others.  ``RdfGraph(triples)``,
+``triples`` and iteration encode or decode terms on demand and keep none.
+Two graphs are compared through their ``triples``.
 
 Pattern evaluation returns *sets* of solution mappings: a solution binds
 exactly the variables of the pattern, and a basic graph pattern is the join
-of its triple patterns over compatible solutions.  :func:`eval_bgp` reads
-each pattern's candidates once (one predicate's columns when the predicate
-is a constant, else every predicate's), filtered by the pattern's other
-constants and repeated variables, as one tuple of terms per match.  It
-then joins the patterns one at a time, next the one with the fewest
-candidates among those sharing a bound variable (the smallest of all when
-none does), through a hash table keyed on the shared variables; with none
-shared that is a cross product.  Rows stay plain tuples until the end, where
-each becomes a :class:`SolutionMapping` over one column index that the whole
-result shares.  A solution is no dict: it looks a variable up (``mu[v]``,
-``v in mu``), and equals and hashes by its bindings.
+of its triple patterns over compatible solutions.  :func:`eval_bgp` encodes
+each pattern constant once and reads each pattern's candidates once, from
+the columns its predicate and object allow (a constant object's kind and
+datatype pick them), filtered by its other constants and repeated variables
+as strings, one tuple of spellings per match; a literal bound to a variable
+is spelled then.  It joins the patterns one at a time, next the one with
+the fewest candidates among those sharing a bound variable (the smallest of
+all when none does), through a hash table keyed on the shared variables;
+with none shared that is a cross product.  Rows stay plain tuples until the
+end, where each becomes a :class:`SolutionMapping` over one column index
+that the whole result shares.  A solution is no dict: it looks a variable
+up (``mu[v]`` decodes it, ``v in mu``), and equals and hashes by its
+spellings.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, ValuesView
+from collections.abc import ItemsView, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Union
 
@@ -147,6 +157,78 @@ def is_term(value: object) -> bool:
     return isinstance(value, (Iri, BlankNode, Literal))
 
 
+_ESCAPES = {
+    '"': '\\"',
+    "\\": "\\\\",
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+    "\b": "\\b",
+    "\f": "\\f",
+}
+_ESCAPED_RE = re.compile(r'["\\\x00-\x1f]')
+_UNESCAPES = {escaped[1]: ch for ch, escaped in _ESCAPES.items()}
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-F]{4})|(.))", re.DOTALL)
+
+
+def _escape_char(m: re.Match) -> str:
+    ch = m.group()
+    return _ESCAPES.get(ch) or f"\\u{ord(ch):04X}"
+
+
+def _unescape_char(m: re.Match) -> str:
+    code = m.group(1)
+    return chr(int(code, 16)) if code else _UNESCAPES[m.group(2)]
+
+
+def escape_string(s: str) -> str:
+    """The body of a double-quoted string, valid in N-Triples, Turtle and
+    SPARQL alike."""
+    return _ESCAPED_RE.sub(_escape_char, s)
+
+
+def datatype_suffix(datatype: str) -> str:
+    """What follows a literal's closing quote: nothing for ``xsd:string``,
+    following the usual canonical form, else ``^^<datatype>``."""
+    return "" if datatype == XSD_STRING else f"^^<{datatype}>"
+
+
+def format_term(term: RdfTerm) -> str:
+    """The N-Triples spelling of a term, which is valid Turtle too."""
+    if isinstance(term, Iri):
+        return f"<{term.value}>"
+    if isinstance(term, BlankNode):
+        return f"_:{term.label}"
+    if isinstance(term, Literal):
+        return f'"{escape_string(term.lex)}"{datatype_suffix(term.datatype)}'
+    raise TypeError(f"not an RDF term: {term!r}")
+
+
+def encode_term(term: RdfTerm) -> tuple[str, Union[str, None]]:
+    """A term as a graph column holds it, with the column's datatype: a
+    literal's lexical form and datatype, else its spelling and ``None``."""
+    if type(term) is Literal:
+        return term.lex, term.datatype
+    return format_term(term), None
+
+
+def decode_term(value: str, datatype: str | None = None) -> RdfTerm:
+    """The term that a graph column or a solution holds as *value*: with a
+    *datatype*, the literal of that lexical form; else the term of a
+    :func:`format_term` spelling.  The terms are built unchecked, as every
+    value was made from a valid term."""
+    if datatype is not None:
+        return trusted_literal(value, datatype)
+    if value[0] == "<":
+        return trusted_iri(value[1:-1])
+    if value[0] == "_":
+        return trusted_bnode(value[2:])
+    # a datatype IRI holds no quote, so the last one closes the string
+    end = value.rindex('"')
+    lex = _ESCAPE_RE.sub(_unescape_char, value[1:end])
+    return trusted_literal(lex, value[end + 4 : -1] if end + 1 < len(value) else XSD_STRING)
+
+
 @dataclass(frozen=True)
 class Variable:
     """A query variable.  An *anonymous* one stands in for a ``[]`` blank
@@ -221,18 +303,19 @@ def _column_key(var: Variable) -> tuple[str, bool]:
 class SolutionMapping:
     """An immutable, hashable partial function from variables to terms.
 
-    ``terms`` holds the bound terms in the order of the variables' names, and
-    ``columns`` maps each variable to its position; all the solutions that
-    :func:`eval_bgp` returns share one ``columns``, and neither is mutated.
-    A solution equals another with the same bindings."""
+    ``spellings`` holds the bound terms' N-Triples spellings in the order of
+    the variables' names, and ``columns`` maps each variable to its
+    position; all the solutions that :func:`eval_bgp` returns share one
+    ``columns``, and neither is mutated.  ``mu[v]`` decodes the term.  A
+    solution equals another with the same bindings."""
 
-    __slots__ = ("columns", "terms")
+    __slots__ = ("columns", "spellings")
 
-    def __init__(self, columns: dict[Variable, int], terms: tuple[RdfTerm, ...]):
-        self.columns, self.terms = columns, terms
+    def __init__(self, columns: dict[Variable, int], spellings: tuple[str, ...]):
+        self.columns, self.spellings = columns, spellings
 
     def __getitem__(self, var: Variable) -> RdfTerm:
-        return self.terms[self.columns[var]]
+        return decode_term(self.spellings[self.columns[var]])
 
     def __contains__(self, var: object) -> bool:
         return var in self.columns
@@ -240,86 +323,86 @@ class SolutionMapping:
     def __eq__(self, other) -> bool:
         if not isinstance(other, SolutionMapping):
             return NotImplemented
-        # both column orders are canonical, so equal indexes align the terms
-        return self.terms == other.terms and (self.columns is other.columns or self.columns == other.columns)
+        # both column orders are canonical, so equal indexes align the spellings
+        return self.spellings == other.spellings and (
+            self.columns is other.columns or self.columns == other.columns
+        )
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash(self.spellings)
 
     def __repr__(self):
-        return "{" + ", ".join(f"{var!r}->{term!r}" for var, term in zip(self.columns, self.terms)) + "}"
+        return "{" + ", ".join(f"{var!r}->{value}" for var, value in zip(self.columns, self.spellings)) + "}"
 
 
-# A graph's triples by the string of their predicate IRI: the predicate,
-# then the subjects and objects of its triples, position by position.
-Columns = dict[str, tuple[Iri, tuple[Union[Iri, BlankNode], ...], tuple[RdfTerm, ...]]]
+# A graph's triples by (predicate spelling, datatype of the objects or None
+# for IRIs and blank nodes): the subject spellings and the objects of its
+# triples, position by position.
+ColumnKey = tuple[str, Union[str, None]]
+Columns = dict[ColumnKey, tuple[tuple[str, ...], tuple[str, ...]]]
 # The same while it is built: each subject's first object by subject, and
 # each (subject, object) pair whose subject has another object first.
-Pairs = dict[
-    str,
-    tuple[
-        Iri,
-        dict[Union[Iri, BlankNode], RdfTerm],
-        dict[tuple[Union[Iri, BlankNode], RdfTerm], None],
-    ],
-]
+Pairs = dict[ColumnKey, tuple[dict[str, str], dict[tuple[str, str], None]]]
 
 
 class RdfGraph:
-    """An immutable set of triples, held as one column pair per predicate.
+    """An immutable set of triples, held as typed string columns.
 
-    ``triples`` and iteration build their :class:`Triple` objects on demand
-    and keep none of them."""
+    ``RdfGraph(triples)``, ``triples`` and iteration encode or decode their
+    :class:`Triple` objects on demand and keep none of them."""
 
     __slots__ = ("_columns",)
 
     def __init__(self, triples: Iterable[Triple] = ()):
         pairs: Pairs = {}
         for t in triples:
-            filed = pairs.get(t.p.value)
+            o, datatype = encode_term(t.o)
+            key = (format_term(t.p), datatype)
+            filed = pairs.get(key)
             if filed is None:
-                filed = pairs[t.p.value] = (t.p, {}, {})
-            _, first, others = filed
-            s, o = t.s, t.o
-            prev = first.setdefault(s, o)
-            if prev is not o and prev != o:
+                filed = pairs[key] = ({}, {})
+            first, others = filed
+            s = format_term(t.s)
+            if first.setdefault(s, o) != o:
                 others[s, o] = None
         self._columns = _freeze(pairs)
 
     @classmethod
     def from_pairs(cls, pairs: Pairs) -> "RdfGraph":
-        """The graph of *pairs*, which it empties: each predicate's pairs
-        are dropped as soon as its columns exist."""
+        """The graph of *pairs*, which it empties: each column's pairs are
+        dropped as soon as its tuples exist."""
         g = object.__new__(cls)
         g._columns = _freeze(pairs)
         return g
 
-    def columns(self) -> ValuesView[tuple[Iri, tuple, tuple]]:
-        """Each predicate with the subjects and objects of its triples."""
-        return self._columns.values()
+    def columns(self) -> ItemsView[ColumnKey, tuple[tuple[str, ...], tuple[str, ...]]]:
+        """Each (predicate spelling, datatype or None) with the subjects and
+        objects of its triples."""
+        return self._columns.items()
 
     @property
     def triples(self) -> frozenset[Triple]:
         return frozenset(self)
 
     def __len__(self) -> int:
-        return sum(len(subjects) for _, subjects, _ in self._columns.values())
+        return sum(len(subjects) for subjects, _ in self._columns.values())
 
     def __iter__(self) -> Iterator[Triple]:
-        for p, subjects, objects in self._columns.values():
+        for (p, datatype), (subjects, objects) in self._columns.items():
+            predicate = decode_term(p)
             for s, o in zip(subjects, objects):
-                yield Triple(s, p, o)
+                yield Triple(decode_term(s), predicate, decode_term(o, datatype))
 
     def __repr__(self):
         return f"RdfGraph({len(self)} triples)"
 
 
 def _freeze(pairs: Pairs) -> Columns:
-    """The columns of *pairs*, emptying it one predicate at a time: each
+    """The columns of *pairs*, emptying it one column at a time: each
     subject's first pair, then the other pairs."""
     columns: Columns = {}
     for key in list(pairs):
-        p, first, others = pairs.pop(key)
+        first, others = pairs.pop(key)
         if first:
             subjects, objects = tuple(first), tuple(first.values())
             first.clear()
@@ -328,47 +411,57 @@ def _freeze(pairs: Pairs) -> Columns:
                 others.clear()
                 subjects += more_subjects
                 objects += more_objects
-            columns[key] = (p, subjects, objects)
+            columns[key] = (subjects, objects)
     return columns
 
 
-# variables, and one row of terms per match or solution in their order
+# variables, and one row of spellings per match or solution in their order
 Relation = tuple[tuple[Variable, ...], list[tuple]]
 
 
 def _pattern_rows(tp: TriplePattern, g: RdfGraph) -> Relation:
     """The distinct variables of *tp*, sorted by name, and one row of their
-    terms per triple of *g* that *tp* matches."""
+    spellings per triple of *g* that *tp* matches."""
     first: dict[Variable, int] = {}
-    constants: list[tuple[int, RdfTerm]] = []
+    constants: list[tuple[int, str]] = []
     repeats: list[tuple[int, int]] = []
     for i, x in enumerate((tp.s, tp.p, tp.o)):
         if not isinstance(x, Variable):
             if i != 1:  # a constant predicate picks its columns below
-                constants.append((i, x))
+                constants.append((i, encode_term(x)[0]))
         elif x in first:
             repeats.append((first[x], i))
         else:
             first[x] = i
-    if isinstance(tp.p, Variable):
-        columns = g.columns()
+    predicate = None if isinstance(tp.p, Variable) else format_term(tp.p)
+    # the columns whose objects can stand at the object position: any for a
+    # variable first bound there, whose literals are spelled; nodes for a
+    # variable the subject or predicate binds; a constant's kind and datatype
+    if isinstance(tp.o, Variable):
+        any_kind, datatype = first[tp.o] == 2, None
     else:
-        column = g._columns.get(tp.p.value)
-        columns = () if column is None else (column,)
-    matches: Iterable[tuple] = chain.from_iterable(
-        zip(subjects, repeat(p), objects) for p, subjects, objects in columns
-    )
-    if constants or repeats:
-        matches = (
-            m for m in matches
-            if all(m[i] == x for i, x in constants) and all(m[i] == m[j] for i, j in repeats)
-        )
+        any_kind, datatype = False, encode_term(tp.o)[1]
     variables = sorted(first, key=_column_key)
-    return tuple(variables), list(map(_picker([first[var] for var in variables]), matches))
+    pick = _picker([first[var] for var in variables])
+    rows: list[tuple] = []
+    for (p, dt), (subjects, objects) in g._columns.items():
+        if (predicate is not None and p != predicate) or not (any_kind or dt == datatype):
+            continue
+        matches: Iterable[tuple] = zip(subjects, repeat(p), objects)
+        if constants or repeats:
+            matches = (
+                m for m in matches
+                if all(m[i] == x for i, x in constants) and all(m[i] == m[j] for i, j in repeats)
+            )
+        if any_kind and dt is not None:
+            suffix = datatype_suffix(dt)
+            matches = ((s, p, f'"{escape_string(o)}"{suffix}') for s, p, o in matches)
+        rows.extend(map(pick, matches))
+    return tuple(variables), rows
 
 
 def _picker(positions: list[int]):
-    """A function from a row to the tuple of its terms at *positions*."""
+    """A function from a row to the tuple of its values at *positions*."""
     if len(positions) == 1:
         (i,) = positions
         return lambda row: (row[i],)
@@ -412,4 +505,4 @@ def eval_bgp(bgp: Bgp | Iterable[TriplePattern], g: RdfGraph) -> set[SolutionMap
     if order != sorted(order):
         rows = map(_picker(order), rows)
     columns = {variables[i]: n for n, i in enumerate(order)}
-    return {SolutionMapping(columns, terms) for terms in rows}
+    return {SolutionMapping(columns, spellings) for spellings in rows}

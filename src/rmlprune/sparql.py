@@ -35,7 +35,8 @@ _VAR_RE = re.compile(r"[?$]([A-Za-z0-9_]+)")
 # a '+' that starts a number begins the object, not a path
 _SIGNED_NUMBER_RE = re.compile(r"\+\.?\d")
 _UNSIGNED_INTEGER_RE = re.compile(r"\d+")
-_WORD_RE = re.compile(r"\w*")
+# a builtin's name: every SPARQL 1.1 builtin starts with a letter
+_BUILTIN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 @dataclass
@@ -255,7 +256,8 @@ class _QueryParser(Lexer):
         self.skip_ws()
         if self.peek() != "(":
             # builtin or function call: its name (an IRIREF, a prefixed name
-            # whose prefix is not resolved, or a word), then its argument list
+            # whose prefix is not resolved, or a builtin's), then its
+            # argument list
             iri = _IRIREF_RE.match(self.text, self.pos)
             if iri:
                 self.pos = iri.end()
@@ -263,8 +265,10 @@ class _QueryParser(Lexer):
                 self.read_prefix_name()
                 self.expect(":")
                 self.read_local_name()
+            elif builtin := _BUILTIN_RE.match(self.text, self.pos):
+                self.pos = builtin.end()
             else:
-                self.pos = _WORD_RE.match(self.text, self.pos).end()
+                raise self.error("unsupported FILTER constraint form")
             self.skip_ws()
             if self.peek() != "(":
                 raise self.error("unsupported FILTER constraint form")

@@ -19,7 +19,6 @@ from rmlprune.algebra import (
     SourceAssignment,
     Template,
     TriplesMapExpr,
-    Value,
     check_valid_input,
     resolve_iri,
     string_to_bnode,
@@ -37,6 +36,7 @@ from rmlprune.rdf import (
     Triple,
     TriplePattern,
     Variable,
+    decode_term,
     eval_bgp,
 )
 from rmlprune.turtle import TurtleParser
@@ -74,6 +74,9 @@ def valid_input(sigma, m: RmlMappingExpr) -> bool:
 # ``xsd:string`` literals per row, constructors interpreted per tuple
 # ---------------------------------------------------------------------------
 
+# what the reference evaluator computes: a term, or EPSILON
+Value = RdfTerm | Epsilon
+
 
 def evaluate_template(body: Template, tup: Mapping[str, Value]) -> str | Epsilon:
     """The string value of a template over one tuple: each text as it is,
@@ -102,9 +105,8 @@ def evaluate_extend(expr: ExtendExpr, tup: Mapping[str, Value]) -> Value:
         return EPSILON
     if isinstance(expr, BuildLiteral):
         return Literal(body, expr.datatype)
-    if isinstance(expr, BuildIri):
-        return resolve_iri(body, expr.base)
-    return string_to_bnode(body)
+    spelling = resolve_iri(body, expr.base) if isinstance(expr, BuildIri) else string_to_bnode(body)
+    return EPSILON if spelling is EPSILON else decode_term(spelling)
 
 
 def extract_rows(
@@ -190,15 +192,18 @@ def reference_serialize(g: Iterable[Triple]) -> str:
 
 
 def solution(bound: Mapping[Variable, RdfTerm] | None = None) -> SolutionMapping:
-    """The solution with the bindings *bound*, its variables in the order
-    ``eval_bgp`` gives them: by name, a named one before an anonymous one."""
+    """The solution with the bindings *bound*, spelled, its variables in the
+    order ``eval_bgp`` gives them: by name, a named one before an anonymous
+    one."""
     items = sorted((bound or {}).items(), key=lambda kv: (kv[0].name, kv[0].anonymous))
-    return SolutionMapping({var: i for i, (var, _) in enumerate(items)}, tuple(term for _, term in items))
+    return SolutionMapping(
+        {var: i for i, (var, _) in enumerate(items)}, tuple(format_term(term) for _, term in items)
+    )
 
 
 def bindings(mu: SolutionMapping) -> dict[Variable, RdfTerm]:
-    """The bindings of *mu* as a dict."""
-    return dict(zip(mu.columns, mu.terms))
+    """The bindings of *mu* as a dict of terms."""
+    return {var: mu[var] for var in mu.columns}
 
 
 def compatible(mu1: SolutionMapping, mu2: SolutionMapping) -> bool:

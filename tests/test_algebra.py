@@ -6,6 +6,7 @@ The one-pass ``materialize`` is checked against the reference evaluator in
 dict of literals per row.
 """
 
+import gc
 import logging
 import random
 import tracemalloc
@@ -43,6 +44,7 @@ from rmlprune.rdf import (
     Literal,
     RdfGraph,
     Triple,
+    decode_term,
 )
 from rmlprune.rml import parse_rml, translate
 
@@ -128,8 +130,9 @@ def test_extend_attrs():
 
 
 def test_resolve_iri_absolute_relative_invalid():
-    assert resolve_iri("http://e/x", BASE) == Iri("http://e/x")
-    assert resolve_iri("x/y", BASE) == Iri(BASE + "x/y")
+    # the constructed IRI's spelling
+    assert resolve_iri("http://e/x", BASE) == "<http://e/x>"
+    assert resolve_iri("x/y", BASE) == f"<{BASE}x/y>"
     assert resolve_iri("a b", BASE) is EPSILON  # space stays invalid even with base
     assert resolve_iri("http://e/ bad", BASE) is EPSILON
 
@@ -160,11 +163,11 @@ def test_evaluate_extend_bnode_is_stable_and_distinct():
     assert isinstance(n1, BlankNode)
     assert n1 == evaluate_extend(expr, tup1)
     assert n1 != n2
-    assert n1 == string_to_bnode("x")
+    assert n1 == decode_term(string_to_bnode("x"))
 
 
 def test_string_to_bnode_labels():
-    labels = {string_to_bnode(s).label for s in ("", "a", "b", "ab", "a b", "{")}
+    labels = {decode_term(string_to_bnode(s)).label for s in ("", "a", "b", "ab", "a b", "{")}
     assert len(labels) == 6
     for label in labels:
         assert label.startswith("b") and len(label) == 33
@@ -739,15 +742,20 @@ def test_materialize_matches_reference_on_random_instances(caplog):
     assert all(seen.values()), seen
 
 
+def corpus_inputs(directory, scale: int) -> tuple[RmlMappingExpr, dict[str, DataObject]]:
+    """The seed-42 corpus mapping and tables at *scale*, written to *directory*."""
+    generate(directory, scale=scale, seed=42)
+    sigma = {
+        name: DataObject(kind=CSV_KIND, payload=parse_csv((directory / name).read_bytes()))
+        for name in ("stops.csv", "routes.csv", "shapes.csv")
+    }
+    return translate(parse_rml((directory / "mapping.ttl").read_bytes())), sigma
+
+
 def test_materialize_constructs_no_triple(tmp_path, monkeypatch):
     # the graph files each (subject, object) pair under its predicate; a
     # Triple exists only when a caller iterates the graph
-    generate(tmp_path, scale=1, seed=42)
-    sigma = {
-        name: DataObject(kind=CSV_KIND, payload=parse_csv((tmp_path / name).read_bytes()))
-        for name in ("stops.csv", "routes.csv", "shapes.csv")
-    }
-    mapping = translate(parse_rml((tmp_path / "mapping.ttl").read_bytes()))
+    mapping, sigma = corpus_inputs(tmp_path, 1)
     built = []
     init = Triple.__init__
     monkeypatch.setattr(Triple, "__init__", lambda self, *args: built.append(1) or init(self, *args))
@@ -757,16 +765,48 @@ def test_materialize_constructs_no_triple(tmp_path, monkeypatch):
     assert len(graph.triples) == len(built) == 1570  # the count sees every Triple
 
 
+def test_materialize_constructs_no_term(tmp_path, monkeypatch):
+    # an IRI or blank node is its spelling and a literal its lexical form;
+    # terms are decoded only when a caller iterates the graph
+    mapping, sigma = corpus_inputs(tmp_path, 1)
+    built = []
+    for cls in (Iri, BlankNode, Literal):
+        init = cls.__init__
+        monkeypatch.setattr(
+            cls, "__init__", lambda self, *args, init=init, **kw: built.append(self) or init(self, *args, **kw)
+        )
+    for name in ("trusted_iri", "trusted_bnode", "trusted_literal"):
+        make = getattr(rdf, name)
+        monkeypatch.setattr(rdf, name, lambda *args, make=make: built.append(args) or make(*args))
+    graph = materialize(mapping, sigma)
+    assert len(graph) == 1570
+    assert built == []
+    assert len(graph.triples) == 1570
+    assert len(built) >= 2 * 1570  # the count sees the decoded subjects and objects
+
+
+def test_materialized_graph_holds_under_45_bytes_per_triple(tmp_path):
+    # the seed-42 scale-10 corpus (15,700 triples): term objects held about
+    # 61 bytes per triple once built, typed string columns about 34; a
+    # literal is its CSV cell, which the table holds already
+    mapping, sigma = corpus_inputs(tmp_path, 10)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        graph = materialize(mapping, sigma)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(graph) == 15_700
+    assert retained < 45 * len(graph), retained / len(graph)
+
+
 def test_materialize_peak_memory_stays_below_150_bytes_per_triple(tmp_path):
     # the seed-42 scale-10 corpus (15,700 triples): filing every pair as a
     # (subject, object) tuple peaked at about 178 bytes per triple, filing
     # each subject's first object without a tuple at about 139
-    generate(tmp_path, scale=10, seed=42)
-    sigma = {
-        name: DataObject(kind=CSV_KIND, payload=parse_csv((tmp_path / name).read_bytes()))
-        for name in ("stops.csv", "routes.csv", "shapes.csv")
-    }
-    mapping = translate(parse_rml((tmp_path / "mapping.ttl").read_bytes()))
+    mapping, sigma = corpus_inputs(tmp_path, 10)
     tracemalloc.start()
     try:
         graph = materialize(mapping, sigma)
@@ -808,7 +848,8 @@ def test_typed_literals_skip_the_datatype_check(monkeypatch):
     expected = {Literal("1.5", XSD_DOUBLE), Literal("2.5", XSD_DOUBLE)}
     checked = []
     is_valid_iri = rdf.is_valid_iri
-    monkeypatch.setattr(rdf, "is_valid_iri", lambda value: checked.append(value) or is_valid_iri(value))
+    # the materializer checks each IRI it spells, and builds no term
+    monkeypatch.setattr(algebra, "is_valid_iri", lambda value: checked.append(value) or is_valid_iri(value))
     g = materialize(RmlMappingExpr((trmap,)), sigma)
     monkeypatch.undo()
     assert {t.o for t in g} == expected

@@ -530,6 +530,17 @@ def test_query_with_escape_beyond_unicode_exits_2(corpus, capsys, tmp_path):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("name", ["1", "_"])
+def test_a_filter_function_name_not_starting_with_a_letter_exits_2(name, corpus, capsys, tmp_path):
+    q = tmp_path / "filter.rq"
+    q.write_text(f"SELECT * WHERE {{ ?s ?p ?o FILTER {name}(?o) }}\n")
+    code, _, err = run(
+        capsys, "prune", "--mapping", str(corpus / "mapping.ttl"), "--query", str(q)
+    )
+    assert code == 2
+    assert "line 1, column 34: unsupported FILTER constraint form" in err
+
+
 def test_a_prefix_keyword_glued_to_its_colon_exits_2(corpus, capsys, tmp_path):
     q = tmp_path / "glued.rq"
     q.write_text("PREFIX:<http://e/> SELECT * WHERE { :s ?p ?o }\n")

@@ -159,10 +159,12 @@ def test_materialized_output_is_pinned(scale, tmp_path):
 
 def test_materialize_shares_equal_terms(tmp_path):
     graph = _materialize_corpus(tmp_path, 1)
-    # each stop's subject IRI is built by 5 expressions, but kept once
-    assert len({id(t.s) for t in graph}) == len({t.s for t in graph})
-    terms = [x for t in graph for x in (t.s, t.p, t.o)]
-    assert len({id(x) for x in terms}) == len(set(terms))
+    # each stop's subject IRI is built by 5 expressions, but its spelling is
+    # kept once; a literal object is its CSV cell, which the table shares
+    subjects = [s for _, (column, _) in graph.columns() for s in column]
+    assert len({id(s) for s in subjects}) == len(set(subjects))
+    values = [x for (p, _), column in graph.columns() for x in (p, *column[0], *column[1])]
+    assert len({id(x) for x in values}) == len(set(values))
 
 
 def test_join_query_answers_survive_pruning(corpus_mapping, corpus_sigma):

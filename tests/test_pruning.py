@@ -300,3 +300,34 @@ def test_incompatibility_trace_pins_every_outcome():
         f"  <http://other/7> ?p ?o . -> subject: <http://other/7> does not match {subject_regex}",
         '  ?s <http://e.com/name> "a\\nb" . -> compatible',
     ])
+    # a control character of a template text is a regex escape, so the
+    # reason stays on one line
+    newline = replace(
+        simple_trmap(provenance="tm#newline"),
+        object_expr=BuildLiteral(Template(("a\nb-", "name", "")), XSD_STRING),
+    )
+    zz = [TriplePattern(V("s"), V("p"), Literal("zz"))]
+    assert incompatibility_trace(zz, RmlMappingExpr((newline,))) == "\n".join([
+        "tm#newline: pruned",
+        '  ?s ?p "zz" . -> object: "zz" does not match /a\\x0ab\\-.+/',
+    ])
+    kept = prune([TriplePattern(V("s"), V("p"), Literal("a\nb-7"))], RmlMappingExpr((newline,)))
+    assert not isinstance(kept, FullyPruned)
+
+
+def test_prune_spells_no_reason(monkeypatch):
+    # prune decides by the checks the trace prints, and spells nothing
+    spelled = []
+    format_term = pruning.format_term
+    monkeypatch.setattr(pruning, "format_term", lambda term: spelled.append(term) or format_term(term))
+    note = replace(simple_trmap(provenance="tm#note"), object_expr=ConstantTerm(Literal("a\nb")))
+    m = RmlMappingExpr((note, simple_trmap(provenance="tm#name")))
+    patterns = [
+        TriplePattern(V("s"), V("p"), Iri("http://e.com/x")),  # constant, kind
+        TriplePattern(V("s"), V("p"), Literal("7", XSD_INTEGER)),  # constant, datatype
+        TriplePattern(Iri("http://other/7"), V("p"), V("o")),  # regex
+    ]
+    assert isinstance(prune(patterns, m), FullyPruned)
+    assert spelled == []
+    assert incompatibility_trace(patterns, m).count(" does not match ") == 2
+    assert spelled  # the probe sees the trace's spellings

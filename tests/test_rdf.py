@@ -31,9 +31,12 @@ from rmlprune.rdf import (
     Triple,
     TriplePattern,
     Variable,
+    decode_term,
     eval_bgp,
+    format_term,
     is_valid_iri,
 )
+from rmlprune.ntriples import serialize_graph
 
 from . import randgen
 from .helpers import (
@@ -44,6 +47,7 @@ from .helpers import (
     is_subgraph_of,
     merge,
     nested_loop_eval_bgp,
+    read_ntriples,
     solution,
 )
 
@@ -186,7 +190,7 @@ def test_solution_mapping_behaves_like_a_mapping():
     assert x in mu and Variable("y") not in mu
     with pytest.raises(KeyError):
         mu[Variable("y")]
-    assert mu == SolutionMapping({x: 0}, (iri("a"),))
+    assert mu == SolutionMapping({x: 0}, ("<http://example.com/a>",))
     assert hash(mu) == hash(solution({x: iri("a")}))
 
 
@@ -488,6 +492,57 @@ def test_graph_files_equal_objects_once_whichever_comes_first():
         listed = list(g)
         assert len(g) == len(listed) == 3
         assert set(listed) == set(first)
+
+
+def test_one_predicate_mixes_nodes_and_literals_of_one_lexical_form():
+    # one column per kind and datatype: the string "3" and the integer 3
+    # share a lexical form, and an IRI and a blank node end in it
+    p, x, y = iri("p"), Variable("x"), Variable("y")
+    objects = {
+        "iri": iri("3"),
+        "bnode": BlankNode("b3"),
+        "string": Literal("3"),
+        "integer": Literal("3", XSD_INTEGER),
+    }
+    triples = {Triple(iri(name), p, o) for name, o in objects.items()}
+    g = RdfGraph(triples)
+    assert len(g) == 4 and len(list(g)) == 4
+    assert set(g) == g.triples == triples
+    assert RdfGraph(g).triples == triples
+    assert read_ntriples(serialize_graph(g)).triples == triples
+    assert eval_bgp([TriplePattern(x, p, y)], g) == {solution({x: t.s, y: t.o}) for t in triples}
+    for name, o in objects.items():
+        if not isinstance(o, BlankNode):  # a pattern holds no blank node
+            assert eval_bgp([TriplePattern(x, p, o)], g) == {solution({x: iri(name)})}, name
+    # an object bound by the subject or predicate is never a literal
+    assert eval_bgp([TriplePattern(x, p, x)], g) == set()
+
+
+_lexical_forms = st.text(
+    st.one_of(
+        st.sampled_from('"\\\n\r\t\b\f\x00\x01\x1f\x7f^<>'),
+        st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+        st.characters(),
+    )
+)
+_terms = st.one_of(
+    st.builds(Iri, st.from_regex(r"[a-z]+:[^\x00-\x20<>\"{}|\\^`]*", fullmatch=True)),
+    st.builds(BlankNode, st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True)),
+    st.builds(
+        Literal,
+        _lexical_forms,
+        st.sampled_from([XSD_STRING, XSD_INTEGER, "http://e/dt\U0001F600"]),
+    ),
+)
+
+
+@given(_terms)
+def test_decoding_a_spelling_gives_the_term_back(term):
+    assert decode_term(format_term(term)) == term
+    if isinstance(term, Literal):
+        assert decode_term(term.lex, term.datatype) == term
+    mu = solution({Variable("v"): term})
+    assert mu[Variable("v")] == term
 
 
 def test_graph_subgraph_and_predicate_index():

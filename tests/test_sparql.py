@@ -241,11 +241,27 @@ def test_a_second_triples_block_needs_a_dot():
         # prefixed name, whose prefix is not resolved
         " FILTER <http://e/a(b>(?o) ",
         r" FILTER ex:f\((?o) ",
+        # builtin and function names
+        ' FILTER regex(?o, "a") ',
+        " FILTER bound(?o) ",
+        " FILTER <http://e/f>(?o) ",
+        " FILTER ex:f(?o) ",
+        " FILTER :f(?o) ",
+        " FILTER ex:(?o) ",
     ],
 )
 def test_a_triples_block_may_end_before_a_group_optional_or_filter(between):
     query = parse_query("SELECT * WHERE { ?s ?p ?o" + between + "?x ?y ?z }")
     assert Variable("x") in {tp.s for tp in collect_triple_patterns(query)}
+
+
+@pytest.mark.parametrize("name", ["1", "_"])
+def test_a_filter_function_name_starts_with_a_letter(name):
+    # no SPARQL builtin or function name starts with a digit or "_"
+    with pytest.raises(SparqlError, match="unsupported FILTER constraint form") as info:
+        parse_query(f"SELECT * WHERE {{ ?s ?p ?o FILTER {name}(?o) }}")
+    assert (info.value.line, info.value.column) == (1, 34)
+    assert not isinstance(info.value, UnsupportedSparqlError)
 
 
 def test_literal_subject_rejected():

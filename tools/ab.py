@@ -1,0 +1,240 @@
+"""A/B timing of two revisions of rmlprune, step by step, in one process.
+
+Both revisions are loaded side by side, each package under its own name,
+and timed in interleaved rounds on the seed corpus:
+
+* ``materialize-s50``: ``materialize`` of the corpus mapping at scale 50;
+* ``serialize-s50``: ``serialize_graph`` of that graph;
+* ``answer-s10:qNN``: ``answer`` of each of q01-q08, pruned, at scale 10,
+  and the rows it prints (sources loaded beforehand, not timed).
+
+Each step runs once per side and round, the side that goes first
+alternating by round, timed with ``time.thread_time`` after a
+``gc.collect()``; the garbage collections during a step are counted too.
+The JSON printed gives, per step, each side's median and minimum
+milliseconds and median collections, the median per-round ratio of head to
+base with its quartiles, and how many rounds the head won.
+
+With ``--perfbench W --pairs N`` it instead runs ``perfbench/run.py`` for
+workload W in N alternating pairs of processes, each for the benchmark's
+``run_seconds``, and prints the medians of its gated metrics.
+
+Run from the repository root::
+
+    python tools/ab.py                      # HEAD against the working tree
+    python tools/ab.py --base HEAD~1 --head HEAD --rounds 30
+    python tools/ab.py --perfbench materialize-s50 --pairs 10
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import importlib.util
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+QUERY_NAMES = tuple(f"q{i:02d}" for i in range(1, 9))
+
+
+def export(rev: str | None, into: Path) -> Path:
+    """The tree of *rev* unpacked under *into* by ``git archive``, or the
+    working tree itself when *rev* is None."""
+    if rev is None:
+        return ROOT
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    tree = into / rev.replace("/", "_")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the "data" filter, where this Python has it, keeps 3.12+ from warning
+        tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return tree
+
+
+def load_package(tree: Path, name: str):
+    """The ``rmlprune`` package of *tree* imported as the top-level module
+    *name*; its relative imports resolve under that name."""
+    package = tree / "src" / "rmlprune"
+    spec = importlib.util.spec_from_file_location(
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class Side:
+    """One revision's package with its inputs loaded: the corpus mapping and
+    tables at scales 10 and 50, and the eight queries."""
+
+    def __init__(self, pkg, data: dict[int, Path]):
+        import_ = lambda sub: importlib.import_module(f"{pkg.__name__}.{sub}")  # noqa: E731
+        self.algebra, self.answer_mod = import_("algebra"), import_("answer")
+        self.ntriples, csvsource = import_("ntriples"), import_("csvsource")
+        rml, sparql = import_("rml"), import_("sparql")
+        self.inputs = {}
+        for scale, directory in data.items():
+            mapping = rml.translate(rml.parse_rml((directory / "mapping.ttl").read_bytes()))
+            sigma = {
+                p.name: self.algebra.DataObject(csvsource.CSV_KIND, csvsource.parse_csv(p.read_bytes()))
+                for p in sorted(directory.glob("*.csv"))
+            }
+            self.inputs[scale] = (mapping, sigma)
+        self.queries = {
+            q: sparql.parse_query((data[10] / "queries" / f"{q}.rq").read_text(encoding="utf-8"))
+            for q in QUERY_NAMES
+        }
+        self.graph = None
+
+    def steps(self):
+        """(name, call) for every step; a call returns what it computed."""
+        mapping, sigma = self.inputs[50]
+
+        def materialize():
+            self.graph = self.algebra.materialize(mapping, sigma)
+            return len(self.graph)
+
+        def serialize():
+            return self.ntriples.serialize_graph(self.graph)
+
+        yield "materialize-s50", materialize
+        yield "serialize-s50", serialize
+        mapping10, sigma10 = self.inputs[10]
+        for q in QUERY_NAMES:
+            query = self.queries[q]
+            yield f"answer-s10:{q}", lambda query=query: self.answer_mod.answer(
+                query, mapping10, sigma10.__getitem__
+            ).rows()
+
+
+def timed(call) -> tuple[float, int, object]:
+    """Thread milliseconds, garbage collections, and the result of *call*."""
+    collections = []
+    callback = lambda phase, info: collections.append(1) if phase == "start" else None  # noqa: E731
+    gc.collect()
+    gc.callbacks.append(callback)
+    try:
+        start = time.thread_time()
+        result = call()
+        elapsed = time.thread_time() - start
+    finally:
+        gc.callbacks.remove(callback)
+    return elapsed * 1e3, len(collections), result
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def compare(base: Side, head: Side, rounds: int) -> dict:
+    """Interleaved rounds of every step; per-step summaries.  Raises
+    ``AssertionError`` when the two sides compute different results."""
+    times: dict[str, dict[str, list]] = {}
+    for r in range(rounds):
+        for (name, base_call), (_, head_call) in zip(base.steps(), head.steps()):
+            order = [("base", base_call), ("head", head_call)]
+            if r % 2:
+                order.reverse()
+            results = {}
+            for label, call in order:
+                ms, collections, results[label] = timed(call)
+                times.setdefault(name, {"base": [], "head": []})[label].append((ms, collections))
+            if results["base"] != results["head"]:
+                raise AssertionError(f"{name}: the two revisions compute different results")
+    report = {}
+    for name, per in times.items():
+        summary = {}
+        for label in ("base", "head"):
+            ms = [t for t, _ in per[label]]
+            summary[label] = {
+                "median_ms": round(statistics.median(ms), 3),
+                "min_ms": round(min(ms), 3),
+                "gc_collections": statistics.median(c for _, c in per[label]),
+            }
+        ratios = [h / b for (h, _), (b, _) in zip(per["head"], per["base"]) if b > 0]
+        q1, q2, q3 = quartiles(ratios) if ratios else (0.0, 0.0, 0.0)
+        summary["ratio"] = {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+        summary["head_won"] = sum(h < b for (h, _), (b, _) in zip(per["head"], per["base"]))
+        report[name] = summary
+    return report
+
+
+def perfbench_pairs(base: Path, head: Path, workload: str, pairs: int, seed: int) -> dict:
+    """Alternating pairs of ``perfbench/run.py`` runs; the gated metrics of
+    each run and their medians per side."""
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs: dict[str, list[dict]] = {"base": [], "head": []}
+    for i in range(pairs):
+        order = [("base", base), ("head", head)]
+        if i % 2:
+            order.reverse()
+        for label, tree in order:
+            out = subprocess.run(
+                [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                 "--seconds", str(bench["run_seconds"]), "--trace", "0"],
+                cwd=tree, check=True, capture_output=True, text=True,
+            ).stdout
+            result = json.loads(out.strip().splitlines()[-1])
+            runs[label].append(
+                {"correct": result["correct"], "attempted": result["attempted"], "failed": result["failed"],
+                 **{k: v["value"] for k, v in result["metrics"].items()}}
+            )
+    metrics = sorted(runs["base"][0].keys() - {"correct", "attempted", "failed"})
+    return {
+        "workload": workload,
+        "seed": seed,
+        "pairs": pairs,
+        "runs": runs,
+        "median": {
+            label: {m: statistics.median(run[m] for run in runs[label]) for m in metrics}
+            for label in runs
+        },
+        "head_lower": {
+            m: sum(h[m] < b[m] for h, b in zip(runs["head"], runs["base"])) for m in metrics
+        },
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--base", default="HEAD", help="base revision (default: HEAD)")
+    parser.add_argument("--head", help="head revision (default: the working tree)")
+    parser.add_argument("--rounds", type=int, default=20, help="interleaved rounds")
+    parser.add_argument("--seed", type=int, default=42, help="corpus seed")
+    parser.add_argument("--perfbench", metavar="W", help="run perfbench workload W in pairs instead")
+    parser.add_argument("--pairs", type=int, default=10, help="perfbench pairs")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        tmp = Path(tmp)
+        base_tree, head_tree = export(args.base, tmp / "base"), export(args.head, tmp / "head")
+        if args.perfbench:
+            report = perfbench_pairs(base_tree, head_tree, args.perfbench, args.pairs, args.seed)
+        else:
+            base_pkg, head_pkg = load_package(base_tree, "ab_base"), load_package(head_tree, "ab_head")
+            data = {}
+            for scale in (10, 50):
+                data[scale] = tmp / f"corpus-s{scale}"
+                importlib.import_module("ab_head.gendata").generate(data[scale], scale=scale, seed=args.seed)
+            steps = compare(Side(base_pkg, data), Side(head_pkg, data), args.rounds)
+            report = {"base": args.base, "head": args.head or "working tree", "seed": args.seed,
+                      "rounds": args.rounds, "steps": steps}
+    print(json.dumps(report, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
