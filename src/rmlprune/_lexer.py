@@ -36,19 +36,8 @@ from __future__ import annotations
 import re
 
 from .errors import InvalidTermError
-from .rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Iri, Literal, is_absolute_iri
-from .rdf import trusted_iri, trusted_literal
-
-_ECHAR = {
-    't': '\t',
-    'b': '\b',
-    'n': '\n',
-    'r': '\r',
-    'f': '\f',
-    '"': '"',
-    "'": "'",
-    '\\': '\\',
-}
+from .rdf import _ECHAR, _IRI_CHAR, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
+from .rdf import Iri, Literal, is_absolute_iri, trusted_iri, trusted_literal
 
 _DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
 _DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
@@ -73,7 +62,7 @@ _A_RE = re.compile(r"a(?![\w.:-])")
 _BOOLEAN_RE = re.compile(r"(?:true|false)(?!\w|[\w.-]*:)")
 _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 # the characters of an IRIREF without an escape
-_IRI_CHARS = r'[^<>"{}|^`\\\x00-\x20]*'
+_IRI_CHARS = _IRI_CHAR + "*"
 _IRI_CHARS_RE = re.compile(_IRI_CHARS)
 # an IRIREF without an escape, as SPARQL's longest-match tokenizer reads it
 _IRIREF_RE = re.compile(f"<{_IRI_CHARS}>")
@@ -121,10 +110,10 @@ class Lexer:
     # Turtle's booleans are case-sensitive (SPARQL's, keywords, are not)
     boolean_re = _BOOLEAN_RE
 
-    def __init__(self, text: str, base: str | None = None):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.base = base
+        self.base: str | None = None
         self.prefixes: dict[str, str] = {}
         self.depth = 0
         # every IRI read so far, by its absolute spelling: only a resolved

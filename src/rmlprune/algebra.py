@@ -275,10 +275,6 @@ class TriplesMapExpr:
                     f"{where}: {sorted(missing)}"
                 )
 
-    @property
-    def is_joined(self) -> bool:
-        return self.parent_extract is not None
-
     def plan(self) -> "TriplesMapExpr":
         """The expression itself, which :func:`dump_plan` prints;
         ``perfbench/workloads.py`` still calls it."""

@@ -40,6 +40,12 @@ end, where each becomes a :class:`SolutionMapping` over one column index
 that the whole result shares.  A solution is no dict: it looks a variable
 up (``mu[v]`` decodes it, ``v in mu``), and equals and hashes by its
 spellings.
+
+The lexical rules of the token layer live here, each written once: the
+characters an IRI may hold, the ECHAR escapes of a string, the characters
+of a variable's name, and the ``rdf:type`` IRI that ``a`` stands for.  The
+Turtle and SPARQL readers, their shared lexer and the RML layer import
+them.
 """
 
 from __future__ import annotations
@@ -64,12 +70,15 @@ RDF_TYPE = RDF_NS + "type"
 
 _SCHEME = r"[A-Za-z][A-Za-z0-9+.\-]*:"
 _SCHEME_RE = re.compile(_SCHEME)
-# A scheme, then none of the classic N-Triples exclusion set.  Everything at
-# or below U+0020 is also rejected so that accepted IRIs always serialize
-# verbatim.
-_IRI_RE = re.compile(_SCHEME + r'[^\x00-\x20<>"{}|\\^`]*\Z')
+# A character of an IRI: none of the classic N-Triples exclusion set.
+# Everything at or below U+0020 is also rejected so that accepted IRIs
+# always serialize verbatim.
+_IRI_CHAR = r'[^<>"{}|^`\\\x00-\x20]'
+_IRI_RE = re.compile(_SCHEME + _IRI_CHAR + r"*\Z")
 _BNODE_LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_VAR_NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# a variable's name, after its '?' or '$'
+_VAR_NAME = r"[A-Za-z0-9_]+"
+_VAR_NAME_RE = re.compile(_VAR_NAME + r"\Z")
 
 
 def is_absolute_iri(value: str) -> bool:
@@ -92,6 +101,9 @@ class Iri:
 
     def __repr__(self):
         return f"<{self.value}>"
+
+
+RDF_TYPE_IRI = Iri(RDF_TYPE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,17 +169,11 @@ def is_term(value: object) -> bool:
     return isinstance(value, (Iri, BlankNode, Literal))
 
 
-_ESCAPES = {
-    '"': '\\"',
-    "\\": "\\\\",
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
+# ECHAR: the character that each backslash escape of a string stands for
+_ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+# how a double-quoted string spells each character it must escape
+_ESCAPES = {ch: "\\" + name for name, ch in _ECHAR.items() if ch != "'"}
 _ESCAPED_RE = re.compile(r'["\\\x00-\x1f]')
-_UNESCAPES = {escaped[1]: ch for ch, escaped in _ESCAPES.items()}
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-F]{4})|(.))", re.DOTALL)
 
 
@@ -178,7 +184,7 @@ def _escape_char(m: re.Match) -> str:
 
 def _unescape_char(m: re.Match) -> str:
     code = m.group(1)
-    return chr(int(code, 16)) if code else _UNESCAPES[m.group(2)]
+    return chr(int(code, 16)) if code else _ECHAR[m.group(2)]
 
 
 def escape_string(s: str) -> str:

@@ -50,8 +50,8 @@ from .algebra import (
     TriplesMapExpr,
 )
 from .errors import MappingModelError
-from .ntriples import escape_string, format_term
-from .rdf import RDF_TYPE, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, trusted
+from .rdf import RDF_TYPE, RDF_TYPE_IRI, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, trusted
+from .rdf import escape_string, format_term
 from .turtle import TurtleParser
 
 logger = logging.getLogger("rmlprune.rml")
@@ -163,7 +163,6 @@ def _fmt_node(key: str) -> str:
 
 # the property token of every IRI a mapping node may carry
 _TOKENS = {**_VOCAB, RDF_TYPE: "type"}
-_RDF_TYPE_IRI = Iri(RDF_TYPE)
 
 
 class _Graph(dict[str, list]):
@@ -466,7 +465,7 @@ def parse_rml(data: bytes | str) -> RmlDocument:
 
     visited: set[str] = set()
     triples_maps: list[TriplesMapModel] = []
-    type_map = _term_map("constant", _RDF_TYPE_IRI, "predicate", base)
+    type_map = _term_map("constant", RDF_TYPE_IRI, "predicate", base)
     for key in tm_keys:
         logical_source, subject_node, subject, pom_nodes = _read_node(g, key, "triples map", visited)
         subject_map, classes = None, ()

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 from ._lexer import _BOOLEAN_RE, _IRIREF_RE, _PREFIX_RE, Lexer
 from .errors import SparqlError, UnsupportedSparqlError
-from .rdf import RDF_TYPE, Iri, TriplePattern, Variable
+from .rdf import _VAR_NAME, RDF_TYPE_IRI, TriplePattern, Variable
 
-_VAR_RE = re.compile(r"[?$]([A-Za-z0-9_]+)")
+_VAR_RE = re.compile(f"[?$]({_VAR_NAME})")
 # a '+' that starts a number begins the object, not a path
 _SIGNED_NUMBER_RE = re.compile(r"\+\.?\d")
 _UNSIGNED_INTEGER_RE = re.compile(r"\d+")
@@ -339,7 +339,7 @@ class _QueryParser(Lexer):
         if ch in "?$":
             verb = self.read_variable()
         elif self.try_a():
-            verb = Iri(RDF_TYPE)
+            verb = RDF_TYPE_IRI
         else:
             verb = self.read_iri("a predicate")
         # a path operator directly after the verb makes this a property path
@@ -350,7 +350,7 @@ class _QueryParser(Lexer):
             nxt == "+" and not _SIGNED_NUMBER_RE.match(self.text, self.pos)
         ):
             raise self.error(f"property paths are not supported ({nxt!r})", unsupported=True)
-        if nxt == "?" and not re.match(r"[?$][A-Za-z0-9_]", self.text[self.pos : self.pos + 2]):
+        if nxt == "?" and not _VAR_RE.match(self.text, self.pos):
             raise self.error("property paths are not supported ('?')", unsupported=True)
         self.pos = save
         return verb

@@ -24,9 +24,9 @@ no call and keeps no tuple).  :meth:`~TurtleParser.parse` returns the base.
 
 Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
-step from token to token as :meth:`~rmlprune._lexer.Lexer.next_token`
-does, with one regex match that skips whitespace and reads a common term
-or punctuation mark.
+step from token to token with :meth:`~rmlprune._lexer.Lexer.next_token`,
+and every ``[ ]`` opens its node with
+:meth:`~rmlprune._lexer.Lexer.descend` and :meth:`TurtleParser.fresh_bnode`.
 """
 
 from __future__ import annotations
@@ -34,24 +34,22 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from ._lexer import _TOKEN_RE, MAX_NESTING, PUNCT, Lexer
+from ._lexer import PUNCT, Lexer
 from .errors import TurtleError
-from .rdf import RDF_NS, BlankNode, Iri, RdfTerm, trusted_bnode
+from .rdf import RDF_NS, RDF_TYPE_IRI, BlankNode, Iri, RdfTerm, trusted_bnode
 
 RDF_FIRST = Iri(RDF_NS + "first")
 RDF_REST = Iri(RDF_NS + "rest")
 RDF_NIL = Iri(RDF_NS + "nil")
-RDF_TYPE_IRI = Iri(RDF_NS + "type")
 
 _LABEL_RE = re.compile(r"[\w.-]*")
-_SPACED_PUNCT = frozenset((" ,", " ;", " .", " ]"))  # one space, then a mark that may end an object
 
 
 class TurtleParser(Lexer):
     error_class = unsupported_class = TurtleError
 
-    def __init__(self, text: str, base: str | None = None):
-        super().__init__(text, base)
+    def __init__(self, text: str):
+        super().__init__(text)
         # document label -> internal label, insertion ordered
         self.bnode_labels: dict[str, str] = {}
         # blank node bN opens at offset bnode_offsets[N - 1]
@@ -137,30 +135,16 @@ class TurtleParser(Lexer):
         """From the first verb's token to the token after the list, whose
         punctuation mark (None for another token) it returns."""
         take = None
-        text, match, read = self.text, _TOKEN_RE.match, self.read_token_term
+        next_token, read = self.next_token, self.read_token_term
         while True:
             predicate = read(token, False) or self._parse_verb()
             while True:
-                # next_token(), written out, or one space skipped before a '['
-                pos = self.pos
-                if text[pos : pos + 2] == " [":
-                    self.pos = pos + 1
-                    obj = self._parse_bnode_property_list()
-                else:
-                    token = match(text, pos)
-                    self.pos = token.end(1)
-                    obj = read(token, True) or self._parse_object(token)
+                token = next_token()
+                obj = read(token, True) or self._parse_object(token)
                 if take is None:
                     take = self.properties(subject)
                 take((predicate, obj))
-                pos = self.pos
-                if text[pos : pos + 2] in _SPACED_PUNCT:
-                    punct = text[pos + 1]
-                    self.pos = pos + 1
-                else:
-                    token = match(text, pos)
-                    self.pos = token.end(1)
-                    punct = token[PUNCT]
+                punct = next_token()[PUNCT]
                 if punct != ",":
                     break
                 self.pos += 1
@@ -168,10 +152,10 @@ class TurtleParser(Lexer):
                 return punct
             # a dangling ';' before '.', ']' or another ';' is allowed
             while punct == ";":
-                token = match(text, self.pos + 1)
-                self.pos = token.end(1)
+                self.pos += 1
+                token = next_token()
                 punct = token[PUNCT]
-            if punct in (".", "]") or self.pos == len(text):
+            if punct in (".", "]") or self.at_end():
                 return punct
 
     def _parse_verb(self) -> Iri:
@@ -195,16 +179,11 @@ class TurtleParser(Lexer):
         return self.read_constant()
 
     def _parse_bnode_property_list(self) -> BlankNode:
-        """From the '[' at the cursor to just past its ']'; descend() and fresh_bnode() written out."""
-        if self.depth == MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
-        self.depth += 1
+        """From the '[' at the cursor to just past its ']'."""
+        self.descend()
         self.pos += 1
-        offsets = self.bnode_offsets
-        offsets.append(self.pos)
-        node = trusted_bnode(f"b{len(offsets)}")
-        token = _TOKEN_RE.match(self.text, self.pos)  # next_token(), written out
-        self.pos = token.end(1)
+        node = self.fresh_bnode()
+        token = self.next_token()
         punct = token[PUNCT]
         if punct != "]":
             punct = self._parse_predicate_object_list(node, token)

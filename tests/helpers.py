@@ -276,17 +276,17 @@ def is_subgraph_of(g: RdfGraph, other: RdfGraph) -> bool:
 class TripleCollector(TurtleParser):
     """A Turtle reader that keeps the document's triples in a list."""
 
-    def __init__(self, text: str, base: str | None = None):
-        super().__init__(text, base)
+    def __init__(self, text: str):
+        super().__init__(text)
         self.triples: list[Triple] = []
 
     def properties(self, s):
         return lambda pair: self.triples.append(Triple(s, *pair))
 
 
-def read_turtle(text: str, base: str | None = None) -> TripleCollector:
+def read_turtle(text: str) -> TripleCollector:
     """The reader of *text* once it has read all of it."""
-    reader = TripleCollector(text, base)
+    reader = TripleCollector(text)
     reader.parse()
     return reader
 

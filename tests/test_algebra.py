@@ -377,10 +377,10 @@ def test_joined_object_may_reference_only_the_parent():
 
 def test_trmap_flags_and_sources():
     tm = simple_trmap()
-    assert not tm.is_joined
+    assert tm.parent_extract is None
     assert tm.source_refs() == ("t.csv",)
     jm = joined_trmap()
-    assert jm.is_joined
+    assert jm.parent_extract is not None
     assert jm.source_refs() == ("child.csv", "parent.csv")
 
 
@@ -732,7 +732,7 @@ def test_materialize_matches_reference_on_random_instances(caplog):
         check_against_reference(inst.mapping, inst.sigma, caplog)
         check_against_reference(inst.mapping, doubled(inst.sigma), caplog)
         seen["missing column"] += bool(check_against_reference(varied, inst.sigma, caplog))
-        joined = [tm for tm in varied.trmaps if tm.is_joined]
+        joined = [tm for tm in varied.trmaps if tm.parent_extract is not None]
         seen["join without conditions"] += any(not tm.join_conditions for tm in joined)
         seen["duplicate parent rows"] += bool(joined)
         seen["empty cell"] += any("" in row for data in inst.sigma.values() for row in data.payload.rows)

@@ -75,7 +75,7 @@ def test_generate_rejects_bad_scale(tmp_path):
 
 def test_mapping_translates_to_fourteen_expressions(corpus_mapping):
     assert len(corpus_mapping.trmaps) == 14
-    joined = [tm for tm in corpus_mapping.trmaps if tm.is_joined]
+    joined = [tm for tm in corpus_mapping.trmaps if tm.parent_extract is not None]
     assert len(joined) == 2
     self_join = [tm for tm in joined if len(tm.join_conditions) == 2]
     assert len(self_join) == 1

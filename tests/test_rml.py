@@ -631,7 +631,7 @@ def test_translate_airports(airports_mapping):
     )
     assert long_.predicate_expr == ConstantTerm(Iri(GTFS + "long"))
     assert long_.object_expr == BuildLiteral(ref("long"), XSD_DOUBLE)
-    assert not route.is_joined and not long_.is_joined
+    assert route.parent_extract is None and long_.parent_extract is None
     assert route.extract.source_ref == "airports.csv"
     assert set(route.extract.selectors) == {"aiport_id", "transitRoute"}
 
@@ -666,7 +666,7 @@ JOIN_DOC = NEW_HEADER + (
 def test_translate_joined_renames_parent_attributes():
     m = translate(parse_rml(JOIN_DOC))
     joined = m.trmaps[0]
-    assert joined.is_joined
+    assert joined.parent_extract is not None
     assert joined.extract.selectors == {"id": "id", "pid": "pid"}
     # the parent also selects "id"; its attribute must not clash
     assert joined.parent_extract.selectors == {"id@parent": "id"}
@@ -852,7 +852,7 @@ def test_serialize_joined_round_trips():
     text = serialize_pruned((m.trmaps[0],), doc)
     reparsed = translate(parse_rml(text))
     (joined,) = reparsed.trmaps
-    assert joined.is_joined
+    assert joined.parent_extract is not None
     assert _shape(reparsed) == _shape(type(m)((m.trmaps[0],)))
 
 

@@ -18,8 +18,8 @@ EX = "http://example.com/"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 
 
-def triples(text: str, base=None) -> set[Triple]:
-    return set(read_turtle(text, base=base).triples)
+def triples(text: str) -> set[Triple]:
+    return set(read_turtle(text).triples)
 
 
 def test_simple_statement_with_prefixes():
@@ -225,7 +225,7 @@ def test_relative_iri_without_base_fails():
 
 
 def test_explicit_base_parameter():
-    ts = triples("<s> <p> <o> .", base="http://alt.example/")
+    ts = triples("@base <http://alt.example/> .\n<s> <p> <o> .")
     assert ts == {
         Triple(
             Iri("http://alt.example/s"),

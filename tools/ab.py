@@ -3,10 +3,16 @@
 Both revisions are loaded side by side, each package under its own name,
 and timed in interleaved rounds on the seed corpus:
 
+* ``load-wide``: ``translate(parse_rml(wide))``, where ``wide`` is the
+  prune-wide workload's 560-expression mapping as ``perfbench/corpus.py``
+  writes it;
 * ``materialize-s50``: ``materialize`` of the corpus mapping at scale 50;
 * ``serialize-s50``: ``serialize_graph`` of that graph;
 * ``answer-s10:qNN``: ``answer`` of each of q01-q08, pruned, at scale 10,
-  and the rows it prints (sources loaded beforehand, not timed).
+  and the rows it prints (sources loaded beforehand, not timed);
+* ``prune-wide``: ``prune`` of the wide mapping for each of q01-q08,
+  instantiated on its first copy with ``corpus.instantiate`` (mapping and
+  queries read beforehand, not timed), and the count each keeps.
 
 Each step runs once per side and round, the side that goes first
 alternating by round, timed with ``time.thread_time`` after a
@@ -74,18 +80,38 @@ def load_package(tree: Path, name: str):
     return module
 
 
+def wide_inputs(tree: Path, data: Path, seed: int) -> tuple[bytes, dict[str, str]]:
+    """The prune-wide workload's mapping, as ``perfbench/corpus.py`` of
+    *tree* writes it for *seed*, and the queries of *data* instantiated on
+    its first copy."""
+    sys.path.insert(0, str(tree / "src"))  # corpus.py imports rmlprune
+    try:
+        spec = importlib.util.spec_from_file_location("ab_corpus", tree / "perfbench" / "corpus.py")
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+    finally:
+        sys.path.remove(str(tree / "src"))
+    tags = corpus.copy_tags(40, seed)
+    queries = {
+        q: corpus.instantiate((data / "queries" / f"{q}.rq").read_text(encoding="utf-8"), tags[0])
+        for q in QUERY_NAMES
+    }
+    return corpus.wide_mapping(tags).encode("utf-8"), queries
+
+
 class Side:
     """One revision's package with its inputs loaded: the corpus mapping and
-    tables at scales 10 and 50, and the eight queries."""
+    tables at scales 10 and 50, the eight queries, the wide mapping, and the
+    eight queries on its first copy."""
 
-    def __init__(self, pkg, data: dict[int, Path]):
+    def __init__(self, pkg, data: dict[int, Path], wide: tuple[bytes, dict[str, str]]):
         import_ = lambda sub: importlib.import_module(f"{pkg.__name__}.{sub}")  # noqa: E731
         self.algebra, self.answer_mod = import_("algebra"), import_("answer")
         self.ntriples, csvsource = import_("ntriples"), import_("csvsource")
-        rml, sparql = import_("rml"), import_("sparql")
+        self.rml, self.pruning, sparql = import_("rml"), import_("pruning"), import_("sparql")
         self.inputs = {}
         for scale, directory in data.items():
-            mapping = rml.translate(rml.parse_rml((directory / "mapping.ttl").read_bytes()))
+            mapping = self.rml.translate(self.rml.parse_rml((directory / "mapping.ttl").read_bytes()))
             sigma = {
                 p.name: self.algebra.DataObject(csvsource.CSV_KIND, csvsource.parse_csv(p.read_bytes()))
                 for p in sorted(directory.glob("*.csv"))
@@ -95,11 +121,19 @@ class Side:
             q: sparql.parse_query((data[10] / "queries" / f"{q}.rq").read_text(encoding="utf-8"))
             for q in QUERY_NAMES
         }
+        self.wide_text, wide_queries = wide
+        self.wide = self.rml.translate(self.rml.parse_rml(self.wide_text))
+        self.wide_patterns = [
+            sparql.collect_triple_patterns(sparql.parse_query(wide_queries[q])) for q in QUERY_NAMES
+        ]
         self.graph = None
 
     def steps(self):
         """(name, call) for every step; a call returns what it computed."""
         mapping, sigma = self.inputs[50]
+
+        def load_wide():
+            return len(self.rml.translate(self.rml.parse_rml(self.wide_text)).trmaps)
 
         def materialize():
             self.graph = self.algebra.materialize(mapping, sigma)
@@ -108,6 +142,11 @@ class Side:
         def serialize():
             return self.ntriples.serialize_graph(self.graph)
 
+        def prune_wide():
+            pruned = (self.pruning.prune(patterns, self.wide) for patterns in self.wide_patterns)
+            return [0 if isinstance(p, self.pruning.FullyPruned) else len(p.trmaps) for p in pruned]
+
+        yield "load-wide", load_wide
         yield "materialize-s50", materialize
         yield "serialize-s50", serialize
         mapping10, sigma10 = self.inputs[10]
@@ -116,6 +155,7 @@ class Side:
             yield f"answer-s10:{q}", lambda query=query: self.answer_mod.answer(
                 query, mapping10, sigma10.__getitem__
             ).rows()
+        yield "prune-wide", prune_wide
 
 
 def timed(call) -> tuple[float, int, object]:
@@ -229,7 +269,8 @@ def main(argv: list[str] | None = None) -> int:
             for scale in (10, 50):
                 data[scale] = tmp / f"corpus-s{scale}"
                 importlib.import_module("ab_head.gendata").generate(data[scale], scale=scale, seed=args.seed)
-            steps = compare(Side(base_pkg, data), Side(head_pkg, data), args.rounds)
+            wide = wide_inputs(head_tree, data[10], args.seed)
+            steps = compare(Side(base_pkg, data, wide), Side(head_pkg, data, wide), args.rounds)
             report = {"base": args.base, "head": args.head or "working tree", "seed": args.seed,
                       "rounds": args.rounds, "steps": steps}
     print(json.dumps(report, indent=1))
