@@ -1,8 +1,10 @@
 """The token layer shared by the Turtle and SPARQL readers.
 
 RDF 1.1 Turtle takes its terminals from SPARQL 1.1 §19.8, so one lexer
-serves both parsers; each parser subclasses :class:`Lexer` and adds only
-its grammar.  Implemented here, once:
+serves both parsers: :class:`~rmlprune.turtle.TurtleParser` subclasses
+:class:`Lexer` with the triples grammar, and the SPARQL parser subclasses
+that with variables and the query around its triples.  Implemented here,
+once:
 
 * ``IRIREF``, with the ``\\u``/``\\U`` escapes of §19.2 and the
   forbidden-character check.  A relative IRI is resolved by concatenation
@@ -18,10 +20,12 @@ its grammar.  Implemented here, once:
 * the bodies of prefix and base declarations, alike in both prologues.
 
 A token in a common spelling (an IRIREF, a prefixed name or a short
-string without escapes, or punctuation) is read by one regex match that
-also skips the whitespace before it; every other spelling falls through
-to the token's reader.  Each IRI is built once per parser instance, one
-the match read without a second check of its characters.
+string without escapes, or punctuation) is read by one regex match,
+:meth:`Lexer.next_token`, that also skips the whitespace before it; every
+other spelling falls through to the token's reader, which runs only after
+that match, so no spelling is matched twice.  Each IRI is built once per
+parser instance, one the match read without a second check of its
+characters.
 
 Two simplifications: name characters are Python's alphanumerics rather
 than the exact ``PN_CHARS`` ranges, and a ``%`` in a local name is taken as
@@ -78,7 +82,7 @@ _IRIREF_RE = re.compile(f"<{_IRI_CHARS}>")
 # comments are looked for only at a '#': sre runs that faster than '?' or '*'.
 _TOKEN_RE = re.compile(
     r"([ \t\r\n]*(?:(?=#)(?:#[^\n]*[ \t\r\n]*)*|))"
-    r"(?:([][(),;.])"
+    r"(?:([][(){},;.])"
     rf"|<({_IRI_CHARS})>"
     r"|(((?:[^\W\d_][\w.-]*(?<!\.)|))"
     r":((?:[\w:%][\w:%.-]*(?<!\.)|)))(?![\w:%-]|\.+[\w:%-]|\.*\\)"
@@ -199,13 +203,6 @@ class Lexer:
         """A base declaration after its keyword."""
         self.skip_ws()
         self.base = self.read_iriref().value
-
-    def _read_token_at_cursor(self, constant: bool) -> Iri | Literal | None:
-        """:meth:`read_token_term` for a token that starts at the cursor."""
-        match = _TOKEN_RE.match(self.text, self.pos)
-        if match.end(1) != self.pos:
-            return None
-        return self.read_token_term(match, constant)
 
     def descend(self):
         """Enter one more level of nesting at the cursor; the caller leaves
@@ -331,9 +328,6 @@ class Lexer:
     def read_iri(self, expected: str = "an IRI") -> Iri:
         """An IRI at the cursor; an error naming the *expected* term at any
         character that starts neither an IRIREF nor a prefixed name."""
-        term = self._read_token_at_cursor(constant=False)
-        if term is not None:
-            return term
         ch = self.peek()
         if ch == "<":
             return self.read_iriref()
@@ -409,9 +403,6 @@ class Lexer:
 
     def read_constant(self) -> Iri | Literal:
         """An IRI, or a quoted, numeric or boolean literal."""
-        term = self._read_token_at_cursor(constant=True)
-        if term is not None:
-            return term
         ch = self.peek()
         if ch and ch in "\"'":
             return self.read_literal()

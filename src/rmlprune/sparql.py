@@ -7,6 +7,14 @@ BY / HAVING / ORDER BY / LIMIT / OFFSET.  Integer, decimal, double and
 boolean literals receive their XSD datatypes; ``^^`` annotations are
 honored.
 
+SPARQL's triples syntax is Turtle's with variables (SPARQL 1.1 §19,
+Turtle 1.1 §6), so the parser is the Turtle reader
+(:class:`~rmlprune.turtle.TurtleParser`) with the query around its
+triples blocks: each block is read by Turtle's grammar, ``,`` and ``;``
+lists and a dangling ``;`` included, and the parser overrides only its
+hooks.  They read variables, turn ``[]`` into a fresh variable, file each
+triple as a pattern, and reject what patterns do not support.
+
 A query parses into what pruning and evaluation read (:class:`SelectQuery`):
 its projected variables, every triple pattern in document order (OPTIONAL
 bodies and FILTER-wrapped groups included: a pattern that occurs anywhere
@@ -27,13 +35,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._lexer import _BOOLEAN_RE, _IRIREF_RE, _PREFIX_RE, Lexer
+from ._lexer import _BOOLEAN_RE, _IRIREF_RE, _PREFIX_RE, PUNCT
 from .errors import SparqlError, UnsupportedSparqlError
-from .rdf import _VAR_NAME, RDF_TYPE_IRI, TriplePattern, Variable
+from .rdf import _VAR_NAME, TriplePattern, Variable
+from .turtle import TurtleParser
 
 _VAR_RE = re.compile(f"[?$]({_VAR_NAME})")
 # a '+' that starts a number begins the object, not a path
 _SIGNED_NUMBER_RE = re.compile(r"\+\.?\d")
+# the characters that make a verb's place a property path
+_PATH_STARTS = {"^": "inverse '^'", "!": "negated set '!'", "(": "grouped path"}
 _UNSIGNED_INTEGER_RE = re.compile(r"\d+")
 # a builtin's name: every SPARQL 1.1 builtin starts with a letter
 _BUILTIN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -58,7 +69,7 @@ class SelectQuery:
     unevaluable: frozenset[str]
 
 
-class _QueryParser(Lexer):
+class _QueryParser(TurtleParser):
     error_class = SparqlError
     unsupported_class = UnsupportedSparqlError
     boolean_re = re.compile(_BOOLEAN_RE.pattern, re.IGNORECASE)
@@ -66,14 +77,8 @@ class _QueryParser(Lexer):
 
     def __init__(self, text: str):
         super().__init__(text)
-        self._anon = 0
         self.patterns: list[TriplePattern] = []
         self.unevaluable: set[str] = set()
-
-    def fresh_variable(self) -> Variable:
-        # stands in for an anonymous blank node
-        self._anon += 1
-        return Variable(f"b{self._anon}", anonymous=True)
 
     def read_variable(self) -> Variable:
         match = _VAR_RE.match(self.text, self.pos)
@@ -200,15 +205,15 @@ class _QueryParser(Lexer):
         # group, OPTIONAL or FILTER
         open_block = False
         while True:
-            self.skip_ws()
+            token = self.next_token()
             if self.at_end():
                 raise self.error("unterminated group (missing '}')")
-            ch = self.peek()
-            if ch == "}":
+            punct = token[PUNCT]
+            if punct == "}":
                 self.pos += 1
                 break
             after_open_block, open_block = open_block, False
-            if ch == "{":
+            if punct == "{":
                 save = self.pos
                 self.pos += 1
                 self.skip_ws()
@@ -240,8 +245,7 @@ class _QueryParser(Lexer):
                     raise self.error(f"{feature} is not supported", unsupported=True)
             if after_open_block:
                 raise self.error("expected '.' or '}' after a triple pattern")
-            self._parse_triples_same_subject(self.patterns)
-            self.skip_ws()
+            self._parse_triples(token)
             open_block = not self.try_consume_dot()
         self.depth -= 1
 
@@ -274,38 +278,19 @@ class _QueryParser(Lexer):
                 raise self.error("unsupported FILTER constraint form")
         self._skip_parenthesized()
 
-    def _parse_triples_same_subject(self, out: list[TriplePattern]):
-        subject = self._parse_subject_position()
-        while True:
-            self.skip_ws()
-            predicate = self._parse_verb()
-            while True:
-                self.skip_ws()
-                obj = self._parse_object_position()
-                out.append(TriplePattern(subject, predicate, obj))
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                break
-            if self.peek() == ";":
-                self.pos += 1
-                self.skip_ws()
-                while self.peek() == ";":
-                    self.pos += 1
-                    self.skip_ws()
-                if self.peek() in ".}":
-                    break
-                continue
-            break
+    # -- the hooks of the triples grammar -----------------------------------
 
-    def _parse_subject_position(self):
+    def properties(self, s):
+        patterns = self.patterns
+        return lambda pair: patterns.append(TriplePattern(s, *pair))
+
+    def _parse_subject(self):
         ch = self.peek()
-        if ch in "?$":
+        if ch in ("?", "$"):
             return self.read_variable()
         if ch == "[":
-            return self._parse_anon()
-        if ch in "\"'" or ch.isdigit():
+            return self._parse_bnode_property_list()
+        if ch in ('"', "'") or ch.isdigit():
             raise self.error("literal subjects are not supported", unsupported=True)
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)
@@ -316,34 +301,24 @@ class _QueryParser(Lexer):
         if self.text.startswith("_:", self.pos):
             raise self.error("blank node labels (_:b) in patterns are not supported", unsupported=True)
 
-    def _parse_anon(self) -> Variable:
-        self.expect("[")
-        self.skip_ws()
-        if self.peek() == "]":
-            self.pos += 1
-            return self.fresh_variable()
-        raise self.error(
-            "blank node property lists in patterns are not supported", unsupported=True
-        )
+    def _parse_bnode_property_list(self) -> Variable:
+        """The ``[]`` at the cursor, as a fresh variable that stands in for
+        the anonymous blank node."""
+        self.pos += 1
+        if self.next_token()[PUNCT] != "]":
+            raise self.error(
+                "blank node property lists in patterns are not supported", unsupported=True
+            )
+        self.pos += 1
+        return Variable(self.fresh_bnode().label, anonymous=True)
 
-    def _parse_verb(self):
+    def _parse_verb(self, token):
         ch = self.peek()
-        if not ch:
-            raise self.error("expected a predicate")
-        if ch == "^":
-            raise self.error("property paths are not supported (inverse '^')", unsupported=True)
-        if ch == "!":
-            raise self.error("property paths are not supported (negated set '!')", unsupported=True)
-        if ch == "(":
-            raise self.error("property paths are not supported (grouped path)", unsupported=True)
-        if ch in "?$":
-            verb = self.read_variable()
-        elif self.try_a():
-            verb = RDF_TYPE_IRI
-        else:
-            verb = self.read_iri("a predicate")
+        path = _PATH_STARTS.get(ch)
+        if path:
+            raise self.error(f"property paths are not supported ({path})", unsupported=True)
+        verb = self.read_variable() if ch in ("?", "$") else super()._parse_verb(token)
         # a path operator directly after the verb makes this a property path
-        save = self.pos
         self.skip_ws()
         nxt = self.peek()
         if nxt in ("/", "|", "*") or (
@@ -352,17 +327,16 @@ class _QueryParser(Lexer):
             raise self.error(f"property paths are not supported ({nxt!r})", unsupported=True)
         if nxt == "?" and not _VAR_RE.match(self.text, self.pos):
             raise self.error("property paths are not supported ('?')", unsupported=True)
-        self.pos = save
         return verb
 
-    def _parse_object_position(self):
+    def _parse_object(self, token):
         ch = self.peek()
         if not ch:
             raise self.error("expected an object")
         if ch in "?$":
             return self.read_variable()
         if ch == "[":
-            return self._parse_anon()
+            return self._parse_bnode_property_list()
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)
         self._reject_bnode_label()

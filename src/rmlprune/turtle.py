@@ -1,4 +1,4 @@
-"""A Turtle reader for mapping documents.
+"""The Turtle triples grammar, read by mapping documents and SPARQL queries.
 
 Covers the slice of Turtle that mapping files use in practice: prefix and
 base directives (both ``@prefix`` and SPARQL-style), predicate and object
@@ -18,9 +18,17 @@ reader made the labels, so it skips the check of ``BlankNode(...)``.
 
 :class:`TurtleParser` keeps no triples: at the first triple of each run
 with one subject it asks :meth:`~TurtleParser.properties`, which each
-reader implements, where the run's (predicate, object) pairs go (the RML
-layer answers with the extend of the subject's flat list, so filing costs
-no call and keeps no tuple).  :meth:`~TurtleParser.parse` returns the base.
+reader implements, where the run's (predicate, object) pairs go.
+:meth:`~TurtleParser.parse` returns the base.  There are three readers:
+
+* the mapping reader of :mod:`rmlprune.rml`, which answers with the
+  extend of the subject's flat list, so filing costs no call and keeps no
+  tuple;
+* the tests' triple collector;
+* the SPARQL parser of :mod:`rmlprune.sparql`, whose triples syntax is
+  Turtle's with variables: it reads each triples block with
+  :meth:`~TurtleParser._parse_triples`, files triple patterns, and
+  overrides the hooks that read a subject, a verb, an object and a ``[``.
 
 Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
@@ -43,6 +51,9 @@ RDF_REST = Iri(RDF_NS + "rest")
 RDF_NIL = Iri(RDF_NS + "nil")
 
 _LABEL_RE = re.compile(r"[\w.-]*")
+# ANON: a '[' with only whitespace and comments, each to the end of its
+# line, before its ']'
+_ANON_RE = re.compile(r"\[(?:[ \t\r\n]|#[^\n]*(?![^\n]))*\]")
 
 
 class TurtleParser(Lexer):
@@ -97,8 +108,9 @@ class TurtleParser(Lexer):
 
     def _parse_triples(self, token):
         """Subject and predicate-object list, from the subject's token; the
-        cursor ends on the token after them."""
-        if token[PUNCT] == "[":
+        cursor ends on the token after them.  A blank node property list
+        may stand alone, an empty ``[ ]`` may not."""
+        if token[PUNCT] == "[" and not _ANON_RE.match(self.text, self.pos):
             subject = self._parse_bnode_property_list()
             token = self.next_token()
             if token[PUNCT] != ".":
@@ -108,7 +120,10 @@ class TurtleParser(Lexer):
         self._parse_predicate_object_list(subject, self.next_token())
 
     def _parse_subject(self):
+        """A subject the token read left to the readers."""
         ch = self.peek()
+        if ch == "[":
+            return self._parse_bnode_property_list()
         if ch == "(":
             return self._parse_collection()
         if ch == "_":
@@ -135,9 +150,9 @@ class TurtleParser(Lexer):
         """From the first verb's token to the token after the list, whose
         punctuation mark (None for another token) it returns."""
         take = None
-        next_token, read = self.next_token, self.read_token_term
+        next_token, read, verb = self.next_token, self.read_token_term, self._parse_verb
         while True:
-            predicate = read(token, False) or self._parse_verb()
+            predicate = verb(token)
             while True:
                 token = next_token()
                 obj = read(token, True) or self._parse_object(token)
@@ -150,16 +165,19 @@ class TurtleParser(Lexer):
                 self.pos += 1
             if punct != ";":
                 return punct
-            # a dangling ';' before '.', ']' or another ';' is allowed
+            # a dangling ';' before '.', ']', '}' or another ';' is allowed
             while punct == ";":
                 self.pos += 1
                 token = next_token()
                 punct = token[PUNCT]
-            if punct in (".", "]") or self.at_end():
+            if punct in (".", "]", "}") or self.at_end():
                 return punct
 
-    def _parse_verb(self) -> Iri:
-        """A verb the token read left to the readers."""
+    def _parse_verb(self, token) -> Iri:
+        """The verb that starts with *token*."""
+        term = self.read_token_term(token, False)
+        if term is not None:
+            return term
         if self.try_a():
             return RDF_TYPE_IRI
         return self.read_iri("a predicate")

@@ -34,3 +34,14 @@ def test_ab_runs_two_interleaved_rounds(capsys):
         ratio = summary["ratio"]
         assert ratio["q1"] <= ratio["median"] <= ratio["q3"]
         assert 0 <= summary["head_won"] <= 2
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="lists the working tree with git")
+def test_the_working_tree_is_exported_like_a_revision(tmp_path):
+    # the head runs from a copy beside the base's, not from the repository
+    # root, and without the files git ignores
+    tree = load_ab().export(None, tmp_path / "head")
+    assert tree == tmp_path / "head"
+    init = tree / "src" / "rmlprune" / "__init__.py"
+    assert init.read_bytes() == (ROOT / "src" / "rmlprune" / "__init__.py").read_bytes()
+    assert not list(tree.rglob("__pycache__"))

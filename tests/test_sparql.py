@@ -196,6 +196,10 @@ def test_group_by_and_having_recorded():
         ("SELECT * WHERE { ?s <http://e/p>/<http://e/q> ?o }", "property path"),
         ("SELECT * WHERE { ?s <http://e/p>+ ?o }", "property path"),
         ("SELECT * WHERE { ?s ^<http://e/p> ?o }", "property path"),
+        # a path operator after any verb: 'a', a variable, an IRIREF
+        ("SELECT * WHERE { ?s a/<http://e/q> ?o }", "property path"),
+        ("SELECT * WHERE { ?s ?p* ?o }", "property path"),
+        ("SELECT * WHERE { ?s <http://e/p> ? }", "property path"),
         ("SELECT * WHERE { ?s ?p ?o FILTER EXISTS { ?s ?q ?o } }", "EXISTS"),
         ("SELECT * WHERE { [ <http://e/p> ?o ] <http://e/q> ?x }", "property list"),
         ('SELECT * WHERE { ?s ?p "x"@en }', "language"),
@@ -262,6 +266,38 @@ def test_a_filter_function_name_starts_with_a_letter(name):
         parse_query(f"SELECT * WHERE {{ ?s ?p ?o FILTER {name}(?o) }}")
     assert (info.value.line, info.value.column) == (1, 34)
     assert not isinstance(info.value, UnsupportedSparqlError)
+
+
+@pytest.mark.parametrize("group, column", [("{ [] . }", 21), ("{ [ ] . }", 22), ("{ [] }", 21)])
+def test_an_empty_bnode_subject_needs_a_predicate(group, column):
+    # as in Turtle, a subject [] needs a predicate-object list
+    with pytest.raises(SparqlError, match="expected a predicate") as info:
+        parse_query(f"SELECT * WHERE {group}")
+    assert (info.value.line, info.value.column) == (1, column)
+    assert not isinstance(info.value, UnsupportedSparqlError)
+
+
+def test_a_dangling_semicolon_may_end_before_the_group_closes():
+    q = parse_query(f"PREFIX ex: <{EX}> SELECT * WHERE {{ [] ex:name ?n ; }}")
+    (pattern,) = q.patterns
+    assert pattern.s.anonymous and (pattern.p, pattern.o) == (Iri(EX + "name"), Variable("n"))
+    assert q.variables == (Variable("n"),)
+
+
+def test_a_dangling_semicolon_before_a_bracket_ends_the_triples_block():
+    with pytest.raises(SparqlError, match="expected '.' or '}'") as info:
+        parse_query("SELECT * WHERE { ?s ?p ?o ; ] }")
+    assert (info.value.line, info.value.column) == (1, 29)
+    assert not isinstance(info.value, UnsupportedSparqlError)
+
+
+def test_a_path_operator_counts_only_directly_after_a_verb():
+    # after ',' an object belongs, and '/' starts none
+    with pytest.raises(SparqlError, match="expected an object, found '/'") as info:
+        parse_query(f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?s ex:p ?o , /x }}")
+    assert not isinstance(info.value, UnsupportedSparqlError)
+    with pytest.raises(UnsupportedSparqlError, match="property path"):
+        parse_query(f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?s ex:p/ex:q ?o }}")
 
 
 def test_literal_subject_rejected():

@@ -169,6 +169,25 @@ def test_bnode_property_list_as_subject():
     assert len(subjects) == 1
 
 
+@pytest.mark.parametrize("anon", ["[]", "[ ]", "[ # a comment ]\n]"])
+def test_an_empty_bnode_subject_needs_a_predicate_object_list(anon):
+    # triples ::= subject predicateObjectList
+    #           | blankNodePropertyList predicateObjectList?
+    # and a blank node property list is never empty
+    with pytest.raises(TurtleError, match="expected a predicate, found '.'") as info:
+        read_turtle(f"{anon} .")
+    assert info.value.column == len(anon.rpartition("\n")[2]) + 2
+    (triple,) = triples(f"{anon} <http://e/p> <http://e/o> .")
+    assert isinstance(triple.s, BlankNode)
+
+
+def test_a_bnode_property_list_may_stand_alone():
+    # the comment holds a ']' that does not close the list
+    for text in ("[ <http://e/p> <http://e/o> ] .", "[ # ]\n<http://e/p> <http://e/o> ] ."):
+        (triple,) = triples(text)
+        assert isinstance(triple.s, BlankNode)
+
+
 def test_collections():
     text = "@prefix ex: <http://e/> .\nex:s ex:p (ex:a ex:b) . ex:t ex:q () ."
     ts = triples(text)

@@ -23,7 +23,9 @@ base with its quartiles, and how many rounds the head won.
 
 With ``--perfbench W --pairs N`` it instead runs ``perfbench/run.py`` for
 workload W in N alternating pairs of processes, each for the benchmark's
-``run_seconds``, and prints the medians of its gated metrics.
+``run_seconds``, and prints the medians of its gated metrics.  Either way
+both sides run from copies under one temporary directory, the working
+tree too (its tracked files and the untracked ones git does not ignore).
 
 Run from the repository root::
 
@@ -40,6 +42,8 @@ import importlib
 import importlib.util
 import io
 import json
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -53,18 +57,28 @@ QUERY_NAMES = tuple(f"q{i:02d}" for i in range(1, 9))
 
 
 def export(rev: str | None, into: Path) -> Path:
-    """The tree of *rev* unpacked under *into* by ``git archive``, or the
-    working tree itself when *rev* is None."""
+    """*into*, holding the tree of *rev* unpacked by ``git archive``; when
+    *rev* is None, the working tree's files that git tracks or would add
+    (not the ignored ones) copied there.  Both sides of a comparison run
+    from like copies side by side, because where a tree lies moves
+    materialize-s50's ``peak_rss_mb`` by up to about a megabyte."""
     if rev is None:
-        return ROOT
+        listed = subprocess.run(
+            ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+            cwd=ROOT, check=True, capture_output=True,
+        ).stdout
+        for name in filter(None, os.fsdecode(listed).split("\0")):
+            if (ROOT / name).is_file():  # a tracked file may be deleted
+                (into / name).parent.mkdir(parents=True, exist_ok=True)
+                shutil.copy2(ROOT / name, into / name)
+        return into
     archive = subprocess.run(
         ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
     ).stdout
-    tree = into / rev.replace("/", "_")
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         # the "data" filter, where this Python has it, keeps 3.12+ from warning
-        tar.extractall(tree, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-    return tree
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return into
 
 
 def load_package(tree: Path, name: str):
