@@ -1,6 +1,6 @@
 """Query-aware pruning for RML mappings.
 
-The package translates RML mapping documents into a small mapping algebra,
+The package parses RML mapping documents into a small mapping algebra,
 decides per triples-map expression whether a SPARQL query's triple
 patterns could ever match its output, and writes the surviving subset back
 out as a standalone mapping.  A reference materializer and a basic graph
@@ -47,7 +47,7 @@ from .rdf import (
     Variable,
     eval_bgp,
 )
-from .rml import RmlDocument, parse_rml, serialize_pruned, translate
+from .rml import parse_rml, serialize_pruned, translate
 from .sparql import SelectQuery, collect_triple_patterns, flatten_bgp, parse_query
 
 __version__ = "0.1.0"
@@ -68,7 +68,6 @@ __all__ = [
     "Literal",
     "MappingModelError",
     "RdfGraph",
-    "RmlDocument",
     "RmlMappingExpr",
     "RmlPruneError",
     "SelectQuery",

@@ -93,9 +93,12 @@ Value = str | Epsilon
 class Template:
     """Texts alternating with attribute names, text first and last; a text
     may be empty.  ``http://ex/{a}/{b}`` is ``("http://ex/", "a", "/", "b",
-    "")`` and a bare reference to ``a`` is ``("", "a", "")``."""
+    "")``.  A bare reference to ``a`` is ``("", "a", "")`` with *reference*
+    set, which tells it apart from the template ``{a}``; evaluation treats
+    the two alike."""
 
     parts: tuple[str, ...]
+    reference: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -103,6 +106,8 @@ class Template:
             raise StructuralError(
                 f"a template alternates texts and attributes, text first and last: {self.parts!r}"
             )
+        if self.reference and self.parts[::2] != ("", ""):
+            raise StructuralError(f"a reference is one attribute alone: {self.parts!r}")
         for part in self.parts:
             if not isinstance(part, str):
                 raise StructuralError(f"template parts must be strings: {part!r}")
@@ -209,11 +214,13 @@ SourceAssignment = Mapping[str, DataObject]
 
 @dataclass
 class ExtractSpec:
-    """What to pull out of one CSV source: which source reference, and
-    which column each attribute reads."""
+    """What to pull out of one CSV source: which source reference, which
+    column each attribute reads, and, in a parsed mapping, the key of the
+    triples map whose logical source it reads."""
 
     source_ref: str
     selectors: dict[Attribute, str]
+    triples_map: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +294,16 @@ class TriplesMapExpr:
 
 @dataclass(eq=False)
 class RmlMappingExpr:
-    """The union of projected triples-map expressions, in document order."""
+    """The union of projected triples-map expressions, in document order.
+
+    A parsed mapping also keeps its document's base and the key, source and
+    subject constructor of each of its triples maps, in document order,
+    which writing it back needs beyond the expressions: a parent that a
+    join names may have no expression of its own."""
 
     trmaps: tuple[TriplesMapExpr, ...]
+    base: str = ""
+    triples_maps: tuple[tuple[str, str, ExtendExpr], ...] = ()
 
     def __post_init__(self):
         self.trmaps = tuple(self.trmaps)

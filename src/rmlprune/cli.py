@@ -23,7 +23,7 @@ from .errors import RmlPruneError, SourceInputError
 from .gendata import generate
 from .ntriples import serialize_graph
 from .pruning import FullyPruned, prune
-from .rml import parse_rml, serialize_pruned, translate
+from .rml import parse_rml, serialize_pruned
 from .sparql import collect_triple_patterns, parse_query
 
 
@@ -55,8 +55,7 @@ def _load_mapping(path: str):
     except OSError as exc:
         raise SourceInputError(f"cannot read mapping {path!r}: {exc}") from exc
     try:
-        doc = parse_rml(data)
-        return doc, translate(doc)
+        return parse_rml(data)
     except RmlPruneError as exc:
         raise RmlPruneError(f"{path}: {exc}") from None
 
@@ -84,7 +83,7 @@ def _load_source(data_dir: str, ref: str) -> DataObject:
 
 
 def cmd_translate(args) -> int:
-    _, mapping = _load_mapping(args.mapping)
+    mapping = _load_mapping(args.mapping)
     print(f"{len(mapping.trmaps)} TrMap-expressions", file=sys.stderr)
     if args.dump_algebra:
         _write_out(dump_plan(mapping) + "\n", args.out)
@@ -92,7 +91,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    doc, mapping = _load_mapping(args.mapping)
+    mapping = _load_mapping(args.mapping)
     patterns = collect_triple_patterns(_load_query(args.query))
     t0 = time.monotonic()
     result = prune(patterns, mapping)
@@ -103,12 +102,12 @@ def cmd_prune(args) -> int:
           file=sys.stderr)
     if args.dump_algebra and retained:
         print(dump_plan(retained), file=sys.stderr)
-    _write_out(serialize_pruned(retained, doc), args.out)
+    _write_out(serialize_pruned(retained, mapping), args.out)
     return 0
 
 
 def cmd_materialize(args) -> int:
-    _, mapping = _load_mapping(args.mapping)
+    mapping = _load_mapping(args.mapping)
     sigma = {ref: _load_source(args.data_dir, ref) for ref in mapping.source_refs()}
     graph = materialize(mapping, sigma)
     print(f"{len(graph)} triples", file=sys.stderr)
@@ -117,7 +116,7 @@ def cmd_materialize(args) -> int:
 
 
 def cmd_query(args) -> int:
-    _, mapping = _load_mapping(args.mapping)
+    mapping = _load_mapping(args.mapping)
     result = answer(_load_query(args.query), mapping, partial(_load_source, args.data_dir))
     rows = result.rows()
     _write_out(format_rows(result.variables, rows), args.out)
@@ -126,7 +125,7 @@ def cmd_query(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    _, mapping = _load_mapping(args.mapping)
+    mapping = _load_mapping(args.mapping)
     query_files = sorted(Path(args.queries_dir).glob("*.rq"))
     if not query_files:
         raise SourceInputError(f"no .rq files under {args.queries_dir!r}")

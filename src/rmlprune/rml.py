@@ -1,4 +1,4 @@
-"""RML mapping documents: parsing, translation, serialization.
+"""RML mapping documents: parsing into expressions, and writing them back.
 
 Both RML generations are accepted: the current namespace
 (``http://w3id.org/rml/``) and the legacy pair of ``rr:``
@@ -15,19 +15,23 @@ order: a property the node does not take, or a once-only one stated
 twice, is rejected rather than dropped, and every error below a triples
 map names it.  A subject no triples map reaches only gets a warning.
 
-A parsed document has one shape: every triples map has a subject map, and
-each predicate-object map pairs one predicate map with one object map.
-:func:`parse_rml` gets there by turning shortcuts into constant maps,
-classes into leading ``rdf:type`` pairs, and several predicate or object
-maps into their product.  It builds each term map's constructor once, as
-it walks the map, without the public constructors' checks, which hold by
-construction: R2RML's term-type rules (§7.4) and the rules of the map's
-position are applied there, and nowhere else, and the constructor's
-attributes are named after the references it reads.  :func:`translate`
-only wires those constructors to extractions and joins: it emits one
-triples-map expression per (triples map, predicate-object map) pair,
-tagging each with a provenance id that :func:`serialize_pruned` uses to
-write the surviving subset back out as a standalone mapping document.
+A mapping has one form, the :class:`~rmlprune.algebra.RmlMappingExpr`
+that :func:`parse_rml` returns.  The walk puts each triples map in one
+shape: a subject constructor with a list of (predicate, object) pairs, got
+by turning shortcuts into constants, classes into leading ``rdf:type``
+pairs, and several predicate or object maps into their product.  It builds
+each term map's constructor once, as it walks the map, without the public
+constructors' checks, which hold by construction: R2RML's term-type rules
+(§7.4), the rule that a constant is an IRI or a literal (§7.2) and the
+rules of the map's position are applied there, and nowhere else, and the
+constructor's attributes are named after the references it reads; its
+template records whether it was written as a reference.  Each (triples
+map, pair) then becomes one triples-map expression, whose extractions name
+the triples maps they read, tagged with a provenance id.  The mapping also
+keeps the base and each triples map's key, source and subject constructor,
+so :func:`serialize_pruned` writes any subset of its expressions back out
+as a standalone mapping document from the expressions alone: a template's
+text from its parts, a join's parent from its extraction.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from __future__ import annotations
 import logging
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 
 from .algebra import (
@@ -87,7 +90,7 @@ _REJECTED_PROPS[RML_OLD + "query"] = "query-backed sources are not supported"
 _REJECTED_PROPS["http://semweb.mmlab.be/ns/fnml#functionValue"] = "function maps are not supported"
 _REJECTED_PROPS[RML_NEW + "logicalTarget"] = "logical targets are not supported"
 
-_CONSTANT_TYPES = {Iri: BuildIri, Literal: BuildLiteral, BlankNode: BuildBlank}
+_CONSTANT_TYPES = {Iri: BuildIri, Literal: BuildLiteral}
 _TYPE_KEYWORD = {BuildIri: "rml:IRI", BuildLiteral: "rml:Literal", BuildBlank: "rml:BlankNode"}
 # each term type as the constructor that builds its terms
 _TERM_TYPES = {ns + keyword[4:]: cls for cls, keyword in _TYPE_KEYWORD.items() for ns in (RML_NEW, RR)}
@@ -100,47 +103,6 @@ _CSV_FORMULATIONS = {QL + "CSV", RML_NEW + "CSV"}
 _KNOWN_OTHER_FORMULATIONS = {
     ns + name: kind for ns in (QL, RML_NEW) for name, kind in (("JSONPath", "JSON"), ("XPath", "XML"))
 }
-
-
-# ---------------------------------------------------------------------------
-# document model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(slots=True)
-class TermMapModel:
-    """A term map as written, which :func:`serialize_pruned` writes back,
-    and the constructor it builds."""
-
-    kind: str  # "constant" | "reference" | "template"
-    value: RdfTerm | str
-    expr: ExtendExpr
-
-
-@dataclass
-class RefObjectMapModel:
-    parent: str
-    joins: tuple[tuple[str, str], ...]
-
-
-@dataclass(slots=True)
-class PredicateObjectMapModel:
-    predicate_map: TermMapModel
-    object_map: TermMapModel | RefObjectMapModel
-
-
-@dataclass
-class TriplesMapModel:
-    id: str
-    source: str  # the CSV file its logical source names
-    subject_map: TermMapModel
-    poms: tuple[PredicateObjectMapModel, ...] = ()
-
-
-@dataclass
-class RmlDocument:
-    triples_maps: tuple[TriplesMapModel, ...]
-    base_iri: str = DEFAULT_BASE_IRI
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +278,15 @@ def _term_map(
     base: str,
     term_type: type | None = None,
     datatype: str | None = None,
-) -> TermMapModel:
-    """A term map at *position* ("subject", "predicate" or "object") with
-    its constructor, after R2RML's term-type rules: a constant has its
-    term's type; otherwise an explicit term type holds, an object map that
-    is reference-valued or datatyped builds literals, and every other map
-    builds IRIs.  Subject maps build no literals, predicate maps only IRIs,
-    and only a literal-building map takes a datatype.  Its errors do not
-    name the map: the caller, which knows where it is, adds that."""
+) -> ExtendExpr:
+    """The constructor of a term map at *position* ("subject", "predicate"
+    or "object"), after R2RML's term-type rules: a constant has its term's
+    type and is an IRI or a literal, never a blank node (§7.2); otherwise an
+    explicit term type holds, an object map that is reference-valued or
+    datatyped builds literals, and every other map builds IRIs.  Subject
+    maps build no literals, predicate maps only IRIs, and only a
+    literal-building map takes a datatype.  Its errors do not name the map:
+    the caller, which knows where it is, adds that."""
     if kind == "constant":
         if datatype is not None:
             typed = f" ({format_term(Literal(value.lex, datatype))})" if type(value) is Literal else ""
@@ -331,7 +294,9 @@ def _term_map(
                 f"a constant map takes no datatype; write the typed literal{typed} "
                 f"as the constant"
             )
-        built = _CONSTANT_TYPES[type(value)]
+        built = _CONSTANT_TYPES.get(type(value))
+        if built is None:
+            raise MappingModelError("a constant must be an IRI or a literal, not a blank node")
         if term_type not in (None, built):
             raise MappingModelError(
                 f"constant {value!r} conflicts with term type {_TYPE_KEYWORD[term_type]}"
@@ -349,20 +314,23 @@ def _term_map(
     if datatype is not None and built is not BuildLiteral:
         raise MappingModelError("datatype is only allowed on literal-producing maps")
     if kind == "constant":
-        return TermMapModel(kind, value, _NEW[ConstantTerm](value))
-    body = _NEW[Template](("", value, "") if kind == "reference" else parse_template(value))
+        return _NEW[ConstantTerm](value)
+    if kind == "reference":
+        body = _NEW[Template](("", value, ""), True)
+    else:
+        body = _NEW[Template](parse_template(value), False)
     if built is BuildLiteral:
-        return TermMapModel(kind, value, _NEW[BuildLiteral](body, datatype or XSD_STRING))
+        return _NEW[BuildLiteral](body, datatype or XSD_STRING)
     if built is BuildBlank:
-        return TermMapModel(kind, value, _NEW[BuildBlank](body))
-    return TermMapModel(kind, value, _NEW[BuildIri](body, base))
+        return _NEW[BuildBlank](body)
+    return _NEW[BuildIri](body, base)
 
 
 def _parse_term_map(
     g: _Graph, key: str, position: str, base: str, visited: set[str]
-) -> tuple[TermMapModel, tuple[Iri, ...]]:
-    """The term map at node *key*, at *position*, and, on a subject map,
-    its classes."""
+) -> tuple[ExtendExpr, tuple[Iri, ...]]:
+    """The constructor of the term map at node *key*, at *position*, and,
+    on a subject map, its classes."""
     what = f"{position} map"
     props = _read_node(g, key, what, visited)
     classes = (props.pop() or ()) if position == "subject" else ()
@@ -394,7 +362,11 @@ def _parse_term_map(
         raise MappingModelError(f"{what} {g.name(key)}: {exc}") from None
 
 
-def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> RefObjectMapModel:
+# a referencing object map: its parent's key and its (child, parent) join pairs
+_Joined = tuple[str, tuple[tuple[str, str], ...]]
+
+
+def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> _Joined:
     parent, conditions = _read_node(g, key, "referencing object map", visited)
     joins: list[tuple[str, str]] = []
     for obj in conditions or ():
@@ -413,23 +385,30 @@ def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> RefObjectMa
         raise MappingModelError(
             f"referencing object map {g.name(key)}: parent triples map {g.name(parent)} does not exist"
         )
-    return RefObjectMapModel(parent=parent, joins=tuple(joins))
+    return parent, tuple(joins)
 
 
-def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[PredicateObjectMapModel]:
-    """One predicate-object map per (predicate, object) of the node:
-    predicate maps before predicate shortcuts, object maps before object
-    shortcuts, predicate-major."""
-    predicate_nodes, predicates, object_nodes, objects = _read_node(g, key, "predicate-object map", visited)
-    predicate_maps: list[TermMapModel] = []
-    for obj in predicate_nodes or ():
-        predicate_maps.append(_parse_term_map(g, _node_key(obj, "predicateMap"), "predicate", base, visited)[0])
+def _shortcuts(g: _Graph, key: str, terms: list | None, position: str, base: str) -> list[ExtendExpr]:
+    """The constants of the *position* shortcuts of predicate-object map *key*."""
     try:
-        for p in predicates or ():
-            predicate_maps.append(_term_map("constant", p, "predicate", base))
+        return [_term_map("constant", term, position, base) for term in terms or ()]
     except MappingModelError as exc:
         raise MappingModelError(f"predicate-object map {g.name(key)}: {exc}") from None
-    object_maps: list[TermMapModel | RefObjectMapModel] = []
+
+
+def _parse_pom(
+    g: _Graph, key: str, base: str, visited: set[str]
+) -> list[tuple[ExtendExpr, ExtendExpr | _Joined]]:
+    """One (predicate constructor, object constructor or join) pair per
+    (predicate, object) of the node: predicate maps before predicate
+    shortcuts, object maps before object shortcuts, predicate-major."""
+    predicate_nodes, predicates, object_nodes, objects = _read_node(g, key, "predicate-object map", visited)
+    predicate_maps = [
+        _parse_term_map(g, _node_key(obj, "predicateMap"), "predicate", base, visited)[0]
+        for obj in predicate_nodes or ()
+    ]
+    predicate_maps += _shortcuts(g, key, predicates, "predicate", base)
+    object_maps: list[ExtendExpr | _Joined] = []
     for obj in object_nodes or ():
         okey = _node_key(obj, "objectMap")
         # a referencing object map is the one that names a parent
@@ -437,18 +416,17 @@ def _parse_pom(g: _Graph, key: str, base: str, visited: set[str]) -> list[Predic
             object_maps.append(_parse_ref_object_map(g, okey, visited))
         else:
             object_maps.append(_parse_term_map(g, okey, "object", base, visited)[0])
-    # a constant object map is any term, so it cannot fail
-    for o in objects or ():
-        object_maps.append(_term_map("constant", o, "object", base))
+    object_maps += _shortcuts(g, key, objects, "object", base)
     if not predicate_maps:
         raise MappingModelError(f"predicate-object map {g.name(key)} has no predicate")
     if not object_maps:
         raise MappingModelError(f"predicate-object map {g.name(key)} has no object")
-    return [PredicateObjectMapModel(pm, om) for pm in predicate_maps for om in object_maps]
+    return [(pm, om) for pm in predicate_maps for om in object_maps]
 
 
-def parse_rml(data: bytes | str) -> RmlDocument:
-    """Parse an RML mapping document from Turtle bytes or text."""
+def parse_rml(data: bytes | str) -> RmlMappingExpr:
+    """Parse an RML mapping document from Turtle bytes or text into its
+    expressions: one per (triples map, predicate-object pair)."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -464,7 +442,8 @@ def parse_rml(data: bytes | str) -> RmlDocument:
         raise MappingModelError("no triples maps found (no subject carries a logical source)")
 
     visited: set[str] = set()
-    triples_maps: list[TriplesMapModel] = []
+    # per triples map: its key, source, subject constructor and pairs
+    walked: list[tuple[str, str, ExtendExpr, list]] = []
     type_map = _term_map("constant", RDF_TYPE_IRI, "predicate", base)
     for key in tm_keys:
         logical_source, subject_node, subject, pom_nodes = _read_node(g, key, "triples map", visited)
@@ -488,10 +467,8 @@ def parse_rml(data: bytes | str) -> RmlDocument:
             raise MappingModelError(f"triples map {g.name(key)}: {exc}") from None
         if subject_map is None:
             raise MappingModelError(f"triples map {g.name(key)} lacks a subject map")
-        class_poms = [PredicateObjectMapModel(type_map, _term_map("constant", cls, "object", base)) for cls in classes]
-        triples_maps.append(
-            TriplesMapModel(id=key, source=source, subject_map=subject_map, poms=tuple(class_poms + poms))
-        )
+        class_poms = [(type_map, _term_map("constant", cls, "object", base)) for cls in classes]
+        walked.append((key, source, subject_map, class_poms + poms))
 
     # names are formatted only for a record that is emitted
     if logger.isEnabledFor(logging.WARNING):
@@ -499,13 +476,86 @@ def parse_rml(data: bytes | str) -> RmlDocument:
             if key not in visited and any(_TOKENS.get(pred.value) != "type" for pred in props[::2]):
                 logger.warning("subject %s is not reachable from any triples map; ignoring it", g.name(key))
 
-    return RmlDocument(triples_maps=tuple(triples_maps), base_iri=base)
+    exprs = _expressions(walked)
+    if not exprs:
+        raise MappingModelError(
+            "the document has no predicate-object maps, so it produces no triples"
+        )
+    return RmlMappingExpr(exprs, base, tuple(tm[:3] for tm in walked))
 
 
-def normalize(doc: RmlDocument) -> RmlDocument:
-    """The document itself: :func:`parse_rml` already yields the normal
-    form.  Kept only because the benchmark in ``perfbench/`` imports it."""
-    return doc
+def _refs(expr: ExtendExpr) -> tuple[str, ...]:
+    """The references a constructor reads, in order, repeats included."""
+    return () if isinstance(expr, ConstantTerm) else expr.body.parts[1::2]
+
+
+def _renamed(expr: ExtendExpr, name_of: dict[str, str]) -> ExtendExpr:
+    """A copy of subject constructor *expr* reading attribute
+    ``name_of[a]`` for each ``a``."""
+    if isinstance(expr, ConstantTerm):
+        return expr
+    parts = list(expr.body.parts)
+    parts[1::2] = [name_of[ref] for ref in parts[1::2]]
+    body = _NEW[Template](tuple(parts), expr.body.reference)
+    return _NEW[BuildIri](body, expr.base) if type(expr) is BuildIri else _NEW[BuildBlank](body)
+
+
+def _expressions(walked: list[tuple[str, str, ExtendExpr, list]]) -> tuple[TriplesMapExpr, ...]:
+    """One triples-map expression per (triples map, predicate-object pair).
+
+    The walk's constructors are reused; their attributes are named after
+    the references they select, in order of first appearance.  A joined
+    parent's subject constructor is copied with its attributes renamed
+    with an ``@parent`` suffix, plus ``'`` until they clash with no child
+    attribute.
+    """
+    by_key = {key: (source, subject) for key, source, subject, _ in walked}
+    exprs: list[TriplesMapExpr] = []
+    for key, source, subject_expr, pairs in walked:
+        subject_refs = _refs(subject_expr)
+        for j, (predicate_expr, om) in enumerate(pairs):
+            joined = isinstance(om, tuple)
+            refs = subject_refs + _refs(predicate_expr) + (tuple(c for c, _ in om[1]) if joined else _refs(om))
+            # each reference selects itself, in order of first appearance
+            selectors = dict(zip(refs, refs))
+            parent_extract = None
+            join_conditions: tuple[tuple[str, str], ...] = ()
+            if joined:
+                parent_key, joins = om
+                parent_source, parent_subject = by_key[parent_key]  # the walk checked that it exists
+                taken = set(selectors)
+                name_of: dict[str, str] = {}
+                for ref in dict.fromkeys(_refs(parent_subject) + tuple(p for _, p in joins)):
+                    name = f"{ref}@parent"
+                    while name in taken:
+                        name += "'"
+                    taken.add(name)
+                    name_of[ref] = name
+                parent_extract = ExtractSpec(
+                    parent_source, {name: ref for ref, name in name_of.items()}, parent_key
+                )
+                object_expr = _renamed(parent_subject, name_of)
+                join_conditions = tuple((c, name_of[p]) for c, p in joins)
+            else:
+                object_expr = om
+            # the checks of TriplesMapExpr hold by construction: each
+            # constructor reads only the selectors named after its references,
+            # and a joined object, a subject map, builds no literal
+            expr = object.__new__(TriplesMapExpr)
+            expr.subject_expr, expr.predicate_expr, expr.object_expr = subject_expr, predicate_expr, object_expr
+            expr.extract, expr.parent_extract = ExtractSpec(source, selectors, key), parent_extract
+            expr.join_conditions, expr.provenance = join_conditions, f"{key}#pom{j}"
+            exprs.append(expr)
+    return tuple(exprs)
+
+
+def translate(mapping: RmlMappingExpr) -> RmlMappingExpr:
+    """The mapping itself, as :func:`parse_rml` already returns expressions;
+    ``perfbench/`` still calls it and :func:`normalize`."""
+    return mapping
+
+
+normalize = translate
 
 
 # ---------------------------------------------------------------------------
@@ -556,85 +606,13 @@ def _template_error(template: str, pos: int) -> MappingModelError:
     )
 
 
-# ---------------------------------------------------------------------------
-# translation
-# ---------------------------------------------------------------------------
-
-
-def _refs(expr: ExtendExpr) -> tuple[str, ...]:
-    """The references a constructor reads, in order, repeats included."""
-    return () if isinstance(expr, ConstantTerm) else expr.body.parts[1::2]
-
-
-def _renamed(expr: ExtendExpr, name_of: dict[str, str]) -> ExtendExpr:
-    """A copy of subject constructor *expr* reading attribute
-    ``name_of[a]`` for each ``a``."""
-    if isinstance(expr, ConstantTerm):
-        return expr
-    parts = list(expr.body.parts)
-    parts[1::2] = [name_of[ref] for ref in parts[1::2]]
-    body = _NEW[Template](tuple(parts))
-    return _NEW[BuildIri](body, expr.base) if type(expr) is BuildIri else _NEW[BuildBlank](body)
-
-
-def translate(doc: RmlDocument) -> RmlMappingExpr:
-    """One triples-map expression per (triples map, predicate-object map).
-
-    The parsed constructors are reused; their attributes are named after
-    the references they select, in order of first appearance.  A joined
-    parent's subject constructor is copied with its attributes renamed
-    with an ``@parent`` suffix, plus ``'`` until they clash with no child
-    attribute.  *doc* is one that :func:`parse_rml` built.
-    """
-    by_id = {tm.id: tm for tm in doc.triples_maps}
-    exprs: list[TriplesMapExpr] = []
-    for tm in doc.triples_maps:
-        subject_expr = tm.subject_map.expr
-        subject_refs = _refs(subject_expr)
-        for j, pom in enumerate(tm.poms):
-            predicate_expr, om = pom.predicate_map.expr, pom.object_map
-            joined = isinstance(om, RefObjectMapModel)
-            refs = (
-                subject_refs
-                + _refs(predicate_expr)
-                + (tuple(c for c, _ in om.joins) if joined else _refs(om.expr))
-            )
-            # each reference selects itself, in order of first appearance
-            selectors = dict(zip(refs, refs))
-            parent_extract = None
-            join_conditions: tuple[tuple[str, str], ...] = ()
-            if joined:
-                parent_tm = by_id[om.parent]  # parse_rml checked that it exists
-                parent_subject = parent_tm.subject_map.expr
-                taken = set(selectors)
-                name_of: dict[str, str] = {}
-                for ref in dict.fromkeys(_refs(parent_subject) + tuple(p for _, p in om.joins)):
-                    name = f"{ref}@parent"
-                    while name in taken:
-                        name += "'"
-                    taken.add(name)
-                    name_of[ref] = name
-                parent_extract = ExtractSpec(
-                    source_ref=parent_tm.source,
-                    selectors={name: ref for ref, name in name_of.items()},
-                )
-                object_expr = _renamed(parent_subject, name_of)
-                join_conditions = tuple((c, name_of[p]) for c, p in om.joins)
-            else:
-                object_expr = om.expr
-            # the checks of TriplesMapExpr hold by construction: each
-            # constructor reads only the selectors named after its references,
-            # and a joined object, a subject map, builds no literal
-            expr = object.__new__(TriplesMapExpr)
-            expr.subject_expr, expr.predicate_expr, expr.object_expr = subject_expr, predicate_expr, object_expr
-            expr.extract, expr.parent_extract = ExtractSpec(tm.source, selectors), parent_extract
-            expr.join_conditions, expr.provenance = join_conditions, f"{tm.id}#pom{j}"
-            exprs.append(expr)
-    if not exprs:
-        raise MappingModelError(
-            "the document has no predicate-object maps, so it produces no triples"
-        )
-    return RmlMappingExpr(tuple(exprs))
+def template_text(parts: tuple[str, ...]) -> str:
+    """The template that :func:`parse_template` splits into *parts*: each
+    text with ``\\``, ``{`` and ``}`` escaped, each name between braces."""
+    return "".join(
+        f"{{{p}}}" if i % 2 else p.replace("\\", "\\\\").replace("{", "\\{").replace("}", "\\}")
+        for i, p in enumerate(parts)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -642,90 +620,97 @@ def translate(doc: RmlDocument) -> RmlMappingExpr:
 # ---------------------------------------------------------------------------
 
 
-def _render_term_map(model: TermMapModel, indent: str) -> list[str]:
-    if model.kind == "constant":
-        return [f"{indent}rml:constant {format_term(model.value)}"]
+def _render_term_map(expr: ExtendExpr, indent: str) -> list[str]:
+    if isinstance(expr, ConstantTerm):
+        return [f"{indent}rml:constant {format_term(expr.term)}"]
+    body = expr.body
+    kind, value = ("reference", body.parts[1]) if body.reference else ("template", template_text(body.parts))
     lines = [
-        f'{indent}rml:{model.kind} "{escape_string(model.value)}" ;',
-        f"{indent}rml:termType {_TYPE_KEYWORD[type(model.expr)]} ;",
+        f'{indent}rml:{kind} "{escape_string(value)}" ;',
+        f"{indent}rml:termType {_TYPE_KEYWORD[type(expr)]} ;",
     ]
-    if isinstance(model.expr, BuildLiteral) and model.expr.datatype != XSD_STRING:
-        lines.append(f"{indent}rml:datatype <{model.expr.datatype}> ;")
+    if isinstance(expr, BuildLiteral) and expr.datatype != XSD_STRING:
+        lines.append(f"{indent}rml:datatype <{expr.datatype}> ;")
     lines[-1] = lines[-1].rstrip(" ;")
     return lines
 
 
-def _render_object_map(om: TermMapModel | RefObjectMapModel) -> list[str]:
-    if isinstance(om, TermMapModel):
-        return _render_term_map(om, "      ")
-    lines = [f"      rml:parentTriplesMap {_fmt_node(om.parent)} ;"]
-    for child_ref, parent_ref in om.joins:
+def _render_object_map(expr: TriplesMapExpr) -> list[str]:
+    parent = expr.parent_extract
+    if parent is None:
+        return _render_term_map(expr.object_expr, "      ")
+    lines = [f"      rml:parentTriplesMap {_fmt_node(parent.triples_map)} ;"]
+    for child_ref, parent_attr in expr.join_conditions:
         lines.append(
             f'      rml:joinCondition [ rml:child "{escape_string(child_ref)}" ; '
-            f'rml:parent "{escape_string(parent_ref)}" ] ;'
+            f'rml:parent "{escape_string(parent.selectors[parent_attr])}" ] ;'
         )
     lines[-1] = lines[-1].rstrip(" ;")
     return lines
 
 
-def _render_triples_map(tm: TriplesMapModel, poms: list[PredicateObjectMapModel]) -> str:
+def _render_triples_map(key: str, source: str, subject: ExtendExpr, exprs: list[TriplesMapExpr]) -> str:
     lines = [
-        f'{_fmt_node(tm.id)} rml:logicalSource [ rml:source "{escape_string(tm.source)}" ; '
+        f'{_fmt_node(key)} rml:logicalSource [ rml:source "{escape_string(source)}" ; '
         "rml:referenceFormulation rml:CSV ] ;"
     ]
     lines.append("  rml:subjectMap [")
-    lines.extend(_render_term_map(tm.subject_map, "    "))
+    lines.extend(_render_term_map(subject, "    "))
     lines.append("  ]")
-    for pom in poms:
+    for expr in exprs:
         lines[-1] += " ;"
         lines.append("  rml:predicateObjectMap [")
         lines.append("    rml:predicateMap [")
-        lines.extend(_render_term_map(pom.predicate_map, "      "))
+        lines.extend(_render_term_map(expr.predicate_expr, "      "))
         lines.append("    ] ;")
         lines.append("    rml:objectMap [")
-        lines.extend(_render_object_map(pom.object_map))
+        lines.extend(_render_object_map(expr))
         lines.append("    ]")
         lines.append("  ]")
     lines[-1] += " ."
     return "\n".join(lines)
 
 
-def serialize_pruned(retained, doc: RmlDocument) -> str:
+def serialize_pruned(retained, doc: RmlMappingExpr) -> str:
     """An RML document containing the retained triples-map expressions.
 
-    *retained* is an iterable of expressions produced by translating *doc*.
-    Each triples map with a retained expression is written once, under its
-    own identifier, with its retained predicate-object maps in document
-    order.  A parent that a retained join references but that retains
-    nothing itself is written with only its logical source and subject map,
-    so join targets resolve.  The document's base is written too, so
-    relative templates build the same IRIs.  With nothing retained, the
-    output is an empty mapping with a marker comment.
+    *retained* is an iterable of expressions of *doc*, a mapping that
+    :func:`parse_rml` returned.  Each triples map with a retained
+    expression is written once, under its own identifier, with its retained
+    predicate-object maps in document order.  A parent that a retained join
+    references but that retains nothing itself is written with only its
+    logical source and subject map, so join targets resolve.  The
+    document's base is written too, so relative templates build the same
+    IRIs.  With nothing retained, the output is an empty mapping with a
+    marker comment.
     """
     if isinstance(retained, RmlMappingExpr):
         retained = retained.trmaps
-    by_id = {tm.id: tm for tm in doc.triples_maps}
-    kept: dict[str, set[int]] = {}
-    parents: set[str] = set()
+    if not doc.triples_maps:
+        raise MappingModelError("only a mapping that parse_rml returned can be written back")
+    # an expression hashes by identity, so this finds the very object
+    position = {expr: j for j, expr in enumerate(doc.trmaps)}
+    kept: set[int] = set()
     for expr in retained:
-        tm_id, _, index = expr.provenance.rpartition("#pom")
-        tm = by_id.get(tm_id)
-        if tm is None or not index.isdecimal() or int(index) >= len(tm.poms):
+        j = position.get(expr)
+        if j is None:
             raise MappingModelError(
                 f"retained expression {expr.provenance!r} does not come from this document"
             )
-        j = int(index)
-        kept.setdefault(tm_id, set()).add(j)
-        om = tm.poms[j].object_map
-        if isinstance(om, RefObjectMapModel):
-            parents.add(om.parent)
+        kept.add(j)
 
     header = "@prefix rml: <http://w3id.org/rml/> .\n"
     if not kept:
         return header + "\n# fully pruned: no triples map is compatible with the query\n"
+    by_map: dict[str, list[TriplesMapExpr]] = {}
+    for j in sorted(kept):
+        expr = doc.trmaps[j]
+        by_map.setdefault(expr.extract.triples_map, []).append(expr)
+        if expr.parent_extract is not None:
+            by_map.setdefault(expr.parent_extract.triples_map, [])
     blocks = [
-        _render_triples_map(tm, [tm.poms[j] for j in sorted(kept.get(tm.id, ()))])
-        for tm in doc.triples_maps
-        if tm.id in kept or tm.id in parents
+        _render_triples_map(key, source, subject, by_map[key])
+        for key, source, subject in doc.triples_maps
+        if key in by_map
     ]
-    return header + f"@base <{doc.base_iri}> .\n\n" + "\n\n".join(blocks) + "\n"
+    return header + f"@base <{doc.base}> .\n\n" + "\n\n".join(blocks) + "\n"

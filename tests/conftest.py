@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from rmlprune.algebra import DataObject, RmlMappingExpr
 from rmlprune.csvsource import CSV_KIND, parse_csv
-from rmlprune.rml import RmlDocument, parse_rml, translate
+from rmlprune.rml import parse_rml
 
 settings.register_profile(
     "default",
@@ -24,13 +24,8 @@ def data_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
-def airports_doc() -> RmlDocument:
+def airports_mapping() -> RmlMappingExpr:
     return parse_rml((DATA_DIR / "airports.ttl").read_bytes())
-
-
-@pytest.fixture(scope="session")
-def airports_mapping(airports_doc) -> RmlMappingExpr:
-    return translate(airports_doc)
 
 
 @pytest.fixture(scope="session")

@@ -48,7 +48,7 @@ from rmlprune.turtle import TurtleParser
 
 def ref(attr: str) -> Template:
     """The template of a bare reference to *attr*."""
-    return Template(("", attr, ""))
+    return Template(("", attr, ""), reference=True)
 
 
 def unique_trmaps(m: RmlMappingExpr) -> list[TriplesMapExpr]:

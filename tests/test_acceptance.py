@@ -26,7 +26,7 @@ from rmlprune.rdf import (
     Variable,
     eval_bgp,
 )
-from rmlprune.rml import parse_rml, serialize_pruned, translate
+from rmlprune.rml import parse_rml, serialize_pruned
 from rmlprune.sparql import collect_triple_patterns, parse_query
 
 from . import randgen
@@ -70,8 +70,7 @@ def _clear_prune_caches():
 
 def test_demo_prunes_two_to_one_quickly():
     t0 = time.monotonic()
-    doc = parse_rml((DATA / "airports.ttl").read_bytes())
-    mapping = translate(doc)
+    mapping = parse_rml((DATA / "airports.ttl").read_bytes())
     query = parse_query((DATA / "airports.rq").read_text())
     patterns = collect_triple_patterns(query)
     result = prune(patterns, mapping)
@@ -188,8 +187,8 @@ def test_pruned_output_is_subgraph_of_full_output():
 
 def test_all_variable_pattern_retains_everything():
     wildcard = [TriplePattern(Variable("s"), Variable("p"), Variable("o"))]
-    cases = [translate(parse_rml(MAPPING_TTL))]
-    cases.append(translate(parse_rml((DATA / "airports.ttl").read_bytes())))
+    cases = [parse_rml(MAPPING_TTL)]
+    cases.append(parse_rml((DATA / "airports.ttl").read_bytes()))
     cases.extend(randgen.make_instance(seed).mapping for seed in range(2000, 2050))
     bad = 0
     for mapping in cases:
@@ -264,8 +263,7 @@ def test_gtfs_reference_counts():
     if not root:
         pytest.skip("set RMLPRUNE_GTFS_DIR to a GTFS-Madrid mapping directory")
     root = Path(root)
-    doc = parse_rml((root / "mapping.ttl").read_bytes())
-    mapping = translate(doc)
+    mapping = parse_rml((root / "mapping.ttl").read_bytes())
     results = {}
     diverged = []
     for number, expected in GTFS_EXPECTED.items():
@@ -291,34 +289,30 @@ def test_gtfs_reference_counts():
 
 
 def test_serializer_round_trips_up_to_renaming():
-    corpus_doc = parse_rml(MAPPING_TTL)
-    corpus_mapping = translate(corpus_doc)
-    airports_doc = parse_rml((DATA / "airports.ttl").read_bytes())
-    airports_mapping = translate(airports_doc)
+    corpus_mapping = parse_rml(MAPPING_TTL)
+    airports_mapping = parse_rml((DATA / "airports.ttl").read_bytes())
 
-    cases = [(corpus_doc, corpus_mapping, QUERIES[name]) for name in sorted(QUERIES)]
-    cases.append(
-        (airports_doc, airports_mapping, (DATA / "airports.rq").read_text())
-    )
+    cases = [(corpus_mapping, QUERIES[name]) for name in sorted(QUERIES)]
+    cases.append((airports_mapping, (DATA / "airports.rq").read_text()))
     compared = 0
     mismatches = []
-    for doc, mapping, query_text in cases:
+    for mapping, query_text in cases:
         patterns = collect_triple_patterns(parse_query(query_text))
         result = prune(patterns, mapping)
         text = serialize_pruned(
-            () if isinstance(result, FullyPruned) else result, doc
+            () if isinstance(result, FullyPruned) else result, mapping
         )
         if isinstance(result, FullyPruned):
             if "fully pruned" not in text:
                 mismatches.append("missing fully-pruned marker")
             continue
-        reparsed = translate(parse_rml(text))
+        reparsed = parse_rml(text)
         compared += 1
         if _shape(reparsed) != _shape(result):
             mismatches.append(query_text.splitlines()[-1][:40])
     # the unpruned mappings must round-trip too
-    for doc, mapping in ((corpus_doc, corpus_mapping), (airports_doc, airports_mapping)):
-        reparsed = translate(parse_rml(serialize_pruned(mapping, doc)))
+    for mapping in (corpus_mapping, airports_mapping):
+        reparsed = parse_rml(serialize_pruned(mapping, mapping))
         compared += 1
         if _shape(reparsed) != _shape(mapping):
             mismatches.append("full mapping")

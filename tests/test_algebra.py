@@ -46,7 +46,7 @@ from rmlprune.rdf import (
     Triple,
     decode_term,
 )
-from rmlprune.rml import parse_rml, translate
+from rmlprune.rml import parse_rml
 
 from . import randgen
 from .helpers import (
@@ -99,7 +99,11 @@ def test_template_attrs():
     assert ref("a").attrs == {"a"}
     assert Template(("http://e/", "a", "", "b", "/", "a", "")).attrs == {"a", "b"}
     # a list of parts is kept as a tuple, so equal templates hash alike
-    assert hash(Template(["", "a", ""])) == hash(ref("a"))
+    assert hash(Template(["", "a", ""], True)) == hash(ref("a"))
+    # the template {a} is no reference to a, though it reads the same
+    assert Template(("", "a", "")) != ref("a")
+    with pytest.raises(StructuralError, match="one attribute alone"):
+        Template(("x", "a", ""), reference=True)
 
 
 def test_evaluate_template():
@@ -749,7 +753,7 @@ def corpus_inputs(directory, scale: int) -> tuple[RmlMappingExpr, dict[str, Data
         name: DataObject(kind=CSV_KIND, payload=parse_csv((directory / name).read_bytes()))
         for name in ("stops.csv", "routes.csv", "shapes.csv")
     }
-    return translate(parse_rml((directory / "mapping.ttl").read_bytes())), sigma
+    return parse_rml((directory / "mapping.ttl").read_bytes()), sigma
 
 
 def test_materialize_constructs_no_triple(tmp_path, monkeypatch):
@@ -857,7 +861,7 @@ def test_typed_literals_skip_the_datatype_check(monkeypatch):
 
 
 def test_escaped_braces_in_an_rml_template_stay_text(caplog):
-    doc = parse_rml(
+    m = parse_rml(
         "@prefix rml: <http://w3id.org/rml/> .\n"
         "<http://e.com/tm> rml:logicalSource [ rml:source \"t.csv\" ; rml:referenceFormulation rml:CSV ] ;\n"
         "  rml:subjectMap [ rml:template \"http://e.com/s/{id}\" ] ;\n"
@@ -865,6 +869,5 @@ def test_escaped_braces_in_an_rml_template_stay_text(caplog):
         "    rml:objectMap [ rml:template \"\\\\{x\\\\}\\\\{0[0]\\\\}{v}\" ; rml:termType rml:Literal ] ] .\n"
     )
     sigma = csv_sigma(**{"t.csv": "id,v\n7,a\n8,{id}\n"})
-    m = translate(doc)
     check_against_reference(m, sigma, caplog)
     assert sorted(t.o.lex for t in materialize(m, sigma)) == ["{x}{0[0]}a", "{x}{0[0]}{id}"]

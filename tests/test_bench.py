@@ -9,8 +9,10 @@ import pytest
 
 from rmlprune.answer import BENCH_HEADER, BenchRow, answer, format_csv, run_benchmark
 from rmlprune.gendata import MAPPING_TTL, QUERIES
+from rmlprune.pruning import prune
 from rmlprune.rdf import Bgp, eval_bgp
-from rmlprune.sparql import flatten_bgp, parse_query
+from rmlprune.rml import serialize_pruned
+from rmlprune.sparql import collect_triple_patterns, flatten_bgp, parse_query
 
 from .test_gendata import corpus, corpus_mapping, corpus_sigma  # noqa: F401
 
@@ -90,15 +92,23 @@ def workloads(monkeypatch):
 def test_perfbench_finds_every_name_it_uses(workloads, corpus):
     # the import resolves every name perfbench takes from the package; the
     # calls below reach what it uses of them
-    _, mapping = workloads.load_mapping(MAPPING_TTL.encode("utf-8"), workloads.NULL)
+    doc, mapping = workloads.load_mapping(MAPPING_TTL.encode("utf-8"), workloads.NULL)
     files = {name: (corpus / name).read_bytes() for name in ("stops.csv", "routes.csv", "shapes.csv")}
-    graph = workloads.ExpressionGraphs(files).union(mapping.trmaps)
+    graphs = workloads.ExpressionGraphs(files)
+    graph = graphs.union(mapping.trmaps)
     assert len(graph) == len(list(graph)) == 1570
     assert len(workloads.load_sources(mapping, files, workloads.NULL)) == 3
     query = parse_query(QUERIES["q07"])
     patterns = flatten_bgp(query)
     rows = workloads.project(query, eval_bgp(Bgp(tuple(patterns)), graph))
     assert len(rows) == 20 == len(workloads.TripleIndex(graph).solutions(patterns))
+    # prune-wide writes a prune back with load_mapping's doc, and reads the
+    # text back into a graph
+    pruned = prune(collect_triple_patterns(query), mapping)
+    text = serialize_pruned(pruned, doc)
+    pruned_graph = workloads.PruneWide._graph_of(text, len(pruned.trmaps), graphs)
+    assert len(workloads.TripleIndex(pruned_graph).solutions(patterns)) == 20
+    assert len(workloads.PruneWide._graph_of(serialize_pruned((), doc), 0, graphs)) == 0
 
 
 def test_perfbench_projects_select_star_as_answer_does(workloads, corpus_mapping, corpus_sigma):

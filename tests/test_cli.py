@@ -15,7 +15,7 @@ from rmlprune.answer import BENCH_HEADER, answer, format_rows
 from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.cli import main
 from rmlprune.gendata import QUERIES, generate
-from rmlprune.rml import parse_rml, translate
+from rmlprune.rml import parse_rml
 from rmlprune.sparql import parse_query
 
 from .helpers import read_ntriples
@@ -106,7 +106,7 @@ def test_prune_writes_reparsable_mapping(corpus, capsys):
     assert code == 0
     assert "14 -> 1 TrMap-expressions retained (" in err
     assert " ms)" in err
-    reparsed = translate(parse_rml(out))
+    reparsed = parse_rml(out)
     assert len(reparsed.trmaps) == 1
 
 
@@ -242,7 +242,7 @@ def test_query_blank_node_is_not_a_user_variable_and_not_projected(corpus, capsy
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_query_output_equals_the_full_pipeline(corpus, capsys, name):
-    mapping = translate(parse_rml((corpus / "mapping.ttl").read_bytes()))
+    mapping = parse_rml((corpus / "mapping.ttl").read_bytes())
     query = parse_query(QUERIES[name])
 
     def load(ref):
@@ -634,6 +634,36 @@ def test_a_bad_subject_without_predicate_object_maps_exits_2(capsys, tmp_path, s
     code, _, err = run(capsys, "translate", "--mapping", str(bad))
     assert code == 2
     assert err.startswith("error:") and "<http://e/bare>" in err
+
+
+@pytest.mark.parametrize("command", ["translate", "prune"])
+def test_a_mapping_without_predicate_object_maps_exits_2(corpus, capsys, tmp_path, command):
+    bare = tmp_path / "bare.ttl"
+    bare.write_text(
+        "@prefix rml: <http://w3id.org/rml/> .\n"
+        "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subjectMap [ rml:template \"http://e/s/{id}\" ] .\n"
+    )
+    query = ["--query", str(corpus / "queries" / "q01.rq")] if command == "prune" else []
+    code, out, err = run(capsys, command, "--mapping", str(bare), *query)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bare}: ") and "has no predicate-object maps" in err
+
+
+def test_a_blank_node_constant_exits_2(capsys, tmp_path):
+    # R2RML §7.2: a constant is an IRI or a literal; a blank node would be
+    # one node for every row
+    bad = tmp_path / "blank-constant.ttl"
+    bad.write_text(
+        "@prefix rml: <http://w3id.org/rml/> .\n@prefix ex: <http://e/> .\n"
+        "ex:tm rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subject ex:s ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object _:o ] .\n"
+    )
+    code, _, err = run(capsys, "translate", "--mapping", str(bad))
+    assert code == 2
+    assert "triples map <http://e/tm>: predicate-object map [ ] at line 5: " in err
+    assert err.rstrip().endswith("a constant must be an IRI or a literal, not a blank node")
 
 
 def test_latin1_query_exits_2(corpus, capsys, tmp_path):

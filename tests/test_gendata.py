@@ -11,7 +11,7 @@ from rmlprune.gendata import MAPPING_TTL, QUERIES, generate
 from rmlprune.ntriples import serialize_graph
 from rmlprune.pruning import FullyPruned, prune
 from rmlprune.rdf import eval_bgp
-from rmlprune.rml import parse_rml, translate
+from rmlprune.rml import parse_rml
 from rmlprune.sparql import collect_triple_patterns, flatten_bgp, parse_query
 
 EXPECTED_RETAINED = {
@@ -35,7 +35,7 @@ def corpus(tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="module")
 def corpus_mapping():
-    return translate(parse_rml(MAPPING_TTL))
+    return parse_rml(MAPPING_TTL)
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +146,7 @@ def _materialize_corpus(directory: Path, scale: int):
         name: DataObject(kind=CSV_KIND, payload=parse_csv((directory / name).read_bytes()))
         for name in ("stops.csv", "routes.csv", "shapes.csv")
     }
-    mapping = translate(parse_rml((directory / "mapping.ttl").read_bytes()))
+    mapping = parse_rml((directory / "mapping.ttl").read_bytes())
     return materialize(mapping, sigma)
 
 

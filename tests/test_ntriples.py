@@ -23,7 +23,7 @@ from rmlprune.rdf import (
     RdfGraph,
     Triple,
 )
-from rmlprune.rml import parse_rml, translate
+from rmlprune.rml import parse_rml
 
 from .helpers import format_triple, read_ntriples, reference_serialize
 
@@ -155,7 +155,7 @@ def test_serialize_graph_peak_memory_stays_near_the_text(tmp_path):
         name: DataObject(kind=CSV_KIND, payload=parse_csv((tmp_path / name).read_bytes()))
         for name in ("stops.csv", "routes.csv", "shapes.csv")
     }
-    graph = materialize(translate(parse_rml((tmp_path / "mapping.ttl").read_bytes())), sigma)
+    graph = materialize(parse_rml((tmp_path / "mapping.ttl").read_bytes()), sigma)
     tracemalloc.start()
     try:
         text = serialize_graph(graph)

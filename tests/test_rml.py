@@ -15,6 +15,7 @@ from rmlprune.algebra import (
     BuildLiteral,
     ConstantTerm,
     DataObject,
+    RmlMappingExpr,
     Template,
     TriplesMapExpr,
     dump_plan,
@@ -29,11 +30,11 @@ from rmlprune.pruning import FullyPruned, prune
 from rmlprune.rdf import RDF_TYPE, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Iri, Literal, Triple
 from rmlprune.rml import (
     DEFAULT_BASE_IRI,
-    RmlDocument,
     normalize,
     parse_rml,
     parse_template,
     serialize_pruned,
+    template_text,
     translate,
 )
 from rmlprune.sparql import collect_triple_patterns, parse_query
@@ -146,29 +147,61 @@ def test_parse_template_matches_the_character_scanner_on_any_text(template):
     )
 
 
+# texts with every character a template or a string escapes, and names with
+# every one a placeholder may hold
+TEMPLATE_TEXTS = st.text(alphabet=st.sampled_from('ab/\\{}"\n é'), max_size=6)
+PLACEHOLDER_NAMES = st.text(alphabet=st.sampled_from('ab/"\n é'), min_size=1, max_size=4)
+
+
+@st.composite
+def template_parts(draw) -> tuple[str, ...]:
+    parts = [draw(TEMPLATE_TEXTS)]
+    for _ in range(draw(st.integers(0, 3))):
+        parts += [draw(PLACEHOLDER_NAMES), draw(TEMPLATE_TEXTS)]
+    return tuple(parts)
+
+
+@given(template_parts())
+def test_template_text_reads_back_to_its_parts(parts):
+    assert parse_template(template_text(parts)) == parts
+
+
+@given(st.text(alphabet=st.sampled_from('ab/\\{}"\n é'), max_size=14))
+def test_a_template_rewritten_from_its_parts_reads_the_same(text):
+    try:
+        parts = parse_template(text)
+    except MappingModelError:
+        return
+    assert parse_template(template_text(parts)) == parts
+
+
+def test_template_text_escapes_only_what_it_must():
+    assert template_text(("http://e/", "id", "")) == "http://e/{id}"
+    assert template_text(("a{b}\\", "x y", "")) == "a\\{b\\}\\\\{x y}"
+    # a redundant escape is not written back
+    assert template_text(parse_template("\\a{a}")) == "a{a}"
+
+
 # ---------------------------------------------------------------------------
 # parsing documents
 # ---------------------------------------------------------------------------
 
 
-def test_parse_airports_document(airports_doc):
-    assert isinstance(airports_doc, RmlDocument)
-    (tm,) = airports_doc.triples_maps
-    assert tm.id == "http://example.com/tm/airports"
-    assert tm.source == "airports.csv"
-    assert tm.subject_map.kind == "reference"
-    assert tm.subject_map.value == "aiport_id"
-    assert tm.subject_map.expr == BuildIri(ref("aiport_id"), DEFAULT_BASE_IRI)
-    assert [pom.predicate_map.value for pom in tm.poms] == [
+def test_parse_airports_document(airports_mapping):
+    assert isinstance(airports_mapping, RmlMappingExpr)
+    ((key, source, subject),) = airports_mapping.triples_maps
+    assert key == "http://example.com/tm/airports"
+    assert source == "airports.csv"
+    assert subject.body.reference
+    assert subject == BuildIri(ref("aiport_id"), DEFAULT_BASE_IRI)
+    assert [tm.predicate_expr.term for tm in airports_mapping.trmaps] == [
         Iri(EX + "route"),
         Iri(GTFS + "long"),
     ]
 
 
-def test_datatype_alias_spelling_is_accepted(airports_doc):
-    (tm,) = airports_doc.triples_maps
-    long_pom = tm.poms[1]
-    assert long_pom.object_map.expr.datatype == XSD_DOUBLE
+def test_datatype_alias_spelling_is_accepted(airports_mapping):
+    assert airports_mapping.trmaps[1].object_expr.datatype == XSD_DOUBLE
 
 
 def test_parse_requires_a_triples_map():
@@ -255,7 +288,8 @@ def test_parse_rejects_join_without_conditions():
 def test_parse_warns_on_unreachable_subjects(caplog):
     text = NEW_HEADER + (
         "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
-        "  rml:subjectMap [ rml:reference \"a\" ] .\n"
+        "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
         "<http://e/orphan> ex:anything ex:else .\n"
     )
     with caplog.at_level(logging.WARNING, logger="rmlprune.rml"):
@@ -267,20 +301,22 @@ def test_parse_column_alias():
     text = LEGACY_HEADER + (
         "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ;\n"
         "    rml:referenceFormulation ql:CSV ] ;\n"
-        "  rr:subjectMap [ rr:column \"a\" ; rr:termType rr:IRI ] .\n"
+        "  rr:subjectMap [ rr:column \"a\" ; rr:termType rr:IRI ] ;\n"
+        "  rr:predicateObjectMap [ rr:predicate ex:p ; rr:object \"v\" ] .\n"
     )
-    (tm,) = parse_rml(text).triples_maps
-    assert tm.subject_map.kind == "reference"
-    assert tm.subject_map.value == "a"
+    (tm,) = parse_rml(text).trmaps
+    assert tm.subject_expr.body.reference
+    assert tm.subject_expr.body.parts == ("", "a", "")
 
 
-def test_document_base_defaults_when_absent(airports_doc):
-    assert airports_doc.base_iri == DEFAULT_BASE_IRI
+def test_document_base_defaults_when_absent(airports_mapping):
+    assert airports_mapping.base == DEFAULT_BASE_IRI
     text = "@base <http://doc.example/> .\n" + NEW_HEADER + (
         "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
-        "  rml:subjectMap [ rml:reference \"a\" ] .\n"
+        "  rml:subjectMap [ rml:reference \"a\" ] ;\n"
+        "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
     )
-    assert parse_rml(text).base_iri == "http://doc.example/"
+    assert parse_rml(text).base == "http://doc.example/"
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +335,11 @@ SHORTCUT_DOC = NEW_HEADER + (
 
 
 def test_normalize_expands_shortcuts_classes_and_products():
-    (tm,) = parse_rml(SHORTCUT_DOC).triples_maps
+    trmaps = parse_rml(SHORTCUT_DOC).trmaps
     # the class pom first, then 2 predicates x 2 objects, predicate-major
-    pairs = [(pom.predicate_map, pom.object_map) for pom in tm.poms]
-    assert [(pm.kind, om.kind) for pm, om in pairs] == [("constant", "constant")] * 5
-    assert [(pm.value, om.value) for pm, om in pairs] == [
+    pairs = [(tm.predicate_expr, tm.object_expr) for tm in trmaps]
+    assert all(isinstance(pm, ConstantTerm) and isinstance(om, ConstantTerm) for pm, om in pairs)
+    assert [(pm.term, om.term) for pm, om in pairs] == [
         (Iri(RDF_TYPE), Iri(EX + "T")),
         (Iri(EX + "p"), Iri(EX + "o1")),
         (Iri(EX + "p"), Literal("v")),
@@ -322,19 +358,23 @@ def test_maps_come_before_shortcuts_in_the_product():
         "    rml:object \"v\" ;\n"
         "    rml:objectMap [ rml:reference \"c\" ] ] .\n"
     )
-    (tm,) = parse_rml(text).triples_maps
-    assert [(pom.predicate_map.value, pom.object_map.value) for pom in tm.poms] == [
-        ("http://e/p/{b}", "c"),
-        ("http://e/p/{b}", Literal("v")),
-        (Iri(EX + "p"), "c"),
-        (Iri(EX + "p"), Literal("v")),
+    p_b = BuildIri(Template(("http://e/p/", "b", "")), DEFAULT_BASE_IRI)
+    c, v = BuildLiteral(ref("c"), XSD_STRING), ConstantTerm(Literal("v"))
+    p = ConstantTerm(Iri(EX + "p"))
+    assert [(tm.predicate_expr, tm.object_expr) for tm in parse_rml(text).trmaps] == [
+        (p_b, c),
+        (p_b, v),
+        (p, c),
+        (p, v),
     ]
 
 
 def test_normalize_is_idempotent():
-    doc = parse_rml(SHORTCUT_DOC)
-    assert normalize(doc) is doc
-    assert normalize(normalize(doc)) is doc
+    # normalize and translate return the parsed mapping itself
+    mapping = parse_rml(SHORTCUT_DOC)
+    assert normalize(mapping) is mapping
+    assert normalize(normalize(mapping)) is mapping
+    assert translate(mapping) is mapping
 
 
 def test_subject_shortcut_becomes_constant_map():
@@ -343,9 +383,8 @@ def test_subject_shortcut_becomes_constant_map():
         "  rml:subject ex:thing ;\n"
         "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
     )
-    (tm,) = parse_rml(text).triples_maps
-    assert tm.subject_map.kind == "constant"
-    assert tm.subject_map.value == Iri(EX + "thing")
+    (tm,) = parse_rml(text).trmaps
+    assert tm.subject_expr == ConstantTerm(Iri(EX + "thing"))
 
 
 @pytest.mark.parametrize("subjects", ["ex:a , ex:b", "ex:a ;\n  rml:subject ex:a"])
@@ -581,6 +620,28 @@ def test_a_walk_error_names_its_triples_map_once(parts):
     assert str(info.value).count("<http://e/tm>") == 1
 
 
+# a blank-node constant, wherever a constant may be written: it would build
+# one blank node for every row (R2RML §7.2 allows an IRI, or a literal in an
+# object map), and a document that holds one was not written back to itself
+BLANK_CONSTANTS = {
+    "subject shortcut": {"subject": "rml:subject _:x"},
+    "subject map": {"subject": "rml:subjectMap [ rml:constant _:x ]"},
+    "predicate shortcut": {"pom": "rml:predicate _:x"},
+    "object shortcut": {"pom": "rml:predicate ex:p ; rml:object _:x"},
+    "object map": {"object_map": "rml:constant _:x"},
+    "object map with properties": {"object_map": "rml:constant [ ex:q ex:r ]"},
+}
+
+
+@pytest.mark.parametrize("parts", BLANK_CONSTANTS.values(), ids=list(BLANK_CONSTANTS))
+def test_a_blank_node_constant_is_rejected(parts):
+    with pytest.raises(MappingModelError) as info:
+        parse_rml(one_triples_map(**parts))
+    message = str(info.value)
+    assert message.startswith("triples map <http://e/tm>: ")
+    assert message.endswith(": a constant must be an IRI or a literal, not a blank node")
+
+
 # ---------------------------------------------------------------------------
 # term type defaulting
 # ---------------------------------------------------------------------------
@@ -598,12 +659,12 @@ def test_effective_term_type_defaults():
         "      [ rml:constant \"v\" ] ,\n"
         "      [ rml:reference \"a\" ; rml:termType rml:BlankNode ] ] .\n"
     )
-    (tm,) = parse_rml(text).triples_maps
+    trmaps = parse_rml(text).trmaps
     a = ref("a")
     # subject and predicate maps build IRIs from a reference
-    assert tm.subject_map.expr == BuildIri(a, DEFAULT_BASE_IRI)
-    assert tm.poms[0].predicate_map.expr == BuildIri(ref("p"), DEFAULT_BASE_IRI)
-    assert [pom.object_map.expr for pom in tm.poms] == [
+    assert trmaps[0].subject_expr == BuildIri(a, DEFAULT_BASE_IRI)
+    assert trmaps[0].predicate_expr == BuildIri(ref("p"), DEFAULT_BASE_IRI)
+    assert [tm.object_expr for tm in trmaps] == [
         BuildLiteral(a, XSD_STRING),  # a reference object builds a literal
         BuildIri(Template(("http://e/", "a", "")), DEFAULT_BASE_IRI),  # a template an IRI
         BuildLiteral(a, XSD_DOUBLE),  # so does a datatyped map
@@ -664,7 +725,7 @@ JOIN_DOC = NEW_HEADER + (
 
 
 def test_translate_joined_renames_parent_attributes():
-    m = translate(parse_rml(JOIN_DOC))
+    m = parse_rml(JOIN_DOC)
     joined = m.trmaps[0]
     assert joined.parent_extract is not None
     assert joined.extract.selectors == {"id": "id", "pid": "pid"}
@@ -675,7 +736,7 @@ def test_translate_joined_renames_parent_attributes():
 
 
 def test_translate_joined_materializes(tmp_path):
-    m = translate(parse_rml(JOIN_DOC))
+    m = parse_rml(JOIN_DOC)
     sigma = {
         "c.csv": DataObject(CSV_KIND, parse_csv("id,pid\n1,9\n2,404\n")),
         "p.csv": DataObject(CSV_KIND, parse_csv("id,name\n9,Nine\n")),
@@ -692,7 +753,7 @@ def test_translate_blank_node_term_type():
         "  rml:subjectMap [ rml:reference \"a\" ; rml:termType rml:BlankNode ] ;\n"
         "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
     )
-    m = translate(parse_rml(text))
+    m = parse_rml(text)
     assert m.trmaps[0].subject_expr == BuildBlank(ref("a"))
 
 
@@ -779,7 +840,7 @@ def test_translate_rejects_missing_parent():
         "      rml:joinCondition [ rml:child \"a\" ; rml:parent \"b\" ] ] ] .\n"
     )
     with pytest.raises(MappingModelError, match="does not exist"):
-        translate(parse_rml(text))
+        parse_rml(text)
 
 
 # ---------------------------------------------------------------------------
@@ -824,48 +885,46 @@ def _shape(m):
     return sorted(map(repr, shapes))
 
 
-def test_serialize_pruned_round_trips(airports_doc, airports_mapping):
-    text = serialize_pruned(airports_mapping, airports_doc)
-    reparsed = translate(parse_rml(text))
+def test_serialize_pruned_round_trips(airports_mapping):
+    text = serialize_pruned(airports_mapping, airports_mapping)
+    reparsed = parse_rml(text)
     assert _shape(reparsed) == _shape(airports_mapping)
 
 
-def test_serialize_subset_keeps_only_named_expressions(airports_doc, airports_mapping):
+def test_serialize_subset_keeps_only_named_expressions(airports_mapping):
     keep = airports_mapping.trmaps[1:]
-    text = serialize_pruned(keep, airports_doc)
-    reparsed = translate(parse_rml(text))
+    text = serialize_pruned(keep, airports_mapping)
+    reparsed = parse_rml(text)
     assert len(reparsed.trmaps) == 1
     assert _shape(reparsed) == _shape(type(airports_mapping)(tuple(keep)))
     assert GTFS + "long" in text
 
 
-def test_serialize_fully_pruned_is_marked(airports_doc):
-    text = serialize_pruned((), airports_doc)
+def test_serialize_fully_pruned_is_marked(airports_mapping):
+    text = serialize_pruned((), airports_mapping)
     assert "fully pruned" in text
     with pytest.raises(MappingModelError):
         parse_rml(text)  # no triples maps left, by design
 
 
 def test_serialize_joined_round_trips():
-    doc = parse_rml(JOIN_DOC)
-    m = translate(doc)
-    text = serialize_pruned((m.trmaps[0],), doc)
-    reparsed = translate(parse_rml(text))
+    m = parse_rml(JOIN_DOC)
+    text = serialize_pruned((m.trmaps[0],), m)
+    reparsed = parse_rml(text)
     (joined,) = reparsed.trmaps
     assert joined.parent_extract is not None
     assert _shape(reparsed) == _shape(type(m)((m.trmaps[0],)))
 
 
 def test_serialize_escapes_constants_and_strings():
-    doc = parse_rml(
+    m = parse_rml(
         NEW_HEADER
         + '<http://e/tm> rml:logicalSource [ rml:source "f\\"1.csv" ] ;\n'
         '  rml:subjectMap [ rml:template "http://e/{a}" ] ;\n'
         "  rml:predicateObjectMap [ rml:predicate ex:p ;\n"
         '    rml:object "say \\"hi\\"\\n\\u0001\\\\" , "7"^^xsd:double ] .\n'
     )
-    m = translate(doc)
-    reparsed = translate(parse_rml(serialize_pruned(m, doc)))
+    reparsed = parse_rml(serialize_pruned(m, m))
     assert _shape(reparsed) == _shape(m)
     assert {tm.object_expr.term for tm in reparsed.trmaps} == {
         Literal('say "hi"\n\x01\\'),
@@ -874,19 +933,25 @@ def test_serialize_escapes_constants_and_strings():
     assert reparsed.trmaps[0].extract.source_ref == 'f"1.csv'
 
 
-def test_serialize_rejects_foreign_expressions(airports_doc):
-    other = translate(parse_rml(JOIN_DOC))
+def test_serialize_rejects_foreign_expressions(airports_mapping):
+    other = parse_rml(JOIN_DOC)
     with pytest.raises(MappingModelError, match="document"):
-        serialize_pruned((other.trmaps[0],), airports_doc)
+        serialize_pruned((other.trmaps[0],), airports_mapping)
+    # an equal expression of another parse is not the document's own
+    with pytest.raises(MappingModelError, match="document"):
+        serialize_pruned(parse_rml(JOIN_DOC).trmaps[:1], other)
+    # a prune's result holds expressions, not the triples maps they came from
+    pruned = prune(collect_triple_patterns(parse_query("SELECT * WHERE { ?s ?p ?o }")), other)
+    with pytest.raises(MappingModelError, match="only a mapping that parse_rml returned"):
+        serialize_pruned(pruned, pruned)
 
 
 @pytest.fixture(scope="module")
 def wide():
-    """The benchmark's 40-copy corpus mapping, its document and one copy's tag."""
+    """The benchmark's corpus module, one copy's tag and its 40-copy mapping."""
     corpus = perfbench_corpus()
     tags = corpus.copy_tags(40, 1)
-    doc = parse_rml(corpus.wide_mapping(tags))
-    return corpus, tags[7], doc, translate(doc)
+    return corpus, tags[7], parse_rml(corpus.wide_mapping(tags))
 
 
 # sha256 and line count of the wide mapping's --dump-algebra plan at seed
@@ -898,7 +963,7 @@ SCALE1_PLAN = "cf5f0b7de20dc508005d43ea8da00105068ae5403c0453f8af1c29778a69e09a"
 
 
 def test_wide_mapping_plan_is_pinned():
-    plan = dump_plan(translate(parse_rml(wide_mapping_text())))
+    plan = dump_plan(parse_rml(wide_mapping_text()))
     assert (hashlib.sha256(plan.encode("utf-8")).hexdigest(), plan.count("\n") + 1) == WIDE_PLAN
 
 
@@ -909,8 +974,8 @@ WIDE_WRITTEN_BACK = ("7fc1469cf951d61f26071a3c2b5b8e4d71520e71e64bb05735031d3190
 
 
 def test_wide_mapping_written_back_is_pinned():
-    doc = parse_rml(wide_mapping_text())
-    text = serialize_pruned(translate(doc), doc)
+    mapping = parse_rml(wide_mapping_text())
+    text = serialize_pruned(mapping, mapping)
     assert (hashlib.sha256(text.encode("utf-8")).hexdigest(), text.count("\n")) == WIDE_WRITTEN_BACK
 
 
@@ -1002,10 +1067,9 @@ def test_a_triples_map_reads_the_same_however_it_is_written():
     # every form names the same triples maps, so even the provenance agrees
     written = set()
     for text in ONE_MAP_FOUR_WAYS.values():
-        doc = parse_rml(NEW_HEADER + text + PARENT_MAP)
-        m = translate(doc)
+        m = parse_rml(NEW_HEADER + text + PARENT_MAP)
         assert len(m.trmaps) == 3 + 2 * 3 + 1 + 1
-        written.add((dump_plan(m), serialize_pruned(m, doc)))
+        written.add((dump_plan(m), serialize_pruned(m, m)))
     assert len(written) == 1
     ((_, text),) = written
     assert text.index(f"<{EX}C>") < text.index(f"<{EX}D>") < text.index(f"<{EX}E>")
@@ -1020,13 +1084,13 @@ def test_translated_expressions_pass_the_public_checks():
     # translate builds its expressions without re-running the checks of
     # TriplesMapExpr, which its construction makes hold
     for text in (MAPPING_TTL, wide_mapping_text(), JOIN_DOC):
-        for expr in translate(parse_rml(text)).trmaps:
+        for expr in parse_rml(text).trmaps:
             rebuilt = TriplesMapExpr(**{f.name: getattr(expr, f.name) for f in fields(TriplesMapExpr)})
             assert vars(rebuilt) == vars(expr)
 
 
 def test_corpus_mapping_plan_is_pinned():
-    plan = dump_plan(translate(parse_rml(MAPPING_TTL))) + "\n"
+    plan = dump_plan(parse_rml(MAPPING_TTL)) + "\n"
     assert hashlib.sha256(plan.encode("utf-8")).hexdigest() == SCALE1_PLAN
 
 
@@ -1038,9 +1102,9 @@ Q01_PRUNED = "886314e865f28975820c0bcd3e7ec564db7fa26a4da08c98f68dd1f2e59942d6"
 
 
 def test_q01_pruned_document_is_pinned():
-    doc = parse_rml(MAPPING_TTL)
-    result = prune(collect_triple_patterns(parse_query(QUERIES["q01"])), translate(doc))
-    text = serialize_pruned(result, doc)
+    mapping = parse_rml(MAPPING_TTL)
+    result = prune(collect_triple_patterns(parse_query(QUERIES["q01"])), mapping)
+    text = serialize_pruned(result, mapping)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == Q01_PRUNED
 
 
@@ -1058,45 +1122,79 @@ def _without_provenance(m):
     ]
 
 
-def _assert_prune_round_trips(doc, mapping, query_text):
+def _assert_prune_round_trips(mapping, query_text):
     result = prune(collect_triple_patterns(parse_query(query_text)), mapping)
     if isinstance(result, FullyPruned):
-        assert "fully pruned" in serialize_pruned((), doc)
+        assert "fully pruned" in serialize_pruned((), mapping)
         return
-    reparsed = translate(parse_rml(serialize_pruned(result, doc)))
+    reparsed = parse_rml(serialize_pruned(result, mapping))
     assert _without_provenance(reparsed) == _without_provenance(result)
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_pruned_document_translates_to_the_retained_expressions(name, wide):
-    doc = parse_rml(MAPPING_TTL)
-    _assert_prune_round_trips(doc, translate(doc), QUERIES[name])
-    corpus, tag, wide_doc, wide_mapping = wide
-    _assert_prune_round_trips(wide_doc, wide_mapping, corpus.instantiate(QUERIES[name], tag))
+    _assert_prune_round_trips(parse_rml(MAPPING_TTL), QUERIES[name])
+    corpus, tag, wide_mapping = wide
+    _assert_prune_round_trips(wide_mapping, corpus.instantiate(QUERIES[name], tag))
 
 
 def test_keeping_everything_writes_each_triples_map_once(wide):
-    _, _, wide_doc, wide_mapping = wide
-    corpus_doc = parse_rml(MAPPING_TTL)
-    for doc, mapping, count in (
-        (corpus_doc, translate(corpus_doc), 3),
-        (wide_doc, wide_mapping, 120),
-    ):
-        text = serialize_pruned(mapping, doc)
+    for mapping, count in ((parse_rml(MAPPING_TTL), 3), (wide[2], 120)):
+        text = serialize_pruned(mapping, mapping)
         assert text.count("rml:logicalSource") == count
         reparsed = parse_rml(text)
-        assert [tm.id for tm in reparsed.triples_maps] == [tm.id for tm in doc.triples_maps]
-        assert _without_provenance(translate(reparsed)) == _without_provenance(mapping)
+        assert [key for key, _, _ in reparsed.triples_maps] == [key for key, _, _ in mapping.triples_maps]
+        assert _without_provenance(reparsed) == _without_provenance(mapping)
 
 
 def test_pruned_join_writes_its_parent_without_predicate_object_maps():
-    doc = parse_rml(JOIN_DOC)
-    joined = translate(doc).trmaps[0]
-    reparsed = parse_rml(serialize_pruned((joined,), doc))
-    child, parent = reparsed.triples_maps
-    assert (child.id, len(child.poms)) == ("http://e/child", 1)
-    assert (parent.id, parent.poms) == ("http://e/parent", ())
-    assert parent.subject_map.value == "http://e/p/{id}"
+    mapping = parse_rml(JOIN_DOC)
+    text = serialize_pruned(mapping.trmaps[:1], mapping)
+    reparsed = parse_rml(text)
+    assert [key for key, _, _ in reparsed.triples_maps] == ["http://e/child", "http://e/parent"]
+    assert [tm.extract.triples_map for tm in reparsed.trmaps] == ["http://e/child"]
+    (joined,) = reparsed.trmaps
+    assert joined.parent_extract.triples_map == "http://e/parent"
+    assert reparsed.triples_maps[1][2] == mapping.triples_maps[1][2]
+    assert 'rml:template "http://e/p/{id}"' in text
+
+
+def fixpoint_doc() -> str:
+    """Triples maps whose subjects, then objects, are the template "{a}"
+    beside the reference "a" under each term type, and templates whose
+    texts escape braces and backslashes, once redundantly."""
+    objects = ", ".join(
+        f'[ rml:{kind} "{value}" ; rml:termType rml:{term_type} ]'
+        for term_type in ("IRI", "BlankNode", "Literal")
+        for kind, value in (("template", "{a}"), ("reference", "a"))
+    )
+    maps = [
+        f'<http://e/{kind}/{term_type}> rml:logicalSource [ rml:source "f.csv" ] ;\n'
+        f'  rml:subjectMap [ rml:{kind} "{value}" ; rml:termType rml:{term_type} ] ;\n'
+        f"  rml:predicateObjectMap [ rml:predicate ex:p ; rml:objectMap {objects} ] .\n"
+        for term_type in ("IRI", "BlankNode")
+        for kind, value in (("template", "{a}"), ("reference", "a"))
+    ]
+    maps.append(
+        '<http://e/escaped> rml:logicalSource [ rml:source "f.csv" ] ;\n'
+        '  rml:subjectMap [ rml:template "http://e/\\\\{x\\\\}/{a}\\\\\\\\" ] ;\n'
+        '  rml:predicateObjectMap [ rml:predicate ex:p ; rml:objectMap [ rml:template "\\\\a{a}\\n" ] ] .\n'
+    )
+    return NEW_HEADER + "".join(maps)
+
+
+def test_writing_back_reaches_a_fixpoint():
+    mapping = parse_rml(fixpoint_doc())
+    first = serialize_pruned(mapping, mapping)
+    again = parse_rml(first)
+    assert serialize_pruned(again, again) == first
+    assert dump_plan(again) == dump_plan(mapping)
+    # each term map is written back as the kind it was written as
+    assert first.count('rml:template "{a}"') == first.count('rml:reference "a"') == 2 + 4 * 3
+    assert 'rml:template "http://e/\\\\{x\\\\}/{a}\\\\\\\\"' in first
+    assert 'rml:template "a{a}\\n"' in first
+    references = [tm.object_expr.body.reference for tm in again.trmaps[:6]]
+    assert references == [False, True] * 3
 
 
 def test_pruned_document_keeps_the_base():
@@ -1105,10 +1203,9 @@ def test_pruned_document_keeps_the_base():
         "  rml:subjectMap [ rml:template \"item/{id}\" ] ;\n"
         "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object \"v\" ] .\n"
     )
-    doc = parse_rml(text)
-    m = translate(doc)
+    m = parse_rml(text)
     sigma = {"f.csv": DataObject(CSV_KIND, parse_csv("id\n1\n"))}
     full = materialize(m, sigma)
     assert {t.s for t in full.triples} == {Iri("http://doc.example/item/1")}
-    pruned = translate(parse_rml(serialize_pruned(m, doc)))
+    pruned = parse_rml(serialize_pruned(m, m))
     assert materialize(pruned, sigma).triples == full.triples

@@ -12,7 +12,9 @@ and timed in interleaved rounds on the seed corpus:
   and the rows it prints (sources loaded beforehand, not timed);
 * ``prune-wide``: ``prune`` of the wide mapping for each of q01-q08,
   instantiated on its first copy with ``corpus.instantiate`` (mapping and
-  queries read beforehand, not timed), and the count each keeps.
+  queries read beforehand, not timed), and the count each keeps;
+* ``write-wide``: ``serialize_pruned`` of the whole wide mapping and of
+  each of those eight prunes (pruned beforehand, not timed), and the texts.
 
 Each step runs once per side and round, the side that goes first
 alternating by round, timed with ``time.thread_time`` after a
@@ -136,10 +138,13 @@ class Side:
             for q in QUERY_NAMES
         }
         self.wide_text, wide_queries = wide
-        self.wide = self.rml.translate(self.rml.parse_rml(self.wide_text))
+        self.wide_doc = self.rml.parse_rml(self.wide_text)
+        self.wide = self.rml.translate(self.wide_doc)
         self.wide_patterns = [
             sparql.collect_triple_patterns(sparql.parse_query(wide_queries[q])) for q in QUERY_NAMES
         ]
+        pruned = (self.pruning.prune(patterns, self.wide) for patterns in self.wide_patterns)
+        self.wide_kept = [self.wide] + [() if isinstance(p, self.pruning.FullyPruned) else p for p in pruned]
         self.graph = None
 
     def steps(self):
@@ -170,6 +175,7 @@ class Side:
                 query, mapping10, sigma10.__getitem__
             ).rows()
         yield "prune-wide", prune_wide
+        yield "write-wide", lambda: [self.rml.serialize_pruned(kept, self.wide_doc) for kept in self.wide_kept]
 
 
 def timed(call) -> tuple[float, int, object]:
