@@ -19,13 +19,18 @@ once:
 * ``WS`` and ``#`` comments;
 * the bodies of prefix and base declarations, alike in both prologues.
 
-A token in a common spelling (an IRIREF, a prefixed name or a short
-string without escapes, or punctuation) is read by one regex match,
-:meth:`Lexer.next_token`, that also skips the whitespace before it; every
-other spelling falls through to the token's reader, which runs only after
-that match, so no spelling is matched twice.  Each IRI is built once per
-parser instance, one the match read without a second check of its
-characters.
+The parsers step through the text a run at a time: one ``findall`` gives
+the texts of the tokens ahead in their common spellings (punctuation, an
+IRIREF, a prefixed name or a short string without escapes, ``@prefix``,
+``@base`` or a variable), up to the first spelling it leaves to a reader,
+and :meth:`Lexer.token` hands them out one by one.  Every other spelling
+is read at a cursor by the token's reader, so the readers alone hold each
+token's full grammar and errors.  No run keeps offsets: where a reader
+takes over, an error stands, or a blank node opens, the offset is found by
+stepping through the run again, and only when it is asked for.  The IRI
+of an IRIREF or prefixed name and the literal of a short string are
+looked up by their token text, and each IRI and string literal is built
+once per parser instance.
 
 Two simplifications: name characters are Python's alphanumerics rather
 than the exact ``PN_CHARS`` ranges, and a ``%`` in a local name is taken as
@@ -38,9 +43,10 @@ a surrogate is an error with a position, like every other lexical error.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 
 from .errors import InvalidTermError
-from .rdf import _ECHAR, _IRI_CHAR, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
+from .rdf import _ECHAR, _IRI_CHAR, _VAR_NAME, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
 from .rdf import Iri, Literal, is_absolute_iri, trusted_iri, trusted_literal
 
 _DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
@@ -70,28 +76,48 @@ _IRI_CHARS = _IRI_CHAR + "*"
 _IRI_CHARS_RE = re.compile(_IRI_CHARS)
 # an IRIREF without an escape, as SPARQL's longest-match tokenizer reads it
 _IRIREF_RE = re.compile(f"<{_IRI_CHARS}>")
-# Whitespace and comments, then one token in its common spelling: a
-# punctuation mark, or an IRIREF, a prefixed name or a double-quoted short
-# string, none with an escape.  With no token the match still skips the
-# whitespace; any other spelling (escapes, long and single-quoted strings,
-# a datatype or language tag after the string, numbers, blank nodes) is
-# left to the readers below, so they alone hold each token's full grammar
-# and errors.  A local name stops before a bare trailing '.', and the
-# lookahead after it rejects, one character at a time, any shorter name
-# than the readers would take.  An optional part is written '(?:...|)', and
-# comments are looked for only at a '#': sre runs that faster than '?' or '*'.
-_TOKEN_RE = re.compile(
-    r"([ \t\r\n]*(?:(?=#)(?:#[^\n]*[ \t\r\n]*)*|))"
-    r"(?:([][(){},;.])"
-    rf"|<({_IRI_CHARS})>"
-    r"|(((?:[^\W\d_][\w.-]*(?<!\.)|))"
-    r":((?:[\w:%][\w:%.-]*(?<!\.)|)))(?![\w:%-]|\.+[\w:%-]|\.*\\)"
-    r"|\"([^\"\\\r\n]*)\"(?![\"@^])|)"
+# One match per token of a run: whitespace and comments, then the token's
+# text, the one group, in a common spelling: a punctuation mark, an
+# IRIREF, a prefixed name or a double-quoted short string, none with an
+# escape, '@prefix', '@base' or a variable.  Any other spelling (escapes,
+# long and single-quoted strings, a datatype or language tag after the
+# string, numbers, keywords, blank nodes) is left to the readers below, so
+# they alone hold each token's full grammar and errors: there the last
+# match takes the rest of the window outside the group, so the run ends
+# with '', and sre moves a DOTALL '.+' straight to the window's end
+# without reading it.  A comment needs its newline, so a window that cuts
+# one hands it to the readers too; at the window's end, the whitespace
+# and comments left are the group.  A local name stops before a bare
+# trailing '.', and the lookahead after it rejects, one character at a
+# time, any shorter name than the readers would take.  A prefixed name of
+# ASCII letters, digits, '_' and '-' is first tried in that cheaper form,
+# whose lookahead leaves any longer name to the full one.  An optional part is
+# written '(?:...|)', and comments are looked for only at a '#': sre runs
+# that faster than '?' or '*'.
+_ASCII_PNAME = r"[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_-]*(?![\w.:%\\-])"
+_RUN_WS = r"[ \t\r\n]*(?:(?=#)(?:#[^\n]*\n[ \t\r\n]*)*|)"
+_TOKEN = (
+    r"[][(){},;.]"
+    f"|{_ASCII_PNAME}"
+    rf"|<{_IRI_CHARS}>"
+    r"|(?:[^\W\d_][\w.-]*(?<!\.)|):(?:[\w:%][\w:%.-]*(?<!\.)|)(?![\w:%-]|\.+[\w:%-]|\.*\\)"
+    r"|\"[^\"\\\r\n]*\"(?![\"@^])"
+    rf"|@prefix|@base|[?$]{_VAR_NAME}"
 )
-# the group numbers of _TOKEN_RE, as Match.lastindex reports the token read
-# (1, the whitespace, when the readers must take it); a prefixed name's
-# prefix is group PNAME + 1, its local name group PNAME + 2
-PUNCT, IRIREF, PNAME, STRING = 2, 3, 4, 7
+_RUN_RE = re.compile(
+    f"{_RUN_WS}(?:({_TOKEN}"
+    r"|(?:[ \t\r\n]|#[^\n]*\n)+\Z)"
+    r"|(?=[^ \t\r\n])(?s:.+))"
+)
+# the tokens of a run up to where it leaves a reader's spelling: the same
+# matches as the run's, in one call
+_TOKENS_RE = re.compile(f"(?:{_RUN_WS}(?:{_TOKEN}))*")
+_SPACE_RE = re.compile(r"[ \t\r\n]")
+# A run reads a window of about this many characters, cut where no token
+# is cut short.  A hand-over to the readers finds where they start by
+# stepping through the run again from the window's start, so the window
+# bounds that step, and the texts a run holds at once.
+WINDOW = 1 << 12
 # the characters a string body takes without a second look
 _STRING_CHARS = {
     '"""': re.compile(r'[^"\\]*'),
@@ -101,8 +127,44 @@ _STRING_CHARS = {
 }
 
 
+def _end_of_word(text: str, pos: int) -> int:
+    """The offset of the first whitespace at or after *pos*, or the end."""
+    space = _SPACE_RE.search(text, pos)
+    return space.start() if space else len(text)
+
+
+def _past(text: str, pos: int, tokens: int) -> int:
+    """The offset just past the next *tokens* tokens of a run after *pos*,
+    found by stepping through them again."""
+    for _ in range(tokens):
+        pos = _RUN_RE.match(text, pos).end()
+    return pos
+
+
+def offsets(text: str, runs: list[tuple[int, int]], marks: list[int]) -> list[int]:
+    """Where each of *marks* (see :meth:`Lexer.mark`) stands in *text*,
+    whose *runs* are those of the lexer that made them: a token's mark is
+    found by stepping through its run again, once for all the marks in it."""
+    firsts = [first for first, _ in runs]
+    found = [~mark for mark in marks]
+    run = -1
+    for mark, k in sorted((mark, k) for k, mark in enumerate(marks) if mark >= 0):
+        at = bisect_right(firsts, mark) - 1
+        if at != run:
+            run, (stepped, pos) = at, runs[at]
+        pos, stepped = _past(text, pos, mark - stepped), mark
+        found[k] = _WS_RE.match(text, pos).end()
+    return found
+
+
 class Lexer:
-    """A cursor over one text and the readers for its tokens.
+    """A text read as runs of token texts, and a cursor for the readers.
+
+    :meth:`token` gives the text of each token in turn: a run holds the
+    texts of the tokens ahead in their common spellings, and where it ends
+    the cursor, ``pos``, takes over at the spelling a reader must read.
+    While a run is read the cursor is stale: :meth:`back` and :meth:`sync`
+    move it to a token, and every method below them reads at the cursor.
 
     Subclasses set ``error_class`` (syntax errors) and ``unsupported_class``
     (known constructs outside the supported subset); both are called with
@@ -123,13 +185,144 @@ class Lexer:
         # every IRI read so far, by its absolute spelling: only a resolved
         # IRI is ever a key, so a later BASE or PREFIX cannot make one stale
         self._iris: dict[str, Iri] = {}
-        # the IRI of each prefixed name the token read took, by its spelling,
-        # until the next prefix declaration
-        self._pnames: dict[str, Iri] = {}
+        # the term of each IRIREF (never a relative one) and prefixed name
+        # read from a run, by its text, until the next prefix or base
+        # declaration; a subclass may remember more
+        self._terms: dict[str, Iri] = {}
+        # one string literal per lexical form, by its text in double quotes
+        self._strings: dict[str, Literal] = {}
+        # the run being read: its texts, popped from the end down to ''
+        # (reading on) or the '' of its last match (a reader's spelling);
+        # their number, 0 while the readers have the cursor; its window;
+        # whether a reader's spelling ends it; and the number of tokens the
+        # runs before it gave
+        self._run = [""]
+        self._count = self._start = self._end = self._given = 0
+        self._marked = False
+        # each run a mark was taken in: the index of its first token among
+        # all the tokens runs have given, and its window's start
+        self.runs: list[tuple[int, int]] = []
+
+    # -- runs ----------------------------------------------------------------
+
+    def token(self) -> str:
+        """The text of the next token; '' when a reader must take what
+        comes next, or at the end, with the cursor there."""
+        return self._run.pop() or self._next_run()
+
+    def _next_run(self) -> str:
+        """The first text of the next run, or ''; see :meth:`token`."""
+        text = self.text
+        if self._count:
+            # a run whose window ends just past a newline, or at the end,
+            # ends where the text holds a reader's spelling: no token or
+            # comment runs over such a cut
+            handed = self._marked and (self._end == len(text) or text[self._end - 1] == "\n")
+            self._leave(self._count)
+            if handed:
+                return ""
+        while True:
+            start = self.pos
+            end = start + WINDOW
+            if end < len(text):
+                # just past a newline, which no token holds and which ends
+                # a comment, or else at the next whitespace
+                end = text.find("\n", end, end + WINDOW) + 1 or _end_of_word(text, end)
+            else:
+                end = len(text)
+            run = _RUN_RE.findall(text, start, end)
+            marked = bool(run) and not run[-1]
+            if run and not marked and run[-1][0] in " \t\r\n#":
+                run.pop()  # the whitespace and comments before the window's end
+            if len(run) > marked:
+                if not marked:
+                    run.append("")
+                run.reverse()
+                self._run[:] = run
+                self._count, self._start, self._end, self._marked = len(run) - 1, start, end, marked
+                return self._run.pop()
+            # no token: whitespace and comments (the run leaves one that the
+            # window cuts), a reader's spelling, or the end
+            pos = _WS_RE.match(text, start).end()
+            if pos == start:
+                self._run[:] = ("",)
+                return ""
+            self.pos = pos
+
+    def _leave(self, read: int):
+        """Put the cursor at the token after the first *read* of the run,
+        and leave the rest of the run to the readers."""
+        self._given += read
+        if read < self._count:
+            pos = _past(self.text, self._start, read)
+        elif self._marked:
+            pos = _TOKENS_RE.match(self.text, self._start, self._end).end()
+        else:
+            pos = self._end
+        self.pos = _WS_RE.match(self.text, pos).end()
+        self._run[:] = ("",)
+        self._count = 0
+
+    def sync(self):
+        """Put the cursor at the next token, for the readers."""
+        if self._count:
+            self._leave(self._count + 1 - len(self._run))
+
+    def back(self, token: str):
+        """Give back *token*, the text :meth:`token` just gave, and put the
+        cursor at it, for the readers."""
+        if self._count:
+            self._run.append(token)
+            self.sync()
+
+    def mark(self) -> int:
+        """Where the token just read starts, for :func:`offsets`: the
+        index of the token among all the tokens runs have given or, while
+        the readers have the cursor, the cursor's offset as its bitwise
+        complement, a negative int."""
+        if not self._count:
+            return ~self.pos
+        if not self.runs or self.runs[-1][0] != self._given:
+            self.runs.append((self._given, self._start))
+        return self._given + self._count - len(self._run)
+
+    def term(self, token: str, constant: bool) -> Iri | Literal | None:
+        """The IRI (or, in a *constant*'s place, the string literal) that
+        *token* spells, remembered by its text; None for a token a reader
+        must take, which it gives back (see :meth:`back`)."""
+        first, iri = token[:1], None
+        if first == "<":
+            iri = token[1:-1]
+            if not is_absolute_iri(iri):
+                # a relative IRI is resolved against the base in scope, and
+                # without one the reader reports the error
+                if self.base is not None:
+                    return self.resolve(iri)
+                iri = None
+        elif first == '"':
+            if constant:
+                term = self._strings[token] = trusted_literal(token[1:-1], XSD_STRING)
+                return term
+        elif ":" in token:
+            prefix, _, local = token.partition(":")
+            ns = self.prefixes.get(prefix)
+            if ns is not None:
+                iri = ns + local
+        if iri is None:
+            self.back(token)
+            return None
+        term = self._iris.get(iri)
+        if term is None:
+            # the token holds no character an IRI forbids, and a namespace
+            # is absolute
+            term = self._iris[iri] = trusted_iri(iri)
+        self._terms[token] = term
+        return term
 
     # -- cursor ------------------------------------------------------------
 
     def error(self, message: str, unsupported: bool = False) -> Exception:
+        self.sync()
         line = self.text.count("\n", 0, self.pos) + 1
         column = self.pos - self.text.rfind("\n", 0, self.pos)
         cls = self.unsupported_class if unsupported else self.error_class
@@ -144,71 +337,46 @@ class Lexer:
     def skip_ws(self):
         self.pos = _WS_RE.match(self.text, self.pos).end()
 
-    def next_token(self) -> re.Match:
-        """Skip whitespace and comments and match the token after them.
-
-        The cursor stops at the token's start; ``lastindex`` of the match
-        names what was read, and :meth:`read_token_term` consumes a term.
-        """
-        match = _TOKEN_RE.match(self.text, self.pos)
-        self.pos = match.end(1)
-        return match
-
-    def read_token_term(self, match: re.Match, constant: bool) -> Iri | Literal | None:
-        """The IRI (or, in a *constant*'s place, the string literal) that
-        *match* read at the cursor, consumed; None, with the cursor unmoved,
-        for anything a reader must take."""
-        kind = match.lastindex
-        if kind == PNAME:
-            term = self._pnames.get(match[PNAME])
-            if term is not None:
-                self.pos = match.end()
-                return term
-            ns = self.prefixes.get(match[PNAME + 1])
-            if ns is None:
-                return None
-            iri = ns + match[PNAME + 2]
-        elif kind == IRIREF:
-            iri = match[IRIREF]
-        elif kind == STRING and constant:
-            self.pos = match.end()
-            return trusted_literal(match[STRING], XSD_STRING)
-        else:
-            return None
-        self.pos = match.end()
-        term = self._iris.get(iri)
-        if term is None:
-            # the token holds no character an IRI forbids, and a namespace is
-            # absolute, so only a relative IRIREF is left to check
-            if not is_absolute_iri(iri):
-                return self.resolve(iri)
-            term = self._iris[iri] = trusted_iri(iri)
-        if kind == PNAME:
-            self._pnames[match[PNAME]] = term
-        return term
-
     def declare_prefix(self, prefix: str, namespace: str):
         self.prefixes[prefix] = namespace
-        self._pnames.clear()
+        self._terms.clear()
 
-    def _parse_prefix_body(self):
-        """A prefix declaration after its keyword."""
+    def _parse_prefix_body(self, token: str):
+        """A prefix declaration after its keyword, from the token after that
+        ('' to read it all at the cursor)."""
+        prefix, colon, local = token.partition(":")
+        if colon and not local:  # a prefixed name with no local part
+            self.declare_prefix(prefix, self._declared_iri(self.token()))
+            return
+        self.back(token)
         self.skip_ws()
         prefix = self.read_prefix_name()
         self.expect(":")
         self.skip_ws()
         self.declare_prefix(prefix, self.read_iriref().value)
 
-    def _parse_base_body(self):
-        """A base declaration after its keyword."""
-        self.skip_ws()
-        self.base = self.read_iriref().value
+    def _parse_base_body(self, token: str):
+        """A base declaration after its keyword, from the token after that
+        ('' to read it at the cursor)."""
+        self.base = self._declared_iri(token)
+        self._terms.clear()
 
-    def descend(self):
-        """Enter one more level of nesting at the cursor; the caller leaves
-        it again with ``self.depth -= 1``."""
+    def _declared_iri(self, token: str) -> str:
+        """The IRI a declaration names, from its token."""
+        iri = token[1:-1]
+        if token[:1] == "<" and is_absolute_iri(iri):
+            return iri
+        self.back(token)
+        self.skip_ws()
+        return self.read_iriref().value
+
+    def descend(self, opened: int):
+        """Enter one more level of nesting, at the bracket *opened* marks;
+        the caller leaves it again with ``self.depth -= 1``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
+            self.sync()
+            (self.pos,) = offsets(self.text, self.runs, [opened])
             raise self.error(f"nesting deeper than {MAX_NESTING} levels")
 
     def try_consume(self, token: str) -> bool:
@@ -399,7 +567,11 @@ class Lexer:
             raise self.error("language-tagged literals are not supported", unsupported=True)
         if self.try_consume("^^"):
             return Literal(lex, self.read_iri().value)
-        return Literal(lex)
+        key = f'"{lex}"'  # the text of the token that spells it, if one can
+        term = self._strings.get(key)
+        if term is None:
+            term = self._strings[key] = Literal(lex)
+        return term
 
     def read_constant(self) -> Iri | Literal:
         """An IRI, or a quoted, numeric or boolean literal."""

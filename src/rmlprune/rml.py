@@ -55,7 +55,7 @@ from .algebra import (
 from .errors import MappingModelError
 from .rdf import RDF_TYPE, RDF_TYPE_IRI, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, trusted
 from .rdf import escape_string, format_term
-from .turtle import TurtleParser
+from .turtle import TurtleParser, opened_at
 
 logger = logging.getLogger("rmlprune.rml")
 
@@ -135,7 +135,12 @@ class _Graph(dict[str, list]):
     def __init__(self, reader: TurtleParser):
         super().__init__()
         self.text, self.labels = reader.text, reader.bnode_labels  # the labels: document's -> the reader's
-        self.made = reader.bnode_offsets  # blank node bN was made at offset made[N - 1]
+        self.runs, self.opened = reader.runs, reader.opened  # where blank nodes open, as marks
+
+    @cached_property
+    def made(self) -> list[int]:
+        """Blank node bN was made at offset ``made[N - 1]``."""
+        return opened_at(self.text, self.runs, self.opened)
 
     @cached_property
     def _label_of(self) -> dict[str, str]:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._lexer import _BOOLEAN_RE, _IRIREF_RE, _PREFIX_RE, PUNCT
+from ._lexer import _BOOLEAN_RE, _IRIREF_RE, _PREFIX_RE
 from .errors import SparqlError, UnsupportedSparqlError
 from .rdf import _VAR_NAME, TriplePattern, Variable
 from .turtle import TurtleParser
@@ -48,6 +48,16 @@ _PATH_STARTS = {"^": "inverse '^'", "!": "negated set '!'", "(": "grouped path"}
 _UNSIGNED_INTEGER_RE = re.compile(r"\d+")
 # a builtin's name: every SPARQL 1.1 builtin starts with a letter
 _BUILTIN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# the keywords a group tries at the start of each block, in order
+_GROUP_KEYWORDS = ("OPTIONAL", "FILTER", "MINUS", "GRAPH", "SERVICE", "BIND", "VALUES", "UNION")
+
+
+def _spells(token: str, word: str) -> bool:
+    """Whether *token* starts with keyword *word*, as
+    :meth:`~rmlprune._lexer.Lexer.keyword_ahead` reads it at the token's
+    start: a prefixed name such as ``filter:x`` does."""
+    n = len(word)
+    return len(token) > n and token[:n].lower() == word.lower() and not (token[n].isalnum() or token[n] == "_")
 
 
 @dataclass
@@ -92,10 +102,10 @@ class _QueryParser(TurtleParser):
     def parse(self) -> SelectQuery:
         self._parse_prologue()
         self.skip_ws()
-        for form in ("CONSTRUCT", "ASK", "DESCRIBE"):
-            if self.keyword_ahead(form):
-                raise self.error(f"{form} queries are not supported", unsupported=True)
         if not self.try_keyword("SELECT"):
+            for form in ("CONSTRUCT", "ASK", "DESCRIBE"):
+                if self.keyword_ahead(form):
+                    raise self.error(f"{form} queries are not supported", unsupported=True)
             raise self.error("expected SELECT")
         self.skip_ws()
         distinct = self.try_keyword("DISTINCT")
@@ -104,8 +114,8 @@ class _QueryParser(TurtleParser):
         variables = self._parse_projection()
         self.skip_ws()
         self.try_keyword("WHERE")
-        self.skip_ws()
-        self._parse_group()
+        self._read_group()
+        self.sync()
         self._parse_solution_modifiers()
         self.skip_ws()
         if not self.at_end():
@@ -121,9 +131,9 @@ class _QueryParser(TurtleParser):
         while True:
             self.skip_ws()
             if self.try_directive("PREFIX"):
-                self._parse_prefix_body()
+                self._parse_prefix_body("")
             elif self.try_directive("BASE", "<"):
-                self._parse_base_body()
+                self._parse_base_body("")
             else:
                 break
 
@@ -197,64 +207,68 @@ class _QueryParser(TurtleParser):
             self.pos += 1
         return stop
 
-    def _parse_group(self):
-        """Read a group, adding its triple patterns to ``self.patterns``."""
-        self.descend()
-        self.expect("{")
+    def _read_group(self):
+        """The group at the next token, to just past its '}'."""
+        tok = self.token()
+        opened = self.mark()
+        if tok == "{":
+            self._parse_group(opened, self.token())
+            return
+        # too deep a nesting is reported first, as for a '{'
+        self.descend(opened)
+        self.back(tok)
+        raise self.error("expected '{'")
+
+    def _parse_group(self, opened: int, tok: str):
+        """The group whose '{' *opened* marks, from the token after it to
+        just past its '}', adding its triple patterns to ``self.patterns``."""
+        self.descend(opened)
+        token = self.token
         # a triples block not ended by '.' may only be followed by '}', a
         # group, OPTIONAL or FILTER
         open_block = False
-        while True:
-            token = self.next_token()
-            if self.at_end():
+        while tok != "}":
+            if not tok and self.at_end():
                 raise self.error("unterminated group (missing '}')")
-            punct = token[PUNCT]
-            if punct == "}":
-                self.pos += 1
-                break
             after_open_block, open_block = open_block, False
-            if punct == "{":
-                save = self.pos
-                self.pos += 1
-                self.skip_ws()
-                if self.keyword_ahead("SELECT"):
+            if tok == "{":
+                opened = self.mark()
+                tok = token()
+                if _spells(tok, "SELECT") or not tok and self.keyword_ahead("SELECT"):
+                    self.back(tok)
                     raise self.error("subqueries are not supported", unsupported=True)
-                self.pos = save
-                self._parse_group()
-                self.skip_ws()
-                if self.keyword_ahead("UNION"):
+                self._parse_group(opened, tok)
+                tok = token()
+                if _spells(tok, "UNION") or not tok and self.keyword_ahead("UNION"):
+                    self.back(tok)
                     raise self.error("UNION is not supported", unsupported=True)
-                self.try_consume_dot()
-                continue
-            if self.try_keyword("OPTIONAL"):
-                self.unevaluable.add("OPTIONAL")
-                self.skip_ws()
-                self._parse_group()
-                self.try_consume_dot()
-                continue
-            if self.try_keyword("FILTER"):
-                self.skip_ws()
-                if self.keyword_ahead("EXISTS") or self.keyword_ahead("NOT"):
-                    raise self.error("FILTER EXISTS is not supported", unsupported=True)
-                self._skip_filter_constraint()
-                self.unevaluable.add("FILTER")
-                self.try_consume_dot()
-                continue
-            for feature in ("MINUS", "GRAPH", "SERVICE", "BIND", "VALUES", "UNION"):
-                if self.keyword_ahead(feature):
-                    raise self.error(f"{feature} is not supported", unsupported=True)
-            if after_open_block:
-                raise self.error("expected '.' or '}' after a triple pattern")
-            self._parse_triples(token)
-            open_block = not self.try_consume_dot()
+            else:
+                if tok[:1].isalpha() and any(_spells(tok, word) for word in _GROUP_KEYWORDS):
+                    self.back(tok)
+                    tok = ""
+                if not tok and self.try_keyword("OPTIONAL"):
+                    self.unevaluable.add("OPTIONAL")
+                    self._read_group()
+                    tok = token()
+                elif not tok and self.try_keyword("FILTER"):
+                    self.skip_ws()
+                    if self.keyword_ahead("EXISTS") or self.keyword_ahead("NOT"):
+                        raise self.error("FILTER EXISTS is not supported", unsupported=True)
+                    self._skip_filter_constraint()
+                    self.unevaluable.add("FILTER")
+                    tok = token()
+                else:
+                    for feature in _GROUP_KEYWORDS[2:]:
+                        if not tok and self.keyword_ahead(feature):
+                            raise self.error(f"{feature} is not supported", unsupported=True)
+                    if after_open_block:
+                        self.back(tok)
+                        raise self.error("expected '.' or '}' after a triple pattern")
+                    tok = self._parse_triples(tok)
+                    open_block = tok != "."
+            if tok == ".":
+                tok = token()
         self.depth -= 1
-
-    def try_consume_dot(self) -> bool:
-        self.skip_ws()
-        if self.peek() == ".":
-            self.pos += 1
-            return True
-        return False
 
     def _skip_filter_constraint(self):
         self.skip_ws()
@@ -284,12 +298,19 @@ class _QueryParser(TurtleParser):
         patterns = self.patterns
         return lambda pair: patterns.append(TriplePattern(s, *pair))
 
-    def _parse_subject(self):
+    def term(self, token, constant):
+        if token[:1] in ("?", "$"):
+            term = self._terms[token] = Variable(token[1:])
+            return term
+        return super().term(token, constant)
+
+    def _parse_subject(self, tok):
+        term = self.term(tok, constant=False)
+        if term is not None:
+            return term
         ch = self.peek()
         if ch in ("?", "$"):
             return self.read_variable()
-        if ch == "[":
-            return self._parse_bnode_property_list()
         if ch in ('"', "'") or ch.isdigit():
             raise self.error("literal subjects are not supported", unsupported=True)
         if ch == "(":
@@ -301,25 +322,30 @@ class _QueryParser(TurtleParser):
         if self.text.startswith("_:", self.pos):
             raise self.error("blank node labels (_:b) in patterns are not supported", unsupported=True)
 
-    def _parse_bnode_property_list(self) -> Variable:
-        """The ``[]`` at the cursor, as a fresh variable that stands in for
-        the anonymous blank node."""
-        self.pos += 1
-        if self.next_token()[PUNCT] != "]":
+    def _parse_bnode_property_list(self, opened: int, tok: str):
+        """The ``[]`` whose '[' *opened* marks, from the token after it, as
+        a fresh variable that stands in for the anonymous blank node."""
+        if tok != "]":
+            self.back(tok)
             raise self.error(
                 "blank node property lists in patterns are not supported", unsupported=True
             )
-        self.pos += 1
-        return Variable(self.fresh_bnode().label, anonymous=True)
+        return Variable(self.fresh_bnode(opened).label, anonymous=True)
 
-    def _parse_verb(self, token):
-        ch = self.peek()
-        path = _PATH_STARTS.get(ch)
-        if path:
-            raise self.error(f"property paths are not supported ({path})", unsupported=True)
-        verb = self.read_variable() if ch in ("?", "$") else super()._parse_verb(token)
-        # a path operator directly after the verb makes this a property path
-        self.skip_ws()
+    def _parse_verb(self, tok):
+        if not tok or tok == "(":
+            self.back(tok)
+            ch = self.peek()
+            path = _PATH_STARTS.get(ch)
+            if path:
+                raise self.error(f"property paths are not supported ({path})", unsupported=True)
+            if ch in ("?", "$"):
+                return self.read_variable()
+        return super()._parse_verb(tok)
+
+    def _after_verb(self):
+        # a path operator directly after the verb makes this a property path;
+        # none is a token, so a verb followed by a token is no path
         nxt = self.peek()
         if nxt in ("/", "|", "*") or (
             nxt == "+" and not _SIGNED_NUMBER_RE.match(self.text, self.pos)
@@ -327,16 +353,19 @@ class _QueryParser(TurtleParser):
             raise self.error(f"property paths are not supported ({nxt!r})", unsupported=True)
         if nxt == "?" and not _VAR_RE.match(self.text, self.pos):
             raise self.error("property paths are not supported ('?')", unsupported=True)
-        return verb
 
-    def _parse_object(self, token):
+    def _parse_object(self, tok):
+        if tok == "[":
+            opened = self.mark()
+            return self._parse_bnode_property_list(opened, self.token())
+        term = self.term(tok, constant=True)
+        if term is not None:
+            return term
         ch = self.peek()
         if not ch:
             raise self.error("expected an object")
         if ch in "?$":
             return self.read_variable()
-        if ch == "[":
-            return self._parse_bnode_property_list()
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)
         self._reject_bnode_label()
@@ -345,6 +374,9 @@ class _QueryParser(TurtleParser):
     def _parse_solution_modifiers(self):
         # GroupClause? HavingClause? OrderClause? LimitOffsetClauses?, where
         # LIMIT and OFFSET may come in either order
+        self.skip_ws()
+        if self.at_end():
+            return
         for clause in ("GROUP BY", "HAVING", "ORDER BY"):
             self._skip_condition(clause)
         for _ in range(2):

@@ -28,13 +28,20 @@ reader implements, where the run's (predicate, object) pairs go.
 * the SPARQL parser of :mod:`rmlprune.sparql`, whose triples syntax is
   Turtle's with variables: it reads each triples block with
   :meth:`~TurtleParser._parse_triples`, files triple patterns, and
-  overrides the hooks that read a subject, a verb, an object and a ``[``.
+  overrides the hooks that read a subject, a verb, an object and a ``[``,
+  that check what follows a verb, and that build a token's term.
 
 Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
-step from token to token with :meth:`~rmlprune._lexer.Lexer.next_token`,
-and every ``[ ]`` opens its node with
-:meth:`~rmlprune._lexer.Lexer.descend` and :meth:`TurtleParser.fresh_bnode`.
+take the text of each token from a run with
+:meth:`~rmlprune._lexer.Lexer.token` and look IRIs, prefixed names and
+strings up by that text; a token the lookup misses, and the '' that hands
+a spelling to the readers, go to the hooks.  A hook that must read at the
+cursor gives its token back with :meth:`~rmlprune._lexer.Lexer.back`.
+Every ``[ ]`` and ``( )`` opens its node with
+:meth:`~rmlprune._lexer.Lexer.descend` and :meth:`TurtleParser.fresh_bnode`,
+at the mark of its bracket: a blank node's offset is found only when
+:attr:`TurtleParser.bnode_offsets` is read.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from ._lexer import PUNCT, Lexer
+from ._lexer import Lexer, offsets
 from .errors import TurtleError
 from .rdf import RDF_NS, RDF_TYPE_IRI, BlankNode, Iri, RdfTerm, trusted_bnode
 
@@ -51,9 +58,14 @@ RDF_REST = Iri(RDF_NS + "rest")
 RDF_NIL = Iri(RDF_NS + "nil")
 
 _LABEL_RE = re.compile(r"[\w.-]*")
-# ANON: a '[' with only whitespace and comments, each to the end of its
-# line, before its ']'
-_ANON_RE = re.compile(r"\[(?:[ \t\r\n]|#[^\n]*(?![^\n]))*\]")
+
+
+def opened_at(text: str, runs: list[tuple[int, int]], opened: list[int]) -> list[int]:
+    """Where each blank node that the marks *opened* name opens: just past
+    its '[', at its '(', or where the cursor stood, just past its label
+    (see :func:`~rmlprune._lexer.offsets`)."""
+    found = offsets(text, runs, opened)
+    return [at + (mark >= 0 and text[at] == "[") for mark, at in zip(opened, found)]
 
 
 class TurtleParser(Lexer):
@@ -63,8 +75,13 @@ class TurtleParser(Lexer):
         super().__init__(text)
         # document label -> internal label, insertion ordered
         self.bnode_labels: dict[str, str] = {}
-        # blank node bN opens at offset bnode_offsets[N - 1]
-        self.bnode_offsets: list[int] = []
+        # the mark of what opened blank node bN: opened[N - 1]
+        self.opened: list[int] = []
+
+    @property
+    def bnode_offsets(self) -> list[int]:
+        """Blank node bN opens at offset ``bnode_offsets[N - 1]``."""
+        return opened_at(self.text, self.runs, self.opened)
 
     def properties(self, s: Iri | BlankNode) -> Callable[[tuple[Iri, RdfTerm]], object]:
         """The function that takes each (predicate, object) pair of subject
@@ -72,61 +89,72 @@ class TurtleParser(Lexer):
         of each run of triples with subject *s*."""
         raise NotImplementedError
 
-    def fresh_bnode(self, at: int | None = None) -> BlankNode:
-        """A new blank node, which opens at offset *at* or the cursor."""
-        offsets = self.bnode_offsets
-        offsets.append(self.pos if at is None else at)
-        return trusted_bnode(f"b{len(offsets)}")
+    def fresh_bnode(self, opened: int) -> BlankNode:
+        """A new blank node, opened by what the mark *opened* names."""
+        self.opened.append(opened)
+        return trusted_bnode(f"b{len(self.opened)}")
 
     # -- grammar -----------------------------------------------------------
+    #
+    # A method starts from a token its caller has read: the first of its
+    # construct, or the one after a bracket, which the caller marks.  One
+    # that reads a list returns the token after it, read too.  A token ''
+    # leaves the cursor to the readers (see Lexer.token).
 
     def parse(self) -> str | None:
         """Hand every triple to :meth:`properties`; returns the base in
         scope at the end of the document."""
+        token = self.token
         while True:
-            token = self.next_token()
-            if self.at_end():
-                break
-            if not self._parse_directive():
-                self._parse_triples(token)
-                self.expect(".")
+            tok = token()
+            if not tok:
+                if self.at_end():
+                    break
+                # SPARQL-style directives do not end with '.'
+                if self.try_directive("prefix"):
+                    self._parse_prefix_body("")
+                    continue
+                if self.try_directive("base", "<"):
+                    self._parse_base_body("")
+                    continue
+            if tok == "@prefix":
+                self._parse_prefix_body(token())
+                tok = token()
+            elif tok == "@base":
+                self._parse_base_body(token())
+                tok = token()
+            else:
+                tok = self._parse_triples(tok)
+            if tok != ".":
+                self.back(tok)
+                raise self.error("expected '.'")
         return self.base
 
-    def _parse_directive(self) -> bool:
-        # '@prefix' and '@base' end with '.', SPARQL-style directives do not
-        at = self.peek() == "@"
-        if self.try_consume("@prefix") or not at and self.try_directive("prefix"):
-            self._parse_prefix_body()
-        elif self.try_consume("@base") or not at and self.try_directive("base", "<"):
-            self._parse_base_body()
+    def _parse_triples(self, tok: str) -> str:
+        """A subject and its predicate-object list, from the subject's
+        token.  A blank node property list may stand alone, an empty
+        ``[ ]`` may not."""
+        if tok == "[":
+            opened = self.mark()
+            tok = self.token()
+            anon = tok == "]"
+            subject = self._parse_bnode_property_list(opened, tok)
+            tok = self.token()
+            if not anon and tok == ".":
+                return tok
         else:
-            return False
-        if at:
-            self.skip_ws()
-            self.expect(".")
-        return True
+            subject = self._terms.get(tok) or self._parse_subject(tok)
+            tok = self.token()
+        return self._parse_predicate_object_list(subject, tok)
 
-    def _parse_triples(self, token):
-        """Subject and predicate-object list, from the subject's token; the
-        cursor ends on the token after them.  A blank node property list
-        may stand alone, an empty ``[ ]`` may not."""
-        if token[PUNCT] == "[" and not _ANON_RE.match(self.text, self.pos):
-            subject = self._parse_bnode_property_list()
-            token = self.next_token()
-            if token[PUNCT] != ".":
-                self._parse_predicate_object_list(subject, token)
-            return
-        subject = self.read_token_term(token, constant=False) or self._parse_subject()
-        self._parse_predicate_object_list(subject, self.next_token())
-
-    def _parse_subject(self):
-        """A subject the token read left to the readers."""
-        ch = self.peek()
-        if ch == "[":
-            return self._parse_bnode_property_list()
-        if ch == "(":
-            return self._parse_collection()
-        if ch == "_":
+    def _parse_subject(self, tok: str):
+        """A subject the lookup by text did not find."""
+        if tok == "(":
+            return self._parse_collection(self.mark())
+        term = self.term(tok, constant=False)
+        if term is not None:
+            return term
+        if self.peek() == "_":
             return self._read_bnode_label()
         return self.read_iri("a subject")
 
@@ -141,54 +169,62 @@ class TurtleParser(Lexer):
             raise self.error("empty blank node label")
         internal = self.bnode_labels.get(label)
         if internal is None:
-            node = self.fresh_bnode()
+            node = self.fresh_bnode(self.mark())
             self.bnode_labels[label] = node.label
             return node
         return trusted_bnode(internal)
 
-    def _parse_predicate_object_list(self, subject, token) -> str | None:
-        """From the first verb's token to the token after the list, whose
-        punctuation mark (None for another token) it returns."""
+    def _parse_predicate_object_list(self, subject, tok: str) -> str:
+        """From the first verb's token; returns the token after the list."""
         take = None
-        next_token, read, verb = self.next_token, self.read_token_term, self._parse_verb
+        # self.token(), inlined
+        pop, more, terms, strings = self._run.pop, self._next_run, self._terms, self._strings
+        verb, obj = self._parse_verb, self._parse_object
         while True:
-            predicate = verb(token)
+            predicate = terms.get(tok) or verb(tok)
+            tok = pop() or more()
+            if not tok:
+                self._after_verb()
             while True:
-                token = next_token()
-                obj = read(token, True) or self._parse_object(token)
+                o = terms.get(tok) or strings.get(tok) or obj(tok)
                 if take is None:
                     take = self.properties(subject)
-                take((predicate, obj))
-                punct = next_token()[PUNCT]
-                if punct != ",":
+                take((predicate, o))
+                tok = pop() or more()
+                if tok != ",":
                     break
-                self.pos += 1
-            if punct != ";":
-                return punct
+                tok = pop() or more()
+            if tok != ";":
+                return tok
             # a dangling ';' before '.', ']', '}' or another ';' is allowed
-            while punct == ";":
-                self.pos += 1
-                token = next_token()
-                punct = token[PUNCT]
-            if punct in (".", "]", "}") or self.at_end():
-                return punct
+            while tok == ";":
+                tok = pop() or more()
+            if tok in (".", "]", "}") or not tok and self.at_end():
+                return tok
 
-    def _parse_verb(self, token) -> Iri:
-        """The verb that starts with *token*."""
-        term = self.read_token_term(token, False)
+    def _parse_verb(self, tok: str) -> Iri:
+        """A verb the lookup by text did not find."""
+        term = self.term(tok, constant=False)
         if term is not None:
             return term
         if self.try_a():
             return RDF_TYPE_IRI
         return self.read_iri("a predicate")
 
-    def _parse_object(self, token) -> RdfTerm:
-        """An object other than the terms :meth:`read_token_term` takes."""
-        punct = token[PUNCT]
-        if punct == "[":
-            return self._parse_bnode_property_list()
-        if punct == "(":
-            return self._parse_collection()
+    def _after_verb(self):
+        """A check at the cursor, where a reader's spelling directly follows
+        a verb: none in Turtle."""
+
+    def _parse_object(self, tok: str) -> RdfTerm:
+        """An object the lookup by text did not find."""
+        if tok == "[":
+            opened = self.mark()
+            return self._parse_bnode_property_list(opened, self.token())
+        if tok == "(":
+            return self._parse_collection(self.mark())
+        term = self.term(tok, constant=True)
+        if term is not None:
+            return term
         ch = self.peek()
         if ch == "":
             raise self.error("expected an object")
@@ -196,40 +232,34 @@ class TurtleParser(Lexer):
             return self._read_bnode_label()
         return self.read_constant()
 
-    def _parse_bnode_property_list(self) -> BlankNode:
-        """From the '[' at the cursor to just past its ']'."""
-        self.descend()
-        self.pos += 1
-        node = self.fresh_bnode()
-        token = self.next_token()
-        punct = token[PUNCT]
-        if punct != "]":
-            punct = self._parse_predicate_object_list(node, token)
-        if punct != "]":
-            raise self.error("expected ']'")
-        self.pos += 1
+    def _parse_bnode_property_list(self, opened: int, tok: str) -> BlankNode:
+        """The blank node whose '[' *opened* marks, from *tok*, the token
+        after the '[', to its ']'."""
+        self.descend(opened)
+        node = self.fresh_bnode(opened)
+        if tok != "]":
+            tok = self._parse_predicate_object_list(node, tok)
+            if tok != "]":
+                self.back(tok)
+                raise self.error("expected ']'")
         self.depth -= 1
         return node
 
-    def _parse_collection(self):
-        """From the '(' at the cursor to just past its ')'.  Its nodes are
-        made after its items, but open at the '('."""
-        self.descend()
-        opens = self.pos
-        self.pos += 1
+    def _parse_collection(self, opened: int):
+        """The collection whose '(' *opened* marks, from just past the '('
+        to its ')'.  Its nodes are made after its items, but open at the
+        '('."""
+        self.descend(opened)
         items = []
-        while True:
-            token = self.next_token()
-            if token[PUNCT] == ")":
-                self.pos += 1
-                break
-            if self.at_end():
+        token, terms, strings = self.token, self._terms, self._strings
+        while (tok := token()) != ")":
+            if not tok and self.at_end():
                 raise self.error("unterminated collection")
-            items.append(self.read_token_term(token, constant=True) or self._parse_object(token))
+            items.append(terms.get(tok) or strings.get(tok) or self._parse_object(tok))
         self.depth -= 1
         if not items:
             return RDF_NIL
-        nodes = [self.fresh_bnode(opens) for _ in items]
+        nodes = [self.fresh_bnode(opened) for _ in items]
         for node, item, rest in zip(nodes, items, [*nodes[1:], RDF_NIL]):
             take = self.properties(node)
             take((RDF_FIRST, item))

@@ -19,13 +19,16 @@ def load_ab():
 @pytest.mark.skipif(not (ROOT / ".git").exists(), reason="exports HEAD with git archive")
 def test_ab_runs_two_interleaved_rounds(capsys):
     # HEAD against the working tree; the harness also checks that both
-    # compute the same expression count, graph size, N-Triples text, query
-    # rows, kept counts and written mappings
+    # compute the same expression counts, pattern counts, graph size,
+    # N-Triples text, query rows, kept counts and written mappings
     assert load_ab().main(["--rounds", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert (report["base"], report["head"], report["rounds"]) == ("HEAD", "working tree", 2)
     answers = [f"answer-s10:q{i:02d}" for i in range(1, 9)]
-    names = ["load-wide", "materialize-s50", "serialize-s50", *answers, "prune-wide", "write-wide"]
+    names = [
+        "load-wide", "load-corpus", "parse-queries", "materialize-s50", "serialize-s50", *answers,
+        "prune-wide", "write-wide",
+    ]
     assert list(report["steps"]) == names
     for summary in report["steps"].values():
         for side in ("base", "head"):

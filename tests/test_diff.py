@@ -1,6 +1,7 @@
 """A smoke run of ``tools/diff.py``, the differential harness of the mapping
-surface."""
+and SPARQL surfaces."""
 
+import importlib
 import importlib.util
 import json
 import random
@@ -27,6 +28,27 @@ def test_a_revision_against_itself_differs_nowhere(capsys):
     assert report["accepted"]["base"] == report["accepted"]["head"]
 
 
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="exports HEAD with git archive")
+def test_a_revision_against_itself_parses_queries_alike(capsys):
+    assert load_diff().main(["--base", "HEAD", "--head", "HEAD", "--rounds", "2", "--surface", "sparql"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # q01-q08, the OPTIONAL/FILTER/ORDER BY query and the [] query
+    assert (report["surface"], report["rounds"], report["inputs"]) == ("sparql", 2, 20)
+    assert (report["differences"], report["first"]) == (0, [])
+    assert report["accepted"]["base"] == report["accepted"]["head"]
+
+
+def test_a_query_record_holds_its_fields_or_its_error():
+    diff = load_diff()
+    side = diff.Side(importlib.import_module("rmlprune"))
+    ok = side.sparql_record(diff.EXTRA_QUERIES["anon"])
+    assert ok[0] == "ok" and ok[1] == [["Variable", "n", False], ["Variable", "r", False]]
+    assert ok[2][0] == [["Variable", "b1", True], ["Iri", "http://example.com/ns#name"], ["Variable", "n", False]]
+    assert side.sparql_record("SELECT * WHERE { ?s ?p }") == (
+        "error", "SparqlError", "line 1, column 24: expected an object, found '}'"
+    )
+
+
 def test_mutations_are_seeded_and_replayable():
     diff = load_diff()
     text = '<http://e/tm> rml:subjectMap [ rml:template "{a}" ] ;\n  rml:predicate ex:p .\n'
@@ -35,6 +57,21 @@ def test_mutations_are_seeded_and_replayable():
     for seed in range(50):
         mutated, edits = diff.mutate(text, random.Random(seed))
         # the edits, applied in order to the text, give the mutation
+        replayed = text
+        for i, removed, inserted in edits:
+            assert replayed[i:i + len(removed)] == removed
+            replayed = replayed[:i] + inserted + replayed[i + len(removed):]
+        assert replayed == mutated
+
+
+@pytest.mark.parametrize("text", ["SELECT * WHERE { ?s ?p ?o }", ""])
+def test_query_mutations_replay_and_need_no_keyword_to_swap(text):
+    # a text without a mapping keyword gets a replacement for a swap, and
+    # a copy from an empty text copies nothing
+    diff = load_diff()
+    for seed in range(50):
+        mutated, edits = diff.mutate(text, random.Random(seed), diff.QUERY_SNIPPETS)
+        assert 1 <= len(edits) <= 3
         replayed = text
         for i, removed, inserted in edits:
             assert replayed[i:i + len(removed)] == removed

@@ -1,8 +1,13 @@
 """The lexer shared by the Turtle and SPARQL parsers: both parsers must
 read every term spelling alike."""
 
-import pytest
+import re
 
+import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from rmlprune import _lexer
 from rmlprune._lexer import MAX_NESTING
 from rmlprune.errors import SparqlError, TurtleError, UnsupportedSparqlError
 from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal
@@ -258,3 +263,20 @@ def test_pattern_walk_survives_a_long_filter_chain():
     # every FILTER wraps its group once more, so this tree is 3,000 deep
     query = parse_query("SELECT * WHERE { ?s ?p ?o " + "FILTER(?o) " * 3000 + "}")
     assert len(collect_triple_patterns(query)) == 1
+
+
+# Runs read a prefixed name of ASCII letters, digits, '_' and '-' in a
+# cheaper form first; it must read every text as the full form alone does.
+NAME_PIECES = [
+    "a", "b1", "_", "-", ".", ":", "%", "\\", "\\.", "é", " ", "\n", "# c", "<x>", '"', "?v", "[", ";", "ex:"
+]
+
+
+@seed(3)
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(NAME_PIECES), max_size=12).map("".join))
+def test_the_cheaper_prefixed_name_reads_as_the_full_one(text):
+    full = re.compile(_lexer._RUN_RE.pattern.replace(f"|{_lexer._ASCII_PNAME}", "", 1))
+    assert full.pattern != _lexer._RUN_RE.pattern
+    for start in range(len(text) + 1):
+        assert _lexer._RUN_RE.findall(text, start) == full.findall(text, start)

@@ -1001,6 +1001,17 @@ def test_wide_mapping_as_the_reader_files_it_is_pinned():
     assert (hashlib.sha256(text.encode("utf-8")).hexdigest(), len(lines)) == WIDE_FILED
 
 
+def test_the_reader_keeps_one_literal_per_lexical_form():
+    # as it keeps one IRI per IRI: the wide mapping's 840 string literals
+    # are 175 objects, and the "lat" of every copy's stops map is one
+    reader = rml._MappingReader(wide_mapping_text())
+    reader.parse()
+    literals = [obj for props in reader.graph.values() for obj in props[1::2] if type(obj) is Literal]
+    assert (len(literals), len({id(obj) for obj in literals})) == (840, 175)
+    lat = [obj for obj in literals if obj.lex == "lat"]
+    assert len(lat) == 40 and all(obj is lat[0] for obj in lat)
+
+
 # One triples map, four ways: three classes, a predicate-object map with two
 # predicates, two object maps and an object shortcut, a join, a datatype.
 ONE_MAP_FOUR_WAYS = {

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from rmlprune import _lexer
 from rmlprune.errors import TurtleError
 from rmlprune.ntriples import format_term
 from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, BlankNode, Iri, Literal, Triple
@@ -371,6 +372,106 @@ def test_spellings_left_to_the_readers_parse_as_before(body, expected):
     except TurtleError as exc:
         got = (str(exc), exc.line, exc.column)
     assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# runs: the token texts read ahead, and where the readers take over
+# ---------------------------------------------------------------------------
+
+# Statements that put a reader's spelling between tokens that runs read:
+# 'a', a number, 'true', a label, a long string, an escaped string, a typed
+# literal, a mid-document @base with a relative IRIREF, and a comment last.
+RUN_BOUNDARY_TOKENS = [
+    *"@prefix ex: <http://e/> . @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .".split(),
+    *"ex:s a ex:C ; ex:n 42 , ex:m ; ex:b true ; ex:k _:x .".split(),
+    *"_:x ex:q [ ex:r ex:o ] . ex:s ex:l".split(),
+    "'''a long string'''",
+    *r'; ex:e "esc\"aped" , "plain" ; ex:t "5"^^xsd:int .'.split(),
+    *"@base <http://b/> . <rel> ex:p ( ex:a 1 _:x ) , [ ] .".split(),
+    "# a comment",
+]
+
+
+def filed(tokens: list[str], separator: str) -> tuple[list[str], list[tuple[int, int]]]:
+    """The triples that *tokens* joined by *separator* state, and where each
+    blank node opens: its token's index and the offset into that token."""
+    text = separator.join(tokens)
+    starts = [0]
+    for token in tokens[:-1]:
+        starts.append(starts[-1] + len(token) + len(separator))
+    doc = read_turtle(text)
+    opened = []
+    for offset in doc.bnode_offsets:
+        k = max(i for i, start in enumerate(starts) if start <= offset)
+        opened.append((k, offset - starts[k]))
+    return [f"{format_term(t.s)} {format_term(t.p)} {format_term(t.o)}" for t in doc.triples], opened
+
+
+@pytest.mark.parametrize("window", [1, 8, _lexer.WINDOW])
+def test_reader_spellings_between_run_tokens_read_as_one_token_per_line(monkeypatch, window):
+    expected = filed(RUN_BOUNDARY_TOKENS, "\n")
+    # small windows cut the line between tokens too, and inside the long
+    # string and the comment, which hold spaces
+    monkeypatch.setattr(_lexer, "WINDOW", window)
+    assert filed(RUN_BOUNDARY_TOKENS, " ") == expected
+    triples, opened = expected
+    assert len(triples) == 19
+    assert '<http://b/rel> <http://e/p> _:b3' in triples
+    # a blank node opens after its label, after '[' and at '('
+    assert [(RUN_BOUNDARY_TOKENS[k], shift) for k, shift in opened] == [
+        ("_:x", 3), ("[", 1), ("(", 0), ("(", 0), ("(", 0), ("[", 1)
+    ]
+
+
+@pytest.mark.parametrize(
+    "statement,error",
+    [
+        # a number, then a name where '.' belongs
+        ("ex:s ex:p 42 ex:q .", "line 2, column 14: expected '.'"),
+        # 'a', then a label, then a name where '.' belongs
+        ("ex:s a ex:C ;\n  ex:p _:x ex:o .", "line 3, column 12: expected '.'"),
+    ],
+)
+@pytest.mark.parametrize("window", [1, _lexer.WINDOW])
+def test_an_error_directly_after_a_reader_spelling_keeps_its_position(monkeypatch, statement, error, window):
+    monkeypatch.setattr(_lexer, "WINDOW", window)
+    with pytest.raises(TurtleError, match=f"^{error}$"):
+        read_turtle(f"@prefix ex: <http://e/> .\n{statement}\n")
+
+
+class Counting:
+    """A pattern of the runs, counting the characters it scans: a run reads
+    up to the first character of the spelling it leaves to a reader (its
+    last match moves to the window's end without reading it) or to its
+    window's end, and a step through a run again reads each match."""
+
+    def __init__(self, regex, scanned: list[int]):
+        self.regex, self.scanned = regex, scanned
+
+    def findall(self, text, pos, endpos):
+        run = self.regex.findall(text, pos, endpos)
+        if run and not run[-1]:
+            *_, last = self.regex.finditer(text, pos, endpos)
+            endpos = _lexer._WS_RE.match(text, last.start()).end() + 1
+        self.scanned[0] += endpos - pos
+        return run
+
+    def match(self, text, pos, *endpos):
+        match = self.regex.match(text, pos, *endpos)
+        self.scanned[0] += match.end() - pos
+        return match
+
+
+@pytest.mark.parametrize("statements", [1_000, 10_000])
+def test_runs_scan_a_line_of_reader_spellings_in_linear_time(monkeypatch, statements):
+    # each statement hands over to the readers twice, and each hand-over
+    # steps through the run before it again
+    text = "@prefix ex: <http://e/> . " + "".join(f"ex:s{i} a ex:C ; ex:p {i} . " for i in range(statements))
+    scanned = [0]
+    for name in ("_RUN_RE", "_TOKENS_RE"):
+        monkeypatch.setattr(_lexer, name, Counting(getattr(_lexer, name), scanned))
+    assert len(read_turtle(text).triples) == 2 * statements
+    assert len(text) < scanned[0] <= 3 * len(text)
 
 
 # ---------------------------------------------------------------------------

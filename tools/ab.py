@@ -6,6 +6,11 @@ and timed in interleaved rounds on the seed corpus:
 * ``load-wide``: ``translate(parse_rml(wide))``, where ``wide`` is the
   prune-wide workload's 560-expression mapping as ``perfbench/corpus.py``
   writes it;
+* ``load-corpus``: ``parse_rml`` of the corpus mapping
+  (``gendata.MAPPING_TTL``), which answer-s10 and materialize-s50 parse in
+  their set-ups;
+* ``parse-queries``: ``parse_query`` of each of q01-q08, as prune-wide and
+  answer-s10 parse them in their operations, and the patterns read;
 * ``materialize-s50``: ``materialize`` of the corpus mapping at scale 50;
 * ``serialize-s50``: ``serialize_graph`` of that graph;
 * ``answer-s10:qNN``: ``answer`` of each of q01-q08, pruned, at scale 10,
@@ -124,7 +129,8 @@ class Side:
         import_ = lambda sub: importlib.import_module(f"{pkg.__name__}.{sub}")  # noqa: E731
         self.algebra, self.answer_mod = import_("algebra"), import_("answer")
         self.ntriples, csvsource = import_("ntriples"), import_("csvsource")
-        self.rml, self.pruning, sparql = import_("rml"), import_("pruning"), import_("sparql")
+        self.rml, self.pruning, self.sparql = import_("rml"), import_("pruning"), import_("sparql")
+        self.mapping_text = import_("gendata").MAPPING_TTL
         self.inputs = {}
         for scale, directory in data.items():
             mapping = self.rml.translate(self.rml.parse_rml((directory / "mapping.ttl").read_bytes()))
@@ -133,15 +139,13 @@ class Side:
                 for p in sorted(directory.glob("*.csv"))
             }
             self.inputs[scale] = (mapping, sigma)
-        self.queries = {
-            q: sparql.parse_query((data[10] / "queries" / f"{q}.rq").read_text(encoding="utf-8"))
-            for q in QUERY_NAMES
-        }
+        self.query_texts = [(data[10] / "queries" / f"{q}.rq").read_text(encoding="utf-8") for q in QUERY_NAMES]
+        self.queries = {q: self.sparql.parse_query(text) for q, text in zip(QUERY_NAMES, self.query_texts)}
         self.wide_text, wide_queries = wide
         self.wide_doc = self.rml.parse_rml(self.wide_text)
         self.wide = self.rml.translate(self.wide_doc)
         self.wide_patterns = [
-            sparql.collect_triple_patterns(sparql.parse_query(wide_queries[q])) for q in QUERY_NAMES
+            self.sparql.collect_triple_patterns(self.sparql.parse_query(wide_queries[q])) for q in QUERY_NAMES
         ]
         pruned = (self.pruning.prune(patterns, self.wide) for patterns in self.wide_patterns)
         self.wide_kept = [self.wide] + [() if isinstance(p, self.pruning.FullyPruned) else p for p in pruned]
@@ -165,7 +169,12 @@ class Side:
             pruned = (self.pruning.prune(patterns, self.wide) for patterns in self.wide_patterns)
             return [0 if isinstance(p, self.pruning.FullyPruned) else len(p.trmaps) for p in pruned]
 
+        def parse_queries():
+            return [len(self.sparql.parse_query(text).patterns) for text in self.query_texts]
+
         yield "load-wide", load_wide
+        yield "load-corpus", lambda: len(self.rml.parse_rml(self.mapping_text).trmaps)
+        yield "parse-queries", parse_queries
         yield "materialize-s50", materialize
         yield "serialize-s50", serialize
         mapping10, sigma10 = self.inputs[10]

@@ -1,32 +1,38 @@
-"""Differential run of two revisions of rmlprune on the mapping surface.
+"""Differential run of two revisions of rmlprune on one surface.
 
 Both revisions are exported and imported side by side, each package under
 its own name, with ``tools/ab.py``'s ``export`` and ``load_package``, and
-fed the same seeded inputs:
+fed the same seeded inputs.  Each input applies one to three edits to a
+text: delete a run of tokens or characters, insert a snippet, replace a
+run by a snippet, copy a run elsewhere, or swap a mapping keyword for
+another of its group (``rml:template`` for ``rml:reference``, ``rml:IRI``
+for ``rml:BlankNode``...; a text without one gets a replacement instead).
 
-* mutations of the corpus mapping (``gendata.MAPPING_TTL``) and of the
-  prune-wide workload's 560-expression mapping, as ``perfbench/corpus.py``
-  writes it.  Each input applies one to three edits: delete a run of
-  tokens or characters, insert a snippet (a blank node, a bracket, a
-  quote, a brace, a term map, a base), replace a run by a snippet, copy a
-  run elsewhere, or swap a mapping keyword for another of its group
-  (``rml:template`` for ``rml:reference``, ``rml:IRI`` for
-  ``rml:BlankNode``...).
+* ``--surface mapping`` (the default) mutates the corpus mapping
+  (``gendata.MAPPING_TTL``) and the prune-wide workload's 560-expression
+  mapping, as ``perfbench/corpus.py`` writes it, with snippets such as a
+  blank node, a bracket, a quote, a brace, a term map or a base.  A
+  record is the ``dump_plan`` of the parsed mapping, its whole write-back
+  by ``serialize_pruned``, and the write-back of its prune for each of
+  q01-q08 (instantiated on the wide mapping's first copy for that
+  mapping).
+* ``--surface sparql`` mutates q01-q08, a query with OPTIONAL, FILTER and
+  ORDER BY, and a query with ``[]``, with snippets such as a variable, a
+  path operator, a literal, a group or a keyword.  A record is the parsed
+  query's ``SelectQuery`` fields, each term as its class and fields.
 
-Per input, each side gives one record: the ``dump_plan`` of the parsed
-mapping, its whole write-back by ``serialize_pruned``, and the write-back
-of its prune for each of q01-q08 (instantiated on the wide mapping's first
-copy for that mapping); or, if anything raises, the exception's class and
-message.  The JSON printed gives the input and difference counts, each
-side's accepted share, and the first ``--show`` differing inputs, each
-with its edits (offset, removed text, inserted text, applied in order to
-the unmutated mapping) and both records, a written text shortened to its
-sha256 and line count.
+If anything raises, the record is instead the exception's class and
+message, with its line and column.  The JSON printed gives the input and
+difference counts, each side's accepted share, and the first ``--show``
+differing inputs, each with its edits (offset, removed text, inserted
+text, applied in order to the unmutated text) and both records, a written
+text shortened to its sha256 and line count.
 
 Run from the repository root::
 
     python tools/diff.py                      # HEAD against the working tree
     python tools/diff.py --base HEAD~1 --head HEAD --rounds 500
+    python tools/diff.py --surface sparql --rounds 500
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from pathlib import Path
 
 QUERY_NAMES = tuple(f"q{i:02d}" for i in range(1, 9))
 
-# what an insertion or a replacement puts in
+# what an insertion or a replacement puts in a mapping
 SNIPPETS = (
     "_:x", "[ ]", "[ ex:p ex:o ]", '"', "{", "}", "\\\\", ";", ",", ".", "( )", "#", "\n",
     "<http://e/x>", '"x"', '"{a}"', '"a\\\\{b\\\\}{c}"', "rml:constant _:b", "rr:constant [ ex:p ex:o ]",
@@ -53,6 +59,21 @@ SNIPPETS = (
     "rml:class ex:C", "rml:datatype xsd:integer", "rml:subject _:s", "rr:object _:o",
     "@base <http://b.example/> .\n", 'rml:joinCondition [ rml:child "a" ; rml:parent "b" ]',
 )
+# ... and in a query
+QUERY_SNIPPETS = (
+    "?x", "$y", "a", "[]", "[ ]", "[ ex:p ?o ]", "{", "}", ".", ";", ",", "(", ")", "/", "|", "*", "+",
+    "^", "!", "?", '"x"', "'x'", '"5"^^xsd:integer', '"x"@en', "42", "-1.5", "true", "_:b", "<http://e/x>",
+    "<rel>", "ex:", "ex:a\\.b", "filter:x", "#c\n", "\n", "OPTIONAL { ?s ex:p ?o }", "FILTER(?x > 1)",
+    "FILTER regex(?n, \"a\")", "UNION", "MINUS", "SELECT", "ORDER BY ?s", "LIMIT 3", "OFFSET 2",
+    "GROUP BY ?s", "BASE <http://b/>", "PREFIX p: <http://p/>", "DISTINCT",
+)
+# the queries mutated besides q01-q08
+EXTRA_QUERIES = {
+    "optional": "PREFIX ex: <http://example.com/ns#>\n"
+    "SELECT ?s ?n ?z WHERE { ?s a ex:Stop ; ex:name ?n . OPTIONAL { ?s ex:zone ?z }\n"
+    "  FILTER(?n != \"x\") } ORDER BY ?n LIMIT 10\n",
+    "anon": "PREFIX ex: <http://example.com/ns#>\nSELECT * WHERE { [] ex:name ?n . ?r ex:firstStop [] }\n",
+}
 # the mapping keywords a swap exchanges for another of their group, in any namespace
 KEYWORDS = {
     word: group
@@ -76,18 +97,17 @@ def load_ab():
     return module
 
 
-def mutate(text: str, rng: random.Random) -> tuple[str, list[list]]:
+def mutate(text: str, rng: random.Random, snippets: tuple[str, ...] = SNIPPETS) -> tuple[str, list[list]]:
     """*text* after one to three seeded edits, and the edits."""
     edits = []
     for _ in range(rng.randint(1, 3)):
         op = rng.choice(("delete", "insert", "replace", "copy", "swap", "swap", "swap", "swap"))
-        if op == "swap":
-            found = list(_KEYWORD_RE.finditer(text))
-            if not found:
-                continue
+        found = list(_KEYWORD_RE.finditer(text)) if op == "swap" else []
+        if found:
             match = rng.choice(found)
             i, j, new = match.start(1), match.end(1), rng.choice(KEYWORDS[match.group(1)])
         else:
+            op = "replace" if op == "swap" else op
             # at a token boundary, mostly, and a run of tokens or characters long
             spaces = [m.end() for m in _SPACE_RE.finditer(text)]
             i = rng.choice(spaces) if spaces and rng.random() < 0.7 else rng.randrange(len(text) + 1)
@@ -99,10 +119,10 @@ def mutate(text: str, rng: random.Random) -> tuple[str, list[list]]:
             if op == "delete":
                 new = ""
             elif op == "copy":
-                k = rng.randrange(len(text))
+                k = rng.randrange(len(text)) if text else 0
                 new = text[k:k + length]
             else:
-                new = rng.choice(SNIPPETS)
+                new = rng.choice(snippets)
         edits.append([i, text[i:j], new])
         text = text[:i] + new + text[j:]
     return text, edits
@@ -121,7 +141,7 @@ class Side:
         self.algebra, self.rml = import_("algebra"), import_("rml")
         self.pruning, self.sparql = import_("pruning"), import_("sparql")
 
-    def record(self, text: str, queries: list[str]) -> tuple:
+    def mapping_record(self, text: str, queries: list[str]) -> tuple:
         """The plan and the write-backs of mapping *text*, whole and pruned
         for each of *queries*; or the exception's class and message."""
         try:
@@ -137,24 +157,42 @@ class Side:
         except Exception as exc:  # any exception is part of the record
             return ("error", type(exc).__name__, str(exc))
 
+    def sparql_record(self, text: str, queries: None = None) -> tuple:
+        """The fields of query *text* as parsed, or the exception's class
+        and message."""
+        try:
+            query = self.sparql.parse_query(text)
+        except Exception as exc:  # any exception is part of the record
+            return ("error", type(exc).__name__, str(exc))
+        return ("ok", [_term(v) for v in query.variables],
+                [[_term(t) for t in (tp.s, tp.p, tp.o)] for tp in query.patterns],
+                query.distinct, sorted(query.unevaluable))
+
+
+def _term(term) -> list:
+    """*term* as its class and its fields."""
+    return [type(term).__name__, *(getattr(term, name) for name in term.__dataclass_fields__)]
+
 
 def shown(record: tuple) -> list:
     """*record* for the report: a plan or a written text by its digest."""
     if record[0] == "error":
         return list(record)
-    return ["ok", *(_written(text) for text in record[1:])]
+    return ["ok", *(_written(item) if isinstance(item, str) else item for item in record[1:])]
 
 
-def compare(base: Side, head: Side, inputs: dict[str, tuple[str, list[str]]], rounds: int, seed: int,
-            show: int) -> dict:
-    """Every side's record of *rounds* mutations of each input mapping."""
+def compare(base: Side, head: Side, surface: str, inputs: dict[str, tuple[str, list[str] | None]],
+            rounds: int, seed: int, show: int) -> dict:
+    """Every side's record of *rounds* mutations of each input text."""
     counts = {"inputs": 0, "differences": 0, "accepted": {"base": 0, "head": 0}}
     first = []
+    snippets = SNIPPETS if surface == "mapping" else QUERY_SNIPPETS
+    sides = {"base": getattr(base, f"{surface}_record"), "head": getattr(head, f"{surface}_record")}
     for name, (text, queries) in inputs.items():
         rng = random.Random(f"{seed}-{name}")
         for r in range(rounds):
-            mutated, edits = mutate(text, rng)
-            records = {"base": base.record(mutated, queries), "head": head.record(mutated, queries)}
+            mutated, edits = mutate(text, rng, snippets)
+            records = {label: record(mutated, queries) for label, record in sides.items()}
             counts["inputs"] += 1
             for label, record in records.items():
                 counts["accepted"][label] += record[0] == "ok"
@@ -174,6 +212,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=200, help="mutations of each input mapping")
     parser.add_argument("--seed", type=int, default=42, help="mutation and corpus seed")
     parser.add_argument("--show", type=int, default=10, help="differing inputs to print")
+    parser.add_argument("--surface", choices=("mapping", "sparql"), default="mapping", help="what to compare")
     args = parser.parse_args(argv)
     logging.disable(logging.CRITICAL)  # a mutation's warnings are no record
     ab = load_ab()
@@ -182,15 +221,19 @@ def main(argv: list[str] | None = None) -> int:
         base_tree, head_tree = ab.export(args.base, tmp / "base"), ab.export(args.head, tmp / "head")
         base_pkg, head_pkg = ab.load_package(base_tree, "diff_base"), ab.load_package(head_tree, "diff_head")
         gendata = importlib.import_module("diff_head.gendata")
-        gendata.generate(tmp / "corpus", scale=1, seed=args.seed)
-        wide_text, wide_queries = ab.wide_inputs(head_tree, tmp / "corpus", args.seed)
-        inputs = {
-            "corpus": (gendata.MAPPING_TTL, [gendata.QUERIES[q] for q in QUERY_NAMES]),
-            "wide": (wide_text.decode("utf-8"), [wide_queries[q] for q in QUERY_NAMES]),
-        }
-        report = compare(Side(base_pkg), Side(head_pkg), inputs, args.rounds, args.seed, args.show)
+        if args.surface == "sparql":
+            inputs = {name: (text, None) for name, text in {**gendata.QUERIES, **EXTRA_QUERIES}.items()}
+        else:
+            gendata.generate(tmp / "corpus", scale=1, seed=args.seed)
+            wide_text, wide_queries = ab.wide_inputs(head_tree, tmp / "corpus", args.seed)
+            inputs = {
+                "corpus": (gendata.MAPPING_TTL, [gendata.QUERIES[q] for q in QUERY_NAMES]),
+                "wide": (wide_text.decode("utf-8"), [wide_queries[q] for q in QUERY_NAMES]),
+            }
+        report = compare(Side(base_pkg), Side(head_pkg), args.surface, inputs, args.rounds, args.seed,
+                         args.show)
     print(json.dumps({"base": args.base, "head": args.head or "working tree", "seed": args.seed,
-                      "rounds": args.rounds, "surface": "mapping", **report}, indent=1))
+                      "rounds": args.rounds, "surface": args.surface, **report}, indent=1))
     return 0
 
 
