@@ -21,16 +21,18 @@ once:
 
 The parsers step through the text a run at a time: one ``findall`` gives
 the texts of the tokens ahead in their common spellings (punctuation, an
-IRIREF, a prefixed name or a short string without escapes, ``@prefix``,
-``@base`` or a variable), up to the first spelling it leaves to a reader,
+IRIREF or a prefixed name without escapes, a short string without
+escapes, alone or typed by an absolute IRIREF or a prefixed name, a
+number, a boolean, ``a``, a blank node label, ``@prefix``, ``@base`` or a
+variable), up to the first spelling it leaves to a reader,
 and :meth:`Lexer.token` hands them out one by one.  Every other spelling
 is read at a cursor by the token's reader, so the readers alone hold each
 token's full grammar and errors.  No run keeps offsets: where a reader
 takes over, an error stands, or a blank node opens, the offset is found by
 stepping through the run again, and only when it is asked for.  The IRI
-of an IRIREF or prefixed name and the literal of a short string are
-looked up by their token text, and each IRI and string literal is built
-once per parser instance.
+of an IRIREF or prefixed name and the literal of a short string, a
+number or a boolean are looked up by their token text, and each IRI and
+untyped literal is built once per parser instance.
 
 Two simplifications: name characters are Python's alphanumerics rather
 than the exact ``PN_CHARS`` ranges, and a ``%`` in a local name is taken as
@@ -46,7 +48,7 @@ import re
 from bisect import bisect_right
 
 from .errors import InvalidTermError
-from .rdf import _ECHAR, _IRI_CHAR, _VAR_NAME, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
+from .rdf import _ECHAR, _IRI_CHAR, _SCHEME, _VAR_NAME, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
 from .rdf import Iri, Literal, is_absolute_iri, trusted_iri, trusted_literal
 
 _DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
@@ -67,7 +69,6 @@ _PREFIX_RE = re.compile(r"[\w.-]*")
 _PREFIX_START_RE = re.compile(r"[^\W\d_]")
 _LOCAL_RE = re.compile(r"(?:[\w.:%-]|\\[_~.\-!$&'()*+,;=/?#@%])*")
 _PLX_RE = re.compile(r"\\(.)")
-_A_RE = re.compile(r"a(?![\w.:-])")
 # 'true' or 'false', unless a longer name or a prefixed name starts there
 _BOOLEAN_RE = re.compile(r"(?:true|false)(?!\w|[\w.-]*:)")
 _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
@@ -78,30 +79,43 @@ _IRI_CHARS_RE = re.compile(_IRI_CHARS)
 _IRIREF_RE = re.compile(f"<{_IRI_CHARS}>")
 # One match per token of a run: whitespace and comments, then the token's
 # text, the one group, in a common spelling: a punctuation mark, an
-# IRIREF, a prefixed name or a double-quoted short string, none with an
-# escape, '@prefix', '@base' or a variable.  Any other spelling (escapes,
-# long and single-quoted strings, a datatype or language tag after the
-# string, numbers, keywords, blank nodes) is left to the readers below, so
-# they alone hold each token's full grammar and errors: there the last
-# match takes the rest of the window outside the group, so the run ends
-# with '', and sre moves a DOTALL '.+' straight to the window's end
-# without reading it.  A comment needs its newline, so a window that cuts
-# one hands it to the readers too; at the window's end, the whitespace
-# and comments left are the group.  A local name stops before a bare
-# trailing '.', and the lookahead after it rejects, one character at a
-# time, any shorter name than the readers would take.  A prefixed name of
-# ASCII letters, digits, '_' and '-' is first tried in that cheaper form,
-# whose lookahead leaves any longer name to the full one.  An optional part is
-# written '(?:...|)', and comments are looked for only at a '#': sre runs
-# that faster than '?' or '*'.
+# IRIREF, a prefixed name or a short string, none with an escape, the
+# string alone or typed by an absolute IRIREF or a prefixed name, a number,
+# a boolean, 'a', a blank node label, '@prefix', '@base' or a variable.  Any
+# other spelling (escapes, long strings, a language tag or a relative
+# datatype after the string, keywords) is left to the readers below, so
+# they alone hold its full grammar and errors:
+# there the last match takes the rest of the window outside the group, so
+# the run ends with '', and sre moves a DOTALL '.+' straight to the
+# window's end without reading it.  A number, a boolean or a label is
+# matched by the readers' own pattern, or one that stops where they stop
+# (a number that starts with '.' is read as the mark, which the grammar
+# gives back to the reader).  A comment needs its newline, so a window
+# that cuts one hands it to the readers too; at the window's end, the
+# whitespace and comments left are the group.  A local name stops before
+# a bare trailing '.', and the lookahead after it rejects, one character
+# at a time, any shorter name than the readers would take.  A prefixed
+# name of ASCII letters, digits, '_' and '-' is first tried in a cheaper
+# form, without lookbehinds, whose lookahead leaves any longer name to the
+# full one: a wide mapping's parse takes about 4% less time with it.  An
+# optional part is written '(?:...|)', and comments are looked for only at
+# a '#': sre runs that faster than '?' or '*'.
 _ASCII_PNAME = r"[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_-]*(?![\w.:%\\-])"
 _RUN_WS = r"[ \t\r\n]*(?:(?=#)(?:#[^\n]*\n[ \t\r\n]*)*|)"
+_PNAME = r"(?:[^\W\d_][\w.-]*(?<!\.)|):(?:[\w:%][\w:%.-]*(?<!\.)|)(?![\w:%-]|\.+[\w:%-]|\.*\\)"
+_SHORT_STRING = r"\"[^\"\\\r\n]*\"|'[^'\\\r\n]*'"
 _TOKEN = (
     r"[][(){},;.]"
     f"|{_ASCII_PNAME}"
     rf"|<{_IRI_CHARS}>"
-    r"|(?:[^\W\d_][\w.-]*(?<!\.)|):(?:[\w:%][\w:%.-]*(?<!\.)|)(?![\w:%-]|\.+[\w:%-]|\.*\\)"
-    r"|\"[^\"\\\r\n]*\"(?![\"@^])"
+    f"|{_PNAME}"
+    # a short string, alone or typed by an absolute IRIREF or a prefixed name
+    r"|\"[^\"\\\r\n]*\"(?![\"@^])|'[^'\\\r\n]*'(?!['@^])"
+    rf"|(?:{_SHORT_STRING})\^\^(?:<{_SCHEME}{_IRI_CHARS}>|{_PNAME})"
+    f"|{_BOOLEAN_RE.pattern}|{'|'.join(regex.pattern for regex, _ in _NUMBERS)}"
+    # 'a' unless a longer name starts there, and a label without the
+    # trailing '.' that ends a statement
+    r"|a(?![\w.:-])|_:\w[\w.-]*(?<!\.)"
     rf"|@prefix|@base|[?$]{_VAR_NAME}"
 )
 _RUN_RE = re.compile(
@@ -109,9 +123,6 @@ _RUN_RE = re.compile(
     r"|(?:[ \t\r\n]|#[^\n]*\n)+\Z)"
     r"|(?=[^ \t\r\n])(?s:.+))"
 )
-# the tokens of a run up to where it leaves a reader's spelling: the same
-# matches as the run's, in one call
-_TOKENS_RE = re.compile(f"(?:{_RUN_WS}(?:{_TOKEN}))*")
 _SPACE_RE = re.compile(r"[ \t\r\n]")
 # A run reads a window of about this many characters, cut where no token
 # is cut short.  A hand-over to the readers finds where they start by
@@ -189,8 +200,9 @@ class Lexer:
         # read from a run, by its text, until the next prefix or base
         # declaration; a subclass may remember more
         self._terms: dict[str, Iri] = {}
-        # one string literal per lexical form, by its text in double quotes
-        self._strings: dict[str, Literal] = {}
+        # each untyped literal a token spells, by its text, and a string also
+        # by its lexical form in double quotes: one object per form
+        self._literals: dict[str, Literal] = {}
         # the run being read: its texts, popped from the end down to ''
         # (reading on) or the '' of its last match (a reader's spelling);
         # their number, 0 while the readers have the cursor; its window;
@@ -253,10 +265,8 @@ class Lexer:
         """Put the cursor at the token after the first *read* of the run,
         and leave the rest of the run to the readers."""
         self._given += read
-        if read < self._count:
+        if read < self._count or self._marked:
             pos = _past(self.text, self._start, read)
-        elif self._marked:
-            pos = _TOKENS_RE.match(self.text, self._start, self._end).end()
         else:
             pos = self._end
         self.pos = _WS_RE.match(self.text, pos).end()
@@ -287,9 +297,9 @@ class Lexer:
         return self._given + self._count - len(self._run)
 
     def term(self, token: str, constant: bool) -> Iri | Literal | None:
-        """The IRI (or, in a *constant*'s place, the string literal) that
-        *token* spells, remembered by its text; None for a token a reader
-        must take, which it gives back (see :meth:`back`)."""
+        """The IRI (or, in a *constant*'s place, the literal) that *token*
+        spells, remembered by its text; None for a token a reader must
+        take, which it gives back (see :meth:`back`)."""
         first, iri = token[:1], None
         if first == "<":
             iri = token[1:-1]
@@ -299,15 +309,26 @@ class Lexer:
                 if self.base is not None:
                     return self.resolve(iri)
                 iri = None
-        elif first == '"':
+        elif first == '"' or first == "'":
             if constant:
-                term = self._strings[token] = trusted_literal(token[1:-1], XSD_STRING)
+                if token[-1] != first:
+                    return self._typed(token)
+                # one literal per lexical form, however quoted
+                key = token if first == '"' else f'"{token[1:-1]}"'
+                term = self._literals.get(key) or trusted_literal(token[1:-1], XSD_STRING)
+                self._literals[key] = self._literals[token] = term
                 return term
         elif ":" in token:
             prefix, _, local = token.partition(":")
             ns = self.prefixes.get(prefix)
             if ns is not None:
                 iri = ns + local
+        elif constant and token:
+            # a number or a boolean, matched as the readers would match it
+            for regex, datatype in (*_NUMBERS, (_BOOLEAN_RE, XSD_BOOLEAN)):
+                if regex.fullmatch(token):
+                    term = self._literals[token] = trusted_literal(token, datatype)
+                    return term
         if iri is None:
             self.back(token)
             return None
@@ -318,6 +339,22 @@ class Lexer:
             term = self._iris[iri] = trusted_iri(iri)
         self._terms[token] = term
         return term
+
+    def _typed(self, token: str) -> Literal | None:
+        """The literal of *token*, a short string typed by an absolute
+        IRIREF or a prefixed name; None, as :meth:`term` gives it, for an
+        undeclared prefix.  It is not remembered by its text: the table of
+        IRIs also answers subjects and verbs, which no literal may be, and
+        the table of literals outlives a prefix declaration."""
+        lex, _, datatype = token[1:].partition(token[0] + "^^")
+        if datatype[0] == "<":
+            return trusted_literal(lex, datatype[1:-1])
+        prefix, _, local = datatype.partition(":")
+        ns = self.prefixes.get(prefix)
+        if ns is None:
+            self.back(token)
+            return None
+        return trusted_literal(lex, ns + local)
 
     # -- cursor ------------------------------------------------------------
 
@@ -411,13 +448,6 @@ class Lexer:
             return False
         self.pos = end
         return True
-
-    def try_a(self) -> bool:
-        """Consume the ``a`` that abbreviates ``rdf:type`` as a verb."""
-        match = _A_RE.match(self.text, self.pos)
-        if match:
-            self.pos += 1
-        return match is not None
 
     # -- IRIs --------------------------------------------------------------
 
@@ -568,9 +598,9 @@ class Lexer:
         if self.try_consume("^^"):
             return Literal(lex, self.read_iri().value)
         key = f'"{lex}"'  # the text of the token that spells it, if one can
-        term = self._strings.get(key)
+        term = self._literals.get(key)
         if term is None:
-            term = self._strings[key] = Literal(lex)
+            term = self._literals[key] = Literal(lex)
         return term
 
     def read_constant(self) -> Iri | Literal:

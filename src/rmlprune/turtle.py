@@ -35,8 +35,9 @@ Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
 take the text of each token from a run with
 :meth:`~rmlprune._lexer.Lexer.token` and look IRIs, prefixed names and
-strings up by that text; a token the lookup misses, and the '' that hands
-a spelling to the readers, go to the hooks.  A hook that must read at the
+literals up by that text; ``a`` and a blank node label are read by their
+text too.  A token the lookup misses, and the '' that hands a spelling to
+the readers, go to the hooks.  A hook that must read at the
 cursor gives its token back with :meth:`~rmlprune._lexer.Lexer.back`.
 Every ``[ ]`` and ``( )`` opens its node with
 :meth:`~rmlprune._lexer.Lexer.descend` and :meth:`TurtleParser.fresh_bnode`,
@@ -49,7 +50,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 
-from ._lexer import Lexer, offsets
+from ._lexer import Lexer, _past, offsets
 from .errors import TurtleError
 from .rdf import RDF_NS, RDF_TYPE_IRI, BlankNode, Iri, RdfTerm, trusted_bnode
 
@@ -62,10 +63,9 @@ _LABEL_RE = re.compile(r"[\w.-]*")
 
 def opened_at(text: str, runs: list[tuple[int, int]], opened: list[int]) -> list[int]:
     """Where each blank node that the marks *opened* name opens: just past
-    its '[', at its '(', or where the cursor stood, just past its label
-    (see :func:`~rmlprune._lexer.offsets`)."""
+    its '[' or its label, or at its '(' (see :func:`~rmlprune._lexer.offsets`)."""
     found = offsets(text, runs, opened)
-    return [at + (mark >= 0 and text[at] == "[") for mark, at in zip(opened, found)]
+    return [_past(text, at, 1) if mark >= 0 and text[at] in "[_" else at for mark, at in zip(opened, found)]
 
 
 class TurtleParser(Lexer):
@@ -151,6 +151,8 @@ class TurtleParser(Lexer):
         """A subject the lookup by text did not find."""
         if tok == "(":
             return self._parse_collection(self.mark())
+        if tok[:1] == "_":
+            return self._labeled(tok[2:])
         term = self.term(tok, constant=False)
         if term is not None:
             return term
@@ -167,6 +169,11 @@ class TurtleParser(Lexer):
         self.pos += len(label)
         if not label:
             raise self.error("empty blank node label")
+        return self._labeled(label)
+
+    def _labeled(self, label: str) -> BlankNode:
+        """The blank node the document's *label* names, made where the label
+        first stands, just read."""
         internal = self.bnode_labels.get(label)
         if internal is None:
             node = self.fresh_bnode(self.mark())
@@ -178,7 +185,7 @@ class TurtleParser(Lexer):
         """From the first verb's token; returns the token after the list."""
         take = None
         # self.token(), inlined
-        pop, more, terms, strings = self._run.pop, self._next_run, self._terms, self._strings
+        pop, more, terms, literals = self._run.pop, self._next_run, self._terms, self._literals
         verb, obj = self._parse_verb, self._parse_object
         while True:
             predicate = terms.get(tok) or verb(tok)
@@ -186,7 +193,7 @@ class TurtleParser(Lexer):
             if not tok:
                 self._after_verb()
             while True:
-                o = terms.get(tok) or strings.get(tok) or obj(tok)
+                o = terms.get(tok) or literals.get(tok) or obj(tok)
                 if take is None:
                     take = self.properties(subject)
                 take((predicate, o))
@@ -204,11 +211,11 @@ class TurtleParser(Lexer):
 
     def _parse_verb(self, tok: str) -> Iri:
         """A verb the lookup by text did not find."""
+        if tok == "a":
+            return RDF_TYPE_IRI
         term = self.term(tok, constant=False)
         if term is not None:
             return term
-        if self.try_a():
-            return RDF_TYPE_IRI
         return self.read_iri("a predicate")
 
     def _after_verb(self):
@@ -222,6 +229,8 @@ class TurtleParser(Lexer):
             return self._parse_bnode_property_list(opened, self.token())
         if tok == "(":
             return self._parse_collection(self.mark())
+        if tok[:1] == "_":
+            return self._labeled(tok[2:])
         term = self.term(tok, constant=True)
         if term is not None:
             return term
@@ -251,11 +260,11 @@ class TurtleParser(Lexer):
         '('."""
         self.descend(opened)
         items = []
-        token, terms, strings = self.token, self._terms, self._strings
+        token, terms, literals = self.token, self._terms, self._literals
         while (tok := token()) != ")":
             if not tok and self.at_end():
                 raise self.error("unterminated collection")
-            items.append(terms.get(tok) or strings.get(tok) or self._parse_object(tok))
+            items.append(terms.get(tok) or literals.get(tok) or self._parse_object(tok))
         self.depth -= 1
         if not items:
             return RDF_NIL

@@ -77,3 +77,13 @@ def test_query_mutations_replay_and_need_no_keyword_to_swap(text):
             assert replayed[i:i + len(removed)] == removed
             replayed = replayed[:i] + inserted + replayed[i + len(removed):]
         assert replayed == mutated
+
+
+def test_query_mutations_leave_what_precedes_the_group():
+    diff = load_diff()
+    text = "PREFIX ex: <http://e/>\nSELECT ?s WHERE { ?s ex:p ?o . ?o ex:q ?z }\n"
+    start = text.index("{")
+    for seed in range(50):
+        mutated, edits = diff.mutate(text, random.Random(seed), diff.QUERY_SNIPPETS, start)
+        assert mutated.startswith(text[:start])
+        assert all(i >= start for i, _, _ in edits)

@@ -4,7 +4,7 @@ read every term spelling alike."""
 import re
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from rmlprune import _lexer
@@ -12,6 +12,7 @@ from rmlprune._lexer import MAX_NESTING
 from rmlprune.errors import SparqlError, TurtleError, UnsupportedSparqlError
 from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal
 from rmlprune.sparql import collect_triple_patterns, parse_query
+from rmlprune.turtle import TurtleParser
 
 from .helpers import read_turtle
 
@@ -280,3 +281,56 @@ def test_the_cheaper_prefixed_name_reads_as_the_full_one(text):
     assert full.pattern != _lexer._RUN_RE.pattern
     for start in range(len(text) + 1):
         assert _lexer._RUN_RE.findall(text, start) == full.findall(text, start)
+
+
+# Runs read short strings, typed or not, numbers, booleans and blank node
+# labels as tokens: a token must be exactly what the reader at the cursor
+# takes, and spell the same term.
+CONSTANT_PIECES = [
+    "1", "0", "\u0661", "+", "-", ".", "e", "E", "true", "false", "_:", "a", "_", ":", "x", " ", "\\", "%",
+    '"', "'", "^^", "<http://e/t>", "<r>", "ex:t", "@en",
+]
+
+
+def parser_at(text: str, pos: int) -> TurtleParser:
+    parser = TurtleParser(text)
+    parser.declare_prefix("ex", "http://e/")
+    parser.pos = pos
+    return parser
+
+
+@seed(5)
+@settings(max_examples=800)
+@given(st.lists(st.sampled_from(CONSTANT_PIECES), min_size=1, max_size=8).map("".join))
+@example("_:x1.")
+@example("_:a..b. ")
+@example("_:-x")
+@example("1.e")
+@example("-.5E1.")
+@example("false.")
+@example('"a"^^ex:t.')
+@example('"a"^^x:t')
+@example("'a'^^<http://e/t>")
+@example('"a"^^<r>')
+@example('"""a"""')
+@example('"a" ^^ex:t')
+@example("'a'^^ ex:t")
+def test_a_run_token_is_what_the_reader_takes(text):
+    match = _lexer._RUN_RE.match(text)
+    token = match[1] if match else None
+    if not token or not token.strip() or token == "a" or token[0] in "<.@":
+        return  # a reader's spelling, 'a', '.', an IRIREF or a directive
+    if ":" in token and token[0] not in "_\"'":
+        return  # a prefixed name
+    reader = parser_at(text, match.start(1))
+    if token.startswith("_:"):
+        term = reader._read_bnode_label()
+        assert term.label == reader.bnode_labels[token[2:]]
+    else:
+        term = parser_at(text, 0).term(token, constant=True)
+        if term is None:  # an undeclared prefix, which the reader reports
+            with pytest.raises(TurtleError, match="undeclared prefix"):
+                reader.read_constant()
+            return
+        assert reader.read_constant() == term
+    assert reader.pos == match.end(1)

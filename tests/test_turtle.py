@@ -378,9 +378,10 @@ def test_spellings_left_to_the_readers_parse_as_before(body, expected):
 # runs: the token texts read ahead, and where the readers take over
 # ---------------------------------------------------------------------------
 
-# Statements that put a reader's spelling between tokens that runs read:
-# 'a', a number, 'true', a label, a long string, an escaped string, a typed
-# literal, a mid-document @base with a relative IRIREF, and a comment last.
+# Statements that put 'a', a number, 'true', a label and a typed literal,
+# which runs read, and a reader's spelling between tokens that runs read: a
+# long string, an escaped string, a mid-document @base with a relative
+# IRIREF, and a comment last.
 RUN_BOUNDARY_TOKENS = [
     *"@prefix ex: <http://e/> . @prefix xsd: <http://www.w3.org/2001/XMLSchema#> .".split(),
     *"ex:s a ex:C ; ex:n 42 , ex:m ; ex:b true ; ex:k _:x .".split(),
@@ -426,9 +427,15 @@ def test_reader_spellings_between_run_tokens_read_as_one_token_per_line(monkeypa
 @pytest.mark.parametrize(
     "statement,error",
     [
-        # a number, then a name where '.' belongs
+        # a long string, then a name where '.' belongs
+        ("ex:s ex:p '''x''' ex:q .", "line 2, column 19: expected '.'"),
+        # an escaped string, then a name where '.' belongs
+        ('ex:s ex:p "a\\nb" ex:q .', "line 2, column 18: expected '.'"),
+        # the same after a single-quoted string, a typed literal, a number,
+        # 'a' and a label, which runs read
+        ("ex:s ex:p 'x' ex:q .", "line 2, column 15: expected '.'"),
+        ('ex:s ex:p "5"^^ex:t ex:q .', "line 2, column 21: expected '.'"),
         ("ex:s ex:p 42 ex:q .", "line 2, column 14: expected '.'"),
-        # 'a', then a label, then a name where '.' belongs
         ("ex:s a ex:C ;\n  ex:p _:x ex:o .", "line 3, column 12: expected '.'"),
     ],
 )
@@ -466,10 +473,10 @@ class Counting:
 def test_runs_scan_a_line_of_reader_spellings_in_linear_time(monkeypatch, statements):
     # each statement hands over to the readers twice, and each hand-over
     # steps through the run before it again
-    text = "@prefix ex: <http://e/> . " + "".join(f"ex:s{i} a ex:C ; ex:p {i} . " for i in range(statements))
+    statement = "ex:s{0} ex:b '''x''' ; ex:p \"{0}\\n\" . "
+    text = "@prefix ex: <http://e/> . " + "".join(statement.format(i) for i in range(statements))
     scanned = [0]
-    for name in ("_RUN_RE", "_TOKENS_RE"):
-        monkeypatch.setattr(_lexer, name, Counting(getattr(_lexer, name), scanned))
+    monkeypatch.setattr(_lexer, "_RUN_RE", Counting(_lexer._RUN_RE, scanned))
     assert len(read_turtle(text).triples) == 2 * statements
     assert len(text) < scanned[0] <= 3 * len(text)
 

@@ -17,9 +17,10 @@ for ``rml:BlankNode``...; a text without one gets a replacement instead).
   q01-q08 (instantiated on the wide mapping's first copy for that
   mapping).
 * ``--surface sparql`` mutates q01-q08, a query with OPTIONAL, FILTER and
-  ORDER BY, and a query with ``[]``, with snippets such as a variable, a
-  path operator, a literal, a group or a keyword.  A record is the parsed
-  query's ``SelectQuery`` fields, each term as its class and fields.
+  ORDER BY, and a query with ``[]``, from the ``{`` of the group on, with
+  snippets such as a variable, a path operator, a literal, a group or a
+  keyword.  A record is the parsed query's ``SelectQuery`` fields, each
+  term as its class and fields.
 
 If anything raises, the record is instead the exception's class and
 message, with its line and column.  The JSON printed gives the input and
@@ -66,6 +67,7 @@ QUERY_SNIPPETS = (
     "<rel>", "ex:", "ex:a\\.b", "filter:x", "#c\n", "\n", "OPTIONAL { ?s ex:p ?o }", "FILTER(?x > 1)",
     "FILTER regex(?n, \"a\")", "UNION", "MINUS", "SELECT", "ORDER BY ?s", "LIMIT 3", "OFFSET 2",
     "GROUP BY ?s", "BASE <http://b/>", "PREFIX p: <http://p/>", "DISTINCT",
+    ". ?x ex:p ?y .", "; ex:q ?z", ", ?w", "?s a ex:C .", "ex:p 'x' ;",
 )
 # the queries mutated besides q01-q08
 EXTRA_QUERIES = {
@@ -97,21 +99,26 @@ def load_ab():
     return module
 
 
-def mutate(text: str, rng: random.Random, snippets: tuple[str, ...] = SNIPPETS) -> tuple[str, list[list]]:
-    """*text* after one to three seeded edits, and the edits."""
+def mutate(text: str, rng: random.Random, snippets: tuple[str, ...] = SNIPPETS,
+           start: int = 0) -> tuple[str, list[list]]:
+    """*text* after one to three seeded edits from offset *start* on, and
+    the edits.  A run of characters an edit takes is at most a twentieth of
+    the text long, or two characters, so a short text keeps most of its
+    tokens."""
     edits = []
+    lengths = [n for n in (1, 2, 5, 20, 80) if n <= max(2, len(text) // 20)]
     for _ in range(rng.randint(1, 3)):
         op = rng.choice(("delete", "insert", "replace", "copy", "swap", "swap", "swap", "swap"))
-        found = list(_KEYWORD_RE.finditer(text)) if op == "swap" else []
+        found = list(_KEYWORD_RE.finditer(text, start)) if op == "swap" else []
         if found:
             match = rng.choice(found)
             i, j, new = match.start(1), match.end(1), rng.choice(KEYWORDS[match.group(1)])
         else:
             op = "replace" if op == "swap" else op
             # at a token boundary, mostly, and a run of tokens or characters long
-            spaces = [m.end() for m in _SPACE_RE.finditer(text)]
-            i = rng.choice(spaces) if spaces and rng.random() < 0.7 else rng.randrange(len(text) + 1)
-            length = rng.choice((1, 2, 5, 20, 80))
+            spaces = [m.end() for m in _SPACE_RE.finditer(text, start)]
+            i = rng.choice(spaces) if spaces and rng.random() < 0.7 else rng.randrange(start, len(text) + 1)
+            length = rng.choice(lengths)
             j = i if op in ("insert", "copy") else min(len(text), i + length)
             if op in ("delete", "replace") and spaces and rng.random() < 0.5:
                 later = [s for s in spaces if s > i][: rng.randint(1, 3)]
@@ -191,7 +198,9 @@ def compare(base: Side, head: Side, surface: str, inputs: dict[str, tuple[str, l
     for name, (text, queries) in inputs.items():
         rng = random.Random(f"{seed}-{name}")
         for r in range(rounds):
-            mutated, edits = mutate(text, rng, snippets)
+            # a query's edits start at its group, past the prologue and projection
+            start = text.index("{") if surface == "sparql" else 0
+            mutated, edits = mutate(text, rng, snippets, start)
             records = {label: record(mutated, queries) for label, record in sides.items()}
             counts["inputs"] += 1
             for label, record in records.items():
