@@ -17,17 +17,21 @@ once:
   ``STRING_LITERAL_LONG2``, with ``ECHAR`` and ``UCHAR``;
 * ``INTEGER``, ``DECIMAL``, ``DOUBLE`` and the boolean keywords;
 * ``WS`` and ``#`` comments;
-* the bodies of prefix and base declarations, alike in both prologues.
+* prefix and base declarations, alike in both prologues, the SPARQL-style
+  ``PREFIX`` and ``BASE`` in any case.
 
 The parsers step through the text a run at a time: one ``findall`` gives
 the texts of the tokens ahead in their common spellings (punctuation, an
 IRIREF or a prefixed name without escapes, a short string without
 escapes, alone or typed by an absolute IRIREF or a prefixed name, a
-number, a boolean, ``a``, a blank node label, ``@prefix``, ``@base`` or a
-variable), up to the first spelling it leaves to a reader,
+number, a boolean, ``a``, a blank node label, ``@prefix``, ``@base``, a
+variable, or a bare word: ASCII letters, the spelling of every keyword),
+up to the first spelling it leaves to a reader,
 and :meth:`Lexer.token` hands them out one by one.  Every other spelling
 is read at a cursor by the token's reader, so the readers alone hold each
-token's full grammar and errors.  No run keeps offsets: where a reader
+token's full grammar and errors.  Besides the readers, only SPARQL's
+expressions, a projection's ``*`` and the check for a path operator after
+a verb read at the cursor.  No run keeps offsets: where a reader
 takes over, an error stands, or a blank node opens, the offset is found by
 stepping through the run again, and only when it is asked for.  The IRI
 of an IRIREF or prefixed name and the literal of a short string, a
@@ -81,10 +85,10 @@ _IRIREF_RE = re.compile(f"<{_IRI_CHARS}>")
 # text, the one group, in a common spelling: a punctuation mark, an
 # IRIREF, a prefixed name or a short string, none with an escape, the
 # string alone or typed by an absolute IRIREF or a prefixed name, a number,
-# a boolean, 'a', a blank node label, '@prefix', '@base' or a variable.  Any
-# other spelling (escapes, long strings, a language tag or a relative
-# datatype after the string, keywords) is left to the readers below, so
-# they alone hold its full grammar and errors:
+# a boolean, 'a', a blank node label, '@prefix', '@base', a variable or a
+# bare word.  Any other spelling (escapes, long strings, a language tag or
+# a relative datatype after the string, a path operator) is left to the
+# readers below, so they alone hold its full grammar and errors:
 # there the last match takes the rest of the window outside the group, so
 # the run ends with '', and sre moves a DOTALL '.+' straight to the
 # window's end without reading it.  A number, a boolean or a label is
@@ -99,7 +103,10 @@ _IRIREF_RE = re.compile(f"<{_IRI_CHARS}>")
 # form, without lookbehinds, whose lookahead leaves any longer name to the
 # full one: a wide mapping's parse takes about 4% less time with it.  An
 # optional part is written '(?:...|)', and comments are looked for only at
-# a '#': sre runs that faster than '?' or '*'.
+# a '#': sre runs that faster than '?' or '*'.  A bare word, the spelling
+# of every keyword, is ASCII letters that no name character, ':', '.' or
+# '-' follows, as for 'a': SPARQL reads the longest token, so 'optional:x'
+# is a prefixed name, and no case fold outside ASCII ever spells a keyword.
 _ASCII_PNAME = r"[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_-]*(?![\w.:%\\-])"
 _RUN_WS = r"[ \t\r\n]*(?:(?=#)(?:#[^\n]*\n[ \t\r\n]*)*|)"
 _PNAME = r"(?:[^\W\d_][\w.-]*(?<!\.)|):(?:[\w:%][\w:%.-]*(?<!\.)|)(?![\w:%-]|\.+[\w:%-]|\.*\\)"
@@ -116,7 +123,7 @@ _TOKEN = (
     # 'a' unless a longer name starts there, and a label without the
     # trailing '.' that ends a statement
     r"|a(?![\w.:-])|_:\w[\w.-]*(?<!\.)"
-    rf"|@prefix|@base|[?$]{_VAR_NAME}"
+    rf"|@prefix|@base|[?$]{_VAR_NAME}|[A-Za-z]+(?![\w:.-])"
 )
 _RUN_RE = re.compile(
     f"{_RUN_WS}(?:({_TOKEN}"
@@ -378,6 +385,18 @@ class Lexer:
         self.prefixes[prefix] = namespace
         self._terms.clear()
 
+    def _parse_directive(self, token: str) -> bool:
+        """The SPARQL-style ``PREFIX`` or ``BASE`` declaration that *token*
+        opens, in any case, read to its end; False for any other token."""
+        word = token.upper()
+        if word == "PREFIX":
+            self._parse_prefix_body(self.token())
+        elif word == "BASE":
+            self._parse_base_body(self.token())
+        else:
+            return False
+        return True
+
     def _parse_prefix_body(self, token: str):
         """A prefix declaration after its keyword, from the token after that
         ('' to read it all at the cursor)."""
@@ -425,29 +444,6 @@ class Lexer:
     def expect(self, token: str):
         if not self.try_consume(token):
             raise self.error(f"expected {token!r}")
-
-    def keyword_ahead(self, word: str) -> bool:
-        """Case-insensitive keyword at the cursor, not part of a longer name."""
-        end = self.pos + len(word)
-        if self.text[self.pos : end].lower() != word.lower():
-            return False
-        return end >= len(self.text) or not (self.text[end].isalnum() or self.text[end] == "_")
-
-    def try_keyword(self, word: str) -> bool:
-        if self.keyword_ahead(word):
-            self.pos += len(word)
-            return True
-        return False
-
-    def try_directive(self, word: str, also: str = "") -> bool:
-        """Consume a directive's keyword, in any case, if whitespace, a comment,
-        the end or a character of *also* follows: ``PREFIX:`` is a name."""
-        end = self.pos + len(word)
-        after = self.text[end : end + 1]
-        if self.text[self.pos : end].lower() != word.lower() or after and after not in " \t\r\n#" + also:
-            return False
-        self.pos = end
-        return True
 
     # -- IRIs --------------------------------------------------------------
 

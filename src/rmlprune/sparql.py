@@ -15,6 +15,15 @@ lists and a dangling ``;`` included, and the parser overrides only its
 hooks.  They read variables, turn ``[]`` into a fresh variable, file each
 triple as a pattern, and reject what patterns do not support.
 
+The query around the blocks is read from the same runs of tokens: every
+keyword is a bare-word token (see :mod:`rmlprune._lexer`), and the
+parser looks it up, upper-cased, in one table by the place it stands at,
+which says what it opens there or which unsupported construct it names.
+So a keyword matches in any case and never within a longer token:
+``optional:x`` is a prefixed name.  The cursor reads only what no run
+token spells: the readers' spellings, a projection's ``*``, expressions,
+and the path operator that may follow a verb.
+
 A query parses into what pruning and evaluation read (:class:`SelectQuery`):
 its projected variables, every triple pattern in document order (OPTIONAL
 bodies and FILTER-wrapped groups included: a pattern that occurs anywhere
@@ -24,9 +33,10 @@ solution-modifier conditions) are checked only for balanced parentheses
 and stepped over, reading strings and IRIREFs whole and skipping comments.
 
 Everything else is rejected with a positioned error naming the feature:
-UNION, MINUS, GRAPH, SERVICE, BIND, VALUES, subqueries, property paths,
-FILTER EXISTS, blank-node labels, bracketed blank-node property lists,
-language tags, and non-SELECT query forms.  A bare ``[]`` becomes a fresh
+UNION, MINUS, GRAPH, SERVICE, BIND, VALUES (in a group or after the
+query), subqueries, property paths, FILTER EXISTS, blank-node labels,
+bracketed blank-node property lists, language tags, FROM (a dataset
+clause), and non-SELECT query forms.  A bare ``[]`` becomes a fresh
 variable, so patterns never contain blank nodes.
 """
 
@@ -37,10 +47,9 @@ from dataclasses import dataclass
 
 from ._lexer import _BOOLEAN_RE, _IRIREF_RE, _PREFIX_RE
 from .errors import SparqlError, UnsupportedSparqlError
-from .rdf import _VAR_NAME, TriplePattern, Variable
+from .rdf import TriplePattern, Variable
 from .turtle import TurtleParser
 
-_VAR_RE = re.compile(f"[?$]({_VAR_NAME})")
 # a '+' that starts a number begins the object, not a path
 _SIGNED_NUMBER_RE = re.compile(r"\+\.?\d")
 # the characters that make a verb's place a property path
@@ -48,16 +57,47 @@ _PATH_STARTS = {"^": "inverse '^'", "!": "negated set '!'", "(": "grouped path"}
 _UNSIGNED_INTEGER_RE = re.compile(r"\d+")
 # a builtin's name: every SPARQL 1.1 builtin starts with a letter
 _BUILTIN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-# the keywords a group tries at the start of each block, in order
-_GROUP_KEYWORDS = ("OPTIONAL", "FILTER", "MINUS", "GRAPH", "SERVICE", "BIND", "VALUES", "UNION")
+# the solution modifiers, in the order they come; LIMIT and OFFSET may swap
+_MODIFIERS = ("GROUP BY", "HAVING", "ORDER BY", "LIMIT", "OFFSET")
 
 
-def _spells(token: str, word: str) -> bool:
-    """Whether *token* starts with keyword *word*, as
-    :meth:`~rmlprune._lexer.Lexer.keyword_ahead` reads it at the token's
-    start: a prefixed name such as ``filter:x`` does."""
-    n = len(word)
-    return len(token) > n and token[:n].lower() == word.lower() and not (token[n].isalnum() or token[n] == "_")
+class _Unsupported(str):
+    """The message that rejects a construct outside the supported subset."""
+
+
+# The keywords of the query around its triples blocks, by the place they
+# may stand at and their upper-case spelling.  Each says what the keyword
+# opens there: a clause, by the name SelectQuery.unevaluable gives it, or a
+# construct outside the supported subset, by the message that rejects it at
+# the keyword.
+_KEYWORDS = {
+    # the query form, what follows SELECT, and what precedes the group
+    ("form", "SELECT"): "SELECT",
+    **{("form", word): _Unsupported(f"{word} queries are not supported") for word in ("CONSTRUCT", "ASK", "DESCRIBE")},
+    ("select", "DISTINCT"): "DISTINCT",
+    ("select", "REDUCED"): "REDUCED",
+    ("where", "WHERE"): "WHERE",
+    ("where", "FROM"): _Unsupported("FROM is not supported"),
+    # the start of a triples block in a group, just past a group's '{' in a
+    # group, and just past FILTER
+    ("group", "OPTIONAL"): "OPTIONAL",
+    ("group", "FILTER"): "FILTER",
+    **{
+        ("group", word): _Unsupported(f"{word} is not supported")
+        for word in ("MINUS", "GRAPH", "SERVICE", "BIND", "VALUES", "UNION")
+    },
+    ("{", "SELECT"): _Unsupported("subqueries are not supported"),
+    ("filter", "EXISTS"): _Unsupported("FILTER EXISTS is not supported"),
+    ("filter", "NOT"): _Unsupported("FILTER EXISTS is not supported"),
+    # after the group
+    **{("modifier", clause.split()[0]): clause for clause in _MODIFIERS},
+    ("end", "VALUES"): _Unsupported("VALUES is not supported"),
+}
+# where a condition ends: at a keyword that may follow it, spelled as a
+# bare word (see _lexer) that no name character or variable sign precedes
+_CONDITION_END_RE = re.compile(
+    r"(?<![\w?$])(?ai:%s)(?![\w:.-])" % "|".join(word for place, word in _KEYWORDS if place in ("modifier", "end"))
+)
 
 
 @dataclass
@@ -83,86 +123,82 @@ class _QueryParser(TurtleParser):
     error_class = SparqlError
     unsupported_class = UnsupportedSparqlError
     boolean_re = re.compile(_BOOLEAN_RE.pattern, re.IGNORECASE)
-    _STOP_KEYWORDS = ("GROUP", "HAVING", "ORDER", "LIMIT", "OFFSET")
 
     def __init__(self, text: str):
         super().__init__(text)
         self.patterns: list[TriplePattern] = []
         self.unevaluable: set[str] = set()
 
-    def read_variable(self) -> Variable:
-        match = _VAR_RE.match(self.text, self.pos)
-        if not match:
-            raise self.error("expected a variable")
-        self.pos = match.end()
-        return Variable(match.group(1))
-
     # -- query structure ---------------------------------------------------
 
     def parse(self) -> SelectQuery:
-        self._parse_prologue()
-        self.skip_ws()
-        if not self.try_keyword("SELECT"):
-            for form in ("CONSTRUCT", "ASK", "DESCRIBE"):
-                if self.keyword_ahead(form):
-                    raise self.error(f"{form} queries are not supported", unsupported=True)
+        token = self.token
+        tok = token()
+        while self._parse_directive(tok):
+            tok = token()
+        if self._keyword("form", tok) != "SELECT":
+            self.back(tok)
             raise self.error("expected SELECT")
-        self.skip_ws()
-        distinct = self.try_keyword("DISTINCT")
-        if not distinct and self.try_keyword("REDUCED"):
-            self.unevaluable.add("REDUCED")
-        variables = self._parse_projection()
-        self.skip_ws()
-        self.try_keyword("WHERE")
-        self._read_group()
-        self.sync()
-        self._parse_solution_modifiers()
-        self.skip_ws()
-        if not self.at_end():
+        tok = token()
+        if distinct := self._keyword("select", tok):
+            tok = token()
+        if distinct == "REDUCED":
+            self.unevaluable.add(distinct)
+        variables, tok = self._parse_projection(tok)
+        if self._keyword("where", tok):
+            tok = token()
+        self._read_group(tok)
+        tok = self._parse_solution_modifiers(token())
+        self._keyword("end", tok)
+        if tok or not self.at_end():
+            self.back(tok)
             raise self.error("unexpected content after the query")
         if variables is None:
             terms = (x for tp in self.patterns for x in (tp.s, tp.p, tp.o))
             variables = tuple(dict.fromkeys(
                 x for x in terms if isinstance(x, Variable) and not x.anonymous
             ))
-        return SelectQuery(variables, tuple(self.patterns), distinct, frozenset(self.unevaluable))
+        return SelectQuery(variables, tuple(self.patterns), distinct == "DISTINCT", frozenset(self.unevaluable))
 
-    def _parse_prologue(self):
-        while True:
-            self.skip_ws()
-            if self.try_directive("PREFIX"):
-                self._parse_prefix_body("")
-            elif self.try_directive("BASE", "<"):
-                self._parse_base_body("")
-            else:
-                break
+    def _keyword(self, place: str, tok: str) -> str:
+        """What *tok* opens at *place* (see ``_KEYWORDS``): a clause, or ''
+        for a token that is no keyword there.  A construct outside the
+        supported subset is rejected at its keyword."""
+        clause = _KEYWORDS.get((place, tok.upper()), "")
+        if isinstance(clause, _Unsupported):
+            self.back(tok)
+            raise self.error(clause, unsupported=True)
+        return clause
 
-    def _parse_projection(self) -> tuple[Variable, ...] | None:
-        """The projected variables, None for ``SELECT *``."""
+    def _parse_projection(self, tok: str) -> tuple[tuple[Variable, ...] | None, str]:
+        """The projected variables from *tok* on, None for ``SELECT *``,
+        and the token after them."""
         variables: list[Variable] = []
         star = expressions = False
         while True:
-            self.skip_ws()
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                star = True
-            elif ch and ch in "?$":
-                variables.append(self.read_variable())
-            elif ch == "(":
+            if tok[:1] in ("?", "$"):
+                variables.append(Variable(tok[1:]))
+            elif tok == "(":
+                self.back(tok)
                 self._skip_parenthesized()
                 expressions = True
-            else:
+            elif tok:
                 break
+            elif self.try_consume("*"):
+                star = True
+            else:
+                self._reject_variable()
+                break
+            tok = self.token()
         if expressions:
             self.unevaluable.add("AS")
-        if star:
-            if variables or expressions:
-                raise self.error("SELECT * cannot be combined with named projections")
-            return None
-        if not variables and not expressions:
+        if star and (variables or expressions):
+            self.back(tok)
+            raise self.error("SELECT * cannot be combined with named projections")
+        if not (star or variables or expressions):
+            self.back(tok)
             raise self.error("SELECT needs * or at least one projection")
-        return tuple(variables)
+        return (None if star else tuple(variables)), tok
 
     def _skip_parenthesized(self):
         if not self._scan_expression(stop=False):
@@ -172,9 +208,8 @@ class _QueryParser(TurtleParser):
         """Advance over an expression, reading each quoted string and each
         IRIREF whole and skipping each comment.  Without *stop*, end after
         the parenthesis that closes the first one; with it, end before a
-        solution-modifier keyword outside parentheses, or at the end of the
-        text.  False when the text ends first without *stop*."""
-        start = self.pos
+        keyword that may follow a condition, outside parentheses, or at the
+        end of the text.  False when the text ends first without *stop*."""
         depth = 0
         while not self.at_end():
             ch = self.text[self.pos]
@@ -200,16 +235,13 @@ class _QueryParser(TurtleParser):
                 if depth == 0 and not stop:
                     self.pos += 1
                     return True
-            elif stop and depth == 0 and any(self.keyword_ahead(k) for k in self._STOP_KEYWORDS):
-                prev = self.text[self.pos - 1] if self.pos > start else " "
-                if not (prev.isalnum() or prev in "_?$"):
-                    return True
+            elif stop and depth == 0 and _CONDITION_END_RE.match(self.text, self.pos):
+                return True
             self.pos += 1
         return stop
 
-    def _read_group(self):
-        """The group at the next token, to just past its '}'."""
-        tok = self.token()
+    def _read_group(self, tok: str):
+        """The group at *tok*, just read, to just past its '}'."""
         opened = self.mark()
         if tok == "{":
             self._parse_group(opened, self.token())
@@ -234,38 +266,27 @@ class _QueryParser(TurtleParser):
             if tok == "{":
                 opened = self.mark()
                 tok = token()
-                if _spells(tok, "SELECT") or not tok and self.keyword_ahead("SELECT"):
-                    self.back(tok)
-                    raise self.error("subqueries are not supported", unsupported=True)
+                self._keyword("{", tok)
                 self._parse_group(opened, tok)
                 tok = token()
-                if _spells(tok, "UNION") or not tok and self.keyword_ahead("UNION"):
-                    self.back(tok)
-                    raise self.error("UNION is not supported", unsupported=True)
             else:
-                if tok[:1].isalpha() and any(_spells(tok, word) for word in _GROUP_KEYWORDS):
+                clause = self._keyword("group", tok)
+                if clause == "OPTIONAL":
+                    self._read_group(token())
+                elif clause == "FILTER":
+                    tok = token()
+                    self._keyword("filter", tok)
                     self.back(tok)
-                    tok = ""
-                if not tok and self.try_keyword("OPTIONAL"):
-                    self.unevaluable.add("OPTIONAL")
-                    self._read_group()
-                    tok = token()
-                elif not tok and self.try_keyword("FILTER"):
-                    self.skip_ws()
-                    if self.keyword_ahead("EXISTS") or self.keyword_ahead("NOT"):
-                        raise self.error("FILTER EXISTS is not supported", unsupported=True)
                     self._skip_filter_constraint()
-                    self.unevaluable.add("FILTER")
-                    tok = token()
+                elif after_open_block:
+                    self.back(tok)
+                    raise self.error("expected '.' or '}' after a triple pattern")
                 else:
-                    for feature in _GROUP_KEYWORDS[2:]:
-                        if not tok and self.keyword_ahead(feature):
-                            raise self.error(f"{feature} is not supported", unsupported=True)
-                    if after_open_block:
-                        self.back(tok)
-                        raise self.error("expected '.' or '}' after a triple pattern")
                     tok = self._parse_triples(tok)
                     open_block = tok != "."
+                if clause:
+                    self.unevaluable.add(clause)
+                    tok = token()
             if tok == ".":
                 tok = token()
         self.depth -= 1
@@ -308,15 +329,19 @@ class _QueryParser(TurtleParser):
         term = self.term(tok, constant=False)
         if term is not None:
             return term
+        self._reject_variable()
         ch = self.peek()
-        if ch in ("?", "$"):
-            return self.read_variable()
         if ch in ('"', "'") or ch.isdigit():
             raise self.error("literal subjects are not supported", unsupported=True)
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)
         self._reject_bnode_label()
         return self.read_iri("a subject")
+
+    def _reject_variable(self):
+        # every variable is a run token: one at the cursor is misspelled
+        if self.peek() in ("?", "$"):
+            raise self.error("expected a variable")
 
     def _reject_bnode_label(self):
         if self.text.startswith("_:", self.pos):
@@ -339,20 +364,18 @@ class _QueryParser(TurtleParser):
             path = _PATH_STARTS.get(ch)
             if path:
                 raise self.error(f"property paths are not supported ({path})", unsupported=True)
-            if ch in ("?", "$"):
-                return self.read_variable()
+            self._reject_variable()
         return super()._parse_verb(tok)
 
     def _after_verb(self):
         # a path operator directly after the verb makes this a property path;
-        # none is a token, so a verb followed by a token is no path
+        # none is a token, so a verb followed by a token (a variable too) is
+        # no path
         nxt = self.peek()
-        if nxt in ("/", "|", "*") or (
+        if nxt in ("/", "|", "*", "?") or (
             nxt == "+" and not _SIGNED_NUMBER_RE.match(self.text, self.pos)
         ):
             raise self.error(f"property paths are not supported ({nxt!r})", unsupported=True)
-        if nxt == "?" and not _VAR_RE.match(self.text, self.pos):
-            raise self.error("property paths are not supported ('?')", unsupported=True)
 
     def _parse_object(self, tok):
         if tok == "[":
@@ -364,61 +387,45 @@ class _QueryParser(TurtleParser):
         ch = self.peek()
         if not ch:
             raise self.error("expected an object")
-        if ch in "?$":
-            return self.read_variable()
+        self._reject_variable()
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)
         self._reject_bnode_label()
         return self.read_constant()
 
-    def _parse_solution_modifiers(self):
+    def _parse_solution_modifiers(self, tok: str) -> str:
+        """The solution modifiers from *tok* on; returns the token after
+        them."""
         # GroupClause? HavingClause? OrderClause? LimitOffsetClauses?, where
         # LIMIT and OFFSET may come in either order
-        self.skip_ws()
-        if self.at_end():
-            return
-        for clause in ("GROUP BY", "HAVING", "ORDER BY"):
-            self._skip_condition(clause)
-        for _ in range(2):
-            self.skip_ws()
-            for clause in ("LIMIT", "OFFSET"):
-                if clause not in self.unevaluable and self.try_keyword(clause):
-                    self._skip_unsigned_integer()
-                    self.unevaluable.add(clause)
-                    break
-        self.skip_ws()
-        for keyword in self._STOP_KEYWORDS:
-            if self.keyword_ahead(keyword):
-                clause = keyword + " BY" if keyword in ("GROUP", "ORDER") else keyword
+        last = 0
+        while clause := self._keyword("modifier", tok):
+            rank = min(_MODIFIERS.index(clause), _MODIFIERS.index("LIMIT"))
+            if rank < last or clause in self.unevaluable:
+                self.back(tok)
                 raise self.error(
                     f"{clause} is repeated or out of order: solution modifiers come "
                     "as GROUP BY, HAVING, ORDER BY, then LIMIT and OFFSET"
                 )
-
-    def _skip_condition(self, clause: str):
-        """Advance over *clause* (``ORDER BY`` ...) and its condition, and
-        record it, when the query continues with it."""
-        self.skip_ws()
-        first, _, by = clause.partition(" ")
-        if not self.try_keyword(first):
-            return
-        if by:
-            self.skip_ws()
-            if not self.try_keyword(by):
+            last = rank
+            first, _, by = clause.partition(" ")
+            if by and (tok := self.token()).upper() != by:
+                self.back(tok)
                 raise self.error(f"expected {by} after {first}")
-        self.skip_ws()
-        start = self.pos
-        self._scan_expression(stop=True)
-        if self.pos == start:
-            raise self.error(f"expected a condition after {clause}")
-        self.unevaluable.add(clause)
-
-    def _skip_unsigned_integer(self):
-        self.skip_ws()
-        match = _UNSIGNED_INTEGER_RE.match(self.text, self.pos)
-        if not match:
-            raise self.error("expected an unsigned integer")
-        self.pos = match.end()
+            if clause in ("LIMIT", "OFFSET"):
+                tok = self.token()
+                if not _UNSIGNED_INTEGER_RE.fullmatch(tok):
+                    self.back(tok)
+                    raise self.error("expected an unsigned integer")
+            else:
+                self.sync()
+                start = self.pos
+                self._scan_expression(stop=True)
+                if self.pos == start:
+                    raise self.error(f"expected a condition after {clause}")
+            self.unevaluable.add(clause)
+            tok = self.token()
+        return tok
 
 
 def parse_query(text: str) -> SelectQuery:

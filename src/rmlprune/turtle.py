@@ -35,10 +35,11 @@ Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
 take the text of each token from a run with
 :meth:`~rmlprune._lexer.Lexer.token` and look IRIs, prefixed names and
-literals up by that text; ``a`` and a blank node label are read by their
-text too.  A token the lookup misses, and the '' that hands a spelling to
-the readers, go to the hooks.  A hook that must read at the
-cursor gives its token back with :meth:`~rmlprune._lexer.Lexer.back`.
+literals up by that text; ``a``, a blank node label and the keyword of a
+SPARQL-style directive are read by their text too.  A token the lookup
+misses, and the '' that hands a spelling to the readers, go to the
+hooks.  A hook that must read at the cursor gives its token back with
+:meth:`~rmlprune._lexer.Lexer.back`.
 Every ``[ ]`` and ``( )`` opens its node with
 :meth:`~rmlprune._lexer.Lexer.descend` and :meth:`TurtleParser.fresh_bnode`,
 at the mark of its bracket: a blank node's offset is found only when
@@ -107,22 +108,16 @@ class TurtleParser(Lexer):
         token = self.token
         while True:
             tok = token()
-            if not tok:
-                if self.at_end():
-                    break
-                # SPARQL-style directives do not end with '.'
-                if self.try_directive("prefix"):
-                    self._parse_prefix_body("")
-                    continue
-                if self.try_directive("base", "<"):
-                    self._parse_base_body("")
-                    continue
+            if not tok and self.at_end():
+                break
             if tok == "@prefix":
                 self._parse_prefix_body(token())
                 tok = token()
             elif tok == "@base":
                 self._parse_base_body(token())
                 tok = token()
+            elif self._parse_directive(tok):
+                continue  # a SPARQL-style directive does not end with '.'
             else:
                 tok = self._parse_triples(tok)
             if tok != ".":

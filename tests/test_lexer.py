@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from rmlprune import _lexer
+from rmlprune import _lexer, gendata
 from rmlprune._lexer import MAX_NESTING
 from rmlprune.errors import SparqlError, TurtleError, UnsupportedSparqlError
 from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal
@@ -15,6 +15,7 @@ from rmlprune.sparql import collect_triple_patterns, parse_query
 from rmlprune.turtle import TurtleParser
 
 from .helpers import read_turtle
+from .test_diff import load_diff
 
 EX = "http://ex.org/"
 
@@ -322,6 +323,11 @@ def test_a_run_token_is_what_the_reader_takes(text):
         return  # a reader's spelling, 'a', '.', an IRIREF or a directive
     if ":" in token and token[0] not in "_\"'":
         return  # a prefixed name
+    if token.isalpha() and token not in ("true", "false"):
+        # a bare word, a keyword's spelling: it spells no term, and is
+        # given back to the reader
+        assert parser_at(text, 0).term(token, constant=True) is None
+        return
     reader = parser_at(text, match.start(1))
     if token.startswith("_:"):
         term = reader._read_bnode_label()
@@ -334,3 +340,38 @@ def test_a_run_token_is_what_the_reader_takes(text):
             return
         assert reader.read_constant() == term
     assert reader.pos == match.end(1)
+
+
+def run_tokens(text: str) -> tuple[list[str], list[str]]:
+    """The tokens runs read from *text*, and the character at each hand-over
+    to a reader, stepping one character past it."""
+    tokens, handed, pos = [], [], 0
+    while pos < len(text):
+        match = _lexer._RUN_RE.match(text, pos)
+        if match[1] is None:
+            pos = _lexer._WS_RE.match(text, pos).end()
+            handed.append(text[pos])
+            pos += 1
+        else:
+            tokens.append(match[1])
+            pos = match.end()
+    return [token for token in tokens if token.strip()], handed
+
+
+# Every keyword is a bare word, a run token: a query's prologue, projection,
+# keywords and modifiers are read from runs.  Only a '*' (after a verb, a
+# path operator the path check reads) and an expression's operators are
+# handed to a reader.
+@pytest.mark.parametrize("name", [*(f"q{i:02d}" for i in range(1, 9)), "optional"])
+def test_a_query_is_read_in_runs_up_to_its_expressions(name):
+    text = {**gendata.QUERIES, **load_diff().EXTRA_QUERIES}[name]
+    tokens, handed = run_tokens(text)
+    assert handed == {"q01": ["*"], "optional": ["!", "="]}.get(name, [])
+    assert tokens[:3] == ["PREFIX", "ex:", "<http://example.com/ns#>"]
+    select, where = tokens.index("SELECT"), tokens.index("WHERE")
+    projection = text[text.index("SELECT") + 6 : text.index("WHERE")].split()
+    assert tokens[select + 1 : where] == [v for v in projection if v != "*"]
+    assert tokens[where + 1] == "{"
+    if name == "optional":
+        assert {"OPTIONAL", "FILTER"} <= set(tokens)
+        assert tokens[-6:] == ["}", "ORDER", "BY", "?n", "LIMIT", "10"]

@@ -1,5 +1,7 @@
 """SPARQL SELECT parsing: the supported subset and its explicit limits."""
 
+import re
+
 import pytest
 
 from rmlprune.errors import SparqlError, UnsupportedSparqlError
@@ -216,6 +218,49 @@ def test_unsupported_forms_are_rejected_with_position(text, needle):
     message = str(exc.value)
     assert needle.lower() in message.lower()
     assert "line" in message
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        ("SELECT * FROM <http://g/> WHERE { ?s ?p ?o }", 10),
+        ("SELECT ?s from named <http://g/> { ?s ?p ?o }", 11),
+        ("SELECT * WHERE { ?s ?p ?o } VALUES ?s { <http://e/s> }", 29),
+        ("SELECT * WHERE { ?s ?p ?o } ORDER BY ?s LIMIT 1 values ?s { }", 49),
+        # a trailing VALUES ends a condition, as a modifier does
+        ("SELECT * WHERE { ?s ?p ?o } ORDER BY ?s VALUES ?s { }", 41),
+    ],
+)
+def test_a_dataset_clause_or_a_trailing_values_clause_is_named_where_it_stands(text, column):
+    with pytest.raises(UnsupportedSparqlError, match="(FROM|VALUES) is not supported") as info:
+        parse_query(text)
+    assert (info.value.line, info.value.column) == (1, column)
+
+
+# A keyword is a bare word: SPARQL reads the longest token, so a prefixed
+# name whose prefix spells a keyword is a name wherever a term may stand.
+@pytest.mark.parametrize(
+    "group",
+    [
+        *(f"{{ {word}:x ?p ?o }}" for word in ("filter", "optional", "minus", "graph", "service", "bind", "values")),
+        "{ ?s ?p ?o . OPTIONAL:x ?p ?o }",
+        "{ { select:x ?p ?o } }",
+        "{ { ?s ?p ?o } union:x ?p ?o }",
+        "{ ?s ?p ?o FILTER not:f(?o) FILTER exists:f(?o) not:x ?p ?o }",
+    ],
+)
+def test_a_prefix_that_spells_a_keyword_names_an_iri(group):
+    prefixes = "".join(f"PREFIX {word}: <http://e/> " for word in re.findall(r"(\w+):", group))
+    q = parse_query(f"{prefixes}SELECT * WHERE {group}")
+    assert tp(Iri("http://e/x"), Variable("p"), Variable("o")) in q.patterns
+
+
+@pytest.mark.parametrize("modifiers", ["ORDER BY order:f(?s)", "ORDER BY limit:f(?s)", "GROUP BY having:g(?s)"])
+def test_a_condition_reads_a_prefixed_name_that_spells_a_modifier(modifiers):
+    # a FunctionCall whose prefix spells a modifier keyword is part of the
+    # condition, so the condition does not end before it
+    q = parse_query(f"SELECT * WHERE {{ ?s ?p ?o }} {modifiers} LIMIT 1")
+    assert q.unevaluable == {modifiers.rsplit(" ", 1)[0], "LIMIT"}
 
 
 def test_a_second_triples_block_needs_a_dot():

@@ -18,9 +18,10 @@ for ``rml:BlankNode``...; a text without one gets a replacement instead).
   mapping).
 * ``--surface sparql`` mutates q01-q08, a query with OPTIONAL, FILTER and
   ORDER BY, and a query with ``[]``, from the ``{`` of the group on, with
-  snippets such as a variable, a path operator, a literal, a group or a
-  keyword.  A record is the parsed query's ``SelectQuery`` fields, each
-  term as its class and fields.
+  snippets such as a variable, a path operator, a literal, a group, a
+  keyword in either case, a prefixed name whose prefix spells a keyword,
+  or a FROM or VALUES clause.  A record is the parsed query's
+  ``SelectQuery`` fields, each term as its class and fields.
 
 If anything raises, the record is instead the exception's class and
 message, with its line and column.  The JSON printed gives the input and
@@ -68,6 +69,10 @@ QUERY_SNIPPETS = (
     "FILTER regex(?n, \"a\")", "UNION", "MINUS", "SELECT", "ORDER BY ?s", "LIMIT 3", "OFFSET 2",
     "GROUP BY ?s", "BASE <http://b/>", "PREFIX p: <http://p/>", "DISTINCT",
     ". ?x ex:p ?y .", "; ex:q ?z", ", ?w", "?s a ex:C .", "ex:p 'x' ;",
+    # keywords in lower case, prefixes that spell keywords, and clauses the
+    # keyword table rejects
+    "optional:x", "union:x", "order:f(?s)", "optional { ?s ex:p ?o }", "limit 3", "FROM <http://g/>",
+    "VALUES ?s { }",
 )
 # the queries mutated besides q01-q08
 EXTRA_QUERIES = {
