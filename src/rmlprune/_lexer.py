@@ -25,15 +25,16 @@ the texts of the tokens ahead in their common spellings (punctuation, an
 IRIREF or a prefixed name without escapes, a short string without
 escapes, alone or typed by an absolute IRIREF or a prefixed name, a
 number, a boolean, ``a``, a blank node label, ``@prefix``, ``@base``, a
-variable, or a bare word: ASCII letters, the spelling of every keyword),
-up to the first spelling it leaves to a reader,
+variable, a bare word: ASCII letters, the spelling of every keyword, or
+one of SPARQL's operators, ``*``, the path operators and a lone ``?`` or
+``$`` among them), up to the first spelling it leaves to a reader,
 and :meth:`Lexer.token` hands them out one by one.  Every other spelling
 is read at a cursor by the token's reader, so the readers alone hold each
-token's full grammar and errors.  Besides the readers, only SPARQL's
-expressions, a projection's ``*`` and the check for a path operator after
-a verb read at the cursor.  No run keeps offsets: where a reader
-takes over, an error stands, or a blank node opens, the offset is found by
-stepping through the run again, and only when it is asked for.  The IRI
+token's full grammar and errors, and the cursor reads only the readers'
+spellings.  No run keeps offsets: where a reader takes over, an error
+stands, or a blank node opens, the offset is found by stepping through
+the run again, and only when it is asked for; so is the text of the token
+before the one just read (:meth:`Lexer.before`).  The IRI
 of an IRIREF or prefixed name and the literal of a short string, a
 number or a boolean are looked up by their token text, and each IRI and
 untyped literal is built once per parser instance.
@@ -79,16 +80,19 @@ _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 # the characters of an IRIREF without an escape
 _IRI_CHARS = _IRI_CHAR + "*"
 _IRI_CHARS_RE = re.compile(_IRI_CHARS)
-# an IRIREF without an escape, as SPARQL's longest-match tokenizer reads it
-_IRIREF_RE = re.compile(f"<{_IRI_CHARS}>")
+# SPARQL's operators and path operators, longest first, and the '?' or '$'
+# of no variable
+OPERATORS = ("!=", "<=", ">=", "&&", "||", "=", "<", ">", "!", "+", "-", "*", "/", "|", "^", "?", "$")
 # One match per token of a run: whitespace and comments, then the token's
 # text, the one group, in a common spelling: a punctuation mark, an
 # IRIREF, a prefixed name or a short string, none with an escape, the
 # string alone or typed by an absolute IRIREF or a prefixed name, a number,
-# a boolean, 'a', a blank node label, '@prefix', '@base', a variable or a
-# bare word.  Any other spelling (escapes, long strings, a language tag or
-# a relative datatype after the string, a path operator) is left to the
-# readers below, so they alone hold its full grammar and errors:
+# a boolean, 'a', a blank node label, '@prefix', '@base', a variable, a
+# bare word or an operator.  The operators come last, so each spelling
+# before them is the token it was without them.  Any other spelling
+# (escapes, long strings, a language tag or a relative datatype after the
+# string) is left to the readers below, so they alone hold its full
+# grammar and errors:
 # there the last match takes the rest of the window outside the group, so
 # the run ends with '', and sre moves a DOTALL '.+' straight to the
 # window's end without reading it.  A number, a boolean or a label is
@@ -124,6 +128,7 @@ _TOKEN = (
     # trailing '.' that ends a statement
     r"|a(?![\w.:-])|_:\w[\w.-]*(?<!\.)"
     rf"|@prefix|@base|[?$]{_VAR_NAME}|[A-Za-z]+(?![\w:.-])"
+    f"|{'|'.join(map(re.escape, OPERATORS))}"
 )
 _RUN_RE = re.compile(
     f"{_RUN_WS}(?:({_TOKEN}"
@@ -218,6 +223,10 @@ class Lexer:
         self._run = [""]
         self._count = self._start = self._end = self._given = 0
         self._marked = False
+        # the text of the token before the run's first, where a window cut
+        # it from the run before ('' after a reader's spelling), and of the
+        # run's last token
+        self._before = self._last = ""
         # each run a mark was taken in: the index of its first token among
         # all the tokens runs have given, and its window's start
         self.runs: list[tuple[int, int]] = []
@@ -232,11 +241,13 @@ class Lexer:
     def _next_run(self) -> str:
         """The first text of the next run, or ''; see :meth:`token`."""
         text = self.text
+        before = ""
         if self._count:
             # a run whose window ends just past a newline, or at the end,
             # ends where the text holds a reader's spelling: no token or
             # comment runs over such a cut
             handed = self._marked and (self._end == len(text) or text[self._end - 1] == "\n")
+            before = self._last
             self._leave(self._count)
             if handed:
                 return ""
@@ -259,6 +270,7 @@ class Lexer:
                 run.reverse()
                 self._run[:] = run
                 self._count, self._start, self._end, self._marked = len(run) - 1, start, end, marked
+                self._before, self._last = before, run[1]
                 return self._run.pop()
             # no token: whitespace and comments (the run leaves one that the
             # window cuts), a reader's spelling, or the end
@@ -292,6 +304,14 @@ class Lexer:
             self._run.append(token)
             self.sync()
 
+    def before(self) -> str:
+        """The text of the token before the one :meth:`token` just gave,
+        read again from its run; '' after a reader's spelling."""
+        read = self._count + 1 - len(self._run)
+        if read == 1:
+            return self._before
+        return _RUN_RE.findall(self.text, self._start, self._end)[read - 2]
+
     def mark(self) -> int:
         """Where the token just read starts, for :func:`offsets`: the
         index of the token among all the tokens runs have given or, while
@@ -308,7 +328,7 @@ class Lexer:
         spells, remembered by its text; None for a token a reader must
         take, which it gives back (see :meth:`back`)."""
         first, iri = token[:1], None
-        if first == "<":
+        if first == "<" and token[-1] == ">":  # not the operator '<' or '<='
             iri = token[1:-1]
             if not is_absolute_iri(iri):
                 # a relative IRI is resolved against the base in scope, and

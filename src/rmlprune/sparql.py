@@ -16,21 +16,25 @@ hooks.  They read variables, turn ``[]`` into a fresh variable, file each
 triple as a pattern, and reject what patterns do not support.
 
 The query around the blocks is read from the same runs of tokens: every
-keyword is a bare-word token (see :mod:`rmlprune._lexer`), and the
-parser looks it up, upper-cased, in one table by the place it stands at,
-which says what it opens there or which unsupported construct it names.
-So a keyword matches in any case and never within a longer token:
-``optional:x`` is a prefixed name.  The cursor reads only what no run
-token spells: the readers' spellings, a projection's ``*``, expressions,
-and the path operator that may follow a verb.
+keyword is a bare-word token and every operator a token of its own (see
+:mod:`rmlprune._lexer`).  The parser looks a keyword up, upper-cased, in
+one table by the place it stands at, which says what it opens there or
+which unsupported construct it names.  So a keyword matches in any case
+and never within a longer token: ``optional:x`` and ``ex:limit`` are
+prefixed names.  ``SELECT *`` and the path operators are checked on their
+tokens: ``^`` and ``!`` where a verb stands, ``/``, ``|``, ``*``, ``?`` and
+``+`` right after one.  The cursor reads only the readers' spellings.
 
 A query parses into what pruning and evaluation read (:class:`SelectQuery`):
 its projected variables, every triple pattern in document order (OPTIONAL
 bodies and FILTER-wrapped groups included: a pattern that occurs anywhere
 in the query matters for pruning), DISTINCT, and the names of the
 constructs evaluation cannot run.  Expressions (``AS``, FILTER constraints,
-solution-modifier conditions) are checked only for balanced parentheses
-and stepped over, reading strings and IRIREFs whole and skipping comments.
+solution-modifier conditions) are read by one loop over their tokens,
+which counts ``(`` and ``)`` and steps over them.  It steps over a spelling
+that no run token spells at the cursor: a string by its reader (an
+escaped or long one), any other a name with its escapes (``SHA1``,
+``ex:a\\.b``) or one character (a language tag's ``@``).
 
 Everything else is rejected with a positioned error naming the feature:
 UNION, MINUS, GRAPH, SERVICE, BIND, VALUES (in a group or after the
@@ -45,18 +49,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._lexer import _BOOLEAN_RE, _IRIREF_RE, _PREFIX_RE
+from ._lexer import _BOOLEAN_RE
 from .errors import SparqlError, UnsupportedSparqlError
 from .rdf import TriplePattern, Variable
 from .turtle import TurtleParser
 
-# a '+' that starts a number begins the object, not a path
-_SIGNED_NUMBER_RE = re.compile(r"\+\.?\d")
-# the characters that make a verb's place a property path
+# the tokens that make a verb's place a property path, by their first
+# character, and those that do right after a verb ('||' is two '|')
 _PATH_STARTS = {"^": "inverse '^'", "!": "negated set '!'", "(": "grouped path"}
+_PATH_MODIFIERS = ("/", "|", "||", "*", "?", "+")
 _UNSIGNED_INTEGER_RE = re.compile(r"\d+")
-# a builtin's name: every SPARQL 1.1 builtin starts with a letter
-_BUILTIN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# what an expression steps over at the cursor, where no run token spells
+# the text and no string starts: a name's characters and escapes, or one
+# character
+_STEP_RE = re.compile(r"(?:[\w.:%-]|\\.)+|.", re.DOTALL)
 # the solution modifiers, in the order they come; LIMIT and OFFSET may swap
 _MODIFIERS = ("GROUP BY", "HAVING", "ORDER BY", "LIMIT", "OFFSET")
 
@@ -93,11 +99,8 @@ _KEYWORDS = {
     **{("modifier", clause.split()[0]): clause for clause in _MODIFIERS},
     ("end", "VALUES"): _Unsupported("VALUES is not supported"),
 }
-# where a condition ends: at a keyword that may follow it, spelled as a
-# bare word (see _lexer) that no name character or variable sign precedes
-_CONDITION_END_RE = re.compile(
-    r"(?<![\w?$])(?ai:%s)(?![\w:.-])" % "|".join(word for place, word in _KEYWORDS if place in ("modifier", "end"))
-)
+# the keywords that may follow a condition, where it ends
+_CONDITION_ENDS = frozenset(word for place, word in _KEYWORDS if place in ("modifier", "end"))
 
 
 @dataclass
@@ -176,18 +179,15 @@ class _QueryParser(TurtleParser):
         variables: list[Variable] = []
         star = expressions = False
         while True:
-            if tok[:1] in ("?", "$"):
-                variables.append(Variable(tok[1:]))
-            elif tok == "(":
-                self.back(tok)
-                self._skip_parenthesized()
-                expressions = True
-            elif tok:
-                break
-            elif self.try_consume("*"):
+            if tok == "*":
                 star = True
+            elif tok == "(":
+                tok = self._read_expression(tok, condition=False)
+                expressions = True
+                continue
+            elif tok[:1] in ("?", "$"):
+                variables.append(self._variable(tok))
             else:
-                self._reject_variable()
                 break
             tok = self.token()
         if expressions:
@@ -200,45 +200,41 @@ class _QueryParser(TurtleParser):
             raise self.error("SELECT needs * or at least one projection")
         return (None if star else tuple(variables)), tok
 
-    def _skip_parenthesized(self):
-        if not self._scan_expression(stop=False):
-            raise self.error("unbalanced parentheses")
+    def _variable(self, tok: str) -> Variable:
+        """The variable *tok* spells: a '?' or '$' and its name."""
+        if len(tok) == 1:
+            self.back(tok)
+            raise self.error("expected a variable")
+        return Variable(tok[1:])
 
-    def _scan_expression(self, stop: bool) -> bool:
-        """Advance over an expression, reading each quoted string and each
-        IRIREF whole and skipping each comment.  Without *stop*, end after
-        the parenthesis that closes the first one; with it, end before a
-        keyword that may follow a condition, outside parentheses, or at the
-        end of the text.  False when the text ends first without *stop*."""
+    def _read_expression(self, tok: str, condition: bool) -> str:
+        """Step over an expression from its first token *tok*, counting
+        '(' and ')', and return the token after it.  Without *condition*
+        the expression ends with the ')' that closes *tok*; a condition
+        ends at the end of the text or, outside parentheses, at a keyword
+        that may follow it.  A spelling no run token spells is stepped over
+        at the cursor: a string by its reader, any other by ``_STEP_RE``."""
         depth = 0
-        while not self.at_end():
-            ch = self.text[self.pos]
-            if ch in "\"'":
-                self.read_string()
-                continue
-            if ch == "#":
-                self.skip_ws()
-                continue
-            if ch == "\\":
-                # a local name's escape: the next character is part of the name
-                self.pos = min(self.pos + 2, len(self.text))
-                continue
-            if ch == "<":
-                iri = _IRIREF_RE.match(self.text, self.pos)
-                if iri:
-                    self.pos = iri.end()
-                    continue
-            elif ch == "(":
+        token = self.token
+        while True:
+            if tok == "(":
                 depth += 1
-            elif ch == ")":
+            elif tok == ")":
                 depth -= 1
-                if depth == 0 and not stop:
-                    self.pos += 1
-                    return True
-            elif stop and depth == 0 and _CONDITION_END_RE.match(self.text, self.pos):
-                return True
-            self.pos += 1
-        return stop
+                if not (depth or condition):
+                    return token()
+            elif not tok:
+                if self.at_end():
+                    if condition:
+                        return tok
+                    raise self.error("unbalanced parentheses")
+                if self.peek() in ('"', "'"):
+                    self.read_string()
+                else:
+                    self.pos = _STEP_RE.match(self.text, self.pos).end()
+            elif condition and not depth and tok.upper() in _CONDITION_ENDS:
+                return tok
+            tok = token()
 
     def _read_group(self, tok: str):
         """The group at *tok*, just read, to just past its '}'."""
@@ -254,6 +250,8 @@ class _QueryParser(TurtleParser):
     def _parse_group(self, opened: int, tok: str):
         """The group whose '{' *opened* marks, from the token after it to
         just past its '}', adding its triple patterns to ``self.patterns``."""
+        # a subquery fills a group, which its SELECT opens
+        self._keyword("{", tok)
         self.descend(opened)
         token = self.token
         # a triples block not ended by '.' may only be followed by '}', a
@@ -264,20 +262,15 @@ class _QueryParser(TurtleParser):
                 raise self.error("unterminated group (missing '}')")
             after_open_block, open_block = open_block, False
             if tok == "{":
-                opened = self.mark()
-                tok = token()
-                self._keyword("{", tok)
-                self._parse_group(opened, tok)
+                self._parse_group(self.mark(), token())
                 tok = token()
             else:
                 clause = self._keyword("group", tok)
                 if clause == "OPTIONAL":
                     self._read_group(token())
-                elif clause == "FILTER":
                     tok = token()
-                    self._keyword("filter", tok)
-                    self.back(tok)
-                    self._skip_filter_constraint()
+                elif clause == "FILTER":
+                    tok = self._parse_filter(token())
                 elif after_open_block:
                     self.back(tok)
                     raise self.error("expected '.' or '}' after a triple pattern")
@@ -286,32 +279,30 @@ class _QueryParser(TurtleParser):
                     open_block = tok != "."
                 if clause:
                     self.unevaluable.add(clause)
-                    tok = token()
             if tok == ".":
                 tok = token()
         self.depth -= 1
 
-    def _skip_filter_constraint(self):
-        self.skip_ws()
-        if self.peek() != "(":
-            # builtin or function call: its name (an IRIREF, a prefixed name
-            # whose prefix is not resolved, or a builtin's), then its
-            # argument list
-            iri = _IRIREF_RE.match(self.text, self.pos)
-            if iri:
-                self.pos = iri.end()
-            elif self.text.startswith(":", _PREFIX_RE.match(self.text, self.pos).end()):
-                self.read_prefix_name()
-                self.expect(":")
-                self.read_local_name()
-            elif builtin := _BUILTIN_RE.match(self.text, self.pos):
-                self.pos = builtin.end()
-            else:
+    def _parse_filter(self, tok: str) -> str:
+        """A FILTER's constraint from its first token *tok*: a bracketted
+        expression, or a builtin or function call.  Returns the token after
+        it."""
+        self._keyword("filter", tok)
+        if tok != "(":
+            # the call's name: an IRIREF, a prefixed name, whose prefix is not
+            # resolved, or a builtin's, which starts with a letter; a name
+            # that no run token spells (SHA1, ex:f\() is stepped over
+            first = (tok or self.peek())[:1]
+            if not (first.isalpha() or first == ":" or first == "<" and tok[-1:] == ">"):
+                self.back(tok)
                 raise self.error("unsupported FILTER constraint form")
-            self.skip_ws()
-            if self.peek() != "(":
+            if not tok:
+                self.pos = _STEP_RE.match(self.text, self.pos).end()
+            tok = self.token()
+            if tok != "(":
+                self.back(tok)
                 raise self.error("unsupported FILTER constraint form")
-        self._skip_parenthesized()
+        return self._read_expression(tok, condition=False)
 
     # -- the hooks of the triples grammar -----------------------------------
 
@@ -321,7 +312,7 @@ class _QueryParser(TurtleParser):
 
     def term(self, token, constant):
         if token[:1] in ("?", "$"):
-            term = self._terms[token] = Variable(token[1:])
+            term = self._terms[token] = self._variable(token)
             return term
         return super().term(token, constant)
 
@@ -329,7 +320,6 @@ class _QueryParser(TurtleParser):
         term = self.term(tok, constant=False)
         if term is not None:
             return term
-        self._reject_variable()
         ch = self.peek()
         if ch in ('"', "'") or ch.isdigit():
             raise self.error("literal subjects are not supported", unsupported=True)
@@ -337,11 +327,6 @@ class _QueryParser(TurtleParser):
             raise self.error("collections in patterns are not supported", unsupported=True)
         self._reject_bnode_label()
         return self.read_iri("a subject")
-
-    def _reject_variable(self):
-        # every variable is a run token: one at the cursor is misspelled
-        if self.peek() in ("?", "$"):
-            raise self.error("expected a variable")
 
     def _reject_bnode_label(self):
         if self.text.startswith("_:", self.pos):
@@ -358,26 +343,18 @@ class _QueryParser(TurtleParser):
         return Variable(self.fresh_bnode(opened).label, anonymous=True)
 
     def _parse_verb(self, tok):
-        if not tok or tok == "(":
+        path = _PATH_STARTS.get(tok[:1])
+        if path:
             self.back(tok)
-            ch = self.peek()
-            path = _PATH_STARTS.get(ch)
-            if path:
-                raise self.error(f"property paths are not supported ({path})", unsupported=True)
-            self._reject_variable()
+            raise self.error(f"property paths are not supported ({path})", unsupported=True)
         return super()._parse_verb(tok)
 
-    def _after_verb(self):
-        # a path operator directly after the verb makes this a property path;
-        # none is a token, so a verb followed by a token (a variable too) is
-        # no path
-        nxt = self.peek()
-        if nxt in ("/", "|", "*", "?") or (
-            nxt == "+" and not _SIGNED_NUMBER_RE.match(self.text, self.pos)
-        ):
-            raise self.error(f"property paths are not supported ({nxt!r})", unsupported=True)
-
     def _parse_object(self, tok):
+        # a path operator right after a verb makes the verb a property path;
+        # after ',' it is no object
+        if tok in _PATH_MODIFIERS and self.before() != ",":
+            self.back(tok)
+            raise self.error(f"property paths are not supported ({tok[0]!r})", unsupported=True)
         if tok == "[":
             opened = self.mark()
             return self._parse_bnode_property_list(opened, self.token())
@@ -387,7 +364,6 @@ class _QueryParser(TurtleParser):
         ch = self.peek()
         if not ch:
             raise self.error("expected an object")
-        self._reject_variable()
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)
         self._reject_bnode_label()
@@ -412,19 +388,18 @@ class _QueryParser(TurtleParser):
             if by and (tok := self.token()).upper() != by:
                 self.back(tok)
                 raise self.error(f"expected {by} after {first}")
+            tok = self.token()
             if clause in ("LIMIT", "OFFSET"):
-                tok = self.token()
                 if not _UNSIGNED_INTEGER_RE.fullmatch(tok):
                     self.back(tok)
                     raise self.error("expected an unsigned integer")
+                tok = self.token()
+            elif not tok and self.at_end() or tok.upper() in _CONDITION_ENDS:
+                self.back(tok)
+                raise self.error(f"expected a condition after {clause}")
             else:
-                self.sync()
-                start = self.pos
-                self._scan_expression(stop=True)
-                if self.pos == start:
-                    raise self.error(f"expected a condition after {clause}")
+                tok = self._read_expression(tok, condition=True)
             self.unevaluable.add(clause)
-            tok = self.token()
         return tok
 
 

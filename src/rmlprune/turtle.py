@@ -29,7 +29,7 @@ reader implements, where the run's (predicate, object) pairs go.
   Turtle's with variables: it reads each triples block with
   :meth:`~TurtleParser._parse_triples`, files triple patterns, and
   overrides the hooks that read a subject, a verb, an object and a ``[``,
-  that check what follows a verb, and that build a token's term.
+  and that build a token's term.
 
 Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
@@ -37,9 +37,10 @@ take the text of each token from a run with
 :meth:`~rmlprune._lexer.Lexer.token` and look IRIs, prefixed names and
 literals up by that text; ``a``, a blank node label and the keyword of a
 SPARQL-style directive are read by their text too.  A token the lookup
-misses, and the '' that hands a spelling to the readers, go to the
-hooks.  A hook that must read at the cursor gives its token back with
-:meth:`~rmlprune._lexer.Lexer.back`.
+misses (an operator too, which no Turtle term is), and the '' that hands
+a reader's spelling to the cursor, go to the hooks.  A hook that must
+read at the cursor gives its token back with
+:meth:`~rmlprune._lexer.Lexer.back`, so a reader reports the error there.
 Every ``[ ]`` and ``( )`` opens its node with
 :meth:`~rmlprune._lexer.Lexer.descend` and :meth:`TurtleParser.fresh_bnode`,
 at the mark of its bracket: a blank node's offset is found only when
@@ -185,8 +186,6 @@ class TurtleParser(Lexer):
         while True:
             predicate = terms.get(tok) or verb(tok)
             tok = pop() or more()
-            if not tok:
-                self._after_verb()
             while True:
                 o = terms.get(tok) or literals.get(tok) or obj(tok)
                 if take is None:
@@ -212,10 +211,6 @@ class TurtleParser(Lexer):
         if term is not None:
             return term
         return self.read_iri("a predicate")
-
-    def _after_verb(self):
-        """A check at the cursor, where a reader's spelling directly follows
-        a verb: none in Turtle."""
 
     def _parse_object(self, tok: str) -> RdfTerm:
         """An object the lookup by text did not find."""

@@ -1,5 +1,5 @@
-"""A smoke run of ``tools/diff.py``, the differential harness of the mapping
-and SPARQL surfaces."""
+"""A smoke run of ``tools/diff.py``, the differential harness of the mapping,
+SPARQL and Turtle surfaces."""
 
 import importlib
 import importlib.util
@@ -32,10 +32,38 @@ def test_a_revision_against_itself_differs_nowhere(capsys):
 def test_a_revision_against_itself_parses_queries_alike(capsys):
     assert load_diff().main(["--base", "HEAD", "--head", "HEAD", "--rounds", "2", "--surface", "sparql"]) == 0
     report = json.loads(capsys.readouterr().out)
-    # q01-q08, the OPTIONAL/FILTER/ORDER BY query and the [] query
-    assert (report["surface"], report["rounds"], report["inputs"]) == ("sparql", 2, 20)
+    # q01-q08, the OPTIONAL/FILTER/ORDER BY query, the [] query, the
+    # aggregate query and the query of operators
+    assert (report["surface"], report["rounds"], report["inputs"]) == ("sparql", 2, 24)
     assert (report["differences"], report["first"]) == (0, [])
     assert report["accepted"]["base"] == report["accepted"]["head"]
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="exports HEAD with git archive")
+def test_a_revision_against_itself_reads_turtle_alike(capsys):
+    assert load_diff().main(["--base", "HEAD", "--head", "HEAD", "--rounds", "2", "--surface", "turtle"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    # the corpus and wide mappings and the Turtle text
+    assert (report["surface"], report["rounds"], report["inputs"]) == ("turtle", 2, 6)
+    assert (report["differences"], report["first"]) == (0, [])
+    assert report["accepted"]["base"] == report["accepted"]["head"]
+
+
+def test_a_turtle_record_holds_what_the_reader_files_or_its_error():
+    diff = load_diff()
+    side = diff.Side(importlib.import_module("rmlprune"))
+    ok = side.turtle_record("@base <http://e/> . <s> <p> [ <q> ( 1 ) ] .")
+    iri = lambda name: ["Iri", f"http://e/{name}"]  # noqa: E731
+    one = ["Literal", "1", "http://www.w3.org/2001/XMLSchema#integer"]
+    rdf = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+    assert ok == ("ok", [
+        [["BlankNode", "b2"], [[["Iri", rdf + "first"], one], [["Iri", rdf + "rest"], ["Iri", rdf + "nil"]]]],
+        [["BlankNode", "b1"], [[iri("q"), ["BlankNode", "b2"]]]],
+        [iri("s"), [[iri("p"), ["BlankNode", "b1"]]]],
+    ], [29, 34], "http://e/")
+    assert side.turtle_record("<http://e/s> <http://e/p> * .") == (
+        "error", "TurtleError", "line 1, column 27: expected an object, found '*'"
+    )
 
 
 def test_a_query_record_holds_its_fields_or_its_error():
@@ -79,10 +107,10 @@ def test_query_mutations_replay_and_need_no_keyword_to_swap(text):
         assert replayed == mutated
 
 
-def test_query_mutations_leave_what_precedes_the_group():
+def test_query_mutations_leave_the_prologue():
     diff = load_diff()
     text = "PREFIX ex: <http://e/>\nSELECT ?s WHERE { ?s ex:p ?o . ?o ex:q ?z }\n"
-    start = text.index("{")
+    start = text.index("SELECT")
     for seed in range(50):
         mutated, edits = diff.mutate(text, random.Random(seed), diff.QUERY_SNIPPETS, start)
         assert mutated.startswith(text[:start])

@@ -323,9 +323,9 @@ def test_a_run_token_is_what_the_reader_takes(text):
         return  # a reader's spelling, 'a', '.', an IRIREF or a directive
     if ":" in token and token[0] not in "_\"'":
         return  # a prefixed name
-    if token.isalpha() and token not in ("true", "false"):
-        # a bare word, a keyword's spelling: it spells no term, and is
-        # given back to the reader
+    if token.isalpha() and token not in ("true", "false") or token in _lexer.OPERATORS:
+        # a bare word, a keyword's spelling, or an operator: it spells no
+        # term, and is given back to the reader
         assert parser_at(text, 0).term(token, constant=True) is None
         return
     reader = parser_at(text, match.start(1))
@@ -342,36 +342,68 @@ def test_a_run_token_is_what_the_reader_takes(text):
     assert reader.pos == match.end(1)
 
 
-def run_tokens(text: str) -> tuple[list[str], list[str]]:
-    """The tokens runs read from *text*, and the character at each hand-over
-    to a reader, stepping one character past it."""
-    tokens, handed, pos = [], [], 0
+def run_tokens(text: str) -> list[str]:
+    """The tokens runs read from *text*, stepping one character past each
+    hand-over to a reader."""
+    tokens, pos = [], 0
     while pos < len(text):
         match = _lexer._RUN_RE.match(text, pos)
         if match[1] is None:
-            pos = _lexer._WS_RE.match(text, pos).end()
-            handed.append(text[pos])
-            pos += 1
+            pos = _lexer._WS_RE.match(text, pos).end() + 1
         else:
             tokens.append(match[1])
             pos = match.end()
-    return [token for token in tokens if token.strip()], handed
+    return [token for token in tokens if token.strip()]
 
 
-# Every keyword is a bare word, a run token: a query's prologue, projection,
-# keywords and modifiers are read from runs.  Only a '*' (after a verb, a
-# path operator the path check reads) and an expression's operators are
+def handed_over(text: str, monkeypatch) -> list[str]:
+    """What :func:`parse_query` hands to a reader, as the text from each
+    place where a run ends at a reader's spelling to the next space."""
+    handed = []
+    next_run = _lexer.Lexer._next_run
+
+    def recording(lexer):
+        token = next_run(lexer)
+        if not token and not lexer.at_end():
+            handed.append(lexer.text[lexer.pos :].split(None, 1)[0])
+        return token
+
+    monkeypatch.setattr(_lexer.Lexer, "_next_run", recording)
+    parse_query(text)
+    return handed
+
+
+# Every keyword is a bare word and every operator a token of its own: a
+# query is read from runs, expressions too.  Only a reader's spelling, such
+# as an escaped string, a language tag or a builtin's name with a digit, is
 # handed to a reader.
-@pytest.mark.parametrize("name", [*(f"q{i:02d}" for i in range(1, 9)), "optional"])
-def test_a_query_is_read_in_runs_up_to_its_expressions(name):
+@pytest.mark.parametrize("name", [*(f"q{i:02d}" for i in range(1, 9)), "optional", "aggregate", "operators"])
+def test_a_query_is_read_in_runs_up_to_its_expressions(name, monkeypatch):
     text = {**gendata.QUERIES, **load_diff().EXTRA_QUERIES}[name]
-    tokens, handed = run_tokens(text)
-    assert handed == {"q01": ["*"], "optional": ["!", "="]}.get(name, [])
+    readers = {"operators": ['"a\\"b"', '"x"@en', "@en", "SHA1(?s)"]}
+    assert handed_over(text, monkeypatch) == readers.get(name, [])
+    tokens = run_tokens(text)
     assert tokens[:3] == ["PREFIX", "ex:", "<http://example.com/ns#>"]
     select, where = tokens.index("SELECT"), tokens.index("WHERE")
-    projection = text[text.index("SELECT") + 6 : text.index("WHERE")].split()
-    assert tokens[select + 1 : where] == [v for v in projection if v != "*"]
+    projection = text[text.index("SELECT") + 6 : text.index("WHERE")]
+    assert "".join(tokens[select + 1 : where]) == "".join(projection.split())
     assert tokens[where + 1] == "{"
     if name == "optional":
-        assert {"OPTIONAL", "FILTER"} <= set(tokens)
+        assert {"OPTIONAL", "FILTER", "!="} <= set(tokens)
         assert tokens[-6:] == ["}", "ORDER", "BY", "?n", "LIMIT", "10"]
+
+
+# A path operator counts only right after a verb: after ',' it is no
+# object.  The token before it is known where a window's cut falls between
+# them too.
+@pytest.mark.parametrize(
+    "between, message",
+    [(" ?o ,", "expected an object, found '*'"), ("", "property paths are not supported ('*')")],
+)
+def test_the_token_before_a_path_operator_is_known_across_a_window_cut(between, message):
+    verb = "<http://e/" + "a" * _lexer.WINDOW + ">"
+    text = f"SELECT * WHERE {{ ?s {verb}{between}\n* }}"
+    # the window ends just past the first newline after WINDOW characters
+    assert text.index("\n") > _lexer.WINDOW and text[text.index("\n") + 1] == "*"
+    with pytest.raises(SparqlError, match=re.escape(f"line 2, column 1: {message}")):
+        parse_query(text)

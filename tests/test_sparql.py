@@ -263,6 +263,65 @@ def test_a_condition_reads_a_prefixed_name_that_spells_a_modifier(modifiers):
     assert q.unevaluable == {modifiers.rsplit(" ", 1)[0], "LIMIT"}
 
 
+@pytest.mark.parametrize(
+    "modifiers, names",
+    [
+        ("ORDER BY ex:limit", {"ORDER BY"}),
+        ("ORDER BY ex:offset(?s) LIMIT 1", {"ORDER BY", "LIMIT"}),
+        ("GROUP BY ex:having HAVING (?s) ORDER BY ex:order-by", {"GROUP BY", "HAVING", "ORDER BY"}),
+    ],
+)
+def test_a_condition_reads_a_prefixed_name_whose_local_name_spells_a_modifier(modifiers, names):
+    # ex:limit is one prefixed-name token, so the condition does not end
+    # at its local name
+    q = parse_query(f"PREFIX ex: <{EX}> SELECT * WHERE {{ ?s ?p ?o }} {modifiers}")
+    assert q.unevaluable == names
+
+
+def test_a_modifier_keyword_right_after_a_number_ends_a_condition():
+    # '42ORDER' is the number 42 and the keyword ORDER, as SPARQL's
+    # longest-match tokenizer reads it
+    q = parse_query("SELECT * WHERE { ?s ?p ?o } GROUP BY ?s 42ORDER BY ?o 1LIMIT 3")
+    assert q.unevaluable == {"GROUP BY", "ORDER BY", "LIMIT"}
+
+
+# Every operator is a token: each one where a term stands gets the message
+# it got when it was handed to a reader.
+@pytest.mark.parametrize(
+    "query, message",
+    [
+        ("SELECT * WHERE { ?s ?p || ?o }", "line 1, column 24: property paths are not supported ('|')"),
+        ("SELECT * WHERE { ?s ?p ? }", "line 1, column 24: property paths are not supported ('?')"),
+        ("SELECT * WHERE { ?s ?p + }", "line 1, column 24: property paths are not supported ('+')"),
+        ("SELECT * WHERE { ?s != ?o }", "line 1, column 21: property paths are not supported (negated set '!')"),
+        ("SELECT * WHERE { ?s ?p ?o , * }", "line 1, column 29: expected an object, found '*'"),
+        ("SELECT * WHERE { ?s ?p ?o , || }", "line 1, column 29: expected an object, found '|'"),
+        ("SELECT * WHERE { ?s ?p ?o , ? }", "line 1, column 29: expected a variable"),
+        ("SELECT * WHERE { ?s ?p - }", "line 1, column 24: expected an object, found '-'"),
+        ("SELECT * WHERE { ?s >= ?o }", "line 1, column 21: expected a predicate, found '>'"),
+        ("SELECT * WHERE { $ ?p ?o }", "line 1, column 18: expected a variable"),
+        ("SELECT ? WHERE { ?s ?p ?o }", "line 1, column 8: expected a variable"),
+        # a lone '<' is no IRIREF, even where a base would resolve one
+        ("BASE <http://b/> SELECT * WHERE { ?s ?p < }", "line 1, column 43: forbidden character in IRI: ' '"),
+        ("BASE <http://b/> SELECT * WHERE { ?s <= ?o }", "line 1, column 41: forbidden character in IRI: ' '"),
+    ],
+)
+def test_an_operator_where_a_term_stands_is_named_as_before(query, message):
+    with pytest.raises(SparqlError) as info:
+        parse_query(query)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "group, column",
+    [("{ SELECT * WHERE { ?s ?p ?o } }", 18), ("{ ?s ?p ?o OPTIONAL { select * { ?s ?p ?o } } }", 38)],
+)
+def test_a_subquery_that_fills_a_group_is_named(group, column):
+    with pytest.raises(UnsupportedSparqlError, match="subqueries are not supported") as info:
+        parse_query(f"SELECT * WHERE {group}")
+    assert (info.value.line, info.value.column) == (1, column)
+
+
 def test_a_second_triples_block_needs_a_dot():
     # TriplesBlock ::= TriplesSameSubjectPath ( '.' TriplesBlock? )?
     with pytest.raises(SparqlError, match="expected '.' or '}'") as info:
@@ -297,6 +356,13 @@ def test_a_second_triples_block_needs_a_dot():
         " FILTER ex:f(?o) ",
         " FILTER :f(?o) ",
         " FILTER ex:(?o) ",
+        # operators are tokens, and a spelling no token spells is stepped
+        # over: an escaped string, a language tag, a builtin's name with a
+        # digit or '_'
+        ' FILTER(?o <= 5 && ?o != "a\\"b" || LANG(?o) = "x"@en || !BOUND(?o) || -?o >= +1) ',
+        " FILTER(?o = ex:a\\.b / 2 * 3) ",
+        " FILTER SHA1(?o) ",
+        " FILTER ENCODE_FOR_URI(?o) ",
     ],
 )
 def test_a_triples_block_may_end_before_a_group_optional_or_filter(between):

@@ -3,14 +3,14 @@
 Both revisions are loaded side by side, each package under its own name,
 and timed in interleaved rounds on the seed corpus:
 
-* ``load-wide``: ``translate(parse_rml(wide))``, where ``wide`` is the
-  prune-wide workload's 560-expression mapping as ``perfbench/corpus.py``
-  writes it;
-* ``load-corpus``: ``parse_rml`` of the corpus mapping
+* ``load-wide``: the expressions of ``wide``, the prune-wide workload's
+  560-expression mapping as ``perfbench/corpus.py`` writes it;
+* ``load-corpus``: the expressions of the corpus mapping
   (``gendata.MAPPING_TTL``), which answer-s10 and materialize-s50 parse in
-  their set-ups;
+  their set-ups, read ``CALLS`` times;
 * ``parse-queries``: ``parse_query`` of each of q01-q08, as prune-wide and
-  answer-s10 parse them in their operations, and the patterns read;
+  answer-s10 parse them in their operations, and the patterns read, all
+  ``CALLS`` times;
 * ``materialize-s50``: ``materialize`` of the corpus mapping at scale 50;
 * ``serialize-s50``: ``serialize_graph`` of that graph;
 * ``answer-s10:qNN``: ``answer`` of each of q01-q08, pruned, at scale 10,
@@ -21,9 +21,15 @@ and timed in interleaved rounds on the seed corpus:
 * ``write-wide``: ``serialize_pruned`` of the whole wide mapping and of
   each of those eight prunes (pruned beforehand, not timed), and the texts.
 
-Each step runs once per side and round, the side that goes first
-alternating by round, timed with ``time.thread_time`` after a
-``gc.collect()``; the garbage collections during a step are counted too.
+A mapping's expressions are what ``parse_rml`` returns, passed through
+``translate`` where a revision has it (before ``b232fd4`` ``parse_rml``
+returned a document that ``translate`` turned into expressions), so any
+two revisions since ``07c1af5`` compare.  Each step runs once per side and
+round, the side that goes first alternating by round, timed with
+``time.thread_time`` after a ``gc.collect()``; the garbage collections
+during a step are counted too.  A step of about a millisecond repeats its
+calls ``CALLS`` times, so that a round takes some tens of milliseconds and
+the clock's resolution and the noise between calls do not set its ratio.
 The JSON printed gives, per step, each side's median and minimum
 milliseconds and median collections, the median per-round ratio of head to
 base with its quartiles, and how many rounds the head won.
@@ -61,6 +67,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 QUERY_NAMES = tuple(f"q{i:02d}" for i in range(1, 9))
+# how many times a step of about a millisecond repeats its calls in a round
+CALLS = 50
 
 
 def export(rev: str | None, into: Path) -> Path:
@@ -130,10 +138,13 @@ class Side:
         self.algebra, self.answer_mod = import_("algebra"), import_("answer")
         self.ntriples, csvsource = import_("ntriples"), import_("csvsource")
         self.rml, self.pruning, self.sparql = import_("rml"), import_("pruning"), import_("sparql")
+        # the one place a step reaches a mapping's expressions
+        self.translate = getattr(self.rml, "translate", lambda parsed: parsed)
+        self.expressions = lambda text: self.translate(self.rml.parse_rml(text))
         self.mapping_text = import_("gendata").MAPPING_TTL
         self.inputs = {}
         for scale, directory in data.items():
-            mapping = self.rml.translate(self.rml.parse_rml((directory / "mapping.ttl").read_bytes()))
+            mapping = self.expressions((directory / "mapping.ttl").read_bytes())
             sigma = {
                 p.name: self.algebra.DataObject(csvsource.CSV_KIND, csvsource.parse_csv(p.read_bytes()))
                 for p in sorted(directory.glob("*.csv"))
@@ -143,7 +154,7 @@ class Side:
         self.queries = {q: self.sparql.parse_query(text) for q, text in zip(QUERY_NAMES, self.query_texts)}
         self.wide_text, wide_queries = wide
         self.wide_doc = self.rml.parse_rml(self.wide_text)
-        self.wide = self.rml.translate(self.wide_doc)
+        self.wide = self.translate(self.wide_doc)
         self.wide_patterns = [
             self.sparql.collect_triple_patterns(self.sparql.parse_query(wide_queries[q])) for q in QUERY_NAMES
         ]
@@ -156,7 +167,10 @@ class Side:
         mapping, sigma = self.inputs[50]
 
         def load_wide():
-            return len(self.rml.translate(self.rml.parse_rml(self.wide_text)).trmaps)
+            return len(self.expressions(self.wide_text).trmaps)
+
+        def load_corpus():
+            return [len(self.expressions(self.mapping_text).trmaps) for _ in range(CALLS)]
 
         def materialize():
             self.graph = self.algebra.materialize(mapping, sigma)
@@ -170,10 +184,11 @@ class Side:
             return [0 if isinstance(p, self.pruning.FullyPruned) else len(p.trmaps) for p in pruned]
 
         def parse_queries():
-            return [len(self.sparql.parse_query(text).patterns) for text in self.query_texts]
+            parse = self.sparql.parse_query
+            return [len(parse(text).patterns) for _ in range(CALLS) for text in self.query_texts]
 
         yield "load-wide", load_wide
-        yield "load-corpus", lambda: len(self.rml.parse_rml(self.mapping_text).trmaps)
+        yield "load-corpus", load_corpus
         yield "parse-queries", parse_queries
         yield "materialize-s50", materialize
         yield "serialize-s50", serialize

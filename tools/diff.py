@@ -17,11 +17,18 @@ for ``rml:BlankNode``...; a text without one gets a replacement instead).
   q01-q08 (instantiated on the wide mapping's first copy for that
   mapping).
 * ``--surface sparql`` mutates q01-q08, a query with OPTIONAL, FILTER and
-  ORDER BY, and a query with ``[]``, from the ``{`` of the group on, with
-  snippets such as a variable, a path operator, a literal, a group, a
-  keyword in either case, a prefixed name whose prefix spells a keyword,
-  or a FROM or VALUES clause.  A record is the parsed query's
-  ``SelectQuery`` fields, each term as its class and fields.
+  ORDER BY, a query with ``[]``, an aggregate query and a query whose
+  FILTER holds operators, an escaped string, a language tag and ``SHA1``,
+  from its ``SELECT`` on, with snippets such as a variable, an operator, a
+  literal, a group, a keyword in either case, a prefixed name whose prefix
+  or local name spells a keyword, an expression, a dangling ``;``, or a
+  FROM or VALUES clause.  A record is the parsed query's ``SelectQuery``
+  fields, each term as its class and fields.
+* ``--surface turtle`` mutates the two mappings above and a Turtle text
+  with collections, labels, comments and all four string forms, with the
+  mapping snippets and every SPARQL operator.  A record is what the Turtle
+  reader files: each run of one subject's (predicate, object) pairs, the
+  offsets where its blank nodes open, and the base at the end.
 
 If anything raises, the record is instead the exception's class and
 message, with its line and column.  The JSON printed gives the input and
@@ -35,6 +42,7 @@ Run from the repository root::
     python tools/diff.py                      # HEAD against the working tree
     python tools/diff.py --base HEAD~1 --head HEAD --rounds 500
     python tools/diff.py --surface sparql --rounds 500
+    python tools/diff.py --surface turtle --rounds 500
 """
 
 from __future__ import annotations
@@ -73,14 +81,38 @@ QUERY_SNIPPETS = (
     # keyword table rejects
     "optional:x", "union:x", "order:f(?s)", "optional { ?s ex:p ?o }", "limit 3", "FROM <http://g/>",
     "VALUES ?s { }",
+    # operators, names that spell a modifier, expressions, and the shapes
+    # that end a triples block early: a dangling ';' before ']' or '}', and
+    # '[]' before '.'
+    "!=", "<=", ">=", "&&", "||", "=", "<", ">", "-", "$", "ex:limit", "ex:offset(?s)", "(?s AS ?t)", "MD5(?s)",
+    "; ]", "; }", "[] .",
 )
+# ... and in a Turtle text: the mapping snippets and every SPARQL operator
+OPERATORS = ("!=", "<=", ">=", "&&", "||", "=", "<", ">", "!", "+", "-", "*", "/", "|", "^", "?", "$")
+TURTLE_SNIPPETS = SNIPPETS + OPERATORS
 # the queries mutated besides q01-q08
 EXTRA_QUERIES = {
     "optional": "PREFIX ex: <http://example.com/ns#>\n"
     "SELECT ?s ?n ?z WHERE { ?s a ex:Stop ; ex:name ?n . OPTIONAL { ?s ex:zone ?z }\n"
     "  FILTER(?n != \"x\") } ORDER BY ?n LIMIT 10\n",
     "anon": "PREFIX ex: <http://example.com/ns#>\nSELECT * WHERE { [] ex:name ?n . ?r ex:firstStop [] }\n",
+    "aggregate": "PREFIX ex: <http://example.com/ns#>\n"
+    "SELECT ?z (COUNT(*) AS ?n) WHERE { ?s ex:zone ?z }\n"
+    "GROUP BY ?z HAVING (COUNT(*) > 1) ORDER BY DESC(?n)\n",
+    "operators": "PREFIX ex: <http://example.com/ns#>\n"
+    "SELECT * WHERE { ?s ex:name ?n ; ex:lat ?lat\n"
+    '  FILTER(?lat <= 50 && ?n != "a\\"b" || ?n = "x"@en || SHA1(?s) != "") }\n',
 }
+# the Turtle text mutated besides the two mappings
+TURTLE = (
+    "@prefix ex: <http://example.com/ns#> .\n"
+    "@base <http://example.com/base/> .\n"
+    "# collections, labels and every string form\n"
+    'ex:s ex:list ( ex:a "b" ( 1 2.5 ) ) ;\n'
+    """  ex:node _:x , [ ex:p 'single' ; ex:q \"\"\"long "quoted"\ntext\"\"\" ] ; # a comment after ';'\n"""
+    "  ex:more '''long 'single' text''' , \"typed\"^^ex:t , \"esc\\\"aped\" , true , -2.5e3 .\n"
+    "_:x ex:p <relative> ; a ex:C ; ex:empty ( ) .\n"
+)
 # the mapping keywords a swap exchanges for another of their group, in any namespace
 KEYWORDS = {
     word: group
@@ -153,6 +185,20 @@ class Side:
         self.algebra, self.rml = import_("algebra"), import_("rml")
         self.pruning, self.sparql = import_("pruning"), import_("sparql")
 
+        class Collector(import_("turtle").TurtleParser):
+            """A Turtle reader that keeps each run of one subject's pairs."""
+
+            def __init__(self, text: str):
+                super().__init__(text)
+                self.filed = []
+
+            def properties(self, s):
+                pairs = []
+                self.filed.append((s, pairs))
+                return pairs.append
+
+        self.collector = Collector
+
     def mapping_record(self, text: str, queries: list[str]) -> tuple:
         """The plan and the write-backs of mapping *text*, whole and pruned
         for each of *queries*; or the exception's class and message."""
@@ -168,6 +214,18 @@ class Side:
             return ("ok", self.algebra.dump_plan(mapping), *written)
         except Exception as exc:  # any exception is part of the record
             return ("error", type(exc).__name__, str(exc))
+
+    def turtle_record(self, text: str, queries: None = None) -> tuple:
+        """What the Turtle reader files from *text*, each run of pairs with
+        its subject, where its blank nodes open, and its base; or the
+        exception's class and message."""
+        try:
+            reader = self.collector(text)
+            base = reader.parse()
+        except Exception as exc:  # any exception is part of the record
+            return ("error", type(exc).__name__, str(exc))
+        filed = [[_term(s), [[_term(p), _term(o)] for p, o in pairs]] for s, pairs in reader.filed]
+        return ("ok", filed, reader.bnode_offsets, base)
 
     def sparql_record(self, text: str, queries: None = None) -> tuple:
         """The fields of query *text* as parsed, or the exception's class
@@ -198,13 +256,13 @@ def compare(base: Side, head: Side, surface: str, inputs: dict[str, tuple[str, l
     """Every side's record of *rounds* mutations of each input text."""
     counts = {"inputs": 0, "differences": 0, "accepted": {"base": 0, "head": 0}}
     first = []
-    snippets = SNIPPETS if surface == "mapping" else QUERY_SNIPPETS
+    snippets = {"mapping": SNIPPETS, "sparql": QUERY_SNIPPETS, "turtle": TURTLE_SNIPPETS}[surface]
     sides = {"base": getattr(base, f"{surface}_record"), "head": getattr(head, f"{surface}_record")}
     for name, (text, queries) in inputs.items():
         rng = random.Random(f"{seed}-{name}")
         for r in range(rounds):
-            # a query's edits start at its group, past the prologue and projection
-            start = text.index("{") if surface == "sparql" else 0
+            # a query's edits start at its SELECT, past the prologue
+            start = text.index("SELECT") if surface == "sparql" else 0
             mutated, edits = mutate(text, rng, snippets, start)
             records = {label: record(mutated, queries) for label, record in sides.items()}
             counts["inputs"] += 1
@@ -226,7 +284,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=200, help="mutations of each input mapping")
     parser.add_argument("--seed", type=int, default=42, help="mutation and corpus seed")
     parser.add_argument("--show", type=int, default=10, help="differing inputs to print")
-    parser.add_argument("--surface", choices=("mapping", "sparql"), default="mapping", help="what to compare")
+    parser.add_argument("--surface", choices=("mapping", "sparql", "turtle"), default="mapping",
+                        help="what to compare")
     args = parser.parse_args(argv)
     logging.disable(logging.CRITICAL)  # a mutation's warnings are no record
     ab = load_ab()
@@ -244,6 +303,8 @@ def main(argv: list[str] | None = None) -> int:
                 "corpus": (gendata.MAPPING_TTL, [gendata.QUERIES[q] for q in QUERY_NAMES]),
                 "wide": (wide_text.decode("utf-8"), [wide_queries[q] for q in QUERY_NAMES]),
             }
+            if args.surface == "turtle":
+                inputs = {name: (text, None) for name, (text, _) in inputs.items()} | {"turtle": (TURTLE, None)}
         report = compare(Side(base_pkg), Side(head_pkg), args.surface, inputs, args.rounds, args.seed,
                          args.show)
     print(json.dumps({"base": args.base, "head": args.head or "working tree", "seed": args.seed,
