@@ -21,23 +21,22 @@ once:
   ``PREFIX`` and ``BASE`` in any case.
 
 The parsers step through the text a run at a time: one ``findall`` gives
-the texts of the tokens ahead in their common spellings (punctuation, an
-IRIREF or a prefixed name without escapes, a short string without
-escapes, alone or typed by an absolute IRIREF or a prefixed name, a
-number, a boolean, ``a``, a blank node label, ``@prefix``, ``@base``, a
-variable, a bare word: ASCII letters, the spelling of every keyword, or
-one of SPARQL's operators, ``*``, the path operators and a lone ``?`` or
-``$`` among them), up to the first spelling it leaves to a reader,
-and :meth:`Lexer.token` hands them out one by one.  Every other spelling
-is read at a cursor by the token's reader, so the readers alone hold each
-token's full grammar and errors, and the cursor reads only the readers'
-spellings.  No run keeps offsets: where a reader takes over, an error
-stands, or a blank node opens, the offset is found by stepping through
-the run again, and only when it is asked for; so is the text of the token
-before the one just read (:meth:`Lexer.before`).  The IRI
-of an IRIREF or prefixed name and the literal of a short string, a
-number or a boolean are looked up by their token text, and each IRI and
-untyped literal is built once per parser instance.
+the texts of the tokens ahead, and :meth:`Lexer.token` hands them out one
+by one.  Every valid spelling is a run token: punctuation, an IRIREF, a
+prefixed name, a string in any quotes, alone, with a language tag or
+typed, a number, a boolean, ``a``, a blank node label, ``@prefix``,
+``@base``, a variable, a bare word (ASCII letters, digits and ``_``) and
+each of SPARQL's operators.  :meth:`Lexer.term` builds the term a token
+spells, or gives back a token that spells an error (a language tag, an
+escaped forbidden character, an undeclared prefix, a relative IRI without
+a base).  A run ends early only at text that no token spells.  There, and
+at a token given back, the token's reader reads at a cursor and reports
+the error, with its message and position.  No run keeps offsets: where a
+reader takes over, an error stands, or a blank node opens, the offset is
+found by stepping through the run again, and only when it is asked for;
+so is the text of the token before the one just read
+(:meth:`Lexer.before`).  Each IRI and untyped literal is built once per
+parser instance, and looked up by its token text.
 
 Two simplifications: name characters are Python's alphanumerics rather
 than the exact ``PN_CHARS`` ranges, and a ``%`` in a local name is taken as
@@ -53,8 +52,8 @@ import re
 from bisect import bisect_right
 
 from .errors import InvalidTermError
-from .rdf import _ECHAR, _IRI_CHAR, _SCHEME, _VAR_NAME, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
-from .rdf import Iri, Literal, is_absolute_iri, trusted_iri, trusted_literal
+from .rdf import _ECHAR, _IRI_CHAR, _SCHEME_RE, _VAR_NAME, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
+from .rdf import Iri, Literal, escape_string, is_absolute_iri, trusted_iri, trusted_literal, unescape
 
 _DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
 _DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
@@ -73,9 +72,9 @@ _PREFIX_RE = re.compile(r"[\w.-]*")
 # PN_PREFIX starts with a letter
 _PREFIX_START_RE = re.compile(r"[^\W\d_]")
 _LOCAL_RE = re.compile(r"(?:[\w.:%-]|\\[_~.\-!$&'()*+,;=/?#@%])*")
-_PLX_RE = re.compile(r"\\(.)")
 # 'true' or 'false', unless a longer name or a prefixed name starts there
-_BOOLEAN_RE = re.compile(r"(?:true|false)(?!\w|[\w.-]*:)")
+_BOOLEAN_END = r"(?!\w|[\w.-]*:)"
+_BOOLEAN_RE = re.compile(r"(?:true|false)" + _BOOLEAN_END)
 _HEX_RE = re.compile(r"[0-9A-Fa-f]*")
 # the characters of an IRIREF without an escape
 _IRI_CHARS = _IRI_CHAR + "*"
@@ -84,62 +83,71 @@ _IRI_CHARS_RE = re.compile(_IRI_CHARS)
 # of no variable
 OPERATORS = ("!=", "<=", ">=", "&&", "||", "=", "<", ">", "!", "+", "-", "*", "/", "|", "^", "?", "$")
 # One match per token of a run: whitespace and comments, then the token's
-# text, the one group, in a common spelling: a punctuation mark, an
-# IRIREF, a prefixed name or a short string, none with an escape, the
-# string alone or typed by an absolute IRIREF or a prefixed name, a number,
-# a boolean, 'a', a blank node label, '@prefix', '@base', a variable, a
-# bare word or an operator.  The operators come last, so each spelling
-# before them is the token it was without them.  Any other spelling
-# (escapes, long strings, a language tag or a relative datatype after the
-# string) is left to the readers below, so they alone hold its full
-# grammar and errors:
-# there the last match takes the rest of the window outside the group, so
-# the run ends with '', and sre moves a DOTALL '.+' straight to the
-# window's end without reading it.  A number, a boolean or a label is
-# matched by the readers' own pattern, or one that stops where they stop
-# (a number that starts with '.' is read as the mark, which the grammar
-# gives back to the reader).  A comment needs its newline, so a window
-# that cuts one hands it to the readers too; at the window's end, the
-# whitespace and comments left are the group.  A local name stops before
-# a bare trailing '.', and the lookahead after it rejects, one character
-# at a time, any shorter name than the readers would take.  A prefixed
-# name of ASCII letters, digits, '_' and '-' is first tried in a cheaper
-# form, without lookbehinds, whose lookahead leaves any longer name to the
-# full one: a wide mapping's parse takes about 4% less time with it.  An
-# optional part is written '(?:...|)', and comments are looked for only at
-# a '#': sre runs that faster than '?' or '*'.  A bare word, the spelling
-# of every keyword, is ASCII letters that no name character, ':', '.' or
-# '-' follows, as for 'a': SPARQL reads the longest token, so 'optional:x'
-# is a prefixed name, and no case fold outside ASCII ever spells a keyword.
+# text, the one group.  Each alternative takes what the reader at the
+# cursor takes, and the operators come last, so each spelling before them
+# is the token it was without them.  Where none matches, the text is
+# invalid: the last match takes the rest of the window outside the group,
+# so the run ends with '', and sre moves a DOTALL '.+' straight to the
+# window's end without reading it.  A number that starts with '.' is read
+# as the mark, which the grammar gives back to the reader.  A comment needs
+# its newline; at the window's end, the whitespace and comments left are
+# the group.  A long string closes at the last three of three or more
+# quotes, as its reader closes it.  A local name stops before a bare
+# trailing '.', and the lookahead after it rejects any shorter name than
+# the readers would take.  A prefixed name of ASCII letters, digits, '_'
+# and '-', an IRIREF and a short string alone are first tried in cheaper
+# forms, without escapes or lookbehinds, and a boolean, in any case, only
+# after the tokens that no case fold spells: without them the wide
+# mapping's parse takes about 4% longer and its tokens' findall about 3%.
+# An optional part is written '(?:...|)', and comments are looked for only
+# at a '#': sre runs that faster than '?' or '*'.  A bare word, the
+# spelling of every keyword and builtin name, is ASCII letters, digits and
+# '_' after a letter, that no name character, ':', '.' or '-' follows, as
+# for 'a': SPARQL reads the longest token, so 'optional:x' is a prefixed
+# name, and no case fold outside ASCII ever spells a keyword.
 _ASCII_PNAME = r"[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_-]*(?![\w.:%\\-])"
 _RUN_WS = r"[ \t\r\n]*(?:(?=#)(?:#[^\n]*\n[ \t\r\n]*)*|)"
-_PNAME = r"(?:[^\W\d_][\w.-]*(?<!\.)|):(?:[\w:%][\w:%.-]*(?<!\.)|)(?![\w:%-]|\.+[\w:%-]|\.*\\)"
-_SHORT_STRING = r"\"[^\"\\\r\n]*\"|'[^'\\\r\n]*'"
+# a UCHAR that names a Unicode scalar value: none above U+10FFFF, and no
+# surrogate, which the reader reports, also in an expression
+_UCHAR = (
+    r"\\(?:u(?![dD][89a-fA-F])[0-9A-Fa-f]{4}"
+    r"|U(?:0010[0-9A-Fa-f]{4}|000[1-9A-Fa-f][0-9A-Fa-f]{4}|0000(?![dD][89a-fA-F])[0-9A-Fa-f]{4}))"
+)
+_ESCAPE = rf"(?:{_UCHAR}|\\[tbnrf\"'\\])"
+_PLX = r"\\[_~.\-!$&'()*+,;=/?#@%]"
+_IRIREF = f"<{_IRI_CHARS}(?:{_UCHAR}{_IRI_CHARS})*>"
+_PNAME = (
+    r"(?:[^\W\d_][\w.-]*(?<!\.)|):"
+    rf"(?:(?:[\w:%]|{_PLX})[\w:%.-]*(?:{_PLX}[\w:%.-]*)*(?:(?<!\.)|(?<=\\\.))|)"
+    r"(?![\w:%-]|\.+[\w:%-]|\.*\\)"
+)
+_STRING_RE = re.compile(
+    rf'"(?!"")[^"\\\r\n]*(?:{_ESCAPE}[^"\\\r\n]*)*"'
+    rf"|'(?!'')[^'\\\r\n]*(?:{_ESCAPE}[^'\\\r\n]*)*'"
+    rf'|"""[^"\\]*(?:(?:{_ESCAPE}|"(?!""(?!")))[^"\\]*)*"""'
+    rf"|'''[^'\\]*(?:(?:{_ESCAPE}|'(?!''(?!')))[^'\\]*)*'''"
+)
+_PLAIN_IRIREF = f"<{_IRI_CHARS}>"
+_PLAIN_STRING = r"\"[^\"\\\r\n]*\"(?![\"@^])|'[^'\\\r\n]*'(?!['@^])"
 _TOKEN = (
-    r"[][(){},;.]"
-    f"|{_ASCII_PNAME}"
-    rf"|<{_IRI_CHARS}>"
-    f"|{_PNAME}"
-    # a short string, alone or typed by an absolute IRIREF or a prefixed name
-    r"|\"[^\"\\\r\n]*\"(?![\"@^])|'[^'\\\r\n]*'(?!['@^])"
-    rf"|(?:{_SHORT_STRING})\^\^(?:<{_SCHEME}{_IRI_CHARS}>|{_PNAME})"
-    f"|{_BOOLEAN_RE.pattern}|{'|'.join(regex.pattern for regex, _ in _NUMBERS)}"
+    f"[][(){{}},;.]|{_ASCII_PNAME}|{_PLAIN_IRIREF}|{_PNAME}|{_PLAIN_STRING}"
+    rf"|(?:{_STRING_RE.pattern})(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:{_IRIREF}|{_PNAME})|(?!@|\^\^))"
+    f"|{'|'.join(regex.pattern for regex, _ in _NUMBERS)}"
     # 'a' unless a longer name starts there, and a label without the
     # trailing '.' that ends a statement
     r"|a(?![\w.:-])|_:\w[\w.-]*(?<!\.)"
-    rf"|@prefix|@base|[?$]{_VAR_NAME}|[A-Za-z]+(?![\w:.-])"
-    f"|{'|'.join(map(re.escape, OPERATORS))}"
+    rf"|@prefix|@base|[?$]{_VAR_NAME}|(?ai:true|false){_BOOLEAN_END}|[A-Za-z][A-Za-z0-9_]*(?![\w:.-])"
+    f"|{_IRIREF}|{'|'.join(map(re.escape, OPERATORS))}"
 )
 _RUN_RE = re.compile(
     f"{_RUN_WS}(?:({_TOKEN}"
     r"|(?:[ \t\r\n]|#[^\n]*\n)+\Z)"
     r"|(?=[^ \t\r\n])(?s:.+))"
 )
-_SPACE_RE = re.compile(r"[ \t\r\n]")
-# A run reads a window of about this many characters, cut where no token
-# is cut short.  A hand-over to the readers finds where they start by
-# stepping through the run again from the window's start, so the window
-# bounds that step, and the texts a run holds at once.
+_WORD_RE = re.compile(r"[^ \t\r\n]*")
+# A run reads a window of about this many characters: a step through a
+# run again, to a mark or an error, starts at its window's start, and a run
+# holds the texts of its window at once.
 WINDOW = 1 << 12
 # the characters a string body takes without a second look
 _STRING_CHARS = {
@@ -148,12 +156,6 @@ _STRING_CHARS = {
     '"': re.compile(r'[^"\\\r\n]*'),
     "'": re.compile(r"[^'\\\r\n]*"),
 }
-
-
-def _end_of_word(text: str, pos: int) -> int:
-    """The offset of the first whitespace at or after *pos*, or the end."""
-    space = _SPACE_RE.search(text, pos)
-    return space.start() if space else len(text)
 
 
 def _past(text: str, pos: int, tokens: int) -> int:
@@ -184,10 +186,10 @@ class Lexer:
     """A text read as runs of token texts, and a cursor for the readers.
 
     :meth:`token` gives the text of each token in turn: a run holds the
-    texts of the tokens ahead in their common spellings, and where it ends
-    the cursor, ``pos``, takes over at the spelling a reader must read.
-    While a run is read the cursor is stale: :meth:`back` and :meth:`sync`
-    move it to a token, and every method below them reads at the cursor.
+    texts of the tokens ahead, and where it ends early the cursor,
+    ``pos``, takes over at text that no token spells.  While a run is read
+    the cursor is stale: :meth:`back` and :meth:`sync` move it to a token,
+    and every method below them reads at the cursor.
 
     Subclasses set ``error_class`` (syntax errors) and ``unsupported_class``
     (known constructs outside the supported subset); both are called with
@@ -196,8 +198,6 @@ class Lexer:
 
     error_class: type
     unsupported_class: type
-    # Turtle's booleans are case-sensitive (SPARQL's, keywords, are not)
-    boolean_re = _BOOLEAN_RE
 
     def __init__(self, text: str):
         self.text = text
@@ -208,24 +208,25 @@ class Lexer:
         # every IRI read so far, by its absolute spelling: only a resolved
         # IRI is ever a key, so a later BASE or PREFIX cannot make one stale
         self._iris: dict[str, Iri] = {}
-        # the term of each IRIREF (never a relative one) and prefixed name
-        # read from a run, by its text, until the next prefix or base
-        # declaration; a subclass may remember more
+        # the term of each IRIREF and prefixed name read from a run, by its
+        # text, until the next prefix or base declaration; a subclass may
+        # remember more
         self._terms: dict[str, Iri] = {}
         # each untyped literal a token spells, by its text, and a string also
-        # by its lexical form in double quotes: one object per form
+        # by the text of a double-quoted string that spells its lexical
+        # form: one object per form
         self._literals: dict[str, Literal] = {}
         # the run being read: its texts, popped from the end down to ''
-        # (reading on) or the '' of its last match (a reader's spelling);
+        # (reading on) or the '' of its last match (text no token spells);
         # their number, 0 while the readers have the cursor; its window;
-        # whether a reader's spelling ends it; and the number of tokens the
-        # runs before it gave
+        # whether text no token spells ends it; and the number of tokens
+        # the runs before it gave
         self._run = [""]
         self._count = self._start = self._end = self._given = 0
         self._marked = False
         # the text of the token before the run's first, where a window cut
-        # it from the run before ('' after a reader's spelling), and of the
-        # run's last token
+        # it from the run before ('' after the readers had the cursor), and
+        # of the run's last token
         self._before = self._last = ""
         # each run a mark was taken in: the index of its first token among
         # all the tokens runs have given, and its window's start
@@ -234,8 +235,8 @@ class Lexer:
     # -- runs ----------------------------------------------------------------
 
     def token(self) -> str:
-        """The text of the next token; '' when a reader must take what
-        comes next, or at the end, with the cursor there."""
+        """The text of the next token; '' at text that no token spells,
+        which a reader must report, or at the end, with the cursor there."""
         return self._run.pop() or self._next_run()
 
     def _next_run(self) -> str:
@@ -243,42 +244,43 @@ class Lexer:
         text = self.text
         before = ""
         if self._count:
-            # a run whose window ends just past a newline, or at the end,
-            # ends where the text holds a reader's spelling: no token or
-            # comment runs over such a cut
-            handed = self._marked and (self._end == len(text) or text[self._end - 1] == "\n")
-            before = self._last
+            marked, before = self._marked, self._last
             self._leave(self._count)
-            if handed:
+            if marked:
                 return ""
-        while True:
-            start = self.pos
-            end = start + WINDOW
-            if end < len(text):
-                # just past a newline, which no token holds and which ends
-                # a comment, or else at the next whitespace
-                end = text.find("\n", end, end + WINDOW) + 1 or _end_of_word(text, end)
-            else:
-                end = len(text)
-            run = _RUN_RE.findall(text, start, end)
-            marked = bool(run) and not run[-1]
-            if run and not marked and run[-1][0] in " \t\r\n#":
-                run.pop()  # the whitespace and comments before the window's end
-            if len(run) > marked:
-                if not marked:
-                    run.append("")
-                run.reverse()
-                self._run[:] = run
-                self._count, self._start, self._end, self._marked = len(run) - 1, start, end, marked
-                self._before, self._last = before, run[1]
-                return self._run.pop()
-            # no token: whitespace and comments (the run leaves one that the
-            # window cuts), a reader's spelling, or the end
-            pos = _WS_RE.match(text, start).end()
-            if pos == start:
-                self._run[:] = ("",)
-                return ""
-            self.pos = pos
+        start = self.pos
+        if text[start : start + 1] in " \t\r\n#":  # at the text's start, or after a reader
+            start = self.pos = _WS_RE.match(text, start).end()
+        end = start + WINDOW
+        if end < len(text):
+            # just past a newline, which ends a comment, or else at whitespace
+            end = text.find("\n", end, end + WINDOW) + 1 or _WORD_RE.match(text, end).end()
+        else:
+            end = len(text)
+        run = _RUN_RE.findall(text, start, end)
+        marked = bool(run) and not run[-1]
+        if marked and end < len(text):
+            # where the cut splits a token (a long string holds newlines, a
+            # short one spaces) or a comment, the window ends with the token
+            # after it instead
+            at = _past(text, start, len(run) - 1)
+            split = _RUN_RE.match(text, at)
+            if split[1] is not None:
+                end = split.end()
+                run[-1:] = _RUN_RE.findall(text, at, end)
+                marked = False
+        if run and not marked and run[-1][0] in " \t\r\n#":
+            run.pop()  # the whitespace and comments before the window's end
+        if len(run) <= marked:  # the end, or text that no token spells
+            self._run[:] = ("",)
+            return ""
+        if not marked:
+            run.append("")
+        run.reverse()
+        self._run[:] = run
+        self._count, self._start, self._end, self._marked = len(run) - 1, start, end, marked
+        self._before, self._last = before, run[1]
+        return self._run.pop()
 
     def _leave(self, read: int):
         """Put the cursor at the token after the first *read* of the run,
@@ -306,7 +308,7 @@ class Lexer:
 
     def before(self) -> str:
         """The text of the token before the one :meth:`token` just gave,
-        read again from its run; '' after a reader's spelling."""
+        read again from its run; '' after the readers had the cursor."""
         read = self._count + 1 - len(self._run)
         if read == 1:
             return self._before
@@ -325,31 +327,27 @@ class Lexer:
 
     def term(self, token: str, constant: bool) -> Iri | Literal | None:
         """The IRI (or, in a *constant*'s place, the literal) that *token*
-        spells, remembered by its text; None for a token a reader must
-        take, which it gives back (see :meth:`back`)."""
+        spells, remembered by its text; None for no term there or an error,
+        which it gives back (see :meth:`back`) for the reader to report."""
         first, iri = token[:1], None
-        if first == "<" and token[-1] == ">":  # not the operator '<' or '<='
-            iri = token[1:-1]
-            if not is_absolute_iri(iri):
-                # a relative IRI is resolved against the base in scope, and
-                # without one the reader reports the error
-                if self.base is not None:
-                    return self.resolve(iri)
-                iri = None
-        elif first == '"' or first == "'":
-            if constant:
-                if token[-1] != first:
-                    return self._typed(token)
-                # one literal per lexical form, however quoted
+        if first == '"' or first == "'":
+            if constant and token[-1] == first and "\\" not in token and token[1:3] != first * 2:
+                # a short string alone without escapes: one literal per
+                # lexical form, however quoted
                 key = token if first == '"' else f'"{token[1:-1]}"'
                 term = self._literals.get(key) or trusted_literal(token[1:-1], XSD_STRING)
                 self._literals[key] = self._literals[token] = term
                 return term
+            literal = self._literal(token) if constant else None
+            if literal is not None:
+                return literal
+        elif first == "<" and token[-1] == ">":  # not the operator '<' or '<='
+            iri = self._iri(token[1:-1])
         elif ":" in token:
             prefix, _, local = token.partition(":")
-            ns = self.prefixes.get(prefix)
-            if ns is not None:
-                iri = ns + local
+            iri = self.prefixes.get(prefix)
+            if iri is not None:
+                iri += unescape(local) if "\\" in local else local
         elif constant and token:
             # a number or a boolean, matched as the readers would match it
             for regex, datatype in (*_NUMBERS, (_BOOLEAN_RE, XSD_BOOLEAN)):
@@ -361,27 +359,36 @@ class Lexer:
             return None
         term = self._iris.get(iri)
         if term is None:
-            # the token holds no character an IRI forbids, and a namespace
-            # is absolute
             term = self._iris[iri] = trusted_iri(iri)
         self._terms[token] = term
         return term
 
-    def _typed(self, token: str) -> Literal | None:
-        """The literal of *token*, a short string typed by an absolute
-        IRIREF or a prefixed name; None, as :meth:`term` gives it, for an
-        undeclared prefix.  It is not remembered by its text: the table of
-        IRIs also answers subjects and verbs, which no literal may be, and
-        the table of literals outlives a prefix declaration."""
-        lex, _, datatype = token[1:].partition(token[0] + "^^")
-        if datatype[0] == "<":
-            return trusted_literal(lex, datatype[1:-1])
-        prefix, _, local = datatype.partition(":")
-        ns = self.prefixes.get(prefix)
-        if ns is None:
-            self.back(token)
-            return None
-        return trusted_literal(lex, ns + local)
+    def _iri(self, iri: str) -> str | None:
+        """The IRI that an IRIREF spells between its brackets, resolved
+        against the base; None where the reader reports an error."""
+        if "\\" in iri:
+            iri = unescape(iri)
+            if not _IRI_CHARS_RE.fullmatch(iri):  # an escaped forbidden character
+                return None
+        if _SCHEME_RE.match(iri):
+            return iri
+        return None if self.base is None else self.base + iri
+
+    def _literal(self, token: str) -> Literal | None:
+        """The literal of *token*, a string with an escape, long or typed;
+        None for a language tag or an error.  A typed literal is not
+        remembered: the table of literals outlives a prefix declaration."""
+        end = _STRING_RE.match(token).end()
+        lex = token[3 : end - 3] if token.startswith(token[0] * 3) else token[1 : end - 1]
+        if "\\" in lex:
+            lex = unescape(lex)
+        if end < len(token):  # a language tag, or a datatype read as a term
+            datatype = token[end] == "^" and self.term(token[end + 2 :], constant=False)
+            return trusted_literal(lex, datatype.value) if datatype else None
+        key = f'"{escape_string(lex)}"'  # a short string that spells the same form
+        term = self._literals.get(key) or trusted_literal(lex, XSD_STRING)
+        self._literals[key] = self._literals[token] = term
+        return term
 
     # -- cursor ------------------------------------------------------------
 
@@ -439,12 +446,12 @@ class Lexer:
 
     def _declared_iri(self, token: str) -> str:
         """The IRI a declaration names, from its token."""
-        iri = token[1:-1]
-        if token[:1] == "<" and is_absolute_iri(iri):
-            return iri
-        self.back(token)
-        self.skip_ws()
-        return self.read_iriref().value
+        iri = self._iri(token[1:-1]) if token[:1] == "<" and token[-1] == ">" else None
+        if iri is None:
+            self.back(token)
+            self.skip_ws()
+            iri = self.read_iriref().value
+        return iri
 
     def descend(self, opened: int):
         """Enter one more level of nesting, at the bracket *opened* marks;
@@ -528,7 +535,7 @@ class Lexer:
         if name[:1] in ("-", "."):
             raise self.error(f"local name may not start with {name[0]!r}: {name!r}")
         self.pos += len(name)
-        return _PLX_RE.sub(r"\1", name) if "\\" in name else name
+        return unescape(name) if "\\" in name else name
 
     def read_prefixed_name(self) -> Iri:
         prefix = self.read_prefix_name()
@@ -613,25 +620,21 @@ class Lexer:
             raise self.error("language-tagged literals are not supported", unsupported=True)
         if self.try_consume("^^"):
             return Literal(lex, self.read_iri().value)
-        key = f'"{lex}"'  # the text of the token that spells it, if one can
-        term = self._literals.get(key)
-        if term is None:
-            term = self._literals[key] = Literal(lex)
-        return term
+        return Literal(lex)
 
-    def read_constant(self) -> Iri | Literal:
-        """An IRI, or a quoted, numeric or boolean literal."""
+    def read_constant(self, expected: str = "an object") -> Iri | Literal:
+        """An IRI, or a quoted, numeric or boolean literal, else *expected*."""
         ch = self.peek()
         if ch and ch in "\"'":
             return self.read_literal()
-        match = self.boolean_re.match(self.text, self.pos)
+        match = _BOOLEAN_RE.match(self.text, self.pos)
         if match:
             self.pos = match.end()
-            return Literal(match[0].lower(), XSD_BOOLEAN)
+            return Literal(match[0], XSD_BOOLEAN)
         if ch.isdigit() or ch in "+-.":
             for regex, datatype in _NUMBERS:
                 match = regex.match(self.text, self.pos)
                 if match:
                     self.pos = match.end()
                     return Literal(match.group(), datatype)
-        return self.read_iri("an object")
+        return self.read_iri(expected)

@@ -174,7 +174,9 @@ _ECHAR = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": 
 # how a double-quoted string spells each character it must escape
 _ESCAPES = {ch: "\\" + name for name, ch in _ECHAR.items() if ch != "'"}
 _ESCAPED_RE = re.compile(r'["\\\x00-\x1f]')
-_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-F]{4})|(.))", re.DOTALL)
+# an escape of a string (ECHAR or UCHAR), of an IRIREF (UCHAR) or of a
+# local name (PLX, a backslash and the character it stands for)
+_UNESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
 
 
 def _escape_char(m: re.Match) -> str:
@@ -182,9 +184,9 @@ def _escape_char(m: re.Match) -> str:
     return _ESCAPES.get(ch) or f"\\u{ord(ch):04X}"
 
 
-def _unescape_char(m: re.Match) -> str:
-    code = m.group(1)
-    return chr(int(code, 16)) if code else _ECHAR[m.group(2)]
+def unescape(text: str) -> str:
+    """*text* with each escape replaced by the character it stands for."""
+    return _UNESCAPE_RE.sub(lambda m: _ECHAR.get(m[3], m[3]) if m[3] else chr(int(m[1] or m[2], 16)), text)
 
 
 def escape_string(s: str) -> str:
@@ -231,11 +233,11 @@ def decode_term(value: str, datatype: str | None = None) -> RdfTerm:
         return trusted_bnode(value[2:])
     # a datatype IRI holds no quote, so the last one closes the string
     end = value.rindex('"')
-    lex = _ESCAPE_RE.sub(_unescape_char, value[1:end])
+    lex = unescape(value[1:end])
     return trusted_literal(lex, value[end + 4 : -1] if end + 1 < len(value) else XSD_STRING)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Variable:
     """A query variable.  An *anonymous* one stands in for a ``[]`` blank
     node of the query: it never equals a variable the query names, and

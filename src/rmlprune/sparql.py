@@ -23,7 +23,7 @@ which unsupported construct it names.  So a keyword matches in any case
 and never within a longer token: ``optional:x`` and ``ex:limit`` are
 prefixed names.  ``SELECT *`` and the path operators are checked on their
 tokens: ``^`` and ``!`` where a verb stands, ``/``, ``|``, ``*``, ``?`` and
-``+`` right after one.  The cursor reads only the readers' spellings.
+``+`` right after one.
 
 A query parses into what pruning and evaluation read (:class:`SelectQuery`):
 its projected variables, every triple pattern in document order (OPTIONAL
@@ -31,10 +31,9 @@ bodies and FILTER-wrapped groups included: a pattern that occurs anywhere
 in the query matters for pruning), DISTINCT, and the names of the
 constructs evaluation cannot run.  Expressions (``AS``, FILTER constraints,
 solution-modifier conditions) are read by one loop over their tokens,
-which counts ``(`` and ``)`` and steps over them.  It steps over a spelling
-that no run token spells at the cursor: a string by its reader (an
-escaped or long one), any other a name with its escapes (``SHA1``,
-``ex:a\\.b``) or one character (a language tag's ``@``).
+which counts ``(`` and ``)`` and steps over them.  Text that no token
+spells is invalid: there the reader of a term, or in a FILTER call's name
+place the reader of a prefixed name, reports the error.
 
 Everything else is rejected with a positioned error naming the feature:
 UNION, MINUS, GRAPH, SERVICE, BIND, VALUES (in a group or after the
@@ -49,9 +48,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from ._lexer import _BOOLEAN_RE
+from ._lexer import _PREFIX_RE
 from .errors import SparqlError, UnsupportedSparqlError
-from .rdf import TriplePattern, Variable
+from .rdf import TriplePattern, Variable, trusted
 from .turtle import TurtleParser
 
 # the tokens that make a verb's place a property path, by their first
@@ -59,10 +58,9 @@ from .turtle import TurtleParser
 _PATH_STARTS = {"^": "inverse '^'", "!": "negated set '!'", "(": "grouped path"}
 _PATH_MODIFIERS = ("/", "|", "||", "*", "?", "+")
 _UNSIGNED_INTEGER_RE = re.compile(r"\d+")
-# what an expression steps over at the cursor, where no run token spells
-# the text and no string starts: a name's characters and escapes, or one
-# character
-_STEP_RE = re.compile(r"(?:[\w.:%-]|\\.)+|.", re.DOTALL)
+_VARIABLE = trusted(Variable)  # for a name that a variable token's pattern matched
+# where a builtin's name that no token spells ends
+_BUILTIN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|")
 # the solution modifiers, in the order they come; LIMIT and OFFSET may swap
 _MODIFIERS = ("GROUP BY", "HAVING", "ORDER BY", "LIMIT", "OFFSET")
 
@@ -125,7 +123,6 @@ class SelectQuery:
 class _QueryParser(TurtleParser):
     error_class = SparqlError
     unsupported_class = UnsupportedSparqlError
-    boolean_re = re.compile(_BOOLEAN_RE.pattern, re.IGNORECASE)
 
     def __init__(self, text: str):
         super().__init__(text)
@@ -205,15 +202,15 @@ class _QueryParser(TurtleParser):
         if len(tok) == 1:
             self.back(tok)
             raise self.error("expected a variable")
-        return Variable(tok[1:])
+        return _VARIABLE(tok[1:], False)
 
     def _read_expression(self, tok: str, condition: bool) -> str:
         """Step over an expression from its first token *tok*, counting
         '(' and ')', and return the token after it.  Without *condition*
         the expression ends with the ')' that closes *tok*; a condition
         ends at the end of the text or, outside parentheses, at a keyword
-        that may follow it.  A spelling no run token spells is stepped over
-        at the cursor: a string by its reader, any other by ``_STEP_RE``."""
+        that may follow it.  Text that no token spells is read by the
+        reader of a term, which reports the error."""
         depth = 0
         token = self.token
         while True:
@@ -228,10 +225,7 @@ class _QueryParser(TurtleParser):
                     if condition:
                         return tok
                     raise self.error("unbalanced parentheses")
-                if self.peek() in ('"', "'"):
-                    self.read_string()
-                else:
-                    self.pos = _STEP_RE.match(self.text, self.pos).end()
+                self.read_constant("a term")
             elif condition and not depth and tok.upper() in _CONDITION_ENDS:
                 return tok
             tok = token()
@@ -290,15 +284,15 @@ class _QueryParser(TurtleParser):
         self._keyword("filter", tok)
         if tok != "(":
             # the call's name: an IRIREF, a prefixed name, whose prefix is not
-            # resolved, or a builtin's, which starts with a letter; a name
-            # that no run token spells (SHA1, ex:f\() is stepped over
-            first = (tok or self.peek())[:1]
-            if not (first.isalpha() or first == ":" or first == "<" and tok[-1:] == ">"):
-                self.back(tok)
-                raise self.error("unsupported FILTER constraint form")
-            if not tok:
-                self.pos = _STEP_RE.match(self.text, self.pos).end()
-            tok = self.token()
+            # resolved, or a builtin's, which starts with a letter
+            if tok and (tok[0].isalpha() or tok[0] == ":" or tok[0] == "<" and tok[-1] == ">"):
+                tok = self.token()
+            elif not tok:
+                # text that no token spells: a prefixed name's reader reports
+                # it, and any other name is unsupported where a builtin's ends
+                if self.text.startswith(":", _PREFIX_RE.match(self.text, self.pos).end()):
+                    self.read_prefixed_name()
+                self.pos = _BUILTIN_RE.match(self.text, self.pos).end()
             if tok != "(":
                 self.back(tok)
                 raise self.error("unsupported FILTER constraint form")
@@ -314,6 +308,8 @@ class _QueryParser(TurtleParser):
         if token[:1] in ("?", "$"):
             term = self._terms[token] = self._variable(token)
             return term
+        if constant and token.lower() in ("true", "false"):  # a keyword, in any case
+            token = token.lower()
         return super().term(token, constant)
 
     def _parse_subject(self, tok):

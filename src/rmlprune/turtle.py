@@ -37,10 +37,9 @@ take the text of each token from a run with
 :meth:`~rmlprune._lexer.Lexer.token` and look IRIs, prefixed names and
 literals up by that text; ``a``, a blank node label and the keyword of a
 SPARQL-style directive are read by their text too.  A token the lookup
-misses (an operator too, which no Turtle term is), and the '' that hands
-a reader's spelling to the cursor, go to the hooks.  A hook that must
-read at the cursor gives its token back with
-:meth:`~rmlprune._lexer.Lexer.back`, so a reader reports the error there.
+misses, and the '' of text that no token spells, go to the hooks, which
+give back a token that spells no term there or an error with
+:meth:`~rmlprune._lexer.Lexer.back`: a reader reports it at the cursor.
 Every ``[ ]`` and ``( )`` opens its node with
 :meth:`~rmlprune._lexer.Lexer.descend` and :meth:`TurtleParser.fresh_bnode`,
 at the mark of its bracket: a blank node's offset is found only when

@@ -26,7 +26,8 @@ def test_ab_runs_two_interleaved_rounds(capsys):
     assert (report["base"], report["head"], report["rounds"]) == ("HEAD", "working tree", 2)
     answers = [f"answer-s10:q{i:02d}" for i in range(1, 9)]
     names = [
-        "load-wide", "load-corpus", "parse-queries", "materialize-s50", "serialize-s50", *answers,
+        "load-wide", "load-corpus", "parse-queries", "load-long", "load-escaped", "materialize-s50", "serialize-s50",
+        *answers,
         "prune-wide", "write-wide",
     ]
     assert list(report["steps"]) == names

@@ -1,7 +1,9 @@
 """The lexer shared by the Turtle and SPARQL parsers: both parsers must
 read every term spelling alike."""
 
+import importlib
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, seed, settings
@@ -18,6 +20,7 @@ from .helpers import read_turtle
 from .test_diff import load_diff
 
 EX = "http://ex.org/"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def turtle_object(spelling: str):
@@ -267,35 +270,44 @@ def test_pattern_walk_survives_a_long_filter_chain():
     assert len(collect_triple_patterns(query)) == 1
 
 
-# Runs read a prefixed name of ASCII letters, digits, '_' and '-' in a
-# cheaper form first; it must read every text as the full form alone does.
+# Runs read a prefixed name of ASCII letters, digits, '_' and '-', an
+# IRIREF and a short string alone in cheaper forms first; they must read
+# every text as the full forms alone do.
 NAME_PIECES = [
-    "a", "b1", "_", "-", ".", ":", "%", "\\", "\\.", "é", " ", "\n", "# c", "<x>", '"', "?v", "[", ";", "ex:"
+    "a", "b1", "_", "-", ".", ":", "%", "\\", "\\.", "\u00e9", " ", "\n", "# c", "<x>", '"', "?v", "[", ";", "ex:",
+    "'", "<", ">", "^^", "@en", "\\u0041", "\\n",
 ]
 
 
 @seed(3)
 @settings(max_examples=400)
 @given(st.lists(st.sampled_from(NAME_PIECES), max_size=12).map("".join))
-def test_the_cheaper_prefixed_name_reads_as_the_full_one(text):
-    full = re.compile(_lexer._RUN_RE.pattern.replace(f"|{_lexer._ASCII_PNAME}", "", 1))
-    assert full.pattern != _lexer._RUN_RE.pattern
+def test_the_cheaper_forms_read_as_the_full_ones(text):
+    full = _lexer._RUN_RE.pattern
+    for cheaper in (_lexer._ASCII_PNAME, _lexer._PLAIN_IRIREF, _lexer._PLAIN_STRING):
+        assert f"|{cheaper}|" in full
+        full = full.replace(f"|{cheaper}", "", 1)
+    full = re.compile(full)
     for start in range(len(text) + 1):
         assert _lexer._RUN_RE.findall(text, start) == full.findall(text, start)
 
 
-# Runs read short strings, typed or not, numbers, booleans and blank node
-# labels as tokens: a token must be exactly what the reader at the cursor
-# takes, and spell the same term.
+# Every valid spelling is a run token: a token must be exactly what the
+# reader at the cursor takes, and spell the same term.  A token that spells
+# no term there (a bare word, an operator) or an error (a language tag, an
+# escaped forbidden character, an undeclared prefix) is given back, and the
+# reader reports it; a hex escape outside Unicode is no token.
 CONSTANT_PIECES = [
-    "1", "0", "\u0661", "+", "-", ".", "e", "E", "true", "false", "_:", "a", "_", ":", "x", " ", "\\", "%",
-    '"', "'", "^^", "<http://e/t>", "<r>", "ex:t", "@en",
+    "1", "0", "\u0661", "+", "-", ".", "e", "E", "true", "false", "TRUE", "_:", "a", "_", ":", "x", " ", "\n",
+    "\\", "%", '"', "'", '"""', "'''", "^^", "<http://e/t>", "<r>", "<\\u0041>", "ex:t", "ex:", "@en", "-GB",
+    "\\u0041", "\\U00110000", "\\n", "\\.",
 ]
 
 
 def parser_at(text: str, pos: int) -> TurtleParser:
     parser = TurtleParser(text)
     parser.declare_prefix("ex", "http://e/")
+    parser.base = "http://b/"
     parser.pos = pos
     return parser
 
@@ -316,26 +328,38 @@ def parser_at(text: str, pos: int) -> TurtleParser:
 @example('"""a"""')
 @example('"a" ^^ex:t')
 @example("'a'^^ ex:t")
+# the spellings that were the readers' alone before every valid one was a
+# token, and the errors that such a token spells
+@example('"a\\u0041"')
+@example("'it\\'s'^^ex:t")
+@example("'''x\ny'''")
+@example('"""a""""')
+@example('"""say "hi" """@en')
+@example("<http://e/\\u0041>")
+@example("<\\u0041>")
+@example("<http://e/\\u0020>")
+@example("ex:a\\.b")
+@example("ex:a\\..")
+@example('"x"^^<rel>')
+@example('"x"@en-GB')
+@example('"\\U00110000"')
+@example('"\\uD800"')
+@example("TRUE")
+@example("SHA1(?s)")
+@example("ENCODE_FOR_URI(?s)")
 def test_a_run_token_is_what_the_reader_takes(text):
     match = _lexer._RUN_RE.match(text)
     token = match[1] if match else None
-    if not token or not token.strip() or token == "a" or token[0] in "<.@":
-        return  # a reader's spelling, 'a', '.', an IRIREF or a directive
-    if ":" in token and token[0] not in "_\"'":
-        return  # a prefixed name
-    if token.isalpha() and token not in ("true", "false") or token in _lexer.OPERATORS:
-        # a bare word, a keyword's spelling, or an operator: it spells no
-        # term, and is given back to the reader
-        assert parser_at(text, 0).term(token, constant=True) is None
-        return
+    if not token or not token.strip() or token in ("a", ".") or token[0] == "@":
+        return  # text no token spells, whitespace, 'a', '.' or a directive
     reader = parser_at(text, match.start(1))
     if token.startswith("_:"):
         term = reader._read_bnode_label()
         assert term.label == reader.bnode_labels[token[2:]]
     else:
         term = parser_at(text, 0).term(token, constant=True)
-        if term is None:  # an undeclared prefix, which the reader reports
-            with pytest.raises(TurtleError, match="undeclared prefix"):
+        if term is None:  # no term, or an error: the reader reports it
+            with pytest.raises(TurtleError):
                 reader.read_constant()
             return
         assert reader.read_constant() == term
@@ -356,32 +380,40 @@ def run_tokens(text: str) -> list[str]:
     return [token for token in tokens if token.strip()]
 
 
-def handed_over(text: str, monkeypatch) -> list[str]:
-    """What :func:`parse_query` hands to a reader, as the text from each
-    place where a run ends at a reader's spelling to the next space."""
-    handed = []
-    next_run = _lexer.Lexer._next_run
+def readers_run(monkeypatch) -> list[str]:
+    """Record, from now on, each place where a reader runs: a hand-over (a
+    run that ends before the end of the text, at text that no token
+    spells) and a give-back (a token given back during a run), as the text
+    from there to the next space, or the token."""
+    found = []
+    next_run, back = _lexer.Lexer._next_run, _lexer.Lexer.back
 
-    def recording(lexer):
+    def recording_next_run(lexer):
         token = next_run(lexer)
         if not token and not lexer.at_end():
-            handed.append(lexer.text[lexer.pos :].split(None, 1)[0])
+            found.append(lexer.text[lexer.pos :].split(None, 1)[0])
         return token
 
-    monkeypatch.setattr(_lexer.Lexer, "_next_run", recording)
-    parse_query(text)
-    return handed
+    def recording_back(lexer, token):
+        if lexer._count:
+            found.append(token)
+        back(lexer, token)
+
+    monkeypatch.setattr(_lexer.Lexer, "_next_run", recording_next_run)
+    monkeypatch.setattr(_lexer.Lexer, "back", recording_back)
+    return found
 
 
-# Every keyword is a bare word and every operator a token of its own: a
-# query is read from runs, expressions too.  Only a reader's spelling, such
-# as an escaped string, a language tag or a builtin's name with a digit, is
-# handed to a reader.
+# Every keyword is a bare word, every operator a token of its own, and
+# every valid spelling a token: a query is read from runs, its expressions
+# too, with the escaped string, the language tag and SHA1 of the operators
+# query, and no reader runs.
 @pytest.mark.parametrize("name", [*(f"q{i:02d}" for i in range(1, 9)), "optional", "aggregate", "operators"])
 def test_a_query_is_read_in_runs_up_to_its_expressions(name, monkeypatch):
     text = {**gendata.QUERIES, **load_diff().EXTRA_QUERIES}[name]
-    readers = {"operators": ['"a\\"b"', '"x"@en', "@en", "SHA1(?s)"]}
-    assert handed_over(text, monkeypatch) == readers.get(name, [])
+    found = readers_run(monkeypatch)
+    parse_query(text)
+    assert found == []
     tokens = run_tokens(text)
     assert tokens[:3] == ["PREFIX", "ex:", "<http://example.com/ns#>"]
     select, where = tokens.index("SELECT"), tokens.index("WHERE")
@@ -391,6 +423,36 @@ def test_a_query_is_read_in_runs_up_to_its_expressions(name, monkeypatch):
     if name == "optional":
         assert {"OPTIONAL", "FILTER", "!="} <= set(tokens)
         assert tokens[-6:] == ["}", "ORDER", "BY", "?n", "LIMIT", "10"]
+
+
+def test_a_sparql_boolean_in_any_case_is_read_from_its_token(monkeypatch):
+    found = readers_run(monkeypatch)
+    for spelling in ("TRUE", "False", "true", "FALSE."):
+        assert sparql_object(spelling) == Literal(spelling.lower().rstrip("."), XSD_BOOLEAN)
+    assert found == []
+
+
+# No reader runs on valid text: not on the queries and mappings of the
+# benchmark, the Turtle text of tools/diff.py, nor on any input that
+# tools/diff.py accepts at seed 42 on a surface.
+@pytest.mark.parametrize("surface", ["sparql", "turtle", "mapping"])
+def test_no_reader_runs_on_valid_text(surface, monkeypatch, tmp_path):
+    diff = load_diff()
+    side = diff.Side(importlib.import_module("rmlprune"))
+    record = getattr(side, f"{surface}_record")
+    inputs = diff.surface_inputs(surface, gendata, ROOT, tmp_path, 42)
+    texts = [(name, text, queries) for name, (text, queries) in inputs.items()]
+    texts += [(name, mutated, queries) for name, _, mutated, _, queries in diff.mutations(surface, inputs, 20, 42)]
+    accepted, where = 0, {}
+    for name, text, queries in texts:
+        found = readers_run(monkeypatch)
+        ok = record(text, queries)[0] == "ok"
+        monkeypatch.undo()
+        accepted += ok
+        if ok and found:
+            where[f"{name}: {text}"] = found
+    assert where == {}
+    assert accepted > len(inputs)
 
 
 # A path operator counts only right after a verb: after ',' it is no

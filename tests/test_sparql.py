@@ -356,9 +356,8 @@ def test_a_second_triples_block_needs_a_dot():
         " FILTER ex:f(?o) ",
         " FILTER :f(?o) ",
         " FILTER ex:(?o) ",
-        # operators are tokens, and a spelling no token spells is stepped
-        # over: an escaped string, a language tag, a builtin's name with a
-        # digit or '_'
+        # operators are tokens, and so are an escaped string, a language tag
+        # and a builtin's name with a digit or '_'
         ' FILTER(?o <= 5 && ?o != "a\\"b" || LANG(?o) = "x"@en || !BOUND(?o) || -?o >= +1) ',
         " FILTER(?o = ex:a\\.b / 2 * 3) ",
         " FILTER SHA1(?o) ",
@@ -377,6 +376,28 @@ def test_a_filter_function_name_starts_with_a_letter(name):
         parse_query(f"SELECT * WHERE {{ ?s ?p ?o FILTER {name}(?o) }}")
     assert (info.value.line, info.value.column) == (1, 34)
     assert not isinstance(info.value, UnsupportedSparqlError)
+
+
+# Text that no token spells is invalid, in an expression too: where a
+# FILTER call's name stands, a prefixed name's reader reports it, and any
+# other name is unsupported where a builtin's name ends; elsewhere the
+# reader of a term reports it.
+@pytest.mark.parametrize(
+    "after, message",
+    [
+        ("FILTER ex:-f(?o) }", "line 1, column 78: local name may not start with '-': '-f'"),
+        ("FILTER ex.:f(?o) }", "line 1, column 78: prefix name may not end with '.': 'ex.'"),
+        ("FILTER ex:f\\q(?o) }", "line 1, column 79: invalid local name escape: \\q"),
+        ("FILTER \u00e9(?o) }", "line 1, column 75: unsupported FILTER constraint form"),
+        ("FILTER ab-(?o) }", "line 1, column 77: unsupported FILTER constraint form"),
+        ("} ORDER BY ex:-limit 5", "line 1, column 82: local name may not start with '-': '-limit'"),
+        ("FILTER(?o = ~) }", "line 1, column 80: expected a term, found '~'"),
+    ],
+)
+def test_text_that_no_token_spells_is_an_error_in_an_expression(after, message):
+    with pytest.raises(SparqlError) as info:
+        parse_query(f"PREFIX ex: <http://example.com/ns#> SELECT * WHERE {{ ?s ex:name ?o {after}")
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("group, column", [("{ [] . }", 21), ("{ [ ] . }", 22), ("{ [] }", 21)])

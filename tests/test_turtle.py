@@ -471,14 +471,57 @@ class Counting:
 
 @pytest.mark.parametrize("statements", [1_000, 10_000])
 def test_runs_scan_a_line_of_reader_spellings_in_linear_time(monkeypatch, statements):
-    # each statement hands over to the readers twice, and each hand-over
-    # steps through the run before it again
-    statement = "ex:s{0} ex:b '''x''' ; ex:p \"{0}\\n\" . "
+    # each statement's long string holds a newline, where each window is
+    # cut, and a short string a space: each window then ends with the long
+    # string it cuts, which steps through its run again
+    statement = "ex:s{0} ex:b '''x\n y''' ; ex:p \"{0} z\\n\" . "
     text = "@prefix ex: <http://e/> . " + "".join(statement.format(i) for i in range(statements))
     scanned = [0]
     monkeypatch.setattr(_lexer, "_RUN_RE", Counting(_lexer._RUN_RE, scanned))
     assert len(read_turtle(text).triples) == 2 * statements
     assert len(text) < scanned[0] <= 3 * len(text)
+
+
+def windows_read(text: str, monkeypatch) -> tuple[list[Triple], list[tuple[int, int]]]:
+    """The triples of *text*, and the window of each run read from it; no
+    run may end at text that no token spells."""
+    windows = []
+    next_run = _lexer.Lexer._next_run
+
+    def recording(lexer):
+        token = next_run(lexer)
+        assert token or lexer.at_end()
+        if token:
+            windows.append((lexer._start, lexer._end))
+        return token
+
+    monkeypatch.setattr(_lexer.Lexer, "_next_run", recording)
+    return read_turtle(text).triples, windows
+
+
+# A long string, or an escape, in every statement is a run token: runs end
+# only where the windows are cut, just past the first newline after
+# WINDOW characters.
+@pytest.mark.parametrize("statement", ['<http://e/s{0}> <http://e/p> """v{0}""" .\n', '<http://e/s{0}> <http://e/p> "v\\n{0}" .\n'])
+def test_runs_of_long_or_escaped_strings_end_at_window_cuts(monkeypatch, statement):
+    text = "".join(statement.format(i) for i in range(5_000))
+    triples, windows = windows_read(text, monkeypatch)
+    assert [t.o for t in triples[::1000]] == [Literal(("v{0}" if '"""' in statement else "v\n{0}").format(i)) for i in range(0, 5_000, 1000)]
+    assert [start for start, _ in windows] == [0] + [end for _, end in windows[:-1]]
+    assert [end for _, end in windows] == [text.find("\n", start + _lexer.WINDOW) + 1 or len(text) for start, _ in windows]
+
+
+def test_a_long_string_across_a_window_cut_is_one_token(monkeypatch):
+    before = "".join(f"<http://e/s{i}> <http://e/p> <http://e/o> .\n" for i in range(90))
+    lines = "".join(f"line {i}\n" for i in range(100))
+    text = f'{before}<http://e/s> <http://e/p> """{lines}""" .\n<http://e/t> <http://e/p> 1 .\n'
+    opened, closed = text.index('"""'), text.rindex('"""') + 3
+    assert opened < _lexer.WINDOW < closed
+    triples, windows = windows_read(text, monkeypatch)
+    assert triples[90].o == Literal(lines)
+    # the window cut in the string ends with it instead, and the next one
+    # starts at the token after it
+    assert windows == [(0, closed), (closed + 1, len(text))]
 
 
 # ---------------------------------------------------------------------------

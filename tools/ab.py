@@ -11,6 +11,9 @@ and timed in interleaved rounds on the seed corpus:
 * ``parse-queries``: ``parse_query`` of each of q01-q08, as prune-wide and
   answer-s10 parse them in their operations, and the patterns read, all
   ``CALLS`` times;
+* ``load-long`` and ``load-escaped``: a Turtle read of 5,000 statements
+  whose objects are long strings (``<http://e/sN> <http://e/p> \"\"\"vN\"\"\" .``)
+  or strings with an escape (``"v\\nN"``), and the pairs read;
 * ``materialize-s50``: ``materialize`` of the corpus mapping at scale 50;
 * ``serialize-s50``: ``serialize_graph`` of that graph;
 * ``answer-s10:qNN``: ``answer`` of each of q01-q08, pruned, at scale 10,
@@ -69,6 +72,9 @@ ROOT = Path(__file__).resolve().parent.parent
 QUERY_NAMES = tuple(f"q{i:02d}" for i in range(1, 9))
 # how many times a step of about a millisecond repeats its calls in a round
 CALLS = 50
+# the texts of load-long and load-escaped
+LONG_STRINGS = "".join(f'<http://e/s{i}> <http://e/p> """v{i}""" .\n' for i in range(5000))
+ESCAPED_STRINGS = "".join(f'<http://e/s{i}> <http://e/p> "v\\n{i}" .\n' for i in range(5000))
 
 
 def export(rev: str | None, into: Path) -> Path:
@@ -128,6 +134,12 @@ def wide_inputs(tree: Path, data: Path, seed: int) -> tuple[bytes, dict[str, str
     return corpus.wide_mapping(tags).encode("utf-8"), queries
 
 
+def translator(rml):
+    """What turns the result of *rml*'s ``parse_rml`` into a mapping's
+    expressions: ``translate`` where the revision has it, else nothing."""
+    return getattr(rml, "translate", lambda parsed: parsed)
+
+
 class Side:
     """One revision's package with its inputs loaded: the corpus mapping and
     tables at scales 10 and 50, the eight queries, the wide mapping, and the
@@ -139,9 +151,21 @@ class Side:
         self.ntriples, csvsource = import_("ntriples"), import_("csvsource")
         self.rml, self.pruning, self.sparql = import_("rml"), import_("pruning"), import_("sparql")
         # the one place a step reaches a mapping's expressions
-        self.translate = getattr(self.rml, "translate", lambda parsed: parsed)
+        self.translate = translator(self.rml)
         self.expressions = lambda text: self.translate(self.rml.parse_rml(text))
         self.mapping_text = import_("gendata").MAPPING_TTL
+
+        class Collector(import_("turtle").TurtleParser):
+            """A Turtle reader that keeps every (predicate, object) pair."""
+
+            def __init__(self, text: str):
+                super().__init__(text)
+                self.pairs = []
+
+            def properties(self, s):
+                return self.pairs.append
+
+        self.collector = Collector
         self.inputs = {}
         for scale, directory in data.items():
             mapping = self.expressions((directory / "mapping.ttl").read_bytes())
@@ -187,9 +211,16 @@ class Side:
             parse = self.sparql.parse_query
             return [len(parse(text).patterns) for _ in range(CALLS) for text in self.query_texts]
 
+        def load(text):
+            reader = self.collector(text)
+            reader.parse()
+            return len(reader.pairs)
+
         yield "load-wide", load_wide
         yield "load-corpus", load_corpus
         yield "parse-queries", parse_queries
+        yield "load-long", lambda: load(LONG_STRINGS)
+        yield "load-escaped", lambda: load(ESCAPED_STRINGS)
         yield "materialize-s50", materialize
         yield "serialize-s50", serialize
         mapping10, sigma10 = self.inputs[10]

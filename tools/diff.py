@@ -21,12 +21,16 @@ for ``rml:BlankNode``...; a text without one gets a replacement instead).
   FILTER holds operators, an escaped string, a language tag and ``SHA1``,
   from its ``SELECT`` on, with snippets such as a variable, an operator, a
   literal, a group, a keyword in either case, a prefixed name whose prefix
-  or local name spells a keyword, an expression, a dangling ``;``, or a
-  FROM or VALUES clause.  A record is the parsed query's ``SelectQuery``
-  fields, each term as its class and fields.
+  or local name spells a keyword, an expression, a dangling ``;``, a
+  FROM or VALUES clause, or a token snippet: an escaped or long string, an
+  escaped IRIREF or local name, a relative datatype, a language tag, a hex
+  escape outside Unicode, ``TRUE``, ``SHA1(?s)`` or ``ENCODE_FOR_URI(?s)``.
+  A record is the parsed query's ``SelectQuery`` fields, each term as its
+  class and fields.
 * ``--surface turtle`` mutates the two mappings above and a Turtle text
   with collections, labels, comments and all four string forms, with the
-  mapping snippets and every SPARQL operator.  A record is what the Turtle
+  mapping snippets, every SPARQL operator and the token snippets.  A
+  record is what the Turtle
   reader files: each run of one subject's (predicate, object) pairs, the
   offsets where its blank nodes open, and the base at the end.
 
@@ -69,6 +73,12 @@ SNIPPETS = (
     "rml:class ex:C", "rml:datatype xsd:integer", "rml:subject _:s", "rr:object _:o",
     "@base <http://b.example/> .\n", 'rml:joinCondition [ rml:child "a" ; rml:parent "b" ]',
 )
+# ... and in a query or a Turtle text: the spellings that were the readers'
+# alone before every valid spelling was a token, and the errors they spell
+TOKEN_SNIPPETS = (
+    '"a\\u0041"', "'''x\ny'''", '"""a""""', "<http://e/\\u0041>", "ex:a\\.b", '"x"^^<rel>', '"x"@en-GB',
+    '"\\U00110000"', "TRUE", "SHA1(?s)", "ENCODE_FOR_URI(?s)",
+)
 # ... and in a query
 QUERY_SNIPPETS = (
     "?x", "$y", "a", "[]", "[ ]", "[ ex:p ?o ]", "{", "}", ".", ";", ",", "(", ")", "/", "|", "*", "+",
@@ -86,10 +96,11 @@ QUERY_SNIPPETS = (
     # '[]' before '.'
     "!=", "<=", ">=", "&&", "||", "=", "<", ">", "-", "$", "ex:limit", "ex:offset(?s)", "(?s AS ?t)", "MD5(?s)",
     "; ]", "; }", "[] .",
-)
-# ... and in a Turtle text: the mapping snippets and every SPARQL operator
+) + TOKEN_SNIPPETS
+# ... and in a Turtle text: the mapping snippets, every SPARQL operator and
+# the token snippets
 OPERATORS = ("!=", "<=", ">=", "&&", "||", "=", "<", ">", "!", "+", "-", "*", "/", "|", "^", "?", "$")
-TURTLE_SNIPPETS = SNIPPETS + OPERATORS
+TURTLE_SNIPPETS = SNIPPETS + OPERATORS + TOKEN_SNIPPETS
 # the queries mutated besides q01-q08
 EXTRA_QUERIES = {
     "optional": "PREFIX ex: <http://example.com/ns#>\n"
@@ -183,6 +194,7 @@ class Side:
     def __init__(self, pkg):
         import_ = lambda sub: importlib.import_module(f"{pkg.__name__}.{sub}")  # noqa: E731
         self.algebra, self.rml = import_("algebra"), import_("rml")
+        self.translate = load_ab().translator(self.rml)
         self.pruning, self.sparql = import_("pruning"), import_("sparql")
 
         class Collector(import_("turtle").TurtleParser):
@@ -204,7 +216,7 @@ class Side:
         for each of *queries*; or the exception's class and message."""
         try:
             doc = self.rml.parse_rml(text)
-            mapping = self.rml.translate(doc)
+            mapping = self.translate(doc)
             written = [self.rml.serialize_pruned(mapping, doc)]
             for query in queries:
                 patterns = self.sparql.collect_triple_patterns(self.sparql.parse_query(query))
@@ -251,28 +263,52 @@ def shown(record: tuple) -> list:
     return ["ok", *(_written(item) if isinstance(item, str) else item for item in record[1:])]
 
 
+def surface_inputs(surface: str, gendata, tree: Path, tmp: Path, seed: int) -> dict[str, tuple[str, list[str] | None]]:
+    """The texts that *surface* mutates, by name, each with the queries that
+    a mapping record prunes it for (None on the other surfaces).
+    *gendata* writes the corpus under *tmp*, and *tree*'s
+    ``perfbench/corpus.py`` the wide mapping."""
+    if surface == "sparql":
+        return {name: (text, None) for name, text in {**gendata.QUERIES, **EXTRA_QUERIES}.items()}
+    gendata.generate(tmp / "corpus", scale=1, seed=seed)
+    wide_text, wide_queries = load_ab().wide_inputs(tree, tmp / "corpus", seed)
+    inputs = {
+        "corpus": (gendata.MAPPING_TTL, [gendata.QUERIES[q] for q in QUERY_NAMES]),
+        "wide": (wide_text.decode("utf-8"), [wide_queries[q] for q in QUERY_NAMES]),
+    }
+    if surface == "turtle":
+        inputs = {name: (text, None) for name, (text, _) in inputs.items()} | {"turtle": (TURTLE, None)}
+    return inputs
+
+
+def mutations(surface: str, inputs: dict[str, tuple[str, list[str] | None]], rounds: int, seed: int):
+    """(name, round, mutated text, edits, queries) for *rounds* seeded
+    mutations of each of *inputs*."""
+    snippets = {"mapping": SNIPPETS, "sparql": QUERY_SNIPPETS, "turtle": TURTLE_SNIPPETS}[surface]
+    for name, (text, queries) in inputs.items():
+        rng = random.Random(f"{seed}-{name}")
+        # a query's edits start at its SELECT, past the prologue
+        start = text.index("SELECT") if surface == "sparql" else 0
+        for r in range(rounds):
+            yield name, r, *mutate(text, rng, snippets, start), queries
+
+
 def compare(base: Side, head: Side, surface: str, inputs: dict[str, tuple[str, list[str] | None]],
             rounds: int, seed: int, show: int) -> dict:
     """Every side's record of *rounds* mutations of each input text."""
     counts = {"inputs": 0, "differences": 0, "accepted": {"base": 0, "head": 0}}
     first = []
-    snippets = {"mapping": SNIPPETS, "sparql": QUERY_SNIPPETS, "turtle": TURTLE_SNIPPETS}[surface]
     sides = {"base": getattr(base, f"{surface}_record"), "head": getattr(head, f"{surface}_record")}
-    for name, (text, queries) in inputs.items():
-        rng = random.Random(f"{seed}-{name}")
-        for r in range(rounds):
-            # a query's edits start at its SELECT, past the prologue
-            start = text.index("SELECT") if surface == "sparql" else 0
-            mutated, edits = mutate(text, rng, snippets, start)
-            records = {label: record(mutated, queries) for label, record in sides.items()}
-            counts["inputs"] += 1
-            for label, record in records.items():
-                counts["accepted"][label] += record[0] == "ok"
-            if records["base"] != records["head"]:
-                counts["differences"] += 1
-                if len(first) < show:
-                    first.append({"input": name, "round": r, "edits": edits,
-                                  **{label: shown(record) for label, record in records.items()}})
+    for name, r, mutated, edits, queries in mutations(surface, inputs, rounds, seed):
+        records = {label: record(mutated, queries) for label, record in sides.items()}
+        counts["inputs"] += 1
+        for label, record in records.items():
+            counts["accepted"][label] += record[0] == "ok"
+        if records["base"] != records["head"]:
+            counts["differences"] += 1
+            if len(first) < show:
+                first.append({"input": name, "round": r, "edits": edits,
+                              **{label: shown(record) for label, record in records.items()}})
     share = {label: round(n / max(counts["inputs"], 1), 4) for label, n in counts["accepted"].items()}
     return {**counts, "accepted_share": share, "first": first}
 
@@ -294,17 +330,7 @@ def main(argv: list[str] | None = None) -> int:
         base_tree, head_tree = ab.export(args.base, tmp / "base"), ab.export(args.head, tmp / "head")
         base_pkg, head_pkg = ab.load_package(base_tree, "diff_base"), ab.load_package(head_tree, "diff_head")
         gendata = importlib.import_module("diff_head.gendata")
-        if args.surface == "sparql":
-            inputs = {name: (text, None) for name, text in {**gendata.QUERIES, **EXTRA_QUERIES}.items()}
-        else:
-            gendata.generate(tmp / "corpus", scale=1, seed=args.seed)
-            wide_text, wide_queries = ab.wide_inputs(head_tree, tmp / "corpus", args.seed)
-            inputs = {
-                "corpus": (gendata.MAPPING_TTL, [gendata.QUERIES[q] for q in QUERY_NAMES]),
-                "wide": (wide_text.decode("utf-8"), [wide_queries[q] for q in QUERY_NAMES]),
-            }
-            if args.surface == "turtle":
-                inputs = {name: (text, None) for name, (text, _) in inputs.items()} | {"turtle": (TURTLE, None)}
+        inputs = surface_inputs(args.surface, gendata, head_tree, tmp, args.seed)
         report = compare(Side(base_pkg), Side(head_pkg), args.surface, inputs, args.rounds, args.seed,
                          args.show)
     print(json.dumps({"base": args.base, "head": args.head or "working tree", "seed": args.seed,
