@@ -53,7 +53,7 @@ from bisect import bisect_right
 
 from .errors import InvalidTermError
 from .rdf import _ECHAR, _IRI_CHAR, _SCHEME_RE, _VAR_NAME, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
-from .rdf import Iri, Literal, escape_string, is_absolute_iri, trusted_iri, trusted_literal, unescape
+from .rdf import Iri, Literal, is_absolute_iri, trusted_iri, trusted_literal, unescape
 
 _DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
 _DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
@@ -95,16 +95,15 @@ OPERATORS = ("!=", "<=", ">=", "&&", "||", "=", "<", ">", "!", "+", "-", "*", "/
 # quotes, as its reader closes it.  A local name stops before a bare
 # trailing '.', and the lookahead after it rejects any shorter name than
 # the readers would take.  A prefixed name of ASCII letters, digits, '_'
-# and '-', an IRIREF and a short string alone are first tried in cheaper
-# forms, without escapes or lookbehinds, and a boolean, in any case, only
-# after the tokens that no case fold spells: without them the wide
-# mapping's parse takes about 4% longer and its tokens' findall about 3%.
-# An optional part is written '(?:...|)', and comments are looked for only
-# at a '#': sre runs that faster than '?' or '*'.  A bare word, the
-# spelling of every keyword and builtin name, is ASCII letters, digits and
-# '_' after a letter, that no name character, ':', '.' or '-' follows, as
-# for 'a': SPARQL reads the longest token, so 'optional:x' is a prefixed
-# name, and no case fold outside ASCII ever spells a keyword.
+# and '-' is first tried in a cheaper form, without lookbehinds, whose
+# lookahead leaves any longer name to the full one: a wide mapping's parse
+# takes about 4% less time with it.  An optional part is written
+# '(?:...|)', and comments are looked for only at a '#': sre runs that
+# faster than '?' or '*'.  A bare word, the spelling of every keyword and
+# builtin name, is ASCII letters, digits and '_' after a letter, that no
+# name character, ':', '.' or '-' follows, as for 'a': SPARQL reads the
+# longest token, so 'optional:x' is a prefixed name, and no case fold
+# outside ASCII ever spells a keyword.
 _ASCII_PNAME = r"[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_-]*(?![\w.:%\\-])"
 _RUN_WS = r"[ \t\r\n]*(?:(?=#)(?:#[^\n]*\n[ \t\r\n]*)*|)"
 # a UCHAR that names a Unicode scalar value: none above U+10FFFF, and no
@@ -127,17 +126,15 @@ _STRING_RE = re.compile(
     rf'|"""[^"\\]*(?:(?:{_ESCAPE}|"(?!""(?!")))[^"\\]*)*"""'
     rf"|'''[^'\\]*(?:(?:{_ESCAPE}|'(?!''(?!')))[^'\\]*)*'''"
 )
-_PLAIN_IRIREF = f"<{_IRI_CHARS}>"
-_PLAIN_STRING = r"\"[^\"\\\r\n]*\"(?![\"@^])|'[^'\\\r\n]*'(?!['@^])"
 _TOKEN = (
-    f"[][(){{}},;.]|{_ASCII_PNAME}|{_PLAIN_IRIREF}|{_PNAME}|{_PLAIN_STRING}"
+    f"[][(){{}},;.]|{_ASCII_PNAME}|{_IRIREF}|{_PNAME}"
     rf"|(?:{_STRING_RE.pattern})(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:{_IRIREF}|{_PNAME})|(?!@|\^\^))"
     f"|{'|'.join(regex.pattern for regex, _ in _NUMBERS)}"
     # 'a' unless a longer name starts there, and a label without the
     # trailing '.' that ends a statement
     r"|a(?![\w.:-])|_:\w[\w.-]*(?<!\.)"
     rf"|@prefix|@base|[?$]{_VAR_NAME}|(?ai:true|false){_BOOLEAN_END}|[A-Za-z][A-Za-z0-9_]*(?![\w:.-])"
-    f"|{_IRIREF}|{'|'.join(map(re.escape, OPERATORS))}"
+    f"|{'|'.join(map(re.escape, OPERATORS))}"
 )
 _RUN_RE = re.compile(
     f"{_RUN_WS}(?:({_TOKEN}"
@@ -212,10 +209,11 @@ class Lexer:
         # text, until the next prefix or base declaration; a subclass may
         # remember more
         self._terms: dict[str, Iri] = {}
-        # each untyped literal a token spells, by its text, and a string also
-        # by the text of a double-quoted string that spells its lexical
-        # form: one object per form
+        # each untyped literal a token spells, by its text
         self._literals: dict[str, Literal] = {}
+        # each untyped string, by its lexical form: one object per form,
+        # however it is quoted or escaped
+        self._forms: dict[str, Literal] = {}
         # the run being read: its texts, popped from the end down to ''
         # (reading on) or the '' of its last match (text no token spells);
         # their number, 0 while the readers have the cursor; its window;
@@ -331,13 +329,6 @@ class Lexer:
         which it gives back (see :meth:`back`) for the reader to report."""
         first, iri = token[:1], None
         if first == '"' or first == "'":
-            if constant and token[-1] == first and "\\" not in token and token[1:3] != first * 2:
-                # a short string alone without escapes: one literal per
-                # lexical form, however quoted
-                key = token if first == '"' else f'"{token[1:-1]}"'
-                term = self._literals.get(key) or trusted_literal(token[1:-1], XSD_STRING)
-                self._literals[key] = self._literals[token] = term
-                return term
             literal = self._literal(token) if constant else None
             if literal is not None:
                 return literal
@@ -375,9 +366,9 @@ class Lexer:
         return None if self.base is None else self.base + iri
 
     def _literal(self, token: str) -> Literal | None:
-        """The literal of *token*, a string with an escape, long or typed;
-        None for a language tag or an error.  A typed literal is not
-        remembered: the table of literals outlives a prefix declaration."""
+        """The literal of *token*, a string; None for a language tag or an
+        error.  A typed literal is not remembered: the tables outlive a
+        prefix declaration."""
         end = _STRING_RE.match(token).end()
         lex = token[3 : end - 3] if token.startswith(token[0] * 3) else token[1 : end - 1]
         if "\\" in lex:
@@ -385,9 +376,10 @@ class Lexer:
         if end < len(token):  # a language tag, or a datatype read as a term
             datatype = token[end] == "^" and self.term(token[end + 2 :], constant=False)
             return trusted_literal(lex, datatype.value) if datatype else None
-        key = f'"{escape_string(lex)}"'  # a short string that spells the same form
-        term = self._literals.get(key) or trusted_literal(lex, XSD_STRING)
-        self._literals[key] = self._literals[token] = term
+        term = self._forms.get(lex)
+        if term is None:
+            term = self._forms[lex] = trusted_literal(lex, XSD_STRING)
+        self._literals[token] = term
         return term
 
     # -- cursor ------------------------------------------------------------

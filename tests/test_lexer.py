@@ -270,9 +270,8 @@ def test_pattern_walk_survives_a_long_filter_chain():
     assert len(collect_triple_patterns(query)) == 1
 
 
-# Runs read a prefixed name of ASCII letters, digits, '_' and '-', an
-# IRIREF and a short string alone in cheaper forms first; they must read
-# every text as the full forms alone do.
+# Runs read a prefixed name of ASCII letters, digits, '_' and '-' in a
+# cheaper form first; it must read every text as the full form alone does.
 NAME_PIECES = [
     "a", "b1", "_", "-", ".", ":", "%", "\\", "\\.", "\u00e9", " ", "\n", "# c", "<x>", '"', "?v", "[", ";", "ex:",
     "'", "<", ">", "^^", "@en", "\\u0041", "\\n",
@@ -282,12 +281,9 @@ NAME_PIECES = [
 @seed(3)
 @settings(max_examples=400)
 @given(st.lists(st.sampled_from(NAME_PIECES), max_size=12).map("".join))
-def test_the_cheaper_forms_read_as_the_full_ones(text):
-    full = _lexer._RUN_RE.pattern
-    for cheaper in (_lexer._ASCII_PNAME, _lexer._PLAIN_IRIREF, _lexer._PLAIN_STRING):
-        assert f"|{cheaper}|" in full
-        full = full.replace(f"|{cheaper}", "", 1)
-    full = re.compile(full)
+def test_the_cheaper_prefixed_name_reads_as_the_full_one(text):
+    full = re.compile(_lexer._RUN_RE.pattern.replace(f"|{_lexer._ASCII_PNAME}", "", 1))
+    assert full.pattern != _lexer._RUN_RE.pattern
     for start in range(len(text) + 1):
         assert _lexer._RUN_RE.findall(text, start) == full.findall(text, start)
 
@@ -302,6 +298,24 @@ CONSTANT_PIECES = [
     "\\", "%", '"', "'", '"""', "'''", "^^", "<http://e/t>", "<r>", "<\\u0041>", "ex:t", "ex:", "@en", "-GB",
     "\\u0041", "\\U00110000", "\\n", "\\.",
 ]
+
+
+def given_back(text: str, start: int, token: str) -> tuple[str, int]:
+    """The message the reader reports at a *token* at *start* of *text*
+    that spells no constant or an error, and where it reports it."""
+    end = start + len(token)
+    if token in _lexer.OPERATORS:
+        return f"expected an object, found {re.escape(repr(token[0]))}", start
+    string = _lexer._STRING_RE.match(token)
+    if string and token[string.end() : string.end() + 1] == "@":
+        return "language-tagged literals are not supported", start + string.end()
+    if token[-1] == ">":  # an IRIREF, alone or a datatype
+        return "not a valid IRI", end
+    if ":" in token:
+        return "undeclared prefix", end
+    # a bare word, which the reader reads as a prefix name, with what follows
+    name = _lexer._PREFIX_RE.match(text, start).end()
+    return ("prefix name may not end with '.'" if text[name - 1] == "." else "expected ':'"), name
 
 
 def parser_at(text: str, pos: int) -> TurtleParser:
@@ -332,6 +346,8 @@ def parser_at(text: str, pos: int) -> TurtleParser:
 # token, and the errors that such a token spells
 @example('"a\\u0041"')
 @example("'it\\'s'^^ex:t")
+@example("'x'^^ex:t\\'")
+@example('"a\\\\"')
 @example("'''x\ny'''")
 @example('"""a""""')
 @example('"""say "hi" """@en')
@@ -359,8 +375,10 @@ def test_a_run_token_is_what_the_reader_takes(text):
     else:
         term = parser_at(text, 0).term(token, constant=True)
         if term is None:  # no term, or an error: the reader reports it
-            with pytest.raises(TurtleError):
+            message, at = given_back(text, match.start(1), token)
+            with pytest.raises(TurtleError, match=message):
                 reader.read_constant()
+            assert reader.pos == at
             return
         assert reader.read_constant() == term
     assert reader.pos == match.end(1)

@@ -74,6 +74,14 @@ def test_numeric_and_boolean_literals():
     }
 
 
+@pytest.mark.parametrize("first, second", [("'\"\"x\"\"'", '"""x"""'), ('"""x"""', "'\"\"x\"\"'")])
+def test_each_string_object_reads_its_own_lexical_form(first, second):
+    got = patterns(f"SELECT * WHERE {{ ?s <http://e/p> {first} . ?s <http://e/q> {second} }}")
+    objects = {p.p.value: p.o.lex for p in got}
+    lexes = {"'\"\"x\"\"'": '""x""', '"""x"""': "x"}
+    assert objects == {"http://e/p": lexes[first], "http://e/q": lexes[second]}
+
+
 def test_anonymous_bnode_becomes_fresh_variable():
     q = parse_query("SELECT * WHERE { [] <http://e/p> ?o . [] <http://e/p> ?o2 . }")
     pats = sorted(collect_triple_patterns(q), key=repr)

@@ -118,6 +118,35 @@ def test_string_escapes():
     assert t.o == Literal('tab\tnl\nq"ué')
 
 
+# A string is remembered by its text and by its lexical form escaped in
+# double quotes, which the text of no other form spells: '""x""' must not
+# read as the long string """x""", in either order.
+STRING_SPELLINGS = [
+    ("'\"\"x\"\"'", '""x""'),
+    ('"""x"""', "x"),
+    ("'x'", "x"),
+    ('"\\"\\"x\\"\\""', '""x""'),
+    ("'''\"\"x\"\"'''", '""x""'),
+    ('""""x""""', '"x"'),
+    ("'\"x\"'", '"x"'),
+    ('"a\\tb"', "a\tb"),
+    ("'a\tb'", "a\tb"),
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_each_string_reads_its_own_lexical_form_whatever_was_read_before(order):
+    spellings = STRING_SPELLINGS[::order]
+    text = "".join(f"<http://e/s{k}> <http://e/p> {spelling} .\n" for k, (spelling, _) in enumerate(spellings))
+    objects = {int(t.s.value[len("http://e/s") :]): t.o for t in read_turtle(text).triples}
+    for k, (spelling, lex) in enumerate(spellings):
+        assert objects[k] == Literal(lex), spelling
+    # one object per lexical form, however it is spelt
+    firsts = {}
+    for k, (_, lex) in enumerate(spellings):
+        assert objects[k] is firsts.setdefault(lex, objects[k])
+
+
 def test_typed_literal_and_numbers():
     text = (
         "@prefix ex: <http://example.com/> .\n"
