@@ -20,21 +20,22 @@ once:
 * prefix and base declarations, alike in both prologues, the SPARQL-style
   ``PREFIX`` and ``BASE`` in any case.
 
-The parsers step through the text a run at a time: one ``findall`` gives
-the texts of the tokens ahead, and :meth:`Lexer.token` hands them out one
-by one.  Every valid spelling is a run token: punctuation, an IRIREF, a
+The parsers read the text as one run of tokens: one ``findall`` gives
+the texts of all its tokens, and :meth:`Lexer.token` hands them out one by
+one.  Every valid spelling is a run token: punctuation, an IRIREF, a
 prefixed name, a string in any quotes, alone, with a language tag or
-typed, a number, a boolean, ``a``, a blank node label, ``@prefix``,
-``@base``, a variable, a bare word (ASCII letters, digits and ``_``) and
-each of SPARQL's operators.  :meth:`Lexer.term` builds the term a token
-spells, or gives back a token that spells an error (a language tag, an
-escaped forbidden character, an undeclared prefix, a relative IRI without
-a base).  A run ends early only at text that no token spells.  There, and
-at a token given back, the token's reader reads at a cursor and reports
-the error, with its message and position.  No run keeps offsets: where a
+typed, a number (``.5`` too), a boolean, ``a``, a blank node label,
+``@prefix``, ``@base``, a variable, a bare word (ASCII letters, digits and
+``_``) and each of SPARQL's operators.  :meth:`Lexer.term` builds the term
+a token spells, or gives back a token that spells an error (a language
+tag, an escaped forbidden character, an undeclared prefix, a relative IRI
+without a base).  The run ends early only at text that no token spells.
+There, and at a token given back, a reader takes the cursor for good: it
+reads at the cursor and reports the error, with its message and position.
+So a reader runs only at an error.  The run keeps no offsets: where a
 reader takes over, an error stands, or a blank node opens, the offset is
-found by stepping through the run again, and only when it is asked for;
-so is the text of the token before the one just read
+found by stepping through the run again from its start, and only when it
+is asked for; so is the text of the token before the one just read
 (:meth:`Lexer.before`).  Each IRI and untyped literal is built once per
 parser instance, and looked up by its token text.
 
@@ -49,7 +50,6 @@ a surrogate is an error with a position, like every other lexical error.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 
 from .errors import InvalidTermError
 from .rdf import _ECHAR, _IRI_CHAR, _SCHEME_RE, _VAR_NAME, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
@@ -82,16 +82,16 @@ _IRI_CHARS_RE = re.compile(_IRI_CHARS)
 # SPARQL's operators and path operators, longest first, and the '?' or '$'
 # of no variable
 OPERATORS = ("!=", "<=", ">=", "&&", "||", "=", "<", ">", "!", "+", "-", "*", "/", "|", "^", "?", "$")
-# One match per token of a run: whitespace and comments, then the token's
-# text, the one group.  Each alternative takes what the reader at the
-# cursor takes, and the operators come last, so each spelling before them
-# is the token it was without them.  Where none matches, the text is
-# invalid: the last match takes the rest of the window outside the group,
-# so the run ends with '', and sre moves a DOTALL '.+' straight to the
-# window's end without reading it.  A number that starts with '.' is read
-# as the mark, which the grammar gives back to the reader.  A comment needs
-# its newline; at the window's end, the whitespace and comments left are
-# the group.  A long string closes at the last three of three or more
+# One match per token of the run: whitespace and comments, then the
+# token's text, the one group.  Each alternative takes what the reader at
+# the cursor takes, and the operators come last, so each spelling before
+# them is the token it was without them.  Where none matches, the text is
+# invalid: the last match takes the rest of the text outside the group, so
+# the run ends with '', and sre moves a DOTALL '.+' straight to the text's
+# end without reading it.  A '.' before a digit starts a number, the
+# longest token there (Turtle 1.1 §6.4, SPARQL 1.1 §19.8).  A comment needs
+# its newline; at the text's end, the whitespace and comments left are the
+# group.  A long string closes at the last three of three or more
 # quotes, as its reader closes it.  A local name stops before a bare
 # trailing '.', and the lookahead after it rejects any shorter name than
 # the readers would take.  A prefixed name of ASCII letters, digits, '_'
@@ -106,6 +106,8 @@ OPERATORS = ("!=", "<=", ">=", "&&", "||", "=", "<", ">", "!", "+", "-", "*", "/
 # outside ASCII ever spells a keyword.
 _ASCII_PNAME = r"[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_-]*(?![\w.:%\\-])"
 _RUN_WS = r"[ \t\r\n]*(?:(?=#)(?:#[^\n]*\n[ \t\r\n]*)*|)"
+# a language tag, which a literal may not carry
+_LANGTAG_RE = re.compile(r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 # a UCHAR that names a Unicode scalar value: none above U+10FFFF, and no
 # surrogate, which the reader reports, also in an expression
 _UCHAR = (
@@ -127,8 +129,8 @@ _STRING_RE = re.compile(
     rf"|'''[^'\\]*(?:(?:{_ESCAPE}|'(?!''(?!')))[^'\\]*)*'''"
 )
 _TOKEN = (
-    f"[][(){{}},;.]|{_ASCII_PNAME}|{_IRIREF}|{_PNAME}"
-    rf"|(?:{_STRING_RE.pattern})(?:@[A-Za-z]+(?:-[A-Za-z0-9]+)*|\^\^(?:{_IRIREF}|{_PNAME})|(?!@|\^\^))"
+    rf"[][(){{}},;]|\.(?!\d)|{_ASCII_PNAME}|{_IRIREF}|{_PNAME}"
+    rf"|(?:{_STRING_RE.pattern})(?:{_LANGTAG_RE.pattern}|\^\^(?:{_IRIREF}|{_PNAME})|(?!@|\^\^))"
     f"|{'|'.join(regex.pattern for regex, _ in _NUMBERS)}"
     # 'a' unless a longer name starts there, and a label without the
     # trailing '.' that ends a statement
@@ -141,11 +143,6 @@ _RUN_RE = re.compile(
     r"|(?:[ \t\r\n]|#[^\n]*\n)+\Z)"
     r"|(?=[^ \t\r\n])(?s:.+))"
 )
-_WORD_RE = re.compile(r"[^ \t\r\n]*")
-# A run reads a window of about this many characters: a step through a
-# run again, to a mark or an error, starts at its window's start, and a run
-# holds the texts of its window at once.
-WINDOW = 1 << 12
 # the characters a string body takes without a second look
 _STRING_CHARS = {
     '"""': re.compile(r'[^"\\]*'),
@@ -156,37 +153,34 @@ _STRING_CHARS = {
 
 
 def _past(text: str, pos: int, tokens: int) -> int:
-    """The offset just past the next *tokens* tokens of a run after *pos*,
-    found by stepping through them again."""
+    """The offset just past the next *tokens* tokens of the run after
+    *pos*, found by stepping through them again."""
     for _ in range(tokens):
         pos = _RUN_RE.match(text, pos).end()
     return pos
 
 
-def offsets(text: str, runs: list[tuple[int, int]], marks: list[int]) -> list[int]:
-    """Where each of *marks* (see :meth:`Lexer.mark`) stands in *text*,
-    whose *runs* are those of the lexer that made them: a token's mark is
-    found by stepping through its run again, once for all the marks in it."""
-    firsts = [first for first, _ in runs]
+def offsets(text: str, marks: list[int]) -> list[int]:
+    """Where each of *marks* (see :meth:`Lexer.mark`) stands in *text*: a
+    token's mark is found by stepping through the run again from the
+    text's start, once for all the marks."""
     found = [~mark for mark in marks]
-    run = -1
+    pos = stepped = 0
     for mark, k in sorted((mark, k) for k, mark in enumerate(marks) if mark >= 0):
-        at = bisect_right(firsts, mark) - 1
-        if at != run:
-            run, (stepped, pos) = at, runs[at]
         pos, stepped = _past(text, pos, mark - stepped), mark
         found[k] = _WS_RE.match(text, pos).end()
     return found
 
 
 class Lexer:
-    """A text read as runs of token texts, and a cursor for the readers.
+    """A text read as one run of token texts, and a cursor for the readers.
 
-    :meth:`token` gives the text of each token in turn: a run holds the
-    texts of the tokens ahead, and where it ends early the cursor,
-    ``pos``, takes over at text that no token spells.  While a run is read
-    the cursor is stale: :meth:`back` and :meth:`sync` move it to a token,
-    and every method below them reads at the cursor.
+    :meth:`token` gives the text of each token in turn: the run, read from
+    the text's start, holds the texts of all its tokens, and where it ends
+    early the cursor, ``pos``, takes over for good at text that no token
+    spells.  While the run is read the cursor is stale: :meth:`back` and
+    :meth:`sync` move it to a token and hand it to the readers, and every
+    method below them reads at the cursor.
 
     Subclasses set ``error_class`` (syntax errors) and ``unsupported_class``
     (known constructs outside the supported subset); both are called with
@@ -205,32 +199,24 @@ class Lexer:
         # every IRI read so far, by its absolute spelling: only a resolved
         # IRI is ever a key, so a later BASE or PREFIX cannot make one stale
         self._iris: dict[str, Iri] = {}
-        # the term of each IRIREF and prefixed name read from a run, by its
-        # text, until the next prefix or base declaration; a subclass may
-        # remember more
+        # the term of each IRIREF and prefixed name read from the run, by
+        # its text, until the next prefix or base declaration; a subclass
+        # may remember more
         self._terms: dict[str, Iri] = {}
         # each untyped literal a token spells, by its text
         self._literals: dict[str, Literal] = {}
         # each untyped string, by its lexical form: one object per form,
         # however it is quoted or escaped
         self._forms: dict[str, Literal] = {}
-        # the run being read: its texts, popped from the end down to ''
-        # (reading on) or the '' of its last match (text no token spells);
-        # their number, 0 while the readers have the cursor; its window;
-        # whether text no token spells ends it; and the number of tokens
-        # the runs before it gave
+        # the run: its texts, popped from the end down to '' (the end of
+        # the text) or the '' of its last match (text no token spells);
+        # their number, 0 once the readers have the cursor; whether it was
+        # read; and whether text no token spells ends it
         self._run = [""]
-        self._count = self._start = self._end = self._given = 0
-        self._marked = False
-        # the text of the token before the run's first, where a window cut
-        # it from the run before ('' after the readers had the cursor), and
-        # of the run's last token
-        self._before = self._last = ""
-        # each run a mark was taken in: the index of its first token among
-        # all the tokens runs have given, and its window's start
-        self.runs: list[tuple[int, int]] = []
+        self._count = 0
+        self._read = self._marked = False
 
-    # -- runs ----------------------------------------------------------------
+    # -- the run -------------------------------------------------------------
 
     def token(self) -> str:
         """The text of the next token; '' at text that no token spells,
@@ -238,56 +224,31 @@ class Lexer:
         return self._run.pop() or self._next_run()
 
     def _next_run(self) -> str:
-        """The first text of the next run, or ''; see :meth:`token`."""
-        text = self.text
-        before = ""
+        """The run's first text, read on the first call; '' on every later
+        call, with the cursor at the end or at text that no token spells
+        (see :meth:`token`)."""
+        if not self._read:
+            self._read = True
+            self.pos = _WS_RE.match(self.text).end()  # the cursor, if no token starts the run
+            run = _RUN_RE.findall(self.text)
+            marked = self._marked = bool(run) and not run[-1]
+            if run and not marked and run[-1][0] in " \t\r\n#":
+                run.pop()  # the whitespace and comments at the text's end
+            if not marked:
+                run.append("")
+            run.reverse()
+            self._run[:] = run
+            self._count = len(run) - 1
+            return self.token()
         if self._count:
-            marked, before = self._marked, self._last
             self._leave(self._count)
-            if marked:
-                return ""
-        start = self.pos
-        if text[start : start + 1] in " \t\r\n#":  # at the text's start, or after a reader
-            start = self.pos = _WS_RE.match(text, start).end()
-        end = start + WINDOW
-        if end < len(text):
-            # just past a newline, which ends a comment, or else at whitespace
-            end = text.find("\n", end, end + WINDOW) + 1 or _WORD_RE.match(text, end).end()
-        else:
-            end = len(text)
-        run = _RUN_RE.findall(text, start, end)
-        marked = bool(run) and not run[-1]
-        if marked and end < len(text):
-            # where the cut splits a token (a long string holds newlines, a
-            # short one spaces) or a comment, the window ends with the token
-            # after it instead
-            at = _past(text, start, len(run) - 1)
-            split = _RUN_RE.match(text, at)
-            if split[1] is not None:
-                end = split.end()
-                run[-1:] = _RUN_RE.findall(text, at, end)
-                marked = False
-        if run and not marked and run[-1][0] in " \t\r\n#":
-            run.pop()  # the whitespace and comments before the window's end
-        if len(run) <= marked:  # the end, or text that no token spells
-            self._run[:] = ("",)
-            return ""
-        if not marked:
-            run.append("")
-        run.reverse()
-        self._run[:] = run
-        self._count, self._start, self._end, self._marked = len(run) - 1, start, end, marked
-        self._before, self._last = before, run[1]
-        return self._run.pop()
+        self._run[:] = ("",)
+        return ""
 
     def _leave(self, read: int):
         """Put the cursor at the token after the first *read* of the run,
         and leave the rest of the run to the readers."""
-        self._given += read
-        if read < self._count or self._marked:
-            pos = _past(self.text, self._start, read)
-        else:
-            pos = self._end
+        pos = _past(self.text, 0, read) if read < self._count or self._marked else len(self.text)
         self.pos = _WS_RE.match(self.text, pos).end()
         self._run[:] = ("",)
         self._count = 0
@@ -306,22 +267,16 @@ class Lexer:
 
     def before(self) -> str:
         """The text of the token before the one :meth:`token` just gave,
-        read again from its run; '' after the readers had the cursor."""
-        read = self._count + 1 - len(self._run)
-        if read == 1:
-            return self._before
-        return _RUN_RE.findall(self.text, self._start, self._end)[read - 2]
+        read again from the text's start; '' for the first token, and once
+        the readers have the cursor."""
+        read = self._count - len(self._run)
+        return _RUN_RE.match(self.text, _past(self.text, 0, read - 1))[1] if read > 0 else ""
 
     def mark(self) -> int:
         """Where the token just read starts, for :func:`offsets`: the
-        index of the token among all the tokens runs have given or, while
-        the readers have the cursor, the cursor's offset as its bitwise
-        complement, a negative int."""
-        if not self._count:
-            return ~self.pos
-        if not self.runs or self.runs[-1][0] != self._given:
-            self.runs.append((self._given, self._start))
-        return self._given + self._count - len(self._run)
+        token's index in the run or, once the readers have the cursor, the
+        cursor's offset as its bitwise complement, a negative int."""
+        return self._count - len(self._run) if self._count else ~self.pos
 
     def term(self, token: str, constant: bool) -> Iri | Literal | None:
         """The IRI (or, in a *constant*'s place, the literal) that *token*
@@ -451,7 +406,7 @@ class Lexer:
         self.depth += 1
         if self.depth > MAX_NESTING:
             self.sync()
-            (self.pos,) = offsets(self.text, self.runs, [opened])
+            (self.pos,) = offsets(self.text, [opened])
             raise self.error(f"nesting deeper than {MAX_NESTING} levels")
 
     def try_consume(self, token: str) -> bool:
@@ -609,6 +564,8 @@ class Lexer:
     def read_literal(self) -> Literal:
         lex = self.read_string()
         if self.peek() == "@":
+            if not _LANGTAG_RE.match(self.text, self.pos):
+                raise self.error("expected a language tag after '@'")
             raise self.error("language-tagged literals are not supported", unsupported=True)
         if self.try_consume("^^"):
             return Literal(lex, self.read_iri().value)

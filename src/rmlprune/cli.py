@@ -62,7 +62,7 @@ def _load_mapping(path: str):
 
 def _load_query(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise SourceInputError(f"cannot read query {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -135,12 +135,12 @@ class _Graph(dict[str, list]):
     def __init__(self, reader: TurtleParser):
         super().__init__()
         self.text, self.labels = reader.text, reader.bnode_labels  # the labels: document's -> the reader's
-        self.runs, self.opened = reader.runs, reader.opened  # where blank nodes open, as marks
+        self.opened = reader.opened  # where blank nodes open, as marks
 
     @cached_property
     def made(self) -> list[int]:
         """Blank node bN was made at offset ``made[N - 1]``."""
-        return opened_at(self.text, self.runs, self.opened)
+        return opened_at(self.text, self.opened)
 
     @cached_property
     def _label_of(self) -> dict[str, str]:
@@ -431,10 +431,11 @@ def _parse_pom(
 
 def parse_rml(data: bytes | str) -> RmlMappingExpr:
     """Parse an RML mapping document from Turtle bytes or text into its
-    expressions: one per (triples map, predicate-object pair)."""
+    expressions: one per (triples map, predicate-object pair).  Bytes may
+    start with a UTF-8 byte-order mark."""
     if isinstance(data, bytes):
         try:
-            data = data.decode("utf-8")
+            data = data.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
             raise MappingModelError(f"not valid UTF-8: {exc}") from None
     reader = _MappingReader(data)

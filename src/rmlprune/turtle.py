@@ -33,7 +33,7 @@ reader implements, where the run's (predicate, object) pairs go.
 
 Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
-take the text of each token from a run with
+take the text of each token from the run with
 :meth:`~rmlprune._lexer.Lexer.token` and look IRIs, prefixed names and
 literals up by that text; ``a``, a blank node label and the keyword of a
 SPARQL-style directive are read by their text too.  A token the lookup
@@ -62,10 +62,10 @@ RDF_NIL = Iri(RDF_NS + "nil")
 _LABEL_RE = re.compile(r"[\w.-]*")
 
 
-def opened_at(text: str, runs: list[tuple[int, int]], opened: list[int]) -> list[int]:
+def opened_at(text: str, opened: list[int]) -> list[int]:
     """Where each blank node that the marks *opened* name opens: just past
     its '[' or its label, or at its '(' (see :func:`~rmlprune._lexer.offsets`)."""
-    found = offsets(text, runs, opened)
+    found = offsets(text, opened)
     return [_past(text, at, 1) if mark >= 0 and text[at] in "[_" else at for mark, at in zip(opened, found)]
 
 
@@ -82,7 +82,7 @@ class TurtleParser(Lexer):
     @property
     def bnode_offsets(self) -> list[int]:
         """Blank node bN opens at offset ``bnode_offsets[N - 1]``."""
-        return opened_at(self.text, self.runs, self.opened)
+        return opened_at(self.text, self.opened)
 
     def properties(self, s: Iri | BlankNode) -> Callable[[tuple[Iri, RdfTerm]], object]:
         """The function that takes each (predicate, object) pair of subject

@@ -685,6 +685,23 @@ def test_latin1_mapping_exits_2(corpus, capsys, tmp_path):
     assert f"error: {m}: not valid UTF-8" in err
 
 
+# A UTF-8 byte-order mark may start a mapping or a query file, as it may a
+# CSV file; anywhere else it is a character that no token spells.
+def test_a_mapping_and_a_query_may_start_with_a_byte_order_mark(corpus, capsys, tmp_path):
+    m, q = tmp_path / "bom.ttl", tmp_path / "bom.rq"
+    m.write_bytes(b"\xef\xbb\xbf" + (corpus / "mapping.ttl").read_bytes())
+    q.write_bytes(b"\xef\xbb\xbf" + (corpus / "queries" / "q02.rq").read_bytes())
+    plan = run(capsys, "translate", "--mapping", str(corpus / "mapping.ttl"), "--dump-algebra")
+    assert run(capsys, "translate", "--mapping", str(m), "--dump-algebra") == plan
+    code, _, err = run(capsys, "prune", "--mapping", str(m), "--query", str(q))
+    assert code == 0
+    assert "14 -> 1 TrMap-expressions retained (" in err
+    q.write_bytes(b"\xef\xbb\xbf" * 2 + (corpus / "queries" / "q02.rq").read_bytes())
+    code, _, err = run(capsys, "prune", "--mapping", str(m), "--query", str(q))
+    assert code == 2
+    assert "line 1, column 1: expected SELECT" in err
+
+
 def test_ragged_csv_error_names_the_file(corpus, capsys, tmp_path):
     data = tmp_path / "data"
     shutil.copytree(corpus, data)

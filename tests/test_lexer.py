@@ -450,6 +450,43 @@ def test_a_sparql_boolean_in_any_case_is_read_from_its_token(monkeypatch):
     assert found == []
 
 
+# Turtle 1.1 §6.4 and SPARQL 1.1 §19.8 read the longest token: '.5' is a
+# DECIMAL, and '.5e1' a DOUBLE, not the '.' that ends a statement and then
+# '5'.  So no reader reads them, and a '.5' where a '.' belongs is no '.'.
+def test_a_number_that_starts_with_a_dot_is_read_from_its_token(monkeypatch):
+    found = readers_run(monkeypatch)
+    doc = read_turtle("<http://e/s> <http://e/p> .5 , ( .5e1 ) .")
+    assert found == []
+    objects = [triple.o for triple in doc.triples]
+    assert objects[0] == Literal(".5", XSD_DECIMAL)
+    assert Literal(".5e1", XSD_DOUBLE) in objects
+    query = parse_query("SELECT * WHERE { ?s ?p .5 FILTER(?s > -.5e1) }")
+    assert found == []
+    assert [pattern.o for pattern in query.patterns] == [Literal(".5", XSD_DECIMAL)]
+
+
+def test_a_dot_before_a_digit_does_not_end_a_statement():
+    with pytest.raises(TurtleError, match=re.escape("line 2, column 16: expected '.'")):
+        read_turtle("@prefix ex: <http://e/> .\nex:s ex:p ex:o .5 .")
+    with pytest.raises(SparqlError, match=re.escape("line 1, column 27: expected '.' or '}' after a triple pattern")):
+        parse_query("SELECT * WHERE { ?s ?p ?o .5 ?p ?o }")
+
+
+# Only '@' and a LANGTAG is a language tag: a '@' after a string with none
+# is a syntax error, where the '@' stands, in an expression too.
+@pytest.mark.parametrize("spelling", ['"x"@', '"x"@1', '"x"@-en'])
+def test_a_lone_at_after_a_string_is_a_syntax_error(spelling):
+    for parse, text, error in [
+        (parse_query, f"SELECT * WHERE {{ ?s ?p ?o FILTER(?o = {spelling}) }}", SparqlError),
+        (parse_query, f"SELECT * WHERE {{ ?s ?p {spelling} }}", SparqlError),
+        (read_turtle, f"<http://e/s> <http://e/p> {spelling} .", TurtleError),
+    ]:
+        with pytest.raises(error) as raised:
+            parse(text)
+        assert type(raised.value) is error
+        assert str(raised.value) == f"line 1, column {text.index('@') + 1}: expected a language tag after '@'"
+
+
 # No reader runs on valid text: not on the queries and mappings of the
 # benchmark, the Turtle text of tools/diff.py, nor on any input that
 # tools/diff.py accepts at seed 42 on a surface.
@@ -474,16 +511,14 @@ def test_no_reader_runs_on_valid_text(surface, monkeypatch, tmp_path):
 
 
 # A path operator counts only right after a verb: after ',' it is no
-# object.  The token before it is known where a window's cut falls between
-# them too.
+# object.  The token before it is read again from the run's start, across
+# a long verb too.
 @pytest.mark.parametrize(
     "between, message",
     [(" ?o ,", "expected an object, found '*'"), ("", "property paths are not supported ('*')")],
 )
-def test_the_token_before_a_path_operator_is_known_across_a_window_cut(between, message):
-    verb = "<http://e/" + "a" * _lexer.WINDOW + ">"
+def test_the_token_before_a_path_operator_is_known_after_a_long_verb(between, message):
+    verb = "<http://e/" + "a" * 4096 + ">"
     text = f"SELECT * WHERE {{ ?s {verb}{between}\n* }}"
-    # the window ends just past the first newline after WINDOW characters
-    assert text.index("\n") > _lexer.WINDOW and text[text.index("\n") + 1] == "*"
     with pytest.raises(SparqlError, match=re.escape(f"line 2, column 1: {message}")):
         parse_query(text)

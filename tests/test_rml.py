@@ -23,7 +23,7 @@ from rmlprune.algebra import (
 )
 from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune import rml
-from rmlprune.errors import MappingModelError
+from rmlprune.errors import MappingModelError, TurtleError
 from rmlprune.gendata import MAPPING_TTL, QUERIES
 from rmlprune.ntriples import format_term
 from rmlprune.pruning import FullyPruned, prune
@@ -1103,6 +1103,18 @@ def test_translated_expressions_pass_the_public_checks():
 def test_corpus_mapping_plan_is_pinned():
     plan = dump_plan(parse_rml(MAPPING_TTL)) + "\n"
     assert hashlib.sha256(plan.encode("utf-8")).hexdigest() == SCALE1_PLAN
+
+
+# A byte-order mark may start mapping bytes; decoded text keeps it as a
+# character, which no token spells.
+def test_mapping_bytes_may_start_with_a_byte_order_mark():
+    plan = dump_plan(parse_rml(b"\xef\xbb\xbf" + MAPPING_TTL.encode("utf-8"))) + "\n"
+    assert hashlib.sha256(plan.encode("utf-8")).hexdigest() == SCALE1_PLAN
+    message = f"line 1, column 1: expected a subject, found {chr(0xFEFF)!r}"
+    for data in ("\ufeff" + MAPPING_TTL, b"\xef\xbb\xbf" * 2 + MAPPING_TTL.encode("utf-8")):
+        with pytest.raises(TurtleError) as raised:
+            parse_rml(data)
+        assert str(raised.value) == message
 
 
 # sha256 of `rmlprune prune` of q01 on the seed corpus mapping: ?s ?p ?o

@@ -1,6 +1,7 @@
 """Turtle parsing: directives, abbreviations, strings, collections, errors."""
 
 import hashlib
+import sys
 from collections import Counter
 
 import pytest
@@ -437,12 +438,8 @@ def filed(tokens: list[str], separator: str) -> tuple[list[str], list[tuple[int,
     return [f"{format_term(t.s)} {format_term(t.p)} {format_term(t.o)}" for t in doc.triples], opened
 
 
-@pytest.mark.parametrize("window", [1, 8, _lexer.WINDOW])
-def test_reader_spellings_between_run_tokens_read_as_one_token_per_line(monkeypatch, window):
+def test_reader_spellings_between_run_tokens_read_as_one_token_per_line():
     expected = filed(RUN_BOUNDARY_TOKENS, "\n")
-    # small windows cut the line between tokens too, and inside the long
-    # string and the comment, which hold spaces
-    monkeypatch.setattr(_lexer, "WINDOW", window)
     assert filed(RUN_BOUNDARY_TOKENS, " ") == expected
     triples, opened = expected
     assert len(triples) == 19
@@ -468,24 +465,23 @@ def test_reader_spellings_between_run_tokens_read_as_one_token_per_line(monkeypa
         ("ex:s a ex:C ;\n  ex:p _:x ex:o .", "line 3, column 12: expected '.'"),
     ],
 )
-@pytest.mark.parametrize("window", [1, _lexer.WINDOW])
-def test_an_error_directly_after_a_reader_spelling_keeps_its_position(monkeypatch, statement, error, window):
-    monkeypatch.setattr(_lexer, "WINDOW", window)
+def test_an_error_directly_after_a_reader_spelling_keeps_its_position(statement, error):
     with pytest.raises(TurtleError, match=f"^{error}$"):
         read_turtle(f"@prefix ex: <http://e/> .\n{statement}\n")
 
 
 class Counting:
-    """A pattern of the runs, counting the characters it scans: a run reads
-    up to the first character of the spelling it leaves to a reader (its
-    last match moves to the window's end without reading it) or to its
-    window's end, and a step through a run again reads each match."""
+    """A pattern of the run, counting the characters it scans: the run
+    reads up to the first character of the spelling it leaves to a reader
+    (its last match moves to the text's end without reading it) or to the
+    text's end, and a step through the run again reads each match."""
 
     def __init__(self, regex, scanned: list[int]):
         self.regex, self.scanned = regex, scanned
 
-    def findall(self, text, pos, endpos):
+    def findall(self, text, pos=0, endpos=sys.maxsize):
         run = self.regex.findall(text, pos, endpos)
+        endpos = min(endpos, len(text))
         if run and not run[-1]:
             *_, last = self.regex.finditer(text, pos, endpos)
             endpos = _lexer._WS_RE.match(text, last.start()).end() + 1
@@ -499,58 +495,21 @@ class Counting:
 
 
 @pytest.mark.parametrize("statements", [1_000, 10_000])
-def test_runs_scan_a_line_of_reader_spellings_in_linear_time(monkeypatch, statements):
-    # each statement's long string holds a newline, where each window is
-    # cut, and a short string a space: each window then ends with the long
-    # string it cuts, which steps through its run again
-    statement = "ex:s{0} ex:b '''x\n y''' ; ex:p \"{0} z\\n\" . "
+@pytest.mark.parametrize(
+    "statement,triples",
+    [
+        # a long string that holds a newline, and a short one a space
+        ("ex:s{0} ex:b '''x\n y''' ; ex:p \"{0} z\\n\" . ", 2),
+        # a number that starts with '.'
+        ("ex:s{0} ex:p .5 . ", 1),
+    ],
+)
+def test_runs_scan_a_line_of_reader_spellings_in_linear_time(monkeypatch, statement, triples, statements):
     text = "@prefix ex: <http://e/> . " + "".join(statement.format(i) for i in range(statements))
     scanned = [0]
     monkeypatch.setattr(_lexer, "_RUN_RE", Counting(_lexer._RUN_RE, scanned))
-    assert len(read_turtle(text).triples) == 2 * statements
-    assert len(text) < scanned[0] <= 3 * len(text)
-
-
-def windows_read(text: str, monkeypatch) -> tuple[list[Triple], list[tuple[int, int]]]:
-    """The triples of *text*, and the window of each run read from it; no
-    run may end at text that no token spells."""
-    windows = []
-    next_run = _lexer.Lexer._next_run
-
-    def recording(lexer):
-        token = next_run(lexer)
-        assert token or lexer.at_end()
-        if token:
-            windows.append((lexer._start, lexer._end))
-        return token
-
-    monkeypatch.setattr(_lexer.Lexer, "_next_run", recording)
-    return read_turtle(text).triples, windows
-
-
-# A long string, or an escape, in every statement is a run token: runs end
-# only where the windows are cut, just past the first newline after
-# WINDOW characters.
-@pytest.mark.parametrize("statement", ['<http://e/s{0}> <http://e/p> """v{0}""" .\n', '<http://e/s{0}> <http://e/p> "v\\n{0}" .\n'])
-def test_runs_of_long_or_escaped_strings_end_at_window_cuts(monkeypatch, statement):
-    text = "".join(statement.format(i) for i in range(5_000))
-    triples, windows = windows_read(text, monkeypatch)
-    assert [t.o for t in triples[::1000]] == [Literal(("v{0}" if '"""' in statement else "v\n{0}").format(i)) for i in range(0, 5_000, 1000)]
-    assert [start for start, _ in windows] == [0] + [end for _, end in windows[:-1]]
-    assert [end for _, end in windows] == [text.find("\n", start + _lexer.WINDOW) + 1 or len(text) for start, _ in windows]
-
-
-def test_a_long_string_across_a_window_cut_is_one_token(monkeypatch):
-    before = "".join(f"<http://e/s{i}> <http://e/p> <http://e/o> .\n" for i in range(90))
-    lines = "".join(f"line {i}\n" for i in range(100))
-    text = f'{before}<http://e/s> <http://e/p> """{lines}""" .\n<http://e/t> <http://e/p> 1 .\n'
-    opened, closed = text.index('"""'), text.rindex('"""') + 3
-    assert opened < _lexer.WINDOW < closed
-    triples, windows = windows_read(text, monkeypatch)
-    assert triples[90].o == Literal(lines)
-    # the window cut in the string ends with it instead, and the next one
-    # starts at the token after it
-    assert windows == [(0, closed), (closed + 1, len(text))]
+    assert len(read_turtle(text).triples) == triples * statements
+    assert scanned[0] <= 3 * len(text)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,8 @@ for ``rml:BlankNode``...; a text without one gets a replacement instead).
   or local name spells a keyword, an expression, a dangling ``;``, a
   FROM or VALUES clause, or a token snippet: an escaped or long string, an
   escaped IRIREF or local name, a relative datatype, a language tag, a hex
-  escape outside Unicode, ``TRUE``, ``SHA1(?s)`` or ``ENCODE_FOR_URI(?s)``.
+  escape outside Unicode, ``TRUE``, ``SHA1(?s)``, ``ENCODE_FOR_URI(?s)``, a
+  number that starts with ``.`` or ``-.``, or a string with a lone ``@``.
   A record is the parsed query's ``SelectQuery`` fields, each term as its
   class and fields.
 * ``--surface turtle`` mutates the two mappings above and a Turtle text
@@ -77,7 +78,7 @@ SNIPPETS = (
 # alone before every valid spelling was a token, and the errors they spell
 TOKEN_SNIPPETS = (
     '"a\\u0041"', "'''x\ny'''", '"""a""""', "<http://e/\\u0041>", "ex:a\\.b", '"x"^^<rel>', '"x"@en-GB',
-    '"\\U00110000"', "TRUE", "SHA1(?s)", "ENCODE_FOR_URI(?s)",
+    '"\\U00110000"', "TRUE", "SHA1(?s)", "ENCODE_FOR_URI(?s)", ".5", "-.5e1", '"x"@',
 )
 # ... and in a query
 QUERY_SNIPPETS = (
