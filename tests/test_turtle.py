@@ -512,6 +512,45 @@ def test_runs_scan_a_line_of_reader_spellings_in_linear_time(monkeypatch, statem
     assert scanned[0] <= 3 * len(text)
 
 
+def runs_read(text: str, monkeypatch) -> tuple[list[Triple], list[list[str]]]:
+    """The triples of *text*, and each run read from it; no run may end at
+    text that no token spells."""
+    runs = []
+
+    class Recording:
+        def findall(self, text, *args):
+            run = regex.findall(text, *args)
+            assert run and run[-1]
+            runs.append(run)
+            return run
+
+    regex = _lexer._RUN_RE
+    monkeypatch.setattr(_lexer, "_RUN_RE", Recording())
+    return read_turtle(text).triples, runs
+
+
+# A long string, or an escape, in every statement is a run token: one run
+# reads the whole text, however long.
+@pytest.mark.parametrize("statement", ['<http://e/s{0}> <http://e/p> """v{0}""" .\n', '<http://e/s{0}> <http://e/p> "v\\n{0}" .\n'])
+def test_runs_of_long_or_escaped_strings_read_the_whole_text(monkeypatch, statement):
+    text = "".join(statement.format(i) for i in range(5_000))
+    triples, runs = runs_read(text, monkeypatch)
+    assert [t.o for t in triples[::1000]] == [Literal(("v{0}" if '"""' in statement else "v\n{0}").format(i)) for i in range(0, 5_000, 1000)]
+    assert len(runs) == 1 and len(runs[0]) == 4 * 5_000 + 1
+
+
+def test_a_long_string_of_many_lines_is_one_token(monkeypatch):
+    before = "".join(f"<http://e/s{i}> <http://e/p> <http://e/o> .\n" for i in range(90))
+    lines = "".join(f"line {i}\n" for i in range(100))
+    text = f'{before}<http://e/s> <http://e/p> """{lines}""" .\n<http://e/t> <http://e/p> 1 .\n'
+    # the string runs from before the 4 KB mark to after it
+    assert text.index('"""') < 4096 < text.rindex('"""')
+    triples, runs = runs_read(text, monkeypatch)
+    assert triples[90].o == Literal(lines)
+    assert triples[91] == Triple(Iri("http://e/t"), Iri("http://e/p"), Literal("1", XSD_INTEGER))
+    assert len(runs) == 1 and f'"""{lines}"""' in runs[0]
+
+
 # ---------------------------------------------------------------------------
 # round trip: random graphs written in random styles read back the same
 # ---------------------------------------------------------------------------
