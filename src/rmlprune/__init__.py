@@ -35,7 +35,7 @@ from .errors import (
     TurtleError,
     UnsupportedSparqlError,
 )
-from .pruning import FullyPruned, incompatibility_trace, prune, tp_incompatible
+from .pruning import FullyPruned, incompatibility_trace, prune
 from .rdf import (
     Bgp,
     BlankNode,
@@ -92,7 +92,6 @@ __all__ = [
     "parse_rml",
     "prune",
     "serialize_pruned",
-    "tp_incompatible",
     "translate",
     "__version__",
 ]

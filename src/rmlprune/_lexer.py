@@ -55,9 +55,10 @@ from .errors import InvalidTermError
 from .rdf import _ECHAR, _IRI_CHAR, _SCHEME_RE, _VAR_NAME, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
 from .rdf import Iri, Literal, is_absolute_iri, trusted_iri, trusted_literal, unescape
 
-_DOUBLE_RE = re.compile(r"[+-]?(?:\d+\.\d*[eE][+-]?\d+|\.\d+[eE][+-]?\d+|\d+[eE][+-]?\d+)")
-_DECIMAL_RE = re.compile(r"[+-]?\d*\.\d+")
-_INTEGER_RE = re.compile(r"[+-]?\d+")
+# digits are ASCII (Turtle 1.1 §6.5, SPARQL 1.1 §19.8), which \d is not in a str pattern
+_DOUBLE_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*[eE][+-]?[0-9]+|\.[0-9]+[eE][+-]?[0-9]+|[0-9]+[eE][+-]?[0-9]+)")
+_DECIMAL_RE = re.compile(r"[+-]?[0-9]*\.[0-9]+")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _NUMBERS = ((_DOUBLE_RE, XSD_DOUBLE), (_DECIMAL_RE, XSD_DECIMAL), (_INTEGER_RE, XSD_INTEGER))
 
 # The deepest nesting of groups, blank-node property lists or collections a
@@ -129,7 +130,7 @@ _STRING_RE = re.compile(
     rf"|'''[^'\\]*(?:(?:{_ESCAPE}|'(?!''(?!')))[^'\\]*)*'''"
 )
 _TOKEN = (
-    rf"[][(){{}},;]|\.(?!\d)|{_ASCII_PNAME}|{_IRIREF}|{_PNAME}"
+    rf"[][(){{}},;]|\.(?![0-9])|{_ASCII_PNAME}|{_IRIREF}|{_PNAME}"
     rf"|(?:{_STRING_RE.pattern})(?:{_LANGTAG_RE.pattern}|\^\^(?:{_IRIREF}|{_PNAME})|(?!@|\^\^))"
     f"|{'|'.join(regex.pattern for regex, _ in _NUMBERS)}"
     # 'a' unless a longer name starts there, and a label without the
@@ -580,7 +581,7 @@ class Lexer:
         if match:
             self.pos = match.end()
             return Literal(match[0], XSD_BOOLEAN)
-        if ch.isdigit() or ch in "+-.":
+        if "0" <= ch <= "9" or ch in "+-.":
             for regex, datatype in _NUMBERS:
                 match = regex.match(self.text, self.pos)
                 if match:

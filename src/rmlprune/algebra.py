@@ -6,8 +6,11 @@ The expression language mirrors how RML builds terms from tabular data:
   evaluates to a string: the texts with each attribute's cell between them;
 * *term constructors* (:class:`ConstantTerm`, :class:`BuildLiteral`,
   :class:`BuildIri`, :class:`BuildBlank`) turn those strings into RDF
-  terms, yielding the error value :data:`EPSILON` on failure;
-* an empty cell is NULL (R2RML §11): it builds no term and joins nothing;
+  terms; :data:`BUILDS` says which kind of term each builds;
+* the error value ε, :data:`EPSILON`, is ``None``: what a constructor
+  builds from a row with an empty cell, a NULL (R2RML §11), which also
+  joins nothing, and what an IRI constructor builds from a row that
+  spells no valid IRI;
 * a :class:`TriplesMapExpr` glues an extraction from one source (or a join
   of two) to one constructor per triple position; and
 * an :class:`RmlMappingExpr` is the union of its triples-map expressions.
@@ -25,7 +28,10 @@ Each (subject, object) pair is filed, once, under its predicate's spelling
 and its object's datatype (``None`` for a node), and those pairs become the
 graph's typed string columns (:class:`~rmlprune.rdf.RdfGraph`).  A pair
 builds no tuple unless its subject already has another object in that
-column.
+column.  Which kind of term may stand where (R2RML §7.4, which
+:func:`~rmlprune.rml.parse_rml` enforces) is checked once per expression,
+before it is compiled: one whose subject builds literals, or whose
+predicate builds anything but IRIs, is skipped, so no row checks a kind.
 
 :func:`dump_plan` prints an expression as nested operators (extract,
 extend, join, project, union), the form of ``--dump-algebra``.
@@ -64,25 +70,11 @@ logger = logging.getLogger("rmlprune.algebra")
 Attribute = str
 
 
-class Epsilon:
-    """The error value produced by failing term constructors."""
-
-    _instance: "Epsilon | None" = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "EPSILON"
-
-
-EPSILON = Epsilon()
+EPSILON = None  # the error value ε, as the module docstring says
 
 # what a constructor builds from a row: a node's spelling or a literal's
 # lexical form, or EPSILON
-Value = str | Epsilon
+Value = str | None
 
 # ---------------------------------------------------------------------------
 # templates (string-valued)
@@ -182,6 +174,18 @@ class BuildBlank(_FromTemplate):
 
 ExtendExpr = Union[ConstantTerm, BuildLiteral, BuildIri, BuildBlank]
 
+# the kind of term each template constructor builds; a constant builds the
+# kind of its term
+BUILDS: dict[type, type] = {BuildIri: Iri, BuildLiteral: Literal, BuildBlank: BlankNode}
+
+
+def builds(expr: ExtendExpr) -> tuple[type, str | None]:
+    """The kind of term *expr* builds, and a literal's datatype (``None``
+    for a node)."""
+    if isinstance(expr, ConstantTerm):
+        return type(expr.term), encode_term(expr.term)[1]
+    return BUILDS[type(expr)], expr.datatype if type(expr) is BuildLiteral else None
+
 
 def string_to_bnode(s: str) -> str:
     """The spelling of a blank node: an injective, run-stable mapping from
@@ -189,7 +193,7 @@ def string_to_bnode(s: str) -> str:
     return "_:b" + hashlib.blake2b(s.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def resolve_iri(body: str, base: str) -> str | Epsilon:
+def resolve_iri(body: str, base: str) -> str | None:
     """The spelling of a constructed IRI: absolute as-is, otherwise
     base-prefixed; EPSILON when the outcome is not a valid IRI."""
     candidate = body if is_absolute_iri(body) else base + body
@@ -264,10 +268,7 @@ class TriplesMapExpr:
                     raise StructuralError(
                         f"join condition ({a!r}, {b!r}) is not a (child, parent) attribute pair"
                     )
-            if isinstance(self.object_expr, BuildLiteral) or (
-                isinstance(self.object_expr, ConstantTerm)
-                and isinstance(self.object_expr.term, Literal)
-            ):
+            if builds(self.object_expr)[0] is Literal:
                 raise StructuralError("the joined object constructor cannot produce literals")
             object_scope, object_where = parent, "parent extraction"
         for name, expr, scope, where in (
@@ -371,7 +372,7 @@ def _template(body: Template, column: Mapping[Attribute, int]) -> Callable[[Row]
     ).format
 
 
-def _resolve_spelled(spelled: str, base: str) -> str | Epsilon:
+def _resolve_spelled(spelled: str, base: str) -> str | None:
     """:func:`resolve_iri` of the body between the angle brackets of
     *spelled*; *spelled* itself when that is the spelling."""
     spelling = resolve_iri(spelled[1:-1], base)
@@ -390,40 +391,28 @@ class _Interned(dict):
         return spelling
 
 
-def _datatype(expr: ExtendExpr) -> str | None:
-    """The datatype of the literals *expr* builds, or None for nodes."""
-    if isinstance(expr, BuildLiteral):
-        return expr.datatype
-    return encode_term(expr.term)[1] if isinstance(expr, ConstantTerm) else None
-
-
 def _compile(
-    expr: ExtendExpr,
-    column: Mapping[Attribute, int],
-    interned: dict[tuple, _Interned],
-    kinds: tuple[type, ...] = (Iri, BlankNode, Literal),
+    expr: ExtendExpr, column: Mapping[Attribute, int], interned: dict[tuple, _Interned]
 ) -> Callable[[Row], Value]:
     """A constructor as a function of a raw row whose cells *column*
-    locates: a node's spelling or a literal's lexical form; EPSILON
-    throughout when it can build no term of *kinds*, and for a row with an
-    empty cell among those it reads.  Node spellings come from the call's
-    *interned* tables, one per constructor kind and base."""
+    locates: a node's spelling or a literal's lexical form; EPSILON for a
+    row with an empty cell among those it reads, or that spells no valid
+    IRI.  Node spellings come from the call's *interned* tables, one per
+    constructor kind and base."""
     if isinstance(expr, ConstantTerm):
-        value = encode_term(expr.term)[0] if isinstance(expr.term, kinds) else EPSILON
+        value = encode_term(expr.term)[0]
         return lambda row: value
     template = expr.body
     if isinstance(expr, BuildIri):
-        kind, key, build = Iri, (BuildIri, expr.base), partial(_resolve_spelled, base=expr.base)
+        key, build = (BuildIri, expr.base), partial(_resolve_spelled, base=expr.base)
         # the template spells the IRI, which is then its own key when absolute
         parts = list(template.parts)
         parts[0], parts[-1] = "<" + parts[0], parts[-1] + ">"
         template = Template(parts)
     elif isinstance(expr, BuildLiteral):
-        kind, key, build = Literal, None, None
+        key = build = None
     else:
-        kind, key, build = BlankNode, (BuildBlank,), string_to_bnode
-    if not issubclass(kind, kinds):
-        return lambda row: EPSILON
+        key, build = (BuildBlank,), string_to_bnode
     body = _template(template, column)
     refs = sorted({column[a] for a in expr.attrs})
     cells = _cells(refs)  # a tuple when there are none or several
@@ -473,9 +462,9 @@ def _pairs(m: RmlMappingExpr, sigma: SourceAssignment) -> Pairs:
     :data:`~rmlprune.rdf.Pairs` describes.
 
     Every expression is compiled first; one whose selector names no column
-    drops its rows.  A triple is dropped without error when a term is
-    :data:`EPSILON` or cannot stand at its position (a literal subject, a
-    predicate that is no IRI).
+    drops its rows, and so does one whose subject builds literals or whose
+    predicate builds anything but IRIs (R2RML §7.4).  A triple is dropped
+    without error when a term is :data:`EPSILON`.
     """
     interned: dict[tuple, _Interned] = {}
     warned: set[tuple[str, str]] = set()
@@ -490,18 +479,17 @@ def _pairs(m: RmlMappingExpr, sigma: SourceAssignment) -> Pairs:
         parent = None if tm.parent_extract is None else _columns(tm.parent_extract, sigma, warned)
         if column is None or (tm.parent_extract is not None and parent is None):
             continue
-        predicate = _compile(tm.predicate_expr, column, interned, (Iri,))
-        datatype, filed = _datatype(tm.object_expr), None
+        if builds(tm.subject_expr)[0] is Literal or builds(tm.predicate_expr)[0] is not Iri:
+            continue
+        predicate = _compile(tm.predicate_expr, column, interned)
+        datatype, filed = builds(tm.object_expr)[1], None
         if isinstance(tm.predicate_expr, ConstantTerm):
-            p = predicate(())
-            if p is EPSILON:
-                continue
-            filed = pairs.setdefault((p, datatype), ({}, {}))
+            filed = pairs.setdefault((predicate(()), datatype), ({}, {}))
         subject = tm.subject_expr
         groups = passes.setdefault(tm.extract.source_ref, {})
         key = (subject, tuple(column[a] for a in sorted(subject.attrs)))
         if key not in groups:
-            groups[key] = (_compile(subject, column, interned, (Iri, BlankNode)), [])
+            groups[key] = (_compile(subject, column, interned), [])
         if parent is None:
             obj = _compile(tm.object_expr, column, interned)
         else:

@@ -145,7 +145,7 @@ def run_benchmark(mapping: RmlMappingExpr, queries: Sequence[tuple[str, SelectQu
             query=name, trmaps_before=len(mapping.trmaps), trmaps_after=last.trmaps_after,
             prune_ms=prune_ms, materialize_ms=materialize_ms, triples=last.triples,
             query_ms=query_ms, equal="PASS" if last.solutions == full.solutions else "FAIL",
-            result_rows=len(last.solutions),
+            result_rows=len(last.rows()),
         ))
     return rows, full_triples
 

@@ -1,10 +1,12 @@
 """CSV sources: parsing bytes or text into a :class:`CsvTable`.
 
-CSV files are parsed with the standard library's RFC 4180 reader: quoted
-fields, embedded separators and newlines, and both LF and CRLF line ends
-are handled.  A header row is mandatory; header names must be non-empty
-and unique, and every data row must have exactly as many fields as the
-header (ragged rows are an error that names the offending row).  Equal
+CSV files are parsed with the standard library's RFC 4180 reader in
+strict mode: quoted fields, embedded separators and newlines, and both LF
+and CRLF line ends are handled, and broken quoting (a quote left open, or
+text after a closing quote) is an error, not a cell.  A header row is
+mandatory; header names must be non-empty and unique, and every data row
+must have exactly as many fields as the header (ragged rows are an error
+that names the offending row).  Equal
 cells of one table share one string, so a value repeated down a column is
 held once.
 
@@ -59,7 +61,7 @@ def parse_csv(data: bytes | str) -> CsvTable:
             raise CsvError(f"not valid UTF-8: {exc}") from None
     else:
         text = data.lstrip("﻿")
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     cells: dict[str, str] = {}
     try:
         records = [tuple(map(cells.setdefault, rec, rec)) for rec in reader]

@@ -2,16 +2,16 @@
 
 A triples-map expression is *incompatible* with a triple pattern when no
 source whatsoever can make it emit a triple the pattern matches.  The
-check is purely syntactic: :func:`term_incompatible` asks, for each
-constant of the pattern, whether the constructor at its position can ever
-build it.  A constant constructor builds only its term; any other builds
-one kind of term, a literal constructor one datatype, and its strings
-match one anchored regex: the template's texts, escaped, joined by ``.+``,
-with an IRI constructor's base optionally in front.  A mapping keeps an
-expression iff at least one pattern of the query is not incompatible with
-it; dropping the rest changes no answer of the query.  :func:`prune` and
-:func:`incompatibility_trace` decide by the same checks, and only the
-trace spells a reason.
+check is purely syntactic: it asks, for each constant of the pattern,
+whether the constructor at its position can ever build it.  A constant
+constructor builds only its term; any other builds the one kind of term
+that :data:`~rmlprune.algebra.BUILDS` names, a literal constructor one
+datatype, and its strings match one anchored regex: the template's texts,
+escaped, joined by ``.+``, with an IRI constructor's base optionally in
+front.  A mapping keeps an expression iff at least one pattern of the
+query is not incompatible with it; dropping the rest changes no answer of
+the query.  :func:`prune` and :func:`incompatibility_trace` decide by the
+same checks, and only the trace spells a reason.
 
 Each attribute reference becomes ``.+``, which is exact for every source:
 an empty cell is NULL, and a constructor that reads one builds no term
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
 
-from .algebra import BuildBlank, BuildIri, BuildLiteral, ConstantTerm, ExtendExpr, RmlMappingExpr
+from .algebra import BUILDS, BuildIri, BuildLiteral, ConstantTerm, ExtendExpr, RmlMappingExpr
 from .algebra import TriplesMapExpr
 from .rdf import BlankNode, Iri, Literal, TriplePattern, Variable, format_term
 
@@ -36,8 +36,7 @@ from .rdf import BlankNode, Iri, Literal, TriplePattern, Variable, format_term
 # has 247 template constructors, and its query mix compiles 121 of them
 CACHE_SIZE = 1024
 
-# the kind of term each template constructor builds, and its name
-_BUILDS = {BuildIri: Iri, BuildLiteral: Literal, BuildBlank: BlankNode}
+# the name of each kind of term
 _KIND_NAMES = {Iri: "IRIs", Literal: "literals", BlankNode: "blank nodes"}
 
 
@@ -62,27 +61,12 @@ def _failed_check(expr: ExtendExpr, term: Iri | Literal) -> Union[str, None]:
     ``"regex"``), or ``None``."""
     if isinstance(expr, ConstantTerm):
         return None if expr.term == term else "constant"
-    kind = _BUILDS[type(expr)]
+    kind = BUILDS[type(expr)]
     if kind is not type(term):
         return "kind"
     if kind is Literal and expr.datatype != term.datatype:
         return "datatype"
     return None if _constructor_regex(expr).fullmatch(term.value if kind is Iri else term.lex) else "regex"
-
-
-def term_incompatible(expr: ExtendExpr, term: Iri | Literal) -> Union[str, None]:
-    """A reason the constructor can never build the pattern constant *term*,
-    or ``None``."""
-    check = _failed_check(expr, term)
-    if check == "constant":
-        return f"constant {format_term(expr.term)} differs from {format_term(term)}"
-    if check == "kind":
-        return f"builds {_KIND_NAMES[_BUILDS[type(expr)]]}, not {_KIND_NAMES[type(term)]}"
-    if check == "datatype":
-        return f"datatype <{expr.datatype}> differs from <{term.datatype}>"
-    if check == "regex":
-        return f"{format_term(term)} does not match /{_constructor_regex(expr).pattern}/"
-    return None
 
 
 def _ruling(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
@@ -99,17 +83,25 @@ def _ruling(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
     return None
 
 
-def tp_incompatible(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
-    """A reason *tm* can never emit a triple matching *tp*, or ``None``.
-
-    ``None`` means the syntactic checks cannot rule the pair out; it does
-    not promise a match exists.
-    """
+def _reason(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
+    """The trace's reason that *tm* can never emit a triple matching *tp*:
+    the position :func:`_ruling` finds and the check that fails there,
+    spelled; ``None`` when the checks cannot rule the pair out, which does
+    not promise a match exists."""
     position = _ruling(tp, tm)
     if position is None:
         return None
     # the pattern's s, p or o, and the expression's constructor there
-    reason = term_incompatible(getattr(tm, f"{position}_expr"), getattr(tp, position[0]))
+    expr, term = getattr(tm, f"{position}_expr"), getattr(tp, position[0])
+    check = _failed_check(expr, term)
+    if check == "constant":
+        reason = f"constant {format_term(expr.term)} differs from {format_term(term)}"
+    elif check == "kind":
+        reason = f"builds {_KIND_NAMES[BUILDS[type(expr)]]}, not {_KIND_NAMES[type(term)]}"
+    elif check == "datatype":
+        reason = f"datatype <{expr.datatype}> differs from <{term.datatype}>"
+    else:
+        reason = f"{format_term(term)} does not match /{_constructor_regex(expr).pattern}/"
     return f"{position}: {reason}"
 
 
@@ -147,7 +139,7 @@ def incompatibility_trace(patterns: Iterable[TriplePattern], mapping: RmlMapping
     ]
     lines = []
     for tm in mapping.trmaps:
-        reasons = [tp_incompatible(tp, tm) for tp in tps]
+        reasons = [_reason(tp, tm) for tp in tps]
         verdict = "pruned" if all(r is not None for r in reasons) else "retained"
         lines.append(f"{tm.provenance or '<anonymous>'}: {verdict}")
         for pattern, reason in zip(spelled, reasons):

@@ -57,7 +57,7 @@ from .turtle import TurtleParser
 # character, and those that do right after a verb ('||' is two '|')
 _PATH_STARTS = {"^": "inverse '^'", "!": "negated set '!'", "(": "grouped path"}
 _PATH_MODIFIERS = ("/", "|", "||", "*", "?", "+")
-_UNSIGNED_INTEGER_RE = re.compile(r"\d+")
+_UNSIGNED_INTEGER_RE = re.compile(r"[0-9]+")
 _VARIABLE = trusted(Variable)  # for a name that a variable token's pattern matched
 # where a builtin's name that no token spells ends
 _BUILTIN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|")
@@ -317,7 +317,7 @@ class _QueryParser(TurtleParser):
         if term is not None:
             return term
         ch = self.peek()
-        if ch in ('"', "'") or ch.isdigit():
+        if ch in ('"', "'") or "0" <= ch <= "9":
             raise self.error("literal subjects are not supported", unsupported=True)
         if ch == "(":
             raise self.error("collections in patterns are not supported", unsupported=True)

@@ -12,7 +12,6 @@ from rmlprune.algebra import (
     BuildIri,
     BuildLiteral,
     ConstantTerm,
-    Epsilon,
     ExtendExpr,
     ExtractSpec,
     RmlMappingExpr,
@@ -75,10 +74,10 @@ def valid_input(sigma, m: RmlMappingExpr) -> bool:
 # ---------------------------------------------------------------------------
 
 # what the reference evaluator computes: a term, or EPSILON
-Value = RdfTerm | Epsilon
+Value = RdfTerm | None
 
 
-def evaluate_template(body: Template, tup: Mapping[str, Value]) -> str | Epsilon:
+def evaluate_template(body: Template, tup: Mapping[str, Value]) -> str | None:
     """The string value of a template over one tuple: each text as it is,
     each attribute as its cell's lexical form, EPSILON when a cell is no
     literal or is empty (a NULL)."""

@@ -319,6 +319,28 @@ def test_trmap_validates_attribute_scope():
         )
 
 
+@pytest.mark.parametrize(
+    "position, expr",
+    [
+        ("subject", BuildLiteral(ref("id"), XSD_STRING)),
+        ("subject", ConstantTerm(Literal("s"))),
+        ("predicate", ConstantTerm(Literal("p"))),
+        ("predicate", BuildBlank(ref("id"))),
+        ("predicate", BuildLiteral(ref("id"), XSD_STRING)),
+    ],
+)
+def test_a_term_that_cannot_stand_at_its_position_builds_no_triple(position, expr):
+    # R2RML §7.4: a subject is an IRI or a blank node, a predicate an IRI
+    sigma = csv_sigma(**{"t.csv": "id,name\n1,a\n2,b\n"})
+    ill_placed = replace(simple_trmap(), **{f"{position}_expr": expr})
+    assert len(materialize_trmap(ill_placed, sigma)) == 0
+    assert not reference_materialize(RmlMappingExpr((ill_placed,)), sigma).triples
+    # beside it, an expression with the same subject builds all it builds alone
+    alone = materialize_trmap(simple_trmap(), sigma)
+    assert len(alone) == 2
+    assert materialize(RmlMappingExpr((ill_placed, simple_trmap())), sigma).triples == alone.triples
+
+
 def test_trmap_join_validation():
     child = csv_extract("c.csv", "a")
     parent_clash = csv_extract("p.csv", "a")

@@ -361,6 +361,21 @@ def test_bench_csv_and_exit_code(corpus, capsys, tmp_path):
     assert q05.split(",")[1:3] == ["14", "0"]
 
 
+def test_bench_counts_the_rows_that_query_prints(corpus, capsys, tmp_path):
+    # under DISTINCT, the 1570 solutions project to 12 rows
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    (queries / "preds.rq").write_text("SELECT DISTINCT ?p WHERE { ?s ?p ?o }\n")
+    mapping, data = str(corpus / "mapping.ttl"), str(corpus)
+    code, out, err = run(capsys, "query", "--mapping", mapping, "--query", str(queries / "preds.rq"),
+                         "--data-dir", data)
+    assert (code, err) == (0, "12 rows\n") and len(out.splitlines()) == 13
+    code, _, err = run(capsys, "bench", "--mapping", mapping, "--queries-dir", str(queries),
+                       "--data-dir", data, "--repetitions", "1", "--out", str(tmp_path / "bench.csv"))
+    assert code == 0
+    assert "preds: 14 -> 14 TrMap-expressions, 1570 triples, 12 rows, PASS" in err
+
+
 # ---------------------------------------------------------------------------
 # failure paths
 # ---------------------------------------------------------------------------
@@ -711,6 +726,104 @@ def test_ragged_csv_error_names_the_file(corpus, capsys, tmp_path):
     )
     assert code == 2
     assert f"error: {data / 'stops.csv'}: row 2: expected 5 fields, found 2" in err
+
+
+@pytest.mark.parametrize(
+    "stops, message",
+    [
+        ('stop_id,stop_name\n1,"a\n2,b\n', "malformed CSV: unexpected end of data"),
+        ('stop_id,stop_name\n"1"x,a\n', "malformed CSV: ',' expected after '\"'"),
+        (b"stop_id,stop_name\n1,\xff\n", "not valid UTF-8: "),
+        ("", "missing header row"),
+    ],
+    ids=["unterminated quote", "text after a closing quote", "not UTF-8", "empty"],
+)
+def test_a_broken_csv_exits_2_naming_the_file(corpus, capsys, tmp_path, stops, message):
+    data = tmp_path / "data"
+    shutil.copytree(corpus, data)
+    if isinstance(stops, bytes):
+        (data / "stops.csv").write_bytes(stops)
+    else:
+        (data / "stops.csv").write_text(stops)
+    code, out, err = run(
+        capsys, "materialize", "--mapping", str(data / "mapping.ttl"), "--data-dir", str(data)
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {data / 'stops.csv'}: {message}")
+
+
+# a mapping whose object a case replaces; the statement ends on line 5
+MAPPING_FOR = (
+    "@prefix rml: <http://w3id.org/rml/> .\n@prefix ex: <http://e/> .\n"
+    'ex:tm rml:logicalSource [ rml:source "t.csv" ] ;\n  rml:subject ex:s ;\n'
+    "  rml:predicateObjectMap [ rml:predicate ex:p ; rml:object {} ] .\n"
+)
+# the same, cut off where the object starts, at line 5, column 60
+CUT_MAPPING = MAPPING_FOR.split("{}")[0]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (MAPPING_FOR.format("_:"), "line 5, column 62: empty blank node label"),
+        (CUT_MAPPING + "<http://e", "line 5, column 69: unterminated IRI"),
+        (MAPPING_FOR.format("<http://e/\\x>"), "line 5, column 71: invalid escape in IRI: \\x"),
+        (MAPPING_FOR.replace('"t.csv"', '"t\\q.csv"').format("ex:o"), "line 3, column 42: invalid string escape: \\q"),
+        (CUT_MAPPING + '( "a"', "line 5, column 65: unterminated collection"),
+        (CUT_MAPPING.rstrip(), "line 5, column 59: expected an object"),
+        ("@prefix ex:foo <http://e/> .\n" + MAPPING_FOR.format("ex:o"), "line 1, column 12: expected '<'"),
+    ],
+    ids=["empty label", "open IRI", "IRI escape", "string escape", "open collection", "no object", "prefix"],
+)
+def test_a_turtle_error_exits_2_at_its_position(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.ttl"
+    bad.write_text(text)
+    code, out, err = run(capsys, "translate", "--mapping", str(bad))
+    assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "command, where, message",
+    [
+        ("prune", "{ ?s ex:name ?n . } ORDER ?s", "line 2, column 42: expected BY after ORDER"),
+        ("prune", "{ ( ) ex:name ?n . }", "line 2, column 18: collections in patterns are not supported"),
+        ("query", "{ }", "the query has an empty where clause"),
+    ],
+)
+def test_a_query_error_exits_2(corpus, capsys, tmp_path, command, where, message):
+    q = tmp_path / "bad.rq"
+    q.write_text("PREFIX ex: <http://example.com/ns#>\nSELECT * WHERE " + where + "\n")
+    extra = ["--data-dir", str(corpus)] if command == "query" else []
+    code, out, err = run(capsys, command, "--mapping", str(corpus / "mapping.ttl"), "--query", str(q), *extra)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_bench_without_queries_and_a_missing_query_exit_2(corpus, capsys, tmp_path):
+    mapping, data = str(corpus / "mapping.ttl"), str(corpus)
+    code, _, err = run(capsys, "bench", "--mapping", mapping, "--queries-dir", str(tmp_path), "--data-dir", data)
+    assert (code, err) == (2, f"error: no .rq files under {str(tmp_path)!r}\n")
+    missing = str(tmp_path / "missing.rq")
+    code, _, err = run(capsys, "query", "--mapping", mapping, "--query", missing, "--data-dir", data)
+    assert code == 2
+    assert err.startswith(f"error: cannot read query {missing!r}: ")
+
+
+def test_prune_dump_algebra_prints_the_pruned_plan(corpus, capsys, tmp_path):
+    code, out, err = run(
+        capsys, "prune", "--mapping", str(corpus / "mapping.ttl"), "--query", str(corpus / "queries" / "q02.rq"),
+        "--dump-algebra", "--out", str(tmp_path / "pruned.ttl"),
+    )
+    assert (code, out) == (0, "")
+    status, plan = err.split("\n", 1)
+    assert status.startswith("14 -> 1 TrMap-expressions retained (")
+    assert plan == (
+        "(project [@s @p @o]\n"
+        '  (extend @o (to-literal (attr "stop_name") <http://www.w3.org/2001/XMLSchema#string>)\n'
+        "    (extend @p (const <http://example.com/ns#name>)\n"
+        '      (extend @s (to-iri (concat (text "http://example.com/stop/") (attr "stop_id"))'
+        " base=<http://example.com/base/>)\n"
+        "        (extract source='stops.csv' [stop_id<-stop_id, stop_name<-stop_name])))))\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["materialize", "bench"])

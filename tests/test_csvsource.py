@@ -52,6 +52,19 @@ def test_parse_quoted_fields():
     assert table.rows == (("x,y", "line\nbreak"), ('he said "hi"', "z"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('a,b\n1,"2\n3,4\n', "unexpected end of data"),  # the open quote would take every later row
+        ('a,b\n"1"x,2\n', "',' expected after '\"'"),  # would read as 1x
+    ],
+)
+def test_parse_rejects_broken_quoting(text, message):
+    with pytest.raises(CsvError) as info:
+        parse_csv(text)
+    assert str(info.value) == f"malformed CSV: {message}"
+
+
 def test_parse_header_only():
     table = parse_csv("a,b\n")
     assert table.rows == ()

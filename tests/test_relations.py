@@ -1,5 +1,5 @@
-"""EPSILON, and the graph the reference evaluator builds from the
-(subject, predicate, object) values it yields.
+"""The graph the reference evaluator builds from the (subject, predicate,
+object) values it yields, EPSILON among them.
 
 ``graph_from_triples`` is checked against a per-triple oracle: a value
 triple contributes a triple exactly when its three values are a legal
@@ -9,7 +9,7 @@ triple contributes a triple exactly when its three values are a legal
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rmlprune.algebra import EPSILON, Epsilon
+from rmlprune.algebra import EPSILON
 from rmlprune.rdf import BlankNode, Iri, Literal, Triple
 
 from .helpers import graph_from_triples
@@ -19,11 +19,6 @@ EX = "http://example.com/"
 
 def iri(s: str) -> Iri:
     return Iri(EX + s)
-
-
-def test_epsilon_is_a_singleton():
-    assert Epsilon() is EPSILON
-    assert repr(EPSILON) == "EPSILON"
 
 
 def test_graph_from_relation_hand_cases():

@@ -747,6 +747,45 @@ def test_translate_joined_materializes(tmp_path):
     assert len(g.triples) == 2  # c/2 finds no parent row
 
 
+def test_a_triples_map_may_state_its_type():
+    text = NEW_HEADER + (
+        "<http://e/tm> a rml:TriplesMap ; rml:logicalSource [ rml:source \"f.csv\" ] ;\n"
+        "  rml:subject ex:s ; rml:predicateObjectMap [ rml:predicate ex:p ; rml:object ex:o ] .\n"
+    )
+    (tm,) = parse_rml(text).trmaps
+    assert (tm.subject_expr, tm.predicate_expr, tm.object_expr) == (
+        ConstantTerm(Iri(EX + "s")), ConstantTerm(Iri(EX + "p")), ConstantTerm(Iri(EX + "o"))
+    )
+    assert tm.extract.triples_map == "http://e/tm"
+
+
+# a child column named like a renamed parent attribute
+PRIMED_JOIN_DOC = JOIN_DOC.replace('"http://e/c/{id}"', '"http://e/c/{id@parent}"').replace(
+    'rml:child "pid"', 'rml:child "id@parent"'
+)
+
+
+def test_a_parent_attribute_is_primed_past_a_child_column_of_its_name():
+    (joined, _) = parse_rml(PRIMED_JOIN_DOC).trmaps
+    assert joined.extract.selectors == {"id@parent": "id@parent"}
+    assert joined.parent_extract.selectors == {"id@parent'": "id"}
+    assert joined.join_conditions == (("id@parent", "id@parent'"),)
+    assert joined.object_expr == BuildIri(Template(("http://e/p/", "id@parent'", "")), DEFAULT_BASE_IRI)
+
+
+def test_a_joined_parent_may_have_a_constant_subject():
+    text = PRIMED_JOIN_DOC.replace('rml:subjectMap [ rml:template "http://e/p/{id}" ]', "rml:subject <http://e/p>")
+    (joined, _) = parse_rml(text).trmaps
+    assert joined.object_expr == ConstantTerm(Iri("http://e/p"))
+    assert joined.parent_extract.selectors == {"id@parent'": "id"}
+    sigma = {
+        "c.csv": DataObject(CSV_KIND, parse_csv("id@parent\n1\n2\n")),
+        "p.csv": DataObject(CSV_KIND, parse_csv("id,name\n1,One\n")),
+    }
+    link = Triple(Iri("http://e/c/1"), Iri(EX + "link"), Iri("http://e/p"))
+    assert link in materialize(parse_rml(text), sigma).triples
+
+
 def test_translate_blank_node_term_type():
     text = NEW_HEADER + (
         "<http://e/tm> rml:logicalSource [ rml:source \"f.csv\" ] ;\n"

@@ -484,6 +484,23 @@ def test_solution_modifiers_follow_the_grammar(modifiers, column, message):
     assert not isinstance(info.value, UnsupportedSparqlError)
 
 
+@pytest.mark.parametrize(
+    "query, column, message",
+    [
+        ("SELECT * WHERE { ?s ?p ١٢ }", 24, "expected an object, found '١'"),
+        ("SELECT * WHERE { ?s ?p ١.٥ }", 24, "expected an object, found '١'"),
+        ("SELECT * WHERE { ?s ?p ?o } LIMIT ١٢", 35, "expected an unsigned integer"),
+        ("SELECT * WHERE { ?s ?p ?o } OFFSET ٣", 36, "expected an unsigned integer"),
+        ("SELECT * WHERE { ١٢ ?p ?o }", 18, "expected a subject, found '١'"),
+    ],
+)
+def test_a_number_is_spelled_with_ascii_digits(query, column, message):
+    # SPARQL 1.1 §19.8 spells INTEGER, DECIMAL and DOUBLE with [0-9]
+    with pytest.raises(SparqlError, match=f"^line 1, column {column}: {message}$") as info:
+        parse_query(query)
+    assert not isinstance(info.value, UnsupportedSparqlError)
+
+
 def test_limit_and_offset_come_in_either_order():
     for text in ("LIMIT 3 OFFSET 2", "OFFSET 2 LIMIT 3"):
         q = parse_query("SELECT * WHERE { ?s ?p ?o } " + text)

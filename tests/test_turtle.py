@@ -264,6 +264,21 @@ def test_missing_final_dot():
         read_turtle("<http://e/s> <http://e/p> <http://e/o>")
 
 
+@pytest.mark.parametrize(
+    "number, column, message",
+    [
+        ("١٢", 27, "expected an object, found '١'"),
+        ("١.٥", 27, "expected an object, found '١'"),
+        ("١e5", 27, "expected an object, found '١'"),
+        ("1٢", 28, "expected '.'"),
+    ],
+)
+def test_a_number_is_spelled_with_ascii_digits(number, column, message):
+    # INTEGER, DECIMAL and DOUBLE take [0-9] (Turtle 1.1 §6.5), not every Unicode digit
+    with pytest.raises(TurtleError, match=f"^line 1, column {column}: {message}$"):
+        read_turtle(f"<http://e/s> <http://e/p> {number} .")
+
+
 def test_iriref_rejects_forbidden_characters():
     with pytest.raises(TurtleError):
         read_turtle("<http://e/a b> <http://e/p> <http://e/o> .")
