@@ -197,8 +197,8 @@ class Lexer:
         self.base: str | None = None
         self.prefixes: dict[str, str] = {}
         self.depth = 0
-        # every IRI read so far, by its absolute spelling: only a resolved
-        # IRI is ever a key, so a later BASE or PREFIX cannot make one stale
+        # every IRI of the run, by its absolute spelling: only a resolved IRI
+        # is ever a key, so a later BASE or PREFIX cannot make one stale
         self._iris: dict[str, Iri] = {}
         # the term of each IRIREF and prefixed name read from the run, by
         # its text, until the next prefix or base declaration; a subclass
@@ -423,23 +423,16 @@ class Lexer:
     # -- IRIs --------------------------------------------------------------
 
     def resolve(self, iri: str) -> Iri:
-        """The IRI *iri* names, relative ones against the base; one object
-        per distinct IRI of the text."""
-        term = self._iris.get(iri)
-        if term is not None:
-            return term
+        """The IRI *iri* names, relative ones against the base; only a reader
+        calls this, at an error that ends the parse, so it files nothing."""
         if not is_absolute_iri(iri):
             if self.base is None:
                 raise self.error(f"relative IRI {iri!r} without a base")
             iri = self.base + iri
-            term = self._iris.get(iri)
-            if term is not None:
-                return term
         try:
-            term = self._iris[iri] = Iri(iri)
+            return Iri(iri)
         except InvalidTermError:
             raise self.error(f"not a valid IRI: {iri!r}") from None
-        return term
 
     def read_iriref(self) -> Iri:
         self.expect("<")

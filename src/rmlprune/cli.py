@@ -1,5 +1,6 @@
 """Command-line interface: one subcommand per pipeline step (``rmlprune --help``);
-``query`` and ``bench`` run :func:`rmlprune.answer.answer`.
+``query`` and ``bench`` run :func:`rmlprune.answer.answer`.  One loader,
+:func:`_load`, reads every input file, so each input error names its file.
 
 Status lines go to stderr; requested artifacts go to ``--out`` or stdout.
 Exit codes: 0 on success, 1 when a benchmark equality check fails, 2 on
@@ -13,18 +14,17 @@ import logging
 import os
 import sys
 import time
-from functools import partial
 from pathlib import Path
 
 from .algebra import DataObject, dump_plan, materialize
-from .answer import answer, evaluable_bgp, format_csv, format_rows, run_benchmark
+from .answer import SourceLoader, answer, evaluable_bgp, format_csv, format_rows, run_benchmark
 from .csvsource import CSV_KIND, parse_csv
 from .errors import RmlPruneError, SourceInputError
 from .gendata import generate
 from .ntriples import serialize_graph
 from .pruning import FullyPruned, prune
 from .rml import parse_rml, serialize_pruned
-from .sparql import collect_triple_patterns, parse_query
+from .sparql import SelectQuery, collect_triple_patterns, parse_query
 
 
 def _configure_logging():
@@ -49,41 +49,35 @@ def _write_out(text: str, out: str | None):
             raise SourceInputError(f"cannot write {out!r}: {exc}") from exc
 
 
-def _load_mapping(path: str):
+def _load(path, parse, what: str):
+    """``parse`` of the bytes of the file at *path*: an unreadable file is
+    named as *what*, and every input error in it names *path*."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
-        raise SourceInputError(f"cannot read mapping {path!r}: {exc}") from exc
+        raise SourceInputError(f"cannot read {what}: {exc}") from exc
     try:
-        return parse_rml(data)
+        return parse(data)
     except RmlPruneError as exc:
         raise RmlPruneError(f"{path}: {exc}") from None
 
 
-def _load_query(path: str):
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise SourceInputError(f"cannot read query {path!r}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise SourceInputError(f"query {path!r} is not valid UTF-8: {exc}") from None
-    return parse_query(text)
+def _evaluable_query(data: bytes) -> SelectQuery:
+    """A query that ``query`` and ``bench`` can evaluate."""
+    query = parse_query(data)
+    evaluable_bgp(query)
+    return query
 
 
-def _load_source(data_dir: str, ref: str) -> DataObject:
-    path = Path(data_dir) / ref
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise SourceInputError(f"source {ref!r} not found under {data_dir!r}: {exc}") from exc
-    try:
-        return DataObject(kind=CSV_KIND, payload=parse_csv(raw))
-    except RmlPruneError as exc:
-        raise RmlPruneError(f"{path}: {exc}") from None
+def _sources(data_dir: str) -> SourceLoader:
+    """The loader of the CSV sources under *data_dir*, by reference."""
+    def parse(data: bytes) -> DataObject:
+        return DataObject(kind=CSV_KIND, payload=parse_csv(data))
+    return lambda ref: _load(Path(data_dir) / ref, parse, f"source {ref!r} under {data_dir!r}")
 
 
 def cmd_translate(args) -> int:
-    mapping = _load_mapping(args.mapping)
+    mapping = _load(args.mapping, parse_rml, f"mapping {args.mapping!r}")
     print(f"{len(mapping.trmaps)} TrMap-expressions", file=sys.stderr)
     if args.dump_algebra:
         _write_out(dump_plan(mapping) + "\n", args.out)
@@ -91,8 +85,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_prune(args) -> int:
-    mapping = _load_mapping(args.mapping)
-    patterns = collect_triple_patterns(_load_query(args.query))
+    mapping = _load(args.mapping, parse_rml, f"mapping {args.mapping!r}")
+    patterns = collect_triple_patterns(_load(args.query, parse_query, f"query {args.query!r}"))
     t0 = time.monotonic()
     result = prune(patterns, mapping)
     elapsed_ms = (time.monotonic() - t0) * 1000.0
@@ -107,17 +101,18 @@ def cmd_prune(args) -> int:
 
 
 def cmd_materialize(args) -> int:
-    mapping = _load_mapping(args.mapping)
-    sigma = {ref: _load_source(args.data_dir, ref) for ref in mapping.source_refs()}
-    graph = materialize(mapping, sigma)
+    mapping = _load(args.mapping, parse_rml, f"mapping {args.mapping!r}")
+    load = _sources(args.data_dir)
+    graph = materialize(mapping, {ref: load(ref) for ref in mapping.source_refs()})
     print(f"{len(graph)} triples", file=sys.stderr)
     _write_out(serialize_graph(graph), args.out)
     return 0
 
 
 def cmd_query(args) -> int:
-    mapping = _load_mapping(args.mapping)
-    result = answer(_load_query(args.query), mapping, partial(_load_source, args.data_dir))
+    mapping = _load(args.mapping, parse_rml, f"mapping {args.mapping!r}")
+    query = _load(args.query, _evaluable_query, f"query {args.query!r}")
+    result = answer(query, mapping, _sources(args.data_dir))
     rows = result.rows()
     _write_out(format_rows(result.variables, rows), args.out)
     print(f"{len(rows)} rows", file=sys.stderr)
@@ -125,20 +120,12 @@ def cmd_query(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    mapping = _load_mapping(args.mapping)
+    mapping = _load(args.mapping, parse_rml, f"mapping {args.mapping!r}")
     query_files = sorted(Path(args.queries_dir).glob("*.rq"))
     if not query_files:
         raise SourceInputError(f"no .rq files under {args.queries_dir!r}")
-    queries = []
-    for path in query_files:
-        query = _load_query(str(path))
-        try:
-            evaluable_bgp(query)
-        except RmlPruneError as exc:
-            raise RmlPruneError(f"{path}: {exc}") from None
-        queries.append((path.stem, query))
-    load = partial(_load_source, args.data_dir)
-    rows, full_triples = run_benchmark(mapping, queries, load, args.repetitions)
+    queries = [(p.stem, _load(p, _evaluable_query, f"query {str(p)!r}")) for p in query_files]
+    rows, full_triples = run_benchmark(mapping, queries, _sources(args.data_dir), args.repetitions)
     print(f"full output: {full_triples} triples", file=sys.stderr)
     for r in rows:
         print(f"{r.query}: {r.trmaps_before} -> {r.trmaps_after} TrMap-expressions, "

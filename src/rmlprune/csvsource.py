@@ -6,9 +6,10 @@ and CRLF line ends are handled, and broken quoting (a quote left open, or
 text after a closing quote) is an error, not a cell.  A header row is
 mandatory; header names must be non-empty and unique, and every data row
 must have exactly as many fields as the header (ragged rows are an error
-that names the offending row).  Equal
-cells of one table share one string, so a value repeated down a column is
-held once.
+that names the offending row).  Equal cells of one table share one string,
+so a value repeated down a column is held once.  Bytes are decoded by
+:func:`rmlprune.errors.decoded`, as every parser's are; text may start with
+byte-order marks (a spreadsheet export read with ``open()`` keeps one).
 
 Evaluation (:mod:`rmlprune.algebra`) reads a table by column name and
 keeps its cells as raw strings: each constructor builds its term from
@@ -21,7 +22,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 
-from .errors import CsvError
+from .errors import CsvError, decoded
 
 CSV_KIND = "csv"
 
@@ -54,13 +55,7 @@ class CsvTable:
 
 def parse_csv(data: bytes | str) -> CsvTable:
     """Parse CSV bytes or text into a table; header row required."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise CsvError(f"not valid UTF-8: {exc}") from None
-    else:
-        text = data.lstrip("﻿")
+    text = decoded(data, CsvError) if isinstance(data, bytes) else data.lstrip("\ufeff")
     reader = csv.reader(io.StringIO(text, newline=""), strict=True)
     cells: dict[str, str] = {}
     try:

@@ -2,8 +2,11 @@
 
 Every error raised on a bad input derives from :class:`RmlPruneError`, so the
 command line interface can map "your input is broken" uniformly to exit
-code 2 while programming errors keep their ordinary tracebacks.
+code 2 while programming errors keep their ordinary tracebacks.  Every parser
+that takes bytes decodes them with :func:`decoded`, and reports them alike.
 """
+
+from typing import Callable
 
 
 class RmlPruneError(Exception):
@@ -53,3 +56,12 @@ class UnsupportedSparqlError(SparqlError):
 class MappingModelError(RmlPruneError):
     """An RML document uses constructs outside the supported vocabulary,
     or is structurally broken (missing subject map, empty join...)."""
+
+
+def decoded(data: bytes, error: Callable[[str], RmlPruneError]) -> str:
+    """*data* as UTF-8 text, after an optional byte-order mark; raises
+    ``error("not valid UTF-8: …")`` if it is not UTF-8."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(f"not valid UTF-8: {exc}") from None

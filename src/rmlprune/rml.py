@@ -52,7 +52,7 @@ from .algebra import (
     Template,
     TriplesMapExpr,
 )
-from .errors import MappingModelError
+from .errors import MappingModelError, decoded
 from .rdf import RDF_TYPE, RDF_TYPE_IRI, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, trusted
 from .rdf import escape_string, format_term
 from .turtle import TurtleParser, opened_at
@@ -434,10 +434,7 @@ def parse_rml(data: bytes | str) -> RmlMappingExpr:
     expressions: one per (triples map, predicate-object pair).  Bytes may
     start with a UTF-8 byte-order mark."""
     if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8-sig")
-        except UnicodeDecodeError as exc:
-            raise MappingModelError(f"not valid UTF-8: {exc}") from None
+        data = decoded(data, MappingModelError)
     reader = _MappingReader(data)
     base = reader.parse() or DEFAULT_BASE_IRI
     g = reader.graph

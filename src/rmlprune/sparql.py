@@ -46,10 +46,11 @@ variable, so patterns never contain blank nodes.
 from __future__ import annotations
 
 import re
+from collections.abc import KeysView
 from dataclasses import dataclass
 
 from ._lexer import _PREFIX_RE
-from .errors import SparqlError, UnsupportedSparqlError
+from .errors import SparqlError, UnsupportedSparqlError, decoded
 from .rdf import TriplePattern, Variable, trusted
 from .turtle import TurtleParser
 
@@ -399,15 +400,17 @@ class _QueryParser(TurtleParser):
         return tok
 
 
-def parse_query(text: str) -> SelectQuery:
-    """Parse a SELECT query; raises :class:`SparqlError` (or its
-    :class:`UnsupportedSparqlError` subclass) with a position on failure."""
-    return _QueryParser(text).parse()
+def parse_query(data: bytes | str) -> SelectQuery:
+    """Parse a SELECT query from bytes or text; raises :class:`SparqlError`
+    (or :class:`UnsupportedSparqlError`) with a position on failure."""
+    if isinstance(data, bytes):
+        data = decoded(data, SparqlError)
+    return _QueryParser(data).parse()
 
 
-def collect_triple_patterns(query: SelectQuery) -> set[TriplePattern]:
-    """Every triple pattern of the query, wherever it occurs."""
-    return set(query.patterns)
+def collect_triple_patterns(query: SelectQuery) -> KeysView[TriplePattern]:
+    """Every distinct triple pattern of the query, as a set-like view in query order."""
+    return dict.fromkeys(query.patterns).keys()
 
 
 def flatten_bgp(query: SelectQuery) -> list[TriplePattern] | None:

@@ -398,6 +398,7 @@ def test_missing_source_file(corpus, capsys, tmp_path):
     )
     assert code == 2
     assert "'stops.csv'" in err or "'routes.csv'" in err
+    assert err.startswith("error: cannot read source '") and f"' under {str(tmp_path)!r}: " in err
 
 
 def test_query_rejects_optional(corpus, capsys, tmp_path):
@@ -439,7 +440,7 @@ def test_query_rejects_order_by(corpus, capsys, tmp_path):
             str(corpus),
         )
         assert code == 2
-        assert err == "error: solution modifiers not supported in query evaluation: ORDER BY\n"
+        assert err == f"error: {q}: solution modifiers not supported in query evaluation: ORDER BY\n"
 
 
 @pytest.mark.parametrize(
@@ -448,6 +449,7 @@ def test_query_rejects_order_by(corpus, capsys, tmp_path):
         ("{ ?s ex:name ?n . OPTIONAL { ?s ex:lat ?lat . } }", "basic graph patterns"),
         ("{ ?s ex:name ?n . } ORDER BY ?s", "ORDER BY"),
         ("{ ?s ex:name ?n . } LIMIT 3", "LIMIT"),
+        ("{ ?s ?p }", "line 2, column 24: expected an object, found '}'"),
     ],
 )
 def test_bench_refuses_a_query_it_cannot_evaluate(corpus, capsys, tmp_path, where, message):
@@ -795,7 +797,7 @@ def test_a_query_error_exits_2(corpus, capsys, tmp_path, command, where, message
     q.write_text("PREFIX ex: <http://example.com/ns#>\nSELECT * WHERE " + where + "\n")
     extra = ["--data-dir", str(corpus)] if command == "query" else []
     code, out, err = run(capsys, command, "--mapping", str(corpus / "mapping.ttl"), "--query", str(q), *extra)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (2, "", f"error: {q}: {message}\n")
 
 
 def test_bench_without_queries_and_a_missing_query_exit_2(corpus, capsys, tmp_path):

@@ -73,6 +73,9 @@ def test_parse_header_only():
 def test_parse_missing_header():
     with pytest.raises(CsvError, match="header"):
         parse_csv("")
+    # a first row of one empty cell names no column
+    with pytest.raises(CsvError, match="^missing header row$"):
+        parse_csv('""\n1\n')
 
 
 def test_parse_duplicate_header():

@@ -1,10 +1,15 @@
 """Incompatibility checks and mapping pruning."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import rmlprune
 from rmlprune import pruning
 from rmlprune.algebra import (
     BuildBlank,
@@ -330,6 +335,36 @@ def test_the_trace_of_the_benchmark_queries_is_pinned():
     ]
     digest = hashlib.sha256("\n".join(traces).encode()).hexdigest()
     assert digest == "cb517115df9c68bea53380eb59ab5b40b8c663c91af0276fa22955c85131bbd3"
+
+
+# the trace of q01-q08 over the corpus mapping, patterns as collected
+TRACE_OF_COLLECTED = """\
+import hashlib
+from rmlprune.gendata import MAPPING_TTL, QUERIES
+from rmlprune.pruning import incompatibility_trace
+from rmlprune.rml import parse_rml
+from rmlprune.sparql import collect_triple_patterns, parse_query
+mapping = parse_rml(MAPPING_TTL)
+traces = [incompatibility_trace(collect_triple_patterns(parse_query(q)), mapping) for q in QUERIES.values()]
+print(hashlib.sha256("\\n".join(traces).encode()).hexdigest())
+"""
+
+
+def test_collected_patterns_trace_alike_under_every_hash_seed():
+    src = str(Path(rmlprune.__file__).parent.parent)
+    digests = []
+    for seed in (1, 2):
+        env = {**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", TRACE_OF_COLLECTED], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout)
+    assert digests[0] == digests[1]
+
+
+def test_collected_patterns_are_distinct_and_in_query_order():
+    query = parse_query("SELECT * WHERE { ?s <http://e/q> ?o . ?s <http://e/p> ?o . ?s <http://e/q> ?o }")
+    assert list(collect_triple_patterns(query)) == list(query.patterns[:2])
 
 
 def test_prune_spells_no_reason(monkeypatch):

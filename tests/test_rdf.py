@@ -169,6 +169,15 @@ def test_triple_position_typing():
     Triple(BlankNode("b"), iri("p"), Literal("x"))
 
 
+def test_constructors_name_what_they_reject():
+    with pytest.raises(InvalidTermError, match=r"^invalid variable name: 'a b'$"):
+        Variable("a b")
+    with pytest.raises(InvalidTermError, match="^triple object must be an RDF term: 3$"):
+        Triple(iri("s"), iri("p"), 3)
+    with pytest.raises(InvalidTermError, match="^pattern predicate must be an IRI or variable: \"x\"$"):
+        TriplePattern(Variable("s"), Literal("x"), Variable("o"))
+
+
 def test_pattern_forbids_blank_nodes():
     with pytest.raises(InvalidTermError):
         TriplePattern(BlankNode("b"), iri("p"), Variable("o"))

@@ -620,6 +620,61 @@ def test_a_walk_error_names_its_triples_map_once(parts):
     assert str(info.value).count("<http://e/tm>") == 1
 
 
+# a check of a node below a triples map, and the message it gives
+NODE_CHECKS = {
+    "reference not a string": (
+        {"object_map": "rml:reference 1"},
+        'reference on [ ] at line 6 must be a plain string, found "1"^^<http://www.w3.org/2001/XMLSchema#integer>',
+    ),
+    "formulation not an IRI": (
+        {"source": 'rml:source "f.csv" ; rml:referenceFormulation "CSV"'},
+        "reference formulation on [ ] at line 4 must be an IRI",
+    ),
+    "no source": (
+        {"source": "rml:referenceFormulation rml:CSV"},
+        "logical source [ ] at line 4 has no source",
+    ),
+    "constant against its term type": (
+        {"object_map": "rml:constant ex:o ; rml:termType rml:Literal"},
+        "object map [ ] at line 6: constant <http://example.com/ns#o> conflicts with term type rml:Literal",
+    ),
+    "unknown term type": (
+        {"object_map": 'rml:reference "b" ; rml:termType ex:Thing'},
+        "object map [ ] at line 6: unknown term type <http://example.com/ns#Thing>",
+    ),
+    "datatype not an IRI": (
+        {"object_map": 'rml:reference "b" ; rml:datatype "x"'},
+        "object map [ ] at line 6: datatype must be an IRI",
+    ),
+    "class not an IRI": (
+        {"subject": 'rml:subjectMap [ rml:reference "a" ; rml:class "C" ]'},
+        "subject map [ ] at line 5: class must be an IRI",
+    ),
+    "subject map and shortcut": (
+        {"subject": 'rml:subjectMap [ rml:reference "a" ] ; rml:subject ex:s'},
+        "a subject map and a subject shortcut are both given",
+    ),
+}
+
+
+@pytest.mark.parametrize("parts, message", NODE_CHECKS.values(), ids=list(NODE_CHECKS))
+def test_a_node_check_names_its_triples_map_and_node(parts, message):
+    with pytest.raises(MappingModelError) as info:
+        parse_rml(one_triples_map(**parts))
+    assert str(info.value) == f"triples map <http://e/tm>: {message}"
+
+
+def test_a_predicate_object_map_needs_an_object():
+    doc = NEW_HEADER + (
+        '<http://e/tm> rml:logicalSource [ rml:source "f.csv" ] ;\n'
+        '  rml:subjectMap [ rml:reference "a" ] ;\n'
+        "  rml:predicateObjectMap [ rml:predicate ex:p ] .\n"
+    )
+    with pytest.raises(MappingModelError) as info:
+        parse_rml(doc)
+    assert str(info.value) == "triples map <http://e/tm>: predicate-object map [ ] at line 6 has no object"
+
+
 # a blank-node constant, wherever a constant may be written: it would build
 # one blank node for every row (R2RML §7.2 allows an IRI, or a literal in an
 # object map), and a document that holds one was not written back to itself

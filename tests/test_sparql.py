@@ -29,6 +29,14 @@ def patterns(text: str) -> set[TriplePattern]:
     return collect_triple_patterns(parse_query(text))
 
 
+def test_a_query_may_be_bytes_as_a_mapping_may(airports_query_text):
+    data = airports_query_text.encode()
+    assert parse_query(data) == parse_query(airports_query_text)
+    assert parse_query(b"\xef\xbb\xbf" + data) == parse_query(airports_query_text)
+    with pytest.raises(SparqlError, match="^not valid UTF-8: "):
+        parse_query('SELECT * WHERE { ?s ?p "caf\u00e9" }'.encode("latin-1"))
+
+
 def test_parse_airports_query(airports_query_text):
     q = parse_query(airports_query_text)
     assert q.variables == (Variable("airportId"),)

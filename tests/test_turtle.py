@@ -182,6 +182,12 @@ def test_labeled_bnodes_are_renamed_consistently():
     assert objects == {s}
 
 
+def test_a_subject_label_is_checked_where_it_starts():
+    with pytest.raises(TurtleError) as info:
+        read_turtle("_:-a <http://e/p> <http://e/o> .")
+    assert str(info.value) == "line 1, column 3: blank node label may not start with '-': '-a'"
+
+
 def test_bnode_property_lists():
     text = "@prefix ex: <http://e/> .\nex:s ex:p [ ex:q ex:o ] ."
     ts = triples(text)
