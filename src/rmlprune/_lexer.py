@@ -525,11 +525,10 @@ class Lexer:
         raise self.error(f"invalid string escape: \\{kind}")
 
     def read_string(self) -> str:
+        """The string at the cursor, which stands at its opening quote."""
         for quote in ('"""', "'''", '"', "'"):
             if self.try_consume(quote):
                 break
-        else:
-            raise self.error("expected a string")
         long = len(quote) == 3
         plain = _STRING_CHARS[quote]
         parts = []

@@ -84,7 +84,7 @@ def answer(query: SelectQuery, mapping: RmlMappingExpr, load_source: SourceLoade
     query opens no source."""
     bgp = evaluable_bgp(query)
     t0 = time.perf_counter()
-    kept = prune_mapping(bgp.patterns, mapping) if prune else mapping
+    kept = prune_mapping(bgp.patterns, mapping, bgp.patterns) if prune else mapping
     prune_ms = (time.perf_counter() - t0) * 1e3
     graph, materialize_ms = RdfGraph(), 0.0
     if not isinstance(kept, FullyPruned):

@@ -22,7 +22,7 @@ from .csvsource import CSV_KIND, parse_csv
 from .errors import RmlPruneError, SourceInputError
 from .gendata import generate
 from .ntriples import serialize_graph
-from .pruning import FullyPruned, prune
+from .pruning import FullyPruned, incompatibility_trace, prune
 from .rml import parse_rml, serialize_pruned
 from .sparql import SelectQuery, collect_triple_patterns, parse_query
 
@@ -86,14 +86,17 @@ def cmd_translate(args) -> int:
 
 def cmd_prune(args) -> int:
     mapping = _load(args.mapping, parse_rml, f"mapping {args.mapping!r}")
-    patterns = collect_triple_patterns(_load(args.query, parse_query, f"query {args.query!r}"))
+    query = _load(args.query, parse_query, f"query {args.query!r}")
+    patterns = collect_triple_patterns(query)
     t0 = time.monotonic()
-    result = prune(patterns, mapping)
+    result = prune(patterns, mapping, query.required)
     elapsed_ms = (time.monotonic() - t0) * 1000.0
     retained = () if isinstance(result, FullyPruned) else result
     after = len(retained.trmaps) if retained else 0
     print(f"{len(mapping.trmaps)} -> {after} TrMap-expressions retained ({elapsed_ms:.2f} ms)",
           file=sys.stderr)
+    if args.explain:
+        print(incompatibility_trace(patterns, mapping, query.required), file=sys.stderr)
     if args.dump_algebra and retained:
         print(dump_plan(retained), file=sys.stderr)
     _write_out(serialize_pruned(retained, mapping), args.out)
@@ -172,6 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--query", required=True, help="SPARQL query file")
     p.add_argument("--dump-algebra", action="store_true", help="print the pruned plan")
+    p.add_argument("--explain", action="store_true",
+                   help="print why each expression was kept or pruned (to stderr)")
     p.set_defaults(func=cmd_prune)
 
     p = sub.add_parser("materialize", help="materialize a mapping to N-Triples")

@@ -10,8 +10,12 @@ datatype, and its strings match one anchored regex: the template's texts,
 escaped, joined by ``.+``, with an IRI constructor's base optionally in
 front.  A mapping keeps an expression iff at least one pattern of the
 query is not incompatible with it; dropping the rest changes no answer of
-the query.  :func:`prune` and :func:`incompatibility_trace` decide by the
-same checks, and only the trace spells a reason.
+the query.  A *required* pattern, one that no OPTIONAL encloses, must
+match some triple for the query to have a solution (SPARQL 1.1 §18.5: a
+join with an empty multiset is empty, and so is a left join with an empty
+left side), so when one is incompatible with every expression no
+expression is kept.  :func:`prune` and :func:`incompatibility_trace`
+decide by the same checks, and only the trace spells a reason.
 
 Each attribute reference becomes ``.+``, which is exact for every source:
 an empty cell is NULL, and a constructor that reads one builds no term
@@ -105,6 +109,20 @@ def _reason(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
     return f"{position}: {reason}"
 
 
+def _unmatched(
+    required: Iterable[TriplePattern], trmaps: tuple[TriplesMapExpr, ...]
+) -> Union[TriplePattern, None]:
+    """The first of the *required* patterns that no expression of *trmaps*
+    is compatible with, or ``None``."""
+    for tp in required:
+        for tm in trmaps:
+            if _ruling(tp, tm) is None:
+                break
+        else:
+            return tp
+    return None
+
+
 @dataclass(frozen=True)
 class FullyPruned:
     """Marker result: every triples-map expression was pruned."""
@@ -113,9 +131,11 @@ class FullyPruned:
 
 
 def prune(
-    patterns: Iterable[TriplePattern], mapping: RmlMappingExpr
+    patterns: Iterable[TriplePattern], mapping: RmlMappingExpr, required: Iterable[TriplePattern] = ()
 ) -> Union[RmlMappingExpr, FullyPruned]:
-    """Keep the expressions compatible with at least one pattern.
+    """Keep the expressions compatible with at least one pattern, and none
+    when one of the *required* patterns, which must be among *patterns*,
+    is compatible with none.
 
     The retained expressions come back in their original order; when
     nothing survives, a :class:`FullyPruned` marker carries the original
@@ -125,23 +145,32 @@ def prune(
     retained = tuple(
         tm for tm in mapping.trmaps if any(_ruling(tp, tm) is None for tp in tps)
     )
-    if not retained:
+    # a required pattern compatible with some expression keeps that one
+    if not retained or _unmatched(required, retained) is not None:
         return FullyPruned(original_count=len(mapping.trmaps))
     return RmlMappingExpr(retained)
 
 
-def incompatibility_trace(patterns: Iterable[TriplePattern], mapping: RmlMappingExpr) -> str:
-    """Human-readable account of every (expression, pattern) check."""
+def _spell(tp: TriplePattern) -> str:
+    return " ".join(repr(x) if type(x) is Variable else format_term(x) for x in (tp.s, tp.p, tp.o))
+
+
+def incompatibility_trace(
+    patterns: Iterable[TriplePattern], mapping: RmlMappingExpr, required: Iterable[TriplePattern] = ()
+) -> str:
+    """Human-readable account of every (expression, pattern) check, and of
+    the required pattern, if any, that leaves the query no solution (see
+    :func:`prune`)."""
     tps = list(patterns)
-    spelled = [
-        " ".join(repr(x) if type(x) is Variable else format_term(x) for x in (tp.s, tp.p, tp.o))
-        for tp in tps
-    ]
+    spelled = [_spell(tp) for tp in tps]
+    unmatched = _unmatched(required, mapping.trmaps)
     lines = []
     for tm in mapping.trmaps:
         reasons = [_reason(tp, tm) for tp in tps]
-        verdict = "pruned" if all(r is not None for r in reasons) else "retained"
-        lines.append(f"{tm.provenance or '<anonymous>'}: {verdict}")
+        pruned = unmatched is not None or all(r is not None for r in reasons)
+        lines.append(f"{tm.provenance or '<anonymous>'}: {'pruned' if pruned else 'retained'}")
         for pattern, reason in zip(spelled, reasons):
             lines.append(f"  {pattern} . -> {reason or 'compatible'}")
+    if unmatched is not None:
+        lines.append(f"no solution: required pattern {_spell(unmatched)} . is compatible with no expression")
     return "\n".join(lines)

@@ -13,7 +13,11 @@ Turtle 1.1 §6), so the parser is the Turtle reader
 triples blocks: each block is read by Turtle's grammar, ``,`` and ``;``
 lists and a dangling ``;`` included, and the parser overrides only its
 hooks.  They read variables, turn ``[]`` into a fresh variable, file each
-triple as a pattern, and reject what patterns do not support.
+triple as a pattern, and reject the constructs patterns do not support:
+a collection, a label or a ``[`` with a property list wherever Turtle's
+one node reader meets it, a quoted, numeric or boolean literal where a
+subject stands, and a path operator right after a verb where the lookup
+of a term misses.
 
 The query around the blocks is read from the same runs of tokens: every
 keyword is a bare-word token and every operator a token of its own (see
@@ -28,19 +32,22 @@ tokens: ``^`` and ``!`` where a verb stands, ``/``, ``|``, ``*``, ``?`` and
 A query parses into what pruning and evaluation read (:class:`SelectQuery`):
 its projected variables, every triple pattern in document order (OPTIONAL
 bodies and FILTER-wrapped groups included: a pattern that occurs anywhere
-in the query matters for pruning), DISTINCT, and the names of the
-constructs evaluation cannot run.  Expressions (``AS``, FILTER constraints,
-solution-modifier conditions) are read by one loop over their tokens,
-which counts ``(`` and ``)`` and steps over them.  Text that no token
-spells is invalid: there the reader of a term, or in a FILTER call's name
-place the reader of a prefixed name, reports the error.
+in the query matters for pruning), the required patterns (those that no
+OPTIONAL encloses: a query has no solution when one of them matches no
+triple), DISTINCT, and the names of the constructs evaluation cannot run.
+Expressions (``AS``, FILTER constraints, solution-modifier conditions) are
+read by one loop over their tokens, which counts ``(`` and ``)`` and steps
+over them.  Text that no token spells is invalid: there the reader of a
+term, or in a FILTER call's name place the reader of a prefixed name,
+reports the error.
 
 Everything else is rejected with a positioned error naming the feature:
 UNION, MINUS, GRAPH, SERVICE, BIND, VALUES (in a group or after the
-query), subqueries, property paths, FILTER EXISTS, blank-node labels,
-bracketed blank-node property lists, language tags, FROM (a dataset
-clause), and non-SELECT query forms.  A bare ``[]`` becomes a fresh
-variable, so patterns never contain blank nodes.
+query), subqueries, property paths, FILTER EXISTS, literal subjects,
+collections, blank-node labels, bracketed blank-node property lists,
+language tags, FROM (a dataset clause), and non-SELECT query forms.  A
+bare ``[]`` becomes a fresh variable, so patterns never contain blank
+nodes.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import re
 from collections.abc import KeysView
 from dataclasses import dataclass
 
-from ._lexer import _PREFIX_RE
+from ._lexer import _BOOLEAN_RE, _NUMBERS, _PREFIX_RE
 from .errors import SparqlError, UnsupportedSparqlError, decoded
 from .rdf import TriplePattern, Variable, trusted
 from .turtle import TurtleParser
@@ -57,7 +64,12 @@ from .turtle import TurtleParser
 # the tokens that make a verb's place a property path, by their first
 # character, and those that do right after a verb ('||' is two '|')
 _PATH_STARTS = {"^": "inverse '^'", "!": "negated set '!'", "(": "grouped path"}
-_PATH_MODIFIERS = ("/", "|", "||", "*", "?", "+")
+_PATH_MODIFIERS = frozenset(("/", "|", "||", "*", "?", "+"))
+# the first characters of a literal, which no subject is, as read_constant
+# reads one: a quote, a number's or a boolean's, and the patterns that tell
+# a number or a boolean from a name or an operator with that character
+_LITERAL_STARTS = frozenset("\"'0123456789+-.tf")
+_LITERAL_RES = (*(regex for regex, _ in _NUMBERS), _BOOLEAN_RE)
 _UNSIGNED_INTEGER_RE = re.compile(r"[0-9]+")
 _VARIABLE = trusted(Variable)  # for a name that a variable token's pattern matched
 # where a builtin's name that no token spells ends
@@ -109,7 +121,9 @@ class SelectQuery:
     ``variables`` is the projection; for ``SELECT *`` it holds the named
     variables of the patterns in order of first appearance, without the
     stand-ins of ``[]``.  ``patterns`` holds every triple pattern in document
-    order, OPTIONAL bodies and filtered groups included.  ``unevaluable``
+    order, OPTIONAL bodies and filtered groups included, and ``required``
+    those that no OPTIONAL encloses, in the same order: a query has a
+    solution only if each of them matches a triple.  ``unevaluable``
     names the constructs the query uses that evaluation cannot run: ``AS``,
     ``OPTIONAL``, ``FILTER``, ``REDUCED``, ``GROUP BY``, ``HAVING``,
     ``ORDER BY``, ``LIMIT`` and ``OFFSET``.
@@ -119,6 +133,7 @@ class SelectQuery:
     patterns: tuple[TriplePattern, ...]
     distinct: bool
     unevaluable: frozenset[str]
+    required: tuple[TriplePattern, ...]
 
 
 class _QueryParser(TurtleParser):
@@ -128,6 +143,8 @@ class _QueryParser(TurtleParser):
     def __init__(self, text: str):
         super().__init__(text)
         self.patterns: list[TriplePattern] = []
+        # the indexes in self.patterns of the patterns an OPTIONAL encloses
+        self.optional: set[int] = set()
         self.unevaluable: set[str] = set()
 
     # -- query structure ---------------------------------------------------
@@ -159,7 +176,10 @@ class _QueryParser(TurtleParser):
             variables = tuple(dict.fromkeys(
                 x for x in terms if isinstance(x, Variable) and not x.anonymous
             ))
-        return SelectQuery(variables, tuple(self.patterns), distinct == "DISTINCT", frozenset(self.unevaluable))
+        patterns = required = tuple(self.patterns)
+        if self.optional:
+            required = tuple(tp for i, tp in enumerate(patterns) if i not in self.optional)
+        return SelectQuery(variables, patterns, distinct == "DISTINCT", frozenset(self.unevaluable), required)
 
     def _keyword(self, place: str, tok: str) -> str:
         """What *tok* opens at *place* (see ``_KEYWORDS``): a clause, or ''
@@ -184,7 +204,7 @@ class _QueryParser(TurtleParser):
                 expressions = True
                 continue
             elif tok[:1] in ("?", "$"):
-                variables.append(self._variable(tok))
+                variables.append(self.term(tok, False))  # filed, for the patterns to find
             else:
                 break
             tok = self.token()
@@ -197,13 +217,6 @@ class _QueryParser(TurtleParser):
             self.back(tok)
             raise self.error("SELECT needs * or at least one projection")
         return (None if star else tuple(variables)), tok
-
-    def _variable(self, tok: str) -> Variable:
-        """The variable *tok* spells: a '?' or '$' and its name."""
-        if len(tok) == 1:
-            self.back(tok)
-            raise self.error("expected a variable")
-        return _VARIABLE(tok[1:], False)
 
     def _read_expression(self, tok: str, condition: bool) -> str:
         """Step over an expression from its first token *tok*, counting
@@ -262,13 +275,18 @@ class _QueryParser(TurtleParser):
             else:
                 clause = self._keyword("group", tok)
                 if clause == "OPTIONAL":
+                    start = len(self.patterns)
                     self._read_group(token())
+                    self.optional.update(range(start, len(self.patterns)))
                     tok = token()
                 elif clause == "FILTER":
                     tok = self._parse_filter(token())
                 elif after_open_block:
                     self.back(tok)
                     raise self.error("expected '.' or '}' after a triple pattern")
+                elif (tok[:1] or self.peek()) in _LITERAL_STARTS and self._literal_at(tok):
+                    self.back(tok)
+                    raise self.error("literal subjects are not supported", unsupported=True)
                 else:
                     tok = self._parse_triples(tok)
                     open_block = tok != "."
@@ -277,6 +295,13 @@ class _QueryParser(TurtleParser):
             if tok == ".":
                 tok = token()
         self.depth -= 1
+
+    def _literal_at(self, tok: str) -> bool:
+        """Whether *tok* is a literal or, with no token, one starts at the
+        cursor."""
+        if tok:
+            return tok[0] in ('"', "'") or any(regex.fullmatch(tok) for regex in _LITERAL_RES)
+        return self.peek() in ('"', "'") or any(regex.match(self.text, self.pos) for regex in _LITERAL_RES)
 
     def _parse_filter(self, tok: str) -> str:
         """A FILTER's constraint from its first token *tok*: a bracketted
@@ -306,28 +331,34 @@ class _QueryParser(TurtleParser):
         return lambda pair: patterns.append(TriplePattern(s, *pair))
 
     def term(self, token, constant):
-        if token[:1] in ("?", "$"):
-            term = self._terms[token] = self._variable(token)
+        # a path operator where an object, the one constant place, stands
+        # makes the verb before it a property path; after ',' it is no object
+        if constant and token in _PATH_MODIFIERS and self.before() != ",":
+            self.back(token)
+            raise self.error(f"property paths are not supported ({token[0]!r})", unsupported=True)
+        if token[:1] in ("?", "$"):  # a variable: a '?' or '$' and its name
+            if len(token) == 1:
+                self.back(token)
+                raise self.error("expected a variable")
+            term = self._terms[token] = _VARIABLE(token[1:], False)
             return term
         if constant and token.lower() in ("true", "false"):  # a keyword, in any case
             token = token.lower()
         return super().term(token, constant)
 
-    def _parse_subject(self, tok):
-        term = self.term(tok, constant=False)
-        if term is not None:
-            return term
-        ch = self.peek()
-        if ch in ('"', "'") or "0" <= ch <= "9":
-            raise self.error("literal subjects are not supported", unsupported=True)
-        if ch == "(":
-            raise self.error("collections in patterns are not supported", unsupported=True)
-        self._reject_bnode_label()
-        return self.read_iri("a subject")
+    # constructs that patterns do not support, rejected at their first character
+    def _parse_collection(self, opened):
+        self.back("(")
+        raise self.error("collections in patterns are not supported", unsupported=True)
 
-    def _reject_bnode_label(self):
+    def _labeled(self, label):
+        self.back("_:" + label)
+        raise self.error("blank node labels (_:b) in patterns are not supported", unsupported=True)
+
+    def _read_bnode_label(self):
         if self.text.startswith("_:", self.pos):
             raise self.error("blank node labels (_:b) in patterns are not supported", unsupported=True)
+        return super()._read_bnode_label()  # '_' alone starts no label
 
     def _parse_bnode_property_list(self, opened: int, tok: str):
         """The ``[]`` whose '[' *opened* marks, from the token after it, as
@@ -345,26 +376,6 @@ class _QueryParser(TurtleParser):
             self.back(tok)
             raise self.error(f"property paths are not supported ({path})", unsupported=True)
         return super()._parse_verb(tok)
-
-    def _parse_object(self, tok):
-        # a path operator right after a verb makes the verb a property path;
-        # after ',' it is no object
-        if tok in _PATH_MODIFIERS and self.before() != ",":
-            self.back(tok)
-            raise self.error(f"property paths are not supported ({tok[0]!r})", unsupported=True)
-        if tok == "[":
-            opened = self.mark()
-            return self._parse_bnode_property_list(opened, self.token())
-        term = self.term(tok, constant=True)
-        if term is not None:
-            return term
-        ch = self.peek()
-        if not ch:
-            raise self.error("expected an object")
-        if ch == "(":
-            raise self.error("collections in patterns are not supported", unsupported=True)
-        self._reject_bnode_label()
-        return self.read_constant()
 
     def _parse_solution_modifiers(self, tok: str) -> str:
         """The solution modifiers from *tok* on; returns the token after

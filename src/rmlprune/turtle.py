@@ -28,8 +28,10 @@ reader implements, where the run's (predicate, object) pairs go.
 * the SPARQL parser of :mod:`rmlprune.sparql`, whose triples syntax is
   Turtle's with variables: it reads each triples block with
   :meth:`~TurtleParser._parse_triples`, files triple patterns, and
-  overrides the hooks that read a subject, a verb, an object and a ``[``,
-  and that build a token's term.
+  overrides the hooks that read a verb and build a token's term, and
+  those of the constructs it rejects: a ``[`` with a property list, a
+  collection and a blank node label.  One node reader,
+  :meth:`~TurtleParser._parse_object`, reads its subjects and objects.
 
 Tokens are read by the lexer shared with the SPARQL parser
 (:mod:`rmlprune._lexer`); this module holds only the grammar.  Its loops
@@ -138,22 +140,9 @@ class TurtleParser(Lexer):
             if not anon and tok == ".":
                 return tok
         else:
-            subject = self._terms.get(tok) or self._parse_subject(tok)
+            subject = self._terms.get(tok) or self._parse_object(tok, False)
             tok = self.token()
         return self._parse_predicate_object_list(subject, tok)
-
-    def _parse_subject(self, tok: str):
-        """A subject the lookup by text did not find."""
-        if tok == "(":
-            return self._parse_collection(self.mark())
-        if tok[:1] == "_":
-            return self._labeled(tok[2:])
-        term = self.term(tok, constant=False)
-        if term is not None:
-            return term
-        if self.peek() == "_":
-            return self._read_bnode_label()
-        return self.read_iri("a subject")
 
     def _read_bnode_label(self) -> BlankNode:
         self.expect("_:")
@@ -211,8 +200,9 @@ class TurtleParser(Lexer):
             return term
         return self.read_iri("a predicate")
 
-    def _parse_object(self, tok: str) -> RdfTerm:
-        """An object the lookup by text did not find."""
+    def _parse_object(self, tok: str, constant: bool = True) -> RdfTerm:
+        """An object the lookup by text did not find or, not *constant*,
+        a subject, which no literal is and whose '[' :meth:`_parse_triples` reads."""
         if tok == "[":
             opened = self.mark()
             return self._parse_bnode_property_list(opened, self.token())
@@ -220,15 +210,12 @@ class TurtleParser(Lexer):
             return self._parse_collection(self.mark())
         if tok[:1] == "_":
             return self._labeled(tok[2:])
-        term = self.term(tok, constant=True)
+        term = self.term(tok, constant)
         if term is not None:
             return term
-        ch = self.peek()
-        if ch == "":
-            raise self.error("expected an object")
-        if ch == "_":
+        if self.peek() == "_":
             return self._read_bnode_label()
-        return self.read_constant()
+        return self.read_constant() if constant else self.read_iri("a subject")
 
     def _parse_bnode_property_list(self, opened: int, tok: str) -> BlankNode:
         """The blank node whose '[' *opened* marks, from *tok*, the token

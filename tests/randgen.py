@@ -255,6 +255,17 @@ def random_patterns(
     return patterns
 
 
+# a predicate that no expression of make_instance builds: it draws PREDICATES
+UNBUILT = Iri("http://vocab.test/unbuilt")
+
+
+def with_unbuilt_predicate(rng: random.Random, patterns: list[TriplePattern]) -> list[TriplePattern]:
+    """*patterns* with one pattern's predicate replaced by :data:`UNBUILT`,
+    so that the basic graph pattern has no solution on any data."""
+    k = rng.randrange(len(patterns))
+    return [TriplePattern(tp.s, UNBUILT, tp.o) if i == k else tp for i, tp in enumerate(patterns)]
+
+
 def template_round_trip_case(rng: random.Random) -> tuple[Template, str]:
     """A template plus one string it can actually produce: its attributes
     hold non-empty values, as an empty one builds nothing."""

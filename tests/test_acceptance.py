@@ -113,18 +113,24 @@ def test_answer_preservation_over_random_instances():
         inst = randgen.make_instance(seed, allow_empty=seed % 5 == 4)
         full = materialize(inst.mapping, inst.sigma)
         rng = random.Random(seed * 31 + 7)
-        patterns = randgen.random_patterns(rng, full)
-        result = prune(patterns, inst.mapping)
-        if isinstance(result, FullyPruned):
-            pruned_graph = RdfGraph(frozenset())
-        else:
-            pruned_graph = materialize(result, inst.sigma)
-        bgp = Bgp(tuple(patterns))
-        full_answers = eval_bgp(bgp, full)
-        if full_answers:
-            nonempty += 1
-        if eval_bgp(bgp, pruned_graph) != full_answers:
-            failures.append(seed)
+        drawn = randgen.random_patterns(rng, full)
+        bgps = [drawn]
+        if seed % 4 == 3:
+            bgps.append(randgen.with_unbuilt_predicate(rng, drawn))
+        for patterns in bgps:
+            bgp = Bgp(tuple(patterns))
+            full_answers = eval_bgp(bgp, full)
+            if full_answers:
+                nonempty += 1
+            # each pattern on its own, and every pattern of the BGP required
+            for required in ((), patterns):
+                result = prune(patterns, inst.mapping, required)
+                if isinstance(result, FullyPruned):
+                    pruned_graph = RdfGraph(frozenset())
+                else:
+                    pruned_graph = materialize(result, inst.sigma)
+                if eval_bgp(bgp, pruned_graph) != full_answers:
+                    failures.append(seed)
     elapsed = time.monotonic() - t0
     ok = not failures and elapsed < 60.0
     report(
@@ -137,31 +143,46 @@ def test_answer_preservation_over_random_instances():
 
 
 def test_pruned_expressions_stay_empty_on_fresh_data():
-    checked = 0
+    checked = emptied = 0
     violations = []
     for seed in range(40):
         inst = randgen.make_instance(seed, allow_empty=seed % 5 == 4)
         full = materialize(inst.mapping, inst.sigma)
         rng = random.Random(seed * 131 + 5)
-        patterns = randgen.random_patterns(rng, full)
-        result = prune(patterns, inst.mapping)
-        retained = () if isinstance(result, FullyPruned) else result.trmaps
-        for tm in inst.mapping.trmaps:
-            if tm in retained:
-                continue
+        drawn = randgen.random_patterns(rng, full)
+        bgps = [drawn]
+        if seed % 4 == 3:
+            bgps.append(randgen.with_unbuilt_predicate(rng, drawn))
+        for patterns in bgps:
+            result = prune(patterns, inst.mapping)
+            retained = () if isinstance(result, FullyPruned) else result.trmaps
+            for tm in inst.mapping.trmaps:
+                if tm in retained:
+                    continue
+                for i in range(20):
+                    sigma = randgen.fresh_sigma(inst, random.Random(seed * 1000 + i))
+                    graph = materialize_trmap(tm, sigma)
+                    checked += 1
+                    for tp in patterns:
+                        if eval_bgp(Bgp((tp,)), graph):
+                            violations.append((seed, tm.provenance))
+        # a drawn BGP that a required pattern empties, one whose constants
+        # no expression's subject, predicate or object can build, has no
+        # solution on fresh data either
+        if not isinstance(prune(drawn, inst.mapping), FullyPruned) and isinstance(
+            prune(drawn, inst.mapping, drawn), FullyPruned
+        ):
+            emptied += 1
             for i in range(20):
                 sigma = randgen.fresh_sigma(inst, random.Random(seed * 1000 + i))
-                graph = materialize_trmap(tm, sigma)
-                checked += 1
-                for tp in patterns:
-                    if eval_bgp(Bgp((tp,)), graph):
-                        violations.append((seed, tm.provenance))
-    ok = checked > 0 and not violations
+                if eval_bgp(Bgp(tuple(drawn)), materialize(inst.mapping, sigma)):
+                    violations.append((seed, "required"))
+    ok = checked > 0 and emptied > 0 and not violations
     report(
         "pruned expressions stay empty",
         ok,
-        f"{checked} (expression, fresh data) checks, {len(violations)} "
-        f"produced a matching triple {violations[:3]}",
+        f"{checked} (expression, fresh data) checks and {emptied} BGPs emptied by a required pattern, "
+        f"{len(violations)} produced a matching triple or solution {violations[:3]}",
     )
 
 

@@ -50,6 +50,14 @@ def test_answer_prunes_the_boundary_iri_of_a_template(corpus_mapping, corpus_sig
     assert (result.trmaps_after, result.triples, result.solutions) == (0, 0, set())
 
 
+def test_answer_of_a_query_with_an_unmatched_required_pattern_materializes_nothing(corpus_mapping, corpus_sigma):
+    query = parse_query("PREFIX ex: <http://example.com/ns#> SELECT * WHERE { ?s ex:name ?n . ?s ex:nope ?m }")
+    result = answer(query, corpus_mapping, corpus_sigma.__getitem__)
+    assert (result.trmaps_after, result.triples, result.solutions) == (0, 0, set())
+    (row,), _ = run_benchmark(corpus_mapping, [("nope", query)], corpus_sigma.__getitem__, repetitions=1)
+    assert (row.trmaps_after, row.triples, row.result_rows, row.equal) == (0, 0, 0, "PASS")
+
+
 def test_run_benchmark_rejects_zero_repetitions(corpus_mapping, corpus_sigma):
     with pytest.raises(ValueError):
         run_benchmark(corpus_mapping, [], corpus_sigma.__getitem__, repetitions=0)

@@ -828,6 +828,40 @@ def test_prune_dump_algebra_prints_the_pruned_plan(corpus, capsys, tmp_path):
     )
 
 
+def test_prune_explain_prints_the_trace_and_writes_the_same_mapping(corpus, capsys):
+    argv = ["prune", "--mapping", str(corpus / "mapping.ttl"), "--query", str(corpus / "queries" / "q04.rq")]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, out, err = run(capsys, *argv, "--explain")
+    assert (code, out) == (0, plain)
+    status, trace = err.split("\n", 1)
+    assert status.startswith("14 -> 1 TrMap-expressions retained (")
+    lines = trace.splitlines()
+    assert "http://example.com/tm/routes#pom2: retained" in lines
+    reason = lines[lines.index("http://example.com/tm/stops#pom1: pruned") + 1]
+    assert reason.endswith(
+        " . -> predicate: constant <http://example.com/ns#name> differs from <http://example.com/ns#routeType>"
+    )
+    assert sum(line.endswith(": pruned") for line in lines) == 13
+
+
+def test_prune_explain_names_the_required_pattern_that_empties_the_query(corpus, capsys, tmp_path):
+    q = tmp_path / "unsatisfiable.rq"
+    q.write_text("PREFIX ex: <http://example.com/ns#>\nSELECT * WHERE { ?s ex:name ?n . ?s ex:nope ?m }\n")
+    argv = ["--mapping", str(corpus / "mapping.ttl"), "--query", str(q)]
+    code, out, err = run(capsys, "prune", *argv, "--explain")
+    assert code == 0
+    assert "fully pruned" in out
+    lines = err.splitlines()
+    assert lines[0].startswith("14 -> 0 TrMap-expressions retained (")
+    assert sum(line.endswith(": pruned") for line in lines) == 14
+    assert lines[-1] == (
+        "no solution: required pattern ?s <http://example.com/ns#nope> ?m . is compatible with no expression"
+    )
+    code, out, err = run(capsys, "query", *argv, "--data-dir", str(corpus))
+    assert (code, out, err) == (0, "?s\t?n\t?m\n", "0 rows\n")
+
+
 @pytest.mark.parametrize("command", ["materialize", "bench"])
 def test_output_into_a_missing_directory_exits_2(corpus, capsys, tmp_path, command):
     queries = tmp_path / "queries"

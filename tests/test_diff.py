@@ -75,6 +75,18 @@ def test_a_query_record_holds_its_fields_or_its_error():
     assert side.sparql_record("SELECT * WHERE { ?s ?p }") == (
         "error", "SparqlError", "line 1, column 24: expected an object, found '}'"
     )
+    # the required patterns, those no OPTIONAL encloses, where both sides
+    # of a comparison parse them
+    optional = side.sparql_record("SELECT * WHERE { ?s <http://e/p> ?o OPTIONAL { ?s <http://e/q> ?z } }")
+    assert len(optional[2]) == 2 and optional[5] == optional[2][:1]
+    side.with_required = False
+    assert side.sparql_record("SELECT * WHERE { ?s <http://e/p> ?o }") == (
+        "ok",
+        [["Variable", "s", False], ["Variable", "o", False]],
+        [[["Variable", "s", False], ["Iri", "http://e/p"], ["Variable", "o", False]]],
+        False,
+        [],
+    )
 
 
 def test_mutations_are_seeded_and_replayable():

@@ -97,12 +97,14 @@ def test_every_query_is_a_plain_bgp():
 
 @pytest.mark.parametrize("name", sorted(QUERIES))
 def test_frozen_retention_counts(name, corpus_mapping):
-    patterns = collect_triple_patterns(parse_query(QUERIES[name]))
-    result = prune(patterns, corpus_mapping)
-    if EXPECTED_RETAINED[name] == 0:
-        assert result == FullyPruned(original_count=14)
-    else:
-        assert len(result.trmaps) == EXPECTED_RETAINED[name]
+    query = parse_query(QUERIES[name])
+    patterns = collect_triple_patterns(query)
+    # every pattern of each query is required, and none is left unmatched
+    for result in (prune(patterns, corpus_mapping), prune(patterns, corpus_mapping, query.required)):
+        if EXPECTED_RETAINED[name] == 0:
+            assert result == FullyPruned(original_count=14)
+        else:
+            assert len(result.trmaps) == EXPECTED_RETAINED[name]
 
 
 # Today's pruning precision on the corpus mapping, pinned so that a change

@@ -242,6 +242,30 @@ def test_prune_drops_a_template_at_its_boundary_iri():
     assert isinstance(prune([boundary], RmlMappingExpr((tm,))), FullyPruned)
 
 
+# A required pattern that no expression builds leaves the query no solution
+# (SPARQL 1.1 §18.5), so nothing is kept; one in an OPTIONAL body does not.
+@pytest.mark.parametrize(
+    "where, kept",
+    [
+        ("?s ex:name ?n . ?s ex:nope ?m", 0),
+        ("?s ex:nope ?m OPTIONAL { ?s ex:name ?n }", 0),
+        ("{ ?s ex:nope ?m } FILTER(?m) ?s ex:name ?n", 0),
+        ("?s ex:name ?n OPTIONAL { ?s ex:nope ?m }", 1),
+    ],
+)
+def test_a_required_pattern_that_no_expression_builds_empties_the_query(where, kept):
+    query = parse_query(f"PREFIX ex: <http://example.com/ns#> SELECT * WHERE {{ {where} }}")
+    mapping, patterns = parse_rml(MAPPING_TTL), collect_triple_patterns(query)
+    assert len(prune(patterns, mapping).trmaps) == 1  # ex:name's, compatible with its pattern
+    result = prune(patterns, mapping, query.required)
+    assert (0 if isinstance(result, FullyPruned) else len(result.trmaps)) == kept
+    trace = incompatibility_trace(patterns, mapping, query.required)
+    assert trace.count(": retained") == kept
+    unmatched = "no solution: required pattern ?s <http://example.com/ns#nope> ?m . is compatible with no expression"
+    assert (trace.splitlines()[-1] == unmatched) == (kept == 0)
+    assert incompatibility_trace(patterns, mapping).count(": retained") == 1
+
+
 def test_incompatibility_trace_mentions_every_pair():
     m = RmlMappingExpr((simple_trmap(provenance="keep"), joined_trmap()))
     patterns = [TriplePattern(V("s"), Iri("http://e.com/name"), V("o"))]

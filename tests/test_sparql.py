@@ -118,6 +118,17 @@ def test_optional_and_filter_structure():
     )
 
 
+def test_required_patterns_are_those_no_optional_encloses():
+    p = [tp(Variable("s"), Iri(f"http://e/p{i}"), Variable(f"o{i}")) for i in range(6)]
+    q = parse_query(
+        "SELECT * WHERE { ?s <http://e/p0> ?o0 "
+        "OPTIONAL { ?s <http://e/p1> ?o1 OPTIONAL { ?s <http://e/p2> ?o2 } { ?s <http://e/p3> ?o3 } } "
+        "{ ?s <http://e/p4> ?o4 FILTER (?o4 > 1) } { { ?s <http://e/p5> ?o5 } } }"
+    )
+    assert q.patterns == tuple(p)
+    assert q.required == (p[0], p[4], p[5])
+
+
 def test_filter_with_builtin_call():
     q = parse_query(
         'SELECT * WHERE { ?s <http://e/p> ?o . FILTER regex(?o, "^a(b)c$") }'
@@ -451,6 +462,47 @@ def test_a_path_operator_counts_only_directly_after_a_verb():
 def test_literal_subject_rejected():
     with pytest.raises(SparqlError):
         parse_query('SELECT * WHERE { "x" ?p ?o }')
+
+
+COLLECTIONS = "collections in patterns are not supported"
+LABELS = "blank node labels (_:b) in patterns are not supported"
+PROPERTY_LISTS = "blank node property lists in patterns are not supported"
+
+
+# Each node that patterns reject, where a subject, an object, or an object
+# after ',' stands, and a path where a verb does: Turtle's node reader reads
+# every place, and the parser rejects the construct at its first character.
+@pytest.mark.parametrize(
+    "group, unsupported, column, message",
+    [
+        *(
+            (group, True, column, message)
+            for node, message in (("( )", COLLECTIONS), ("(1)", COLLECTIONS), ("_:b", LABELS), ("_:-b", LABELS))
+            for group, column in ((f"{node} ?p ?o", 18), (f"?s ?p {node}", 24), (f"?s ?p ?o , {node}", 29))
+        ),
+        *((group, False, column, "expected '_:'") for group, column in (("_x ?p ?o", 18), ("?s ?p _x", 24))),
+        ('"a" ?p ?o', True, 18, "literal subjects are not supported"),
+        *(
+            (f"{literal} ?p ?o", True, 18, "literal subjects are not supported")
+            for literal in ("1", "+1", "-1", ".5", "1e3", "true", "false")
+        ),
+        ("truex ?p ?o", False, 23, "expected ':'"),
+        ("[ ?p ?o ] ?p ?o", True, 20, PROPERTY_LISTS),
+        ("?s ?p [ ?p ?o ]", True, 26, PROPERTY_LISTS),
+        ("?s ?p ?o , [ ?p ?o ]", True, 31, PROPERTY_LISTS),
+        ("^ex:p ?p ?o", False, 18, "expected a subject, found '^'"),
+        ("?s ?p ^ex:p", False, 24, "expected an object, found '^'"),
+        ("?s ^ex:p ?o", True, 21, "property paths are not supported (inverse '^')"),
+        ("?s ex:p/ex:q ?o", True, 25, "property paths are not supported ('/')"),
+        ("?s ex:p ?", True, 26, "property paths are not supported ('?')"),
+        ("?s ex:p ?o , ?", False, 31, "expected a variable"),
+    ],
+)
+def test_a_rejected_node_is_named_at_its_place(group, unsupported, column, message):
+    with pytest.raises(SparqlError) as info:
+        parse_query(f"PREFIX ex: <{EX}>\nSELECT * WHERE {{ {group} }}")
+    assert isinstance(info.value, UnsupportedSparqlError) is unsupported
+    assert str(info.value) == f"line 2, column {column}: {message}"
 
 
 @pytest.mark.parametrize(

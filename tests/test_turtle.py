@@ -237,6 +237,39 @@ def test_collections():
     assert nil in {t.o for t in rests}
 
 
+def spelled(term) -> str:
+    """*term* short: a blank node's label, a literal's form, an IRI's last segment."""
+    if isinstance(term, BlankNode):
+        return "_:" + term.label
+    if isinstance(term, Literal):
+        return term.lex
+    return term.value.rsplit("/", 1)[-1].rsplit("#", 1)[-1]
+
+
+# A collection and a label, where a subject, an object, or an object after
+# ',' stands: one node reader reads every place, so each files alike, and
+# its blank node opens at its '(' or just past its label.
+@pytest.mark.parametrize(
+    "group, filed, opened",
+    [
+        ("( ) ex:p ex:o", ["nil p o"], []),
+        ("ex:s ex:p ( )", ["s p nil"], []),
+        ("ex:s ex:p ex:o , ( )", ["s p o", "s p nil"], []),
+        ("(1) ex:p ex:o", ["_:b1 first 1", "_:b1 rest nil", "_:b1 p o"], [0]),
+        ("ex:s ex:p (1)", ["_:b1 first 1", "_:b1 rest nil", "s p _:b1"], [10]),
+        ("ex:s ex:p ex:o , (1)", ["s p o", "_:b1 first 1", "_:b1 rest nil", "s p _:b1"], [17]),
+        ("_:x ex:p ex:o", ["_:b1 p o"], [3]),
+        ("ex:s ex:p _:x", ["s p _:b1"], [13]),
+        ("ex:s ex:p ex:o , _:x", ["s p o", "s p _:b1"], [20]),
+    ],
+)
+def test_a_collection_or_a_label_is_read_alike_in_every_place(group, filed, opened):
+    prefix = f"@prefix ex: <{EX}> .\n"
+    reader = read_turtle(f"{prefix}{group} .")
+    assert [" ".join(spelled(x) for x in (t.s, t.p, t.o)) for t in reader.triples] == filed
+    assert [at - len(prefix) for at in reader.bnode_offsets] == opened
+
+
 def test_local_name_escapes_and_dots():
     text = "@prefix ex: <http://example.com/> .\nex:a.b ex:p ex:c\\#d ."
     assert triples(text) == {

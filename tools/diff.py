@@ -27,7 +27,7 @@ for ``rml:BlankNode``...; a text without one gets a replacement instead).
   escape outside Unicode, ``TRUE``, ``SHA1(?s)``, ``ENCODE_FOR_URI(?s)``, a
   number that starts with ``.`` or ``-.``, or a string with a lone ``@``.
   A record is the parsed query's ``SelectQuery`` fields, each term as its
-  class and fields.
+  class and fields; ``required`` only where both revisions have it.
 * ``--surface turtle`` mutates the two mappings above and a Turtle text
   with collections, labels, comments and all four string forms, with the
   mapping snippets, every SPARQL operator and the token snippets.  A
@@ -197,6 +197,9 @@ class Side:
         self.algebra, self.rml = import_("algebra"), import_("rml")
         self.translate = load_ab().translator(self.rml)
         self.pruning, self.sparql = import_("pruning"), import_("sparql")
+        # whether a query's record holds its required patterns: set to
+        # whether both sides parse them by compare()
+        self.with_required = "required" in self.sparql.SelectQuery.__dataclass_fields__
 
         class Collector(import_("turtle").TurtleParser):
             """A Turtle reader that keeps each run of one subject's pairs."""
@@ -247,9 +250,14 @@ class Side:
             query = self.sparql.parse_query(text)
         except Exception as exc:  # any exception is part of the record
             return ("error", type(exc).__name__, str(exc))
-        return ("ok", [_term(v) for v in query.variables],
-                [[_term(t) for t in (tp.s, tp.p, tp.o)] for tp in query.patterns],
-                query.distinct, sorted(query.unevaluable))
+        record = ("ok", [_term(v) for v in query.variables], _patterns(query.patterns),
+                  query.distinct, sorted(query.unevaluable))
+        return (*record, _patterns(query.required)) if self.with_required else record
+
+
+def _patterns(patterns) -> list:
+    """Each of *patterns* as its three terms' records."""
+    return [[_term(t) for t in (tp.s, tp.p, tp.o)] for tp in patterns]
 
 
 def _term(term) -> list:
@@ -299,6 +307,7 @@ def compare(base: Side, head: Side, surface: str, inputs: dict[str, tuple[str, l
     """Every side's record of *rounds* mutations of each input text."""
     counts = {"inputs": 0, "differences": 0, "accepted": {"base": 0, "head": 0}}
     first = []
+    base.with_required = head.with_required = base.with_required and head.with_required
     sides = {"base": getattr(base, f"{surface}_record"), "head": getattr(head, f"{surface}_record")}
     for name, r, mutated, edits, queries in mutations(surface, inputs, rounds, seed):
         records = {label: record(mutated, queries) for label, record in sides.items()}
