@@ -16,7 +16,7 @@ once:
 * ``STRING_LITERAL1``, ``STRING_LITERAL2``, ``STRING_LITERAL_LONG1`` and
   ``STRING_LITERAL_LONG2``, with ``ECHAR`` and ``UCHAR``;
 * ``INTEGER``, ``DECIMAL``, ``DOUBLE`` and the boolean keywords;
-* ``WS`` and ``#`` comments;
+* ``WS`` and ``#`` comments, which end at CR or LF;
 * prefix and base declarations, alike in both prologues, the SPARQL-style
   ``PREFIX`` and ``BASE`` in any case.
 
@@ -50,6 +50,8 @@ a surrogate is an error with a position, like every other lexical error.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
+from functools import cached_property
 
 from .errors import InvalidTermError
 from .rdf import _ECHAR, _IRI_CHAR, _SCHEME_RE, _VAR_NAME, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
@@ -67,8 +69,10 @@ _NUMBERS = ((_DOUBLE_RE, XSD_DOUBLE), (_DECIMAL_RE, XSD_DECIMAL), (_INTEGER_RE, 
 # of 1000, wherever the parser is called from.
 MAX_NESTING = 100
 
-# In a str pattern \w is exactly str.isalnum() plus '_'.
-_WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+# In a str pattern \w is exactly str.isalnum() plus '_'.  A comment ends at
+# CR or LF (Turtle 1.1 §6.2, SPARQL 1.1 §19.4), and a line at CR, LF or CR LF.
+_WS_RE = re.compile(r"(?:[ \t\r\n]+|#[^\r\n]*)*")
+_LINE_END_RE = re.compile(r"\r\n?|\n")
 _PREFIX_RE = re.compile(r"[\w.-]*")
 # PN_PREFIX starts with a letter
 _PREFIX_START_RE = re.compile(r"[^\W\d_]")
@@ -91,7 +95,7 @@ OPERATORS = ("!=", "<=", ">=", "&&", "||", "=", "<", ">", "!", "+", "-", "*", "/
 # the run ends with '', and sre moves a DOTALL '.+' straight to the text's
 # end without reading it.  A '.' before a digit starts a number, the
 # longest token there (Turtle 1.1 §6.4, SPARQL 1.1 §19.8).  A comment needs
-# its newline; at the text's end, the whitespace and comments left are the
+# its CR or LF; at the text's end, the whitespace and comments left are the
 # group.  A long string closes at the last three of three or more
 # quotes, as its reader closes it.  A local name stops before a bare
 # trailing '.', and the lookahead after it rejects any shorter name than
@@ -106,7 +110,7 @@ OPERATORS = ("!=", "<=", ">=", "&&", "||", "=", "<", ">", "!", "+", "-", "*", "/
 # longest token, so 'optional:x' is a prefixed name, and no case fold
 # outside ASCII ever spells a keyword.
 _ASCII_PNAME = r"[A-Za-z][A-Za-z0-9_-]*:[A-Za-z0-9_][A-Za-z0-9_-]*(?![\w.:%\\-])"
-_RUN_WS = r"[ \t\r\n]*(?:(?=#)(?:#[^\n]*\n[ \t\r\n]*)*|)"
+_RUN_WS = r"[ \t\r\n]*(?:(?=#)(?:#[^\r\n]*[\r\n][ \t\r\n]*)*|)"
 # a language tag, which a literal may not carry
 _LANGTAG_RE = re.compile(r"@[A-Za-z]+(?:-[A-Za-z0-9]+)*")
 # a UCHAR that names a Unicode scalar value: none above U+10FFFF, and no
@@ -141,7 +145,7 @@ _TOKEN = (
 )
 _RUN_RE = re.compile(
     f"{_RUN_WS}(?:({_TOKEN}"
-    r"|(?:[ \t\r\n]|#[^\n]*\n)+\Z)"
+    r"|(?:[ \t\r\n]|#[^\r\n]*[\r\n])+\Z)"
     r"|(?=[^ \t\r\n])(?s:.+))"
 )
 # the characters a string body takes without a second look
@@ -340,10 +344,19 @@ class Lexer:
 
     # -- cursor ------------------------------------------------------------
 
+    @cached_property
+    def _line_starts(self) -> list[int]:
+        return [match.end() for match in _LINE_END_RE.finditer(self.text)]
+
+    def line_column(self, pos: int) -> tuple[int, int]:
+        """The line and column, both from 1, of offset *pos*: a line ends
+        at CR, LF or CR LF."""
+        line = bisect_right(self._line_starts, pos)
+        return line + 1, pos + 1 - (self._line_starts[line - 1] if line else 0)
+
     def error(self, message: str, unsupported: bool = False) -> Exception:
         self.sync()
-        line = self.text.count("\n", 0, self.pos) + 1
-        column = self.pos - self.text.rfind("\n", 0, self.pos)
+        line, column = self.line_column(self.pos)
         cls = self.unsupported_class if unsupported else self.error_class
         return cls(message, line=line, column=column)
 

@@ -6,14 +6,16 @@ Both RML generations are accepted: the current namespace
 (``http://semweb.mmlab.be/ns/rml#``).  Only CSV logical sources are in
 scope; other reference formulations, graph maps, language maps, logical
 tables and functions are rejected with messages naming the offending node.
-The Turtle reader files each subject's predicates and objects, in
-document order, alternating in one list, and one pass over them finds the
-triples maps and the referencing object maps.  One table, :data:`_TAKES`,
-says by IRI which properties each kind of mapping node takes, in which
-order, and which of them only once, and one reader returns them in that
-order: a property the node does not take, or a once-only one stated
-twice, is rejected rather than dropped, and every error below a triples
-map names it.  A subject no triples map reaches only gets a warning.
+The Turtle reader is the mapping's graph: it files each subject's
+predicates and objects, in document order, alternating in one list, and
+names a node in an error as the document writes it.  One table,
+:data:`_TAKES`, says by IRI which properties each kind of mapping node
+takes, in which order, which of them only once, and what kind of object
+each takes: a node (an IRI or a blank node), an IRI, a plain string or any
+term.  One reader checks that and returns their values in that order: any
+other property, a once-only one stated twice or an object of another kind
+is rejected rather than dropped, and every error below a triples map
+names it.  A subject no triples map reaches only gets a warning.
 
 A mapping has one form, the :class:`~rmlprune.algebra.RmlMappingExpr`
 that :func:`parse_rml` returns.  The walk puts each triples map in one
@@ -38,7 +40,6 @@ from __future__ import annotations
 
 import logging
 import re
-from bisect import bisect_left
 from functools import cached_property
 
 from .algebra import (
@@ -53,9 +54,9 @@ from .algebra import (
     TriplesMapExpr,
 )
 from .errors import MappingModelError, decoded
-from .rdf import RDF_TYPE, RDF_TYPE_IRI, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, trusted
+from .rdf import RDF_TYPE, RDF_TYPE_IRI, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, trusted, trusted_iri
 from .rdf import escape_string, format_term
-from .turtle import TurtleParser, opened_at
+from .turtle import TurtleParser
 
 logger = logging.getLogger("rmlprune.rml")
 
@@ -110,45 +111,61 @@ _KNOWN_OTHER_FORMULATIONS = {
 # ---------------------------------------------------------------------------
 
 
-def _node_key(term, token: str) -> str:
-    """The key of the node that property *token* names."""
-    if type(term) is BlankNode:
-        return "_:" + term.label
-    if type(term) is Iri:
-        return term.value
-    raise MappingModelError(f"property {token!r} must name an IRI or blank node, found {term!r}")
-
-
 def _fmt_node(key: str) -> str:
     return key if key.startswith("_:") else f"<{key}>"
 
 
 # the property token of every IRI a mapping node may carry
 _TOKENS = {**_VOCAB, RDF_TYPE: "type"}
+_LOGICAL_SOURCE = {iri for iri, token in _TOKENS.items() if token == "logicalSource"}
+_PARENT_TRIPLES_MAP = {iri for iri, token in _TOKENS.items() if token == "parentTriplesMap"}
 
 
-class _Graph(dict[str, list]):
-    """A mapping document as each subject's predicates and objects, in
-    document order and alternating in one list, by node key.  It also keeps
-    what an error needs to name a blank node the way the document writes it."""
+def _key(obj: RdfTerm) -> str | None:
+    """The key of node *obj*: an IRI's value, or '_:' and a blank node's
+    label; None for a literal."""
+    if type(obj) is Iri:
+        return obj.value
+    return "_:" + obj.label if type(obj) is BlankNode else None
 
-    def __init__(self, reader: TurtleParser):
-        super().__init__()
-        self.text, self.labels = reader.text, reader.bnode_labels  # the labels: document's -> the reader's
-        self.opened = reader.opened  # where blank nodes open, as marks
 
-    @cached_property
-    def made(self) -> list[int]:
-        """Blank node bN was made at offset ``made[N - 1]``."""
-        return opened_at(self.text, self.opened)
+# Each kind of object a property takes, by its name in _TAKES: what reads
+# the value the walk uses (None for an object of another kind), and the
+# error then.  A constant takes any term, as itself.
+_KINDS = {
+    "node": (_key, "property {token!r} must name an IRI or blank node, found {obj!r}"),
+    "iri": (lambda obj: obj.value if type(obj) is Iri else None, "{token} on {node} must be an IRI, found {obj!r}"),
+    "string": (
+        lambda obj: obj.lex if type(obj) is Literal and obj.datatype == XSD_STRING else None,
+        "{token} on {node} must be a plain string, found {obj!r}",
+    ),
+    "term": (None, None),
+}
+
+
+class _MappingReader(TurtleParser):
+    """The Turtle reader of a mapping, and the graph it reads: each
+    subject's predicates and objects, in document order and alternating
+    in one list, by node key.  It names a node in an error the way the
+    document writes it."""
+
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.graph: dict[str, list] = {}
+
+    def properties(self, s: Iri | BlankNode):
+        return self.graph.setdefault(_key(s), []).extend
+
+    def states(self, key: str, iris: set[str]) -> bool:
+        """Whether node *key* carries a property whose IRI is in *iris*."""
+        for pred in self.graph.get(key, ())[::2]:
+            if pred.value in iris:
+                return True
+        return False
 
     @cached_property
     def _label_of(self) -> dict[str, str]:
-        return {internal: label for label, internal in self.labels.items()}
-
-    @cached_property
-    def _newlines(self) -> list[int]:
-        return [match.start() for match in re.finditer("\n", self.text)]
+        return {internal: label for label, internal in self.bnode_labels.items()}
 
     def name(self, key: str) -> str:
         """Node *key* for an error message: an IRI, the document's label of
@@ -158,31 +175,7 @@ class _Graph(dict[str, list]):
         label = self._label_of.get(key[2:])
         if label is not None:
             return "_:" + label
-        return f"[ ] at line {bisect_left(self._newlines, self.made[int(key[3:]) - 1]) + 1}"
-
-    def index(self):
-        """Note the nodes that carry a logical source, the triples maps, and
-        those that name a parent, the referencing object maps."""
-        self.logical, self.referencing = set(), set()
-        nodes_of = {"logicalSource": self.logical, "parentTriplesMap": self.referencing}
-        found = {iri: nodes_of[token] for iri, token in _TOKENS.items() if token in nodes_of}
-        for key, props in self.items():
-            for pred in props[::2]:
-                if pred.value in found:
-                    found[pred.value].add(key)
-
-
-class _MappingReader(TurtleParser):
-    """The Turtle reader of a mapping: it files each predicate and object
-    under its subject, as :class:`_Graph` holds them."""
-
-    def __init__(self, text: str):
-        super().__init__(text)
-        self.graph = _Graph(self)
-
-    def properties(self, s: Iri | BlankNode):
-        key = "_:" + s.label if type(s) is BlankNode else s.value
-        return self.graph.setdefault(key, []).extend
+        return f"[ ] at line {self.line_column(self.bnode_offsets[int(key[3:]) - 1])[0]}"
 
 
 def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingModelError:
@@ -195,39 +188,45 @@ def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingMod
     return MappingModelError(f"unknown property <{pred.value}> on {node}; refusing to drop it silently")
 
 
-def _takes(once: str, repeats: str = "") -> tuple[dict[str, tuple[int, bool]], int]:
+def _takes(once: str, repeats: str = "") -> tuple[dict[str, tuple], int]:
     """By every IRI of a property a kind of node takes, its place among the
-    tokens, *once* then *repeats*, and whether it repeats; and their count."""
-    tokens = once.split() + repeats.split()
-    place = {token: (i, token in repeats.split()) for i, token in enumerate(tokens)}
-    return {iri: place[token] for iri, token in _TOKENS.items() if token in place}, len(tokens)
+    tokens, *once* then *repeats*, whether it repeats and its kind of
+    object (each written ``token:kind``); and their count."""
+    once, repeats = once.split(), repeats.split()
+    place = {}
+    for i, spec in enumerate(once + repeats):
+        token, kind = spec.split(":")
+        place[token] = (i, i >= len(once), *_KINDS[kind])
+    return {iri: place[token] for iri, token in _TOKENS.items() if token in place}, len(once) + len(repeats)
 
 
 # The property tokens each kind of mapping node takes, once and repeating
-# (R2RML §6.1, §7, §8), in the order that _read_node returns them.
-_TERM_MAP = "constant reference template termType datatype"
-_TAKES: dict[str, tuple[dict[str, tuple[int, bool]], int]] = {
-    "triples map": _takes("logicalSource subjectMap subject", "predicateObjectMap"),
-    "logical source": _takes("source referenceFormulation iterator"),
-    "subject map": _takes(_TERM_MAP, "class"),
+# (R2RML §6.1, §7, §8), in the order that _read_node returns them, each with
+# the kind of its object: an iterator, rejected whatever it holds, takes any.
+_TERM_MAP = "constant:term reference:string template:string termType:iri datatype:iri"
+_TAKES: dict[str, tuple[dict[str, tuple], int]] = {
+    "triples map": _takes("logicalSource:node subjectMap:node subject:term", "predicateObjectMap:node"),
+    "logical source": _takes("source:string referenceFormulation:iri iterator:term"),
+    "subject map": _takes(_TERM_MAP, "class:iri"),
     "predicate map": _takes(_TERM_MAP),
     "object map": _takes(_TERM_MAP),
-    "predicate-object map": _takes("", "predicateMap predicate objectMap object"),
-    "referencing object map": _takes("parentTriplesMap", "joinCondition"),
-    "join condition": _takes("child parent"),
+    "predicate-object map": _takes("", "predicateMap:node predicate:term objectMap:node object:term"),
+    "referencing object map": _takes("parentTriplesMap:node", "joinCondition:node"),
+    "join condition": _takes("child:string parent:string"),
 }
 
 
-def _read_node(g: _Graph, key: str, what: str, visited: set[str]) -> list:
-    """The properties of node *key*, a *what*, in the order of its tokens in
-    :data:`_TAKES`: the object of one it takes once, the list of objects, in
-    document order, of one that may repeat, and None for one not stated.
-    Any other property but ``rdf:type`` is an error, and so is a once-only
-    property stated twice."""
+def _read_node(g: _MappingReader, key: str, what: str, visited: set[str]) -> list:
+    """The values of the properties of node *key*, a *what*, in the order
+    of its tokens in :data:`_TAKES`: the value of one it takes once, the
+    list of values, in document order, of one that may repeat, and None for
+    one not stated.  Any other property but ``rdf:type`` is an error, and
+    so is a once-only property stated twice, or an object of another kind
+    than its property takes."""
     visited.add(key)
     takes, size = _TAKES[what]
     values = [None] * size
-    props = iter(g.get(key, ()))
+    props = iter(g.graph.get(key, ()))
     for pred, obj in zip(props, props):
         taken = takes.get(pred.value)
         if taken is None:
@@ -235,37 +234,32 @@ def _read_node(g: _Graph, key: str, what: str, visited: set[str]) -> list:
             if token != "type":
                 raise _misplaced(token, pred, g.name(key), what)
             continue
-        i, repeats = taken
-        if repeats:
-            if values[i] is None:
-                values[i] = [obj]
-            else:
-                values[i].append(obj)
-        elif values[i] is not None:
+        i, repeats, read, error = taken
+        if not repeats and values[i] is not None:
             raise MappingModelError(f"{what} {g.name(key)} has more than one {_TOKENS[pred.value]}")
+        value = obj if read is None else read(obj)
+        if value is None:
+            message = error.format(token=_TOKENS[pred.value], node=g.name(key), obj=obj)
+            # this error on a triples map's own property names it, as one below it does
+            raise MappingModelError(f"{what} {g.name(key)}: {message}" if what == "triples map" else message)
+        if not repeats:
+            values[i] = value
+        elif values[i] is None:
+            values[i] = [value]
         else:
-            values[i] = obj
+            values[i].append(value)
     return values
 
 
-def _as_string_literal(obj: RdfTerm, what: str, g: _Graph, key: str) -> str:
-    if type(obj) is Literal and obj.datatype == XSD_STRING:
-        return obj.lex
-    raise MappingModelError(f"{what} on {g.name(key)} must be a plain string, found {obj!r}")
-
-
-def _parse_logical_source(g: _Graph, key: str, visited: set[str]) -> str:
+def _parse_logical_source(g: _MappingReader, key: str, visited: set[str]) -> str:
     """The CSV source of a logical source."""
     source, formulation, iterator = _read_node(g, key, "logical source", visited)
-    if formulation is not None:
-        if not isinstance(formulation, Iri):
-            raise MappingModelError(f"reference formulation on {g.name(key)} must be an IRI")
-        if formulation.value not in _CSV_FORMULATIONS:
-            kind = _KNOWN_OTHER_FORMULATIONS.get(formulation.value, formulation.value)
-            raise MappingModelError(
-                f"unsupported reference formulation {kind!r} on {g.name(key)}; "
-                f"only CSV sources are supported"
-            )
+    if formulation is not None and formulation not in _CSV_FORMULATIONS:
+        kind = _KNOWN_OTHER_FORMULATIONS.get(formulation, formulation)
+        raise MappingModelError(
+            f"unsupported reference formulation {kind!r} on {g.name(key)}; "
+            f"only CSV sources are supported"
+        )
     if iterator is not None:
         raise MappingModelError(
             f"iterator on {g.name(key)} is not supported: CSV sources are "
@@ -273,7 +267,7 @@ def _parse_logical_source(g: _Graph, key: str, visited: set[str]) -> str:
         )
     if source is None:
         raise MappingModelError(f"logical source {g.name(key)} has no source")
-    return _as_string_literal(source, "source", g, key)
+    return source
 
 
 def _term_map(
@@ -332,8 +326,8 @@ def _term_map(
 
 
 def _parse_term_map(
-    g: _Graph, key: str, position: str, base: str, visited: set[str]
-) -> tuple[ExtendExpr, tuple[Iri, ...]]:
+    g: _MappingReader, key: str, position: str, base: str, visited: set[str]
+) -> tuple[ExtendExpr, tuple[str, ...]]:
     """The constructor of the term map at node *key*, at *position*, and,
     on a subject map, its classes."""
     what = f"{position} map"
@@ -347,21 +341,15 @@ def _parse_term_map(
     if constant is not None:
         kind, value = "constant", constant
     elif reference is not None:
-        kind, value = "reference", _as_string_literal(reference, "reference", g, key)
+        kind, value = "reference", reference
     else:
-        kind, value = "template", _as_string_literal(template, "template", g, key)
+        kind, value = "template", template
     try:
         if term_type is not None:
-            built = _TERM_TYPES.get(term_type.value) if isinstance(term_type, Iri) else None
+            built = _TERM_TYPES.get(term_type)
             if built is None:
-                raise MappingModelError(f"unknown term type {term_type!r}")
+                raise MappingModelError(f"unknown term type <{term_type}>")
             term_type = built
-        if datatype is not None:
-            if not isinstance(datatype, Iri):
-                raise MappingModelError("datatype must be an IRI")
-            datatype = datatype.value
-        if classes and not all(isinstance(cls, Iri) for cls in classes):
-            raise MappingModelError("class must be an IRI")
         return _term_map(kind, value, position, base, term_type, datatype), tuple(classes)
     except MappingModelError as exc:
         raise MappingModelError(f"{what} {g.name(key)}: {exc}") from None
@@ -371,57 +359,49 @@ def _parse_term_map(
 _Joined = tuple[str, tuple[tuple[str, str], ...]]
 
 
-def _parse_ref_object_map(g: _Graph, key: str, visited: set[str]) -> _Joined:
+def _parse_ref_object_map(g: _MappingReader, key: str, visited: set[str]) -> _Joined:
     parent, conditions = _read_node(g, key, "referencing object map", visited)
     joins: list[tuple[str, str]] = []
-    for obj in conditions or ():
-        jkey = _node_key(obj, "joinCondition")
+    for jkey in conditions or ():
         join = _read_node(g, jkey, "join condition", visited)
         if None in join:
             raise MappingModelError(f"join condition {g.name(jkey)} needs both child and parent")
-        joins.append(tuple(_as_string_literal(o, end, g, jkey) for o, end in zip(join, ("child", "parent"))))
+        joins.append(tuple(join))
     if not joins:
         raise MappingModelError(
             f"referencing object map {g.name(key)} has no join conditions; an "
             f"unconditioned join is not supported"
         )
-    parent = _node_key(parent, "parentTriplesMap")
-    if parent not in g.logical:
+    if not g.states(parent, _LOGICAL_SOURCE):
         raise MappingModelError(
             f"referencing object map {g.name(key)}: parent triples map {g.name(parent)} does not exist"
         )
     return parent, tuple(joins)
 
 
-def _shortcuts(g: _Graph, key: str, terms: list | None, position: str, base: str) -> list[ExtendExpr]:
-    """The constants of the *position* shortcuts of predicate-object map *key*."""
-    try:
-        return [_term_map("constant", term, position, base) for term in terms or ()]
-    except MappingModelError as exc:
-        raise MappingModelError(f"predicate-object map {g.name(key)}: {exc}") from None
-
-
 def _parse_pom(
-    g: _Graph, key: str, base: str, visited: set[str]
+    g: _MappingReader, key: str, base: str, visited: set[str]
 ) -> list[tuple[ExtendExpr, ExtendExpr | _Joined]]:
     """One (predicate constructor, object constructor or join) pair per
     (predicate, object) of the node: predicate maps before predicate
     shortcuts, object maps before object shortcuts, predicate-major."""
     predicate_nodes, predicates, object_nodes, objects = _read_node(g, key, "predicate-object map", visited)
+    try:
+        # each shortcut is a constant map
+        predicate_shortcuts = [_term_map("constant", term, "predicate", base) for term in predicates or ()]
+        object_shortcuts = [_term_map("constant", term, "object", base) for term in objects or ()]
+    except MappingModelError as exc:
+        raise MappingModelError(f"predicate-object map {g.name(key)}: {exc}") from None
     predicate_maps = [
-        _parse_term_map(g, _node_key(obj, "predicateMap"), "predicate", base, visited)[0]
-        for obj in predicate_nodes or ()
-    ]
-    predicate_maps += _shortcuts(g, key, predicates, "predicate", base)
-    object_maps: list[ExtendExpr | _Joined] = []
-    for obj in object_nodes or ():
-        okey = _node_key(obj, "objectMap")
-        # a referencing object map is the one that names a parent
-        if okey in g.referencing:
-            object_maps.append(_parse_ref_object_map(g, okey, visited))
-        else:
-            object_maps.append(_parse_term_map(g, okey, "object", base, visited)[0])
-    object_maps += _shortcuts(g, key, objects, "object", base)
+        _parse_term_map(g, pkey, "predicate", base, visited)[0] for pkey in predicate_nodes or ()
+    ] + predicate_shortcuts
+    # a referencing object map is one that names a parent
+    object_maps = [
+        _parse_ref_object_map(g, okey, visited)
+        if g.states(okey, _PARENT_TRIPLES_MAP)
+        else _parse_term_map(g, okey, "object", base, visited)[0]
+        for okey in object_nodes or ()
+    ] + object_shortcuts
     if not predicate_maps:
         raise MappingModelError(f"predicate-object map {g.name(key)} has no predicate")
     if not object_maps:
@@ -435,12 +415,12 @@ def parse_rml(data: bytes | str) -> RmlMappingExpr:
     start with a UTF-8 byte-order mark."""
     if isinstance(data, bytes):
         data = decoded(data, MappingModelError)
-    reader = _MappingReader(data)
-    base = reader.parse() or DEFAULT_BASE_IRI
-    g = reader.graph
+    g = _MappingReader(data)
+    base = g.parse() or DEFAULT_BASE_IRI
     # the triples maps: the subjects that carry a logical source, in order
-    g.index()
-    tm_keys = [key for key in g if key in g.logical]
+    tm_keys = dict.fromkeys(
+        key for key, props in g.graph.items() for pred in props[::2] if pred.value in _LOGICAL_SOURCE
+    )
     if not tm_keys:
         raise MappingModelError("no triples maps found (no subject carries a logical source)")
 
@@ -453,29 +433,24 @@ def parse_rml(data: bytes | str) -> RmlMappingExpr:
         subject_map, classes = None, ()
         # the nodes below a triples map name it in their errors
         try:
-            source = _parse_logical_source(g, _node_key(logical_source, "logicalSource"), visited)
+            source = _parse_logical_source(g, logical_source, visited)
             if subject_node is not None:
-                skey = _node_key(subject_node, "subjectMap")
-                subject_map, classes = _parse_term_map(g, skey, "subject", base, visited)
+                subject_map, classes = _parse_term_map(g, subject_node, "subject", base, visited)
             if subject is not None:
                 if subject_map is not None:
                     raise MappingModelError("a subject map and a subject shortcut are both given")
                 subject_map = _term_map("constant", subject, "subject", base)
-            poms = [
-                pom
-                for obj in pom_nodes or ()
-                for pom in _parse_pom(g, _node_key(obj, "predicateObjectMap"), base, visited)
-            ]
+            poms = [pom for pkey in pom_nodes or () for pom in _parse_pom(g, pkey, base, visited)]
         except MappingModelError as exc:
             raise MappingModelError(f"triples map {g.name(key)}: {exc}") from None
         if subject_map is None:
             raise MappingModelError(f"triples map {g.name(key)} lacks a subject map")
-        class_poms = [(type_map, _term_map("constant", cls, "object", base)) for cls in classes]
+        class_poms = [(type_map, _term_map("constant", trusted_iri(cls), "object", base)) for cls in classes]
         walked.append((key, source, subject_map, class_poms + poms))
 
     # names are formatted only for a record that is emitted
     if logger.isEnabledFor(logging.WARNING):
-        for key, props in g.items():
+        for key, props in g.graph.items():
             if key not in visited and any(_TOKENS.get(pred.value) != "type" for pred in props[::2]):
                 logger.warning("subject %s is not reachable from any triples map; ignoring it", g.name(key))
 

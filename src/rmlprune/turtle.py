@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Callable
+from functools import cached_property
 
 from ._lexer import Lexer, _past, offsets
 from .errors import TurtleError
@@ -64,13 +65,6 @@ RDF_NIL = Iri(RDF_NS + "nil")
 _LABEL_RE = re.compile(r"[\w.-]*")
 
 
-def opened_at(text: str, opened: list[int]) -> list[int]:
-    """Where each blank node that the marks *opened* name opens: just past
-    its '[' or its label, or at its '(' (see :func:`~rmlprune._lexer.offsets`)."""
-    found = offsets(text, opened)
-    return [_past(text, at, 1) if mark >= 0 and text[at] in "[_" else at for mark, at in zip(opened, found)]
-
-
 class TurtleParser(Lexer):
     error_class = unsupported_class = TurtleError
 
@@ -81,10 +75,13 @@ class TurtleParser(Lexer):
         # the mark of what opened blank node bN: opened[N - 1]
         self.opened: list[int] = []
 
-    @property
+    @cached_property
     def bnode_offsets(self) -> list[int]:
-        """Blank node bN opens at offset ``bnode_offsets[N - 1]``."""
-        return opened_at(self.text, self.opened)
+        """Blank node bN opens at offset ``bnode_offsets[N - 1]``: just past
+        its '[' or its label, or at its '('.  Read once the parse is done."""
+        text = self.text
+        found = offsets(text, self.opened)
+        return [_past(text, at, 1) if mark >= 0 and text[at] in "[_" else at for mark, at in zip(self.opened, found)]
 
     def properties(self, s: Iri | BlankNode) -> Callable[[tuple[Iri, RdfTerm]], object]:
         """The function that takes each (predicate, object) pair of subject

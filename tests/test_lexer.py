@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from rmlprune import _lexer, gendata
 from rmlprune._lexer import MAX_NESTING
-from rmlprune.errors import SparqlError, TurtleError, UnsupportedSparqlError
-from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal
+from rmlprune.algebra import dump_plan
+from rmlprune.errors import MappingModelError, SparqlError, TurtleError, UnsupportedSparqlError
+from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal, Variable
+from rmlprune.rml import parse_rml
 from rmlprune.sparql import collect_triple_patterns, parse_query
 from rmlprune.turtle import TurtleParser
 
@@ -522,3 +524,61 @@ def test_the_token_before_a_path_operator_is_known_after_a_long_verb(between, me
     text = f"SELECT * WHERE {{ ?s {verb}{between}\n* }}"
     with pytest.raises(SparqlError, match=re.escape(f"line 2, column 1: {message}")):
         parse_query(text)
+
+
+# A comment ends at CR or LF (Turtle 1.1 §6.2, SPARQL 1.1 §19.4), and a
+# line at CR, LF or CR LF: a text reads alike with any of them.
+LINE_ENDS = {"LF": "\n", "CRLF": "\r\n", "CR": "\r"}
+
+
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=list(LINE_ENDS))
+def test_a_mapping_reads_alike_with_any_line_end(end):
+    text = gendata.MAPPING_TTL
+    for name in ("stops", "routes"):
+        subject = f"<http://example.com/tm/{name}>\n"
+        assert text.count(subject) == 1
+        text = text.replace(subject, f"# {name} follow\n{subject}")
+    mapping = parse_rml(text.replace("\n", end))
+    assert len(mapping.trmaps) == 14
+    assert dump_plan(mapping) == dump_plan(parse_rml(gendata.MAPPING_TTL))
+
+
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=list(LINE_ENDS))
+def test_a_query_reads_alike_with_any_line_end(end):
+    query = parse_query(f"PREFIX ex: <{EX}>{end}# names{end}SELECT ?s WHERE {{ ?s ex:name ?n }}")
+    assert [(tp.s, tp.p, tp.o) for tp in collect_triple_patterns(query)] == [
+        (Variable("s"), Iri(EX + "name"), Variable("n"))
+    ]
+
+
+# a text with LF line ends, what reads it, and its error
+LINE_ERRORS = {
+    "Turtle": (
+        f"@prefix ex: <{EX}> .\n# a comment\nex:s ex:p ex:o ;\n  ex:q .\n",
+        read_turtle,
+        TurtleError,
+        "line 4, column 8: expected an object, found '.'",
+    ),
+    "SPARQL": (
+        f"PREFIX ex: <{EX}>\n# a comment\nSELECT ?s WHERE {{\n  ?s ex:p }}",
+        parse_query,
+        SparqlError,
+        "line 4, column 11: expected an object, found '}'",
+    ),
+    "RML": (
+        "@prefix rml: <http://w3id.org/rml/> .\n\n"
+        '<http://e/tm> rml:logicalSource [ rml:source "f.csv" ] ;\n'
+        '  rml:subjectMap [ rml:reference "a" ; rml:iterator "x" ] .\n',
+        parse_rml,
+        MappingModelError,
+        "triples map <http://e/tm>: property 'iterator' does not belong on subject map [ ] at line 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("end", LINE_ENDS.values(), ids=list(LINE_ENDS))
+@pytest.mark.parametrize("text, read, error, message", LINE_ERRORS.values(), ids=list(LINE_ERRORS))
+def test_an_error_has_one_line_and_column_with_any_line_end(text, read, error, message, end):
+    with pytest.raises(error) as info:
+        read(text.replace("\n", end))
+    assert str(info.value) == message

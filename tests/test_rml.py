@@ -570,8 +570,8 @@ def unreachable_subjects(n: int) -> str:
 
 def test_unreachable_subjects_are_named_only_for_an_emitted_warning(monkeypatch):
     named = []
-    name = rml._Graph.name
-    monkeypatch.setattr(rml._Graph, "name", lambda g, key: named.append(key) or name(g, key))
+    name = rml._MappingReader.name
+    monkeypatch.setattr(rml._MappingReader, "name", lambda g, key: named.append(key) or name(g, key))
     logging.disable(logging.CRITICAL)
     try:
         parse_rml(unreachable_subjects(3))
@@ -651,7 +651,7 @@ NODE_CHECKS = {
     ),
     "formulation not an IRI": (
         {"source": 'rml:source "f.csv" ; rml:referenceFormulation "CSV"'},
-        "reference formulation on [ ] at line 4 must be an IRI",
+        'referenceFormulation on [ ] at line 4 must be an IRI, found "CSV"',
     ),
     "no source": (
         {"source": "rml:referenceFormulation rml:CSV"},
@@ -667,11 +667,11 @@ NODE_CHECKS = {
     ),
     "datatype not an IRI": (
         {"object_map": 'rml:reference "b" ; rml:datatype "x"'},
-        "object map [ ] at line 6: datatype must be an IRI",
+        'datatype on [ ] at line 6 must be an IRI, found "x"',
     ),
     "class not an IRI": (
         {"subject": 'rml:subjectMap [ rml:reference "a" ; rml:class "C" ]'},
-        "subject map [ ] at line 5: class must be an IRI",
+        'class on [ ] at line 5 must be an IRI, found "C"',
     ),
     "subject map and shortcut": (
         {"subject": 'rml:subjectMap [ rml:reference "a" ] ; rml:subject ex:s'},
@@ -679,7 +679,7 @@ NODE_CHECKS = {
     ),
     "term type not an IRI": (
         {"object_map": 'rml:reference "b" ; rml:termType "x"'},
-        'object map [ ] at line 6: unknown term type "x"',
+        'termType on [ ] at line 6 must be an IRI, found "x"',
     ),
     "child not a string": (
         {"object_map": JOIN.format('rml:child 1 ; rml:parent "id"')},
