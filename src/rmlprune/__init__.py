@@ -7,7 +7,9 @@ out as a standalone mapping.  A reference materializer and a basic graph
 pattern evaluator are included so the pruning can be checked end to end:
 evaluating a query over the pruned mapping's output must return exactly
 the answers obtained over the full output.  :func:`answer` runs that whole
-chain for one query.
+chain for one query.  A term is a pair (:data:`Term`): an IRI's or a blank
+node's N-Triples spelling with ``None``, or a literal's lexical form with
+its datatype IRI; :func:`format_term` spells one.
 """
 
 from .algebra import (
@@ -36,17 +38,7 @@ from .errors import (
     UnsupportedSparqlError,
 )
 from .pruning import FullyPruned, incompatibility_trace, prune
-from .rdf import (
-    Bgp,
-    BlankNode,
-    Iri,
-    Literal,
-    RdfGraph,
-    Triple,
-    TriplePattern,
-    Variable,
-    eval_bgp,
-)
+from .rdf import Bgp, RdfGraph, Term, Triple, TriplePattern, Variable, eval_bgp, format_term
 from .rml import parse_rml, serialize_pruned, translate
 from .sparql import SelectQuery, collect_triple_patterns, flatten_bgp, parse_query
 
@@ -54,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bgp",
-    "BlankNode",
     "BuildBlank",
     "BuildIri",
     "BuildLiteral",
@@ -64,8 +55,6 @@ __all__ = [
     "ExtractSpec",
     "FullyPruned",
     "InvalidTermError",
-    "Iri",
-    "Literal",
     "MappingModelError",
     "RdfGraph",
     "RmlMappingExpr",
@@ -75,6 +64,7 @@ __all__ = [
     "SparqlError",
     "StructuralError",
     "Template",
+    "Term",
     "Triple",
     "TriplePattern",
     "TriplesMapExpr",
@@ -85,6 +75,7 @@ __all__ = [
     "collect_triple_patterns",
     "eval_bgp",
     "flatten_bgp",
+    "format_term",
     "incompatibility_trace",
     "materialize",
     "materialize_trmap",

@@ -27,7 +27,9 @@ prefixed name, a string in any quotes, alone, with a language tag or
 typed, a number (``.5`` too), a boolean, ``a``, a blank node label,
 ``@prefix``, ``@base``, a variable, a bare word (ASCII letters, digits and
 ``_``) and each of SPARQL's operators.  :meth:`Lexer.term` builds the term
-a token spells, or gives back a token that spells an error (a language
+a token spells, as the pair that :data:`rmlprune.rdf.Term` describes (an
+IRI as its spelling, resolved, with ``None``; a literal as its lexical form
+and datatype), or gives back a token that spells an error (a language
 tag, an escaped forbidden character, an undeclared prefix, a relative IRI
 without a base).  The run ends early only at text that no token spells.
 There, and at a token given back, a reader takes the cursor for good: it
@@ -37,7 +39,9 @@ reader takes over, an error stands, or a blank node opens, the offset is
 found by stepping through the run again from its start, and only when it
 is asked for; so is the text of the token before the one just read
 (:meth:`Lexer.before`).  Each IRI and untyped literal is built once per
-parser instance, and looked up by its token text.
+parser instance, and looked up by its token text.  The readers at the
+cursor check what they read; an IRI that a declaration names is read as
+its string.
 
 Two simplifications: name characters are Python's alphanumerics rather
 than the exact ``PN_CHARS`` ranges, and a ``%`` in a local name is taken as
@@ -53,9 +57,8 @@ import re
 from bisect import bisect_right
 from functools import cached_property
 
-from .errors import InvalidTermError
 from .rdf import _ECHAR, _IRI_CHAR, _SCHEME_RE, _VAR_NAME, XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, XSD_STRING
-from .rdf import Iri, Literal, is_absolute_iri, trusted_iri, trusted_literal, unescape
+from .rdf import Term, is_absolute_iri, is_valid_iri, unescape
 
 # digits are ASCII (Turtle 1.1 §6.5, SPARQL 1.1 §19.8), which \d is not in a str pattern
 _DOUBLE_RE = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*[eE][+-]?[0-9]+|\.[0-9]+[eE][+-]?[0-9]+|[0-9]+[eE][+-]?[0-9]+)")
@@ -95,8 +98,8 @@ OPERATORS = ("!=", "<=", ">=", "&&", "||", "=", "<", ">", "!", "+", "-", "*", "/
 # the run ends with '', and sre moves a DOTALL '.+' straight to the text's
 # end without reading it.  A '.' before a digit starts a number, the
 # longest token there (Turtle 1.1 §6.4, SPARQL 1.1 §19.8).  A comment needs
-# its CR or LF; at the text's end, the whitespace and comments left are the
-# group.  A long string closes at the last three of three or more
+# its CR or LF but at the text's end, where the whitespace and comments left
+# are the group.  A long string closes at the last three of three or more
 # quotes, as its reader closes it.  A local name stops before a bare
 # trailing '.', and the lookahead after it rejects any shorter name than
 # the readers would take.  A prefixed name of ASCII letters, digits, '_'
@@ -145,7 +148,7 @@ _TOKEN = (
 )
 _RUN_RE = re.compile(
     f"{_RUN_WS}(?:({_TOKEN}"
-    r"|(?:[ \t\r\n]|#[^\r\n]*[\r\n])+\Z)"
+    r"|(?:[ \t\r\n]|#[^\r\n]*)+\Z)"
     r"|(?=[^ \t\r\n])(?s:.+))"
 )
 # the characters a string body takes without a second look
@@ -203,16 +206,16 @@ class Lexer:
         self.depth = 0
         # every IRI of the run, by its absolute spelling: only a resolved IRI
         # is ever a key, so a later BASE or PREFIX cannot make one stale
-        self._iris: dict[str, Iri] = {}
+        self._iris: dict[str, Term] = {}
         # the term of each IRIREF and prefixed name read from the run, by
         # its text, until the next prefix or base declaration; a subclass
         # may remember more
-        self._terms: dict[str, Iri] = {}
+        self._terms: dict[str, Term] = {}
         # each untyped literal a token spells, by its text
-        self._literals: dict[str, Literal] = {}
-        # each untyped string, by its lexical form: one object per form,
+        self._literals: dict[str, Term] = {}
+        # each untyped string, by its lexical form: one pair per form,
         # however it is quoted or escaped
-        self._forms: dict[str, Literal] = {}
+        self._forms: dict[str, Term] = {}
         # the run: its texts, popped from the end down to '' (the end of
         # the text) or the '' of its last match (text no token spells);
         # their number, 0 once the readers have the cursor; whether it was
@@ -283,7 +286,7 @@ class Lexer:
         cursor's offset as its bitwise complement, a negative int."""
         return self._count - len(self._run) if self._count else ~self.pos
 
-    def term(self, token: str, constant: bool) -> Iri | Literal | None:
+    def term(self, token: str, constant: bool) -> Term | None:
         """The IRI (or, in a *constant*'s place, the literal) that *token*
         spells, remembered by its text; None for no term there or an error,
         which it gives back (see :meth:`back`) for the reader to report."""
@@ -303,14 +306,14 @@ class Lexer:
             # a number or a boolean, matched as the readers would match it
             for regex, datatype in (*_NUMBERS, (_BOOLEAN_RE, XSD_BOOLEAN)):
                 if regex.fullmatch(token):
-                    term = self._literals[token] = trusted_literal(token, datatype)
+                    term = self._literals[token] = (token, datatype)
                     return term
         if iri is None:
             self.back(token)
             return None
         term = self._iris.get(iri)
         if term is None:
-            term = self._iris[iri] = trusted_iri(iri)
+            term = self._iris[iri] = (f"<{iri}>", None)
         self._terms[token] = term
         return term
 
@@ -325,7 +328,7 @@ class Lexer:
             return iri
         return None if self.base is None else self.base + iri
 
-    def _literal(self, token: str) -> Literal | None:
+    def _literal(self, token: str) -> Term | None:
         """The literal of *token*, a string; None for a language tag or an
         error.  A typed literal is not remembered: the tables outlive a
         prefix declaration."""
@@ -335,10 +338,10 @@ class Lexer:
             lex = unescape(lex)
         if end < len(token):  # a language tag, or a datatype read as a term
             datatype = token[end] == "^" and self.term(token[end + 2 :], constant=False)
-            return trusted_literal(lex, datatype.value) if datatype else None
+            return (lex, datatype[0][1:-1]) if datatype else None
         term = self._forms.get(lex)
         if term is None:
-            term = self._forms[lex] = trusted_literal(lex, XSD_STRING)
+            term = self._forms[lex] = (lex, XSD_STRING)
         self._literals[token] = term
         return term
 
@@ -397,7 +400,7 @@ class Lexer:
         prefix = self.read_prefix_name()
         self.expect(":")
         self.skip_ws()
-        self.declare_prefix(prefix, self.read_iriref().value)
+        self.declare_prefix(prefix, self.read_iriref())
 
     def _parse_base_body(self, token: str):
         """A base declaration after its keyword, from the token after that
@@ -411,7 +414,7 @@ class Lexer:
         if iri is None:
             self.back(token)
             self.skip_ws()
-            iri = self.read_iriref().value
+            iri = self.read_iriref()
         return iri
 
     def descend(self, opened: int):
@@ -435,19 +438,18 @@ class Lexer:
 
     # -- IRIs --------------------------------------------------------------
 
-    def resolve(self, iri: str) -> Iri:
+    def resolve(self, iri: str) -> str:
         """The IRI *iri* names, relative ones against the base; only a reader
         calls this, at an error that ends the parse, so it files nothing."""
         if not is_absolute_iri(iri):
             if self.base is None:
                 raise self.error(f"relative IRI {iri!r} without a base")
             iri = self.base + iri
-        try:
-            return Iri(iri)
-        except InvalidTermError:
-            raise self.error(f"not a valid IRI: {iri!r}") from None
+        if not is_valid_iri(iri):
+            raise self.error(f"not a valid IRI: {iri!r}")
+        return iri
 
-    def read_iriref(self) -> Iri:
+    def read_iriref(self) -> str:
         self.expect("<")
         parts = []
         while True:
@@ -491,7 +493,7 @@ class Lexer:
         self.pos += len(name)
         return unescape(name) if "\\" in name else name
 
-    def read_prefixed_name(self) -> Iri:
+    def read_prefixed_name(self) -> str:
         prefix = self.read_prefix_name()
         self.expect(":")
         local = self.read_local_name()
@@ -500,15 +502,18 @@ class Lexer:
             raise self.error(f"undeclared prefix: {prefix!r}")
         return self.resolve(ns + local)
 
-    def read_iri(self, expected: str = "an IRI") -> Iri:
-        """An IRI at the cursor; an error naming the *expected* term at any
-        character that starts neither an IRIREF nor a prefixed name."""
+    def read_iri(self, expected: str = "an IRI") -> Term:
+        """The IRI at the cursor, as a term; an error naming the *expected*
+        term at any character that starts neither an IRIREF nor a prefixed
+        name."""
         ch = self.peek()
         if ch == "<":
-            return self.read_iriref()
-        if ch == ":" or _PREFIX_START_RE.match(ch):
-            return self.read_prefixed_name()
-        raise self.error(f"expected {expected}, found {ch!r}" if ch else f"expected {expected}")
+            iri = self.read_iriref()
+        elif ch == ":" or _PREFIX_START_RE.match(ch):
+            iri = self.read_prefixed_name()
+        else:
+            raise self.error(f"expected {expected}, found {ch!r}" if ch else f"expected {expected}")
+        return f"<{iri}>", None
 
     # -- literals ----------------------------------------------------------
 
@@ -567,17 +572,15 @@ class Lexer:
                 parts.append(ch)
                 self.pos += 1
 
-    def read_literal(self) -> Literal:
+    def read_literal(self) -> Term:
         lex = self.read_string()
         if self.peek() == "@":
             if not _LANGTAG_RE.match(self.text, self.pos):
                 raise self.error("expected a language tag after '@'")
             raise self.error("language-tagged literals are not supported", unsupported=True)
-        if self.try_consume("^^"):
-            return Literal(lex, self.read_iri().value)
-        return Literal(lex)
+        return lex, (self.read_iri()[0][1:-1] if self.try_consume("^^") else XSD_STRING)
 
-    def read_constant(self, expected: str = "an object") -> Iri | Literal:
+    def read_constant(self, expected: str = "an object") -> Term:
         """An IRI, or a quoted, numeric or boolean literal, else *expected*."""
         ch = self.peek()
         if ch and ch in "\"'":
@@ -585,11 +588,11 @@ class Lexer:
         match = _BOOLEAN_RE.match(self.text, self.pos)
         if match:
             self.pos = match.end()
-            return Literal(match[0], XSD_BOOLEAN)
+            return match[0], XSD_BOOLEAN
         if "0" <= ch <= "9" or ch in "+-.":
             for regex, datatype in _NUMBERS:
                 match = regex.match(self.text, self.pos)
                 if match:
                     self.pos = match.end()
-                    return Literal(match.group(), datatype)
+                    return match.group(), datatype
         return self.read_iri(expected)

@@ -20,10 +20,11 @@ parsed CSV table.  :func:`materialize` compiles every constructor, for that
 call only, into a function of a raw CSV row, then walks each source's rows
 once: every expression over the source runs on each row, a subject that
 several expressions share is built once per row, and a joined expression
-looks its objects up in buckets of the parent table.  No term object is
-built: an IRI or blank node is its N-Triples spelling, interned by the
-string it is built from and IRI-checked once per distinct string, and a
-literal is its lexical form, which for a reference is the CSV cell itself.
+looks its objects up in buckets of the parent table.  A term is built as
+the string of its pair (:data:`~rmlprune.rdf.Term`): an IRI or blank node
+is its N-Triples spelling, interned by the string it is built from and
+IRI-checked once per distinct string, and a literal is its lexical form,
+which for a reference is the CSV cell itself.
 Each (subject, object) pair is filed, once, under its predicate's spelling
 and its object's datatype (``None`` for a node), and those pairs become the
 graph's typed string columns (:class:`~rmlprune.rdf.RdfGraph`).  A pair
@@ -50,19 +51,19 @@ from typing import ClassVar, Union
 from .csvsource import CSV_KIND, CsvTable, Row
 from .errors import SourceInputError, StructuralError
 from .rdf import (
+    BLANK,
+    IRI,
+    LITERAL,
     XSD_STRING,
-    BlankNode,
-    Iri,
-    Literal,
     Pairs,
     RdfGraph,
-    RdfTerm,
-    encode_term,
+    Term,
+    check_term,
     escape_string,
     format_term,
     is_absolute_iri,
-    is_term,
     is_valid_iri,
+    kind,
 )
 
 logger = logging.getLogger("rmlprune.algebra")
@@ -93,7 +94,8 @@ class Template:
     reference: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
+        if type(self.parts) is not tuple:
+            object.__setattr__(self, "parts", tuple(self.parts))
         if len(self.parts) % 2 == 0:
             raise StructuralError(
                 f"a template alternates texts and attributes, text first and last: {self.parts!r}"
@@ -118,12 +120,13 @@ class Template:
 class ConstantTerm:
     """A fixed RDF term."""
 
-    term: RdfTerm
+    term: Term
     attrs: ClassVar[frozenset[Attribute]] = frozenset()
 
     def __post_init__(self):
-        if not is_term(self.term):
+        if type(self.term) is not tuple:
             raise StructuralError(f"not an RDF term: {self.term!r}")
+        check_term(self.term)
 
 
 class _FromTemplate:
@@ -174,16 +177,16 @@ class BuildBlank(_FromTemplate):
 
 ExtendExpr = Union[ConstantTerm, BuildLiteral, BuildIri, BuildBlank]
 
-# the kind of term each template constructor builds; a constant builds the
-# kind of its term
-BUILDS: dict[type, type] = {BuildIri: Iri, BuildLiteral: Literal, BuildBlank: BlankNode}
+# the kind of term (see rdf.kind) each template constructor builds; a
+# constant builds the kind of its term
+BUILDS: dict[type, str] = {BuildIri: IRI, BuildLiteral: LITERAL, BuildBlank: BLANK}
 
 
-def builds(expr: ExtendExpr) -> tuple[type, str | None]:
+def builds(expr: ExtendExpr) -> tuple[str, str | None]:
     """The kind of term *expr* builds, and a literal's datatype (``None``
     for a node)."""
     if isinstance(expr, ConstantTerm):
-        return type(expr.term), encode_term(expr.term)[1]
+        return kind(expr.term), expr.term[1]
     return BUILDS[type(expr)], expr.datatype if type(expr) is BuildLiteral else None
 
 
@@ -268,7 +271,7 @@ class TriplesMapExpr:
                     raise StructuralError(
                         f"join condition ({a!r}, {b!r}) is not a (child, parent) attribute pair"
                     )
-            if builds(self.object_expr)[0] is Literal:
+            if builds(self.object_expr)[0] == LITERAL:
                 raise StructuralError("the joined object constructor cannot produce literals")
             object_scope, object_where = parent, "parent extraction"
         for name, expr, scope, where in (
@@ -400,7 +403,7 @@ def _compile(
     IRI.  Node spellings come from the call's *interned* tables, one per
     constructor kind and base."""
     if isinstance(expr, ConstantTerm):
-        value = encode_term(expr.term)[0]
+        value = expr.term[0]
         return lambda row: value
     template = expr.body
     if isinstance(expr, BuildIri):
@@ -479,7 +482,7 @@ def _pairs(m: RmlMappingExpr, sigma: SourceAssignment) -> Pairs:
         parent = None if tm.parent_extract is None else _columns(tm.parent_extract, sigma, warned)
         if column is None or (tm.parent_extract is not None and parent is None):
             continue
-        if builds(tm.subject_expr)[0] is Literal or builds(tm.predicate_expr)[0] is not Iri:
+        if builds(tm.subject_expr)[0] == LITERAL or builds(tm.predicate_expr)[0] != IRI:
             continue
         predicate = _compile(tm.predicate_expr, column, interned)
         datatype, filed = builds(tm.object_expr)[1], None

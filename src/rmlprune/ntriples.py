@@ -2,13 +2,13 @@
 
 The writer emits one triple per line, sorted, so output files are
 deterministic for a given graph.  It writes a graph's typed string columns
-(:class:`~rmlprune.rdf.RdfGraph`) without a term object: node spellings as
+(:class:`~rmlprune.rdf.RdfGraph`) without a term pair: node spellings as
 they are, and each literal from its column as ``"`` + its escaped lexical
 form + ``"`` + the column's datatype suffix, which is empty for
 ``xsd:string``, following the usual canonical form.  Blank node labels are
 written as-is and therefore stay stable across a run.  A term's spelling,
 :func:`format_term`, and :func:`escape_string` live next to the term
-classes in :mod:`rmlprune.rdf`.
+pairs in :mod:`rmlprune.rdf`.
 """
 
 from __future__ import annotations

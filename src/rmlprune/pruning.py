@@ -8,9 +8,11 @@ constructor builds only its term; any other builds the one kind of term
 that :data:`~rmlprune.algebra.BUILDS` names, a literal constructor one
 datatype, and its strings match one anchored regex: the template's texts,
 escaped, joined by ``.+``, with an IRI constructor's base optionally in
-front.  A mapping keeps an expression iff at least one pattern of the
-query is not incompatible with it; dropping the rest changes no answer of
-the query.  A *required* pattern, one that no OPTIONAL encloses, must
+front.  A pattern constant is the pair of :data:`rmlprune.rdf.Term`: its
+kind is read off it (:func:`rmlprune.rdf.kind`), and an IRI is matched
+between the brackets of its spelling, without a copy.  A mapping keeps an
+expression iff at least one pattern of the query is not incompatible with
+it; dropping the rest changes no answer of the query.  A *required* pattern, one that no OPTIONAL encloses, must
 match some triple for the query to have a solution (SPARQL 1.1 §18.5: a
 join with an empty multiset is empty, and so is a left join with an empty
 left side), so when one is incompatible with every expression no
@@ -34,14 +36,14 @@ from typing import Iterable, Union
 
 from .algebra import BUILDS, BuildIri, BuildLiteral, ConstantTerm, ExtendExpr, RmlMappingExpr
 from .algebra import TriplesMapExpr
-from .rdf import BlankNode, Iri, Literal, TriplePattern, Variable, format_term
+from .rdf import BLANK, IRI, LITERAL, Term, TriplePattern, Variable, format_term, kind
 
 # constructors in the cache; the seed-42 prune-wide mapping (560 expressions)
 # has 247 template constructors, and its query mix compiles 121 of them
 CACHE_SIZE = 1024
 
 # the name of each kind of term
-_KIND_NAMES = {Iri: "IRIs", Literal: "literals", BlankNode: "blank nodes"}
+_KIND_NAMES = {IRI: "IRIs", LITERAL: "literals", BLANK: "blank nodes"}
 
 
 def _regex_text(text: str) -> str:
@@ -59,18 +61,21 @@ def _constructor_regex(expr: BuildIri | BuildLiteral) -> re.Pattern[str]:
     return re.compile(body, re.DOTALL)
 
 
-def _failed_check(expr: ExtendExpr, term: Iri | Literal) -> Union[str, None]:
+def _failed_check(expr: ExtendExpr, term: Term) -> Union[str, None]:
     """The check by which the constructor can never build the pattern
     constant *term* (``"constant"``, ``"kind"``, ``"datatype"`` or
-    ``"regex"``), or ``None``."""
+    ``"regex"``), or ``None``.  An IRI is matched between the brackets of
+    its spelling."""
     if isinstance(expr, ConstantTerm):
         return None if expr.term == term else "constant"
-    kind = BUILDS[type(expr)]
-    if kind is not type(term):
+    built = BUILDS[type(expr)]
+    if built != kind(term):
         return "kind"
-    if kind is Literal and expr.datatype != term.datatype:
+    value, datatype = term
+    if built == LITERAL and expr.datatype != datatype:
         return "datatype"
-    return None if _constructor_regex(expr).fullmatch(term.value if kind is Iri else term.lex) else "regex"
+    span = (1, len(value) - 1) if built == IRI else (0, len(value))
+    return None if _constructor_regex(expr).fullmatch(value, *span) else "regex"
 
 
 def _ruling(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
@@ -101,9 +106,9 @@ def _reason(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
     if check == "constant":
         reason = f"constant {format_term(expr.term)} differs from {format_term(term)}"
     elif check == "kind":
-        reason = f"builds {_KIND_NAMES[BUILDS[type(expr)]]}, not {_KIND_NAMES[type(term)]}"
+        reason = f"builds {_KIND_NAMES[BUILDS[type(expr)]]}, not {_KIND_NAMES[kind(term)]}"
     elif check == "datatype":
-        reason = f"datatype <{expr.datatype}> differs from <{term.datatype}>"
+        reason = f"datatype <{expr.datatype}> differs from <{term[1]}>"
     else:
         reason = f"{format_term(term)} does not match /{_constructor_regex(expr).pattern}/"
     return f"{position}: {reason}"

@@ -1,17 +1,18 @@
 """RDF terms, their N-Triples spellings, graphs, and evaluation of basic
 graph patterns.
 
-Terms follow the usual split into IRIs, blank nodes, and literals.  Every
-literal carries a datatype IRI; a plain string literal is normalized to
-``xsd:string`` at construction time.  Equality is exact on the
-(lexical form, datatype) pair: ``"1"^^xsd:integer`` and
+A term has one form, the pair a graph column holds (:data:`Term`): an
+IRI or a blank node is its N-Triples spelling with ``None``, and a literal
+its lexical form with its datatype IRI, ``xsd:string`` for a plain string.
+Equality is exact on the pair: ``"1"^^xsd:integer`` and
 ``"01"^^xsd:integer`` are different terms, which is precisely the equality
-the pruning checks reason about.
-
-Term objects live at the edges (mapping constants, query patterns, pruning,
-the readers); graphs and solutions hold strings.  :func:`format_term` spells
-a term in N-Triples, :func:`encode_term` gives what a graph column holds,
-and :func:`decode_term` turns either back into the term.
+the pruning checks reason about.  A term's kind (:func:`kind`) is read off
+the pair: a literal has a datatype, and a node's spelling starts with
+``<`` or ``_``.  :func:`format_term` spells a term in N-Triples: a node as
+the very string it holds.  The readers and the public constructors that
+take terms (:class:`TriplePattern`, :class:`RdfGraph`, the constant
+constructor of :mod:`rmlprune.algebra`) check them with
+:func:`check_term`; every other layer passes them on unchecked.
 
 An :class:`RdfGraph` holds typed string columns: for each predicate's
 spelling and each datatype of its objects (``None`` for IRIs and blank
@@ -22,23 +23,24 @@ pairs are made distinct once, when the graph is built, without a tuple per
 pair: each subject's first object is filed in a dict keyed by the subject,
 and only its second and later distinct objects as (subject, object) pairs;
 the columns hold the first pairs, then the others.  ``RdfGraph(triples)``,
-``triples`` and iteration encode or decode terms on demand and keep none.
-Two graphs are compared through their ``triples``.
+``triples`` and iteration take or give :class:`Triple` tuples of terms
+and keep none.  Two graphs are compared through their ``triples``.
 
 Pattern evaluation returns *sets* of solution mappings: a solution binds
 exactly the variables of the pattern, and a basic graph pattern is the join
-of its triple patterns over compatible solutions.  :func:`eval_bgp` encodes
-each pattern constant once and reads each pattern's candidates once, from
-the columns its predicate and object allow (a constant object's kind and
-datatype pick them), filtered by its other constants and repeated variables
-as strings, one tuple of spellings per match; a literal bound to a variable
-is spelled then.  It joins the patterns one at a time, next the one with
-the fewest candidates among those sharing a bound variable (the smallest of
-all when none does), through a hash table keyed on the shared variables;
-with none shared that is a cross product.  Rows stay plain tuples until the
-end, where each becomes a :class:`SolutionMapping` over one column index
-that the whole result shares.  A solution is no dict: it looks a variable
-up (``mu[v]`` decodes it, ``v in mu``), and equals and hashes by its
+of its triple patterns over compatible solutions.  :func:`eval_bgp` reads
+each pattern's candidates once, from the columns its predicate and object
+allow (a constant object's datatype picks them), filtered by its other
+constants and repeated variables as strings, one tuple of spellings per
+match; a literal bound to a variable is spelled then.  It joins the
+patterns one at a time, next the one with the fewest candidates among
+those sharing a bound variable (the smallest of all when none does),
+through a hash table keyed on the shared variables; with none shared that
+is a cross product.  Rows stay plain tuples until the end, where each
+becomes a :class:`SolutionMapping` over one column index that the whole
+result shares.  A solution is no dict: it looks a variable up (``v in
+mu``, and ``mu[v]``, which wraps a node's spelling in its pair without
+copying it and reads a literal's back), and equals and hashes by its
 spellings.
 
 The lexical rules of the token layer live here, each written once: the
@@ -55,7 +57,7 @@ from collections.abc import ItemsView, Iterable, Iterator
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import InvalidTermError, StructuralError
 
@@ -75,7 +77,8 @@ _SCHEME_RE = re.compile(_SCHEME)
 # always serialize verbatim.
 _IRI_CHAR = r'[^<>"{}|^`\\\x00-\x20]'
 _IRI_RE = re.compile(_SCHEME + _IRI_CHAR + r"*\Z")
-_BNODE_LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# the spelling of a node: an IRI between angle brackets, or a blank node's
+_NODE_RE = re.compile(f"<{_SCHEME}{_IRI_CHAR}*>\\Z|_:[A-Za-z0-9_]+\\Z")
 # a variable's name, after its '?' or '$'
 _VAR_NAME = r"[A-Za-z0-9_]+"
 _VAR_NAME_RE = re.compile(_VAR_NAME + r"\Z")
@@ -91,82 +94,41 @@ def is_valid_iri(value: str) -> bool:
     return _IRI_RE.match(value) is not None
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    value: str
+# A term is a pair, as a graph column holds it: an IRI's or a blank
+# node's N-Triples spelling with None, or a literal's lexical form with
+# its datatype IRI.
+Term = tuple[str, Union[str, None]]
 
-    def __post_init__(self):
-        if not is_valid_iri(self.value):
-            raise InvalidTermError(f"not a valid absolute IRI: {self.value!r}")
+# the kind of a term: a node's spelling starts with it, and a literal has
+# a datatype
+IRI, BLANK, LITERAL = "<", "_", '"'
 
-    def __repr__(self):
-        return f"<{self.value}>"
-
-
-RDF_TYPE_IRI = Iri(RDF_TYPE)
+RDF_TYPE_IRI = (f"<{RDF_TYPE}>", None)
 
 
-@dataclass(frozen=True, slots=True)
-class BlankNode:
-    label: str
-
-    def __post_init__(self):
-        if not _BNODE_LABEL_RE.match(self.label):
-            raise InvalidTermError(f"invalid blank node label: {self.label!r}")
-
-    def __repr__(self):
-        return f"_:{self.label}"
+def kind(term: Term) -> str:
+    """:data:`IRI`, :data:`BLANK` or :data:`LITERAL`."""
+    return LITERAL if term[1] is not None else term[0][0]
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
-    lex: str
-    datatype: str = XSD_STRING
-
-    def __post_init__(self):
-        # the default datatype is a valid IRI; every CSV cell and string pays this
-        if self.datatype != XSD_STRING and not is_valid_iri(self.datatype):
-            raise InvalidTermError(f"literal datatype is not a valid IRI: {self.datatype!r}")
-
-    def __repr__(self):
-        if self.datatype == XSD_STRING:
-            return f'"{self.lex}"'
-        return f'"{self.lex}"^^<{self.datatype}>'
-
-
-def trusted(cls: type):
-    """``cls(...)`` without its check, for a caller that has made the values
-    valid: an IRI whose characters and scheme a reader matched, a label it
-    made up, a literal whose datatype a constructor has checked, or a term
-    constructor the RML walk builds.  *cls* has slots for one or two fields."""
-    new = object.__new__
-    if len(cls.__slots__) == 2:
-        set_first, set_second = (getattr(cls, name).__set__ for name in cls.__slots__)
-
-        def make_pair(first, second):
-            obj = new(cls)
-            set_first(obj, first)
-            set_second(obj, second)
-            return obj
-
-        return make_pair
-    set_value = getattr(cls, cls.__slots__[0]).__set__
-
-    def make(value):
-        obj = new(cls)
-        set_value(obj, value)
-        return obj
-
-    return make
-
-
-trusted_iri, trusted_bnode, trusted_literal = trusted(Iri), trusted(BlankNode), trusted(Literal)
-
-RdfTerm = Union[Iri, BlankNode, Literal]
-
-
-def is_term(value: object) -> bool:
-    return isinstance(value, (Iri, BlankNode, Literal))
+def check_term(term: object) -> Term:
+    """*term* itself if it is a term (see :data:`Term`), else
+    :class:`InvalidTermError`: an IRI must be absolute and hold no character
+    N-Triples forbids, a label only ASCII letters, digits and ``_``, and a
+    literal's datatype must be an IRI."""
+    if type(term) is not tuple or len(term) != 2 or type(term[0]) is not str:
+        raise InvalidTermError(f"not an RDF term: {term!r}")
+    value, datatype = term
+    if datatype is None:
+        if _NODE_RE.match(value) is None:
+            if value[:1] == "<" and value[-1:] == ">":
+                raise InvalidTermError(f"not a valid absolute IRI: {value[1:-1]!r}")
+            if value[:2] == "_:":
+                raise InvalidTermError(f"invalid blank node label: {value[2:]!r}")
+            raise InvalidTermError(f"not an RDF term: {term!r}")
+    elif datatype != XSD_STRING and not (type(datatype) is str and is_valid_iri(datatype)):
+        raise InvalidTermError(f"literal datatype is not a valid IRI: {datatype!r}")
+    return term
 
 
 # ECHAR: the character that each backslash escape of a string stands for
@@ -201,40 +163,25 @@ def datatype_suffix(datatype: str) -> str:
     return "" if datatype == XSD_STRING else f"^^<{datatype}>"
 
 
-def format_term(term: RdfTerm) -> str:
-    """The N-Triples spelling of a term, which is valid Turtle too."""
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    if isinstance(term, Literal):
-        return f'"{escape_string(term.lex)}"{datatype_suffix(term.datatype)}'
-    raise TypeError(f"not an RDF term: {term!r}")
+def format_term(term: Term) -> str:
+    """The N-Triples spelling of a term, which is valid Turtle too: a node's
+    is the string the term holds."""
+    value, datatype = term
+    return value if datatype is None else f'"{escape_string(value)}"{datatype_suffix(datatype)}'
 
 
-def encode_term(term: RdfTerm) -> tuple[str, Union[str, None]]:
-    """A term as a graph column holds it, with the column's datatype: a
-    literal's lexical form and datatype, else its spelling and ``None``."""
-    if type(term) is Literal:
-        return term.lex, term.datatype
-    return format_term(term), None
+def unescaped(term: Term) -> str:
+    """*term* as a message shows it: its spelling, but a literal's lexical
+    form as it is, unescaped."""
+    value, datatype = term
+    return value if datatype is None else f'"{value}"{datatype_suffix(datatype)}'
 
 
-def decode_term(value: str, datatype: str | None = None) -> RdfTerm:
-    """The term that a graph column or a solution holds as *value*: with a
-    *datatype*, the literal of that lexical form; else the term of a
-    :func:`format_term` spelling.  The terms are built unchecked, as every
-    value was made from a valid term."""
-    if datatype is not None:
-        return trusted_literal(value, datatype)
-    if value[0] == "<":
-        return trusted_iri(value[1:-1])
-    if value[0] == "_":
-        return trusted_bnode(value[2:])
+def _literal(spelling: str) -> Term:
+    """The literal a :func:`format_term` spelling spells."""
     # a datatype IRI holds no quote, so the last one closes the string
-    end = value.rindex('"')
-    lex = unescape(value[1:end])
-    return trusted_literal(lex, value[end + 4 : -1] if end + 1 < len(value) else XSD_STRING)
+    end = spelling.rindex('"')
+    return unescape(spelling[1:end]), (spelling[end + 4 : -1] if end + 1 < len(spelling) else XSD_STRING)
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,44 +201,46 @@ class Variable:
         return f"_:{self.name}" if self.anonymous else f"?{self.name}"
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    s: Union[Iri, BlankNode]
-    p: Iri
-    o: RdfTerm
+class Triple(NamedTuple):
+    """A triple of terms, as :class:`RdfGraph` takes and gives them."""
 
-    def __post_init__(self):
-        if not isinstance(self.s, (Iri, BlankNode)):
-            raise InvalidTermError(f"triple subject must be an IRI or blank node: {self.s!r}")
-        if not isinstance(self.p, Iri):
-            raise InvalidTermError(f"triple predicate must be an IRI: {self.p!r}")
-        if not is_term(self.o):
-            raise InvalidTermError(f"triple object must be an RDF term: {self.o!r}")
+    s: Term
+    p: Term
+    o: Term
 
-    def __repr__(self):
-        return f"({self.s!r} {self.p!r} {self.o!r})"
+
+# the kinds of term each place of a triple or a pattern takes
+_IRIS, _NODES, _CONSTANTS, _TERMS = (IRI,), (IRI, BLANK), (IRI, LITERAL), (IRI, BLANK, LITERAL)
+
+
+def _check_place(x: object, kinds: tuple[str, ...], message: str):
+    """Raise :class:`InvalidTermError` unless *x* is a term of one of
+    *kinds*: the *message* and *x*, or :func:`check_term`'s."""
+    if type(x) is not tuple:
+        raise InvalidTermError(f"{message}: {x!r}")
+    if kind(check_term(x)) not in kinds:
+        raise InvalidTermError(f"{message}: {unescaped(x)}")
 
 
 @dataclass(frozen=True)
 class TriplePattern:
-    """A triple pattern: constants and variables, but never blank nodes."""
+    """A triple pattern: terms and variables, but never blank nodes."""
 
-    s: Union[Iri, Variable]
-    p: Union[Iri, Variable]
-    o: Union[Iri, Literal, Variable]
+    s: Union[Term, Variable]
+    p: Union[Term, Variable]
+    o: Union[Term, Variable]
 
     def __post_init__(self):
-        if not isinstance(self.s, (Iri, Variable)):
-            raise InvalidTermError(f"pattern subject must be an IRI or variable: {self.s!r}")
-        if not isinstance(self.p, (Iri, Variable)):
-            raise InvalidTermError(f"pattern predicate must be an IRI or variable: {self.p!r}")
-        if not isinstance(self.o, (Iri, Literal, Variable)):
-            raise InvalidTermError(
-                f"pattern object must be an IRI, literal, or variable: {self.o!r}"
-            )
+        if type(self.s) is not Variable:
+            _check_place(self.s, _IRIS, "pattern subject must be an IRI or variable")
+        if type(self.p) is not Variable:
+            _check_place(self.p, _IRIS, "pattern predicate must be an IRI or variable")
+        if type(self.o) is not Variable:
+            _check_place(self.o, _CONSTANTS, "pattern object must be an IRI, literal, or variable")
 
     def __repr__(self):
-        return f"({self.s!r} {self.p!r} {self.o!r})"
+        shown = (repr(x) if type(x) is Variable else unescaped(x) for x in (self.s, self.p, self.o))
+        return f"({' '.join(shown)})"
 
 
 @dataclass(frozen=True)
@@ -314,16 +263,18 @@ class SolutionMapping:
     ``spellings`` holds the bound terms' N-Triples spellings in the order of
     the variables' names, and ``columns`` maps each variable to its
     position; all the solutions that :func:`eval_bgp` returns share one
-    ``columns``, and neither is mutated.  ``mu[v]`` decodes the term.  A
-    solution equals another with the same bindings."""
+    ``columns``, and neither is mutated.  ``mu[v]`` is the term: a node's
+    spelling, the very string held, with ``None``, or a literal read back
+    from its spelling.  A solution equals another with the same bindings."""
 
     __slots__ = ("columns", "spellings")
 
     def __init__(self, columns: dict[Variable, int], spellings: tuple[str, ...]):
         self.columns, self.spellings = columns, spellings
 
-    def __getitem__(self, var: Variable) -> RdfTerm:
-        return decode_term(self.spellings[self.columns[var]])
+    def __getitem__(self, var: Variable) -> Term:
+        spelling = self.spellings[self.columns[var]]
+        return _literal(spelling) if spelling[0] == '"' else (spelling, None)
 
     def __contains__(self, var: object) -> bool:
         return var in self.columns
@@ -356,21 +307,24 @@ Pairs = dict[ColumnKey, tuple[dict[str, str], dict[tuple[str, str], None]]]
 class RdfGraph:
     """An immutable set of triples, held as typed string columns.
 
-    ``RdfGraph(triples)``, ``triples`` and iteration encode or decode their
-    :class:`Triple` objects on demand and keep none of them."""
+    ``RdfGraph(triples)`` checks and files the terms of its
+    :class:`Triple` tuples; ``triples`` and iteration make them on demand
+    and keep none of them."""
 
     __slots__ = ("_columns",)
 
     def __init__(self, triples: Iterable[Triple] = ()):
         pairs: Pairs = {}
-        for t in triples:
-            o, datatype = encode_term(t.o)
-            key = (format_term(t.p), datatype)
+        for s, p, o in triples:
+            _check_place(s, _NODES, "triple subject must be an IRI or blank node")
+            _check_place(p, _IRIS, "triple predicate must be an IRI")
+            _check_place(o, _TERMS, "triple object must be an RDF term")
+            (s, _), (o, datatype) = s, o
+            key = (p[0], datatype)
             filed = pairs.get(key)
             if filed is None:
                 filed = pairs[key] = ({}, {})
             first, others = filed
-            s = format_term(t.s)
             if first.setdefault(s, o) != o:
                 others[s, o] = None
         self._columns = _freeze(pairs)
@@ -397,9 +351,9 @@ class RdfGraph:
 
     def __iter__(self) -> Iterator[Triple]:
         for (p, datatype), (subjects, objects) in self._columns.items():
-            predicate = decode_term(p)
+            predicate = (p, None)
             for s, o in zip(subjects, objects):
-                yield Triple(decode_term(s), predicate, decode_term(o, datatype))
+                yield Triple((s, None), predicate, (o, datatype))
 
     def __repr__(self):
         return f"RdfGraph({len(self)} triples)"
@@ -436,19 +390,19 @@ def _pattern_rows(tp: TriplePattern, g: RdfGraph) -> Relation:
     for i, x in enumerate((tp.s, tp.p, tp.o)):
         if not isinstance(x, Variable):
             if i != 1:  # a constant predicate picks its columns below
-                constants.append((i, encode_term(x)[0]))
+                constants.append((i, x[0]))
         elif x in first:
             repeats.append((first[x], i))
         else:
             first[x] = i
-    predicate = None if isinstance(tp.p, Variable) else format_term(tp.p)
+    predicate = None if isinstance(tp.p, Variable) else tp.p[0]
     # the columns whose objects can stand at the object position: any for a
     # variable first bound there, whose literals are spelled; nodes for a
     # variable the subject or predicate binds; a constant's kind and datatype
     if isinstance(tp.o, Variable):
         any_kind, datatype = first[tp.o] == 2, None
     else:
-        any_kind, datatype = False, encode_term(tp.o)[1]
+        any_kind, datatype = False, tp.o[1]
     variables = sorted(first, key=_column_key)
     pick = _picker([first[var] for var in variables])
     rows: list[tuple] = []

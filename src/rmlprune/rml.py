@@ -22,12 +22,14 @@ that :func:`parse_rml` returns.  The walk puts each triples map in one
 shape: a subject constructor with a list of (predicate, object) pairs, got
 by turning shortcuts into constants, classes into leading ``rdf:type``
 pairs, and several predicate or object maps into their product.  It builds
-each term map's constructor once, as it walks the map, without the public
-constructors' checks, which hold by construction: R2RML's term-type rules
-(§7.4), the rule that a constant is an IRI or a literal (§7.2) and the
-rules of the map's position are applied there, and nowhere else, and the
-constructor's attributes are named after the references it reads; its
-template records whether it was written as a reference.  Each (triples
+each term map's constructor as it walks the map, one for all the equal
+maps of a document: R2RML's term-type rules (§7.4), the rule that a
+constant is an IRI or a literal (§7.2) and the rules of the map's position
+are applied there, and nowhere else, and the constructor's attributes are
+named after the references it reads; its template records whether it was
+written as a reference.  Every term is the pair of
+:data:`rmlprune.rdf.Term`, and a node is keyed by its spelling while the
+document is read.  Each (triples
 map, pair) then becomes one triples-map expression, whose extractions name
 the triples maps they read, tagged with a provenance id.  The mapping also
 keeps the base and each triples map's key, source and subject constructor,
@@ -54,8 +56,8 @@ from .algebra import (
     TriplesMapExpr,
 )
 from .errors import MappingModelError, decoded
-from .rdf import RDF_TYPE, RDF_TYPE_IRI, XSD_STRING, BlankNode, Iri, Literal, RdfTerm, trusted, trusted_iri
-from .rdf import escape_string, format_term
+from .rdf import IRI, LITERAL, RDF_TYPE, RDF_TYPE_IRI, XSD_STRING, Term, escape_string, format_term, unescaped
+from .rdf import kind as term_kind
 from .turtle import TurtleParser
 
 logger = logging.getLogger("rmlprune.rml")
@@ -91,18 +93,15 @@ _REJECTED_PROPS[RML_OLD + "query"] = "query-backed sources are not supported"
 _REJECTED_PROPS["http://semweb.mmlab.be/ns/fnml#functionValue"] = "function maps are not supported"
 _REJECTED_PROPS[RML_NEW + "logicalTarget"] = "logical targets are not supported"
 
-_CONSTANT_TYPES = {Iri: BuildIri, Literal: BuildLiteral}
+# the constructor of a constant of each kind
+_CONSTANT_TYPES = {IRI: BuildIri, LITERAL: BuildLiteral}
 _TYPE_KEYWORD = {BuildIri: "rml:IRI", BuildLiteral: "rml:Literal", BuildBlank: "rml:BlankNode"}
-# each term type as the constructor that builds its terms
-_TERM_TYPES = {ns + keyword[4:]: cls for cls, keyword in _TYPE_KEYWORD.items() for ns in (RML_NEW, RR)}
-
-# the walk's constructors, without the checks that its values pass by construction:
-# a term, base or datatype the reader checked, template parts that parse_template split
-_NEW = {cls: trusted(cls) for cls in (Template, ConstantTerm, BuildLiteral, BuildIri, BuildBlank)}
-
-_CSV_FORMULATIONS = {QL + "CSV", RML_NEW + "CSV"}
+# the IRIs the walk compares objects with, by their spellings: each term
+# type as the constructor that builds its terms, and reference formulations
+_TERM_TYPES = {f"<{ns}{keyword[4:]}>": cls for cls, keyword in _TYPE_KEYWORD.items() for ns in (RML_NEW, RR)}
+_CSV_FORMULATIONS = {f"<{QL}CSV>", f"<{RML_NEW}CSV>"}
 _KNOWN_OTHER_FORMULATIONS = {
-    ns + name: kind for ns in (QL, RML_NEW) for name, kind in (("JSONPath", "JSON"), ("XPath", "XML"))
+    f"<{ns}{name}>": data for ns in (QL, RML_NEW) for name, data in (("JSONPath", "JSON"), ("XPath", "XML"))
 }
 
 
@@ -115,29 +114,34 @@ def _fmt_node(key: str) -> str:
     return key if key.startswith("_:") else f"<{key}>"
 
 
-# the property token of every IRI a mapping node may carry
-_TOKENS = {**_VOCAB, RDF_TYPE: "type"}
+def _key(spelling: str) -> str:
+    """The key a mapping gives the node of *spelling*: an IRI's value, or a
+    blank node's spelling."""
+    return spelling[1:-1] if spelling[0] == "<" else spelling
+
+
+# the property token of every IRI a mapping node may carry, by its spelling
+_TOKENS = {f"<{iri}>": token for iri, token in {**_VOCAB, RDF_TYPE: "type"}.items()}
 _LOGICAL_SOURCE = {iri for iri, token in _TOKENS.items() if token == "logicalSource"}
 _PARENT_TRIPLES_MAP = {iri for iri, token in _TOKENS.items() if token == "parentTriplesMap"}
 
 
-def _key(obj: RdfTerm) -> str | None:
-    """The key of node *obj*: an IRI's value, or '_:' and a blank node's
-    label; None for a literal."""
-    if type(obj) is Iri:
-        return obj.value
-    return "_:" + obj.label if type(obj) is BlankNode else None
-
-
 # Each kind of object a property takes, by its name in _TAKES: what reads
 # the value the walk uses (None for an object of another kind), and the
-# error then.  A constant takes any term, as itself.
+# error then.  A node is read as its spelling, an IRI as its term and a
+# plain string as its lexical form; a constant takes any term, as itself.
 _KINDS = {
-    "node": (_key, "property {token!r} must name an IRI or blank node, found {obj!r}"),
-    "iri": (lambda obj: obj.value if type(obj) is Iri else None, "{token} on {node} must be an IRI, found {obj!r}"),
+    "node": (
+        lambda obj: obj[0] if obj[1] is None else None,
+        "property {token!r} must name an IRI or blank node, found {obj}",
+    ),
+    "iri": (
+        lambda obj: obj if obj[1] is None and obj[0][0] == IRI else None,
+        "{token} on {node} must be an IRI, found {obj}",
+    ),
     "string": (
-        lambda obj: obj.lex if type(obj) is Literal and obj.datatype == XSD_STRING else None,
-        "{token} on {node} must be a plain string, found {obj!r}",
+        lambda obj: obj[0] if obj[1] == XSD_STRING else None,
+        "{token} on {node} must be a plain string, found {obj}",
     ),
     "term": (None, None),
 }
@@ -146,20 +150,24 @@ _KINDS = {
 class _MappingReader(TurtleParser):
     """The Turtle reader of a mapping, and the graph it reads: each
     subject's predicates and objects, in document order and alternating
-    in one list, by node key.  It names a node in an error the way the
-    document writes it."""
+    in one list, by the subject's spelling.  It names a node in an error
+    the way the document writes it."""
 
     def __init__(self, text: str):
         super().__init__(text)
         self.graph: dict[str, list] = {}
+        # the constructor of each term map node, by what it is built from:
+        # equal maps share one
+        self.built: dict[tuple, ExtendExpr] = {}
 
-    def properties(self, s: Iri | BlankNode):
-        return self.graph.setdefault(_key(s), []).extend
+    def properties(self, s: Term):
+        return self.graph.setdefault(s[0], []).extend
 
-    def states(self, key: str, iris: set[str]) -> bool:
-        """Whether node *key* carries a property whose IRI is in *iris*."""
-        for pred in self.graph.get(key, ())[::2]:
-            if pred.value in iris:
+    def states(self, node: str, iris: set[str]) -> bool:
+        """Whether *node* carries a property whose IRI's spelling is in
+        *iris*."""
+        for pred in self.graph.get(node, ())[::2]:
+            if pred[0] in iris:
                 return True
         return False
 
@@ -167,25 +175,26 @@ class _MappingReader(TurtleParser):
     def _label_of(self) -> dict[str, str]:
         return {internal: label for label, internal in self.bnode_labels.items()}
 
-    def name(self, key: str) -> str:
-        """Node *key* for an error message: an IRI, the document's label of
-        a blank node, or ``[ ]`` with the line it opens on."""
-        if not key.startswith("_:"):
-            return f"<{key}>"
-        label = self._label_of.get(key[2:])
+    def name(self, node: str) -> str:
+        """The node of spelling *node* for an error message: an IRI, the
+        document's label of a blank node, or ``[ ]`` with the line it opens
+        on."""
+        if not node.startswith("_:"):
+            return node
+        label = self._label_of.get(node[2:])
         if label is not None:
             return "_:" + label
-        return f"[ ] at line {self.line_column(self.bnode_offsets[int(key[3:]) - 1])[0]}"
+        return f"[ ] at line {self.line_column(self.bnode_offsets[int(node[3:]) - 1])[0]}"
 
 
-def _misplaced(token: str | None, pred: Iri, node: str, what: str) -> MappingModelError:
+def _misplaced(token: str | None, pred: Term, node: str, what: str) -> MappingModelError:
     """The error for a property the *what* named *node* may not carry."""
     if token is not None:
         return MappingModelError(f"property {token!r} does not belong on {what} {node}")
-    message = _REJECTED_PROPS.get(pred.value)
+    message = _REJECTED_PROPS.get(pred[0][1:-1])
     if message is not None:
-        return MappingModelError(f"{message} (property <{pred.value}> on {node})")
-    return MappingModelError(f"unknown property <{pred.value}> on {node}; refusing to drop it silently")
+        return MappingModelError(f"{message} (property {pred[0]} on {node})")
+    return MappingModelError(f"unknown property {pred[0]} on {node}; refusing to drop it silently")
 
 
 def _takes(once: str, repeats: str = "") -> tuple[dict[str, tuple], int]:
@@ -217,7 +226,7 @@ _TAKES: dict[str, tuple[dict[str, tuple], int]] = {
 
 
 def _read_node(g: _MappingReader, key: str, what: str, visited: set[str]) -> list:
-    """The values of the properties of node *key*, a *what*, in the order
+    """The values of the properties of the node spelled *key*, a *what*, in the order
     of its tokens in :data:`_TAKES`: the value of one it takes once, the
     list of values, in document order, of one that may repeat, and None for
     one not stated.  Any other property but ``rdf:type`` is an error, and
@@ -228,18 +237,18 @@ def _read_node(g: _MappingReader, key: str, what: str, visited: set[str]) -> lis
     values = [None] * size
     props = iter(g.graph.get(key, ()))
     for pred, obj in zip(props, props):
-        taken = takes.get(pred.value)
+        taken = takes.get(pred[0])
         if taken is None:
-            token = _TOKENS.get(pred.value)
+            token = _TOKENS.get(pred[0])
             if token != "type":
                 raise _misplaced(token, pred, g.name(key), what)
             continue
         i, repeats, read, error = taken
         if not repeats and values[i] is not None:
-            raise MappingModelError(f"{what} {g.name(key)} has more than one {_TOKENS[pred.value]}")
+            raise MappingModelError(f"{what} {g.name(key)} has more than one {_TOKENS[pred[0]]}")
         value = obj if read is None else read(obj)
         if value is None:
-            message = error.format(token=_TOKENS[pred.value], node=g.name(key), obj=obj)
+            message = error.format(token=_TOKENS[pred[0]], node=g.name(key), obj=unescaped(obj))
             # this error on a triples map's own property names it, as one below it does
             raise MappingModelError(f"{what} {g.name(key)}: {message}" if what == "triples map" else message)
         if not repeats:
@@ -254,10 +263,10 @@ def _read_node(g: _MappingReader, key: str, what: str, visited: set[str]) -> lis
 def _parse_logical_source(g: _MappingReader, key: str, visited: set[str]) -> str:
     """The CSV source of a logical source."""
     source, formulation, iterator = _read_node(g, key, "logical source", visited)
-    if formulation is not None and formulation not in _CSV_FORMULATIONS:
-        kind = _KNOWN_OTHER_FORMULATIONS.get(formulation, formulation)
+    if formulation is not None and formulation[0] not in _CSV_FORMULATIONS:
+        other = _KNOWN_OTHER_FORMULATIONS.get(formulation[0], formulation[0][1:-1])
         raise MappingModelError(
-            f"unsupported reference formulation {kind!r} on {g.name(key)}; "
+            f"unsupported reference formulation {other!r} on {g.name(key)}; "
             f"only CSV sources are supported"
         )
     if iterator is not None:
@@ -272,7 +281,7 @@ def _parse_logical_source(g: _MappingReader, key: str, visited: set[str]) -> str
 
 def _term_map(
     kind: str,
-    value: RdfTerm | str,
+    value: Term | str,
     position: str,
     base: str,
     term_type: type | None = None,
@@ -288,17 +297,17 @@ def _term_map(
     the caller, which knows where it is, adds that."""
     if kind == "constant":
         if datatype is not None:
-            typed = f" ({format_term(Literal(value.lex, datatype))})" if type(value) is Literal else ""
+            typed = f" ({format_term((value[0], datatype))})" if value[1] is not None else ""
             raise MappingModelError(
                 f"a constant map takes no datatype; write the typed literal{typed} "
                 f"as the constant"
             )
-        built = _CONSTANT_TYPES.get(type(value))
+        built = _CONSTANT_TYPES.get(term_kind(value))
         if built is None:
             raise MappingModelError("a constant must be an IRI or a literal, not a blank node")
         if term_type not in (None, built):
             raise MappingModelError(
-                f"constant {value!r} conflicts with term type {_TYPE_KEYWORD[term_type]}"
+                f"constant {unescaped(value)} conflicts with term type {_TYPE_KEYWORD[term_type]}"
             )
     elif term_type is not None:
         built = term_type
@@ -313,16 +322,16 @@ def _term_map(
     if datatype is not None and built is not BuildLiteral:
         raise MappingModelError("datatype is only allowed on literal-producing maps")
     if kind == "constant":
-        return _NEW[ConstantTerm](value)
+        return ConstantTerm(value)
     if kind == "reference":
-        body = _NEW[Template](("", value, ""), True)
+        body = Template(("", value, ""), True)
     else:
-        body = _NEW[Template](parse_template(value), False)
+        body = Template(parse_template(value), False)
     if built is BuildLiteral:
-        return _NEW[BuildLiteral](body, datatype or XSD_STRING)
+        return BuildLiteral(body, datatype or XSD_STRING)
     if built is BuildBlank:
-        return _NEW[BuildBlank](body)
-    return _NEW[BuildIri](body, base)
+        return BuildBlank(body)
+    return BuildIri(body, base)
 
 
 def _parse_term_map(
@@ -346,11 +355,17 @@ def _parse_term_map(
         kind, value = "template", template
     try:
         if term_type is not None:
-            built = _TERM_TYPES.get(term_type)
+            built = _TERM_TYPES.get(term_type[0])
             if built is None:
-                raise MappingModelError(f"unknown term type <{term_type}>")
+                raise MappingModelError(f"unknown term type {term_type[0]}")
             term_type = built
-        return _term_map(kind, value, position, base, term_type, datatype), tuple(classes)
+        if datatype is not None:
+            datatype = datatype[0][1:-1]
+        made = (kind, value, position, term_type, datatype)
+        expr = g.built.get(made)
+        if expr is None:
+            expr = g.built[made] = _term_map(kind, value, position, base, term_type, datatype)
+        return expr, tuple(classes)
     except MappingModelError as exc:
         raise MappingModelError(f"{what} {g.name(key)}: {exc}") from None
 
@@ -376,7 +391,7 @@ def _parse_ref_object_map(g: _MappingReader, key: str, visited: set[str]) -> _Jo
         raise MappingModelError(
             f"referencing object map {g.name(key)}: parent triples map {g.name(parent)} does not exist"
         )
-    return parent, tuple(joins)
+    return _key(parent), tuple(joins)
 
 
 def _parse_pom(
@@ -419,7 +434,7 @@ def parse_rml(data: bytes | str) -> RmlMappingExpr:
     base = g.parse() or DEFAULT_BASE_IRI
     # the triples maps: the subjects that carry a logical source, in order
     tm_keys = dict.fromkeys(
-        key for key, props in g.graph.items() for pred in props[::2] if pred.value in _LOGICAL_SOURCE
+        key for key, props in g.graph.items() for pred in props[::2] if pred[0] in _LOGICAL_SOURCE
     )
     if not tm_keys:
         raise MappingModelError("no triples maps found (no subject carries a logical source)")
@@ -445,13 +460,13 @@ def parse_rml(data: bytes | str) -> RmlMappingExpr:
             raise MappingModelError(f"triples map {g.name(key)}: {exc}") from None
         if subject_map is None:
             raise MappingModelError(f"triples map {g.name(key)} lacks a subject map")
-        class_poms = [(type_map, _term_map("constant", trusted_iri(cls), "object", base)) for cls in classes]
-        walked.append((key, source, subject_map, class_poms + poms))
+        class_poms = [(type_map, _term_map("constant", cls, "object", base)) for cls in classes]
+        walked.append((_key(key), source, subject_map, class_poms + poms))
 
     # names are formatted only for a record that is emitted
     if logger.isEnabledFor(logging.WARNING):
         for key, props in g.graph.items():
-            if key not in visited and any(_TOKENS.get(pred.value) != "type" for pred in props[::2]):
+            if key not in visited and any(_TOKENS.get(pred[0]) != "type" for pred in props[::2]):
                 logger.warning("subject %s is not reachable from any triples map; ignoring it", g.name(key))
 
     exprs = _expressions(walked)
@@ -474,8 +489,8 @@ def _renamed(expr: ExtendExpr, name_of: dict[str, str]) -> ExtendExpr:
         return expr
     parts = list(expr.body.parts)
     parts[1::2] = [name_of[ref] for ref in parts[1::2]]
-    body = _NEW[Template](tuple(parts), expr.body.reference)
-    return _NEW[BuildIri](body, expr.base) if type(expr) is BuildIri else _NEW[BuildBlank](body)
+    body = Template(tuple(parts), expr.body.reference)
+    return BuildIri(body, expr.base) if type(expr) is BuildIri else BuildBlank(body)
 
 
 def _expressions(walked: list[tuple[str, str, ExtendExpr, list]]) -> tuple[TriplesMapExpr, ...]:

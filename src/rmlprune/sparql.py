@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 from ._lexer import _BOOLEAN_RE, _NUMBERS, _PREFIX_RE
 from .errors import SparqlError, UnsupportedSparqlError, decoded
-from .rdf import TriplePattern, Variable, trusted
+from .rdf import TriplePattern, Variable
 from .turtle import TurtleParser
 
 # the tokens that make a verb's place a property path, by their first
@@ -71,7 +71,6 @@ _PATH_MODIFIERS = frozenset(("/", "|", "||", "*", "?", "+"))
 _LITERAL_STARTS = frozenset("\"'0123456789+-.tf")
 _LITERAL_RES = (*(regex for regex, _ in _NUMBERS), _BOOLEAN_RE)
 _UNSIGNED_INTEGER_RE = re.compile(r"[0-9]+")
-_VARIABLE = trusted(Variable)  # for a name that a variable token's pattern matched
 # where a builtin's name that no token spells ends
 _BUILTIN_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*|")
 # the solution modifiers, in the order they come; LIMIT and OFFSET may swap
@@ -340,7 +339,7 @@ class _QueryParser(TurtleParser):
             if len(token) == 1:
                 self.back(token)
                 raise self.error("expected a variable")
-            term = self._terms[token] = _VARIABLE(token[1:], False)
+            term = self._terms[token] = Variable(token[1:])
             return term
         if constant and token.lower() in ("true", "false"):  # a keyword, in any case
             token = token.lower()
@@ -368,7 +367,7 @@ class _QueryParser(TurtleParser):
             raise self.error(
                 "blank node property lists in patterns are not supported", unsupported=True
             )
-        return Variable(self.fresh_bnode(opened).label, anonymous=True)
+        return Variable(self.fresh_bnode(opened)[0][2:], anonymous=True)
 
     def _parse_verb(self, tok):
         path = _PATH_STARTS.get(tok[:1])

@@ -13,8 +13,9 @@ relative IRI without a base is an error.
 
 Blank node labels from the document are renamed to fresh internal labels
 (first-occurrence order), so documents cannot collide with generated ones;
-:attr:`TurtleParser.bnode_labels` maps the first to the second.  The
-reader made the labels, so it skips the check of ``BlankNode(...)``.
+:attr:`TurtleParser.bnode_labels` maps the first to the second.  Every
+term is the pair of :data:`rmlprune.rdf.Term`, built where its token is
+read: the reader made it valid, so nothing checks it again.
 
 :class:`TurtleParser` keeps no triples: at the first triple of each run
 with one subject it asks :meth:`~TurtleParser.properties`, which each
@@ -56,11 +57,11 @@ from functools import cached_property
 
 from ._lexer import Lexer, _past, offsets
 from .errors import TurtleError
-from .rdf import RDF_NS, RDF_TYPE_IRI, BlankNode, Iri, RdfTerm, trusted_bnode
+from .rdf import RDF_NS, RDF_TYPE_IRI, Term
 
-RDF_FIRST = Iri(RDF_NS + "first")
-RDF_REST = Iri(RDF_NS + "rest")
-RDF_NIL = Iri(RDF_NS + "nil")
+RDF_FIRST = (f"<{RDF_NS}first>", None)
+RDF_REST = (f"<{RDF_NS}rest>", None)
+RDF_NIL = (f"<{RDF_NS}nil>", None)
 
 _LABEL_RE = re.compile(r"[\w.-]*")
 
@@ -83,16 +84,16 @@ class TurtleParser(Lexer):
         found = offsets(text, self.opened)
         return [_past(text, at, 1) if mark >= 0 and text[at] in "[_" else at for mark, at in zip(self.opened, found)]
 
-    def properties(self, s: Iri | BlankNode) -> Callable[[tuple[Iri, RdfTerm]], object]:
+    def properties(self, s: Term) -> Callable[[tuple[Term, Term]], object]:
         """The function that takes each (predicate, object) pair of subject
         *s*, in document order.  The grammar asks for it at the first triple
         of each run of triples with subject *s*."""
         raise NotImplementedError
 
-    def fresh_bnode(self, opened: int) -> BlankNode:
+    def fresh_bnode(self, opened: int) -> Term:
         """A new blank node, opened by what the mark *opened* names."""
         self.opened.append(opened)
-        return trusted_bnode(f"b{len(self.opened)}")
+        return f"_:b{len(self.opened)}", None
 
     # -- grammar -----------------------------------------------------------
     #
@@ -141,7 +142,7 @@ class TurtleParser(Lexer):
             tok = self.token()
         return self._parse_predicate_object_list(subject, tok)
 
-    def _read_bnode_label(self) -> BlankNode:
+    def _read_bnode_label(self) -> Term:
         self.expect("_:")
         end = _LABEL_RE.match(self.text, self.pos).end()
         label = self.text[self.pos : end].rstrip(".")
@@ -152,15 +153,15 @@ class TurtleParser(Lexer):
             raise self.error("empty blank node label")
         return self._labeled(label)
 
-    def _labeled(self, label: str) -> BlankNode:
+    def _labeled(self, label: str) -> Term:
         """The blank node the document's *label* names, made where the label
         first stands, just read."""
         internal = self.bnode_labels.get(label)
         if internal is None:
             node = self.fresh_bnode(self.mark())
-            self.bnode_labels[label] = node.label
+            self.bnode_labels[label] = node[0][2:]
             return node
-        return trusted_bnode(internal)
+        return "_:" + internal, None
 
     def _parse_predicate_object_list(self, subject, tok: str) -> str:
         """From the first verb's token; returns the token after the list."""
@@ -188,7 +189,7 @@ class TurtleParser(Lexer):
             if tok in (".", "]", "}") or not tok and self.at_end():
                 return tok
 
-    def _parse_verb(self, tok: str) -> Iri:
+    def _parse_verb(self, tok: str) -> Term:
         """A verb the lookup by text did not find."""
         if tok == "a":
             return RDF_TYPE_IRI
@@ -197,7 +198,7 @@ class TurtleParser(Lexer):
             return term
         return self.read_iri("a predicate")
 
-    def _parse_object(self, tok: str, constant: bool = True) -> RdfTerm:
+    def _parse_object(self, tok: str, constant: bool = True) -> Term:
         """An object the lookup by text did not find or, not *constant*,
         a subject, which no literal is and whose '[' :meth:`_parse_triples` reads."""
         if tok == "[":
@@ -214,7 +215,7 @@ class TurtleParser(Lexer):
             return self._read_bnode_label()
         return self.read_constant() if constant else self.read_iri("a subject")
 
-    def _parse_bnode_property_list(self, opened: int, tok: str) -> BlankNode:
+    def _parse_bnode_property_list(self, opened: int, tok: str) -> Term:
         """The blank node whose '[' *opened* marks, from *tok*, the token
         after the '[', to its ']'."""
         self.descend(opened)

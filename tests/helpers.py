@@ -25,20 +25,64 @@ from rmlprune.algebra import (
 from rmlprune.errors import SourceInputError, StructuralError
 from rmlprune.ntriples import format_term
 from rmlprune.rdf import (
+    BLANK,
+    IRI,
+    LITERAL,
+    XSD_STRING,
     Bgp,
-    BlankNode,
-    Iri,
-    Literal,
     RdfGraph,
-    RdfTerm,
     SolutionMapping,
+    Term,
     Triple,
     TriplePattern,
     Variable,
-    decode_term,
+    check_term,
     eval_bgp,
+    kind,
 )
 from rmlprune.turtle import TurtleParser
+
+# ---------------------------------------------------------------------------
+# terms: each built as its pair and checked, as a reader or a public
+# constructor checks the terms it takes; named after the kind of term
+# ---------------------------------------------------------------------------
+
+
+def Iri(value: str) -> Term:  # noqa: N802
+    """The IRI *value*."""
+    return check_term((f"<{value}>", None))
+
+
+def BlankNode(label: str) -> Term:  # noqa: N802
+    """The blank node labeled *label*."""
+    return check_term((f"_:{label}", None))
+
+
+def Literal(lex: str, datatype: str = XSD_STRING) -> Term:  # noqa: N802
+    """The literal of lexical form *lex* and *datatype*."""
+    return check_term((lex, datatype))
+
+
+def is_term(value) -> bool:
+    return type(value) is tuple
+
+
+def is_iri(term) -> bool:
+    return type(term) is tuple and kind(term) == IRI
+
+
+def is_bnode(term) -> bool:
+    return type(term) is tuple and kind(term) == BLANK
+
+
+def is_literal(term) -> bool:
+    return type(term) is tuple and kind(term) == LITERAL
+
+
+def iri_value(term: Term) -> str:
+    """The IRI an IRI term holds between its spelling's brackets."""
+    return term[0][1:-1]
+
 
 # ---------------------------------------------------------------------------
 # algebra
@@ -74,7 +118,7 @@ def valid_input(sigma, m: RmlMappingExpr) -> bool:
 # ---------------------------------------------------------------------------
 
 # what the reference evaluator computes: a term, or EPSILON
-Value = RdfTerm | None
+Value = Term | None
 
 
 def evaluate_template(body: Template, tup: Mapping[str, Value]) -> str | None:
@@ -89,7 +133,7 @@ def evaluate_template(body: Template, tup: Mapping[str, Value]) -> str | None:
             raise StructuralError(f"tuple lacks attribute {part!r}")
         else:
             value = tup[part]
-            pieces.append(value.lex if isinstance(value, Literal) and value.lex else EPSILON)
+            pieces.append(value[0] if is_literal(value) and value[0] else EPSILON)
     return EPSILON if EPSILON in pieces else "".join(pieces)
 
 
@@ -105,7 +149,7 @@ def evaluate_extend(expr: ExtendExpr, tup: Mapping[str, Value]) -> Value:
     if isinstance(expr, BuildLiteral):
         return Literal(body, expr.datatype)
     spelling = resolve_iri(body, expr.base) if isinstance(expr, BuildIri) else string_to_bnode(body)
-    return EPSILON if spelling is EPSILON else decode_term(spelling)
+    return EPSILON if spelling is EPSILON else (spelling, None)
 
 
 def extract_rows(
@@ -141,7 +185,7 @@ def trmap_values(
     parents = list(extract_rows(tm.parent_extract, sigma, warned))
     for row in rows:
         for parent in parents:
-            if all(row[a] == parent[b] and row[a].lex for a, b in tm.join_conditions):
+            if all(row[a] == parent[b] and row[a][0] for a, b in tm.join_conditions):
                 s, p = evaluate_extend(tm.subject_expr, row), evaluate_extend(tm.predicate_expr, row)
                 yield s, p, evaluate_extend(tm.object_expr, parent)
 
@@ -150,11 +194,10 @@ def graph_from_triples(triples: Iterable[tuple[Value, Value, Value]]) -> RdfGrap
     """The well-formed triples among *triples*: subject an IRI or blank
     node, predicate an IRI, object any RDF term.  The rest, EPSILON
     included, is dropped without error."""
-    subjects, objects = (Iri, BlankNode), (Iri, BlankNode, Literal)
     return RdfGraph(
         Triple(s, p, o)
         for s, p, o in triples
-        if isinstance(s, subjects) and isinstance(p, Iri) and isinstance(o, objects)
+        if (is_iri(s) or is_bnode(s)) and is_iri(p) and o is not EPSILON
     )
 
 
@@ -190,7 +233,7 @@ def reference_serialize(g: Iterable[Triple]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def solution(bound: Mapping[Variable, RdfTerm] | None = None) -> SolutionMapping:
+def solution(bound: Mapping[Variable, Term] | None = None) -> SolutionMapping:
     """The solution with the bindings *bound*, spelled, its variables in the
     order ``eval_bgp`` gives them: by name, a named one before an anonymous
     one."""
@@ -200,7 +243,7 @@ def solution(bound: Mapping[Variable, RdfTerm] | None = None) -> SolutionMapping
     )
 
 
-def bindings(mu: SolutionMapping) -> dict[Variable, RdfTerm]:
+def bindings(mu: SolutionMapping) -> dict[Variable, Term]:
     """The bindings of *mu* as a dict of terms."""
     return {var: mu[var] for var in mu.columns}
 
@@ -243,7 +286,7 @@ def eval_triple_pattern(tp: TriplePattern, g: RdfGraph) -> set[SolutionMapping]:
     return eval_bgp(Bgp((tp,)), g)
 
 
-def _match(tp: TriplePattern, triple: Triple, base: dict[Variable, RdfTerm]) -> dict[Variable, RdfTerm] | None:
+def _match(tp: TriplePattern, triple: Triple, base: dict[Variable, Term]) -> dict[Variable, Term] | None:
     """Extend *base* so that tp matches triple, or None when impossible."""
     bindings = dict(base)
     for pat, term in ((tp.s, triple.s), (tp.p, triple.p), (tp.o, triple.o)):
@@ -262,7 +305,7 @@ def nested_loop_eval_bgp(patterns: Iterable[TriplePattern], g: RdfGraph) -> list
     """The oracle for ``eval_bgp``: extend every partial solution by every
     triple, pattern by pattern in query order.  Returns a list, so a
     solution found twice would show."""
-    partial: list[dict[Variable, RdfTerm]] = [{}]
+    partial: list[dict[Variable, Term]] = [{}]
     for tp in patterns:
         partial = [b for base in partial for t in g.triples if (b := _match(tp, t, base)) is not None]
     return [solution(b) for b in partial]
@@ -297,7 +340,7 @@ def read_ntriples(text: str) -> RdfGraph:
     label_of = {internal: label for label, internal in doc.bnode_labels.items()}
 
     def relabel(term):
-        return BlankNode(label_of[term.label]) if isinstance(term, BlankNode) else term
+        return BlankNode(label_of[term[0][2:]]) if is_bnode(term) else term
 
     return RdfGraph(Triple(relabel(t.s), t.p, relabel(t.o)) for t in doc.triples)
 

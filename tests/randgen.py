@@ -29,17 +29,9 @@ from rmlprune.algebra import (
     TriplesMapExpr,
 )
 from rmlprune.csvsource import CSV_KIND, parse_csv
-from rmlprune.rdf import (
-    XSD_DOUBLE,
-    XSD_INTEGER,
-    XSD_STRING,
-    BlankNode,
-    Iri,
-    Literal,
-    RdfGraph,
-    TriplePattern,
-    Variable,
-)
+from rmlprune.rdf import XSD_DOUBLE, XSD_INTEGER, XSD_STRING, RdfGraph, Term, TriplePattern, Variable
+
+from .helpers import BlankNode, Iri, Literal, is_bnode, is_iri, iri_value
 
 BASE = "http://rand.test/base/"
 HOSTS = ("http://rand.test/a/", "http://rand.test/b2.x/", "http://other.org/~y/")
@@ -191,30 +183,31 @@ def make_instance(seed: int, allow_empty: bool = False) -> RandomInstance:
     )
 
 
-def _mutate_iri(rng: random.Random, term: Iri) -> Iri:
+def _mutate_iri(rng: random.Random, term: Term) -> Term:
     if rng.random() < 0.5:
-        return Iri(term.value + "X")
-    return Iri("http://nowhere.test/" + term.value.rsplit("/", 1)[-1])
+        return Iri(iri_value(term) + "X")
+    return Iri("http://nowhere.test/" + iri_value(term).rsplit("/", 1)[-1])
 
 
-def _mutate_literal(rng: random.Random, term: Literal) -> Literal:
+def _mutate_literal(rng: random.Random, term: Term) -> Term:
     roll = rng.random()
+    lex, datatype = term
     if roll < 0.4:
-        return Literal(term.lex + "X", term.datatype)
+        return Literal(lex + "X", datatype)
     if roll < 0.7:
-        other = XSD_INTEGER if term.datatype != XSD_INTEGER else XSD_DOUBLE
-        return Literal(term.lex, other)
+        other = XSD_INTEGER if datatype != XSD_INTEGER else XSD_DOUBLE
+        return Literal(lex, other)
     return Literal(random_value(rng), rng.choice(DATATYPES))
 
 
 def _position_constant(rng: random.Random, candidates: list, position: str):
     """A term for a pattern position: usually produced, sometimes mutated."""
-    produced = [t for t in candidates if not isinstance(t, BlankNode)]
+    produced = [t for t in candidates if not is_bnode(t)]
     if produced and rng.random() < 0.8:
         return rng.choice(produced)
     if produced:
         picked = rng.choice(produced)
-        if isinstance(picked, Iri):
+        if is_iri(picked):
             return _mutate_iri(rng, picked)
         return _mutate_literal(rng, picked)
     if position == "object" and rng.random() < 0.5:

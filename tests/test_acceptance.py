@@ -19,8 +19,6 @@ from rmlprune.rdf import (
     XSD_INTEGER,
     XSD_STRING,
     Bgp,
-    Iri,
-    Literal,
     RdfGraph,
     TriplePattern,
     Variable,
@@ -30,7 +28,7 @@ from rmlprune.rml import parse_rml, serialize_pruned
 from rmlprune.sparql import collect_triple_patterns, parse_query
 
 from . import randgen
-from .helpers import is_subgraph_of
+from .helpers import Iri, Literal, iri_value, is_subgraph_of
 from .test_rml import _shape
 
 DATA = Path(__file__).parent / "data"
@@ -87,7 +85,7 @@ def test_demo_prunes_two_to_one_quickly():
     answers_pruned = eval_bgp(bgp, materialize(result, sigma))
     elapsed = time.monotonic() - t0
 
-    retained_pred = result.trmaps[0].predicate_expr.term.value if result.trmaps else "-"
+    retained_pred = iri_value(result.trmaps[0].predicate_expr.term) if result.trmaps else "-"
     ok = (
         len(mapping.trmaps) == 2
         and isinstance(result, RmlMappingExpr)

@@ -33,25 +33,25 @@ from rmlprune.algebra import (
     string_to_bnode,
 )
 from rmlprune.csvsource import CSV_KIND, CsvTable, parse_csv
-from rmlprune.errors import SourceInputError, StructuralError
+from rmlprune.errors import InvalidTermError, SourceInputError, StructuralError
 from rmlprune.gendata import generate
 from rmlprune.ntriples import serialize_graph
 from rmlprune.rdf import (
     XSD_DOUBLE,
     XSD_STRING,
-    BlankNode,
-    Iri,
-    Literal,
     RdfGraph,
     Triple,
-    decode_term,
 )
 from rmlprune.rml import parse_rml
 
 from . import randgen
 from .helpers import (
+    BlankNode,
+    Iri,
+    Literal,
     evaluate_extend,
     evaluate_template,
+    is_bnode,
     ref,
     reference_materialize,
     trmap_values,
@@ -164,17 +164,17 @@ def test_evaluate_extend_bnode_is_stable_and_distinct():
     expr = BuildBlank(ref("a"))
     n1 = evaluate_extend(expr, tup1)
     n2 = evaluate_extend(expr, tup2)
-    assert isinstance(n1, BlankNode)
+    assert is_bnode(n1)
     assert n1 == evaluate_extend(expr, tup1)
     assert n1 != n2
-    assert n1 == decode_term(string_to_bnode("x"))
+    assert n1 == (string_to_bnode("x"), None)
 
 
 def test_string_to_bnode_labels():
-    labels = {decode_term(string_to_bnode(s)).label for s in ("", "a", "b", "ab", "a b", "{")}
+    labels = {string_to_bnode(s)[2:] for s in ("", "a", "b", "ab", "a b", "{")}
     assert len(labels) == 6
     for label in labels:
-        assert label.startswith("b") and len(label) == 33
+        assert BlankNode(label) and label.startswith("b") and len(label) == 33
 
 
 def test_constructor_validation():
@@ -184,6 +184,11 @@ def test_constructor_validation():
         BuildIri(ref("a"), "not-an-iri")
     with pytest.raises(StructuralError):
         ConstantTerm("http://e/x")
+    # a constant's term is checked as a reader checks it
+    with pytest.raises(InvalidTermError, match="^not a valid absolute IRI: 'http://e/x y'$"):
+        ConstantTerm(("<http://e/x y>", None))
+    with pytest.raises(InvalidTermError, match="^invalid blank node label: 'b-1'$"):
+        ConstantTerm(("_:b-1", None))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +214,7 @@ def rows_trmap(spec: ExtractSpec) -> TriplesMapExpr:
 
 def extracted(spec: ExtractSpec, sigma) -> list[str]:
     """The distinct rows of one extraction, as ``rows_trmap`` spells them."""
-    return sorted(t.o.lex for t in materialize_trmap(rows_trmap(spec), sigma))
+    return sorted(t.o[0] for t in materialize_trmap(rows_trmap(spec), sigma))
 
 
 def missing_column_warnings(caplog) -> list[str]:
@@ -244,7 +249,7 @@ def test_extract_missing_column_drops_rows_and_warns_once(caplog):
         assert len(missing_column_warnings(caplog)) == 1
         materialize(m, sigma)
     # only the expression that reads no missing column keeps its rows
-    assert sorted(t.o.lex for t in graph) == ["row|1", "row|2", "row|3"]
+    assert sorted(t.o[0] for t in graph) == ["row|1", "row|2", "row|3"]
     assert len(missing_column_warnings(caplog)) == 2
 
 
@@ -783,32 +788,24 @@ def test_materialize_constructs_no_triple(tmp_path, monkeypatch):
     # Triple exists only when a caller iterates the graph
     mapping, sigma = corpus_inputs(tmp_path, 1)
     built = []
-    init = Triple.__init__
-    monkeypatch.setattr(Triple, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    new = Triple.__new__
+    monkeypatch.setattr(Triple, "__new__", lambda cls, *args: built.append(1) or new(cls, *args))
     graph = materialize(mapping, sigma)
     assert len(graph) == 1570
     assert not built
     assert len(graph.triples) == len(built) == 1570  # the count sees every Triple
 
 
-def test_materialize_constructs_no_term(tmp_path, monkeypatch):
-    # an IRI or blank node is its spelling and a literal its lexical form;
-    # terms are decoded only when a caller iterates the graph
+def test_materialize_constructs_no_term(tmp_path):
+    # an IRI or blank node is its spelling and a literal its lexical form,
+    # the string of its pair: the columns hold strings alone, and pairs are
+    # made only when a caller iterates the graph
     mapping, sigma = corpus_inputs(tmp_path, 1)
-    built = []
-    for cls in (Iri, BlankNode, Literal):
-        init = cls.__init__
-        monkeypatch.setattr(
-            cls, "__init__", lambda self, *args, init=init, **kw: built.append(self) or init(self, *args, **kw)
-        )
-    for name in ("trusted_iri", "trusted_bnode", "trusted_literal"):
-        make = getattr(rdf, name)
-        monkeypatch.setattr(rdf, name, lambda *args, make=make: built.append(args) or make(*args))
     graph = materialize(mapping, sigma)
     assert len(graph) == 1570
-    assert built == []
-    assert len(graph.triples) == 1570
-    assert len(built) >= 2 * 1570  # the count sees the decoded subjects and objects
+    for (p, datatype), (subjects, objects) in graph.columns():
+        assert all(type(x) is str for x in (p, *subjects, *objects))
+        assert datatype is None or type(datatype) is str
 
 
 def test_materialized_graph_holds_under_45_bytes_per_triple(tmp_path):
@@ -892,4 +889,4 @@ def test_escaped_braces_in_an_rml_template_stay_text(caplog):
     )
     sigma = csv_sigma(**{"t.csv": "id,v\n7,a\n8,{id}\n"})
     check_against_reference(m, sigma, caplog)
-    assert sorted(t.o.lex for t in materialize(m, sigma)) == ["{x}{0[0]}a", "{x}{0[0]}{id}"]
+    assert sorted(t.o[0] for t in materialize(m, sigma)) == ["{x}{0[0]}a", "{x}{0[0]}{id}"]

@@ -126,3 +126,8 @@ def test_perfbench_projects_select_star_as_answer_does(workloads, corpus_mapping
     rows = result.rows()
     assert rows and all(len(row) == 1 for row in rows)
     assert workloads.project(query, result.solutions) == rows
+    # and q01-q08 as the answer-s10 workload spells their rows
+    for name in sorted(QUERIES):
+        query = parse_query(QUERIES[name])
+        result = answer(query, corpus_mapping, corpus_sigma.__getitem__)
+        assert workloads.project(query, result.solutions) == result.rows(), name

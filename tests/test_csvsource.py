@@ -13,7 +13,9 @@ from rmlprune.algebra import (
 )
 from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.errors import CsvError
-from rmlprune.rdf import XSD_STRING, Iri, Literal
+from rmlprune.rdf import XSD_STRING
+
+from .helpers import Iri, Literal
 
 
 def extract_column(text: str, column: str) -> set:

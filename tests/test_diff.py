@@ -53,13 +53,14 @@ def test_a_turtle_record_holds_what_the_reader_files_or_its_error():
     diff = load_diff()
     side = diff.Side(importlib.import_module("rmlprune"))
     ok = side.turtle_record("@base <http://e/> . <s> <p> [ <q> ( 1 ) ] .")
-    iri = lambda name: ["Iri", f"http://e/{name}"]  # noqa: E731
-    one = ["Literal", "1", "http://www.w3.org/2001/XMLSchema#integer"]
+    # each term as format_term spells it
+    iri = lambda name: f"<http://e/{name}>"  # noqa: E731
+    one = '"1"^^<http://www.w3.org/2001/XMLSchema#integer>'
     rdf = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
     assert ok == ("ok", [
-        [["BlankNode", "b2"], [[["Iri", rdf + "first"], one], [["Iri", rdf + "rest"], ["Iri", rdf + "nil"]]]],
-        [["BlankNode", "b1"], [[iri("q"), ["BlankNode", "b2"]]]],
-        [iri("s"), [[iri("p"), ["BlankNode", "b1"]]]],
+        ["_:b2", [[f"<{rdf}first>", one], [f"<{rdf}rest>", f"<{rdf}nil>"]]],
+        ["_:b1", [[iri("q"), "_:b2"]]],
+        [iri("s"), [[iri("p"), "_:b1"]]],
     ], [29, 34], "http://e/")
     assert side.turtle_record("<http://e/s> <http://e/p> * .") == (
         "error", "TurtleError", "line 1, column 27: expected an object, found '*'"
@@ -70,8 +71,9 @@ def test_a_query_record_holds_its_fields_or_its_error():
     diff = load_diff()
     side = diff.Side(importlib.import_module("rmlprune"))
     ok = side.sparql_record(diff.EXTRA_QUERIES["anon"])
-    assert ok[0] == "ok" and ok[1] == [["Variable", "n", False], ["Variable", "r", False]]
-    assert ok[2][0] == [["Variable", "b1", True], ["Iri", "http://example.com/ns#name"], ["Variable", "n", False]]
+    # a variable by its repr, '_:' for the stand-in of a '[]'
+    assert ok[0] == "ok" and ok[1] == ["?n", "?r"]
+    assert ok[2][0] == ["_:b1", "<http://example.com/ns#name>", "?n"]
     assert side.sparql_record("SELECT * WHERE { ?s ?p }") == (
         "error", "SparqlError", "line 1, column 24: expected an object, found '}'"
     )
@@ -82,8 +84,8 @@ def test_a_query_record_holds_its_fields_or_its_error():
     side.with_required = False
     assert side.sparql_record("SELECT * WHERE { ?s <http://e/p> ?o }") == (
         "ok",
-        [["Variable", "s", False], ["Variable", "o", False]],
-        [[["Variable", "s", False], ["Iri", "http://e/p"], ["Variable", "o", False]]],
+        ["?s", "?o"],
+        [["?s", "<http://e/p>", "?o"]],
         False,
         [],
     )

@@ -13,12 +13,12 @@ from rmlprune import _lexer, gendata
 from rmlprune._lexer import MAX_NESTING
 from rmlprune.algebra import dump_plan
 from rmlprune.errors import MappingModelError, SparqlError, TurtleError, UnsupportedSparqlError
-from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Iri, Literal, Variable
+from rmlprune.rdf import XSD_BOOLEAN, XSD_DECIMAL, XSD_DOUBLE, XSD_INTEGER, Variable
 from rmlprune.rml import parse_rml
 from rmlprune.sparql import collect_triple_patterns, parse_query
 from rmlprune.turtle import TurtleParser
 
-from .helpers import read_turtle
+from .helpers import Iri, Literal, read_turtle
 from .test_diff import load_diff
 
 EX = "http://ex.org/"
@@ -373,7 +373,7 @@ def test_a_run_token_is_what_the_reader_takes(text):
     reader = parser_at(text, match.start(1))
     if token.startswith("_:"):
         term = reader._read_bnode_label()
-        assert term.label == reader.bnode_labels[token[2:]]
+        assert term[0][2:] == reader.bnode_labels[token[2:]]
     else:
         term = parser_at(text, 0).term(token, constant=True)
         if term is None:  # no term, or an error: the reader reports it
@@ -582,3 +582,24 @@ def test_an_error_has_one_line_and_column_with_any_line_end(text, read, error, m
     with pytest.raises(error) as info:
         read(text.replace("\n", end))
     assert str(info.value) == message
+
+
+# A text that ends in a comment with no line end after it is read in one
+# run, as it is with one: the run's end takes the comment, so no reader
+# runs and no token is stepped through again to place the cursor.
+@pytest.mark.parametrize(
+    "text, read",
+    [
+        (gendata.MAPPING_TTL, lambda text: dump_plan(parse_rml(text))),
+        (gendata.QUERIES["q01"], parse_query),
+    ],
+    ids=["mapping", "query"],
+)
+def test_a_text_ending_in_a_comment_reads_in_one_run(text, read, monkeypatch):
+    expected = read(text + "# end\n")
+    stepped = []
+    past = _lexer._past
+    monkeypatch.setattr(_lexer, "_past", lambda text, pos, n: stepped.append(n) or past(text, pos, n))
+    found = readers_run(monkeypatch)
+    assert read(text + "# end") == expected
+    assert (found, stepped) == ([], [])

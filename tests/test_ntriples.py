@@ -14,23 +14,24 @@ from rmlprune.csvsource import CSV_KIND, parse_csv
 from rmlprune.errors import TurtleError
 from rmlprune.gendata import generate
 from rmlprune.ntriples import escape_string, format_term, serialize_graph
-from rmlprune.rdf import (
-    XSD_INTEGER,
-    XSD_STRING,
+from rmlprune.rdf import XSD_INTEGER, XSD_STRING, RdfGraph, Term, Triple
+from rmlprune.rml import parse_rml
+
+from .helpers import (
     BlankNode,
     Iri,
     Literal,
-    RdfGraph,
-    Triple,
+    format_triple,
+    is_bnode,
+    is_iri,
+    read_ntriples,
+    reference_serialize,
 )
-from rmlprune.rml import parse_rml
-
-from .helpers import format_triple, read_ntriples, reference_serialize
 
 EX = "http://example.com/"
 
 
-def iri(s: str) -> Iri:
+def iri(s: str) -> Term:
     return Iri(EX + s)
 
 
@@ -238,7 +239,7 @@ _term_pool = st.sampled_from(
         Literal("unicode é \U0001F600"),
     ]
 )
-_subject_pool = _term_pool.filter(lambda t: isinstance(t, (Iri, BlankNode)))
+_subject_pool = _term_pool.filter(lambda t: (is_iri(t) or is_bnode(t)))
 _pred_pool = st.sampled_from([iri("p"), iri("q")])
 
 

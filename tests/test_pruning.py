@@ -23,20 +23,11 @@ from rmlprune.algebra import (
 )
 from rmlprune.gendata import MAPPING_TTL, QUERIES
 from rmlprune.pruning import CACHE_SIZE, FullyPruned, _reason, incompatibility_trace, prune
-from rmlprune.rdf import (
-    XSD_DOUBLE,
-    XSD_INTEGER,
-    XSD_STRING,
-    BlankNode,
-    Iri,
-    Literal,
-    TriplePattern,
-    Variable,
-)
+from rmlprune.rdf import XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Term, TriplePattern, Variable
 from rmlprune.rml import parse_rml
 from rmlprune.sparql import collect_triple_patterns, parse_query
 
-from .helpers import ref, wide_mapping_text
+from .helpers import BlankNode, Iri, Literal, ref, wide_mapping_text
 from .test_algebra import BASE, joined_trmap, simple_trmap
 
 V = Variable
@@ -50,7 +41,7 @@ V = Variable
 IRI_U = Iri("http://e.com/s/41")
 
 
-def object_reason(expr, term: Iri | Literal) -> str | None:
+def object_reason(expr, term: Term) -> str | None:
     """The trace's reason that *expr*, as an object constructor, can never
     build the pattern's object *term*, or ``None``."""
     tm = TriplesMapExpr(

@@ -16,22 +16,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rmlprune import rdf
-from rmlprune.algebra import materialize
+from rmlprune.algebra import ConstantTerm, materialize
 from rmlprune.errors import InvalidTermError, StructuralError
 from rmlprune.rdf import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
     Bgp,
-    BlankNode,
-    Iri,
-    Literal,
     RdfGraph,
     SolutionMapping,
+    Term,
     Triple,
     TriplePattern,
     Variable,
-    decode_term,
     eval_bgp,
     format_term,
     is_valid_iri,
@@ -40,10 +37,17 @@ from rmlprune.ntriples import serialize_graph
 
 from . import randgen
 from .helpers import (
+    BlankNode,
+    Iri,
+    Literal,
     apply_solution,
     bindings,
     compatible,
     eval_triple_pattern,
+    iri_value,
+    is_bnode,
+    is_iri,
+    is_literal,
     is_subgraph_of,
     merge,
     nested_loop_eval_bgp,
@@ -54,7 +58,7 @@ from .helpers import (
 EX = "http://example.com/"
 
 
-def iri(s: str) -> Iri:
+def iri(s: str) -> Term:
     return Iri(EX + s)
 
 
@@ -75,7 +79,7 @@ def iri(s: str) -> Iri:
 )
 def test_valid_iris(value):
     assert is_valid_iri(value)
-    Iri(value)
+    TriplePattern(Variable("s"), (f"<{value}>", None), Variable("o"))
 
 
 @pytest.mark.parametrize(
@@ -101,8 +105,8 @@ def test_valid_iris(value):
 )
 def test_invalid_iris(value):
     assert not is_valid_iri(value)
-    with pytest.raises(InvalidTermError):
-        Iri(value)
+    with pytest.raises(InvalidTermError, match="^not a valid absolute IRI: "):
+        TriplePattern(Variable("s"), (f"<{value}>", None), Variable("o"))
 
 
 def _is_valid_iri_by_loop(value: str) -> bool:
@@ -138,15 +142,16 @@ def test_terms_and_triples_have_no_instance_dict(term):
 
 
 def test_blank_node_labels():
-    BlankNode("b1")
-    BlankNode("A_9")
+    RdfGraph([Triple(("_:b1", None), iri("p"), ("_:A_9", None))])
     for bad in ("", "a-b", "a b", "a.b", "é"):
-        with pytest.raises(InvalidTermError):
-            BlankNode(bad)
+        with pytest.raises(InvalidTermError, match="^invalid blank node label: "):
+            RdfGraph([Triple((f"_:{bad}", None), iri("p"), iri("o"))])
 
 
 def test_literal_defaults_to_xsd_string():
-    assert Literal("hi") == Literal("hi", XSD_STRING)
+    # a plain string reads as an xsd:string literal
+    (triple,) = read_ntriples('<http://e/s> <http://e/p> "hi" .\n')
+    assert triple.o == Literal("hi") == ("hi", XSD_STRING)
 
 
 def test_literal_equality_is_exact_on_lex_and_datatype():
@@ -157,23 +162,26 @@ def test_literal_equality_is_exact_on_lex_and_datatype():
 
 
 def test_literal_rejects_invalid_datatype():
-    with pytest.raises(InvalidTermError):
-        Literal("x", "not-an-iri")
+    with pytest.raises(InvalidTermError, match="^literal datatype is not a valid IRI: 'not-an-iri'$"):
+        ConstantTerm(("x", "not-an-iri"))
+    with pytest.raises(InvalidTermError, match="^literal datatype is not a valid IRI: 'not-an-iri'$"):
+        TriplePattern(Variable("s"), iri("p"), ("x", "not-an-iri"))
 
 
 def test_triple_position_typing():
-    with pytest.raises(InvalidTermError):
-        Triple(Literal("x"), iri("p"), iri("o"))
-    with pytest.raises(InvalidTermError):
-        Triple(iri("s"), BlankNode("b"), iri("o"))
-    Triple(BlankNode("b"), iri("p"), Literal("x"))
+    # a graph checks each triple it takes
+    with pytest.raises(InvalidTermError, match='^triple subject must be an IRI or blank node: "x"$'):
+        RdfGraph([Triple(Literal("x"), iri("p"), iri("o"))])
+    with pytest.raises(InvalidTermError, match="^triple predicate must be an IRI: _:b$"):
+        RdfGraph([Triple(iri("s"), BlankNode("b"), iri("o"))])
+    RdfGraph([Triple(BlankNode("b"), iri("p"), Literal("x"))])
 
 
 def test_constructors_name_what_they_reject():
     with pytest.raises(InvalidTermError, match=r"^invalid variable name: 'a b'$"):
         Variable("a b")
     with pytest.raises(InvalidTermError, match="^triple object must be an RDF term: 3$"):
-        Triple(iri("s"), iri("p"), 3)
+        RdfGraph([Triple(iri("s"), iri("p"), 3)])
     with pytest.raises(InvalidTermError, match="^pattern predicate must be an IRI or variable: \"x\"$"):
         TriplePattern(Variable("s"), Literal("x"), Variable("o"))
 
@@ -190,6 +198,24 @@ def test_pattern_forbids_blank_nodes():
 # ---------------------------------------------------------------------------
 # solution mappings
 # ---------------------------------------------------------------------------
+
+
+def test_a_node_binding_is_spelled_as_the_string_its_solution_holds():
+    # mu[v] wraps a node's spelling in its pair without copying it, so
+    # format_term gives the solution's own string back, for an IRI and a
+    # blank node alike; a literal's spelling is read back into its pair
+    s, p, o = Variable("s"), Variable("p"), Variable("o")
+    kinds = set()
+    for mu in eval_bgp([TriplePattern(s, p, o)], small_graph()):
+        for v in (s, p, o):
+            spelling = mu.spellings[mu.columns[v]]
+            term = mu[v]
+            kinds.add(rdf.kind(term))
+            if is_literal(term):
+                assert format_term(term) == spelling
+            else:
+                assert term[0] is spelling and format_term(term) is spelling
+    assert kinds == {rdf.IRI, rdf.BLANK, rdf.LITERAL}
 
 
 def test_solution_mapping_behaves_like_a_mapping():
@@ -341,7 +367,7 @@ def oracle_eval_bgp(patterns, g: RdfGraph) -> set[SolutionMapping]:
             return assignment[x] if isinstance(x, Variable) else x
 
         s, p, o = subst(tp.s), subst(tp.p), subst(tp.o)
-        if not isinstance(s, (Iri, BlankNode)) or not isinstance(p, Iri):
+        if not (is_iri(s) or is_bnode(s)) or not is_iri(p):
             return None
         return Triple(s, p, o)
 
@@ -372,7 +398,7 @@ _terms = st.sampled_from(
         Literal("x"),
     ]
 )
-_subjects = _terms.filter(lambda t: isinstance(t, (Iri, BlankNode)))
+_subjects = _terms.filter(lambda t: (is_iri(t) or is_bnode(t)))
 _predicates = st.sampled_from([iri("p"), iri("q"), iri("r")])
 _triples = st.builds(Triple, _subjects, _predicates, _terms)
 _variables = st.sampled_from([Variable("x"), Variable("y"), Variable("z")])
@@ -417,9 +443,9 @@ def _graph_and_join(draw):
     # at most 16 triples, so a cross product of 4 patterns stays small
     g = RdfGraph(draw(st.lists(st.sampled_from(triples), max_size=16)))
     variables = st.sampled_from(_join_variables[:3])
-    subjects = st.sampled_from([t.s for t in triples if isinstance(t.s, Iri)] or [Iri(randgen.BASE)])
+    subjects = st.sampled_from([t.s for t in triples if is_iri(t.s)] or [Iri(randgen.BASE)])
     predicates = st.sampled_from([t.p for t in triples] + [randgen.PREDICATES[0]])
-    objects = st.sampled_from([t.o for t in triples if not isinstance(t.o, BlankNode)] or [Literal("")])
+    objects = st.sampled_from([t.o for t in triples if not is_bnode(t.o)] or [Literal("")])
     pattern = st.builds(
         TriplePattern,
         st.one_of(variables, variables, subjects),
@@ -480,7 +506,7 @@ def test_graph_holds_each_distinct_triple_once(triples, rnd):
     assert RdfGraph(shuffled).triples == g.triples
     for t in triples:
         # the same (subject, object) pair under another predicate
-        twin = Triple(t.s, Iri(t.p.value + "-twin"), t.o)
+        twin = Triple(t.s, Iri(iri_value(t.p) + "-twin"), t.o)
         assert twin not in g.triples
         both = RdfGraph([t, twin, t])
         assert len(both) == 2
@@ -494,7 +520,7 @@ def test_graph_files_equal_objects_once_whichever_comes_first():
     p = iri("p")
     a, b = iri("a"), iri("b")
     first = [Triple(a, p, Literal("x")), Triple(a, p, Literal("y")), Triple(b, p, Literal("y"))]
-    copies = [Triple(Iri(t.s.value), p, Literal(t.o.lex)) for t in first]
+    copies = [Triple(Iri(iri_value(t.s)), p, Literal(t.o[0])) for t in first]
     assert all(c == t and c.o is not t.o for c, t in zip(copies, first))
     for triples in (first + copies + first, copies + first, first[::-1] + copies):
         g = RdfGraph(triples)
@@ -521,7 +547,7 @@ def test_one_predicate_mixes_nodes_and_literals_of_one_lexical_form():
     assert read_ntriples(serialize_graph(g)).triples == triples
     assert eval_bgp([TriplePattern(x, p, y)], g) == {solution({x: t.s, y: t.o}) for t in triples}
     for name, o in objects.items():
-        if not isinstance(o, BlankNode):  # a pattern holds no blank node
+        if not is_bnode(o):  # a pattern holds no blank node
             assert eval_bgp([TriplePattern(x, p, o)], g) == {solution({x: iri(name)})}, name
     # an object bound by the subject or predicate is never a literal
     assert eval_bgp([TriplePattern(x, p, x)], g) == set()
@@ -547,9 +573,10 @@ _terms = st.one_of(
 
 @given(_terms)
 def test_decoding_a_spelling_gives_the_term_back(term):
-    assert decode_term(format_term(term)) == term
-    if isinstance(term, Literal):
-        assert decode_term(term.lex, term.datatype) == term
+    if is_literal(term):
+        assert rdf._literal(format_term(term)) == term
+    else:
+        assert format_term(term) is term[0]
     mu = solution({Variable("v"): term})
     assert mu[Variable("v")] == term
 

@@ -10,14 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rmlprune.algebra import EPSILON
-from rmlprune.rdf import BlankNode, Iri, Literal, Triple
+from rmlprune.rdf import Term, Triple
 
-from .helpers import graph_from_triples
+from .helpers import BlankNode, Iri, Literal, graph_from_triples, is_bnode, is_iri, is_term
 
 EX = "http://example.com/"
 
 
-def iri(s: str) -> Iri:
+def iri(s: str) -> Term:
     return Iri(EX + s)
 
 
@@ -51,8 +51,8 @@ def test_graph_from_relation_matches_per_tuple_oracle(rows):
     expected = {
         Triple(s, p, o)
         for s, p, o in rows
-        if isinstance(s, (Iri, BlankNode))
-        and isinstance(p, Iri)
-        and isinstance(o, (Iri, BlankNode, Literal))
+        if (is_iri(s) or is_bnode(s))
+        and is_iri(p)
+        and is_term(o)
     }
     assert got == expected

@@ -27,7 +27,7 @@ from rmlprune.errors import MappingModelError, TurtleError
 from rmlprune.gendata import MAPPING_TTL, QUERIES
 from rmlprune.ntriples import format_term
 from rmlprune.pruning import FullyPruned, prune
-from rmlprune.rdf import RDF_TYPE, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Iri, Literal, Triple
+from rmlprune.rdf import RDF_TYPE, XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Triple
 from rmlprune.rml import (
     DEFAULT_BASE_IRI,
     normalize,
@@ -39,7 +39,7 @@ from rmlprune.rml import (
 )
 from rmlprune.sparql import collect_triple_patterns, parse_query
 
-from .helpers import perfbench_corpus, ref, wide_mapping_text
+from .helpers import Iri, Literal, is_literal, perfbench_corpus, ref, wide_mapping_text
 
 EX = "http://example.com/ns#"
 GTFS = "http://vocab.gtfs.org/terms#"
@@ -1247,7 +1247,8 @@ def test_wide_mapping_written_back_is_pinned():
 
 
 # sha256 and line count of what the mapping reader keeps of the wide mapping:
-# each subject's predicates and objects as filed, then the document's blank
+# each subject's predicates and objects as filed, under the subject's key
+# (an IRI's value, a blank node's spelling), then the document's blank
 # node labels and the offset each blank node opens at, which the walk's
 # error messages read
 WIDE_FILED = ("d68d46e54c7110c4226deea170f7f207441740abdb39a847169bdbdf5bd401d2", 4320)
@@ -1257,7 +1258,7 @@ def test_wide_mapping_as_the_reader_files_it_is_pinned():
     reader = rml._MappingReader(wide_mapping_text())
     reader.parse()
     lines = [
-        f"{key} {format_term(p)} {format_term(o)}"
+        f"{rml._key(key)} {format_term(p)} {format_term(o)}"
         for key, props in reader.graph.items()
         for p, o in zip(props[::2], props[1::2])
     ]
@@ -1272,9 +1273,9 @@ def test_the_reader_keeps_one_literal_per_lexical_form():
     # are 175 objects, and the "lat" of every copy's stops map is one
     reader = rml._MappingReader(wide_mapping_text())
     reader.parse()
-    literals = [obj for props in reader.graph.values() for obj in props[1::2] if type(obj) is Literal]
+    literals = [obj for props in reader.graph.values() for obj in props[1::2] if is_literal(obj)]
     assert (len(literals), len({id(obj) for obj in literals})) == (840, 175)
-    lat = [obj for obj in literals if obj.lex == "lat"]
+    lat = [obj for obj in literals if obj[0] == "lat"]
     assert len(lat) == 40 and all(obj is lat[0] for obj in lat)
 
 

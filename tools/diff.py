@@ -11,7 +11,8 @@ for ``rml:BlankNode``...; a text without one gets a replacement instead).
 * ``--surface mapping`` (the default) mutates the corpus mapping
   (``gendata.MAPPING_TTL``) and the prune-wide workload's 560-expression
   mapping, as ``perfbench/corpus.py`` writes it, with snippets such as a
-  blank node, a bracket, a quote, a brace, a term map or a base.  A
+  blank node, a bracket, a quote, a brace, a term map, a base, a CR line
+  end or a literal where an IRI-valued property stands.  A
   record is the ``dump_plan`` of the parsed mapping, its whole write-back
   by ``serialize_pruned``, and the write-back of its prune for each of
   q01-q08 (instantiated on the wide mapping's first copy for that
@@ -27,7 +28,9 @@ for ``rml:BlankNode``...; a text without one gets a replacement instead).
   escape outside Unicode, ``TRUE``, ``SHA1(?s)``, ``ENCODE_FOR_URI(?s)``, a
   number that starts with ``.`` or ``-.``, or a string with a lone ``@``.
   A record is the parsed query's ``SelectQuery`` fields, each term as its
-  class and fields; ``required`` only where both revisions have it.
+  own revision's ``format_term`` spelling and a variable by its ``repr``,
+  so revisions whose terms differ in form compare; ``required`` only where
+  both revisions have it.
 * ``--surface turtle`` mutates the two mappings above and a Turtle text
   with collections, labels, comments and all four string forms, with the
   mapping snippets, every SPARQL operator and the token snippets.  A
@@ -73,6 +76,8 @@ SNIPPETS = (
     'rml:reference "a"', 'rml:template "{a}"', "rml:termType rml:BlankNode", "rr:termType rr:Literal",
     "rml:class ex:C", "rml:datatype xsd:integer", "rml:subject _:s", "rr:object _:o",
     "@base <http://b.example/> .\n", 'rml:joinCondition [ rml:child "a" ; rml:parent "b" ]',
+    # a CR line end, after a comment too, and a literal where an IRI-valued property stands
+    "\r", "# c\r", 'rml:datatype "x"', 'rml:class "C"', 'rml:termType "x"',
 )
 # ... and in a query or a Turtle text: the spellings that were the readers'
 # alone before every valid spelling was a token, and the errors they spell
@@ -84,7 +89,8 @@ TOKEN_SNIPPETS = (
 QUERY_SNIPPETS = (
     "?x", "$y", "a", "[]", "[ ]", "[ ex:p ?o ]", "{", "}", ".", ";", ",", "(", ")", "/", "|", "*", "+",
     "^", "!", "?", '"x"', "'x'", '"5"^^xsd:integer', '"x"@en', "42", "-1.5", "true", "_:b", "<http://e/x>",
-    "<rel>", "ex:", "ex:a\\.b", "filter:x", "#c\n", "\n", "OPTIONAL { ?s ex:p ?o }", "FILTER(?x > 1)",
+    "<rel>", "ex:", "ex:a\\.b", "filter:x", "#c\n", "\n", "\r", "#c\r", "OPTIONAL { ?s ex:p ?o }",
+    "FILTER(?x > 1)",
     "FILTER regex(?n, \"a\")", "UNION", "MINUS", "SELECT", "ORDER BY ?s", "LIMIT 3", "OFFSET 2",
     "GROUP BY ?s", "BASE <http://b/>", "PREFIX p: <http://p/>", "DISTINCT",
     ". ?x ex:p ?y .", "; ex:q ?z", ", ?w", "?s a ex:C .", "ex:p 'x' ;",
@@ -196,7 +202,7 @@ class Side:
         import_ = lambda sub: importlib.import_module(f"{pkg.__name__}.{sub}")  # noqa: E731
         self.algebra, self.rml = import_("algebra"), import_("rml")
         self.translate = load_ab().translator(self.rml)
-        self.pruning, self.sparql = import_("pruning"), import_("sparql")
+        self.pruning, self.sparql, self.rdf = import_("pruning"), import_("sparql"), import_("rdf")
         # whether a query's record holds its required patterns: set to
         # whether both sides parse them by compare()
         self.with_required = "required" in self.sparql.SelectQuery.__dataclass_fields__
@@ -240,7 +246,8 @@ class Side:
             base = reader.parse()
         except Exception as exc:  # any exception is part of the record
             return ("error", type(exc).__name__, str(exc))
-        filed = [[_term(s), [[_term(p), _term(o)] for p, o in pairs]] for s, pairs in reader.filed]
+        term = self.term
+        filed = [[term(s), [[term(p), term(o)] for p, o in pairs]] for s, pairs in reader.filed]
         return ("ok", filed, reader.bnode_offsets, base)
 
     def sparql_record(self, text: str, queries: None = None) -> tuple:
@@ -250,19 +257,18 @@ class Side:
             query = self.sparql.parse_query(text)
         except Exception as exc:  # any exception is part of the record
             return ("error", type(exc).__name__, str(exc))
-        record = ("ok", [_term(v) for v in query.variables], _patterns(query.patterns),
+        record = ("ok", [self.term(v) for v in query.variables], self.patterns(query.patterns),
                   query.distinct, sorted(query.unevaluable))
-        return (*record, _patterns(query.required)) if self.with_required else record
+        return (*record, self.patterns(query.required)) if self.with_required else record
 
+    def patterns(self, patterns) -> list:
+        """Each of *patterns* as its three terms' records."""
+        return [[self.term(t) for t in (tp.s, tp.p, tp.o)] for tp in patterns]
 
-def _patterns(patterns) -> list:
-    """Each of *patterns* as its three terms' records."""
-    return [[_term(t) for t in (tp.s, tp.p, tp.o)] for tp in patterns]
-
-
-def _term(term) -> list:
-    """*term* as its class and its fields."""
-    return [type(term).__name__, *(getattr(term, name) for name in term.__dataclass_fields__)]
+    def term(self, term) -> str:
+        """*term* as this revision spells it: a variable by its ``repr``,
+        any other term by ``format_term``."""
+        return repr(term) if isinstance(term, self.rdf.Variable) else self.rdf.format_term(term)
 
 
 def shown(record: tuple) -> list:
