@@ -16,8 +16,9 @@ it; dropping the rest changes no answer of the query.  A *required* pattern, one
 match some triple for the query to have a solution (SPARQL 1.1 §18.5: a
 join with an empty multiset is empty, and so is a left join with an empty
 left side), so when one is incompatible with every expression no
-expression is kept.  :func:`prune` and :func:`incompatibility_trace`
-decide by the same checks, and only the trace spells a reason.
+expression is kept.  Each call rules on every (pattern, expression) pair
+once, in one table that :func:`prune` and :func:`incompatibility_trace`
+both read, and only the trace spells a reason.
 
 Each attribute reference becomes ``.+``, which is exact for every source:
 an empty cell is NULL, and a constructor that reads one builds no term
@@ -80,9 +81,8 @@ def _failed_check(expr: ExtendExpr, term: Term) -> Union[str, None]:
 
 def _ruling(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
     """The first position at which *tm* can never emit a triple matching
-    *tp* (``"subject"``, ``"predicate"`` or ``"object"``), or ``None``: the
-    decision that :func:`prune` and :func:`incompatibility_trace` share.
-    It spells nothing."""
+    *tp* (``"subject"``, ``"predicate"`` or ``"object"``), or ``None``: one
+    entry of the table that :func:`_rulings` builds.  It spells nothing."""
     if type(tp.s) is not Variable and _failed_check(tm.subject_expr, tp.s):
         return "subject"
     if type(tp.p) is not Variable and _failed_check(tm.predicate_expr, tp.p):
@@ -92,14 +92,10 @@ def _ruling(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
     return None
 
 
-def _reason(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
+def _reason(tp: TriplePattern, tm: TriplesMapExpr, position: str) -> str:
     """The trace's reason that *tm* can never emit a triple matching *tp*:
-    the position :func:`_ruling` finds and the check that fails there,
-    spelled; ``None`` when the checks cannot rule the pair out, which does
-    not promise a match exists."""
-    position = _ruling(tp, tm)
-    if position is None:
-        return None
+    the *position* that :func:`_ruling` found, and the check that fails
+    there, spelled."""
     # the pattern's s, p or o, and the expression's constructor there
     expr, term = getattr(tm, f"{position}_expr"), getattr(tp, position[0])
     check = _failed_check(expr, term)
@@ -114,18 +110,25 @@ def _reason(tp: TriplePattern, tm: TriplesMapExpr) -> Union[str, None]:
     return f"{position}: {reason}"
 
 
-def _unmatched(
-    required: Iterable[TriplePattern], trmaps: tuple[TriplesMapExpr, ...]
-) -> Union[TriplePattern, None]:
-    """The first of the *required* patterns that no expression of *trmaps*
-    is compatible with, or ``None``."""
+def _rulings(
+    tps: list[TriplePattern], required: Iterable[TriplePattern], trmaps: tuple[TriplesMapExpr, ...]
+) -> tuple[list[list[Union[str, None]]], Union[TriplePattern, None]]:
+    """The table that :func:`prune` and :func:`incompatibility_trace` read:
+    the column of each of *tps*, the :func:`_ruling` of every expression of
+    *trmaps* in order; and the first of the *required* patterns whose column
+    holds no ``None``, or ``None``.  A pattern's column is that of its first
+    equal in *tps*, found by identity first: each distinct pattern of *tps*
+    is ruled on once, a required one outside it where it is read, and no
+    pattern is hashed."""
+    columns: list[list[Union[str, None]]] = []
+    for tp in tps:
+        first = tps.index(tp)
+        columns.append(columns[first] if first < len(columns) else [_ruling(tp, tm) for tm in trmaps])
     for tp in required:
-        for tm in trmaps:
-            if _ruling(tp, tm) is None:
-                break
-        else:
-            return tp
-    return None
+        column = columns[tps.index(tp)] if tp in tps else [_ruling(tp, tm) for tm in trmaps]
+        if None not in column:
+            return columns, tp
+    return columns, None
 
 
 @dataclass(frozen=True)
@@ -139,19 +142,15 @@ def prune(
     patterns: Iterable[TriplePattern], mapping: RmlMappingExpr, required: Iterable[TriplePattern] = ()
 ) -> Union[RmlMappingExpr, FullyPruned]:
     """Keep the expressions compatible with at least one pattern, and none
-    when one of the *required* patterns, which must be among *patterns*,
-    is compatible with none.
+    when one of the *required* patterns is compatible with no expression.
 
     The retained expressions come back in their original order; when
     nothing survives, a :class:`FullyPruned` marker carries the original
     count instead of an (inexpressible) empty mapping.
     """
-    tps = list(patterns)
-    retained = tuple(
-        tm for tm in mapping.trmaps if any(_ruling(tp, tm) is None for tp in tps)
-    )
-    # a required pattern compatible with some expression keeps that one
-    if not retained or _unmatched(required, retained) is not None:
+    columns, unmatched = _rulings(list(patterns), required, mapping.trmaps)
+    retained = tuple(tm for tm, row in zip(mapping.trmaps, zip(*columns)) if None in row)
+    if not retained or unmatched is not None:
         return FullyPruned(original_count=len(mapping.trmaps))
     return RmlMappingExpr(retained)
 
@@ -167,15 +166,14 @@ def incompatibility_trace(
     the required pattern, if any, that leaves the query no solution (see
     :func:`prune`)."""
     tps = list(patterns)
+    columns, unmatched = _rulings(tps, required, mapping.trmaps)
     spelled = [_spell(tp) for tp in tps]
-    unmatched = _unmatched(required, mapping.trmaps)
     lines = []
-    for tm in mapping.trmaps:
-        reasons = [_reason(tp, tm) for tp in tps]
-        pruned = unmatched is not None or all(r is not None for r in reasons)
+    for tm, *row in zip(mapping.trmaps, *columns):
+        pruned = unmatched is not None or None not in row
         lines.append(f"{tm.provenance or '<anonymous>'}: {'pruned' if pruned else 'retained'}")
-        for pattern, reason in zip(spelled, reasons):
-            lines.append(f"  {pattern} . -> {reason or 'compatible'}")
+        for pattern, tp, position in zip(spelled, tps, row):
+            lines.append(f"  {pattern} . -> {_reason(tp, tm, position) if position else 'compatible'}")
     if unmatched is not None:
         lines.append(f"no solution: required pattern {_spell(unmatched)} . is compatible with no expression")
     return "\n".join(lines)

@@ -297,10 +297,17 @@ class _QueryParser(TurtleParser):
 
     def _literal_at(self, tok: str) -> bool:
         """Whether *tok* is a literal or, with no token, one starts at the
-        cursor."""
+        cursor.  A number or a boolean there would have been a token, so
+        only a quote starts one, and its string is read as an object's is:
+        a malformed one is reported as such."""
         if tok:
             return tok[0] in ('"', "'") or any(regex.fullmatch(tok) for regex in _LITERAL_RES)
-        return self.peek() in ('"', "'") or any(regex.match(self.text, self.pos) for regex in _LITERAL_RES)
+        if self.peek() not in ('"', "'"):
+            return False
+        start = self.pos
+        self.read_literal()
+        self.pos = start
+        return True
 
     def _parse_filter(self, tok: str) -> str:
         """A FILTER's constraint from its first token *tok*: a bracketted

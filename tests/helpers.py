@@ -24,6 +24,7 @@ from rmlprune.algebra import (
 )
 from rmlprune.errors import SourceInputError, StructuralError
 from rmlprune.ntriples import format_term
+from rmlprune.pruning import _reason, _ruling
 from rmlprune.rdf import (
     BLANK,
     IRI,
@@ -210,6 +211,20 @@ def reference_materialize(
     check_valid_input(sigma, m)
     warned = set() if warned is None else warned
     return graph_from_triples(chain.from_iterable(trmap_values(tm, sigma, warned) for tm in m.trmaps))
+
+
+# ---------------------------------------------------------------------------
+# pruning
+# ---------------------------------------------------------------------------
+
+
+def reason(tp: TriplePattern, tm: TriplesMapExpr) -> str | None:
+    """The trace's reason that *tm* can never emit a triple matching *tp*:
+    the position :func:`~rmlprune.pruning._ruling` finds, spelled by
+    :func:`~rmlprune.pruning._reason`; ``None`` when the checks cannot rule
+    the pair out."""
+    position = _ruling(tp, tm)
+    return None if position is None else _reason(tp, tm, position)
 
 
 # ---------------------------------------------------------------------------

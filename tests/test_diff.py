@@ -9,6 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from rmlprune.gendata import MAPPING_TTL, QUERIES
+from rmlprune.pruning import incompatibility_trace
+from rmlprune.rml import parse_rml
+from rmlprune.sparql import collect_triple_patterns, parse_query
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -65,6 +70,18 @@ def test_a_turtle_record_holds_what_the_reader_files_or_its_error():
     assert side.turtle_record("<http://e/s> <http://e/p> * .") == (
         "error", "TurtleError", "line 1, column 27: expected an object, found '*'"
     )
+
+
+def test_a_mapping_record_holds_each_prune_with_its_trace():
+    side = load_diff().Side(importlib.import_module("rmlprune"))
+    queries = [QUERIES["q02"], QUERIES["q05"]]
+    record = side.mapping_record(MAPPING_TTL, queries)
+    mapping = parse_rml(MAPPING_TTL)
+    traces = [incompatibility_trace(collect_triple_patterns(parse_query(q)), mapping) for q in queries]
+    # the plan, the whole write-back, then each prune's write-back and trace
+    assert len(record) == 3 + 2 * len(queries)
+    assert record[0] == "ok" and list(record[4::2]) == traces
+    assert side.mapping_record("<http://e/s> .", queries)[0] == "error"
 
 
 def test_a_query_record_holds_its_fields_or_its_error():

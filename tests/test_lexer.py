@@ -603,3 +603,28 @@ def test_a_text_ending_in_a_comment_reads_in_one_run(text, read, monkeypatch):
     found = readers_run(monkeypatch)
     assert read(text + "# end") == expected
     assert (found, stepped) == ([], [])
+
+
+# A declaration whose IRI no IRIREF token spells, or that needs a base it
+# lacks, is read again at the cursor, which reports it.
+@pytest.mark.parametrize(
+    "text, read, error, message",
+    [
+        ("@prefix ex: <rel> .", read_turtle, TurtleError, "line 1, column 18: relative IRI 'rel' without a base"),
+        ("@prefix ex: foo .", read_turtle, TurtleError, "line 1, column 13: expected '<'"),
+        ("@base foo .", read_turtle, TurtleError, "line 1, column 7: expected '<'"),
+        ("BASE foo", read_turtle, TurtleError, "line 1, column 6: expected '<'"),
+        ("PREFIX ex: foo SELECT * WHERE { ?s ?p ?o }", parse_query, SparqlError, "line 1, column 12: expected '<'"),
+        (
+            "PREFIX ex: <rel> SELECT * WHERE { ?s ?p ?o }",
+            parse_query,
+            SparqlError,
+            "line 1, column 17: relative IRI 'rel' without a base",
+        ),
+    ],
+)
+def test_a_declared_iri_that_no_token_reads_is_reported_at_the_cursor(text, read, error, message):
+    with pytest.raises(error) as info:
+        read(text)
+    assert type(info.value) is error
+    assert str(info.value) == message

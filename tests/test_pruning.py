@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -20,14 +21,16 @@ from rmlprune.algebra import (
     RmlMappingExpr,
     Template,
     TriplesMapExpr,
+    materialize,
 )
 from rmlprune.gendata import MAPPING_TTL, QUERIES
-from rmlprune.pruning import CACHE_SIZE, FullyPruned, _reason, incompatibility_trace, prune
+from rmlprune.pruning import CACHE_SIZE, FullyPruned, incompatibility_trace, prune
 from rmlprune.rdf import XSD_DOUBLE, XSD_INTEGER, XSD_STRING, Term, TriplePattern, Variable
 from rmlprune.rml import parse_rml
 from rmlprune.sparql import collect_triple_patterns, parse_query
 
-from .helpers import BlankNode, Iri, Literal, ref, wide_mapping_text
+from . import randgen
+from .helpers import BlankNode, Iri, Literal, reason, ref, wide_mapping_text
 from .test_algebra import BASE, joined_trmap, simple_trmap
 
 V = Variable
@@ -47,7 +50,7 @@ def object_reason(expr, term: Term) -> str | None:
     tm = TriplesMapExpr(
         ConstantTerm(IRI_U), ConstantTerm(IRI_U), expr, ExtractSpec("t.csv", {a: a for a in expr.attrs})
     )
-    return _reason(TriplePattern(V("s"), V("p"), term), tm)
+    return reason(TriplePattern(V("s"), V("p"), term), tm)
 
 
 def builds(text: str, parts: tuple[str, ...]) -> bool:
@@ -127,21 +130,21 @@ def test_iri_incompatible_regex_specials_in_text_are_literal():
 def test_reason_subject_predicate_object_positions():
     tm = simple_trmap()  # subject http://e.com/s/{id}, predicate e.com/name, object string literal
     ok = TriplePattern(Iri("http://e.com/s/7"), Iri("http://e.com/name"), V("o"))
-    assert _reason(ok, tm) is None
+    assert reason(ok, tm) is None
     bad_s = TriplePattern(Iri("http://other/7"), V("p"), V("o"))
-    assert "subject" in _reason(bad_s, tm)
+    assert "subject" in reason(bad_s, tm)
     bad_p = TriplePattern(V("s"), Iri("http://e.com/other"), V("o"))
-    assert "predicate" in _reason(bad_p, tm)
+    assert "predicate" in reason(bad_p, tm)
     bad_o = TriplePattern(V("s"), V("p"), Iri("http://e.com/x"))
-    assert "object" in _reason(bad_o, tm)  # literal-building object vs IRI
+    assert "object" in reason(bad_o, tm)  # literal-building object vs IRI
 
 
 def test_reason_literal_objects():
     tm = simple_trmap()
     match = TriplePattern(V("s"), V("p"), Literal("anything"))
-    assert _reason(match, tm) is None
+    assert reason(match, tm) is None
     wrong_dt = TriplePattern(V("s"), V("p"), Literal("anything", XSD_INTEGER))
-    assert "datatype" in _reason(wrong_dt, tm)
+    assert "datatype" in reason(wrong_dt, tm)
 
 
 def test_reason_literal_lexical_space():
@@ -153,25 +156,25 @@ def test_reason_literal_lexical_space():
     )
     hit = TriplePattern(V("s"), V("p"), Literal("ID-7", XSD_INTEGER))
     miss = TriplePattern(V("s"), V("p"), Literal("XX-7", XSD_INTEGER))
-    assert _reason(hit, tm) is None
-    assert "match" in _reason(miss, tm)
+    assert reason(hit, tm) is None
+    assert "match" in reason(miss, tm)
 
 
 def test_reason_joined_object_never_literal():
     tm = joined_trmap()
     lit = TriplePattern(V("s"), V("p"), Literal("v"))
     # the kind check rules it out: a joined object's constructor builds no literal
-    assert _reason(lit, tm) == "object: builds IRIs, not literals"
+    assert reason(lit, tm) == "object: builds IRIs, not literals"
     iri_ok = TriplePattern(V("s"), V("p"), Iri("http://e.com/o/P1"))
-    assert _reason(iri_ok, tm) is None
+    assert reason(iri_ok, tm) is None
     iri_bad = TriplePattern(V("s"), V("p"), Iri("http://other/o"))
-    assert _reason(iri_bad, tm)
+    assert reason(iri_bad, tm)
 
 
 def test_all_variable_pattern_is_never_incompatible():
     pattern = TriplePattern(V("s"), V("p"), V("o"))
     for tm in (simple_trmap(), joined_trmap()):
-        assert _reason(pattern, tm) is None
+        assert reason(pattern, tm) is None
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,7 @@ def test_prune_drops_a_template_at_its_boundary_iri():
     # <http://e.com/s/> would need an empty id, and an empty cell builds nothing
     tm = simple_trmap()
     boundary = TriplePattern(Iri("http://e.com/s/"), V("p"), V("o"))
-    assert _reason(boundary, tm) is not None
+    assert reason(boundary, tm) is not None
     assert isinstance(prune([boundary], RmlMappingExpr((tm,))), FullyPruned)
 
 
@@ -382,7 +385,7 @@ def test_collected_patterns_are_distinct_and_in_query_order():
     assert list(collect_triple_patterns(query)) == list(query.patterns[:2])
 
 
-def test_prune_spells_no_reason(monkeypatch):
+def test_prune_spells_noreason(monkeypatch):
     # prune decides by the checks the trace prints, and spells nothing
     spelled = []
     format_term = pruning.format_term
@@ -398,3 +401,68 @@ def test_prune_spells_no_reason(monkeypatch):
     assert spelled == []
     assert incompatibility_trace(patterns, m).count(" does not match ") == 2
     assert spelled  # the probe sees the trace's spellings
+
+
+# ---------------------------------------------------------------------------
+# one decision: prune and the trace read one table of rulings
+# ---------------------------------------------------------------------------
+
+
+def headers(trace: str) -> list[str]:
+    """The trace's line for each expression, ``<provenance>: <verdict>``."""
+    return [line for line in trace.splitlines() if not line.startswith(("  ", "no solution: "))]
+
+
+def test_the_trace_retains_exactly_what_prune_keeps_on_random_instances():
+    bgps = unmatched = emptied = 0
+    for seed in range(150):
+        inst = randgen.make_instance(seed, allow_empty=seed % 5 == 4)
+        rng = random.Random(seed * 17 + 3)
+        drawn = randgen.random_patterns(rng, materialize(inst.mapping, inst.sigma), max_patterns=4)
+        for patterns in (drawn, randgen.with_unbuilt_predicate(rng, drawn)):
+            for required in ((), patterns):
+                bgps += 1
+                result = prune(patterns, inst.mapping, required)
+                kept = () if isinstance(result, FullyPruned) else result.trmaps
+                trace = incompatibility_trace(patterns, inst.mapping, required)
+                assert headers(trace) == [
+                    f"{tm.provenance}: {'retained' if any(tm is k for k in kept) else 'pruned'}"
+                    for tm in inst.mapping.trmaps
+                ]
+                # the no-solution line iff a required pattern rules out every expression
+                ruled_out = any(all(reason(tp, tm) for tm in inst.mapping.trmaps) for tp in required)
+                assert trace.splitlines()[-1].startswith("no solution: ") == ruled_out
+                unmatched += ruled_out
+                emptied += isinstance(result, FullyPruned)
+    # both verdicts, and both ways of emptying a query, are reached
+    assert bgps == 600 and 0 < unmatched < emptied < bgps
+
+
+def test_a_required_pattern_outside_the_patterns_is_ruled_on_every_expression():
+    # a required pattern is ruled on every expression, as the trace reads
+    # it: ex:routeName's expression is compatible with the required pattern,
+    # so nothing is emptied, and with no pattern, so it is pruned
+    mapping = parse_rml(MAPPING_TTL)
+    name, route_name = parse_query(
+        "PREFIX ex: <http://example.com/ns#> SELECT * WHERE { ?s ex:name ?n . ?s ex:routeName ?m }"
+    ).patterns
+    result = prune([name], mapping, [route_name])
+    assert [tm.provenance for tm in result.trmaps] == ["http://example.com/tm/stops#pom1"]
+    trace = incompatibility_trace([name], mapping, [route_name])
+    assert [line for line in headers(trace) if line.endswith(": retained")] == [
+        "http://example.com/tm/stops#pom1: retained"
+    ]
+    assert "no solution" not in trace
+    nope = TriplePattern(V("s"), Iri("http://example.com/ns#nope"), V("m"))
+    assert isinstance(prune([name], mapping, [nope]), FullyPruned)
+    assert incompatibility_trace([name], mapping, [nope]).count(": retained") == 0
+
+
+def test_a_duplicated_pattern_is_traced_at_each_occurrence():
+    m = RmlMappingExpr((simple_trmap(provenance="keep"), joined_trmap()))
+    pattern = TriplePattern(V("s"), Iri("http://e.com/name"), V("o"))
+    assert prune([pattern, pattern], m).trmaps == prune([pattern], m).trmaps
+    once = incompatibility_trace([pattern], m).splitlines()
+    twice = incompatibility_trace([pattern, pattern], m, [pattern, pattern]).splitlines()
+    # each expression's verdict, then its line for the pattern once per occurrence
+    assert twice == [once[0], once[1], once[1], once[2], once[3], once[3]]

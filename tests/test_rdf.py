@@ -186,6 +186,23 @@ def test_constructors_name_what_they_reject():
         TriplePattern(Variable("s"), Literal("x"), Variable("o"))
 
 
+@pytest.mark.parametrize(
+    "make, shown",
+    [
+        (lambda: rdf.check_term(("a", None, None)), "('a', None, None)"),
+        (lambda: rdf.check_term((1, None)), "(1, None)"),
+        # a pair whose string is no node spelling and has no datatype
+        (lambda: TriplePattern(("http://x", None), Variable("p"), Variable("o")), "('http://x', None)"),
+        (lambda: RdfGraph([Triple(("s", None), iri("p"), iri("o"))]), "('s', None)"),
+    ],
+)
+def test_a_value_that_is_no_term_is_named_as_it_stands(make, shown):
+    with pytest.raises(InvalidTermError) as info:
+        make()
+    assert type(info.value) is InvalidTermError
+    assert str(info.value) == f"not an RDF term: {shown}"
+
+
 def test_pattern_forbids_blank_nodes():
     with pytest.raises(InvalidTermError):
         TriplePattern(BlankNode("b"), iri("p"), Variable("o"))

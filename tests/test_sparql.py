@@ -482,6 +482,12 @@ PROPERTY_LISTS = "blank node property lists in patterns are not supported"
         ),
         *((group, False, column, "expected '_:'") for group, column in (("_x ?p ?o", 18), ("?s ?p _x", 24))),
         ('"a" ?p ?o', True, 18, "literal subjects are not supported"),
+        ('"a"@en ?p ?o', True, 18, "literal subjects are not supported"),
+        # a subject string that no token spells is read as an object's is
+        ('"abc ?p ?o', False, 30, "unterminated string"),
+        ('"a\\q" ?p ?o', False, 22, "invalid string escape: \\q"),
+        ("'abc\n' ?p ?o", False, 22, "newline in single-line string"),
+        ('"abc"@ ?p ?o', False, 23, "expected a language tag after '@'"),
         *(
             (f"{literal} ?p ?o", True, 18, "literal subjects are not supported")
             for literal in ("1", "+1", "-1", ".5", "1e3", "true", "false")

@@ -12,11 +12,11 @@ for ``rml:BlankNode``...; a text without one gets a replacement instead).
   (``gendata.MAPPING_TTL``) and the prune-wide workload's 560-expression
   mapping, as ``perfbench/corpus.py`` writes it, with snippets such as a
   blank node, a bracket, a quote, a brace, a term map, a base, a CR line
-  end or a literal where an IRI-valued property stands.  A
-  record is the ``dump_plan`` of the parsed mapping, its whole write-back
-  by ``serialize_pruned``, and the write-back of its prune for each of
-  q01-q08 (instantiated on the wide mapping's first copy for that
-  mapping).
+  end or a literal where an IRI-valued property stands.  A record is the
+  ``dump_plan`` of the parsed mapping, its whole write-back by
+  ``serialize_pruned``, and for each of q01-q08 (instantiated on the wide
+  mapping's first copy for that mapping) the write-back of its prune and
+  its ``incompatibility_trace``, which ``prune --explain`` prints.
 * ``--surface sparql`` mutates q01-q08, a query with OPTIONAL, FILTER and
   ORDER BY, a query with ``[]``, an aggregate query and a query whose
   FILTER holds operators, an escaped string, a language tag and ``SHA1``,
@@ -223,7 +223,8 @@ class Side:
 
     def mapping_record(self, text: str, queries: list[str]) -> tuple:
         """The plan and the write-backs of mapping *text*, whole and pruned
-        for each of *queries*; or the exception's class and message."""
+        for each of *queries*, each prune with its trace; or the
+        exception's class and message."""
         try:
             doc = self.rml.parse_rml(text)
             mapping = self.translate(doc)
@@ -233,6 +234,7 @@ class Side:
                 pruned = self.pruning.prune(patterns, mapping)
                 kept = () if isinstance(pruned, self.pruning.FullyPruned) else pruned
                 written.append(self.rml.serialize_pruned(kept, doc))
+                written.append(self.pruning.incompatibility_trace(patterns, mapping))
             return ("ok", self.algebra.dump_plan(mapping), *written)
         except Exception as exc:  # any exception is part of the record
             return ("error", type(exc).__name__, str(exc))
