@@ -115,17 +115,15 @@ def _rulings(
 ) -> tuple[list[list[Union[str, None]]], Union[TriplePattern, None]]:
     """The table that :func:`prune` and :func:`incompatibility_trace` read:
     the column of each of *tps*, the :func:`_ruling` of every expression of
-    *trmaps* in order; and the first of the *required* patterns whose column
-    holds no ``None``, or ``None``.  A pattern's column is that of its first
-    equal in *tps*, found by identity first: each distinct pattern of *tps*
-    is ruled on once, a required one outside it where it is read, and no
-    pattern is hashed."""
-    columns: list[list[Union[str, None]]] = []
-    for tp in tps:
-        first = tps.index(tp)
-        columns.append(columns[first] if first < len(columns) else [_ruling(tp, tm) for tm in trmaps])
+    *trmaps* in order; and the first *required* pattern compatible with no
+    retained expression, one with a ``None`` in its row, or ``None``.  One
+    outside *tps* is ruled on the retained expressions only."""
+    columns = [[_ruling(tp, tm) for tm in trmaps] for tp in tps]
     for tp in required:
-        column = columns[tps.index(tp)] if tp in tps else [_ruling(tp, tm) for tm in trmaps]
+        if tp in tps:
+            column = columns[tps.index(tp)]
+        else:
+            column = [_ruling(tp, tm) for tm, *row in zip(trmaps, *columns) if None in row]
         if None not in column:
             return columns, tp
     return columns, None
@@ -142,7 +140,8 @@ def prune(
     patterns: Iterable[TriplePattern], mapping: RmlMappingExpr, required: Iterable[TriplePattern] = ()
 ) -> Union[RmlMappingExpr, FullyPruned]:
     """Keep the expressions compatible with at least one pattern, and none
-    when one of the *required* patterns is compatible with no expression.
+    when one of the *required* patterns, which must be among *patterns*,
+    is compatible with none.
 
     The retained expressions come back in their original order; when
     nothing survives, a :class:`FullyPruned` marker carries the original

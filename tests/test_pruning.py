@@ -385,7 +385,7 @@ def test_collected_patterns_are_distinct_and_in_query_order():
     assert list(collect_triple_patterns(query)) == list(query.patterns[:2])
 
 
-def test_prune_spells_noreason(monkeypatch):
+def test_prune_spells_no_reason(monkeypatch):
     # prune decides by the checks the trace prints, and spells nothing
     spelled = []
     format_term = pruning.format_term
@@ -438,24 +438,25 @@ def test_the_trace_retains_exactly_what_prune_keeps_on_random_instances():
     assert bgps == 600 and 0 < unmatched < emptied < bgps
 
 
-def test_a_required_pattern_outside_the_patterns_is_ruled_on_every_expression():
-    # a required pattern is ruled on every expression, as the trace reads
-    # it: ex:routeName's expression is compatible with the required pattern,
-    # so nothing is emptied, and with no pattern, so it is pruned
+def test_a_required_pattern_outside_the_patterns_is_ruled_on_the_retained_expressions():
+    # a required pattern is ruled on the retained expressions only: the
+    # ex:routeName expression is compatible with the required pattern but
+    # with no pattern, so it is pruned and the query is emptied
     mapping = parse_rml(MAPPING_TTL)
     name, route_name = parse_query(
         "PREFIX ex: <http://example.com/ns#> SELECT * WHERE { ?s ex:name ?n . ?s ex:routeName ?m }"
     ).patterns
-    result = prune([name], mapping, [route_name])
-    assert [tm.provenance for tm in result.trmaps] == ["http://example.com/tm/stops#pom1"]
+    assert prune([name], mapping, [route_name]) == FullyPruned(original_count=len(mapping.trmaps))
     trace = incompatibility_trace([name], mapping, [route_name])
-    assert [line for line in headers(trace) if line.endswith(": retained")] == [
-        "http://example.com/tm/stops#pom1: retained"
-    ]
-    assert "no solution" not in trace
-    nope = TriplePattern(V("s"), Iri("http://example.com/ns#nope"), V("m"))
-    assert isinstance(prune([name], mapping, [nope]), FullyPruned)
-    assert incompatibility_trace([name], mapping, [nope]).count(": retained") == 0
+    assert headers(trace) == [f"{tm.provenance}: pruned" for tm in mapping.trmaps]
+    assert trace.endswith(
+        "\nno solution: required pattern ?s <http://example.com/ns#routeName> ?m . is compatible with no expression"
+    )
+    # one that a retained expression is compatible with empties nothing
+    other_name = TriplePattern(V("x"), Iri("http://example.com/ns#name"), V("y"))
+    kept = prune([name], mapping).trmaps
+    assert prune([name], mapping, [other_name]).trmaps == prune([name], mapping, [name]).trmaps == kept
+    assert incompatibility_trace([name], mapping, [other_name]) == incompatibility_trace([name], mapping)
 
 
 def test_a_duplicated_pattern_is_traced_at_each_occurrence():
